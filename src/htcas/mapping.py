@@ -145,7 +145,9 @@ def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
                         max_k: int | None = None, only_binary: bool = False,
                         validate: bool = True) -> MappingModel:
     """Transferred structure on Hom(H, L): homology decomposition, induced
-    Hom retract and tree-sum transfer of the convolution structure."""
+    Hom retract and transfer of the convolution structure by the i_infinity
+    recursion of `transfer_linf`, up to the derived arity cap unless max_k
+    is given.  only_binary keeps the vertices of arity 2 only."""
     cx = ChainComplex(C.space, C.delta(1))
     dec = homology_decomposition(cx)
     r = retract_from_decomposition(dec)
@@ -154,22 +156,9 @@ def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
     cap = max_k if max_k is not None else mapping_arity_cap(C, r.small.space)
     if cap is None:
         raise ValueError("cannot derive an arity cap; pass max_k explicitly")
-    words = _degree_feasible_words(hr.small.space, cap)
-    model = transfer_linf(conv, hr, max_k=cap, words=words,
-                          only_binary=only_binary, validate=validate)
+    model = transfer_linf(conv, hr, max_k=cap, only_binary=only_binary,
+                          validate=validate)
     return MappingModel(model, conv, hr, r.small.space, C, L)
-
-
-def _degree_feasible_words(space: GradedSpace, cap: int):
-    degrees = set(space.degrees())
-    out: dict[int, list[Word]] = {}
-    for k in range(2, cap + 1):
-        keep = []
-        for w in word_basis(space, "w", k):
-            if space.word_degree(w) + k - 2 in degrees:
-                keep.append(w)
-        out[k] = keep
-    return out
 
 
 # ---------------------------------------------------------------------------

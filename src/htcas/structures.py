@@ -230,17 +230,19 @@ class ShiftedBrackets:
         return out
 
 
-def unshift_bracket(space: GradedSpace, k: int, apply_factors) -> GradedMap:
-    """ell_k from a shifted bracket evaluator:
-    ell_k = (-1)^{k(k-1)/2} s^{-1} o B_k o s^{(x)k}, materialized on wedge words."""
+def unshift_bracket(space: GradedSpace, k: int,
+                    shifted_images: dict[Word, Element]) -> GradedMap:
+    """ell_k from the nonzero values of a shifted bracket B_k:
+    ell_k = (-1)^{k(k-1)/2} s^{-1} o B_k o s^{(x)k}, materialized on wedge words.
+
+    `shifted_images` is keyed by canonical wedge words of `space` (which are
+    the canonical monomial words of its suspension); every other word maps
+    to zero.  The images keep the order of the keys."""
     c = _interleave_sign(k)
-    sspace = space.suspend(+1)
     images = {}
-    for w in word_basis(space, "w", k):
+    for w, val in shifted_images.items():
         sign = suspension_sign([space.degree(f) for f in w.factors])
-        val = apply_factors(k, w.factors)
-        if val:
-            images[w] = (c * sign) * suspend_element(val, space)
+        images[w] = (c * sign) * suspend_element(val, space)
     return GradedMap(space, space, k - 2, images, arity=k, in_kind="w")
 
 

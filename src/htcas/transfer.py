@@ -1,34 +1,42 @@
-"""Homotopy retracts and homotopy transfer over rooted-tree formulas.
+"""Homotopy retracts and homotopy transfer.
 
 A retract packages (big, small, i, p, h) with id - i o p = d o h + h o d,
 p o i = id and the side conditions h o i = 0, p o h = 0, h o h = 0 (the
 canonical retract of a homology decomposition satisfies all of them, and
-user-supplied retracts are rejected otherwise: the tree formulas below
+user-supplied retracts are rejected otherwise: the transfer formulas below
 assume them).
 
 Transfer is computed in the suspension-normalized world of `structures`
-(all ops degree -1), where the tree sums carry no signs beyond Koszul
-tensor evaluation; internal edges are labeled by the negated suspended
-homotopy (the bar/cobar orientation) and results are conjugated back with
-the exact-inverse suspension bookkeeping.  Transferred co-operations sum
-over planar trees; transferred brackets sum over isomorphism classes
-weighted by 1/|Aut(T)| after symmetrizing the inputs.
+(all ops degree -1), where the transfer formulas carry no signs beyond
+Koszul tensor evaluation; internal edges are labeled by the negated
+suspended homotopy (the bar/cobar orientation) and results are conjugated
+back with the exact-inverse suspension bookkeeping.  Transferred co-ops
+sum over planar trees.  Transferred brackets come from the recursion for
+the infinity-morphism i_infinity over splits of the inputs into blocks
+(Berglund, arXiv:0909.3485; Loday-Vallette, Algebraic Operads, 10.3),
+driven by the words on which it is nonzero; it sums each leaf-labelled
+tree once, which equals the tree sum over isomorphism classes weighted by
+1/|Aut(T)| that `tree_map_lie` evaluates one tree at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, trees
 from .core import (
+    ZERO,
     Element,
     FuncMap,
     GradedMap,
     GradedSpace,
     Word,
+    canonical_word,
     coords,
     from_coords,
+    koszul_sign,
     tensor_apply,
     word_basis,
 )
@@ -387,10 +395,6 @@ def _lie_node(tree, B: ShiftedBrackets, rr: _ShiftedRetract,
 
 def _lie_tree_shifted(tree, B, rr, factors: tuple[str, ...], memo: dict) -> Element:
     """p-hat o (tree composite) o Koszul symmetrization of the inputs."""
-    import itertools
-
-    from .core import koszul_sign
-
     degs = [rr.small.degree(f) for f in factors]
     total = Element.zero(rr.small)
     for perm in itertools.permutations(range(1, len(factors) + 1)):
@@ -417,64 +421,153 @@ def linf_transfer_cap(L: LInfAlgebra, small: GradedSpace) -> int | None:
     return max(2, hi // lo)
 
 
+def _set_partitions(k: int, j: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Unordered partitions of the positions 0..k-1 into j blocks; each block
+    is increasing and the blocks are ordered by their least position."""
+    out = []
+    blocks: list[list[int]] = []
+
+    def rec(i: int) -> None:
+        if i == k:
+            if len(blocks) == j:
+                out.append(tuple(tuple(b) for b in blocks))
+            return
+        if k - i < j - len(blocks):
+            return
+        for b in blocks:
+            b.append(i)
+            rec(i + 1)
+            b.pop()
+        if len(blocks) < j:
+            blocks.append([i])
+            rec(i + 1)
+            blocks.pop()
+
+    rec(0)
+    return out
+
+
+def _length_splits(k: int, j: int, most: int):
+    """Non-increasing j-tuples of positive lengths summing to k, each <= most."""
+    if j == 1:
+        if 1 <= k <= most:
+            yield (k,)
+        return
+    for first in range(min(k - j + 1, most), 0, -1):
+        for rest in _length_splits(k - first, j - 1, first):
+            yield (first,) + rest
+
+
+def _support_merges(support: dict, k: int, arities: list[int],
+                    space: GradedSpace) -> list[tuple[str, ...]]:
+    """Canonical words of length k that merge j support words, j in arities,
+    in word-basis order: the only words on which F can be nonzero."""
+    found = set()
+    for j in arities:
+        for split in _length_splits(k, j, k - 1):
+            pools = [itertools.combinations_with_replacement(support[m], len(list(g)))
+                     for m, g in itertools.groupby(split)]
+            for combo in itertools.product(*pools):
+                w, _ = canonical_word(space, "m", [f for grp in combo for u in grp for f in u])
+                if w is not None:
+                    found.add(w.factors)
+    return sorted(found, key=lambda fs: [space.sortkey(f) for f in fs])
+
+
+def _vertex_sum(w: tuple[str, ...], support: dict, partitions: dict,
+                B: ShiftedBrackets, rr: _ShiftedRetract) -> Element:
+    """F(w): every root vertex B_j over every split of w into j blocks.
+
+    The subwords of a canonical word are canonical, so each block is looked
+    up in the support as it stands; a block outside it has I = 0."""
+    degs = [rr.small.degree(f) for f in w]
+    terms: dict[Word, Fraction] = {}
+    for j, parts in partitions.items():
+        for blocks in parts:
+            vals = []
+            for b in blocks:
+                v = support[len(b)].get(tuple(w[p] for p in b))
+                if v is None:
+                    break
+                vals.append(v)
+            else:
+                eps = koszul_sign([p + 1 for b in blocks for p in b], degs, signature=False)
+                arg = vals[0]
+                for v in vals[1:]:
+                    arg = arg.tensor(v)
+                for word, c in B.apply(j, arg).terms.items():
+                    terms[word] = terms.get(word, ZERO) + eps * c
+    return Element(rr.big, terms)
+
+
 def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
                   words: dict[int, list[Word]] | None = None,
                   only_binary: bool = False, validate: bool = True) -> LInfAlgebra:
-    """Transferred brackets ell'_k = sum over tree classes of ell_T / |Aut T|."""
+    """Transferred brackets ell'_k = p o F by the i_infinity recursion.
+
+    In the shifted world, for a canonical word w = x_1...x_k of the small
+    space,
+
+        F(w) = sum_j sum_{partitions of the k positions into j blocks}
+               eps * B_j(I(x_{B_1}) (x) ... (x) I(x_{B_j})),
+
+    where eps is the Koszul sign of concatenating the blocks, I(x) = i(x)
+    for a single factor and I(x_B) = h(F(x_B)) otherwise, and
+    ell'_k(w) = p(F(w)).  j runs over the arities of L from 2 up to the
+    vertex cap (2 with only_binary).  Only canonical merges of words with
+    nonzero I are evaluated, so the cost follows the output rather than the
+    word basis.  A split into blocks, applied recursively, is a leaf-labelled
+    rooted tree, so by orbit-stabilizer this is the tree sum
+    sum_T ell_T / |Aut T| of `tree_map_lie`.
+
+    `words`, when given, restricts which ell'_k images are kept at each
+    arity; the I values below max_k are computed in full regardless.
+    """
     B = ShiftedBrackets(L)
     rr = _shift_retract(r, +1)
     if max_k is None:
         max_k = linf_transfer_cap(L, r.small.space)
         if max_k is None:
             raise ValueError("cannot derive an arity cap; pass max_k explicitly")
-    memo: dict = {}
     vertex_cap = 2 if only_binary else L.max_arity
+    arities = [j for j in sorted(L.ops) if 2 <= j <= vertex_cap]
 
     ops: dict[int, GradedMap] = {}
     if not r.small.diff.is_zero():
         ops[1] = _as_wedge_op(r.small.diff)
     small = r.small.space
+    # support[m]: canonical words of length m with nonzero I, mapped to I
+    support = {1: {(n,): rr.incl.apply_word(Word.tensor(n)) for n in small.names}}
     for k in range(2, max_k + 1):
-        kwords = (words or {}).get(k) if words is not None else None
-        if kwords is None:
-            kwords = word_basis(small, "w", k)
-        tlist = [
-            (trees.planar_embedding(t), Fraction(1, trees.aut_order(t)))
-            for t in trees.enumerate_rooted(k, max_arity=max(vertex_cap, 2))
-            if not trees.is_leaf(t)
-        ]
+        kept = None if words is None or words.get(k) is None else {w.factors for w in words[k]}
+        last = k == max_k
+        partitions = {j: _set_partitions(k, j) for j in arities if j <= k}
+        support[k] = {}
         images = {}
-        for w in kwords:
-            total = Element.zero(rr.small)
-            for tree, weight in tlist:
-                val = _lie_tree_shifted(tree, B, rr, w.factors, memo)
-                if val:
-                    total = total + weight * val
-            if not total:
+        for w in _support_merges(support, k, arities, rr.small):
+            if last and kept is not None and w not in kept:
                 continue
-            images[w] = total
+            f = _vertex_sum(w, support, partitions, B, rr)
+            if not f:
+                continue
+            if not last:
+                iw = rr.homotopy.apply(f)
+                if iw:
+                    support[k][w] = iw
+            if kept is None or w in kept:
+                img = rr.proj.apply(f)
+                if img:
+                    images[Word.wedge(*w)] = img
         if images:
-            shifted_imgs = images
-
-            def apply_factors(kk, factors, _imgs=shifted_imgs, _small=small):
-                from .core import canonical_word
-
-                cw, s = canonical_word(rr.small, "m", factors)
-                if cw is None:
-                    return Element.zero(rr.small)
-                el = _imgs.get(Word("w", cw.factors))
-                if el is None:
-                    return Element.zero(rr.small)
-                return s * el
-
-            unshifted = unshift_bracket(small, k, apply_factors)
-            if not unshifted.is_zero():
-                ops[k] = unshifted
+            ops[k] = unshift_bracket(small, k, images)
     return LInfAlgebra(small, ops, validate=validate)
 
 
 def tree_map_lie(tree, L: LInfAlgebra, r: HomotopyRetract) -> GradedMap:
-    """The single tree map ell_T (symmetrization included, no 1/|Aut|)."""
+    """The single tree map ell_T (symmetrization included, no 1/|Aut|).
+
+    A test oracle for `transfer_linf`: it evaluates one planar embedding on
+    every canonical word and every input permutation."""
     k = trees.leaf_count(tree)
     B = ShiftedBrackets(L)
     rr = _shift_retract(r, +1)
@@ -485,20 +578,8 @@ def tree_map_lie(tree, L: LInfAlgebra, r: HomotopyRetract) -> GradedMap:
     for w in word_basis(small, "w", k):
         val = _lie_tree_shifted(emb, B, rr, w.factors, memo)
         if val:
-            values[Word("w", w.factors)] = val
-
-    def apply_factors(kk, factors):
-        from .core import canonical_word
-
-        cw, s = canonical_word(rr.small, "m", factors)
-        if cw is None:
-            return Element.zero(rr.small)
-        el = values.get(Word("w", cw.factors))
-        if el is None:
-            return Element.zero(rr.small)
-        return s * el
-
-    return unshift_bracket(small, k, apply_factors)
+            values[w] = val
+    return unshift_bracket(small, k, values)
 
 
 # ---------------------------------------------------------------------------

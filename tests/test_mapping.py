@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +19,16 @@ from htcas.mapping import (
     restrict_positive,
 )
 from htcas.structures import check_linf
-from htcas.transfer import hom_space
+from htcas.transfer import (
+    ChainComplex,
+    hom_retract,
+    hom_space,
+    homology_decomposition,
+    retract_from_decomposition,
+    transfer_linf,
+    tree_map_lie,
+)
+from htcas.trees import aut_order, enumerate_rooted
 
 RENAME = {"a": "g", "b": "h", "c": "r", "a.b": "s", "a.c": "u", "b.c": "v",
           "a.b.c": "w", "one": "unit"}
@@ -272,3 +282,40 @@ def test_bs_cochain_rejects_unpinned_arity():
     )
     with pytest.raises(ValueError):
         reduced_bs_cochain(fake, source=source, target=target)
+
+
+def test_transfer_linf_matches_tree_sum_on_worked_example(cbar, target_dgl):
+    # the recursion against the Aut-weighted sum of single tree maps, word
+    # by word, on the Hom retract of the worked example
+    r = retract_from_decomposition(
+        homology_decomposition(ChainComplex(cbar.space, cbar.delta(1))))
+    hr = hom_retract(r, target_dgl)
+    conv = convolution_linf(cbar, target_dgl)
+    out = transfer_linf(conv, hr, max_k=4)
+    small = hr.small.space
+    for k in (2, 3, 4):
+        tree_maps = [(Fraction(1, aut_order(t)), tree_map_lie(t, conv, hr))
+                     for t in enumerate_rooted(k)]
+        ell = out.ell(k)
+        support = set(ell.images)
+        for _, tm in tree_maps:
+            support |= set(tm.images)
+        for w in support:
+            total = sum((wt * tm.apply_word(w) for wt, tm in tree_maps),
+                        Element.zero(small))
+            assert total == ell.apply_word(w), (k, w)
+    assert sorted(out.ops) == [2, 3]
+
+
+def test_mapping_model_n4_at_derived_cap():
+    # n4 = Lambda(a3, b3, c5, e3), dc = ab, into example1_Y at its derived
+    # arity cap of 6
+    B = FiniteCDGA(CDGA.of([("a", 3), ("b", 3), ("c", 5), ("e", 3)],
+                           {"c": [(1, ("a", "b"))]}), max_cohom=14)
+    A = CDGA.of([("x", 4), ("y", 7), ("z", 10), ("t", 16)],
+                {"z": [(1, ("x", "y"))], "t": [(1, ("y", "z"))]})
+    _, red = dual_coalgebra(B)
+    mm = mapping_space_model(red, linf_from_cdga(A))
+    assert mapping_arity_cap(red, mm.homology) == 6
+    assert {k: len(m.images) for k, m in mm.model.ops.items()} == {2: 44, 3: 14}
+    assert check_linf(mm.model)

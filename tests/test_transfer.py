@@ -19,7 +19,9 @@ from htcas.transfer import (
     transfer_ainf,
     transfer_linf,
     tree_map_coalgebra,
+    tree_map_lie,
 )
+from htcas.trees import aut_order, enumerate_rooted, serialize
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +193,34 @@ def test_hom_retract_valid(cbar_retract, target_dgl):
     assert not hr.homotopy.apply_word(Word.tensor("u.x'"))
     img = hr.homotopy.apply_word(Word.tensor("s.x'"))  # degree -3, odd
     assert img == Element.make(hr.big.space, [(-1, "t", ("r.x'",))])
+
+
+def test_transfer_linf_ternary_vertex_with_internal_edge():
+    # ell_3(h ell_2(a, b), c, d) is the only nonzero composite: a ternary
+    # root whose first child is the binary vertex, joined by h(v) = u
+    space = GradedSpace.of([("a", 2), ("b", 2), ("c", 2), ("d", 2),
+                            ("v", 4), ("u", 5), ("e", 10)])
+    L = linf_from_tables(space, {
+        1: {("u",): [(1, "v")]},
+        2: {("a", "b"): [(1, "v")]},
+        3: {("u", "c", "d"): [(1, "e")]},
+    })
+    r = retract_from_decomposition(homology_decomposition(ChainComplex(space, L.ell(1))))
+    assert r.small.space.names == ("a", "b", "c", "d", "e")
+    out = transfer_linf(L, r, max_k=4)
+    w = Word.wedge("a", "b", "c", "d")
+    e = Element.gen(r.small.space, "e")
+    assert out.ell(4).apply_word(w) == -e
+    assert out.ell(4).images.keys() == {w}
+    # the Aut-weighted tree sum agrees; only ((**)**) contributes, -4e / 4
+    tree_values = {serialize(t): tree_map_lie(t, L, r).apply_word(w)
+                   for t in enumerate_rooted(4)}
+    assert tree_values["((**)**)"] == -4 * e
+    assert all(not v for s, v in tree_values.items() if s != "((**)**)")
+    total = sum((Fraction(1, aut_order(t)) * tree_values[serialize(t)]
+                 for t in enumerate_rooted(4)), Element.zero(r.small.space))
+    assert total == out.ell(4).apply_word(w)
+    # binary vertices only: the ternary path is cut and ell'_4 vanishes
+    binary = transfer_linf(L, r, max_k=4, only_binary=True)
+    assert not binary.ell(4).apply_word(w)
+    assert 4 not in binary.ops
