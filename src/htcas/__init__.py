@@ -36,7 +36,6 @@ from .invariants import (
     whitehead_length,
 )
 from .mapping import (
-    HomSpace,
     component_model,
     convolution_linf,
     mapping_space_model,
@@ -74,7 +73,7 @@ from .trees import aut_order, enumerate_planar, enumerate_rooted, planar_embeddi
 __all__ = [
     "AInfCoalgebra", "CDGA", "ChainComplex", "CheckReport", "Element",
     "FiniteCDGA", "FreeLieDGL", "FreeLieElement", "GradedMap", "GradedSpace",
-    "HomSpace", "HomotopyRetract", "InvariantReport", "LInfAlgebra",
+    "HomotopyRetract", "InvariantReport", "LInfAlgebra",
     "MaurerCartanElement", "Word", "aut_order", "bracket_length",
     "check_ainf", "check_cocommutative", "check_linf", "cochain",
     "component_model", "conilpotence", "convolution_linf",

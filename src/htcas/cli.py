@@ -31,7 +31,15 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Element, GradedMap, GradedSpace, Word, canonical_word
+from .core import (
+    AxiomError,
+    BoundError,
+    Element,
+    GradedMap,
+    GradedSpace,
+    Word,
+    canonical_word,
+)
 from .functors import (
     CDGA,
     FiniteCDGA,
@@ -61,18 +69,6 @@ class ParseError(Exception):
         super().__init__(f"{path}:{line}:{col}: {msg}")
         self.line = line
         self.col = col
-
-
-class ValidationError(Exception):
-    pass
-
-
-class AxiomError(Exception):
-    pass
-
-
-class BoundError(Exception):
-    pass
 
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_'.]*")
@@ -241,7 +237,6 @@ def parse(path: str) -> ModelFile:
     gens: list[tuple[str, int]] = []
     body: list[tuple[int, list]] = []
     options: dict = {}
-    space = None
     for lineno, raw in enumerate(lines, start=1):
         toks = list(_tokens(path, lineno, raw))
         if not toks:
@@ -278,147 +273,137 @@ def parse(path: str) -> ModelFile:
 
     if kind is None:
         raise ParseError(path, 1, 0, "empty file")
-    if kind == "cdga":
-        space = GradedSpace.of(gens)
-    else:
-        space = GradedSpace.of(gens)
+    space = GradedSpace.of(gens)
 
     def term_parser(lineno, toks, word_kind):
         return _TermParser(path, lineno, toks, space, word_kind)
 
-    try:
-        if kind == "cdga":
-            diff = {}
-            for lineno, toks in body:
-                if toks[0][0] != "d" or len(toks) < 3 or toks[2][0] != "=":
-                    raise ParseError(path, lineno, toks[0][1], "expected: d <gen> = <sum>")
-                g = toks[1][0]
-                if g not in space:
-                    raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
-                items = term_parser(lineno, toks[3:], "m").parse_sum()
-                el = _element(space, items, "m")
-                if el and el.degree != space.degree(g) + 1:
-                    raise ParseError(path, lineno, toks[0][1],
-                                     f"d({g}) must have degree {space.degree(g) + 1}, "
-                                     f"got {el.degree}")
-                if el:
-                    diff[g] = el
-            payload = CDGA(space, diff)
-        elif kind == "dgc":
-            dtab, ctab = {}, {}
-            for lineno, toks in body:
-                head = toks[0][0]
-                if head not in ("diff", "cop") or len(toks) < 3 or toks[2][0] != "=":
-                    raise ParseError(path, lineno, toks[0][1],
-                                     "expected: diff|cop <gen> = <sum>")
-                g = toks[1][0]
-                if g not in space:
-                    raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
-                items = term_parser(lineno, toks[3:], "t").parse_sum()
-                el = _element(space, items, "t")
-                want = space.degree(g) + (-1 if head == "diff" else 0)
-                if el and el.degree != want:
-                    raise ParseError(path, lineno, toks[0][1],
-                                     f"{head} {g} must have degree {want}, "
-                                     f"got {el.degree}")
-                if el:
-                    (dtab if head == "diff" else ctab)[g] = el
-            ops = {}
-            if dtab:
-                ops[1] = GradedMap(space, space, -1,
-                                   {Word.tensor(g): el for g, el in dtab.items()})
-            if ctab:
-                ops[2] = GradedMap(space, space, 0,
-                                   {Word.tensor(g): el for g, el in ctab.items()})
-            payload = AInfCoalgebra(space, ops, counit=options.get("counit"))
-        elif kind == "ainf":
-            tabs: dict[int, dict] = {}
-            for lineno, toks in body:
-                m = re.fullmatch(r"D(\d+)", toks[0][0])
-                if not m or len(toks) < 3 or toks[2][0] != "=":
-                    raise ParseError(path, lineno, toks[0][1], "expected: D<k> <gen> = <sum>")
-                k = int(m.group(1))
-                g = toks[1][0]
-                if g not in space:
-                    raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
-                items = term_parser(lineno, toks[3:], "t").parse_sum()
-                el = _element(space, items, "t")
-                if el and el.degree != space.degree(g) + k - 2:
-                    raise ParseError(path, lineno, toks[0][1],
-                                     f"D{k} {g} must have degree "
-                                     f"{space.degree(g) + k - 2}, got {el.degree}")
-                if el:
-                    tabs.setdefault(k, {})[Word.tensor(g)] = el
-            ops = {k: GradedMap(space, space, k - 2, tab) for k, tab in tabs.items()}
-            payload = AInfCoalgebra(space, ops, counit=options.get("counit"))
-        elif kind == "linf":
-            tabs = {}
-            for lineno, toks in body:
-                m = re.fullmatch(r"l(\d+)", toks[0][0])
-                if not m or toks[1][0] != "(":
-                    raise ParseError(path, lineno, toks[0][1],
-                                     "expected: l<k> ( g1 ^ ... ^ gk ) = <sum>")
-                k = int(m.group(1))
-                close = next((i for i, t in enumerate(toks) if t[0] == ")"), None)
-                if close is None or close + 1 >= len(toks) or toks[close + 1][0] != "=":
-                    raise ParseError(path, lineno, toks[0][1], "expected ( ... ) = <sum>")
-                names = [t[0] for t in toks[2:close] if t[0] != "^"]
-                for nm in names:
-                    if nm not in space:
-                        raise ParseError(path, lineno, toks[0][1], f"unknown generator {nm!r}")
-                if len(names) != k:
-                    raise ParseError(path, lineno, toks[0][1],
-                                     f"l{k} takes {k} inputs, got {len(names)}")
-                w, s = canonical_word(space, "w", tuple(names))
-                if w is None:
-                    raise ParseError(path, lineno, toks[0][1], "degenerate wedge word")
-                items = term_parser(lineno, toks[close + 2:], "t").parse_sum()
-                el = _element(space, items, "t")
-                want = space.word_degree(w) + k - 2
-                if el and el.degree != want:
-                    raise ParseError(path, lineno, toks[0][1],
-                                     f"l{k} image must have degree {want}, "
-                                     f"got {el.degree}")
-                if el:
-                    tab = tabs.setdefault(k, {})
-                    tab[w] = tab.get(w, Element.zero(space)) + Fraction(s) * el
-            ops = {
-                k: GradedMap(space, space, k - 2, tab, arity=k, in_kind="w")
-                for k, tab in tabs.items()
-            }
-            payload = LInfAlgebra(space, ops)
-        elif kind == "dgl":
-            diff = {}
-            pres = {}
-            for lineno, toks in body:
-                if toks[0][0] != "diff" or len(toks) < 3 or toks[2][0] != "=":
-                    raise ParseError(path, lineno, toks[0][1], "expected: diff <gen> = <sum>")
-                g = toks[1][0]
-                if g not in space:
-                    raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
-                items = term_parser(lineno, toks[3:], "lie").parse_sum()
-                el, p = _lie_element(space, items)
-                if el:
-                    diff[g] = el
-                    pres[g] = p
-            payload = FreeLieDGL(space, diff, presentation=pres)
-            payload.validate()
-        elif kind == "mc":
-            el = Element.zero(space)
-            for lineno, toks in body:
-                if toks[0][0] != "mc" or len(toks) < 2 or toks[1][0] != "=":
-                    raise ParseError(path, lineno, toks[0][1], "expected: mc = <sum>")
-                items = term_parser(lineno, toks[2:], "t").parse_sum()
-                el = el + _element(space, items, "t")
-            payload = el
-        else:  # pragma: no cover
-            raise AssertionError(kind)
-    except ParseError:
-        raise
-    except ValueError as exc:
-        if "degree" in str(exc):
-            raise ValidationError(str(exc)) from exc
-        raise AxiomError(str(exc)) from exc
+    if kind == "cdga":
+        diff = {}
+        for lineno, toks in body:
+            if toks[0][0] != "d" or len(toks) < 3 or toks[2][0] != "=":
+                raise ParseError(path, lineno, toks[0][1], "expected: d <gen> = <sum>")
+            g = toks[1][0]
+            if g not in space:
+                raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
+            items = term_parser(lineno, toks[3:], "m").parse_sum()
+            el = _element(space, items, "m")
+            if el and el.degree != space.degree(g) + 1:
+                raise ParseError(path, lineno, toks[0][1],
+                                 f"d({g}) must have degree {space.degree(g) + 1}, "
+                                 f"got {el.degree}")
+            if el:
+                diff[g] = el
+        payload = CDGA(space, diff)
+    elif kind == "dgc":
+        dtab, ctab = {}, {}
+        for lineno, toks in body:
+            head = toks[0][0]
+            if head not in ("diff", "cop") or len(toks) < 3 or toks[2][0] != "=":
+                raise ParseError(path, lineno, toks[0][1],
+                                 "expected: diff|cop <gen> = <sum>")
+            g = toks[1][0]
+            if g not in space:
+                raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
+            items = term_parser(lineno, toks[3:], "t").parse_sum()
+            el = _element(space, items, "t")
+            want = space.degree(g) + (-1 if head == "diff" else 0)
+            if el and el.degree != want:
+                raise ParseError(path, lineno, toks[0][1],
+                                 f"{head} {g} must have degree {want}, "
+                                 f"got {el.degree}")
+            if el:
+                (dtab if head == "diff" else ctab)[g] = el
+        ops = {}
+        if dtab:
+            ops[1] = GradedMap(space, space, -1,
+                               {Word.tensor(g): el for g, el in dtab.items()})
+        if ctab:
+            ops[2] = GradedMap(space, space, 0,
+                               {Word.tensor(g): el for g, el in ctab.items()})
+        payload = AInfCoalgebra(space, ops, counit=options.get("counit"))
+    elif kind == "ainf":
+        tabs: dict[int, dict] = {}
+        for lineno, toks in body:
+            m = re.fullmatch(r"D(\d+)", toks[0][0])
+            if not m or len(toks) < 3 or toks[2][0] != "=":
+                raise ParseError(path, lineno, toks[0][1], "expected: D<k> <gen> = <sum>")
+            k = int(m.group(1))
+            g = toks[1][0]
+            if g not in space:
+                raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
+            items = term_parser(lineno, toks[3:], "t").parse_sum()
+            el = _element(space, items, "t")
+            if el and el.degree != space.degree(g) + k - 2:
+                raise ParseError(path, lineno, toks[0][1],
+                                 f"D{k} {g} must have degree "
+                                 f"{space.degree(g) + k - 2}, got {el.degree}")
+            if el:
+                tabs.setdefault(k, {})[Word.tensor(g)] = el
+        ops = {k: GradedMap(space, space, k - 2, tab) for k, tab in tabs.items()}
+        payload = AInfCoalgebra(space, ops, counit=options.get("counit"))
+    elif kind == "linf":
+        tabs = {}
+        for lineno, toks in body:
+            m = re.fullmatch(r"l(\d+)", toks[0][0])
+            if not m or toks[1][0] != "(":
+                raise ParseError(path, lineno, toks[0][1],
+                                 "expected: l<k> ( g1 ^ ... ^ gk ) = <sum>")
+            k = int(m.group(1))
+            close = next((i for i, t in enumerate(toks) if t[0] == ")"), None)
+            if close is None or close + 1 >= len(toks) or toks[close + 1][0] != "=":
+                raise ParseError(path, lineno, toks[0][1], "expected ( ... ) = <sum>")
+            names = [t[0] for t in toks[2:close] if t[0] != "^"]
+            for nm in names:
+                if nm not in space:
+                    raise ParseError(path, lineno, toks[0][1], f"unknown generator {nm!r}")
+            if len(names) != k:
+                raise ParseError(path, lineno, toks[0][1],
+                                 f"l{k} takes {k} inputs, got {len(names)}")
+            w, s = canonical_word(space, "w", tuple(names))
+            if w is None:
+                raise ParseError(path, lineno, toks[0][1], "degenerate wedge word")
+            items = term_parser(lineno, toks[close + 2:], "t").parse_sum()
+            el = _element(space, items, "t")
+            want = space.word_degree(w) + k - 2
+            if el and el.degree != want:
+                raise ParseError(path, lineno, toks[0][1],
+                                 f"l{k} image must have degree {want}, "
+                                 f"got {el.degree}")
+            if el:
+                tab = tabs.setdefault(k, {})
+                tab[w] = tab.get(w, Element.zero(space)) + Fraction(s) * el
+        ops = {
+            k: GradedMap(space, space, k - 2, tab, arity=k, in_kind="w")
+            for k, tab in tabs.items()
+        }
+        payload = LInfAlgebra(space, ops)
+    elif kind == "dgl":
+        diff = {}
+        pres = {}
+        for lineno, toks in body:
+            if toks[0][0] != "diff" or len(toks) < 3 or toks[2][0] != "=":
+                raise ParseError(path, lineno, toks[0][1], "expected: diff <gen> = <sum>")
+            g = toks[1][0]
+            if g not in space:
+                raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
+            items = term_parser(lineno, toks[3:], "lie").parse_sum()
+            el, p = _lie_element(space, items)
+            if el:
+                diff[g] = el
+                pres[g] = p
+        payload = FreeLieDGL(space, diff, presentation=pres)
+        payload.validate()
+    elif kind == "mc":
+        el = Element.zero(space)
+        for lineno, toks in body:
+            if toks[0][0] != "mc" or len(toks) < 2 or toks[1][0] != "=":
+                raise ParseError(path, lineno, toks[0][1], "expected: mc = <sum>")
+            items = term_parser(lineno, toks[2:], "t").parse_sum()
+            el = el + _element(space, items, "t")
+        payload = el
+    else:  # pragma: no cover
+        raise AssertionError(kind)
     return ModelFile(kind, space, payload, options)
 
 
@@ -430,10 +415,10 @@ def fmt_scalar(c: Fraction) -> str:
     return str(c)
 
 
-def _fmt_terms(el: Element, sep: str) -> str:
+def _fmt_sum(terms) -> str:
+    """Signed sum text from (coefficient, word text) pairs; "0" when empty."""
     bits = []
-    for w, c in el.sorted_items():
-        word = sep.join(w.factors)
+    for c, word in terms:
         if c == 1:
             term = word
         elif c == -1:
@@ -446,6 +431,10 @@ def _fmt_terms(el: Element, sep: str) -> str:
             term = "+ " + term
         bits.append(term)
     return " ".join(bits) if bits else "0"
+
+
+def _fmt_terms(el: Element, sep: str) -> str:
+    return _fmt_sum((c, sep.join(w.factors)) for w, c in el.sorted_items())
 
 
 def serialize(obj, kind: str | None = None) -> str:
@@ -515,46 +504,19 @@ def serialize(obj, kind: str | None = None) -> str:
 def _fmt_lie(M: FreeLieDGL, g: str) -> str:
     pres = M.presentation.get(g)
     if pres:
-        bits = []
-        for c, tree in pres:
-            word = _fmt_bracket(tree)
-            if c == 1:
-                term = word
-            elif c == -1:
-                term = f"- {word}"
-            elif c < 0:
-                term = f"- {fmt_scalar(-c)} {word}"
-            else:
-                term = f"{fmt_scalar(c)} {word}"
-            if bits and not term.startswith("- "):
-                term = "+ " + term
-            bits.append(term)
-        return " ".join(bits)
+        return _fmt_sum((c, _fmt_bracket(tree)) for c, tree in pres)
     # fall back to the Dynkin expansion: t = (1/k) rho(t) weightwise
     img = M.diff[g]
-    bits = []
+    terms = []
     for k in img.weights():
-        comp = img.weight_component(k)
-        for w, c in comp.sorted_items():
+        for w, c in img.weight_component(k).sorted_items():
             # right-normed bracketing: t = (1/k) rho(t) on Lie elements
             fs = w.factors
             tree = fs[-1]
             for f in reversed(fs[:-1]):
                 tree = (f, tree)
-            word = _fmt_bracket(tree) if len(fs) > 1 else fs[0]
-            coeff = c / k
-            if coeff == 1:
-                term = word
-            elif coeff == -1:
-                term = f"- {word}"
-            elif coeff < 0:
-                term = f"- {fmt_scalar(-coeff)} {word}"
-            else:
-                term = f"{fmt_scalar(coeff)} {word}"
-            if bits and not term.startswith("- "):
-                term = "+ " + term
-            bits.append(term)
-    return " ".join(bits) if bits else "0"
+            terms.append((c / k, _fmt_bracket(tree)))
+    return _fmt_sum(terms)
 
 
 def _fmt_bracket(tree) -> str:
@@ -761,9 +723,6 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(exc, file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"validation failure: {exc}", file=sys.stderr)
-        return 2
     except AxiomError as exc:
         print(f"axiom failure: {exc}", file=sys.stderr)
         return 3
@@ -773,12 +732,8 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"validation failure: unknown name {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        msg = str(exc)
-        if "cap" in msg or "bound" in msg:
-            print(f"bound exceeded: {msg}", file=sys.stderr)
-            return 4
-        print(f"validation failure: {msg}", file=sys.stderr)
+    except ValueError as exc:  # ValidationError and every other ValueError
+        print(f"validation failure: {exc}", file=sys.stderr)
         return 2
 
 

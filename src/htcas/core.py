@@ -36,6 +36,18 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+class ValidationError(ValueError):
+    """Malformed input: a wrong degree, an inhomogeneous element, a bad name."""
+
+
+class AxiomError(ValueError):
+    """A structure whose defining relations fail (d^2, A-infinity, Jacobi)."""
+
+
+class BoundError(ValueError):
+    """A computation outside what the engine can bound, e.g. no arity cap."""
+
+
 def frac(x) -> Fraction:
     """Exact scalar from an int, Fraction or 'p/q' string."""
     if isinstance(x, Fraction):
@@ -96,7 +108,7 @@ class GradedSpace:
     def __post_init__(self):
         names = [n for n, _ in self.basis]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate basis names")
+            raise ValidationError("duplicate basis names")
 
     @staticmethod
     def of(pairs) -> "GradedSpace":
@@ -240,7 +252,7 @@ class Element:
         self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
         degs = {space.word_degree(w) for w in self.terms}
         if len(degs) > 1:
-            raise ValueError(f"inhomogeneous element: degrees {sorted(degs)}")
+            raise ValidationError(f"inhomogeneous element: degrees {sorted(degs)}")
 
     @staticmethod
     def zero(space: GradedSpace) -> "Element":
@@ -355,7 +367,7 @@ class GradedMap:
         for w, el in self.images.items():
             want = source.word_degree(w) + degree
             if el.degree is not None and el.degree != want:
-                raise ValueError(
+                raise ValidationError(
                     f"image of {w} has degree {el.degree}, expected {want}"
                 )
 
@@ -415,37 +427,13 @@ class GradedMap:
         return list(self.images.keys())
 
 
-class FuncMap:
-    """Functional map-like for tensor evaluation: degree plus a word action."""
-
-    __slots__ = ("degree", "fn")
-
-    def __init__(self, degree: int, fn):
-        self.degree = degree
-        self.fn = fn
-
-    def apply_word(self, word: Word, coeff: Fraction = ONE) -> Element:
-        return coeff * self.fn(word)
-
-    def apply(self, el: Element) -> Element:
-        out = None
-        for w, c in el.terms.items():
-            piece = self.apply_word(w, c)
-            out = piece if out is None else out + piece
-        return out
-
-
 def tensor_apply(slots, arities, el: Element) -> Element:
     """Evaluate (m_1 (x) ... (x) m_r) on tensor words, Koszul signs included.
 
-    Slot i consumes arities[i] factors; the sign is the price of threading
-    each map past the factors to its left.
+    Slot i is a GradedMap consuming arities[i] factors; the sign is the
+    price of threading each map past the factors to its left.  The result
+    lives in the target of the first slot.
     """
-    target = None
-    for m in slots:
-        if isinstance(m, GradedMap):
-            target = m.target
-            break
     out_terms: dict[Word, Fraction] = {}
     space = el.space
     for word, c in el.terms.items():
@@ -464,8 +452,6 @@ def tensor_apply(slots, arities, el: Element) -> Element:
                 if later % 2:
                     sign = -sign
         pieces = [slots[i].apply_word(Word.tensor(*chunks[i])) for i in range(len(slots))]
-        if target is None and pieces:
-            target = pieces[0].space
         combos = [((), sign * c)]
         dead = False
         for p in pieces:
@@ -482,9 +468,7 @@ def tensor_apply(slots, arities, el: Element) -> Element:
         for fs, cc in combos:
             w = Word.tensor(*fs)
             out_terms[w] = out_terms.get(w, ZERO) + cc
-    if target is None:
-        target = el.space
-    return Element(target, out_terms)
+    return Element(slots[0].target, out_terms)
 
 
 def tensor_map(maps: list[GradedMap]) -> GradedMap:
@@ -546,25 +530,15 @@ def unshuffle(space: GradedSpace, word: Word, proper: bool = False):
     return {k: v for k, v in out.items() if v}
 
 
-def symmetrize(space: GradedSpace, word: Word) -> Element:
-    """Wedge word to the signed sum of its k! tensor rearrangements."""
+def symmetrize(space: GradedSpace, word: Word, signature: bool = True) -> Element:
+    """Signed sum of the k! tensor rearrangements of a word: graded
+    signature signs for a wedge word, Koszul signs alone (signature=False)
+    for a monomial word."""
     fs = word.factors
     degs = [space.degree(f) for f in fs]
     terms: dict[Word, Fraction] = {}
     for perm in itertools.permutations(range(1, len(fs) + 1)):
-        s = koszul_sign(list(perm), degs)
-        w = Word.tensor(*(fs[p - 1] for p in perm))
-        terms[w] = terms.get(w, ZERO) + s
-    return Element(space, terms)
-
-
-def sym_expand(space: GradedSpace, word: Word) -> Element:
-    """Monomial word to tensor words with Koszul signs only (k! terms)."""
-    fs = word.factors
-    degs = [space.degree(f) for f in fs]
-    terms: dict[Word, Fraction] = {}
-    for perm in itertools.permutations(range(1, len(fs) + 1)):
-        s = koszul_sign(list(perm), degs, signature=False)
+        s = koszul_sign(list(perm), degs, signature=signature)
         w = Word.tensor(*(fs[p - 1] for p in perm))
         terms[w] = terms.get(w, ZERO) + s
     return Element(space, terms)

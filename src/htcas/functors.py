@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (
+    AxiomError,
     Element,
     GradedMap,
     GradedSpace,
+    ValidationError,
     Word,
     canonical_word,
     frac,
@@ -61,11 +63,11 @@ class CDGA:
         self.diff = {g: el for g, el in (diff or {}).items() if el}
         for g, el in self.diff.items():
             if el.degree is not None and el.degree != self.gens.degree(g) + 1:
-                raise ValueError(f"d({g}) has the wrong degree")
+                raise ValidationError(f"d({g}) has the wrong degree")
         if validate:
             for g in self.diff:
                 if self.d(self.diff[g]):
-                    raise ValueError(f"d^2 != 0 on generator {g}")
+                    raise AxiomError(f"d^2 != 0 on generator {g}")
 
     @staticmethod
     def of(gens, d: dict | None = None, validate: bool = True) -> "CDGA":
@@ -341,9 +343,9 @@ class FreeLieDGL:
     def validate(self) -> None:
         for g, img in self.diff.items():
             if not img.is_primitive():
-                raise ValueError(f"differential of {g} is not a Lie element")
+                raise AxiomError(f"differential of {g} is not a Lie element")
             if self.d_tensor(img.element):
-                raise ValueError(f"d^2 != 0 on generator {g}")
+                raise AxiomError(f"d^2 != 0 on generator {g}")
 
     @property
     def is_minimal(self) -> bool:

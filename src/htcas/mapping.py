@@ -16,13 +16,11 @@ generator is the strongest correctness check in the package.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Element, GradedMap, GradedSpace, Word, word_basis
-from .functors import CDGA, FiniteCDGA, cochain, dual_coalgebra
+from .core import BoundError, Element, GradedMap, GradedSpace, Word, word_basis
+from .functors import CDGA, FiniteCDGA, _multiplicity_factor, cochain, dual_coalgebra
 from .structures import (
     AInfCoalgebra,
     LInfAlgebra,
@@ -38,23 +36,10 @@ from .transfer import (
     hom_complex,
     hom_name,
     hom_retract,
-    hom_space,
     homology_decomposition,
     retract_from_decomposition,
     transfer_linf,
 )
-
-
-@dataclass
-class HomSpace:
-    """Elementary-map basis of Hom(source, target), source-major order."""
-
-    source: GradedSpace
-    target: GradedSpace
-
-    @property
-    def space(self) -> GradedSpace:
-        return hom_space(self.source, self.target)
 
 
 def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra,
@@ -155,7 +140,7 @@ def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
     conv = convolution_linf(C, L, validate=validate)
     cap = max_k if max_k is not None else mapping_arity_cap(C, r.small.space)
     if cap is None:
-        raise ValueError("cannot derive an arity cap; pass max_k explicitly")
+        raise BoundError("cannot derive an arity cap; pass max_k explicitly")
     model = transfer_linf(conv, hr, max_k=cap, only_binary=only_binary,
                           validate=validate)
     return MappingModel(model, conv, hr, r.small.space, C, L)
@@ -222,9 +207,7 @@ def reduced_bs_cochain(model, source: GradedSpace | None = None,
             val = model.ops[j].apply_word(Word.tensor(*ordered))
             if not val:
                 continue
-            mult = 1
-            for _, grp in itertools.groupby(w.factors):
-                mult *= math.factorial(len(list(grp)))
+            mult = _multiplicity_factor(w.factors)
             xi = -1 if ((j - 1) * (j - 2) // 2) % 2 else 1
             for a in range(j):
                 for b in range(a + 1, j):

@@ -31,9 +31,11 @@ from fractions import Fraction
 
 from . import linalg
 from .core import (
+    AxiomError,
     Element,
     GradedMap,
     GradedSpace,
+    ValidationError,
     Word,
     canonical_word,
     frac,
@@ -81,11 +83,11 @@ class AInfCoalgebra:
         self.counit = counit
         for k, m in self.ops.items():
             if m.degree != k - 2:
-                raise ValueError(f"Delta_{k} must have degree {k - 2}, got {m.degree}")
+                raise ValidationError(f"Delta_{k} must have degree {k - 2}, got {m.degree}")
         if validate:
             rep = check_ainf(self)
             if not rep:
-                raise ValueError(f"A-infinity relation fails: {rep}")
+                raise AxiomError(f"A-infinity relation fails: {rep}")
 
     @property
     def max_arity(self) -> int:
@@ -117,13 +119,13 @@ class LInfAlgebra:
         self.ops = {k: m for k, m in ops.items() if not m.is_zero()}
         for k, m in self.ops.items():
             if m.degree != k - 2:
-                raise ValueError(f"ell_{k} must have degree {k - 2}, got {m.degree}")
+                raise ValidationError(f"ell_{k} must have degree {k - 2}, got {m.degree}")
             if m.in_kind != "w" or m.arity != k:
-                raise ValueError(f"ell_{k} must act on wedge words of length {k}")
+                raise ValidationError(f"ell_{k} must act on wedge words of length {k}")
         if validate:
             rep = check_linf(self)
             if not rep:
-                raise ValueError(f"generalized Jacobi fails: {rep}")
+                raise AxiomError(f"generalized Jacobi fails: {rep}")
 
     @property
     def max_arity(self) -> int:
@@ -206,10 +208,6 @@ class ShiftedBrackets:
         self.algebra = L
         self.space = L.space.suspend(+1)
         self._cache: dict[tuple[int, tuple[str, ...]], Element] = {}
-
-    @property
-    def arities(self):
-        return sorted(self.algebra.ops)
 
     def apply_factors(self, k: int, factors: tuple[str, ...]) -> Element:
         key = (k, factors)

@@ -11,7 +11,11 @@ Transfer is computed in the suspension-normalized world of `structures`
 Koszul tensor evaluation; internal edges are labeled by the negated
 suspended homotopy (the bar/cobar orientation) and results are conjugated
 back with the exact-inverse suspension bookkeeping.  Transferred co-ops
-sum over planar trees.  Transferred brackets come from the recursion for
+come from the planar recursion G_1 = p, G_m = F_m o h, with F_m the sum
+of (G_{m_1} (x) ... (x) G_{m_j}) o delta_j over the compositions of m
+(Markl, Transferring A-infinity structures); it builds each G_m once and
+unrolls to the sum over planar trees that `tree_map_coalgebra` evaluates
+one tree at a time.  Transferred brackets come from the recursion for
 the infinity-morphism i_infinity over splits of the inputs into blocks
 (Berglund, arXiv:0909.3485; Loday-Vallette, Algebraic Operads, 10.3),
 driven by the words on which it is nonzero; it sums each leaf-labelled
@@ -28,8 +32,8 @@ from fractions import Fraction
 from . import linalg, trees
 from .core import (
     ZERO,
+    BoundError,
     Element,
-    FuncMap,
     GradedMap,
     GradedSpace,
     Word,
@@ -268,30 +272,20 @@ def _shift_retract(r: HomotopyRetract, shift: int) -> _ShiftedRetract:
 # A-infinity transfer
 
 
-def _co_children(tree, coops: ShiftedCoops, rr: _ShiftedRetract, el: Element) -> Element:
-    """Vertex co-op followed by the branch composites; slots all degree 0."""
-    arity = len(tree)
-    if arity not in coops.coalgebra.ops:
-        return Element.zero(rr.small)
-    mid = coops.op(arity).apply(el)
-    if not mid:
-        return Element.zero(rr.small)
-    slots = []
-    for child in tree:
-        if trees.is_leaf(child):
-            slots.append(rr.proj)
-        else:
-            def fn(word, child=child):
-                nxt = rr.homotopy.apply_word(word)
-                return _co_children(child, coops, rr, nxt)
-
-            slots.append(FuncMap(0, fn))
-    return tensor_apply(slots, [1] * arity, mid)
-
-
-def _coalgebra_tree_shifted(tree, coops, rr, name: str) -> Element:
-    el = rr.incl.apply_word(Word.tensor(name))
-    return _co_children(tree, coops, rr, el)
+def _coop_map(coops: ShiftedCoops, rr: _ShiftedRetract, slot_tuples) -> GradedMap:
+    """Sum over slot tuples S of (S_1 (x) ... (x) S_j) o delta_j, j = len(S),
+    as a map from the big space to tensor words of the small one.  Every
+    slot has degree 0, so the evaluation carries no Koszul signs."""
+    images = {}
+    for name in rr.big.names:
+        w = Word.tensor(name)
+        total = Element.zero(rr.small)
+        for slots in slot_tuples:
+            mid = coops.op(len(slots)).apply_word(w)
+            if mid:
+                total = total + tensor_apply(slots, [1] * len(slots), mid)
+        images[w] = total
+    return GradedMap(rr.big, rr.small, -1, images)
 
 
 def ainf_transfer_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:
@@ -308,47 +302,52 @@ def ainf_transfer_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:
 
 
 def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract, max_k: int | None = None,
-                  only_binary: bool = False, validate: bool = True) -> AInfCoalgebra:
-    """Transferred A-infinity structure Delta'_k = sum over planar trees."""
+                  validate: bool = True) -> AInfCoalgebra:
+    """Transferred co-operations Delta'_k = unshift(F_k o i), where in the
+    shifted world G_1 = p, G_m = F_m o h and
+
+        F_m = sum_j sum_{m = m_1 + ... + m_j} (G_{m_1} (x) ... (x) G_{m_j}) o delta_j
+
+    over the arities j >= 2 of C and the compositions of m.  Each G_m is one
+    map from the big space to small^{(x)m}, built once.  Unrolled, this visits
+    each planar tree once: it is the tree sum of `tree_map_coalgebra`."""
     coops = ShiftedCoops(C)
     rr = _shift_retract(r, -1)
     cap = max_k if max_k is not None else ainf_transfer_cap(C, r.small.space)
     if cap is None:
-        raise ValueError("cannot derive an arity cap; pass max_k explicitly")
+        raise BoundError("cannot derive an arity cap; pass max_k explicitly")
 
     ops: dict[int, GradedMap] = {}
     if not r.small.diff.is_zero():
         ops[1] = r.small.diff
-    vertex_cap = 2 if only_binary else max(C.max_arity, 2)
-    for k in range(2, cap + 1):
-        images = {}
-        for name in r.small.space.names:
-            total = Element.zero(rr.small)
-            for tree in trees.enumerate_planar(k, max_arity=vertex_cap):
-                if trees.is_leaf(tree):
-                    continue
-                total = total + _coalgebra_tree_shifted(tree, coops, rr, name)
-            if total:
-                images[Word.tensor(name)] = total
-        if images:
-            ops[k] = unshift_coop(
-                GradedMap(rr.small, rr.small, -1, images), k, r.small.space
-            )
+    arities = [j for j in coops.arities if j >= 2]
+    G = {1: rr.proj}
+    for m in range(2, cap + 1):
+        F = _coop_map(coops, rr, [
+            tuple(G[b - a] for a, b in zip((0,) + cuts, cuts + (m,)))
+            for j in arities
+            for cuts in itertools.combinations(range(1, m), j - 1)
+        ])
+        G[m] = F.compose(rr.homotopy)
+        ops[m] = unshift_coop(F.compose(rr.incl), m, r.small.space)
     counit = C.counit if (C.counit and C.counit in r.small.space) else None
     return AInfCoalgebra(r.small.space, ops, counit=counit, validate=validate)
 
 
+def _tree_coop(tree, coops: ShiftedCoops, rr: _ShiftedRetract) -> GradedMap:
+    """F_T for a planar tree T with an internal root: the root co-op followed
+    by p on each leaf and F_c o h on each subtree c."""
+    slots = tuple(rr.proj if trees.is_leaf(c) else _tree_coop(c, coops, rr).compose(rr.homotopy)
+                  for c in tree)
+    return _coop_map(coops, rr, [slots])
+
+
 def tree_map_coalgebra(tree, C: AInfCoalgebra, r: HomotopyRetract) -> GradedMap:
-    """The single labeled tree map Delta_T : H -> H^{(x)k}."""
-    k = trees.leaf_count(tree)
-    coops = ShiftedCoops(C)
+    """The single labeled tree map Delta_T : H -> H^{(x)k}; a test oracle for
+    `transfer_ainf`, which sums these over the planar trees with k leaves."""
     rr = _shift_retract(r, -1)
-    images = {}
-    for name in r.small.space.names:
-        val = _coalgebra_tree_shifted(tree, coops, rr, name)
-        if val:
-            images[Word.tensor(name)] = val
-    return unshift_coop(GradedMap(rr.small, rr.small, -1, images), k, r.small.space)
+    delta = _tree_coop(tree, ShiftedCoops(C), rr).compose(rr.incl)
+    return unshift_coop(delta, trees.leaf_count(tree), r.small.space)
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +527,7 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
     if max_k is None:
         max_k = linf_transfer_cap(L, r.small.space)
         if max_k is None:
-            raise ValueError("cannot derive an arity cap; pass max_k explicitly")
+            raise BoundError("cannot derive an arity cap; pass max_k explicitly")
     vertex_cap = 2 if only_binary else L.max_arity
     arities = [j for j in sorted(L.ops) if 2 <= j <= vertex_cap]
 

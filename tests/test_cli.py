@@ -99,7 +99,17 @@ def test_axiom_failure_exit_code(tmp_path, capsys):
         "cop s = g|g\n",
     )
     code, out, err = run(["check", p], capsys)
-    assert code in (2, 3)
+    assert code == 3
+
+
+def test_axiom_exit_code_ignores_generator_names(tmp_path, capsys):
+    # d^2 (degree) = x^3 != 0; the generator name must not pick the exit code
+    text = ("kind cdga\ngen x : 2\ngen z : 3\ngen {0} : 4\n"
+            "d z = x^x\nd {0} = x^z\n")
+    for name in ("degree", "w"):
+        p = write(tmp_path, f"{name}.cdga", text.format(name))
+        code, out, err = run(["check", p], capsys)
+        assert code == 3 and f"d^2 != 0 on generator {name}" in err
 
 
 def test_empty_generator_list_is_valid(tmp_path, capsys):

@@ -7,7 +7,6 @@ from helpers import random_finite_cdga, random_sullivan
 from htcas.core import Element, GradedSpace, Word
 from htcas.functors import CDGA, FiniteCDGA, cochain, dual_coalgebra, linf_from_cdga
 from htcas.mapping import (
-    HomSpace,
     component_model,
     convolution_linf,
     mapping_arity_cap,
@@ -40,9 +39,9 @@ def worked(cbar, target_dgl):
 
 
 def test_hom_space_type(cbar, target_dgl):
-    hs = HomSpace(cbar.space, target_dgl.space)
-    assert hs.space.dim == 28
-    assert hs.space.degree("w.x'") == -8
+    hs = hom_space(cbar.space, target_dgl.space)
+    assert hs.dim == 28
+    assert hs.degree("w.x'") == -8
 
 
 def test_convolution_is_valid_and_pinned(cbar, target_dgl):

@@ -1,7 +1,10 @@
 import pytest
 from fractions import Fraction
 
+from htcas import trees
 from htcas.core import Element, GradedMap, GradedSpace, Word
+from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra
+from htcas.mapping import convolution_linf
 from htcas.structures import (
     check_ainf,
     check_cocommutative,
@@ -21,7 +24,7 @@ from htcas.transfer import (
     tree_map_coalgebra,
     tree_map_lie,
 )
-from htcas.trees import aut_order, enumerate_rooted, serialize
+from htcas.trees import aut_order, enumerate_planar, enumerate_rooted, serialize
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +32,16 @@ def cbar_retract(cbar):
     cx = ChainComplex(cbar.space, cbar.delta(1))
     dec = homology_decomposition(cx)
     return dec, retract_from_decomposition(dec)
+
+
+@pytest.fixture(scope="module")
+def n4():
+    """Reduced dual of n4 = Lambda(a3, b3, c5, e3), dc = ab, and its retract."""
+    B = FiniteCDGA(CDGA.of([("a", 3), ("b", 3), ("c", 5), ("e", 3)],
+                           {"c": [(1, ("a", "b"))]}), max_cohom=14)
+    _, red = dual_coalgebra(B)
+    return red, retract_from_decomposition(
+        homology_decomposition(ChainComplex(red.space, red.delta(1))))
 
 
 def names_of(elements):
@@ -70,12 +83,47 @@ def test_retract_from_decomposition(cbar, cbar_retract):
     assert lhs == e_r and lhs == rhs
 
 
-def test_identity_retract_transfers_identically(cbar):
-    r = identity_retract(ChainComplex(cbar.space, cbar.delta(1)))
-    out = transfer_ainf(cbar, r, max_k=3)
-    assert out.ops.keys() == cbar.ops.keys()
-    for k in cbar.ops:
-        assert out.ops[k].images == cbar.ops[k].images
+def test_identity_retract_transfers_identically(cbar, n4):
+    # the transferred n4 coalgebra carries Delta_3: a ternary vertex
+    massey = transfer_ainf(*n4)
+    assert 3 in massey.ops
+    for C in (cbar, massey):
+        r = identity_retract(ChainComplex(C.space, C.delta(1)))
+        out = transfer_ainf(C, r, max_k=4)
+        assert out.ops.keys() == C.ops.keys()
+        for k in C.ops:
+            assert out.ops[k].images == C.ops[k].images
+
+
+def planar_tree_sum(C, r, k):
+    maps = [tree_map_coalgebra(t, C, r) for t in enumerate_planar(k)
+            if not trees.is_leaf(t)]
+    return sum(maps[1:], maps[0])
+
+
+def test_transfer_ainf_matches_planar_tree_sum(cbar, cbar_retract, n4):
+    for C, r, top in ((cbar, cbar_retract[1], 4), (*n4, 6)):
+        H = transfer_ainf(C, r, max_k=top)
+        for k in range(2, top + 1):
+            assert planar_tree_sum(C, r, k).images == H.delta(k).images, k
+    C, r = n4
+    H = transfer_ainf(C, r)
+    assert {k: len(m.images) for k, m in H.ops.items()} == {2: 6, 3: 4}
+    # a DGC has no ternary vertex: every Delta'_3 image needs an internal edge
+    assert tree_map_coalgebra(("*", "*", "*"), C, r).is_zero()
+    binary = [tree_map_coalgebra(t, C, r) for t in enumerate_planar(3, max_arity=2)]
+    assert (binary[0] + binary[1]).images == H.delta(3).images
+
+
+def test_engine_transfers_enumerate_no_trees(monkeypatch, cbar, cbar_retract, target_dgl, n4):
+    def refuse(*args, **kwargs):
+        raise AssertionError("tree enumeration on the transfer path")
+
+    monkeypatch.setattr(trees, "enumerate_planar", refuse)
+    monkeypatch.setattr(trees, "enumerate_rooted", refuse)
+    assert 3 in transfer_ainf(*n4).ops
+    hr = hom_retract(cbar_retract[1], target_dgl)
+    assert 3 in transfer_linf(convolution_linf(cbar, target_dgl), hr, max_k=3).ops
 
 
 def test_transfer_cap_derivation(cbar, cbar_retract):
