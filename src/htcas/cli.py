@@ -37,6 +37,7 @@ from .core import (
     Element,
     GradedMap,
     GradedSpace,
+    ValidationError,
     Word,
     canonical_word,
 )
@@ -546,7 +547,7 @@ def _as_linf(mf: ModelFile) -> LInfAlgebra:
         return mf.payload
     if mf.kind == "cdga":
         return linf_from_cdga(mf.payload)
-    raise BoundError(f"expected a linf or cdga model, got {mf.kind}")
+    raise ValidationError(f"expected a linf or cdga model, got {mf.kind}")
 
 
 def cmd_check(args) -> int:
@@ -559,7 +560,7 @@ def cmd_check(args) -> int:
 def cmd_transfer_ainf(args) -> int:
     mf = parse(args.file)
     if mf.kind != "dgc":
-        raise BoundError("transfer-ainf expects a dgc model")
+        raise ValidationError("transfer-ainf expects a dgc model")
     C = mf.payload
     dec = homology_decomposition(ChainComplex(C.space, C.delta(1)))
     r = retract_from_decomposition(dec)
@@ -571,7 +572,7 @@ def cmd_transfer_ainf(args) -> int:
 def cmd_quillen(args) -> int:
     mf = parse(args.file)
     if mf.kind != "dgc":
-        raise BoundError("quillen expects a dgc model")
+        raise ValidationError("quillen expects a dgc model")
     C = mf.payload
     if args.direct:
         dec = homology_decomposition(ChainComplex(C.space, C.delta(1)))
@@ -585,7 +586,7 @@ def cmd_quillen(args) -> int:
 def cmd_cochain(args) -> int:
     mf = parse(args.file)
     if mf.kind != "linf":
-        raise BoundError("cochain expects a linf model")
+        raise ValidationError("cochain expects a linf model")
     sys.stdout.write(serialize(cochain(mf.payload)))
     return 0
 
@@ -593,7 +594,7 @@ def cmd_cochain(args) -> int:
 def cmd_dualize(args) -> int:
     mf = parse(args.file)
     if mf.kind != "cdga":
-        raise BoundError("dualize expects a cdga model")
+        raise ValidationError("dualize expects a cdga model")
     full, red = dual_coalgebra(_finite_model(mf))
     sys.stdout.write(serialize(full if args.full else red))
     return 0
@@ -603,7 +604,7 @@ def cmd_mapmodel(args) -> int:
     xf = parse(args.xfile)
     yf = parse(args.yfile)
     if xf.kind != "cdga":
-        raise BoundError("the source side of mapmodel must be a cdga model")
+        raise ValidationError("the source side of mapmodel must be a cdga model")
     L = _as_linf(yf)
     full, red = dual_coalgebra(_finite_model(xf))
     C = red if args.pointed else full
@@ -615,7 +616,7 @@ def cmd_mapmodel(args) -> int:
         if args.mc:
             mcf = parse(args.mc)
             if mcf.kind != "mc":
-                raise BoundError("--mc expects a mc model file")
+                raise ValidationError("--mc expects a mc model file")
             phi = Element(model.space, dict(mcf.payload.terms))
         model = component_model(model, mc_check(model, phi))
     if args.emit in ("linf", "both"):
@@ -644,7 +645,7 @@ def cmd_invariants(args) -> int:
         if mf.payload.counit is None:
             reports.append(conilpotence(mf.payload))
     else:
-        raise BoundError(f"no invariants for kind {mf.kind}")
+        raise ValidationError(f"no invariants for kind {mf.kind}")
     for r in reports:
         print(repr(r))
     return 0
@@ -658,7 +659,7 @@ def cmd_hspace(args) -> int:
     elif xf.kind == "dgl":
         x_side = xf.payload
     else:
-        raise BoundError("the source side of hspace must be a dgc or dgl model")
+        raise ValidationError("the source side of hspace must be a dgc or dgl model")
     verdict = hspace_certificate(x_side, _as_linf(yf))
     print(repr(verdict))
     return 0

@@ -493,10 +493,7 @@ def cochain(L: LInfAlgebra, names: list[str] | None = None,
 
     diff: dict[str, Element] = {vn: Element.zero(vspace) for vn in vnames}
     for j in sorted(L.ops):
-        for w in word_basis(L.space, "w", j):
-            val = L.ops[j].apply_word(Word.tensor(*w.factors))
-            if not val:
-                continue
+        for w, val in L.ops[j].images.items():
             mult = _multiplicity_factor(w.factors)
             mono = Element.make(
                 vspace, [(Fraction(1, mult), "m", tuple(dual_of[f] for f in w.factors))]

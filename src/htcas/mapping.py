@@ -7,7 +7,11 @@ a DGC to an L-infinity algebra,
     ell_k(f_1, ..., f_k) = ell_k o (f_1 (x) ... (x) f_k) o Delta^{(k-1)},
 
 and homotopy transfer along the induced Hom retract moves it onto the maps
-out of homology.  The cochain functor of the transferred structure, with
+out of homology.  Every bracket-level loop follows the supports of the
+maps it reads, never the wedge-word basis of Hom(C, L): the convolution
+pairs the terms of Delta^{(k-1)} with the orderings of ell_k's support
+words, and the reduced model reads the stored images of the transferred
+brackets.  The cochain functor of the transferred structure, with
 generators renamed v.h, is the reduced Brown-Szczarba model; the same
 differential is also computed by the direct substitution recursion on
 (Lambda V (x) dual basis), and the two routes agreeing generator by
@@ -16,10 +20,11 @@ generator is the strongest correctness check in the package.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BoundError, Element, GradedMap, GradedSpace, Word, word_basis
+from .core import BoundError, Element, GradedMap, GradedSpace, Word, canonical_word
 from .functors import CDGA, FiniteCDGA, _multiplicity_factor, cochain, dual_coalgebra
 from .structures import (
     AInfCoalgebra,
@@ -33,6 +38,7 @@ from .structures import (
 from .transfer import (
     ChainComplex,
     HomotopyRetract,
+    _as_wedge_op,
     hom_complex,
     hom_name,
     hom_retract,
@@ -44,7 +50,15 @@ from .transfer import (
 
 def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra,
                      validate: bool = True) -> LInfAlgebra:
-    """The convolution structure on Hom(C, L) for a DGC C."""
+    """The convolution structure on Hom(C, L) for a DGC C.
+
+    ell_k is built from the supports of the maps it reads: each term
+    (c_1 ... c_k, co) of Delta^{(k-1)}(c) meets each ordered target tuple
+    (x_1, ..., x_k) among the orderings of ell_k's support words, and it
+    contributes to the image of the wedge word (c_1.x_1, ..., c_k.x_k) when
+    that tuple is already canonical, with the Koszul sign of threading each
+    c_i past the maps to its right.  ell_k is evaluated once per tuple.
+    """
     if not C.is_dgc:
         raise ValueError("convolution brackets need a DGC source")
     cx = ChainComplex(C.space, C.delta(1))
@@ -52,45 +66,37 @@ def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra,
     hs = hc.space
     ops: dict[int, GradedMap] = {}
     if not hc.diff.is_zero():
-        from .transfer import _as_wedge_op
-
         ops[1] = _as_wedge_op(hc.diff)
 
-    parts = {
-        hom_name(c, x): (c, x)
-        for c in C.space.names
-        for x in L.space.names
-    }
-    cops = {k: iterated_coproduct(C, k - 1) for k in L.ops if k >= 2}
     for k in sorted(L.ops):
         if k < 2:
             continue
-        ellk = L.ell(k)
-        images: dict[Word, Element] = {}
-        for w in word_basis(hs, "w", k):
-            sources = [parts[f][0] for f in w.factors]
-            targets = [parts[f][1] for f in w.factors]
-            fdegs = [hs.degree(f) for f in w.factors]
-            out = Element.zero(hs)
-            for c in C.space.names:
-                split = cops[k].apply_word(Word.tensor(c))
-                total = Element.zero(L.space)
-                for cw, co in split.terms.items():
-                    if list(cw.factors) != sources:
+        ellk = L.ops[k]
+        values: dict[tuple[str, ...], Element] = {}
+        for sw in ellk.support():
+            for xs in dict.fromkeys(itertools.permutations(sw.factors)):
+                values[xs] = ellk.apply_word(Word.tensor(*xs))
+        cop = iterated_coproduct(C, k - 1)
+        acc: dict[Word, dict[Word, Fraction]] = {}
+        for c in C.space.names:
+            for cw, co in cop.apply_word(Word.tensor(c)).terms.items():
+                for xs, val in values.items():
+                    fs = tuple(hom_name(ci, xi) for ci, xi in zip(cw.factors, xs))
+                    w, _ = canonical_word(hs, "w", fs)
+                    if w is None or w.factors != fs:
                         continue
+                    fdegs = [hs.degree(f) for f in fs]
                     sign = 1
                     for i in range(k):
                         if C.space.degree(cw.factors[i]) % 2:
                             if sum(fdegs[i + 1:]) % 2:
                                 sign = -sign
-                    val = ellk.apply_word(Word.tensor(*targets))
-                    total = total + (sign * co) * val
-                for xw, cx_ in total.terms.items():
-                    out = out + cx_ * Element.gen(hs, hom_name(c, xw.factors[0]))
-            if out:
-                images[w] = out
-        if images:
-            ops[k] = GradedMap(hs, hs, k - 2, images, arity=k, in_kind="w")
+                    terms = acc.setdefault(w, {})
+                    for xw, cx_ in val.terms.items():
+                        f = Word.tensor(hom_name(c, xw.factors[0]))
+                        terms[f] = terms.get(f, 0) + sign * co * cx_
+        images = {w: Element(hs, terms) for w, terms in acc.items()}
+        ops[k] = GradedMap(hs, hs, k - 2, images, arity=k, in_kind="w")
     return LInfAlgebra(hs, ops, validate=validate)
 
 
@@ -202,11 +208,9 @@ def reduced_bs_cochain(model, source: GradedSpace | None = None,
 
     diff: dict[str, Element] = {vn: Element.zero(bsg) for vn in names}
     for j in sorted(model.ops):
-        for w in word_basis(hs, "w", j):
+        for w in model.ops[j].images:
             ordered = tuple(sorted(w.factors, key=lambda f: okey[f]))
             val = model.ops[j].apply_word(Word.tensor(*ordered))
-            if not val:
-                continue
             mult = _multiplicity_factor(w.factors)
             xi = -1 if ((j - 1) * (j - 2) // 2) % 2 else 1
             for a in range(j):

@@ -25,6 +25,7 @@ are sign-free, which is how the transfer module computes them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,7 +45,6 @@ from .core import (
     suspension_sign,
     tensor_apply,
     unshuffle,
-    word_basis,
 )
 
 
@@ -346,8 +346,6 @@ def iterated_coproduct(C: AInfCoalgebra, k: int) -> GradedMap:
 
 
 def _shuffles(n: int, i: int):
-    import itertools
-
     for left in itertools.combinations(range(n), i):
         right = tuple(p for p in range(n) if p not in left)
         yield left, right
@@ -390,47 +388,52 @@ def _jacobi_total(get, arities, space: GradedSpace, factors: tuple[str, ...],
     return total
 
 
-def _candidate_words(space: GradedSpace, supports: dict[int, list[Word]],
-                     arities, n: int, kind: str = "w"):
-    """Words that can carry a nonzero Jacobi summand at arity n."""
+def _candidate_words(space: GradedSpace, images: dict[int, dict[Word, Element]],
+                     n: int, kind: str = "w"):
+    """Words that can carry a nonzero Jacobi summand at arity n.
+
+    `images` holds the nonzero images of each ell_k by support word.  A
+    summand ell_j(ell_i(x_L), x_R) is nonzero only when some output factor u
+    of ell_i(x_L) completes x_R to a support word of ell_j, so each support
+    word of ell_i is joined only with the support words of ell_j that
+    contain a factor of its image, less that factor.  The result contains
+    every word whose Jacobi total is nonzero.
+    """
+    rests: dict[int, dict[str, list[tuple[str, ...]]]] = {}
+    for j, imgs in images.items():
+        rests[j] = {}
+        for w_out in imgs:
+            fs = w_out.factors
+            for drop in range(len(fs)):
+                rests[j].setdefault(fs[drop], []).append(fs[:drop] + fs[drop + 1:])
     seen = set()
     out = []
-    for i in arities:
+    for i in sorted(images):
         j = n + 1 - i
-        if j < 1 or j not in arities:
+        if j not in images:
             continue
-        for w_in in supports[i]:
-            if j == 1:
-                exts: list[tuple[str, ...]] = [()] if n == i else []
-            else:
-                exts = []
-                for w_out in supports[j]:
-                    fs = w_out.factors
-                    for drop in range(len(fs)):
-                        exts.append(fs[:drop] + fs[drop + 1:])
-            for ext in exts:
-                combo = w_in.factors + ext
-                if len(combo) != n:
-                    continue
-                w, s = canonical_word(space, kind, combo)
-                if w is None or w in seen:
-                    continue
-                seen.add(w)
-                out.append(w)
+        for w_in, val in images[i].items():
+            for u in dict.fromkeys(f for w in val.terms for f in w.factors):
+                for rest in rests[j].get(u, ()):
+                    w, _ = canonical_word(space, kind, w_in.factors + rest)
+                    if w is None or w in seen:
+                        continue
+                    seen.add(w)
+                    out.append(w)
     return out
 
 
 def check_linf(L: LInfAlgebra, words: list[Word] | None = None) -> CheckReport:
     """Evaluate the generalized Jacobi identity.
 
-    Without an explicit word list the check runs on all wedge words that
-    could carry a nonzero summand (built from the ops' supports), which is
-    exhaustive.
+    Without an explicit word list the check runs on the words
+    `_candidate_words` builds from the ops' supports and images, which
+    include every word with a nonzero Jacobi total, so it is exhaustive.
     """
     if not L.ops:
         return CheckReport(True)
     arities = sorted(L.ops)
-    supports = {k: L.ops[k].support() for k in arities}
+    images = {k: L.ops[k].images for k in arities}
 
     def get(k, factors):
         if k not in L.ops:
@@ -439,9 +442,7 @@ def check_linf(L: LInfAlgebra, words: list[Word] | None = None) -> CheckReport:
 
     top = 2 * L.max_arity - 1
     for n in range(1, top + 1):
-        cands = words if words is not None else _candidate_words(
-            L.space, supports, arities, n
-        )
+        cands = words if words is not None else _candidate_words(L.space, images, n)
         for w in cands:
             if len(w) != n:
                 continue
@@ -457,7 +458,7 @@ def check_linf_shifted(L: LInfAlgebra, words: list[Word] | None = None) -> Check
         return CheckReport(True)
     sh = L.shifted()
     arities = sorted(L.ops)
-    supports = {k: [Word.mono(*w.factors) for w in L.ops[k].support()] for k in arities}
+    images = {k: L.ops[k].images for k in arities}
 
     def get(k, factors):
         if k not in L.ops:
@@ -469,7 +470,7 @@ def check_linf_shifted(L: LInfAlgebra, words: list[Word] | None = None) -> Check
         if words is not None:
             cands = [Word.mono(*w.factors) for w in words if len(w) == n]
         else:
-            cands = _candidate_words(sh.space, supports, arities, n, kind="m")
+            cands = _candidate_words(sh.space, images, n, kind="m")
         for w in cands:
             if len(w) != n:
                 continue
@@ -506,12 +507,29 @@ def mc_check(L: LInfAlgebra, z: Element) -> MaurerCartanElement:
 
 
 def perturb(L: LInfAlgebra, mc: MaurerCartanElement, validate: bool = True) -> LInfAlgebra:
-    """Twisted structure ell_k^z = sum_i (1/i!) ell_{i+k}(z,...,z, -)."""
+    """Twisted structure ell_k^z = sum_i (1/i!) ell_{i+k}(z,...,z, -).
+
+    ell_k^z(w) is nonzero only when w is a support word of some ell_{i+k}
+    less i factors that lie in the support of z, so only those words are
+    evaluated."""
     z = mc.element
+    zsupp = {f for w in z.terms for f in w.factors}
     ops: dict[int, GradedMap] = {}
     for k in range(1, L.max_arity + 1):
+        cands: dict[Word, None] = {}
+        for i in range(0, L.max_arity - k + 1):
+            if i + k not in L.ops:
+                continue
+            for sw in L.ops[i + k].support():
+                fs = sw.factors
+                spots = [p for p, f in enumerate(fs) if f in zsupp]
+                for drop in itertools.combinations(spots, i):
+                    rest = [f for p, f in enumerate(fs) if p not in drop]
+                    w, _ = canonical_word(L.space, "w", rest)
+                    if w is not None:
+                        cands[w] = None
         images = {}
-        for w in word_basis(L.space, "w", k):
+        for w in cands:
             base = Element(L.space, {Word.tensor(*w.factors): Fraction(1)})
             total = Element.zero(L.space)
             arg = base
@@ -527,7 +545,6 @@ def perturb(L: LInfAlgebra, mc: MaurerCartanElement, validate: bool = True) -> L
         if images:
             ops[k] = GradedMap(L.space, L.space, k - 2, images, arity=k, in_kind="w")
     return LInfAlgebra(L.space, ops, validate=validate)
-
 
 def dgc_from_tables(space: GradedSpace, diff: dict, cop: dict,
                     counit: str | None = None, validate: bool = True) -> AInfCoalgebra:
@@ -572,6 +589,9 @@ def truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
 
     The degree-0 part is replaced by an echelon basis of ker(ell_1),
     named by pivot generators; brackets are re-expressed in that basis.
+    ell_k is evaluated only on the words whose inclusion meets a support
+    word of ell_k: each factor of a support word replaced by a new basis
+    element whose inclusion involves it.
     """
     space = L.space
     pos = [n for n in space.names if space.degree(n) > 0]
@@ -592,11 +612,16 @@ def truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
 
     pairs = [(n, space.degree(n)) for n in pos]
     include: dict[str, Element] = {n: Element.gen(space, n) for n in pos}
+    # pre[n]: the new basis elements whose inclusion involves n
+    pre: dict[str, list[str]] = {n: [n] for n in pos}
     cycle_words = [Word.tensor(n) for n in zero]
     for vec in cycles:
         pivot = zero[next(i for i, x in enumerate(vec) if x)]
         include[pivot] = from_coords(space, cycle_words, vec)
         pairs.append((pivot, 0))
+        for n, x in zip(zero, vec):
+            if x:
+                pre.setdefault(n, []).append(pivot)
     new_space = GradedSpace.of(sorted(pairs, key=lambda p: space.index(p[0])))
 
     # coordinates of a degree-0 cycle in the new basis
@@ -619,8 +644,14 @@ def truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
 
     ops: dict[int, GradedMap] = {}
     for k in sorted(L.ops):
+        cands: dict[Word, None] = {}
+        for sw in L.ops[k].support():
+            for fs in itertools.product(*(pre.get(f, ()) for f in sw.factors)):
+                w, _ = canonical_word(new_space, "w", fs)
+                if w is not None:
+                    cands[w] = None
         images = {}
-        for w in word_basis(new_space, "w", k):
+        for w in cands:
             arg = None
             for f in w.factors:
                 e = include[f]

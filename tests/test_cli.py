@@ -215,6 +215,30 @@ def test_bound_exceeded_exit_code(tmp_path, capsys):
     assert code == 4 and "truncate" in err
 
 
+def test_wrong_model_kind_exit_code(tmp_path, capsys):
+    # a model of the wrong kind is a validation failure, not a bound
+    x = str(MODELS / "example1_X.cdga")
+    y = str(MODELS / "example1_Y.cdga")
+    code, out, err = run(["dualize", x], capsys)
+    assert code == 0
+    dgc = write(tmp_path, "x.dgc", out)
+    mc = write(tmp_path, "z.mc", "kind mc\ngen a.x' : 0\nmc = 0\n")
+    for argv in (
+        ["transfer-ainf", x],
+        ["quillen", x],
+        ["cochain", x],
+        ["dualize", dgc],
+        ["mapmodel", dgc, y],
+        ["mapmodel", x, dgc],
+        ["mapmodel", x, y, "--pointed", "--mc", y],
+        ["invariants", mc],
+        ["hspace", x, y],
+        ["hspace", dgc, dgc],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and "validation failure" in err, argv
+
+
 def test_dualize_full_round_trip(tmp_path, capsys):
     code, out, err = run(
         ["dualize", "--full", str(MODELS / "example1_X.cdga")], capsys

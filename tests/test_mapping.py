@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_finite_cdga, random_sullivan
+from helpers import (
+    dense_convolution,
+    dense_perturb,
+    dense_truncate,
+    random_finite_cdga,
+    random_sullivan,
+)
 from htcas.core import Element, GradedSpace, Word
 from htcas.functors import CDGA, FiniteCDGA, cochain, dual_coalgebra, linf_from_cdga
 from htcas.mapping import (
@@ -17,7 +23,7 @@ from htcas.mapping import (
     reduced_bs_direct,
     restrict_positive,
 )
-from htcas.structures import check_linf
+from htcas.structures import check_linf, mc_check, perturb, truncate
 from htcas.transfer import (
     ChainComplex,
     hom_retract,
@@ -318,3 +324,71 @@ def test_mapping_model_n4_at_derived_cap():
     assert mapping_arity_cap(red, mm.homology) == 6
     assert {k: len(m.images) for k, m in mm.model.ops.items()} == {2: 44, 3: 14}
     assert check_linf(mm.model)
+
+
+EX1_Y = CDGA.of([("x", 4), ("y", 7), ("z", 10), ("t", 16)],
+                {"z": [(1, ("x", "y"))], "t": [(1, ("y", "z"))]})
+# a cubic differential, so that ell_3 reaches the convolution
+CUBIC_Y = CDGA.of([("x", 3), ("y", 3), ("z", 3), ("w", 8)],
+                  {"w": [(1, ("x", "y", "z"))]})
+
+
+def _ex1_dual():
+    B = FiniteCDGA(CDGA.of([("a", 3), ("b", 3), ("c", 5)], {"c": [(1, ("a", "b"))]}),
+                   max_cohom=11)
+    return dual_coalgebra(B)
+
+
+def _assert_same_brackets(got, want):
+    assert got.space == want.space
+    assert got.ops.keys() == want.ops.keys()
+    for k in got.ops:
+        assert got.ops[k].images == want.ops[k].images, k
+
+
+def test_convolution_matches_dense_loop(cbar, target_dgl):
+    full, red = _ex1_dual()
+    n4 = FiniteCDGA(CDGA.of([("a", 3), ("b", 3), ("c", 5), ("e", 3)],
+                            {"c": [(1, ("a", "b"))]}), max_cohom=14)
+    pairs = [
+        (cbar, target_dgl),
+        (dual_coalgebra(n4)[1], linf_from_cdga(EX1_Y)),
+        (full, linf_from_cdga(EX1_Y)),
+        (red, linf_from_cdga(CUBIC_Y)),
+    ]
+    rng = random.Random(37)
+    while len(pairs) < 14:
+        B = random_finite_cdga(rng, max_dim=8)
+        A = random_sullivan(rng, max_gens=4, max_degree=8)
+        if A.diff:
+            pairs.append((dual_coalgebra(B)[1], linf_from_cdga(A)))
+    arities = set()
+    for C, L in pairs:
+        conv = convolution_linf(C, L)
+        _assert_same_brackets(conv, dense_convolution(C, L))
+        _assert_same_brackets(truncate(conv), dense_truncate(conv))
+        assert conv.max_arity >= 2
+        arities |= set(conv.ops)
+    assert arities == {1, 2, 3}
+
+
+def test_perturb_and_truncate_match_dense_loops(worked):
+    # a nonzero Maurer-Cartan element on a convolution algebra with ell_3:
+    # ell_1^z(c.z') picks up (1/2) ell_3(z, z, c.z')
+    for C in _ex1_dual():
+        conv = convolution_linf(C, linf_from_cdga(CUBIC_Y))
+        assert 3 in conv.ops
+        z = mc_check(conv, Element.make(conv.space, [(1, "t", ("a.x'",)),
+                                                     (2, "t", ("b.y'",))]))
+        twisted = perturb(conv, z)
+        _assert_same_brackets(twisted, dense_perturb(conv, z))
+        assert twisted.ell(1).apply_word(Word.tensor("c.z'")).coeff(
+            Word.tensor("a.b.c.w'")) == -2
+        _assert_same_brackets(truncate(twisted), dense_truncate(twisted))
+    # degree-0 cycles become pivot generators in the worked model
+    zero = mc_check(worked.model, Element.zero(worked.model.space))
+    model = perturb(worked.model, zero)
+    _assert_same_brackets(model, dense_perturb(worked.model, zero))
+    comp = truncate(model)
+    assert any(d == 0 for d in comp.space.degrees())
+    _assert_same_brackets(comp, dense_truncate(model))

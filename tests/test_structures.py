@@ -2,9 +2,14 @@ import random
 
 import pytest
 
-from htcas.core import Element, GradedMap, GradedSpace, Word
+from htcas.core import Element, GradedMap, GradedSpace, Word, word_basis
+from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, linf_from_cdga
+from htcas.mapping import convolution_linf
 from htcas.structures import (
     AInfCoalgebra,
+    LInfAlgebra,
+    _candidate_words,
+    _jacobi_total,
     check_ainf,
     check_ainf_shifted,
     check_cocommutative,
@@ -146,6 +151,55 @@ def test_literal_and_shifted_linf_checkers_agree():
         except ValueError:
             continue
         assert bool(check_linf(L)) == bool(check_linf_shifted(L))
+
+
+def _n4_convolution():
+    # Hom(C, L) of dim 60: C the reduced dual of n4 = Lambda(a3, b3, c5, e3),
+    # dc = ab; L the homotopy L-infinity algebra of example1_Y
+    B = FiniteCDGA(CDGA.of([("a", 3), ("b", 3), ("c", 5), ("e", 3)],
+                           {"c": [(1, ("a", "b"))]}), max_cohom=14)
+    A = CDGA.of([("x", 4), ("y", 7), ("z", 10), ("t", 16)],
+                {"z": [(1, ("x", "y"))], "t": [(1, ("y", "z"))]})
+    return convolution_linf(dual_coalgebra(B)[1], linf_from_cdga(A))
+
+
+def test_jacobi_candidates_are_exhaustive():
+    conv = _n4_convolution()
+    ops = {}
+    for k, m in conv.ops.items():
+        images = dict(m.images)
+        first = next(iter(images))
+        images[first] = 2 * images[first]
+        ops[k] = GradedMap(m.source, m.target, m.degree, images, m.arity, m.in_kind)
+    bad = LInfAlgebra(conv.space, ops, validate=False)
+    assert sorted(ops) == [1, 2]
+
+    def get(k, factors):
+        if k not in bad.ops:
+            return Element.zero(bad.space)
+        return bad.ops[k].apply_word(Word.tensor(*factors))
+
+    images = {k: m.images for k, m in bad.ops.items()}
+    nonzero = 0
+    for n in (1, 2, 3):
+        cands = set(_candidate_words(bad.space, images, n))
+        for w in word_basis(bad.space, "w", n):
+            if _jacobi_total(get, [1, 2], bad.space, w.factors, n, True):
+                nonzero += 1
+                assert w in cands, (n, w)
+    assert nonzero
+    assert not check_linf(bad)
+    assert not check_linf_shifted(bad)
+
+
+def test_jacobi_candidate_count_on_n4_convolution():
+    # the dense pairing of every support word with every outer support
+    # word less one factor gave 3,824 words here
+    conv = _n4_convolution()
+    images = {k: m.images for k, m in conv.ops.items()}
+    count = sum(len(_candidate_words(conv.space, images, n)) for n in (1, 2, 3))
+    assert count < 400
+    assert check_linf(conv) and check_linf_shifted(conv)
 
 
 def test_mc_zero_and_failure():
