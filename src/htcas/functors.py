@@ -191,43 +191,36 @@ def dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None
 
     The dual basis element of a monomial m sits in homological degree
     |m|; <Delta m*, x (x) y> = <m*, xy> and <delta m*, x> = <m*, dx>.
+    Each dx and each product xy is computed once and its terms are
+    scattered into the dual images of the monomials they hit, in the
+    order (x, then y) of the monomial basis.
     """
     rename = rename or {}
+    names = {fs: rename.get(B.names[fs], B.names[fs]) for fs in B.monomials}
+    degrees = {fs: B.cohom_degree(fs) for fs in B.monomials}
 
-    def name_of(fs) -> str:
-        return rename.get(B.names[fs], B.names[fs])
-
-    pairs = [(name_of(fs), B.cohom_degree(fs)) for fs in B.monomials]
+    pairs = [(names[fs], degrees[fs]) for fs in B.monomials]
     space = GradedSpace.of(pairs)
-    unit = name_of(())
+    unit = names[()]
 
+    dd: dict[tuple, list] = {}
+    cc: dict[tuple, list] = {}
+    for xs in B.monomials:
+        for w, co in B.d(xs).terms.items():
+            dd.setdefault(w.factors, []).append((co, (names[xs],)))
+        for ys in B.monomials:
+            if degrees[xs] + degrees[ys] > B.max_cohom:
+                continue
+            for w, co in B.multiply(xs, ys).terms.items():
+                cc.setdefault(w.factors, []).append((co, (names[xs], names[ys])))
     diff_imgs: dict[Word, Element] = {}
     cop_imgs: dict[Word, Element] = {}
     for fs in B.monomials:
-        phi = name_of(fs)
-        dd = []
-        for xs in B.monomials:
-            dx = B.d(xs)
-            co = dx.coeff(Word.mono(*fs))
-            if co:
-                dd.append((co, (name_of(xs),)))
-        if dd:
-            diff_imgs[Word.tensor(phi)] = Element.make(
-                space, [(c, "t", t) for c, t in dd]
-            )
-        cc = []
-        for xs in B.monomials:
-            for ys in B.monomials:
-                if B.cohom_degree(xs) + B.cohom_degree(ys) != B.cohom_degree(fs):
-                    continue
-                prod = B.multiply(xs, ys)
-                co = prod.coeff(Word.mono(*fs))
-                if co:
-                    cc.append((co, (name_of(xs), name_of(ys))))
-        if cc:
-            cop_imgs[Word.tensor(phi)] = Element.make(
-                space, [(c, "t", t) for c, t in cc]
-            )
+        phi = Word.tensor(names[fs])
+        if fs in dd:
+            diff_imgs[phi] = Element.make(space, [(c, "t", t) for c, t in dd[fs]])
+        if fs in cc:
+            cop_imgs[phi] = Element.make(space, [(c, "t", t) for c, t in cc[fs]])
     ops: dict[int, GradedMap] = {}
     if diff_imgs:
         ops[1] = GradedMap(space, space, -1, diff_imgs)
@@ -385,67 +378,58 @@ def quillen_differential_direct(C: AInfCoalgebra, dec) -> FreeLieDGL:
     """Quillen-minimal differential straight from a homology decomposition
     of a DGC: on s^{-1}h it is (1/2) sum (-1)^{|z'|} [lam z', lam z''] over
     the coproduct of h, with lam recursing through the homotopy inverse of
-    the differential on the A-part."""
+    the differential on the A-part.
+
+    lam(e) is the H-part p(e) plus the bracket halves of Delta(sum c_j a_j),
+    where c_j is the dA_j-coefficient of e.  The canonical homotopy kills A
+    and H and sends da_j to a_j, so h(e) = sum c_j a_j itself: lam needs no
+    solve.  lam is linear and only ever evaluated on generators, so it is
+    computed once per generator.
+    """
     if not C.is_dgc:
         raise ValueError("the direct recursion needs a DGC")
     if C.counit is not None:
         raise ValueError("the direct recursion expects a reduced coalgebra")
     space = C.space
-    words = [Word.tensor(n) for n in space.names]
 
-    from . import linalg
-    from .core import coords
     from .transfer import retract_from_decomposition
 
     r = retract_from_decomposition(dec)
     small = r.small.space
     gens = small.suspend(-1)
+    memo: dict[str, Element] = {}
 
-    a_elems = dec.a_part
-    a_vecs = [coords(a, words) for a in a_elems]
-    da_vecs = [coords(C.delta(1).apply(a), words) for a in a_elems]
-
-    def bracket_halves(cop: Element, lam_fn, depth: int) -> Element:
+    def bracket_halves(cop: Element, depth: int) -> Element:
         """(1/2) sum (-1)^{|z'|} [lam z', lam z''] over a coproduct value."""
         total = Element.zero(gens)
         for w, c in cop.terms.items():
             zl, zr = w.factors
             sign = -1 if space.degree(zl) % 2 else 1
-            left = lam_fn(Element.gen(space, zl), depth)
-            right = lam_fn(Element.gen(space, zr), depth)
+            left = lam(zl, depth)
+            right = lam(zr, depth)
             if left and right:
                 total = total + (Fraction(1, 2) * sign * c) * lie_bracket(left, right)
         return total
 
-    def lam(el: Element, depth: int = 0) -> Element:
+    def lam(name: str, depth: int) -> Element:
+        if name in memo:
+            return memo[name]
         if depth > space.dim + 2:
-            raise RuntimeError("non-terminating recursion")
+            raise ValidationError("non-terminating recursion")
+        w = Word.tensor(name)
         out = Element.zero(gens)
-        if not el:
-            return out
-        proj = r.proj.apply(el)
-        for w, c in proj.terms.items():
-            out = out + c * Element.gen(gens, w.factors[0])
-        # split the rest over the A and dA coordinates; lam kills A
-        vec = coords(el, words)
-        hvec = coords(r.incl.apply(proj), words)
-        rest = [x - y for x, y in zip(vec, hvec)]
-        if any(rest):
-            basis = a_vecs + da_vecs
-            cols = [[v[i] for v in basis] for i in range(space.dim)]
-            sol = linalg.solve(cols, rest)
-            if sol is None:
-                raise ValueError("element outside A + dA + H")
-            for j, cj in enumerate(sol[len(a_vecs):]):
-                if cj:
-                    cop = C.delta(2).apply(a_elems[j])
-                    out = out + cj * bracket_halves(cop, lam, depth + 1)
+        for pw, c in r.proj.apply_word(w).terms.items():
+            out = out + c * Element.gen(gens, pw.factors[0])
+        ha = r.homotopy.apply_word(w)
+        if ha:
+            out = out + bracket_halves(C.delta(2).apply(ha), depth + 1)
+        memo[name] = out
         return out
 
     diff: dict[str, FreeLieElement] = {}
     for nm in small.names:
         rep = r.incl.apply_word(Word.tensor(nm))
-        total = bracket_halves(C.delta(2).apply(rep), lam, 0)
+        total = bracket_halves(C.delta(2).apply(rep), 0)
         if total:
             diff[nm] = FreeLieElement(total)
     out = FreeLieDGL(gens, diff)

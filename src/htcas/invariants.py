@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import Element, GradedSpace, Word
+from .core import Element, GradedSpace, ValidationError, Word
 from .functors import CDGA, FreeLieDGL, lie_bracket
 from .structures import AInfCoalgebra, LInfAlgebra, iterated_coproduct
 
@@ -145,7 +145,7 @@ def conilpotence(C: AInfCoalgebra) -> InvariantReport:
         if not living:
             return InvariantReport("conilpotence", n)
         n += 1
-    raise RuntimeError("iterated coproducts failed to vanish")
+    raise ValidationError("iterated coproducts failed to vanish: the coalgebra is not conilpotent")
 
 
 @dataclass

@@ -38,12 +38,9 @@ def rref(mat: list[Row]) -> tuple[list[Row], list[int]]:
     return rows[:r], pivots
 
 
-def rank(mat: list[Row]) -> int:
-    return len(rref(mat)[0]) if mat else 0
-
-
 def nullspace(mat: list[Row], ncols: int) -> list[Row]:
-    """Basis of {x : mat . x = 0}, echelon over the free columns."""
+    """Basis of {x : mat . x = 0}: one vector per free column of the RREF,
+    with 1 there, 0 at the other free columns and no nonzero entry after it."""
     if not mat:
         return [[Fraction(i == j) for j in range(ncols)] for i in range(ncols)]
     rows, pivots = rref(mat)
@@ -80,22 +77,19 @@ def in_span(vectors: list[Row], v: Row) -> bool:
     return solve(cols, v) is not None
 
 
-def extend_to_complement(span: list[Row], dim: int) -> list[int]:
-    """Indices of coordinate vectors completing `span` to all of Q^dim.
+def inverse(mat: list[Row]) -> list[Row]:
+    """Inverse of a square matrix, by one Gauss-Jordan pass over [M | I].
 
-    Greedy in declaration order, so the complement is canonical.
+    Raises ValueError when the matrix is not square or is singular.
     """
-    rows = [list(v) for v in span]
-    out = []
-    rk = rank(rows)
-    for i in range(dim):
-        e = zeros(dim)
-        e[i] = Fraction(1)
-        if rank(rows + [e]) > rk:
-            rows.append(e)
-            rk += 1
-            out.append(i)
-    return out
+    n = len(mat)
+    if any(len(r) != n for r in mat):
+        raise ValueError("matrix is not square")
+    aug = [list(r) + [Fraction(i == j) for j in range(n)] for i, r in enumerate(mat)]
+    rows, pivots = rref(aug) if n else ([], [])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [r[n:] for r in rows]
 
 
 def echelon_basis(vectors: list[Row]) -> list[Row]:

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BoundError, Element, GradedMap, GradedSpace, Word, canonical_word
+from .core import BoundError, Element, GradedMap, GradedSpace, ValidationError, Word, canonical_word
 from .functors import CDGA, FiniteCDGA, _multiplicity_factor, cochain, dual_coalgebra
 from .structures import (
     AInfCoalgebra,
@@ -265,7 +265,7 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
         """Sum of products (v_1.c^1)...(v_n.c^n) over the (n-1)-fold
         coproduct of c_el, with A parts dropped and dA parts replaced."""
         if depth > csp.dim + 2:
-            raise RuntimeError("non-terminating substitution")
+            raise ValidationError("non-terminating substitution")
         n = len(vfactors)
         vdegs = [A.gens.degree(v) for v in vfactors]
         split = cop(n - 1).apply(c_el)

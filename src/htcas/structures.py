@@ -248,14 +248,11 @@ def unshift_bracket(space: GradedSpace, k: int,
 # A-infinity checks
 
 
-def _identity(space: GradedSpace) -> GradedMap:
-    return GradedMap.identity(space)
-
-
-def _ainf_total(ops: dict[int, GradedMap], space: GradedSpace, gen: str,
+def _ainf_total(ops: dict[int, GradedMap], ident: GradedMap, gen: str,
                 i: int, literal_signs: bool) -> Element:
-    ident = _identity(space)
-    total = Element.zero(space)
+    """The arity-i coherence sum on one generator; `ident` is the identity
+    of the space, built once per check."""
+    total = Element.zero(ident.source)
     for k in ops:
         j = i - k + 1
         if j < 1 or j not in ops:
@@ -279,9 +276,10 @@ def check_ainf(C: AInfCoalgebra) -> CheckReport:
     if not C.ops:
         return CheckReport(True)
     top = 2 * C.max_arity - 1
+    ident = GradedMap.identity(C.space)
     for i in range(1, top + 1):
         for gen in C.space.names:
-            total = _ainf_total(C.ops, C.space, gen, i, literal_signs=True)
+            total = _ainf_total(C.ops, ident, gen, i, literal_signs=True)
             if total:
                 return CheckReport(False, f"relation i={i} on {gen}", total)
     return CheckReport(True)
@@ -292,9 +290,10 @@ def check_ainf_shifted(C: AInfCoalgebra) -> CheckReport:
     sh = C.shifted()
     ops = {k: sh.op(k) for k in C.ops}
     top = 2 * C.max_arity - 1 if C.ops else 0
+    ident = GradedMap.identity(sh.space)
     for i in range(1, top + 1):
         for gen in sh.space.names:
-            total = _ainf_total(ops, sh.space, gen, i, literal_signs=False)
+            total = _ainf_total(ops, ident, gen, i, literal_signs=False)
             if total:
                 return CheckReport(False, f"shifted relation i={i} on {gen}", total)
     return CheckReport(True)
@@ -324,7 +323,7 @@ def iterated_coproduct(C: AInfCoalgebra, k: int) -> GradedMap:
     """Delta^{(k)} = (Delta (x) id^{...}) o ... o Delta, Delta^{(0)} = id."""
     if not C.is_dgc:
         raise ValueError("iterated coproducts need a DGC (Delta_k = 0 for k > 2)")
-    ident = _identity(C.space)
+    ident = GradedMap.identity(C.space)
     if k == 0:
         return ident
     delta = C.delta(2)
@@ -615,18 +614,16 @@ def truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
     # pre[n]: the new basis elements whose inclusion involves n
     pre: dict[str, list[str]] = {n: [n] for n in pos}
     cycle_words = [Word.tensor(n) for n in zero]
+    pivots = []
     for vec in cycles:
         pivot = zero[next(i for i, x in enumerate(vec) if x)]
+        pivots.append(pivot)
         include[pivot] = from_coords(space, cycle_words, vec)
         pairs.append((pivot, 0))
         for n, x in zip(zero, vec):
             if x:
                 pre.setdefault(n, []).append(pivot)
     new_space = GradedSpace.of(sorted(pairs, key=lambda p: space.index(p[0])))
-
-    # coordinates of a degree-0 cycle in the new basis
-    cyc_cols = [[v[i] for v in cycles] for i in range(len(zero))] if cycles else []
-    zero_new = [n for n, d in new_space.basis if d == 0]
 
     def reexpress(el: Element) -> Element:
         if not el:
@@ -636,11 +633,13 @@ def truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
                 if any(f not in new_space for f in w.factors):
                     raise ValueError("truncation is not closed under brackets")
             return Element(new_space, dict(el.terms))
-        vec = [el.coeff(Word.tensor(n)) for n in zero]
-        sol = linalg.solve(cyc_cols, vec) if cycles else None
-        if sol is None:
+        # the cycle basis is in RREF: the coordinates of a cycle in it are
+        # its entries at the pivots
+        vec = [el.coeff(w) for w in cycle_words]
+        sol = [el.coeff(Word.tensor(p)) for p in pivots]
+        if [sum(c * v[i] for c, v in zip(sol, cycles)) for i in range(len(zero))] != vec:
             raise ValueError("bracket output is not an ell_1-cycle in degree 0")
-        return Element.make(new_space, [(c, "t", (zero_new[i],)) for i, c in enumerate(sol) if c])
+        return Element.make(new_space, [(c, "t", (p,)) for p, c in zip(pivots, sol) if c])
 
     ops: dict[int, GradedMap] = {}
     for k in sorted(L.ops):

@@ -4,7 +4,10 @@ A retract packages (big, small, i, p, h) with id - i o p = d o h + h o d,
 p o i = id and the side conditions h o i = 0, p o h = 0, h o h = 0 (the
 canonical retract of a homology decomposition satisfies all of them, and
 user-supplied retracts are rejected otherwise: the transfer formulas below
-assume them).
+assume them).  The differential is homogeneous, so the homology
+decomposition, the canonical retract and the homology check all work one
+degree block at a time: a few RREFs of each block of d, and one inverse
+of each block of the basis matrix of A + dA + H.
 
 Transfer is computed in the suspension-normalized world of `structures`
 (all ops degree -1), where the transfer formulas carry no signs beyond
@@ -28,17 +31,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg, trees
 from .core import (
+    ONE,
     ZERO,
     BoundError,
     Element,
     GradedMap,
     GradedSpace,
+    ValidationError,
     Word,
     canonical_word,
-    coords,
     from_coords,
     koszul_sign,
     tensor_apply,
@@ -63,26 +68,33 @@ class ChainComplex:
     def zero_diff(space: GradedSpace) -> "ChainComplex":
         return ChainComplex(space, GradedMap.zero(space, space, -1))
 
+    @cached_property
+    def blocks(self) -> dict[int, list[str]]:
+        """Generators by degree, each block in declaration order."""
+        out: dict[int, list[str]] = {}
+        for n, deg in self.space.basis:
+            out.setdefault(deg, []).append(n)
+        return out
+
+    def block_matrix(self, deg: int) -> list[list[Fraction]]:
+        """Matrix of d from degree `deg` to degree `deg + |d|`: one column
+        per generator of degree `deg`, one row per generator of the target."""
+        row = {n: i for i, n in enumerate(self.blocks.get(deg + self.diff.degree, []))}
+        gens = self.blocks[deg]
+        mat = [[ZERO] * len(gens) for _ in row]
+        for j, g in enumerate(gens):
+            for w, c in self.diff.apply_word(Word.tensor(g)).terms.items():
+                mat[row[w.factors[0]]][j] = c
+        return mat
+
     def homology_dims(self) -> dict[int, int]:
-        """Dimension of homology per degree, by exact rank computation."""
-        names = self.space.names
-        words = [Word.tensor(n) for n in names]
-        img_rows = []
-        ker_dim_by_deg: dict[int, int] = {}
-        by_deg: dict[int, list[str]] = {}
-        for n in names:
-            by_deg.setdefault(self.space.degree(n), []).append(n)
-        out: dict[int, int] = {}
-        for deg, gens in by_deg.items():
-            mat_rows = [coords(self.diff.apply_word(Word.tensor(g)), words) for g in gens]
-            rk = linalg.rank(mat_rows)
-            ker = len(gens) - rk
-            bnd_rows = [
-                coords(self.diff.apply_word(Word.tensor(g)), words)
-                for g in names
-                if self.space.degree(g) == deg + 1
-            ]
-            out[deg] = ker - linalg.rank(bnd_rows)
+        """Dimension of homology per degree, from one rank per degree block."""
+        rank = {}
+        for deg in self.blocks:
+            mat = self.block_matrix(deg)
+            rank[deg] = len(linalg.rref(mat)[1]) if any(map(any, mat)) else 0
+        out = {deg: len(gens) - rank[deg] - rank.get(deg - self.diff.degree, 0)
+               for deg, gens in self.blocks.items()}
         return {d: v for d, v in out.items() if v}
 
 
@@ -101,35 +113,54 @@ class Decomposition:
 
 
 def homology_decomposition(cx: ChainComplex) -> Decomposition:
+    """The canonical decomposition C = A + dA + H, one degree block at a time.
+
+    d is homogeneous, so the cycles, boundaries and both greedy complements
+    are the unions of those of the blocks.  In block k, the cycles are the
+    RREF of ker(d_k); A is the greedy complement of the cycles in
+    declaration order, i.e. the pivot columns of d_k (the columns at which
+    no kernel basis vector ends); H is the greedy choice, modulo the
+    boundaries d(A_{k+1}), first among the generators that are cycles and
+    then among the cycle vectors, i.e. the pivot columns of one more RREF.
+    The parts are reassembled in the global order: A by index, H as
+    generators by index, then cycle vectors by pivot.
+    """
     space = cx.space
-    names = space.names
-    words = [Word.tensor(n) for n in names]
-    dim = len(names)
-
-    d_rows = [coords(cx.diff.apply_word(w), words) for w in words]
-    # kernel of d: vectors x with sum x_i d(e_i) = 0
-    cols = [[d_rows[i][j] for i in range(dim)] for j in range(dim)]
-    cycles = linalg.echelon_basis(linalg.nullspace(cols, dim))
-    bnds = linalg.echelon_basis([r for r in d_rows if any(r)])
-
-    a_idx = linalg.extend_to_complement(cycles, dim)
-    a_part = [Element.gen(space, names[i]) for i in a_idx]
-
-    h_vecs: list[list[Fraction]] = []
-    span = [list(b) for b in bnds]
-    for i in range(dim):
-        e = linalg.zeros(dim)
-        e[i] = Fraction(1)
-        if linalg.in_span(cycles, e) and not linalg.in_span(span, e):
-            span.append(e)
-            h_vecs.append(e)
-    for v in cycles:
-        if not linalg.in_span(span, v):
-            span.append(list(v))
-            h_vecs.append(list(v))
-    want = len(cycles) - len(bnds)
-    assert len(h_vecs) == want, "homology decomposition miscounted"
-    h_part = [from_coords(space, words, v) for v in h_vecs]
+    a_idx: list[int] = []
+    h_gens: list[str] = []
+    h_cycles: list[tuple[int, Element]] = []
+    n_cycles = n_bnds = 0
+    mats = {deg: cx.block_matrix(deg) for deg in cx.blocks}
+    for deg, gens in cx.blocks.items():
+        words = [Word.tensor(g) for g in gens]
+        mat = mats[deg]
+        kernel = linalg.nullspace(mat, len(gens))
+        free = {max(i for i, x in enumerate(v) if x) for v in kernel}
+        a_idx += [space.index(g) for i, g in enumerate(gens) if i not in free]
+        cycles = linalg.echelon_basis(kernel)
+        # the images of degree k+1 span the boundaries
+        bnds = [list(col) for col in zip(*mats.get(deg - cx.diff.degree, [])) if any(col)]
+        units = [i for i in range(len(gens)) if not any(r[i] for r in mat)]
+        unit_vecs = [[ONE if j == i else ZERO for j in range(len(gens))] for i in units]
+        columns = bnds + unit_vecs + cycles
+        if not columns:
+            continue
+        _, chosen = linalg.rref([list(r) for r in zip(*columns)])
+        for c in chosen:
+            if c < len(bnds):
+                n_bnds += 1
+            elif c < len(bnds) + len(units):
+                h_gens.append(gens[units[c - len(bnds)]])
+            else:
+                v = cycles[c - len(bnds) - len(units)]
+                pivot = next(i for i, x in enumerate(v) if x)
+                h_cycles.append((space.index(gens[pivot]), from_coords(space, words, v)))
+        n_cycles += len(cycles)
+    h_part = [Element.gen(space, g) for g in sorted(h_gens, key=space.index)]
+    h_part += [el for _, el in sorted(h_cycles, key=lambda t: t[0])]
+    if len(h_part) != n_cycles - n_bnds:
+        raise ValidationError("homology decomposition miscounted")
+    a_part = [Element.gen(space, space.names[i]) for i in sorted(a_idx)]
     return Decomposition(cx, a_part, h_part)
 
 
@@ -176,26 +207,27 @@ class HomotopyRetract:
 
 
 def retract_from_decomposition(dec: Decomposition) -> HomotopyRetract:
-    """The canonical retract: p kills A and dA, h inverts d from dA to A."""
+    """The canonical retract: p kills A and dA, h inverts d from dA to A.
+
+    A, dA and H are homogeneous, so the basis matrix of A + dA + H is
+    block-diagonal by degree.  Each block is inverted once (Gauss-Jordan on
+    [M | I]); column g of the inverse holds the A, dA and H coordinates of
+    generator g, from which p(g) (the H part) and h(g) (the dA part moved
+    to A) are read.
+    """
     cx = dec.complex
     space = cx.space
     names = space.names
-    words = [Word.tensor(n) for n in names]
-    dim = len(names)
-
-    a_vecs = [coords(a, words) for a in dec.a_part]
-    da_vecs = [coords(cx.diff.apply(a), words) for a in dec.a_part]
-    h_vecs = [coords(hrep, words) for hrep in dec.h_part]
 
     used: set[str] = set()
     small_pairs = []
-    for vec, el in zip(h_vecs, dec.h_part):
-        pivot = next(i for i, x in enumerate(vec) if x)
-        name = names[pivot]
+    for el in dec.h_part:
+        name = min((w.factors[0] for w in el.terms), key=space.index)
+        pivot = name
         while name in used:
             name += "_"
         used.add(name)
-        small_pairs.append((name, space.degree(names[pivot])))
+        small_pairs.append((name, space.degree(pivot)))
     small_space = GradedSpace.of(small_pairs)
     small = ChainComplex.zero_diff(small_space)
 
@@ -204,26 +236,43 @@ def retract_from_decomposition(dec: Decomposition) -> HomotopyRetract:
     }
     incl = GradedMap(small_space, space, 0, incl_images)
 
-    basis_vectors = a_vecs + da_vecs + h_vecs
-    mat = [[basis_vectors[j][i] for j in range(len(basis_vectors))] for i in range(dim)]
-    na = len(a_vecs)
+    # the basis vectors of each degree block, tagged by part and index
+    columns: dict[int | None, list[tuple[str, int, Element]]] = {}
+    for j, a in enumerate(dec.a_part):
+        columns.setdefault(a.degree, []).append(("a", j, a))
+    for j, a in enumerate(dec.a_part):
+        deg = None if a.degree is None else a.degree + cx.diff.degree
+        columns.setdefault(deg, []).append(("da", j, cx.diff.apply(a)))
+    for s, el in enumerate(dec.h_part):
+        columns.setdefault(el.degree, []).append(("h", s, el))
+    if not columns.keys() <= cx.blocks.keys():
+        raise ValidationError("decomposition does not span")
+    coeffs: dict[str, list[tuple[str, int, Fraction]]] = {}
+    for deg, gens in cx.blocks.items():
+        cols = columns.get(deg, [])
+        if len(cols) != len(gens):
+            raise ValidationError(f"decomposition does not span degree {deg}")
+        mat = [[el.coeff(Word.tensor(g)) for _, _, el in cols] for g in gens]
+        try:
+            inv = linalg.inverse(mat)
+        except ValueError as exc:
+            raise ValidationError(f"decomposition does not span degree {deg}") from exc
+        for t, g in enumerate(gens):
+            coeffs[g] = [(part, j, inv[c][t]) for c, (part, j, _) in enumerate(cols)
+                         if inv[c][t]]
+
     proj_images = {}
     hom_images = {}
-    for gi, n in enumerate(names):
-        e = linalg.zeros(dim)
-        e[gi] = Fraction(1)
-        sol = linalg.solve(mat, e)
-        assert sol is not None, "decomposition does not span"
+    for n in names:
+        sol = coeffs[n]
         p_el = Element.make(
-            small_space,
-            [(sol[2 * na + s], "t", (small_pairs[s][0],)) for s in range(len(h_vecs))],
-        )
+            small_space, [(x, "t", (small_pairs[j][0],)) for part, j, x in sol if part == "h"])
         if p_el:
             proj_images[Word.tensor(n)] = p_el
         h_el = Element.zero(space)
-        for j in range(na):
-            if sol[na + j]:
-                h_el = h_el + sol[na + j] * dec.a_part[j]
+        for part, j, x in sol:
+            if part == "da":
+                h_el = h_el + x * dec.a_part[j]
         if h_el:
             hom_images[Word.tensor(n)] = h_el
     proj = GradedMap(space, small_space, 0, proj_images)

@@ -6,8 +6,10 @@ construction; finite CDGAs are degree/word-length truncations of those, and
 random cocommutative DGCs are their duals.
 
 The dense reference loops at the end evaluate the convolution, the
-Maurer-Cartan twist and the truncation on every wedge word of the space;
-the tests compare the support-driven engine against them image by image.
+Maurer-Cartan twist and the truncation on every wedge word of the space,
+and build the homology decomposition, its retract, the direct Quillen
+differential and the dual coalgebra by full-width solves; the tests compare
+the engine against them image by image.
 """
 
 import math
@@ -15,15 +17,29 @@ import random
 from fractions import Fraction
 
 from htcas import linalg
-from htcas.core import Element, GradedMap, GradedSpace, Word, from_coords, word_basis
-from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra
+from htcas.core import Element, GradedMap, GradedSpace, Word, coords, from_coords, word_basis
+from htcas.functors import (
+    CDGA,
+    FiniteCDGA,
+    FreeLieDGL,
+    FreeLieElement,
+    dual_coalgebra,
+    lie_bracket,
+)
 from htcas.structures import (
     AInfCoalgebra,
     LInfAlgebra,
     MaurerCartanElement,
     iterated_coproduct,
 )
-from htcas.transfer import ChainComplex, _as_wedge_op, hom_complex, hom_name
+from htcas.transfer import (
+    ChainComplex,
+    Decomposition,
+    HomotopyRetract,
+    _as_wedge_op,
+    hom_complex,
+    hom_name,
+)
 
 
 def random_sullivan(rng: random.Random, max_gens: int = 4, odd_only: bool = False,
@@ -91,6 +107,28 @@ def random_cocommutative_dgc(rng: random.Random, max_dim: int = 6,
     """(full, reduced) dual pair of a random finite CDGA, reduced dim <= max_dim."""
     B = random_finite_cdga(rng, max_dim=max_dim, conilpotence_two=conilpotence_two)
     return dual_coalgebra(B)
+
+
+def oracle_sources() -> list[tuple[str, FiniteCDGA]]:
+    """Finite CDGAs on whose duals the engine is compared with the dense
+    routes: example1_X, n4 and n5 truncated at their top degree, and the
+    first ten random Sullivan algebras from random.Random(37) with a nonzero
+    differential, truncated at twice their top generator degree."""
+    fixed = {
+        "ex1": ([("a", 3), ("b", 3), ("c", 5)], {"c": [(1, ("a", "b"))]}),
+        "n4": ([("a", 3), ("b", 3), ("c", 5), ("e", 3)], {"c": [(1, ("a", "b"))]}),
+        "n5": ([("a", 3), ("b", 3), ("c", 5), ("e", 3), ("f", 5)],
+               {"c": [(1, ("a", "b"))], "f": [(1, ("a", "e"))]}),
+    }
+    out = [(tag, FiniteCDGA(CDGA.of(gens, d), max_cohom=sum(deg for _, deg in gens)))
+           for tag, (gens, d) in fixed.items()]
+    rng = random.Random(37)
+    while len(out) < len(fixed) + 10:
+        A = random_sullivan(rng, odd_only=True, quadratic_chance=1.0)
+        if A.diff:
+            out.append((f"random{len(out) - len(fixed)}",
+                        FiniteCDGA(A, max_cohom=2 * A.gens.max_degree())))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +284,290 @@ def dense_truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
         if images:
             ops[k] = GradedMap(new_space, new_space, k - 2, images, arity=k, in_kind="w")
     return LInfAlgebra(new_space, ops, validate=validate)
+
+
+# ---------------------------------------------------------------------------
+# dense reference routes for the homology decomposition, its retract, the
+# direct Quillen recursion and the dual coalgebra: full-width solves and
+# ranks over the whole space, dim^2 derivations and a dim^3 degree filter;
+# the engine builds the same data one degree block at a time
+
+
+def dense_rank(mat: list) -> int:
+    return len(linalg.rref(mat)[0]) if mat else 0
+
+
+def dense_extend_to_complement(span: list, dim: int) -> list[int]:
+    """Indices of coordinate vectors completing `span` to all of Q^dim.
+
+    Greedy in declaration order, so the complement is canonical.
+    """
+    rows = [list(v) for v in span]
+    out = []
+    rk = dense_rank(rows)
+    for i in range(dim):
+        e = linalg.zeros(dim)
+        e[i] = Fraction(1)
+        if dense_rank(rows + [e]) > rk:
+            rows.append(e)
+            rk += 1
+            out.append(i)
+    return out
+
+
+def dense_homology_dims(cx: ChainComplex) -> dict[int, int]:
+    """Dimension of homology per degree, by full-width ranks (reference for
+    `ChainComplex.homology_dims`)."""
+    names = cx.space.names
+    words = [Word.tensor(n) for n in names]
+    by_deg: dict[int, list[str]] = {}
+    for n in names:
+        by_deg.setdefault(cx.space.degree(n), []).append(n)
+    out: dict[int, int] = {}
+    for deg, gens in by_deg.items():
+        mat_rows = [coords(cx.diff.apply_word(Word.tensor(g)), words) for g in gens]
+        rk = dense_rank(mat_rows)
+        ker = len(gens) - rk
+        bnd_rows = [
+            coords(cx.diff.apply_word(Word.tensor(g)), words)
+            for g in names
+            if cx.space.degree(g) == deg + 1
+        ]
+        out[deg] = ker - dense_rank(bnd_rows)
+    return {d: v for d, v in out.items() if v}
+
+
+def dense_decomposition(cx: ChainComplex) -> Decomposition:
+    """C = A + dA + H by a full-width nullspace, a rank per coordinate and
+    two span tests per coordinate (reference for `homology_decomposition`)."""
+    space = cx.space
+    names = space.names
+    words = [Word.tensor(n) for n in names]
+    dim = len(names)
+
+    d_rows = [coords(cx.diff.apply_word(w), words) for w in words]
+    # kernel of d: vectors x with sum x_i d(e_i) = 0
+    cols = [[d_rows[i][j] for i in range(dim)] for j in range(dim)]
+    cycles = linalg.echelon_basis(linalg.nullspace(cols, dim))
+    bnds = linalg.echelon_basis([r for r in d_rows if any(r)])
+
+    a_idx = dense_extend_to_complement(cycles, dim)
+    a_part = [Element.gen(space, names[i]) for i in a_idx]
+
+    h_vecs: list[list[Fraction]] = []
+    span = [list(b) for b in bnds]
+    for i in range(dim):
+        e = linalg.zeros(dim)
+        e[i] = Fraction(1)
+        if linalg.in_span(cycles, e) and not linalg.in_span(span, e):
+            span.append(e)
+            h_vecs.append(e)
+    for v in cycles:
+        if not linalg.in_span(span, v):
+            span.append(list(v))
+            h_vecs.append(list(v))
+    want = len(cycles) - len(bnds)
+    assert len(h_vecs) == want, "homology decomposition miscounted"
+    h_part = [from_coords(space, words, v) for v in h_vecs]
+    return Decomposition(cx, a_part, h_part)
+
+
+def dense_retract(dec: Decomposition) -> HomotopyRetract:
+    """The canonical retract by one dim x (dim+1) solve per generator
+    (reference for `retract_from_decomposition`)."""
+    cx = dec.complex
+    space = cx.space
+    names = space.names
+    words = [Word.tensor(n) for n in names]
+    dim = len(names)
+
+    a_vecs = [coords(a, words) for a in dec.a_part]
+    da_vecs = [coords(cx.diff.apply(a), words) for a in dec.a_part]
+    h_vecs = [coords(hrep, words) for hrep in dec.h_part]
+
+    used: set[str] = set()
+    small_pairs = []
+    for vec, el in zip(h_vecs, dec.h_part):
+        pivot = next(i for i, x in enumerate(vec) if x)
+        name = names[pivot]
+        while name in used:
+            name += "_"
+        used.add(name)
+        small_pairs.append((name, space.degree(names[pivot])))
+    small_space = GradedSpace.of(small_pairs)
+    small = ChainComplex.zero_diff(small_space)
+
+    incl_images = {
+        Word.tensor(nm): el for (nm, _), el in zip(small_pairs, dec.h_part)
+    }
+    incl = GradedMap(small_space, space, 0, incl_images)
+
+    basis_vectors = a_vecs + da_vecs + h_vecs
+    mat = [[basis_vectors[j][i] for j in range(len(basis_vectors))] for i in range(dim)]
+    na = len(a_vecs)
+    proj_images = {}
+    hom_images = {}
+    for gi, n in enumerate(names):
+        e = linalg.zeros(dim)
+        e[gi] = Fraction(1)
+        sol = linalg.solve(mat, e)
+        assert sol is not None, "decomposition does not span"
+        p_el = Element.make(
+            small_space,
+            [(sol[2 * na + s], "t", (small_pairs[s][0],)) for s in range(len(h_vecs))],
+        )
+        if p_el:
+            proj_images[Word.tensor(n)] = p_el
+        h_el = Element.zero(space)
+        for j in range(na):
+            if sol[na + j]:
+                h_el = h_el + sol[na + j] * dec.a_part[j]
+        if h_el:
+            hom_images[Word.tensor(n)] = h_el
+    proj = GradedMap(space, small_space, 0, proj_images)
+    homotopy = GradedMap(space, space, 1, hom_images)
+    return HomotopyRetract(cx, small, incl, proj, homotopy)
+
+
+def dense_quillen_direct(C: AInfCoalgebra, dec) -> FreeLieDGL:
+    """Quillen-minimal differential with lam splitting every element by a
+    fresh solve against the A + dA basis (reference for
+    `functors.quillen_differential_direct`)."""
+    if not C.is_dgc:
+        raise ValueError("the direct recursion needs a DGC")
+    if C.counit is not None:
+        raise ValueError("the direct recursion expects a reduced coalgebra")
+    space = C.space
+    words = [Word.tensor(n) for n in space.names]
+
+    r = dense_retract(dec)
+    small = r.small.space
+    gens = small.suspend(-1)
+
+    a_elems = dec.a_part
+    a_vecs = [coords(a, words) for a in a_elems]
+    da_vecs = [coords(C.delta(1).apply(a), words) for a in a_elems]
+
+    def bracket_halves(cop: Element, lam_fn, depth: int) -> Element:
+        """(1/2) sum (-1)^{|z'|} [lam z', lam z''] over a coproduct value."""
+        total = Element.zero(gens)
+        for w, c in cop.terms.items():
+            zl, zr = w.factors
+            sign = -1 if space.degree(zl) % 2 else 1
+            left = lam_fn(Element.gen(space, zl), depth)
+            right = lam_fn(Element.gen(space, zr), depth)
+            if left and right:
+                total = total + (Fraction(1, 2) * sign * c) * lie_bracket(left, right)
+        return total
+
+    def lam(el: Element, depth: int = 0) -> Element:
+        if depth > space.dim + 2:
+            raise RuntimeError("non-terminating recursion")
+        out = Element.zero(gens)
+        if not el:
+            return out
+        proj = r.proj.apply(el)
+        for w, c in proj.terms.items():
+            out = out + c * Element.gen(gens, w.factors[0])
+        # split the rest over the A and dA coordinates; lam kills A
+        vec = coords(el, words)
+        hvec = coords(r.incl.apply(proj), words)
+        rest = [x - y for x, y in zip(vec, hvec)]
+        if any(rest):
+            basis = a_vecs + da_vecs
+            cols = [[v[i] for v in basis] for i in range(space.dim)]
+            sol = linalg.solve(cols, rest)
+            if sol is None:
+                raise ValueError("element outside A + dA + H")
+            for j, cj in enumerate(sol[len(a_vecs):]):
+                if cj:
+                    cop = C.delta(2).apply(a_elems[j])
+                    out = out + cj * bracket_halves(cop, lam, depth + 1)
+        return out
+
+    diff: dict[str, FreeLieElement] = {}
+    for nm in small.names:
+        rep = r.incl.apply_word(Word.tensor(nm))
+        total = bracket_halves(C.delta(2).apply(rep), lam, 0)
+        if total:
+            diff[nm] = FreeLieElement(total)
+    out = FreeLieDGL(gens, diff)
+    out.validate()
+    if not out.is_minimal:
+        raise ValueError("direct Quillen differential has a linear part")
+    return out
+
+
+def dense_dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None
+                         ) -> tuple[AInfCoalgebra, AInfCoalgebra]:
+    """Dual DGC of a finite CDGA, one dual basis element at a time: every
+    derivation and every product re-evaluated per target monomial
+    (reference for `functors.dual_coalgebra`)."""
+    rename = rename or {}
+
+    def name_of(fs) -> str:
+        return rename.get(B.names[fs], B.names[fs])
+
+    pairs = [(name_of(fs), B.cohom_degree(fs)) for fs in B.monomials]
+    space = GradedSpace.of(pairs)
+    unit = name_of(())
+
+    diff_imgs: dict[Word, Element] = {}
+    cop_imgs: dict[Word, Element] = {}
+    for fs in B.monomials:
+        phi = name_of(fs)
+        dd = []
+        for xs in B.monomials:
+            dx = B.d(xs)
+            co = dx.coeff(Word.mono(*fs))
+            if co:
+                dd.append((co, (name_of(xs),)))
+        if dd:
+            diff_imgs[Word.tensor(phi)] = Element.make(
+                space, [(c, "t", t) for c, t in dd]
+            )
+        cc = []
+        for xs in B.monomials:
+            for ys in B.monomials:
+                if B.cohom_degree(xs) + B.cohom_degree(ys) != B.cohom_degree(fs):
+                    continue
+                prod = B.multiply(xs, ys)
+                co = prod.coeff(Word.mono(*fs))
+                if co:
+                    cc.append((co, (name_of(xs), name_of(ys))))
+        if cc:
+            cop_imgs[Word.tensor(phi)] = Element.make(
+                space, [(c, "t", t) for c, t in cc]
+            )
+    ops: dict[int, GradedMap] = {}
+    if diff_imgs:
+        ops[1] = GradedMap(space, space, -1, diff_imgs)
+    ops[2] = GradedMap(space, space, 0, cop_imgs)
+    full = AInfCoalgebra(space, ops, counit=unit)
+
+    red_pairs = [(n, d) for n, d in pairs if n != unit]
+    red_space = GradedSpace.of(red_pairs)
+
+    def reduce_el(el: Element) -> Element:
+        keep = {
+            w: c for w, c in el.terms.items() if unit not in w.factors
+        }
+        return Element(red_space, keep)
+
+    red_ops: dict[int, GradedMap] = {}
+    if diff_imgs:
+        red_ops[1] = GradedMap(red_space, red_space, -1, {
+            w: reduce_el(el) for w, el in diff_imgs.items()
+            if unit not in w.factors
+        })
+    red_cop = {}
+    for w, el in cop_imgs.items():
+        if unit in w.factors:
+            continue
+        kept = reduce_el(el)
+        if kept:
+            red_cop[w] = kept
+    if red_cop:
+        red_ops[2] = GradedMap(red_space, red_space, 0, red_cop)
+    reduced = AInfCoalgebra(red_space, red_ops)
+    return full, reduced

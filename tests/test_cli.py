@@ -239,6 +239,15 @@ def test_wrong_model_kind_exit_code(tmp_path, capsys):
         assert code == 2 and "validation failure" in err, argv
 
 
+def test_non_conilpotent_coalgebra_exit_code(tmp_path, capsys):
+    # check accepts x with Delta(x) = x|x, whose iterated coproducts never vanish
+    dgc = write(tmp_path, "x.dgc", "kind dgc\ngen x : 0\ncop x = x|x\n")
+    code, out, err = run(["check", dgc], capsys)
+    assert code == 0
+    code, out, err = run(["invariants", dgc], capsys)
+    assert code == 2 and "validation failure" in err and "Traceback" not in err
+
+
 def test_dualize_full_round_trip(tmp_path, capsys):
     code, out, err = run(
         ["dualize", "--full", str(MODELS / "example1_X.cdga")], capsys

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_cocommutative_dgc, random_sullivan
+from helpers import (
+    dense_dual_coalgebra,
+    dense_quillen_direct,
+    oracle_sources,
+    random_cocommutative_dgc,
+    random_sullivan,
+)
 from htcas.core import Element, GradedMap, GradedSpace, Word
 from htcas.functors import (
     CDGA,
@@ -254,6 +260,22 @@ def test_quillen_direct_on_random_duals():
         for g in M1.diff:
             assert M1.diff[g].element == M2.diff[g].element
         done += 1
+
+
+def test_dual_coalgebra_and_quillen_direct_match_dense_routes():
+    for tag, B in oracle_sources():
+        duals = dual_coalgebra(B)
+        for C, D in zip(duals, dense_dual_coalgebra(B)):
+            assert (C.space, C.counit) == (D.space, D.counit), tag
+            assert C.ops.keys() == D.ops.keys(), tag
+            for k in C.ops:
+                assert list(C.ops[k].images.items()) == list(D.ops[k].images.items()), (tag, k)
+        red = duals[1]
+        dec = homology_decomposition(ChainComplex(red.space, red.delta(1)))
+        M, N = quillen_differential_direct(red, dec), dense_quillen_direct(red, dec)
+        assert M.gens == N.gens, tag
+        assert {g: e.element for g, e in M.diff.items()} == \
+            {g: e.element for g, e in N.diff.items()}, tag
 
 
 def test_quillen_reproduces_stated_cell_attachment_model():

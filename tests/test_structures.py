@@ -247,6 +247,26 @@ def test_truncate_drops_noncycles_and_negatives():
     assert not T.ops
 
 
+def test_truncate_rejects_a_degree_zero_output_off_the_cycles():
+    # ker(ell_1) in degree 0 is spanned by a + b and c, named a and c;
+    # ell_2(a + b, c) = a has a nonzero pivot coordinate but is no cycle
+    space = GradedSpace.of([("mm", -1), ("a", 0), ("b", 0), ("c", 0), ("p", 1)])
+    L = linf_from_tables(space, {
+        1: {("a",): [(1, "mm")], ("b",): [(-1, "mm")]},
+        2: {("a", "c"): [(1, "a")]},
+    }, validate=False)
+    with pytest.raises(ValueError, match="not an ell_1-cycle"):
+        truncate(L, validate=False)
+    # the same bracket landing on the cycle a + b is re-expressed as a
+    L = linf_from_tables(space, {
+        1: {("a",): [(1, "mm")], ("b",): [(-1, "mm")]},
+        2: {("a", "c"): [(1, "a")], ("b", "c"): [(1, "b")]},
+    }, validate=False)
+    T = truncate(L, validate=False)
+    assert T.space.names == ("a", "c", "p")
+    assert T.ops[2].images == {Word.wedge("a", "c"): Element.gen(T.space, "a")}
+
+
 def test_truncate_after_perturb_identity_case():
     space = GradedSpace.of([("a", 0), ("p", 1), ("q", 2)])
     L = linf_from_tables(space, {2: {("a", "p"): [(1, "p")]}})

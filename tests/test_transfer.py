@@ -1,9 +1,16 @@
 import pytest
+from collections import Counter
 from fractions import Fraction
 
-from htcas import trees
-from htcas.core import Element, GradedMap, GradedSpace, Word
-from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra
+from helpers import (
+    dense_decomposition,
+    dense_homology_dims,
+    dense_retract,
+    oracle_sources,
+)
+from htcas import linalg, trees
+from htcas.core import Element, GradedMap, GradedSpace, ValidationError, Word
+from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, quillen_differential_direct
 from htcas.mapping import convolution_linf
 from htcas.structures import (
     check_ainf,
@@ -14,6 +21,7 @@ from htcas.structures import (
 from htcas.transfer import (
     ChainComplex,
     ainf_transfer_cap,
+    hom_complex,
     hom_retract,
     hom_space,
     homology_decomposition,
@@ -81,6 +89,79 @@ def test_retract_from_decomposition(cbar, cbar_retract):
         r.big.diff.apply(e_r)
     )
     assert lhs == e_r and lhs == rhs
+
+
+def same_map(a, b):
+    """Equal images, stored in the same order, between the same spaces."""
+    return ((a.source, a.target, a.degree) == (b.source, b.target, b.degree)
+            and list(a.images.items()) == list(b.images.items()))
+
+
+def oracle_complexes(cbar, target_dgl):
+    """(label, complex) pairs the blocked decomposition is checked on."""
+    cbar_cx = ChainComplex(cbar.space, cbar.delta(1))
+    yield "cbar", cbar_cx
+    yield "zero differential", ChainComplex.zero_diff(GradedSpace.of([("a", 1), ("b", 2)]))
+    sp = GradedSpace.of([("b", 1), ("a", 2)])
+    d = {Word.tensor("a"): Element.gen(sp, "b")}
+    yield "acyclic pair", ChainComplex(sp, GradedMap(sp, sp, -1, d))
+    # da = db = x and dc = de = z: H is u, v, w, c - e, a - b, generators by
+    # index then cycle vectors by pivot, though the degree-2 block comes first
+    sp = GradedSpace.of([("u", 2), ("v", 4), ("c", 4), ("e", 4), ("a", 2), ("b", 2),
+                         ("x", 1), ("z", 3), ("w", 2)])
+    x, z = Element.gen(sp, "x"), Element.gen(sp, "z")
+    d = {Word.tensor("a"): x, Word.tensor("b"): x, Word.tensor("c"): z, Word.tensor("e"): z}
+    yield "cycle vectors", ChainComplex(sp, GradedMap(sp, sp, -1, d))
+    yield "hom complex", hom_complex(cbar_cx, target_dgl)
+    for tag, B in oracle_sources():
+        full, red = dual_coalgebra(B)
+        yield f"{tag} full", ChainComplex(full.space, full.delta(1))
+        yield f"{tag} reduced", ChainComplex(red.space, red.delta(1))
+
+
+def test_blocked_decomposition_matches_dense_route(cbar, target_dgl):
+    seen_cycle_vector = False
+    for label, cx in oracle_complexes(cbar, target_dgl):
+        dense = dense_decomposition(cx)
+        dec = homology_decomposition(cx)
+        assert dec.a_part == dense.a_part, label
+        assert dec.h_part == dense.h_part, label
+        assert cx.homology_dims() == dense_homology_dims(cx), label
+        r, rd = retract_from_decomposition(dec), dense_retract(dense)
+        assert r.small.space == rd.small.space, label
+        for part in ("incl", "proj", "homotopy"):
+            assert same_map(getattr(r, part), getattr(rd, part)), (label, part)
+        seen_cycle_vector |= any(len(h.terms) > 1 for h in dec.h_part)
+    assert seen_cycle_vector
+
+
+def test_retract_rejects_a_decomposition_that_does_not_span(cbar):
+    dec = homology_decomposition(ChainComplex(cbar.space, cbar.delta(1)))
+    dec.h_part = dec.h_part[1:]
+    with pytest.raises(ValidationError, match="does not span"):
+        retract_from_decomposition(dec)
+
+
+def test_fixed_linear_data_is_built_once_per_degree_block(monkeypatch):
+    # a work guard: at most one RREF per block for each of the kernel, the
+    # cycle basis, the H choice, the block inverse and the homology check;
+    # the dense routes make 169 RREFs (111 of them in solves) on this input
+    # and the solve-based Quillen recursion 395 more solves
+    _, red = dual_coalgebra(dict(oracle_sources())["n5"])
+    calls = Counter()
+    for fn in ("rref", "solve"):
+        def counting(*args, _fn=fn, _original=getattr(linalg, fn)):
+            calls[_fn] += 1
+            return _original(*args)
+        monkeypatch.setattr(linalg, fn, counting)
+    cx = ChainComplex(red.space, red.delta(1))
+    dec = homology_decomposition(cx)
+    retract_from_decomposition(dec)
+    assert calls["rref"] <= 5 * len(cx.blocks)
+    assert calls["solve"] == 0
+    calls.clear()
+    quillen_differential_direct(red, dec)
+    assert calls["solve"] == 0
 
 
 def test_identity_retract_transfers_identically(cbar, n4):
