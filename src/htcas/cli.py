@@ -40,6 +40,7 @@ from .core import (
     ValidationError,
     Word,
     canonical_word,
+    lincomb,
 )
 from .functors import (
     CDGA,
@@ -209,14 +210,8 @@ def _element(space, items, kind):
 
 
 def _lie_element(space, items):
-    total = Element.zero(space)
-    pres = []
-    for c, tree in items:
-        if tree is None:
-            continue
-        el = _tree_to_element(space, tree)
-        total = total + c * el
-        pres.append((c, tree))
+    pres = [(c, tree) for c, tree in items if tree is not None]
+    total = lincomb(space, ((c, _tree_to_element(space, tree)) for c, tree in pres))
     return FreeLieElement(total), pres
 
 
@@ -396,13 +391,12 @@ def parse(path: str) -> ModelFile:
         payload = FreeLieDGL(space, diff, presentation=pres)
         payload.validate()
     elif kind == "mc":
-        el = Element.zero(space)
-        for lineno, toks in body:
-            if toks[0][0] != "mc" or len(toks) < 2 or toks[1][0] != "=":
-                raise ParseError(path, lineno, toks[0][1], "expected: mc = <sum>")
-            items = term_parser(lineno, toks[2:], "t").parse_sum()
-            el = el + _element(space, items, "t")
-        payload = el
+        def mc_lines():
+            for lineno, toks in body:
+                if toks[0][0] != "mc" or len(toks) < 2 or toks[1][0] != "=":
+                    raise ParseError(path, lineno, toks[0][1], "expected: mc = <sum>")
+                yield 1, _element(space, term_parser(lineno, toks[2:], "t").parse_sum(), "t")
+        payload = lincomb(space, mc_lines())
     else:  # pragma: no cover
         raise AssertionError(kind)
     return ModelFile(kind, space, payload, options)

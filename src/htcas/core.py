@@ -23,6 +23,22 @@ Conventions used across the package:
 * Suspension: s and s^{-1} are degree +1 / -1 symbols; applying them
   slotwise to a k-factor word costs (-1)**sum((k-i)*|x_i|), the Koszul
   price of threading each symbol to its slot.
+* Checks run once.  `Element(space, terms)` scans every term: each word
+  must lie in the space and all must share one degree.  `make`,
+  `from_coords`, the parser and every other construction from raw terms go
+  through it, and a `GradedMap` checks each image's space and degree when
+  it is built.  Results computed from checked operands are built by the
+  trusted `Element._of` without a second scan, because they are homogeneous
+  by construction: a scalar multiple keeps the words (a scalar of 1 returns
+  the element itself; elements are never mutated); a concatenation of two
+  elements of one space has the sum of their degrees; `GradedMap.apply` on
+  an element of its source, and `tensor_apply` when every slot maps from
+  the element's space into the first slot's target, sum images of one
+  degree; and `lincomb`, the one in-place accumulator behind `+` and every
+  engine sum, compares each operand's degree with the partial sum's in
+  O(1).  An operand from another space object is first checked in the
+  space of the sum, so every inhomogeneity `Element(...)` would reject is
+  still rejected, with the same `ValidationError`.
 """
 
 from __future__ import annotations
@@ -145,8 +161,18 @@ class GradedSpace:
     def word_degree(self, word: "Word") -> int:
         return sum(self._degree[f] for f in word.factors)
 
+    @cached_property
+    def _suspensions(self) -> dict[int, "GradedSpace"]:
+        return {}
+
     def suspend(self, shift: int) -> "GradedSpace":
-        return GradedSpace(tuple((n, d + shift) for n, d in self.basis))
+        """The space with every degree moved by `shift`; built once per shift,
+        so every suspension of a space is the same object."""
+        out = self._suspensions.get(shift)
+        if out is None:
+            out = self._suspensions[shift] = GradedSpace(
+                tuple((n, d + shift) for n, d in self.basis))
+        return out
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.basis)
@@ -158,12 +184,30 @@ class GradedSpace:
         return max(self.degrees())
 
 
-@dataclass(frozen=True)
 class Word:
-    """An ordered word of basis names; kind "t", "w" or "m" (see module doc)."""
+    """An ordered word of basis names; kind "t", "w" or "m" (see module doc).
 
-    kind: str
-    factors: tuple[str, ...]
+    Words are immutable dictionary keys: the hash of (kind, factors) is
+    computed once, at construction, instead of on every lookup.
+    """
+
+    __slots__ = ("kind", "factors", "_hash")
+
+    def __init__(self, kind: str, factors: tuple[str, ...]):
+        self.kind = kind
+        self.factors = factors
+        self._hash = hash((kind, factors))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Word:
+            return NotImplemented
+        return (self._hash == other._hash and self.factors == other.factors
+                and self.kind == other.kind)
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -174,15 +218,15 @@ class Word:
 
     @staticmethod
     def tensor(*names: str) -> "Word":
-        return Word("t", tuple(names))
+        return Word("t", names)
 
     @staticmethod
     def wedge(*names: str) -> "Word":
-        return Word("w", tuple(names))
+        return Word("w", names)
 
     @staticmethod
     def mono(*names: str) -> "Word":
-        return Word("m", tuple(names))
+        return Word("m", names)
 
 
 def canonical_word(space: GradedSpace, kind: str, factors) -> tuple[Word | None, int]:
@@ -242,8 +286,48 @@ def word_basis(space: GradedSpace, kind: str, arity: int, degree: int | None = N
 # elements
 
 
+def _exact(scalar):
+    """An int or Fraction as it is; any other scalar through `frac`, which
+    raises on a non-exact one."""
+    return scalar if type(scalar) is int or isinstance(scalar, Fraction) else frac(scalar)
+
+
+def _scaled(terms: dict, scalar) -> dict:
+    """scalar * terms as a new dict; -1 negates and 0 empties."""
+    if scalar == -1:
+        return {w: -c for w, c in terms.items()}
+    if not scalar:
+        return {}
+    return {w: scalar * c for w, c in terms.items()}
+
+
+def _add_terms(acc: dict, terms: dict, scalar=1) -> None:
+    """acc += scalar * terms, in place.  A coefficient that cancels is
+    removed at once, so acc keeps the term order repeated `+` would give."""
+    if scalar != 1:
+        terms = _scaled(terms, scalar)
+    if not acc:
+        acc.update(terms)
+        return
+    get = acc.get
+    for w, c in terms.items():
+        old = get(w)
+        if old is None:
+            acc[w] = c
+        else:
+            c = old + c
+            if c:
+                acc[w] = c
+            else:
+                del acc[w]
+
+
 class Element:
-    """Finite Q-linear combination of same-kind, same-degree words."""
+    """Finite Q-linear combination of same-kind, same-degree words.
+
+    `Element(space, terms)` checks every term (see the module doc); the
+    results of arithmetic are built by `_of` without a second scan.
+    """
 
     __slots__ = ("space", "terms")
 
@@ -254,15 +338,24 @@ class Element:
         if len(degs) > 1:
             raise ValidationError(f"inhomogeneous element: degrees {sorted(degs)}")
 
+    @classmethod
+    def _of(cls, space: GradedSpace, terms: dict[Word, Fraction]) -> "Element":
+        """Trusted constructor: `terms` has no zero coefficient and is already
+        known to be homogeneous in `space`."""
+        el = object.__new__(cls)
+        el.space = space
+        el.terms = terms
+        return el
+
     @staticmethod
     def zero(space: GradedSpace) -> "Element":
-        return Element(space, {})
+        return Element._of(space, {})
 
     @staticmethod
     def gen(space: GradedSpace, name: str) -> "Element":
         if name not in space:
             raise KeyError(name)
-        return Element(space, {Word.tensor(name): ONE})
+        return Element._of(space, {Word("t", (name,)): ONE})
 
     @staticmethod
     def make(space: GradedSpace, items) -> "Element":
@@ -302,29 +395,31 @@ class Element:
         return isinstance(other, Element) and self.terms == other.terms
 
     def __add__(self, other: "Element") -> "Element":
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, ZERO) + c
-        return Element(self.space, terms)
+        return lincomb(self.space, ((1, self), (1, other)))
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-1) * other
+        return lincomb(self.space, ((1, self), (-1, other)))
 
     def __neg__(self) -> "Element":
-        return (-1) * self
+        return Element._of(self.space, _scaled(self.terms, -1))
 
     def __rmul__(self, scalar) -> "Element":
-        c = frac(scalar)
-        return Element(self.space, {w: c * v for w, v in self.terms.items()})
+        c = _exact(scalar)
+        if c == 1:
+            return self
+        return Element._of(self.space, _scaled(self.terms, c))
 
     def tensor(self, other: "Element") -> "Element":
-        """Concatenation x (x) y; both sides must be tensor-kind words."""
+        """Concatenation x (x) y; both sides must be tensor-kind words.  The
+        words of y are checked in this element's space unless y lives there."""
+        if self.terms and other.space is not self.space:
+            other = Element(self.space, other.terms)
         terms: dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = Word.tensor(*(w1.factors + w2.factors))
+                w = Word("t", w1.factors + w2.factors)
                 terms[w] = terms.get(w, ZERO) + c1 * c2
-        return Element(self.space, terms)
+        return Element._of(self.space, {w: c for w, c in terms.items() if c})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -333,6 +428,31 @@ class Element:
         for w, c in self.sorted_items():
             bits.append(f"{c}*{w}")
         return " + ".join(bits)
+
+
+def lincomb(space: GradedSpace, pairs) -> Element:
+    """The sum of c * el over the (c, el) pairs, accumulated in one dict.
+
+    Each operand of `space` was checked when it was built, so the sum stays
+    homogeneous exactly when every operand has the degree of the partial sum
+    it meets, which is compared in O(1); an operand of another space object
+    is first checked in `space`.  This is the check `+` made term by term.
+    """
+    acc: dict[Word, Fraction] = {}
+    deg = None
+    for c, el in pairs:
+        c = _exact(c)
+        if not el.terms or not c:
+            continue
+        if el.space is not space:
+            el = Element(space, el.terms)
+        d = el.degree
+        if not acc:
+            deg = d
+        elif d != deg:
+            raise ValidationError(f"inhomogeneous element: degrees {sorted((deg, d))}")
+        _add_terms(acc, el.terms, c)
+    return Element._of(space, acc)
 
 
 def coords(el: Element, words: list[Word]) -> list[Fraction]:
@@ -352,7 +472,9 @@ class GradedMap:
 
     `in_kind`/`arity` describe the domain words; unspecified words map to
     zero.  Wedge and monomial domains accept arbitrary tensor input words,
-    canonicalizing first.
+    canonicalizing first.  Every image is checked at construction to be an
+    element of `target` of the degree the map dictates, which is what lets
+    `apply` and `tensor_apply` build their sums without a second scan.
     """
 
     __slots__ = ("source", "target", "degree", "arity", "in_kind", "images")
@@ -363,13 +485,18 @@ class GradedMap:
         self.degree = degree
         self.arity = arity
         self.in_kind = in_kind
-        self.images = {w: el for w, el in images.items() if el}
-        for w, el in self.images.items():
+        self.images = {}
+        for w, el in images.items():
+            if not el:
+                continue
+            if el.space is not target:
+                el = Element(target, el.terms)
             want = source.word_degree(w) + degree
-            if el.degree is not None and el.degree != want:
+            if el.degree != want:
                 raise ValidationError(
                     f"image of {w} has degree {el.degree}, expected {want}"
                 )
+            self.images[w] = el
 
     @staticmethod
     def zero(source, target, degree, arity=1, in_kind="t") -> "GradedMap":
@@ -381,21 +508,37 @@ class GradedMap:
             space, space, 0, {Word.tensor(n): Element.gen(space, n) for n in space.names}
         )
 
-    def apply_word(self, word: Word, coeff: Fraction = ONE) -> Element:
+    def _image(self, factors: tuple[str, ...]):
+        """(sign, stored image) for the input word with these factors; the
+        image is None when the word maps to zero."""
         if self.in_kind == "t":
-            img = self.images.get(Word("t", word.factors))
-            return coeff * img if img is not None else Element.zero(self.target)
-        w, s = canonical_word(self.source, self.in_kind, word.factors)
+            return 1, self.images.get(Word("t", factors))
+        w, s = canonical_word(self.source, self.in_kind, factors)
         if w is None:
+            return 0, None
+        return s, self.images.get(w)
+
+    def apply_word(self, word: Word, coeff: Fraction = ONE) -> Element:
+        s, img = self._image(word.factors)
+        if img is None:
             return Element.zero(self.target)
-        img = self.images.get(w)
-        return (s * coeff) * img if img is not None else Element.zero(self.target)
+        return (-coeff if s < 0 else coeff) * img
 
     def apply(self, el: Element) -> Element:
-        out = Element.zero(self.target)
+        """The sum of c * image(w) over the terms of el, accumulated in place.
+        An input of the source space has homogeneous images; any other input
+        has its sum checked once."""
+        acc: dict[Word, Fraction] = {}
         for w, c in el.terms.items():
-            out = out + self.apply_word(w, c)
-        return out
+            if self.in_kind == "t" and w.kind == "t":
+                s, img = 1, self.images.get(w)
+            else:
+                s, img = self._image(w.factors)
+            if img is not None:
+                _add_terms(acc, img.terms, -c if s < 0 else c)
+        if el.space == self.source:
+            return Element._of(self.target, acc)
+        return Element(self.target, acc)
 
     def __add__(self, other: "GradedMap") -> "GradedMap":
         if (self.degree, self.arity, self.in_kind) != (other.degree, other.arity, other.in_kind):
@@ -432,43 +575,47 @@ def tensor_apply(slots, arities, el: Element) -> Element:
 
     Slot i is a GradedMap consuming arities[i] factors; the sign is the
     price of threading each map past the factors to its left.  The result
-    lives in the target of the first slot.
+    lives in the target of the first slot.  When every slot maps from the
+    space of `el` into that target, the result is homogeneous by the degree
+    check on each slot's images and is built without a scan.
     """
     out_terms: dict[Word, Fraction] = {}
     space = el.space
+    target = slots[0].target
+    total = sum(arities)
+    # later[i]: parity of the degrees of the maps right of slot i
+    later = [sum(m.degree for m in slots[i + 1:]) % 2 for i in range(len(slots))]
     for word, c in el.terms.items():
-        if len(word) != sum(arities):
+        if len(word) != total:
             raise ValueError(f"word {word} does not split into arities {arities}")
-        chunks = []
-        pos = 0
-        for a in arities:
-            chunks.append(word.factors[pos:pos + a])
-            pos += a
+        pieces = []
         sign = 1
-        for i, ch in enumerate(chunks):
-            d = sum(space.degree(f) for f in ch)
-            if d % 2:
-                later = sum(slots[j].degree for j in range(i + 1, len(slots)))
-                if later % 2:
-                    sign = -sign
-        pieces = [slots[i].apply_word(Word.tensor(*chunks[i])) for i in range(len(slots))]
-        combos = [((), sign * c)]
-        dead = False
-        for p in pieces:
-            if not p:
-                dead = True
-                break
-            combos = [
-                (fs + w.factors, cc * pc)
-                for fs, cc in combos
-                for w, pc in p.terms.items()
-            ]
-        if dead:
+        pos = 0
+        for i, m in enumerate(slots):
+            ch = word.factors[pos:pos + arities[i]]
+            pos += arities[i]
+            s, img = m._image(ch)
+            if later[i] and sum(space.degree(f) for f in ch) % 2:
+                s = -s
+            sign *= s
+            pieces.append(img)
+        if any(img is None for img in pieces):
             continue
+        combos = [((), c if sign > 0 else -c)]
+        for img in pieces:
+            combos = [
+                (fs + w.factors, cc if pc == 1 else (-cc if pc == -1 else cc * pc))
+                for fs, cc in combos
+                for w, pc in img.terms.items()
+            ]
         for fs, cc in combos:
-            w = Word.tensor(*fs)
-            out_terms[w] = out_terms.get(w, ZERO) + cc
-    return Element(slots[0].target, out_terms)
+            w = Word("t", fs)
+            old = out_terms.get(w)
+            out_terms[w] = cc if old is None else old + cc
+    out_terms = {w: v for w, v in out_terms.items() if v}
+    if all(m.target is target and m.source == space for m in slots):
+        return Element._of(target, out_terms)
+    return Element(target, out_terms)
 
 
 def tensor_map(maps: list[GradedMap]) -> GradedMap:

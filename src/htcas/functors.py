@@ -32,6 +32,7 @@ from .core import (
     Word,
     canonical_word,
     frac,
+    lincomb,
     word_basis,
 )
 from .structures import (
@@ -97,7 +98,7 @@ class CDGA:
 
     def d(self, el: Element) -> Element:
         """Derivation extension of the generator differential."""
-        out = Element.zero(self.gens)
+        parts = []
         for w, c in el.terms.items():
             fs = w.factors
             sign = 1
@@ -106,21 +107,18 @@ class CDGA:
                 if img:
                     pre = self.monomial(fs[:i], c * sign)
                     post = self.monomial(fs[i + 1:])
-                    out = out + self.multiply(self.multiply(pre, img), post)
+                    parts.append((1, self.multiply(self.multiply(pre, img), post)))
                 if self.gens.degree(f) % 2:
                     sign = -sign
-        return out
+        return lincomb(self.gens, parts)
 
     def d_parts(self, g: str) -> dict[int, Element]:
         """Word-length components d_j(g)."""
-        out: dict[int, Element] = {}
+        parts: dict[int, dict[Word, Fraction]] = {}
         img = self.diff.get(g)
-        if not img:
-            return out
-        for w, c in img.terms.items():
-            out.setdefault(len(w), Element.zero(self.gens))
-            out[len(w)] = out[len(w)] + Element(self.gens, {w: c})
-        return out
+        for w, c in (img.terms if img else {}).items():
+            parts.setdefault(len(w), {})[w] = c
+        return {j: Element(self.gens, terms) for j, terms in parts.items()}
 
     @property
     def is_sullivan(self) -> bool:
@@ -272,14 +270,14 @@ def bracketing(el: Element) -> Element:
     """Right-normed bracketing word by word:
     rho(x1 (x) ... (x) xk) = [x1, [x2, [..., xk]]]."""
     space = el.space
-    out = Element.zero(space)
+    parts = []
     for w, c in el.terms.items():
         fs = w.factors
         acc = Element.gen(space, fs[-1])
         for f in reversed(fs[:-1]):
             acc = lie_bracket(Element.gen(space, f), acc)
-        out = out + c * acc
-    return out
+        parts.append((c, acc))
+    return lincomb(space, parts)
 
 
 @dataclass
@@ -319,7 +317,7 @@ class FreeLieDGL:
     def d_tensor(self, el: Element) -> Element:
         """Derivation extension to tensor words."""
         space = self.gens
-        out = Element.zero(space)
+        parts = []
         for w, c in el.terms.items():
             fs = w.factors
             sign = 1
@@ -328,10 +326,10 @@ class FreeLieDGL:
                 if img and img.element:
                     pre = Element(space, {Word.tensor(*fs[:i]): frac(c) * sign})
                     post = Element(space, {Word.tensor(*fs[i + 1:]): Fraction(1)})
-                    out = out + pre.tensor(img.element).tensor(post)
+                    parts.append((1, pre.tensor(img.element).tensor(post)))
                 if space.degree(f) % 2:
                     sign = -sign
-        return out
+        return lincomb(space, parts)
 
     def validate(self) -> None:
         for g, img in self.diff.items():
@@ -359,14 +357,10 @@ def quillen(C: AInfCoalgebra, check: bool = True) -> FreeLieDGL:
     gens = sh.space
     diff: dict[str, FreeLieElement] = {}
     for name in C.space.names:
-        total = Element.zero(gens)
-        for k in C.ops:
-            # the cobar sign (-1)^k; pinned by agreement with the direct
-            # homology-decomposition recursion in every arity
-            piece = sh.op(k).apply_word(Word.tensor(name))
-            if k % 2:
-                piece = (-1) * piece
-            total = total + piece
+        # the cobar sign (-1)^k; pinned by agreement with the direct
+        # homology-decomposition recursion in every arity
+        total = lincomb(gens, ((-1 if k % 2 else 1, sh.op(k).apply_word(Word.tensor(name)))
+                               for k in C.ops))
         if total:
             diff[name] = FreeLieElement(total)
     out = FreeLieDGL(gens, diff)
@@ -401,15 +395,15 @@ def quillen_differential_direct(C: AInfCoalgebra, dec) -> FreeLieDGL:
 
     def bracket_halves(cop: Element, depth: int) -> Element:
         """(1/2) sum (-1)^{|z'|} [lam z', lam z''] over a coproduct value."""
-        total = Element.zero(gens)
+        parts = []
         for w, c in cop.terms.items():
             zl, zr = w.factors
             sign = -1 if space.degree(zl) % 2 else 1
             left = lam(zl, depth)
             right = lam(zr, depth)
             if left and right:
-                total = total + (Fraction(1, 2) * sign * c) * lie_bracket(left, right)
-        return total
+                parts.append((Fraction(1, 2) * sign * c, lie_bracket(left, right)))
+        return lincomb(gens, parts)
 
     def lam(name: str, depth: int) -> Element:
         if name in memo:
@@ -417,13 +411,12 @@ def quillen_differential_direct(C: AInfCoalgebra, dec) -> FreeLieDGL:
         if depth > space.dim + 2:
             raise ValidationError("non-terminating recursion")
         w = Word.tensor(name)
-        out = Element.zero(gens)
-        for pw, c in r.proj.apply_word(w).terms.items():
-            out = out + c * Element.gen(gens, pw.factors[0])
+        parts = [(c, Element.gen(gens, pw.factors[0]))
+                 for pw, c in r.proj.apply_word(w).terms.items()]
         ha = r.homotopy.apply_word(w)
         if ha:
-            out = out + bracket_halves(C.delta(2).apply(ha), depth + 1)
-        memo[name] = out
+            parts.append((1, bracket_halves(C.delta(2).apply(ha), depth + 1)))
+        out = memo[name] = lincomb(gens, parts)
         return out
 
     diff: dict[str, FreeLieElement] = {}
@@ -475,7 +468,7 @@ def cochain(L: LInfAlgebra, names: list[str] | None = None,
     )
     dual_of = {x: vn for x, vn in zip(lnames, vnames)}
 
-    diff: dict[str, Element] = {vn: Element.zero(vspace) for vn in vnames}
+    parts: dict[str, list] = {vn: [] for vn in vnames}
     for j in sorted(L.ops):
         for w, val in L.ops[j].images.items():
             mult = _multiplicity_factor(w.factors)
@@ -483,8 +476,8 @@ def cochain(L: LInfAlgebra, names: list[str] | None = None,
                 vspace, [(Fraction(1, mult), "m", tuple(dual_of[f] for f in w.factors))]
             )
             for xw, co in val.terms.items():
-                vn = dual_of[xw.factors[0]]
-                diff[vn] = diff[vn] + co * mono
+                parts[dual_of[xw.factors[0]]].append((co, mono))
+    diff = {vn: lincomb(vspace, ps) for vn, ps in parts.items()}
     return CDGA(vspace, {vn: el for vn, el in diff.items() if el}, validate=validate)
 
 
@@ -512,14 +505,9 @@ def linf_from_cdga(A: CDGA, names: list[str] | None = None,
             if cw is None:
                 continue
             mult = _multiplicity_factor(cw.factors)
-            img = Element.zero(lspace)
-            for v, x in zip(vnames, xnames):
-                el = A.diff.get(v)
-                if not el:
-                    continue
-                co = el.coeff(cw)
-                if co:
-                    img = img + (s * mult * co) * Element.gen(lspace, x)
+            img = lincomb(lspace, [
+                (s * mult * A.diff[v].coeff(cw), Element.gen(lspace, x))
+                for v, x in zip(vnames, xnames) if A.diff.get(v)])
             if img:
                 images[w] = img
         if images:

@@ -11,12 +11,13 @@ criterion is Wl(target) < bl(source).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
-from .core import Element, GradedSpace, ValidationError, Word
+from .core import Element, GradedSpace, ValidationError
 from .functors import CDGA, FreeLieDGL, lie_bracket
-from .structures import AInfCoalgebra, LInfAlgebra, iterated_coproduct
+from .structures import AInfCoalgebra, LInfAlgebra, iterated_coproducts
 
 INF = math.inf
 
@@ -132,19 +133,16 @@ def whitehead_length(L: LInfAlgebra) -> InvariantReport:
 
 
 def conilpotence(C: AInfCoalgebra) -> InvariantReport:
-    """Least n with the n-fold iterated reduced coproduct zero."""
+    """Least n with the n-fold iterated reduced coproduct zero; each
+    Delta^{(n)} is extended from Delta^{(n-1)}, up to n = dim + 1."""
     if C.counit is not None:
         raise ValueError("conilpotence is an invariant of the reduced coalgebra")
     if not C.is_dgc:
         raise ValueError("conilpotence of a genuine A-infinity coalgebra "
                          "is not implemented; pass a DGC")
-    n = 1
-    while n <= C.space.dim + 1:
-        it = iterated_coproduct(C, n)
-        living = [g for g in C.space.names if it.apply_word(Word.tensor(g))]
-        if not living:
+    for n, it in enumerate(itertools.islice(iterated_coproducts(C), C.space.dim + 1), start=1):
+        if it.is_zero():
             return InvariantReport("conilpotence", n)
-        n += 1
     raise ValidationError("iterated coproducts failed to vanish: the coalgebra is not conilpotent")
 
 

@@ -24,7 +24,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BoundError, Element, GradedMap, GradedSpace, ValidationError, Word, canonical_word
+from .core import (
+    BoundError,
+    Element,
+    GradedMap,
+    GradedSpace,
+    ValidationError,
+    Word,
+    canonical_word,
+    lincomb,
+)
 from .functors import CDGA, FiniteCDGA, _multiplicity_factor, cochain, dual_coalgebra
 from .structures import (
     AInfCoalgebra,
@@ -206,7 +215,7 @@ def reduced_bs_cochain(model, source: GradedSpace | None = None,
         okey[f] = (target.degree(x) + 1, target.index(x),
                    source.degree(c), source.index(c))
 
-    diff: dict[str, Element] = {vn: Element.zero(bsg) for vn in names}
+    parts: dict[str, list] = {vn: [] for vn in names}
     for j in sorted(model.ops):
         for w in model.ops[j].images:
             ordered = tuple(sorted(w.factors, key=lambda f: okey[f]))
@@ -222,8 +231,8 @@ def reduced_bs_cochain(model, source: GradedSpace | None = None,
                 [(Fraction(xi, mult), "m", tuple(bs_of[f] for f in ordered))],
             )
             for xw, co in val.terms.items():
-                vn = bs_of[xw.factors[0]]
-                diff[vn] = diff[vn] + co * mono
+                parts[bs_of[xw.factors[0]]].append((co, mono))
+    diff = {vn: lincomb(bsg, ps) for vn, ps in parts.items()}
     return CDGA(bsg, {vn: el for vn, el in diff.items() if el})
 
 
@@ -269,7 +278,7 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
         n = len(vfactors)
         vdegs = [A.gens.degree(v) for v in vfactors]
         split = cop(n - 1).apply(c_el)
-        out = Element.zero(bs)
+        parts = []
         for cw, co in split.terms.items():
             sign = 1
             for i, cf in enumerate(cw.factors):
@@ -283,17 +292,16 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
                     break
                 prod = _bs_multiply(bs, prod, factor)
             if prod:
-                out = out + (sign * co) * prod
-        return out
+                parts.append((sign * co, prod))
+        return lincomb(bs, parts)
 
     def factor_of(v: str, cf: str, depth: int) -> Element:
         """The factor v.c with c a source basis element, split over the
         decomposition: H passes through, A dies, dA substitutes."""
         e = Element.gen(csp, cf)
-        out = Element.zero(bs)
         hpart = r.proj.apply(e)
-        for hw, hco in hpart.terms.items():
-            out = out + hco * Element.gen(bs, f"{v}.{hw.factors[0]}")
+        parts = [(hco, Element.gen(bs, f"{v}.{hw.factors[0]}"))
+                 for hw, hco in hpart.terms.items()]
         rest = e - r.incl.apply(hpart)
         if rest:
             apart = r.homotopy.apply(r.big.diff.apply(rest))  # the A component
@@ -302,9 +310,9 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
                 a_el = r.homotopy.apply(dapart)
                 dv = A.diff.get(v)
                 if dv:
-                    for mw, mc in dv.terms.items():
-                        out = out + mc * expand(mw.factors, a_el, depth + 1)
-        return out
+                    parts += [(mc, expand(mw.factors, a_el, depth + 1))
+                              for mw, mc in dv.terms.items()]
+        return lincomb(bs, parts)
 
     diff: dict[str, Element] = {}
     for h in hsp.names:
@@ -313,9 +321,8 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
             dv = A.diff.get(v)
             if not dv:
                 continue
-            total = Element.zero(bs)
-            for mw, mc in dv.terms.items():
-                total = total + mc * expand(mw.factors, h_el, 0)
+            total = lincomb(bs, [(mc, expand(mw.factors, h_el, 0))
+                                 for mw, mc in dv.terms.items()])
             if total:
                 diff[f"{v}.{h}"] = total
     return CDGA(bs, diff)

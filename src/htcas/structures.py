@@ -41,6 +41,7 @@ from .core import (
     canonical_word,
     frac,
     from_coords,
+    lincomb,
     suspend_element,
     suspension_sign,
     tensor_apply,
@@ -222,10 +223,8 @@ class ShiftedBrackets:
         return out
 
     def apply(self, k: int, el: Element) -> Element:
-        out = Element.zero(self.space)
-        for w, c in el.terms.items():
-            out = out + c * self.apply_factors(k, w.factors)
-        return out
+        return lincomb(self.space, ((c, self.apply_factors(k, w.factors))
+                                    for w, c in el.terms.items()))
 
 
 def unshift_bracket(space: GradedSpace, k: int,
@@ -252,7 +251,7 @@ def _ainf_total(ops: dict[int, GradedMap], ident: GradedMap, gen: str,
                 i: int, literal_signs: bool) -> Element:
     """The arity-i coherence sum on one generator; `ident` is the identity
     of the space, built once per check."""
-    total = Element.zero(ident.source)
+    parts = []
     for k in ops:
         j = i - k + 1
         if j < 1 or j not in ops:
@@ -263,12 +262,9 @@ def _ainf_total(ops: dict[int, GradedMap], ident: GradedMap, gen: str,
         for n in range(0, i - k + 1):
             a = i - k - n
             slots = [ident] * a + [ops[k]] + [ident] * n
-            out = tensor_apply(slots, [1] * (i - k + 1), inner)
-            if literal_signs:
-                sc = -1 if (k + n + k * n) % 2 else 1
-                out = sc * out
-            total = total + out
-    return total
+            sc = -1 if literal_signs and (k + n + k * n) % 2 else 1
+            parts.append((sc, tensor_apply(slots, [1] * (i - k + 1), inner)))
+    return lincomb(ident.source, parts)
 
 
 def check_ainf(C: AInfCoalgebra) -> CheckReport:
@@ -319,25 +315,31 @@ def check_cocommutative(C: AInfCoalgebra) -> CheckReport:
     return CheckReport(True)
 
 
+def iterated_coproducts(C: AInfCoalgebra):
+    """Delta^{(1)}, Delta^{(2)}, ... in turn, each extended from the one
+    before: Delta^{(k+1)} = (Delta (x) id^{(x)k}) o Delta^{(k)}."""
+    if not C.is_dgc:
+        raise ValueError("iterated coproducts need a DGC (Delta_k = 0 for k > 2)")
+    ident = GradedMap.identity(C.space)
+    delta = C.delta(2)
+    it = GradedMap(C.space, C.space, 0, {Word.tensor(n): delta.apply_word(Word.tensor(n))
+                                          for n in C.space.names})
+    step = 1
+    while True:
+        yield it
+        slots = [delta] + [ident] * step
+        step += 1
+        it = GradedMap(C.space, C.space, 0, {
+            w: tensor_apply(slots, [1] * step, el) for w, el in it.images.items()})
+
+
 def iterated_coproduct(C: AInfCoalgebra, k: int) -> GradedMap:
     """Delta^{(k)} = (Delta (x) id^{...}) o ... o Delta, Delta^{(0)} = id."""
     if not C.is_dgc:
         raise ValueError("iterated coproducts need a DGC (Delta_k = 0 for k > 2)")
-    ident = GradedMap.identity(C.space)
     if k == 0:
-        return ident
-    delta = C.delta(2)
-    images = {Word.tensor(n): delta.apply_word(Word.tensor(n)) for n in C.space.names}
-    for step in range(1, k):
-        new = {}
-        slots = [delta] + [ident] * step
-        for w, el in images.items():
-            out = tensor_apply(slots, [1] * (step + 1), el)
-            if out:
-                new[w] = out
-        images = new
-    images = {w: el for w, el in images.items() if el}
-    return GradedMap(C.space, C.space, 0, images)
+        return GradedMap.identity(C.space)
+    return next(itertools.islice(iterated_coproducts(C), k - 1, None))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +368,7 @@ def _jacobi_total(get, arities, space: GradedSpace, factors: tuple[str, ...],
                   n: int, literal_signs: bool) -> Element:
     """Sum over (i, n-i)-shuffles of outer(inner(block), rest)."""
     degs = [space.degree(f) for f in factors]
-    total = Element.zero(space)
+    parts = []
     for i in arities:
         j = n + 1 - i
         if j < 1 or j not in arities:
@@ -383,8 +385,8 @@ def _jacobi_total(get, arities, space: GradedSpace, factors: tuple[str, ...],
             for w, c in inner.terms.items():
                 out = get(j, w.factors + rest)
                 if out:
-                    total = total + (block_sign * s * c) * out
-    return total
+                    parts.append((block_sign * s * c, out))
+    return lincomb(space, parts)
 
 
 def _candidate_words(space: GradedSpace, images: dict[int, dict[Word, Element]],
@@ -485,14 +487,14 @@ def check_linf_shifted(L: LInfAlgebra, words: list[Word] | None = None) -> Check
 
 def mc_residual(L: LInfAlgebra, z: Element) -> Element:
     """sum_k (1/k!) ell_k(z, ..., z); finite because the op family is."""
-    total = Element.zero(L.space)
+    parts = []
     power = z
     for k in range(1, L.max_arity + 1):
         if k > 1:
             power = power.tensor(z)
         if k in L.ops:
-            total = total + Fraction(1, math.factorial(k)) * L.ell(k).apply(power)
-    return total
+            parts.append((Fraction(1, math.factorial(k)), L.ell(k).apply(power)))
+    return lincomb(L.space, parts)
 
 
 def mc_check(L: LInfAlgebra, z: Element) -> MaurerCartanElement:
@@ -529,16 +531,16 @@ def perturb(L: LInfAlgebra, mc: MaurerCartanElement, validate: bool = True) -> L
                         cands[w] = None
         images = {}
         for w in cands:
-            base = Element(L.space, {Word.tensor(*w.factors): Fraction(1)})
-            total = Element.zero(L.space)
-            arg = base
+            arg = Element(L.space, {Word.tensor(*w.factors): Fraction(1)})
+            parts = []
             for i in range(0, L.max_arity - k + 1):
                 if i > 0:
                     arg = z.tensor(arg)
                     if not arg:
                         break
                 if i + k in L.ops:
-                    total = total + Fraction(1, math.factorial(i)) * L.ell(i + k).apply(arg)
+                    parts.append((Fraction(1, math.factorial(i)), L.ell(i + k).apply(arg)))
+            total = lincomb(L.space, parts)
             if total:
                 images[w] = total
         if images:

@@ -46,6 +46,7 @@ from .core import (
     canonical_word,
     from_coords,
     koszul_sign,
+    lincomb,
     tensor_apply,
     word_basis,
 )
@@ -269,10 +270,7 @@ def retract_from_decomposition(dec: Decomposition) -> HomotopyRetract:
             small_space, [(x, "t", (small_pairs[j][0],)) for part, j, x in sol if part == "h"])
         if p_el:
             proj_images[Word.tensor(n)] = p_el
-        h_el = Element.zero(space)
-        for part, j, x in sol:
-            if part == "da":
-                h_el = h_el + x * dec.a_part[j]
+        h_el = lincomb(space, ((x, dec.a_part[j]) for part, j, x in sol if part == "da"))
         if h_el:
             hom_images[Word.tensor(n)] = h_el
     proj = GradedMap(space, small_space, 0, proj_images)
@@ -328,12 +326,12 @@ def _coop_map(coops: ShiftedCoops, rr: _ShiftedRetract, slot_tuples) -> GradedMa
     images = {}
     for name in rr.big.names:
         w = Word.tensor(name)
-        total = Element.zero(rr.small)
+        parts = []
         for slots in slot_tuples:
             mid = coops.op(len(slots)).apply_word(w)
             if mid:
-                total = total + tensor_apply(slots, [1] * len(slots), mid)
-        images[w] = total
+                parts.append((1, tensor_apply(slots, [1] * len(slots), mid)))
+        images[w] = lincomb(rr.small, parts)
     return GradedMap(rr.big, rr.small, -1, images)
 
 
@@ -360,6 +358,8 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract, max_k: int | None = None
     over the arities j >= 2 of C and the compositions of m.  Each G_m is one
     map from the big space to small^{(x)m}, built once.  Unrolled, this visits
     each planar tree once: it is the tree sum of `tree_map_coalgebra`."""
+    if max_k is not None and max_k < 2:
+        raise ValidationError(f"the arity cap must be at least 2, got {max_k}")
     coops = ShiftedCoops(C)
     rr = _shift_retract(r, -1)
     cap = max_k if max_k is not None else ainf_transfer_cap(C, r.small.space)
@@ -444,14 +444,14 @@ def _lie_node(tree, B: ShiftedBrackets, rr: _ShiftedRetract,
 def _lie_tree_shifted(tree, B, rr, factors: tuple[str, ...], memo: dict) -> Element:
     """p-hat o (tree composite) o Koszul symmetrization of the inputs."""
     degs = [rr.small.degree(f) for f in factors]
-    total = Element.zero(rr.small)
+    parts = []
     for perm in itertools.permutations(range(1, len(factors) + 1)):
         s = koszul_sign(list(perm), degs, signature=False)
         arranged = tuple(factors[p - 1] for p in perm)
         val = _lie_node(tree, B, rr, arranged, memo)
         if val:
-            total = total + s * rr.proj.apply(val)
-    return total
+            parts.append((s, rr.proj.apply(val)))
+    return lincomb(rr.small, parts)
 
 
 def _as_wedge_op(m: GradedMap) -> GradedMap:
@@ -571,6 +571,8 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
     `words`, when given, restricts which ell'_k images are kept at each
     arity; the I values below max_k are computed in full regardless.
     """
+    if max_k is not None and max_k < 2:
+        raise ValidationError(f"the arity cap must be at least 2, got {max_k}")
     B = ShiftedBrackets(L)
     rr = _shift_retract(r, +1)
     if max_k is None:
@@ -647,25 +649,34 @@ def hom_space(source: GradedSpace, target: GradedSpace) -> GradedSpace:
     return GradedSpace.of(pairs)
 
 
+def _preimage_columns(g: GradedMap) -> dict[Word, list[tuple[str, Fraction]]]:
+    """For each word w in the images of g, the (c', co) with co the
+    coefficient of w in g(c'), in the order of g's source basis: each image
+    of g read once."""
+    cols: dict[Word, list[tuple[str, Fraction]]] = {}
+    for cp in g.source.names:
+        for w, co in g.apply_word(Word.tensor(cp)).terms.items():
+            cols.setdefault(w, []).append((cp, co))
+    return cols
+
+
 def hom_complex(source: ChainComplex, L: LInfAlgebra) -> ChainComplex:
     """Hom(C, L) with ell_1(f) = ell_1 o f + (-1)^{|f|+1} f o delta."""
     space = hom_space(source.space, L.space)
     ell1 = L.ell(1)
-    delta = source.diff
+    pre = _preimage_columns(source.diff)
     images: dict[Word, Element] = {}
     for c in source.space.names:
+        col = pre.get(Word.tensor(c), ())
         for x in L.space.names:
             f = hom_name(c, x)
-            out = Element.zero(space)
             post = ell1.apply_word(Word.tensor(x))
-            for wy, cy in post.terms.items():
-                out = out + cy * Element.gen(space, hom_name(c, wy.factors[0]))
             sgn = -1 if (space.degree(f) + 1) % 2 else 1
-            for cp in source.space.names:
-                pre = delta.apply_word(Word.tensor(cp))
-                co = pre.coeff(Word.tensor(c))
-                if co:
-                    out = out + (sgn * co) * Element.gen(space, hom_name(cp, x))
+            out = lincomb(space, [
+                *((cy, Element.gen(space, hom_name(c, wy.factors[0])))
+                  for wy, cy in post.terms.items()),
+                *((sgn * co, Element.gen(space, hom_name(cp, x))) for cp, co in col),
+            ])
             if out:
                 images[Word.tensor(f)] = out
     return ChainComplex(space, GradedMap(space, space, -1, images))
@@ -678,36 +689,25 @@ def hom_retract(r: HomotopyRetract, L: LInfAlgebra) -> HomotopyRetract:
     small = hom_complex(r.small, L)
     bs, ss = big.space, small.space
 
-    def precompose(space_out, g: GradedMap, f_space, f_source):
-        """f |-> f o g as a map on elementary-map bases."""
+    def precompose(space_out, g: GradedMap, f_source, twisted: bool = False):
+        """f |-> f o g as a map on elementary-map bases, times (-1)^{|f|}
+        when twisted (f then lives in space_out)."""
+        cols = _preimage_columns(g)
         images = {}
         for c in f_source.names:
+            col = cols.get(Word.tensor(c))
+            if not col:
+                continue
             for x in L.space.names:
-                out = Element.zero(space_out)
-                for cp in g.source.names:
-                    val = g.apply_word(Word.tensor(cp))
-                    co = val.coeff(Word.tensor(c))
-                    if co:
-                        out = out + co * Element.gen(space_out, hom_name(cp, x))
+                f = hom_name(c, x)
+                sgn = -1 if twisted and space_out.degree(f) % 2 else 1
+                out = lincomb(space_out, [(sgn * co, Element.gen(space_out, hom_name(cp, x)))
+                                          for cp, co in col])
                 if out:
-                    images[Word.tensor(hom_name(c, x))] = out
+                    images[Word.tensor(f)] = out
         return images
 
-    incl = GradedMap(ss, bs, 0, precompose(bs, r.proj, bs, r.small.space))
-    proj = GradedMap(bs, ss, 0, precompose(ss, r.incl, ss, r.big.space))
-
-    hom_imgs = {}
-    for c in r.big.space.names:
-        for x in L.space.names:
-            f = hom_name(c, x)
-            sgn = -1 if bs.degree(f) % 2 else 1
-            out = Element.zero(bs)
-            for cp in r.big.space.names:
-                val = r.homotopy.apply_word(Word.tensor(cp))
-                co = val.coeff(Word.tensor(c))
-                if co:
-                    out = out + (sgn * co) * Element.gen(bs, hom_name(cp, x))
-            if out:
-                hom_imgs[Word.tensor(f)] = out
-    homotopy = GradedMap(bs, bs, 1, hom_imgs)
+    incl = GradedMap(ss, bs, 0, precompose(bs, r.proj, r.small.space))
+    proj = GradedMap(bs, ss, 0, precompose(ss, r.incl, r.big.space))
+    homotopy = GradedMap(bs, bs, 1, precompose(bs, r.homotopy, r.big.space, twisted=True))
     return HomotopyRetract(big, small, incl, proj, homotopy)

@@ -239,6 +239,21 @@ def test_wrong_model_kind_exit_code(tmp_path, capsys):
         assert code == 2 and "validation failure" in err, argv
 
 
+def test_arity_cap_below_two_exit_code(tmp_path, capsys):
+    # a cap below 2 would drop every co-operation or bracket of the model
+    x = str(MODELS / "example1_X.cdga")
+    y = str(MODELS / "example1_Y.cdga")
+    code, out, err = run(["dualize", x], capsys)
+    dgc = write(tmp_path, "x.dgc", out)
+    for cap in ("0", "1", "-3"):
+        for argv in (["transfer-ainf", dgc, f"--max-arity={cap}"],
+                     ["mapmodel", x, y, "--pointed", f"--max-arity={cap}"]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == "" and "at least 2" in err, argv
+    code, out, err = run(["transfer-ainf", dgc, "--max-arity=2"], capsys)
+    assert code == 0 and "D2" in out
+
+
 def test_non_conilpotent_coalgebra_exit_code(tmp_path, capsys):
     # check accepts x with Delta(x) = x|x, whose iterated coproducts never vanish
     dgc = write(tmp_path, "x.dgc", "kind dgc\ngen x : 0\ncop x = x|x\n")

@@ -10,6 +10,7 @@ from htcas.core import (
     Element,
     GradedMap,
     GradedSpace,
+    ValidationError,
     Word,
     canonical_word,
     coords,
@@ -91,6 +92,50 @@ def test_canonicalization_idempotent():
 def test_element_homogeneity_enforced():
     with pytest.raises(ValueError):
         Element(SP, {Word.tensor("g"): Fraction(1), Word.tensor("r"): Fraction(1)})
+    # the paths that build results without a scan refuse the same inputs
+    g, r = Element.gen(SP, "g"), Element.gen(SP, "r")
+    with pytest.raises(ValidationError, match=r"inhomogeneous element: degrees \[3, 5\]"):
+        g + r
+    with pytest.raises(ValidationError, match="inhomogeneous"):
+        g - g + g + r
+    with pytest.raises(ValidationError, match="inhomogeneous"):
+        Element.make(SP, [(1, "t", ("g",)), (2, "t", ("h", "s"))])
+    with pytest.raises(ValidationError, match="expected 3"):
+        GradedMap(SP, SP, 0, {Word.tensor("g"): r})
+    # r has degree 3 in this other space object, like g, but a sum in SP
+    # measures it in SP
+    other = GradedSpace.of([("g", 3), ("r", 3)])
+    r3 = Element.gen(other, "r")
+    assert r3.degree == g.degree
+    with pytest.raises(ValidationError, match="inhomogeneous"):
+        g + r3
+    with pytest.raises(ValidationError, match="inhomogeneous"):
+        GradedMap.identity(SP).apply(Element.gen(other, "g") + r3)
+    # cancellation leaves the partial sum empty, so a new degree may follow
+    assert g - g + r == r
+
+
+def test_word_equality_and_hash():
+    built = [
+        Word("t", ("g", "h")),
+        Word(kind="t", factors=("g", "h")),
+        Word.tensor("g", "h"),
+        Word.tensor(*["g", "h"]),
+        canonical_word(SP, "t", ["g", "h"])[0],
+        next(iter(Element.make(SP, [(1, "t", ("g", "h"))]).terms)),
+    ]
+    for w in built:
+        assert w == built[0] and hash(w) == hash(built[0])
+        assert {built[0]: 1}[w] == 1
+    assert canonical_word(SP, "w", ("s", "r"))[0] == Word.wedge("r", "s")
+    assert hash(canonical_word(SP, "w", ("s", "r"))[0]) == hash(Word.wedge("r", "s"))
+    assert Word("t", ("a",)) != Word("w", ("a",))
+    assert Word.wedge("g", "h") != Word.mono("g", "h")
+    assert Word.tensor("g", "h") != Word.tensor("h", "g")
+    assert Word.tensor("g") != ("t", ("g",))
+    assert len({Word("t", ("a",)), Word("w", ("a",)), Word("m", ("a",))}) == 3
+    assert repr(Word.tensor("g", "h")) == "g|h" and repr(Word.wedge("g", "h")) == "g^h"
+    assert repr(Word.mono()) == "1"
 
 
 def test_element_arithmetic_round_trip():

@@ -353,3 +353,23 @@ def test_transfer_linf_ternary_vertex_with_internal_edge():
     binary = transfer_linf(L, r, max_k=4, only_binary=True)
     assert not binary.ell(4).apply_word(w)
     assert 4 not in binary.ops
+
+
+def test_transfer_ainf_checks_few_elements(monkeypatch):
+    # a work guard: sums, scalings, map applications and tensor evaluations
+    # build their results without the homogeneity scan of Element(...),
+    # which the transfer used to pay 16,376 times on this input
+    _, red = dual_coalgebra(dict(oracle_sources())["n5"])
+    r = retract_from_decomposition(homology_decomposition(ChainComplex(red.space, red.delta(1))))
+    calls = Counter()
+    original = Element.__init__
+
+    def counting(self, *args, **kwargs):
+        calls["init"] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Element, "__init__", counting)
+    H = transfer_ainf(red, r)
+    assert 3 in H.ops
+    assert calls["init"] <= 2000
+
