@@ -3,87 +3,56 @@ and L-infinity algebra structures over rooted-tree formulas, convolution
 models of mapping spaces, Quillen models and rational homotopy invariants.
 
 Everything is computed over Q with `fractions.Fraction`; all values are
-immutable after construction and all operations are pure."""
+immutable after construction and all operations are pure.
 
-from .core import (
-    Element,
-    GradedMap,
-    GradedSpace,
-    Word,
-    koszul_sign,
-    symmetrize,
-    tensor_apply,
-    tensor_map,
-    unshuffle,
-)
-from .functors import (
-    CDGA,
-    FiniteCDGA,
-    FreeLieDGL,
-    FreeLieElement,
-    cochain,
-    dual_coalgebra,
-    linf_from_cdga,
-    quillen,
-    quillen_differential_direct,
-)
-from .invariants import (
-    InvariantReport,
-    bracket_length,
-    conilpotence,
-    differential_length,
-    hspace_certificate,
-    whitehead_length,
-)
-from .mapping import (
-    component_model,
-    convolution_linf,
-    mapping_space_model,
-    pointed_convolution,
-    reduced_bs_cochain,
-    reduced_bs_direct,
-)
-from .structures import (
-    AInfCoalgebra,
-    CheckReport,
-    LInfAlgebra,
-    MaurerCartanElement,
-    check_ainf,
-    check_cocommutative,
-    check_linf,
-    iterated_coproduct,
-    mc_check,
-    perturb,
-    truncate,
-)
-from .transfer import (
-    ChainComplex,
-    HomotopyRetract,
-    hom_retract,
-    homology_decomposition,
-    identity_retract,
-    retract_from_decomposition,
-    transfer_ainf,
-    transfer_linf,
-    tree_map_coalgebra,
-    tree_map_lie,
-)
-from .trees import aut_order, enumerate_planar, enumerate_rooted, planar_embedding
+`import htcas` loads no engine module: each name in `__all__` is imported
+from its defining module on first access (PEP 562), so `htcas.X` and
+`from htcas import *` work, and a process compiles only what it uses."""
 
-__all__ = [
-    "AInfCoalgebra", "CDGA", "ChainComplex", "CheckReport", "Element",
-    "FiniteCDGA", "FreeLieDGL", "FreeLieElement", "GradedMap", "GradedSpace",
-    "HomotopyRetract", "InvariantReport", "LInfAlgebra",
-    "MaurerCartanElement", "Word", "aut_order", "bracket_length",
-    "check_ainf", "check_cocommutative", "check_linf", "cochain",
-    "component_model", "conilpotence", "convolution_linf",
-    "differential_length", "dual_coalgebra", "enumerate_planar",
-    "enumerate_rooted", "hom_retract", "homology_decomposition",
-    "hspace_certificate", "identity_retract", "iterated_coproduct",
-    "koszul_sign", "linf_from_cdga", "mapping_space_model", "mc_check",
-    "perturb", "planar_embedding", "pointed_convolution", "quillen",
-    "quillen_differential_direct", "reduced_bs_cochain", "reduced_bs_direct",
-    "retract_from_decomposition", "symmetrize", "tensor_apply", "tensor_map",
-    "transfer_ainf", "transfer_linf", "tree_map_coalgebra", "tree_map_lie",
-    "truncate", "unshuffle", "whitehead_length",
-]
+import importlib
+
+_EXPORTS = {
+    "core": (
+        "Element", "GradedMap", "GradedSpace", "Word", "koszul_sign",
+        "symmetrize", "tensor_apply", "tensor_map", "unshuffle",
+    ),
+    "functors": (
+        "CDGA", "FiniteCDGA", "FreeLieDGL", "FreeLieElement", "cochain",
+        "dual_coalgebra", "linf_from_cdga", "quillen",
+        "quillen_differential_direct",
+    ),
+    "invariants": (
+        "InvariantReport", "bracket_length", "conilpotence",
+        "differential_length", "hspace_certificate", "whitehead_length",
+    ),
+    "mapping": (
+        "component_model", "convolution_linf", "mapping_space_model",
+        "pointed_convolution", "reduced_bs_cochain", "reduced_bs_direct",
+    ),
+    "structures": (
+        "AInfCoalgebra", "CheckReport", "LInfAlgebra", "MaurerCartanElement",
+        "check_ainf", "check_cocommutative", "check_linf",
+        "iterated_coproduct", "mc_check", "perturb", "truncate",
+    ),
+    "transfer": (
+        "ChainComplex", "HomotopyRetract", "hom_retract",
+        "homology_decomposition", "identity_retract",
+        "retract_from_decomposition", "transfer_ainf", "transfer_linf",
+        "tree_map_coalgebra", "tree_map_lie",
+    ),
+    "trees": ("aut_order", "enumerate_planar", "enumerate_rooted", "planar_embedding"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -21,6 +21,15 @@ byte-stable.
 
 Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 axiom failure, 4 bound
 exceeded.
+
+Each command imports only the engine modules it runs (`import htcas` itself
+is lazy), so a process compiles no more than it needs.  `check` on a cdga
+or dgl file loads `core`, `functors` and `invariants` (which imports only
+`core` at its top); a dgc, ainf or linf model, `dualize`, `quillen`,
+`cochain` and `invariants` on such models add `structures` and `linalg`;
+`transfer-ainf` and `quillen --direct` add `transfer`; `mapmodel` and
+`hspace` add `transfer` and `mapping`.  The tree-sum oracles' `trees` is
+never loaded.
 """
 
 from __future__ import annotations
@@ -28,8 +37,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import (
     AxiomError,
@@ -61,9 +70,9 @@ from .invariants import (
     hspace_certificate,
     whitehead_length,
 )
-from .mapping import component_model, mapping_space_model, reduced_bs_cochain
-from .structures import AInfCoalgebra, LInfAlgebra, mc_check
-from .transfer import ChainComplex, homology_decomposition, retract_from_decomposition, transfer_ainf
+
+if TYPE_CHECKING:  # imported by the commands and models that use them
+    from .structures import LInfAlgebra
 
 
 class ParseError(Exception):
@@ -77,12 +86,12 @@ IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_'.]*")
 NUMBER = re.compile(r"\d+(/\d+)?")
 
 
-@dataclass
 class ModelFile:
-    kind: str
-    space: GradedSpace
-    payload: object
-    options: dict
+    def __init__(self, kind: str, space: GradedSpace, payload: object, options: dict):
+        self.kind = kind
+        self.space = space
+        self.payload = payload
+        self.options = options
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +269,15 @@ def parse(path: str) -> ModelFile:
             gens.append((name, sign * int(toks[di][0])))
             continue
         if head == "counit":
+            if len(toks) != 2:
+                raise ParseError(path, lineno, toks[0][1], "expected: counit <name>")
             options["counit"] = toks[1][0]
             continue
         if head == "truncate":
+            if len(toks) != 2:
+                raise ParseError(path, lineno, toks[0][1], "expected: truncate <N>")
+            if not toks[1][0].isdigit():
+                raise ParseError(path, lineno, toks[1][1], "expected an integer")
             options["truncate"] = int(toks[1][0])
             continue
         body.append((lineno, toks))
@@ -292,6 +307,8 @@ def parse(path: str) -> ModelFile:
                 diff[g] = el
         payload = CDGA(space, diff)
     elif kind == "dgc":
+        from .structures import AInfCoalgebra
+
         dtab, ctab = {}, {}
         for lineno, toks in body:
             head = toks[0][0]
@@ -319,6 +336,8 @@ def parse(path: str) -> ModelFile:
                                {Word.tensor(g): el for g, el in ctab.items()})
         payload = AInfCoalgebra(space, ops, counit=options.get("counit"))
     elif kind == "ainf":
+        from .structures import AInfCoalgebra
+
         tabs: dict[int, dict] = {}
         for lineno, toks in body:
             m = re.fullmatch(r"D(\d+)", toks[0][0])
@@ -339,10 +358,12 @@ def parse(path: str) -> ModelFile:
         ops = {k: GradedMap(space, space, k - 2, tab) for k, tab in tabs.items()}
         payload = AInfCoalgebra(space, ops, counit=options.get("counit"))
     elif kind == "linf":
+        from .structures import LInfAlgebra
+
         tabs = {}
         for lineno, toks in body:
             m = re.fullmatch(r"l(\d+)", toks[0][0])
-            if not m or toks[1][0] != "(":
+            if not m or len(toks) < 2 or toks[1][0] != "(":
                 raise ParseError(path, lineno, toks[0][1],
                                  "expected: l<k> ( g1 ^ ... ^ gk ) = <sum>")
             k = int(m.group(1))
@@ -434,6 +455,8 @@ def _fmt_terms(el: Element, sep: str) -> str:
 
 def serialize(obj, kind: str | None = None) -> str:
     """Canonical machine-format text for any engine structure."""
+    from .structures import AInfCoalgebra, LInfAlgebra
+
     lines = []
     if isinstance(obj, CDGA):
         lines.append("kind cdga")
@@ -555,6 +578,9 @@ def cmd_transfer_ainf(args) -> int:
     mf = parse(args.file)
     if mf.kind != "dgc":
         raise ValidationError("transfer-ainf expects a dgc model")
+    from .transfer import (ChainComplex, homology_decomposition,
+                           retract_from_decomposition, transfer_ainf)
+
     C = mf.payload
     dec = homology_decomposition(ChainComplex(C.space, C.delta(1)))
     r = retract_from_decomposition(dec)
@@ -569,6 +595,8 @@ def cmd_quillen(args) -> int:
         raise ValidationError("quillen expects a dgc model")
     C = mf.payload
     if args.direct:
+        from .transfer import ChainComplex, homology_decomposition
+
         dec = homology_decomposition(ChainComplex(C.space, C.delta(1)))
         M = quillen_differential_direct(C, dec)
     else:
@@ -599,6 +627,9 @@ def cmd_mapmodel(args) -> int:
     yf = parse(args.yfile)
     if xf.kind != "cdga":
         raise ValidationError("the source side of mapmodel must be a cdga model")
+    from .mapping import component_model, mapping_space_model, reduced_bs_cochain
+    from .structures import mc_check
+
     L = _as_linf(yf)
     full, red = dual_coalgebra(_finite_model(xf))
     C = red if args.pointed else full
@@ -636,8 +667,7 @@ def cmd_invariants(args) -> int:
     elif mf.kind == "linf":
         reports.append(whitehead_length(mf.payload))
     elif mf.kind == "dgc":
-        if mf.payload.counit is None:
-            reports.append(conilpotence(mf.payload))
+        reports.append(conilpotence(mf.payload))
     else:
         raise ValidationError(f"no invariants for kind {mf.kind}")
     for r in reports:

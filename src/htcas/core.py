@@ -44,7 +44,6 @@ Conventions used across the package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -115,16 +114,27 @@ def suspension_sign(degrees) -> int:
 # spaces and words
 
 
-@dataclass(frozen=True)
 class GradedSpace:
-    """Finite ordered basis of named generators with integer degrees."""
+    """Finite ordered basis of named generators with integer degrees.
 
-    basis: tuple[tuple[str, int], ...]
+    Spaces are values: equal and hash-equal when their bases are."""
 
-    def __post_init__(self):
-        names = [n for n, _ in self.basis]
+    def __init__(self, basis: tuple[tuple[str, int], ...]):
+        self.basis = basis
+        names = [n for n, _ in basis]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate basis names")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.basis == other.basis
+
+    def __hash__(self) -> int:
+        return hash(self.basis)
+
+    def __repr__(self) -> str:
+        return f"GradedSpace(basis={self.basis!r})"
 
     @staticmethod
     def of(pairs) -> "GradedSpace":

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .core import (
     AxiomError,
@@ -35,12 +35,9 @@ from .core import (
     lincomb,
     word_basis,
 )
-from .structures import (
-    AInfCoalgebra,
-    LInfAlgebra,
-    ShiftedCoops,
-    check_cocommutative,
-)
+
+if TYPE_CHECKING:  # imported where used, so `import htcas.functors` loads only core
+    from .structures import AInfCoalgebra, LInfAlgebra
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +190,8 @@ def dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None
     scattered into the dual images of the monomials they hit, in the
     order (x, then y) of the monomial basis.
     """
+    from .structures import AInfCoalgebra
+
     rename = rename or {}
     names = {fs: rename.get(B.names[fs], B.names[fs]) for fs in B.monomials}
     degrees = {fs: B.cohom_degree(fs) for fs in B.monomials}
@@ -280,11 +279,16 @@ def bracketing(el: Element) -> Element:
     return lincomb(space, parts)
 
 
-@dataclass
 class FreeLieElement:
     """Element of the free graded Lie algebra, stored as its tensor expansion."""
 
-    element: Element
+    def __init__(self, element: Element):
+        self.element = element
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.element == other.element
 
     def weight_component(self, k: int) -> Element:
         keep = {w: c for w, c in self.element.terms.items() if len(w) == k}
@@ -305,14 +309,15 @@ class FreeLieElement:
         return bool(self.element)
 
 
-@dataclass
 class FreeLieDGL:
     """Free graded Lie algebra on named generators with a differential
     given on generators by tensor-expanded Lie elements."""
 
-    gens: GradedSpace
-    diff: dict[str, FreeLieElement]
-    presentation: dict[str, list] = field(default_factory=dict)
+    def __init__(self, gens: GradedSpace, diff: dict[str, FreeLieElement],
+                 presentation: dict[str, list] | None = None):
+        self.gens = gens
+        self.diff = diff
+        self.presentation = {} if presentation is None else presentation
 
     def d_tensor(self, el: Element) -> Element:
         """Derivation extension to tensor words."""
@@ -347,6 +352,8 @@ def quillen(C: AInfCoalgebra, check: bool = True) -> FreeLieDGL:
     """Generalized Quillen model: free Lie algebra on the desuspension with
     the differential read off the co-operations (cobar orientation on the
     linear part)."""
+    from .structures import ShiftedCoops, check_cocommutative
+
     if C.counit is not None:
         raise ValueError("quillen expects a reduced coalgebra")
     if check:
@@ -486,6 +493,8 @@ def linf_from_cdga(A: CDGA, names: list[str] | None = None,
     """L-infinity structure on the desuspended dual of the generators,
     brackets read off the word-length parts of the differential (the exact
     inverse of `cochain`)."""
+    from .structures import LInfAlgebra
+
     if not A.is_sullivan:
         raise ValueError("input must be a Sullivan algebra (d V in Lambda^{>=1} V)")
     vnames = A.gens.names

@@ -13,21 +13,24 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .core import Element, GradedSpace, ValidationError
-from .functors import CDGA, FreeLieDGL, lie_bracket
-from .structures import AInfCoalgebra, LInfAlgebra, iterated_coproducts
+
+if TYPE_CHECKING:  # imported where used, so `import htcas.invariants` loads only core
+    from .functors import CDGA, FreeLieDGL
+    from .structures import AInfCoalgebra, LInfAlgebra
 
 INF = math.inf
 
 
-@dataclass
 class InvariantReport:
-    name: str
-    value: int | float
-    witness: object = None
-    note: str | None = None
+    def __init__(self, name: str, value: int | float, witness: object = None,
+                 note: str | None = None):
+        self.name = name
+        self.value = value
+        self.witness = witness
+        self.note = note
 
     def __repr__(self) -> str:
         val = "inf" if self.value == INF else str(self.value)
@@ -88,6 +91,8 @@ def _bracket_weight(tree) -> int:
 
 
 def _bracket_tree_element(gens: GradedSpace, tree) -> Element:
+    from .functors import lie_bracket
+
     if isinstance(tree, str):
         return Element.gen(gens, tree)
     left = _bracket_tree_element(gens, tree[0])
@@ -135,6 +140,8 @@ def whitehead_length(L: LInfAlgebra) -> InvariantReport:
 def conilpotence(C: AInfCoalgebra) -> InvariantReport:
     """Least n with the n-fold iterated reduced coproduct zero; each
     Delta^{(n)} is extended from Delta^{(n-1)}, up to n = dim + 1."""
+    from .structures import iterated_coproducts
+
     if C.counit is not None:
         raise ValueError("conilpotence is an invariant of the reduced coalgebra")
     if not C.is_dgc:
@@ -146,11 +153,11 @@ def conilpotence(C: AInfCoalgebra) -> InvariantReport:
     raise ValidationError("iterated coproducts failed to vanish: the coalgebra is not conilpotent")
 
 
-@dataclass
 class HSpaceVerdict:
-    verdict: str  # "yes-by-theorem" | "inconclusive"
-    reports: list = field(default_factory=list)
-    trace: list = field(default_factory=list)
+    def __init__(self, verdict: str, reports: list, trace: list):
+        self.verdict = verdict  # "yes-by-theorem" | "inconclusive"
+        self.reports = reports
+        self.trace = trace
 
     def __repr__(self) -> str:
         lines = [f"verdict: {self.verdict}"]
@@ -176,8 +183,10 @@ def hspace_certificate(x_side, y_side: LInfAlgebra,
     """One-sided H-space detection for the components of the based mapping
     space: accepts a cone-length-2 certificate on the source and compares
     Whitehead length of the target with bracket length of the source."""
+    from .functors import FreeLieDGL, quillen_differential_direct
+    from .mapping import mapping_space_model
+    from .structures import AInfCoalgebra
     from .transfer import ChainComplex, homology_decomposition
-    from .functors import quillen_differential_direct
 
     reports = []
     trace = []
@@ -211,8 +220,6 @@ def hspace_certificate(x_side, y_side: LInfAlgebra,
     trace.append(f"Wl = {wl.value} {'<' if hypothesis else '>='} bl = {bl.value}")
 
     if cl_ok and hypothesis and direct_check and cbar is not None:
-        from .mapping import mapping_space_model
-
         mm = mapping_space_model(cbar, y_side)
         higher = sorted(k for k in mm.model.ops if k >= 2)
         if higher:

@@ -21,7 +21,6 @@ generator is the strongest correctness check in the package.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
@@ -129,16 +128,17 @@ def mapping_arity_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:
     return max(2, (hi - 2) // (lo - 1))
 
 
-@dataclass
 class MappingModel:
     """The transferred mapping-space model and the data that built it."""
 
-    model: LInfAlgebra
-    convolution: LInfAlgebra
-    retract: HomotopyRetract
-    homology: GradedSpace
-    coalgebra: AInfCoalgebra
-    target: LInfAlgebra
+    def __init__(self, model: LInfAlgebra, convolution: LInfAlgebra, retract: HomotopyRetract,
+                 homology: GradedSpace, coalgebra: AInfCoalgebra, target: LInfAlgebra):
+        self.model = model
+        self.convolution = convolution
+        self.retract = retract
+        self.homology = homology
+        self.coalgebra = coalgebra
+        self.target = target
 
 
 def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,

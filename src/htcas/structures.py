@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -49,13 +48,13 @@ from .core import (
 )
 
 
-@dataclass
 class CheckReport:
     """Outcome of an axiom check; failures carry the first offending residual."""
 
-    ok: bool
-    where: str | None = None
-    residual: Element | None = None
+    def __init__(self, ok: bool, where: str | None = None, residual: Element | None = None):
+        self.ok = ok
+        self.where = where
+        self.residual = residual
 
     def __bool__(self) -> bool:
         return self.ok
@@ -82,6 +81,8 @@ class AInfCoalgebra:
         self.space = space
         self.ops = {k: m for k, m in ops.items() if not m.is_zero()}
         self.counit = counit
+        if counit is not None and counit not in space:
+            raise ValidationError(f"counit {counit!r} is not a generator")
         for k, m in self.ops.items():
             if m.degree != k - 2:
                 raise ValidationError(f"Delta_{k} must have degree {k - 2}, got {m.degree}")
@@ -153,12 +154,12 @@ class LInfAlgebra:
         return ShiftedBrackets(self)
 
 
-@dataclass
 class MaurerCartanElement:
     """Degree -1 element with vanishing curvature (verified by mc_check)."""
 
-    element: Element
-    algebra: LInfAlgebra = field(repr=False)
+    def __init__(self, element: Element, algebra: LInfAlgebra):
+        self.element = element
+        self.algebra = algebra
 
 
 # ---------------------------------------------------------------------------

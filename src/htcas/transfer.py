@@ -29,11 +29,10 @@ tree once, which equals the tree sum over isomorphism classes weighted by
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import linalg, trees
+from . import linalg
 from .core import (
     ONE,
     ZERO,
@@ -60,10 +59,10 @@ from .structures import (
 )
 
 
-@dataclass
 class ChainComplex:
-    space: GradedSpace
-    diff: GradedMap
+    def __init__(self, space: GradedSpace, diff: GradedMap):
+        self.space = space
+        self.diff = diff
 
     @staticmethod
     def zero_diff(space: GradedSpace) -> "ChainComplex":
@@ -99,14 +98,14 @@ class ChainComplex:
         return {d: v for d, v in out.items() if v}
 
 
-@dataclass
 class Decomposition:
     """C = A + dA + H with A a complement of the cycles and H a complement
     of the boundaries inside the cycles, both chosen in declaration order."""
 
-    complex: ChainComplex
-    a_part: list[Element]
-    h_part: list[Element]
+    def __init__(self, complex: ChainComplex, a_part: list[Element], h_part: list[Element]):
+        self.complex = complex
+        self.a_part = a_part
+        self.h_part = h_part
 
     @property
     def da_part(self) -> list[Element]:
@@ -165,15 +164,14 @@ def homology_decomposition(cx: ChainComplex) -> Decomposition:
     return Decomposition(cx, a_part, h_part)
 
 
-@dataclass
 class HomotopyRetract:
-    big: ChainComplex
-    small: ChainComplex
-    incl: GradedMap
-    proj: GradedMap
-    homotopy: GradedMap
-
-    def __post_init__(self):
+    def __init__(self, big: ChainComplex, small: ChainComplex, incl: GradedMap,
+                 proj: GradedMap, homotopy: GradedMap):
+        self.big = big
+        self.small = small
+        self.incl = incl
+        self.proj = proj
+        self.homotopy = homotopy
         self.validate()
 
     def validate(self) -> None:
@@ -287,13 +285,14 @@ def identity_retract(cx: ChainComplex) -> HomotopyRetract:
 # shifted retract views
 
 
-@dataclass
 class _ShiftedRetract:
-    big: GradedSpace
-    small: GradedSpace
-    incl: GradedMap
-    proj: GradedMap
-    homotopy: GradedMap  # already carries the bar-orientation flip
+    def __init__(self, big: GradedSpace, small: GradedSpace, incl: GradedMap,
+                 proj: GradedMap, homotopy: GradedMap):
+        self.big = big
+        self.small = small
+        self.incl = incl
+        self.proj = proj
+        self.homotopy = homotopy  # already carries the bar-orientation flip
 
 
 def _shift_map(m: GradedMap, src: GradedSpace, tgt: GradedSpace, scale=1) -> GradedMap:
@@ -386,6 +385,8 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract, max_k: int | None = None
 def _tree_coop(tree, coops: ShiftedCoops, rr: _ShiftedRetract) -> GradedMap:
     """F_T for a planar tree T with an internal root: the root co-op followed
     by p on each leaf and F_c o h on each subtree c."""
+    from . import trees
+
     slots = tuple(rr.proj if trees.is_leaf(c) else _tree_coop(c, coops, rr).compose(rr.homotopy)
                   for c in tree)
     return _coop_map(coops, rr, [slots])
@@ -394,6 +395,8 @@ def _tree_coop(tree, coops: ShiftedCoops, rr: _ShiftedRetract) -> GradedMap:
 def tree_map_coalgebra(tree, C: AInfCoalgebra, r: HomotopyRetract) -> GradedMap:
     """The single labeled tree map Delta_T : H -> H^{(x)k}; a test oracle for
     `transfer_ainf`, which sums these over the planar trees with k leaves."""
+    from . import trees
+
     rr = _shift_retract(r, -1)
     delta = _tree_coop(tree, ShiftedCoops(C), rr).compose(rr.incl)
     return unshift_coop(delta, trees.leaf_count(tree), r.small.space)
@@ -406,6 +409,8 @@ def tree_map_coalgebra(tree, C: AInfCoalgebra, r: HomotopyRetract) -> GradedMap:
 def _lie_node(tree, B: ShiftedBrackets, rr: _ShiftedRetract,
               factors: tuple[str, ...], memo: dict) -> Element:
     """Value of a subtree on its chunk of leaf inputs (before the edge below)."""
+    from . import trees
+
     if trees.is_leaf(tree):
         return rr.incl.apply_word(Word.tensor(factors[0]))
     key = (id(tree), factors)
@@ -618,6 +623,8 @@ def tree_map_lie(tree, L: LInfAlgebra, r: HomotopyRetract) -> GradedMap:
 
     A test oracle for `transfer_linf`: it evaluates one planar embedding on
     every canonical word and every input permutation."""
+    from . import trees
+
     k = trees.leaf_count(tree)
     B = ShiftedBrackets(L)
     rr = _shift_retract(r, +1)

@@ -279,3 +279,41 @@ def test_mc_file_zero(capsys, tmp_path):
     p = write(tmp_path, "z.mc", mc)
     mf = parse(p)
     assert not mf.payload
+
+
+def test_malformed_directives_are_parse_errors(tmp_path, capsys):
+    # a directive missing its argument is located, not an IndexError
+    cases = [
+        ("a.dgc", "kind dgc\ngen x : 2\ncounit\n", ":3:0: expected: counit <name>"),
+        ("b.cdga", "kind cdga\ngen x : 3\ntruncate\n", ":3:0: expected: truncate <N>"),
+        ("c.linf", "kind linf\ngen x : 2\nl2\n", ":3:0: expected: l<k> ("),
+        ("d.cdga", "kind cdga\ngen x : 3\ntruncate x\n", ":3:9: expected an integer"),
+        ("e.cdga", "kind cdga\ngen x : 3\ntruncate 3/2\n", ":3:9: expected an integer"),
+        ("f.dgc", "kind dgc\ngen x : 2\ncounit x x\n", ":3:0: expected: counit <name>"),
+    ]
+    for name, text, want in cases:
+        p = write(tmp_path, name, text)
+        code, out, err = run(["check", p], capsys)
+        assert code == 2 and err.startswith(p + want) and "Traceback" not in err, name
+    p = write(tmp_path, "ok.cdga", "kind cdga\ngen x : 3\ntruncate 6\n")
+    assert parse(p).options == {"truncate": 6}
+
+
+def test_unknown_counit_rejected(tmp_path, capsys):
+    p = write(tmp_path, "x.dgc", "kind dgc\ngen x : 2\ncounit y\n")
+    code, out, err = run(["check", p], capsys)
+    assert code == 2 and "counit 'y' is not a generator" in err and out == ""
+    p = write(tmp_path, "y.dgc", "kind dgc\ngen x : 2\ncounit x\n")
+    code, out, err = run(["check", p], capsys)
+    assert code == 0
+
+
+def test_invariants_on_counital_coalgebra_exit_code(tmp_path, capsys):
+    # conilpotence is defined on the reduced coalgebra only, as in hspace
+    y = str(MODELS / "example1_Y.cdga")
+    code, out, err = run(["dualize", "--full", str(MODELS / "example1_X.cdga")], capsys)
+    full = write(tmp_path, "full.dgc", out)
+    for argv in (["invariants", full], ["hspace", full, y]):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert "conilpotence is an invariant of the reduced coalgebra" in err, argv

@@ -1,0 +1,82 @@
+"""What a process loads: the lazy package namespace and each command's
+module set, read from `sys.modules` of a fresh interpreter."""
+
+import contextlib
+import importlib
+import io
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import htcas
+from htcas import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+MODELS = ROOT / "models"
+
+# -I ignores PYTHONPATH and the user site, -B writes no bytecode cache
+PYTHON = [sys.executable, "-I", "-B", "-c"]
+
+RUN_CLI = f"""
+import contextlib, io, json, sys
+sys.path.insert(0, {SRC!r})
+from htcas import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+BASE = {"htcas", "htcas.cli", "htcas.core", "htcas.functors", "htcas.invariants"}
+COALGEBRA = BASE | {"htcas.structures", "htcas.linalg"}
+TRANSFER = COALGEBRA | {"htcas.transfer"}
+MAPPING = TRANSFER | {"htcas.mapping"}
+
+
+def loaded_modules(args):
+    proc = subprocess.run([*PYTHON, RUN_CLI, *args], capture_output=True, text=True,
+                          timeout=120, cwd=ROOT)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0, proc.stderr
+    return set(modules)
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    x = str(MODELS / "example1_X.cdga")
+    y = str(MODELS / "example1_Y.cdga")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["dualize", x]) == 0
+    dgc = tmp_path / "x.dgc"
+    dgc.write_text(out.getvalue())
+    cases = [
+        (["check", x], BASE),
+        (["dualize", x], COALGEBRA),
+        (["transfer-ainf", str(dgc)], TRANSFER),
+        (["mapmodel", x, y, "--pointed", "--emit", "both"], MAPPING),
+        (["hspace", str(MODELS / "example2_X.dgl"), str(MODELS / "example2_Y.cdga")], MAPPING),
+    ]
+    for args, want in cases:
+        modules = loaded_modules(args)
+        assert {m for m in modules if m.split(".")[0] == "htcas"} == want, args
+        assert not modules & {"htcas.trees", "dataclasses", "inspect"}, args
+
+
+def test_package_names_resolve_lazily():
+    for name in htcas.__all__:
+        obj = getattr(htcas, name)
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert set(htcas.__all__) <= set(dir(htcas))
+    assert not hasattr(htcas, "no_such_name")
+
+
+def test_star_import():
+    script = (f"import sys; sys.path.insert(0, {SRC!r})\n"
+              "from htcas import *\n"
+              "import htcas\n"
+              "print(sorted(n for n in htcas.__all__ if globals().get(n) is not getattr(htcas, n)))")
+    proc = subprocess.run([*PYTHON, script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
