@@ -27,7 +27,7 @@ _EXPORTS = {
     ),
     "mapping": (
         "component_model", "convolution_linf", "mapping_space_model",
-        "pointed_convolution", "reduced_bs_cochain", "reduced_bs_direct",
+        "reduced_bs_cochain", "reduced_bs_direct",
     ),
     "structures": (
         "AInfCoalgebra", "CheckReport", "LInfAlgebra", "MaurerCartanElement",

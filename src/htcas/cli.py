@@ -14,13 +14,18 @@ Grammar (one declaration per line, `#` comments):
     mc = <sum>                              (mc)
 
 Scalars are integers or p/q; dgl differentials use bracket words [a,[a,b]].
-Identifiers may contain letters, digits, _, ' and . (dotted names appear in
-Hom and reduced-model bases).  Serialization uses the same grammar, so
-parse(serialize(S)) round-trips; ordering is canonical and output is
-byte-stable.
+One reader takes the `<head> <gen> = <sum>` lines of all four kinds that
+have them and checks that the sum has the degree its head gives: |g| + 1
+for d, |g| - 1 for diff (dgc and dgl alike), |g| for cop, |g| + k - 2 for
+D<k>.  A gen line takes exactly one degree.  Identifiers may contain
+letters, digits, _, ' and . (dotted names appear in Hom and reduced-model
+bases).  Serialization uses the same grammar, with one header helper for
+the kind, counit and gen lines, so parse(serialize(S)) round-trips;
+ordering is canonical and output is byte-stable.
 
 Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 axiom failure, 4 bound
-exceeded.
+exceeded (e.g. `mapmodel --emit bs` on a model with a bracket of arity
+4 or more).  `mapmodel --mc FILE` needs `--pointed`.
 
 Each command imports only the engine modules it runs (`import htcas` itself
 is lazy), so a process compiles no more than it needs.  `check` on a cdga
@@ -56,9 +61,10 @@ from .functors import (
     FiniteCDGA,
     FreeLieDGL,
     FreeLieElement,
+    bracket_tree_element,
+    bracket_tree_str,
     cochain,
     dual_coalgebra,
-    lie_bracket,
     linf_from_cdga,
     quillen,
     quillen_differential_direct,
@@ -220,15 +226,42 @@ def _element(space, items, kind):
 
 def _lie_element(space, items):
     pres = [(c, tree) for c, tree in items if tree is not None]
-    total = lincomb(space, ((c, _tree_to_element(space, tree)) for c, tree in pres))
+    total = lincomb(space, ((c, bracket_tree_element(space, tree)) for c, tree in pres))
     return FreeLieElement(total), pres
 
 
-def _tree_to_element(space, tree):
-    if isinstance(tree, str):
-        return Element.gen(space, tree)
-    return lie_bracket(_tree_to_element(space, tree[0]),
-                       _tree_to_element(space, tree[1]))
+def _headed_lines(path, body, space, word_kind, shift, usage):
+    """Read `<head> <gen> = <sum>` lines: `shift(head)` is the degree the
+    head adds to |gen| (None for a head the kind does not have).  Yields
+    (head, gen, value, presentation) for each nonzero value; only a "lie"
+    sum has a presentation, its bracket trees."""
+    for lineno, toks in body:
+        head = toks[0][0]
+        shift_by = shift(head)
+        if shift_by is None or len(toks) < 3 or toks[2][0] != "=":
+            raise ParseError(path, lineno, toks[0][1], usage)
+        g = toks[1][0]
+        if g not in space:
+            raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
+        items = _TermParser(path, lineno, toks[3:], space, word_kind).parse_sum()
+        if word_kind == "lie":
+            el, pres = _lie_element(space, items)
+            value = el.element
+        else:
+            el = value = _element(space, items, word_kind)
+            pres = None
+        want = space.degree(g) + shift_by
+        if value and value.degree != want:
+            what = f"d({g})" if head == "d" else f"{head} {g}"
+            raise ParseError(path, lineno, toks[0][1],
+                             f"{what} must have degree {want}, got {value.degree}")
+        if value:
+            yield head, g, el, pres
+
+
+def _ainf_shift(head):
+    m = re.fullmatch(r"D(\d+)", head)
+    return int(m.group(1)) - 2 if m else None
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +299,9 @@ def parse(path: str) -> ModelFile:
                 di = 4
             if di >= len(toks) or not toks[di][0].isdigit():
                 raise ParseError(path, lineno, toks[-1][1], "expected an integer degree")
+            if di + 1 < len(toks):
+                raise ParseError(path, lineno, toks[di + 1][1],
+                                 "expected: gen <name> : <degree>")
             gens.append((name, sign * int(toks[di][0])))
             continue
         if head == "counit":
@@ -290,72 +326,20 @@ def parse(path: str) -> ModelFile:
         return _TermParser(path, lineno, toks, space, word_kind)
 
     if kind == "cdga":
-        diff = {}
-        for lineno, toks in body:
-            if toks[0][0] != "d" or len(toks) < 3 or toks[2][0] != "=":
-                raise ParseError(path, lineno, toks[0][1], "expected: d <gen> = <sum>")
-            g = toks[1][0]
-            if g not in space:
-                raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
-            items = term_parser(lineno, toks[3:], "m").parse_sum()
-            el = _element(space, items, "m")
-            if el and el.degree != space.degree(g) + 1:
-                raise ParseError(path, lineno, toks[0][1],
-                                 f"d({g}) must have degree {space.degree(g) + 1}, "
-                                 f"got {el.degree}")
-            if el:
-                diff[g] = el
+        diff = {g: el for _, g, el, _ in _headed_lines(
+            path, body, space, "m", {"d": 1}.get, "expected: d <gen> = <sum>")}
         payload = CDGA(space, diff)
-    elif kind == "dgc":
+    elif kind in ("dgc", "ainf"):
         from .structures import AInfCoalgebra
 
-        dtab, ctab = {}, {}
-        for lineno, toks in body:
-            head = toks[0][0]
-            if head not in ("diff", "cop") or len(toks) < 3 or toks[2][0] != "=":
-                raise ParseError(path, lineno, toks[0][1],
-                                 "expected: diff|cop <gen> = <sum>")
-            g = toks[1][0]
-            if g not in space:
-                raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
-            items = term_parser(lineno, toks[3:], "t").parse_sum()
-            el = _element(space, items, "t")
-            want = space.degree(g) + (-1 if head == "diff" else 0)
-            if el and el.degree != want:
-                raise ParseError(path, lineno, toks[0][1],
-                                 f"{head} {g} must have degree {want}, "
-                                 f"got {el.degree}")
-            if el:
-                (dtab if head == "diff" else ctab)[g] = el
-        ops = {}
-        if dtab:
-            ops[1] = GradedMap(space, space, -1,
-                               {Word.tensor(g): el for g, el in dtab.items()})
-        if ctab:
-            ops[2] = GradedMap(space, space, 0,
-                               {Word.tensor(g): el for g, el in ctab.items()})
-        payload = AInfCoalgebra(space, ops, counit=options.get("counit"))
-    elif kind == "ainf":
-        from .structures import AInfCoalgebra
-
+        if kind == "dgc":
+            shift, usage = {"diff": -1, "cop": 0}.get, "expected: diff|cop <gen> = <sum>"
+        else:
+            shift, usage = _ainf_shift, "expected: D<k> <gen> = <sum>"
         tabs: dict[int, dict] = {}
-        for lineno, toks in body:
-            m = re.fullmatch(r"D(\d+)", toks[0][0])
-            if not m or len(toks) < 3 or toks[2][0] != "=":
-                raise ParseError(path, lineno, toks[0][1], "expected: D<k> <gen> = <sum>")
-            k = int(m.group(1))
-            g = toks[1][0]
-            if g not in space:
-                raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
-            items = term_parser(lineno, toks[3:], "t").parse_sum()
-            el = _element(space, items, "t")
-            if el and el.degree != space.degree(g) + k - 2:
-                raise ParseError(path, lineno, toks[0][1],
-                                 f"D{k} {g} must have degree "
-                                 f"{space.degree(g) + k - 2}, got {el.degree}")
-            if el:
-                tabs.setdefault(k, {})[Word.tensor(g)] = el
-        ops = {k: GradedMap(space, space, k - 2, tab) for k, tab in tabs.items()}
+        for head, g, el, _ in _headed_lines(path, body, space, "t", shift, usage):
+            tabs.setdefault(shift(head) + 2, {})[Word.tensor(g)] = el
+        ops = {k: GradedMap(space, space, k - 2, tab) for k, tab in sorted(tabs.items())}
         payload = AInfCoalgebra(space, ops, counit=options.get("counit"))
     elif kind == "linf":
         from .structures import LInfAlgebra
@@ -396,19 +380,10 @@ def parse(path: str) -> ModelFile:
         }
         payload = LInfAlgebra(space, ops)
     elif kind == "dgl":
-        diff = {}
-        pres = {}
-        for lineno, toks in body:
-            if toks[0][0] != "diff" or len(toks) < 3 or toks[2][0] != "=":
-                raise ParseError(path, lineno, toks[0][1], "expected: diff <gen> = <sum>")
-            g = toks[1][0]
-            if g not in space:
-                raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
-            items = term_parser(lineno, toks[3:], "lie").parse_sum()
-            el, p = _lie_element(space, items)
-            if el:
-                diff[g] = el
-                pres[g] = p
+        diff, pres = {}, {}
+        for _, g, el, p in _headed_lines(path, body, space, "lie", {"diff": -1}.get,
+                                         "expected: diff <gen> = <sum>"):
+            diff[g], pres[g] = el, p
         payload = FreeLieDGL(space, diff, presentation=pres)
         payload.validate()
     elif kind == "mc":
@@ -453,66 +428,53 @@ def _fmt_terms(el: Element, sep: str) -> str:
     return _fmt_sum((c, sep.join(w.factors)) for w, c in el.sorted_items())
 
 
+def _header(kind: str, space: GradedSpace, counit: str | None = None) -> list[str]:
+    lines = [f"kind {kind}"]
+    if counit:
+        lines.append(f"counit {counit}")
+    return lines + [f"gen {n} : {d}" for n, d in space.basis]
+
+
 def serialize(obj, kind: str | None = None) -> str:
     """Canonical machine-format text for any engine structure."""
     from .structures import AInfCoalgebra, LInfAlgebra
 
-    lines = []
     if isinstance(obj, CDGA):
-        lines.append("kind cdga")
-        for n, d in obj.gens.basis:
-            lines.append(f"gen {n} : {d}")
+        lines = _header("cdga", obj.gens)
         for g in obj.gens.names:
             el = obj.diff.get(g)
             if el:
                 lines.append(f"d {g} = {_fmt_terms(el, '^')}")
     elif isinstance(obj, AInfCoalgebra):
         if obj.is_dgc and kind != "ainf":
-            lines.append("kind dgc")
-            if obj.counit:
-                lines.append(f"counit {obj.counit}")
-            for n, d in obj.space.basis:
-                lines.append(f"gen {n} : {d}")
-            for g in obj.space.names:
-                el = obj.delta(1).apply_word(Word.tensor(g))
-                if el:
-                    lines.append(f"diff {g} = {_fmt_terms(el, '|')}")
-            for g in obj.space.names:
-                el = obj.delta(2).apply_word(Word.tensor(g))
-                if el:
-                    lines.append(f"cop {g} = {_fmt_terms(el, '|')}")
+            lines = _header("dgc", obj.space, obj.counit)
+            for head, k in (("diff", 1), ("cop", 2)):
+                for g in obj.space.names:
+                    el = obj.delta(k).apply_word(Word.tensor(g))
+                    if el:
+                        lines.append(f"{head} {g} = {_fmt_terms(el, '|')}")
         else:
-            lines.append("kind ainf")
-            if obj.counit:
-                lines.append(f"counit {obj.counit}")
-            for n, d in obj.space.basis:
-                lines.append(f"gen {n} : {d}")
+            lines = _header("ainf", obj.space, obj.counit)
             for k in sorted(obj.ops):
                 for g in obj.space.names:
                     el = obj.ops[k].apply_word(Word.tensor(g))
                     if el:
                         lines.append(f"D{k} {g} = {_fmt_terms(el, '|')}")
     elif isinstance(obj, LInfAlgebra):
-        lines.append("kind linf")
-        for n, d in obj.space.basis:
-            lines.append(f"gen {n} : {d}")
+        lines = _header("linf", obj.space)
         for k in sorted(obj.ops):
             m = obj.ops[k]
             for w in sorted(m.images, key=lambda w: [obj.space.sortkey(f) for f in w.factors]):
                 head = " ^ ".join(w.factors)
                 lines.append(f"l{k} ( {head} ) = {_fmt_terms(m.images[w], '|')}")
     elif isinstance(obj, FreeLieDGL):
-        lines.append("kind dgl")
-        for n, d in obj.gens.basis:
-            lines.append(f"gen {n} : {d}")
+        lines = _header("dgl", obj.gens)
         for g in obj.gens.names:
             img = obj.diff.get(g)
             if img:
                 lines.append(f"diff {g} = {_fmt_lie(obj, g)}")
     elif isinstance(obj, Element):
-        lines.append("kind mc")
-        for n, d in obj.space.basis:
-            lines.append(f"gen {n} : {d}")
+        lines = _header("mc", obj.space)
         lines.append(f"mc = {_fmt_terms(obj, '|')}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -522,7 +484,7 @@ def serialize(obj, kind: str | None = None) -> str:
 def _fmt_lie(M: FreeLieDGL, g: str) -> str:
     pres = M.presentation.get(g)
     if pres:
-        return _fmt_sum((c, _fmt_bracket(tree)) for c, tree in pres)
+        return _fmt_sum((c, bracket_tree_str(tree)) for c, tree in pres)
     # fall back to the Dynkin expansion: t = (1/k) rho(t) weightwise
     img = M.diff[g]
     terms = []
@@ -533,14 +495,8 @@ def _fmt_lie(M: FreeLieDGL, g: str) -> str:
             tree = fs[-1]
             for f in reversed(fs[:-1]):
                 tree = (f, tree)
-            terms.append((c / k, _fmt_bracket(tree)))
+            terms.append((c / k, bracket_tree_str(tree)))
     return _fmt_sum(terms)
-
-
-def _fmt_bracket(tree) -> str:
-    if isinstance(tree, str):
-        return tree
-    return f"[{_fmt_bracket(tree[0])},{_fmt_bracket(tree[1])}]"
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +579,8 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_mapmodel(args) -> int:
+    if args.mc and not args.pointed:
+        raise ValidationError("--mc applies to the pointed model only; add --pointed")
     xf = parse(args.xfile)
     yf = parse(args.yfile)
     if xf.kind != "cdga":
@@ -678,13 +636,9 @@ def cmd_invariants(args) -> int:
 def cmd_hspace(args) -> int:
     xf = parse(args.xfile)
     yf = parse(args.yfile)
-    if xf.kind == "dgc":
-        x_side = xf.payload
-    elif xf.kind == "dgl":
-        x_side = xf.payload
-    else:
+    if xf.kind not in ("dgc", "dgl"):
         raise ValidationError("the source side of hspace must be a dgc or dgl model")
-    verdict = hspace_certificate(x_side, _as_linf(yf))
+    verdict = hspace_certificate(xf.payload, _as_linf(yf))
     print(repr(verdict))
     return 0
 

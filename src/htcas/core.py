@@ -101,6 +101,17 @@ def koszul_sign(perm, degrees, signature: bool = True) -> int:
     return sign
 
 
+def threading_sign(left, right) -> int:
+    """(-1)**sum(left[i] * right[j] for i < j): the price of threading each
+    symbol of degree left[i] past the symbols of degrees right[j] to its
+    right."""
+    s = later = 0
+    for i in range(len(left) - 1, -1, -1):
+        s += left[i] * later
+        later += right[i]
+    return -1 if s % 2 else 1
+
+
 def suspension_sign(degrees) -> int:
     """Sign of applying s (or s^{-1}) to every slot of a k-factor word."""
     s = 0
@@ -391,9 +402,6 @@ class Element:
     def coeff(self, word: Word) -> Fraction:
         return self.terms.get(word, ZERO)
 
-    def items(self):
-        return self.terms.items()
-
     def sorted_items(self):
         sk = self.space.sortkey
         return sorted(self.terms.items(), key=lambda wc: [sk(f) for f in wc[0].factors])
@@ -558,13 +566,6 @@ class GradedMap:
             images[w] = images.get(w, Element.zero(self.target)) + el
         return GradedMap(self.source, self.target, self.degree, images, self.arity, self.in_kind)
 
-    def scale(self, scalar) -> "GradedMap":
-        c = frac(scalar)
-        return GradedMap(
-            self.source, self.target, self.degree,
-            {w: c * el for w, el in self.images.items()}, self.arity, self.in_kind,
-        )
-
     def compose(self, inner: "GradedMap") -> "GradedMap":
         """self after inner (defined on inner's stored domain words)."""
         images = {w: self.apply(el) for w, el in inner.images.items()}
@@ -655,6 +656,27 @@ def tensor_map(maps: list[GradedMap]) -> GradedMap:
 # unshuffles and symmetrization
 
 
+def shuffles(n: int, i: int):
+    """The (i, n-i)-unshuffles of positions 0..n-1 as (left, right) tuples."""
+    for left in itertools.combinations(range(n), i):
+        right = tuple(p for p in range(n) if p not in left)
+        yield left, right
+
+
+def shuffle_sign(degs, left, right, signature: bool = True) -> int:
+    """Graded signature of an unshuffle (Koszul sign alone with
+    signature=False)."""
+    sign = 1
+    for a in left:
+        for b in right:
+            if b < a:
+                if signature:
+                    sign = -sign
+                if degs[a] % 2 and degs[b] % 2:
+                    sign = -sign
+    return sign
+
+
 def unshuffle(space: GradedSpace, word: Word, proper: bool = False):
     """Unshuffle splittings of a tensor word with graded-signature signs.
 
@@ -672,18 +694,10 @@ def unshuffle(space: GradedSpace, word: Word, proper: bool = False):
     hi = n - 1 if proper else n
     out: dict[tuple[Word, Word], int] = {}
     for i in range(lo, hi + 1):
-        for left in itertools.combinations(range(n), i):
-            right = [p for p in range(n) if p not in left]
-            sign = 1
-            for a in left:
-                for b in right:
-                    if b < a:
-                        sign = -sign
-                        if degs[a] % 2 and degs[b] % 2:
-                            sign = -sign
+        for left, right in shuffles(n, i):
             lw = Word.tensor(*(word.factors[p] for p in left))
             rw = Word.tensor(*(word.factors[p] for p in right))
-            out[(lw, rw)] = out.get((lw, rw), 0) + sign
+            out[(lw, rw)] = out.get((lw, rw), 0) + shuffle_sign(degs, left, right)
     return {k: v for k, v in out.items() if v}
 
 

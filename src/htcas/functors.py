@@ -77,9 +77,6 @@ class CDGA:
             diff[g] = Element.make(space, [(c, "m", fs) for c, fs in items])
         return CDGA(space, diff, validate=validate)
 
-    def cohom_degree(self, name: str) -> int:
-        return self.gens.degree(name)
-
     def cohom_degree_of(self, factors) -> int:
         return sum(self.gens.degree(f) for f in factors)
 
@@ -263,6 +260,21 @@ def lie_bracket(a: Element, b: Element) -> Element:
         return Element.zero(a.space)
     sign = -1 if (da % 2 and db % 2) else 1
     return a.tensor(b) - sign * b.tensor(a)
+
+
+def bracket_tree_element(space: GradedSpace, tree) -> Element:
+    """Tensor expansion of a bracket tree: a generator name or a pair of trees."""
+    if isinstance(tree, str):
+        return Element.gen(space, tree)
+    return lie_bracket(bracket_tree_element(space, tree[0]),
+                       bracket_tree_element(space, tree[1]))
+
+
+def bracket_tree_str(tree) -> str:
+    """A bracket tree as text, [left,right]."""
+    if isinstance(tree, str):
+        return tree
+    return f"[{bracket_tree_str(tree[0])},{bracket_tree_str(tree[1])}]"
 
 
 def bracketing(el: Element) -> Element:
@@ -460,13 +472,16 @@ def _multiplicity_factor(factors) -> int:
     return mult
 
 
-def cochain(L: LInfAlgebra, names: list[str] | None = None,
+def cochain(L: LInfAlgebra, names: list[str] | None = None, orient=None,
             validate: bool = True) -> CDGA:
     """Chevalley-Eilenberg algebra: generators dual to the suspension, with
     <d_j v; s x_1 ^ ... ^ s x_j> = <v; s ell_j(x_1, ..., x_j)>.
 
     The monomial dual to a canonical wedge word lists the dual generators in
-    the same factor order, divided by the repetition factorials.
+    the same factor order, divided by the repetition factorials.  `names`
+    renames the dual generators (default: the bracket names less a trailing
+    prime); `orient(w)` returns (sign, factor order) to identify the
+    monomial of the wedge word w differently, with the sign multiplying it.
     """
     lnames = L.space.names
     vnames = names if names is not None else _dual_names(lnames, strip=True)
@@ -478,9 +493,10 @@ def cochain(L: LInfAlgebra, names: list[str] | None = None,
     parts: dict[str, list] = {vn: [] for vn in vnames}
     for j in sorted(L.ops):
         for w, val in L.ops[j].images.items():
+            sign, order = (1, w.factors) if orient is None else orient(w)
             mult = _multiplicity_factor(w.factors)
             mono = Element.make(
-                vspace, [(Fraction(1, mult), "m", tuple(dual_of[f] for f in w.factors))]
+                vspace, [(Fraction(sign, mult), "m", tuple(dual_of[f] for f in order))]
             )
             for xw, co in val.terms.items():
                 parts[dual_of[xw.factors[0]]].append((co, mono))
@@ -488,8 +504,7 @@ def cochain(L: LInfAlgebra, names: list[str] | None = None,
     return CDGA(vspace, {vn: el for vn, el in diff.items() if el}, validate=validate)
 
 
-def linf_from_cdga(A: CDGA, names: list[str] | None = None,
-                   validate: bool = True) -> LInfAlgebra:
+def linf_from_cdga(A: CDGA, validate: bool = True) -> LInfAlgebra:
     """L-infinity structure on the desuspended dual of the generators,
     brackets read off the word-length parts of the differential (the exact
     inverse of `cochain`)."""
@@ -498,7 +513,7 @@ def linf_from_cdga(A: CDGA, names: list[str] | None = None,
     if not A.is_sullivan:
         raise ValueError("input must be a Sullivan algebra (d V in Lambda^{>=1} V)")
     vnames = A.gens.names
-    xnames = names if names is not None else _dual_names(vnames)
+    xnames = _dual_names(vnames)
     lspace = GradedSpace.of(
         [(x, A.gens.degree(v) - 1) for x, v in zip(xnames, vnames)]
     )

@@ -15,7 +15,7 @@ import itertools
 import math
 from typing import TYPE_CHECKING
 
-from .core import Element, GradedSpace, ValidationError
+from .core import Element, ValidationError
 
 if TYPE_CHECKING:  # imported where used, so `import htcas.invariants` loads only core
     from .functors import CDGA, FreeLieDGL
@@ -61,6 +61,8 @@ def differential_length(A: CDGA) -> InvariantReport:
 
 def bracket_length(M: FreeLieDGL) -> InvariantReport:
     """Least bracket weight in the differential of a minimal free-Lie model."""
+    from .functors import bracket_tree_element, bracket_tree_str
+
     if not M.is_minimal:
         raise ValueError("bracket length needs a minimal model (no linear part)")
     best = None
@@ -75,9 +77,8 @@ def bracket_length(M: FreeLieDGL) -> InvariantReport:
     witness = None
     for coeff, tree in M.presentation.get(gen, []):
         if _bracket_weight(tree) == best:
-            el = _bracket_tree_element(M.gens, tree)
-            if el:
-                witness = _bracket_tree_str(tree)
+            if bracket_tree_element(M.gens, tree):
+                witness = bracket_tree_str(tree)
                 break
     if witness is None:
         witness = f"weight-{best} part of d({gen}): {comp!r}"
@@ -88,22 +89,6 @@ def _bracket_weight(tree) -> int:
     if isinstance(tree, str):
         return 1
     return sum(_bracket_weight(t) for t in tree)
-
-
-def _bracket_tree_element(gens: GradedSpace, tree) -> Element:
-    from .functors import lie_bracket
-
-    if isinstance(tree, str):
-        return Element.gen(gens, tree)
-    left = _bracket_tree_element(gens, tree[0])
-    right = _bracket_tree_element(gens, tree[1])
-    return lie_bracket(left, right)
-
-
-def _bracket_tree_str(tree) -> str:
-    if isinstance(tree, str):
-        return tree
-    return f"[{_bracket_tree_str(tree[0])},{_bracket_tree_str(tree[1])}]"
 
 
 def whitehead_length(L: LInfAlgebra) -> InvariantReport:

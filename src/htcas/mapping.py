@@ -32,8 +32,9 @@ from .core import (
     Word,
     canonical_word,
     lincomb,
+    threading_sign,
 )
-from .functors import CDGA, FiniteCDGA, _multiplicity_factor, cochain, dual_coalgebra
+from .functors import CDGA, FiniteCDGA, cochain, dual_coalgebra
 from .structures import (
     AInfCoalgebra,
     LInfAlgebra,
@@ -93,12 +94,8 @@ def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra,
                     w, _ = canonical_word(hs, "w", fs)
                     if w is None or w.factors != fs:
                         continue
-                    fdegs = [hs.degree(f) for f in fs]
-                    sign = 1
-                    for i in range(k):
-                        if C.space.degree(cw.factors[i]) % 2:
-                            if sum(fdegs[i + 1:]) % 2:
-                                sign = -sign
+                    sign = threading_sign([C.space.degree(ci) for ci in cw.factors],
+                                          [hs.degree(f) for f in fs])
                     terms = acc.setdefault(w, {})
                     for xw, cx_ in val.terms.items():
                         f = Word.tensor(hom_name(c, xw.factors[0]))
@@ -106,15 +103,6 @@ def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra,
         images = {w: Element(hs, terms) for w, terms in acc.items()}
         ops[k] = GradedMap(hs, hs, k - 2, images, arity=k, in_kind="w")
     return LInfAlgebra(hs, ops, validate=validate)
-
-
-def pointed_convolution(C_reduced: AInfCoalgebra, L: LInfAlgebra,
-                        validate: bool = True) -> LInfAlgebra:
-    """Convolution structure on Hom of the augmentation kernel (same
-    brackets with the reduced coproduct)."""
-    if C_reduced.counit is not None:
-        raise ValueError("pointed convolution expects the reduced coalgebra")
-    return convolution_linf(C_reduced, L, validate=validate)
 
 
 def mapping_arity_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:
@@ -178,18 +166,20 @@ def bs_name(f: str) -> str:
 def reduced_bs_cochain(model, source: GradedSpace | None = None,
                        target: GradedSpace | None = None) -> CDGA:
     """Cochain algebra of the transferred model on generators v.h of
-    cohomological degree |v| - |h|.
+    cohomological degree |v| - |h|: `cochain` with the generators named by
+    `bs_name` and the Brown-Szczarba orientation.
 
     Accepts a MappingModel or an LInfAlgebra on a Hom space together with
-    its source (H) and target (L) spaces.  The generator identification
-    evaluates each bracket with its inputs arranged in the monomial order
-    of the target generators (degree, then declaration) and threads every
-    source symbol past the pairs to its right, contributing
-    (-1)^{|c_i| (|c_j| + 1)} per ordered pair.  With this orientation the
-    differential agrees with the substitution recursion of
-    `reduced_bs_direct` generator by generator.
+    its source (H) and target (L) spaces.  The orientation lists the inputs
+    of each bracket in the monomial order of the target generators (degree,
+    then declaration), with the wedge sign of that order, the sign
+    (-1)^{(j-1)(j-2)/2} of arity j, and (-1)^{|c_a| (|c_b| + 1)} for each
+    pair a < b of source symbols: the price of threading every source symbol
+    past the pairs to its right.  With this orientation the differential
+    agrees with the substitution recursion of `reduced_bs_direct` generator
+    by generator.  It is pinned for arity <= 3 only, so a model with a
+    nonzero bracket of arity 4 or more is refused with a BoundError.
     """
-
     if isinstance(model, MappingModel):
         source = model.homology
         target = model.target.space
@@ -198,15 +188,11 @@ def reduced_bs_cochain(model, source: GradedSpace | None = None,
         raise ValueError("pass the source homology and target spaces")
     for k in model.ops:
         if k >= 4:
-            raise ValueError(
+            raise BoundError(
                 "the generator orientation of the reduced model is pinned for "
-                "brackets of arity <= 3; a nonzero arity-4 bracket is present"
+                f"brackets of arity <= 3; a nonzero arity-{k} bracket is present"
             )
     hs = model.space
-    names = [bs_name(f) for f in hs.names]
-    bsg = GradedSpace.of([(nm, hs.degree(f) + 1) for nm, f in zip(names, hs.names)])
-    bs_of = dict(zip(hs.names, names))
-
     cdeg = {}
     okey = {}
     for f in hs.names:
@@ -215,25 +201,16 @@ def reduced_bs_cochain(model, source: GradedSpace | None = None,
         okey[f] = (target.degree(x) + 1, target.index(x),
                    source.degree(c), source.index(c))
 
-    parts: dict[str, list] = {vn: [] for vn in names}
-    for j in sorted(model.ops):
-        for w in model.ops[j].images:
-            ordered = tuple(sorted(w.factors, key=lambda f: okey[f]))
-            val = model.ops[j].apply_word(Word.tensor(*ordered))
-            mult = _multiplicity_factor(w.factors)
-            xi = -1 if ((j - 1) * (j - 2) // 2) % 2 else 1
-            for a in range(j):
-                for b in range(a + 1, j):
-                    if cdeg[ordered[a]] % 2 and (cdeg[ordered[b]] + 1) % 2:
-                        xi = -xi
-            mono = Element.make(
-                bsg,
-                [(Fraction(xi, mult), "m", tuple(bs_of[f] for f in ordered))],
-            )
-            for xw, co in val.terms.items():
-                parts[bs_of[xw.factors[0]]].append((co, mono))
-    diff = {vn: lincomb(bsg, ps) for vn, ps in parts.items()}
-    return CDGA(bsg, {vn: el for vn, el in diff.items() if el})
+    def orient(w: Word) -> tuple[int, tuple[str, ...]]:
+        j = len(w)
+        ordered = tuple(sorted(w.factors, key=okey.__getitem__))
+        _, sign = canonical_word(hs, "w", ordered)
+        if ((j - 1) * (j - 2) // 2) % 2:
+            sign = -sign
+        c = [cdeg[f] for f in ordered]
+        return sign * threading_sign(c, [d + 1 for d in c]), ordered
+
+    return cochain(model, names=[bs_name(f) for f in hs.names], orient=orient)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +240,7 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
             pairs.append((f"{v}.{h}", A.gens.degree(v) - hsp.degree(h)))
     bs = GradedSpace.of(pairs)
 
+    multiply = CDGA(bs).multiply
     cop_cache: dict[int, GradedMap] = {}
 
     def cop(n: int) -> GradedMap:
@@ -280,17 +258,14 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
         split = cop(n - 1).apply(c_el)
         parts = []
         for cw, co in split.terms.items():
-            sign = 1
-            for i, cf in enumerate(cw.factors):
-                if csp.degree(cf) % 2 and sum(vdegs[i + 1:]) % 2:
-                    sign = -sign
+            sign = threading_sign([csp.degree(cf) for cf in cw.factors], vdegs)
             prod = Element(bs, {Word.mono(): Fraction(1)})
             for i, cf in enumerate(cw.factors):
                 factor = factor_of(vfactors[i], cf, depth)
                 if not factor:
                     prod = Element.zero(bs)
                     break
-                prod = _bs_multiply(bs, prod, factor)
+                prod = multiply(prod, factor)
             if prod:
                 parts.append((sign * co, prod))
         return lincomb(bs, parts)
@@ -326,14 +301,6 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
             if total:
                 diff[f"{v}.{h}"] = total
     return CDGA(bs, diff)
-
-
-def _bs_multiply(bs: GradedSpace, a: Element, b: Element) -> Element:
-    terms = []
-    for wa, ca in a.terms.items():
-        for wb, cb in b.terms.items():
-            terms.append((ca * cb, "m", wa.factors + wb.factors))
-    return Element.make(bs, terms)
 
 
 def restrict_positive(A: CDGA) -> CDGA:

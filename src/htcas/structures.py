@@ -41,6 +41,8 @@ from .core import (
     frac,
     from_coords,
     lincomb,
+    shuffle_sign,
+    shuffles,
     suspend_element,
     suspension_sign,
     tensor_apply,
@@ -104,9 +106,6 @@ class AInfCoalgebra:
         if m is None:
             return GradedMap.zero(self.space, self.space, k - 2)
         return m
-
-    def apply(self, k: int, el: Element) -> Element:
-        return self.delta(k).apply(el)
 
     def shifted(self) -> "ShiftedCoops":
         return ShiftedCoops(self)
@@ -347,24 +346,6 @@ def iterated_coproduct(C: AInfCoalgebra, k: int) -> GradedMap:
 # L-infinity checks
 
 
-def _shuffles(n: int, i: int):
-    for left in itertools.combinations(range(n), i):
-        right = tuple(p for p in range(n) if p not in left)
-        yield left, right
-
-
-def _shuffle_sign(degs, left, right, signature: bool) -> int:
-    sign = 1
-    for a in left:
-        for b in right:
-            if b < a:
-                if signature:
-                    sign = -sign
-                if degs[a] % 2 and degs[b] % 2:
-                    sign = -sign
-    return sign
-
-
 def _jacobi_total(get, arities, space: GradedSpace, factors: tuple[str, ...],
                   n: int, literal_signs: bool) -> Element:
     """Sum over (i, n-i)-shuffles of outer(inner(block), rest)."""
@@ -377,8 +358,8 @@ def _jacobi_total(get, arities, space: GradedSpace, factors: tuple[str, ...],
         block_sign = 1
         if literal_signs and (i * (j - 1)) % 2:
             block_sign = -1
-        for left, right in _shuffles(n, i):
-            s = _shuffle_sign(degs, left, right, signature=literal_signs)
+        for left, right in shuffles(n, i):
+            s = shuffle_sign(degs, left, right, signature=literal_signs)
             inner = get(i, tuple(factors[p] for p in left))
             if not inner:
                 continue

@@ -89,6 +89,11 @@ def test_degree_mismatch_rejected(tmp_path, capsys):
     code, out, err = run(["check", p], capsys)
     assert code == 2
     assert "degree" in err
+    # a dgl differential lowers the degree by one, as a dgc diff does
+    p = write(tmp_path, "bad.dgl", "kind dgl\ngen a : 3\ngen b : 5\ndiff b = [a,a]\n")
+    code, out, err = run(["check", p], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(p + ":4:0: diff b must have degree 4, got 6")
 
 
 def test_axiom_failure_exit_code(tmp_path, capsys):
@@ -231,12 +236,15 @@ def test_wrong_model_kind_exit_code(tmp_path, capsys):
         ["mapmodel", dgc, y],
         ["mapmodel", x, dgc],
         ["mapmodel", x, y, "--pointed", "--mc", y],
+        # without --pointed the file would be ignored, even a missing one
+        ["mapmodel", x, y, "--mc", mc],
+        ["mapmodel", x, y, "--mc", str(tmp_path / "missing.mc")],
         ["invariants", mc],
         ["hspace", x, y],
         ["hspace", dgc, dgc],
     ):
         code, out, err = run(argv, capsys)
-        assert code == 2 and "validation failure" in err, argv
+        assert code == 2 and "validation failure" in err and out == "", argv
 
 
 def test_arity_cap_below_two_exit_code(tmp_path, capsys):
@@ -290,6 +298,7 @@ def test_malformed_directives_are_parse_errors(tmp_path, capsys):
         ("d.cdga", "kind cdga\ngen x : 3\ntruncate x\n", ":3:9: expected an integer"),
         ("e.cdga", "kind cdga\ngen x : 3\ntruncate 3/2\n", ":3:9: expected an integer"),
         ("f.dgc", "kind dgc\ngen x : 2\ncounit x x\n", ":3:0: expected: counit <name>"),
+        ("g.cdga", "kind cdga\ngen a : 3 7\n", ":2:10: expected: gen <name> : <degree>"),
     ]
     for name, text, want in cases:
         p = write(tmp_path, name, text)
