@@ -2,8 +2,9 @@
 and L-infinity algebra structures over rooted-tree formulas, convolution
 models of mapping spaces, Quillen models and rational homotopy invariants.
 
-Everything is computed over Q with `fractions.Fraction`; all values are
-immutable after construction and all operations are pure.
+Everything is computed exactly over Q: scalars are ints, or
+`fractions.Fraction` where a value is not integral, and never floats.  All
+values are immutable after construction and all operations are pure.
 
 `import htcas` loads no engine module: each name in `__all__` is imported
 from its defining module on first access (PEP 562), so `htcas.X` and
@@ -14,7 +15,7 @@ import importlib
 _EXPORTS = {
     "core": (
         "Element", "GradedMap", "GradedSpace", "Word", "koszul_sign",
-        "symmetrize", "tensor_apply", "tensor_map", "unshuffle",
+        "symmetrize", "tensor_apply", "unshuffle",
     ),
     "functors": (
         "CDGA", "FiniteCDGA", "FreeLieDGL", "FreeLieElement", "cochain",

@@ -54,6 +54,7 @@ from .core import (
     ValidationError,
     Word,
     canonical_word,
+    frac,
     lincomb,
 )
 from .functors import (
@@ -157,7 +158,7 @@ class _TermParser:
         return tok
 
     def parse_sum(self):
-        """Returns a list of (Fraction, word-factors | bracket-tree | None)."""
+        """Returns a list of (scalar, word-factors | bracket-tree | None)."""
         out = []
         sign = 1
         tok = self.peek()
@@ -180,10 +181,10 @@ class _TermParser:
             self.next()
 
     def parse_term(self, sign):
-        coeff = Fraction(sign)
+        coeff = sign
         tok = self.peek()
         if tok is not None and NUMBER.fullmatch(tok):
-            coeff *= Fraction(self.next())
+            coeff *= frac(self.next())
             if self.peek() == "*":
                 self.next()
             if self.peek() is None or self.peek() in "+-":
@@ -354,7 +355,15 @@ def parse(path: str) -> ModelFile:
             close = next((i for i, t in enumerate(toks) if t[0] == ")"), None)
             if close is None or close + 1 >= len(toks) or toks[close + 1][0] != "=":
                 raise ParseError(path, lineno, toks[0][1], "expected ( ... ) = <sum>")
-            names = [t[0] for t in toks[2:close] if t[0] != "^"]
+            inner = toks[2:close]
+            for i, (t, col) in enumerate(inner):
+                if i % 2 and t != "^":
+                    raise ParseError(path, lineno, col, f"expected ^ between inputs, got {t!r}")
+                if not i % 2 and t == "^":
+                    raise ParseError(path, lineno, col, "expected a generator name, got '^'")
+            if inner and len(inner) % 2 == 0:
+                raise ParseError(path, lineno, inner[-1][1], "expected a generator name after ^")
+            names = [t for t, _ in inner[::2]]
             for nm in names:
                 if nm not in space:
                     raise ParseError(path, lineno, toks[0][1], f"unknown generator {nm!r}")
@@ -373,7 +382,7 @@ def parse(path: str) -> ModelFile:
                                  f"got {el.degree}")
             if el:
                 tab = tabs.setdefault(k, {})
-                tab[w] = tab.get(w, Element.zero(space)) + Fraction(s) * el
+                tab[w] = tab.get(w, Element.zero(space)) + s * el
         ops = {
             k: GradedMap(space, space, k - 2, tab, arity=k, in_kind="w")
             for k, tab in tabs.items()
@@ -402,7 +411,7 @@ def parse(path: str) -> ModelFile:
 # serialization
 
 
-def fmt_scalar(c: Fraction) -> str:
+def fmt_scalar(c: int | Fraction) -> str:
     return str(c)
 
 
@@ -495,7 +504,7 @@ def _fmt_lie(M: FreeLieDGL, g: str) -> str:
             tree = fs[-1]
             for f in reversed(fs[:-1]):
                 tree = (f, tree)
-            terms.append((c / k, bracket_tree_str(tree)))
+            terms.append((Fraction(c, k), bracket_tree_str(tree)))
     return _fmt_sum(terms)
 
 

@@ -23,6 +23,13 @@ Conventions used across the package:
 * Suspension: s and s^{-1} are degree +1 / -1 symbols; applying them
   slotwise to a k-factor word costs (-1)**sum((k-i)*|x_i|), the Koszul
   price of threading each symbol to its slot.
+* Scalars are exact: an int, or a `fractions.Fraction` when the value is
+  not integral, never a float.  `frac` turns any accepted scalar into that
+  form.  Arithmetic may leave an integral Fraction, which is not
+  normalized: mixed values are exact, and `==` and `hash` agree between
+  them.  The only divisions (`linalg.rref` and the Dynkin fallback of the
+  serializer) divide by a Fraction, so an int quotient never truncates or
+  turns into a float.
 * Checks run once.  `Element(space, terms)` scans every term: each word
   must lie in the space and all must share one degree.  `make`,
   `from_coords`, the parser and every other construction from raw terms go
@@ -32,13 +39,14 @@ Conventions used across the package:
   by construction: a scalar multiple keeps the words (a scalar of 1 returns
   the element itself; elements are never mutated); a concatenation of two
   elements of one space has the sum of their degrees; `GradedMap.apply` on
-  an element of its source, and `tensor_apply` when every slot maps from
-  the element's space into the first slot's target, sum images of one
-  degree; and `lincomb`, the one in-place accumulator behind `+` and every
-  engine sum, compares each operand's degree with the partial sum's in
-  O(1).  An operand from another space object is first checked in the
-  space of the sum, so every inhomogeneity `Element(...)` would reject is
-  still rejected, with the same `ValidationError`.
+  an element of its source, `tensor_apply` when every slot maps from the
+  element's space into the first slot's target, and `apply_at` when its
+  map takes the element's space to itself, sum images of one degree; and
+  `lincomb`, the one in-place accumulator behind `+` and every engine sum,
+  compares each operand's degree with the partial sum's in O(1).  An
+  operand from another space object is first checked in the space of the
+  sum, so every inhomogeneity `Element(...)` would reject is still
+  rejected, with the same `ValidationError`.
 """
 
 from __future__ import annotations
@@ -47,8 +55,8 @@ import itertools
 from fractions import Fraction
 from functools import cached_property
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+ZERO = 0
+ONE = 1
 
 
 class ValidationError(ValueError):
@@ -63,15 +71,16 @@ class BoundError(ValueError):
     """A computation outside what the engine can bound, e.g. no arity cap."""
 
 
-def frac(x) -> Fraction:
-    """Exact scalar from an int, Fraction or 'p/q' string."""
-    if isinstance(x, Fraction):
-        return x
+def frac(x) -> int | Fraction:
+    """Exact scalar from an int, Fraction or 'p/q' string: an int when the
+    value is integral, a Fraction otherwise."""
     if isinstance(x, int):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"not an exact scalar: {x!r}")
+        x = Fraction(x)
+    elif not isinstance(x, Fraction):
+        raise TypeError(f"not an exact scalar: {x!r}")
+    return x.numerator if x.denominator == 1 else x
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +122,9 @@ def threading_sign(left, right) -> int:
 
 
 def suspension_sign(degrees) -> int:
-    """Sign of applying s (or s^{-1}) to every slot of a k-factor word."""
-    s = 0
-    k = len(degrees)
-    for i, d in enumerate(degrees):
-        s += (k - 1 - i) * d
-    return -1 if s % 2 else 1
+    """Sign of applying s (or s^{-1}) to every slot of a k-factor word:
+    each symbol of degree 1 threads past the factors to its left."""
+    return threading_sign(degrees, [1] * len(degrees))
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +143,8 @@ class GradedSpace:
             raise ValidationError("duplicate basis names")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.basis == other.basis
@@ -352,7 +360,7 @@ class Element:
 
     __slots__ = ("space", "terms")
 
-    def __init__(self, space: GradedSpace, terms: dict[Word, Fraction] | None = None):
+    def __init__(self, space: GradedSpace, terms: dict[Word, int | Fraction] | None = None):
         self.space = space
         self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
         degs = {space.word_degree(w) for w in self.terms}
@@ -629,27 +637,42 @@ def tensor_apply(slots, arities, el: Element) -> Element:
     return Element(target, out_terms)
 
 
-def tensor_map(maps: list[GradedMap]) -> GradedMap:
-    """Materialized f_1 (x) ... (x) f_r over the product of stored domains."""
-    if not maps:
-        raise ValueError("empty tensor product")
-    source = maps[0].source
-    target = maps[0].target
-    arities = [m.arity for m in maps]
-    degree = sum(m.degree for m in maps)
-    domains = []
-    for m in maps:
-        if m.in_kind != "t":
-            raise ValueError("tensor_map expects tensor-domain factors")
-        domains.append(word_basis(m.source, "t", m.arity))
-    images = {}
-    for combo in itertools.product(*domains):
-        fs = tuple(f for w in combo for f in w.factors)
-        w = Word.tensor(*fs)
-        img = tensor_apply(maps, arities, Element(source, {w: ONE}))
-        if img:
-            images[w] = img
-    return GradedMap(source, target, degree, images, sum(arities), "t")
+def apply_at(m: GradedMap, pos: int, el: Element) -> Element:
+    """(id^{(x)pos} (x) m (x) id^{(x)rest})(el) on tensor words.
+
+    The images of the slot's factors are spliced between the prefix and the
+    suffix, with the sign (-1)**(|m| * deg(prefix)) of threading m past the
+    prefix: what `tensor_apply` gives with identity slots, without building
+    or visiting them.  The result lives in m's target; it is built without a
+    scan under `tensor_apply`'s condition, here that m maps the space of
+    `el` to itself.
+    """
+    space = el.space
+    degree = space._degree
+    odd = m.degree % 2
+    end = pos + m.arity
+    out_terms: dict[Word, int | Fraction] = {}
+    get = out_terms.get
+    for word, c in el.terms.items():
+        fs = word.factors
+        if len(fs) < end:
+            raise ValueError(f"word {word} has no slot {pos} of arity {m.arity}")
+        s, img = m._image(fs[pos:end])
+        if img is None:
+            continue
+        if odd and sum(degree[f] for f in fs[:pos]) % 2:
+            s = -s
+        cc = c if s > 0 else -c
+        pre, post = fs[:pos], fs[end:]
+        for w, pc in img.terms.items():
+            nw = Word("t", pre + w.factors + post)
+            v = cc if pc == 1 else (-cc if pc == -1 else cc * pc)
+            old = get(nw)
+            out_terms[nw] = v if old is None else old + v
+    out_terms = {w: v for w, v in out_terms.items() if v}
+    if m.source == space and m.target == space:
+        return Element._of(m.target, out_terms)
+    return Element(m.target, out_terms)
 
 
 # ---------------------------------------------------------------------------

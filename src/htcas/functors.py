@@ -31,9 +31,7 @@ from .core import (
     ValidationError,
     Word,
     canonical_word,
-    frac,
     lincomb,
-    word_basis,
 )
 
 if TYPE_CHECKING:  # imported where used, so `import htcas.functors` loads only core
@@ -332,21 +330,23 @@ class FreeLieDGL:
         self.presentation = {} if presentation is None else presentation
 
     def d_tensor(self, el: Element) -> Element:
-        """Derivation extension to tensor words."""
+        """Derivation extension to tensor words: each factor f of a word is
+        replaced in place by the words of d(f), with the sign
+        (-1)**deg(prefix) of threading d past the factors before it."""
         space = self.gens
-        parts = []
+        terms: dict[Word, int | Fraction] = {}
         for w, c in el.terms.items():
             fs = w.factors
-            sign = 1
             for i, f in enumerate(fs):
                 img = self.diff.get(f)
                 if img and img.element:
-                    pre = Element(space, {Word.tensor(*fs[:i]): frac(c) * sign})
-                    post = Element(space, {Word.tensor(*fs[i + 1:]): Fraction(1)})
-                    parts.append((1, pre.tensor(img.element).tensor(post)))
+                    pre, post = fs[:i], fs[i + 1:]
+                    for iw, ic in img.element.terms.items():
+                        nw = Word("t", pre + iw.factors + post)
+                        terms[nw] = terms.get(nw, 0) + c * ic
                 if space.degree(f) % 2:
-                    sign = -sign
-        return lincomb(space, parts)
+                    c = -c
+        return Element(space, terms)
 
     def validate(self) -> None:
         for g, img in self.diff.items():
@@ -507,7 +507,8 @@ def cochain(L: LInfAlgebra, names: list[str] | None = None, orient=None,
 def linf_from_cdga(A: CDGA, validate: bool = True) -> LInfAlgebra:
     """L-infinity structure on the desuspended dual of the generators,
     brackets read off the word-length parts of the differential (the exact
-    inverse of `cochain`)."""
+    inverse of `cochain`): only the monomials that occur in it are visited,
+    in word-basis order."""
     from .structures import LInfAlgebra
 
     if not A.is_sullivan:
@@ -517,23 +518,28 @@ def linf_from_cdga(A: CDGA, validate: bool = True) -> LInfAlgebra:
     lspace = GradedSpace.of(
         [(x, A.gens.degree(v) - 1) for x, v in zip(xnames, vnames)]
     )
-    v_of = {x: v for v, x in zip(vnames, xnames)}
 
+    # the canonical monomials of the differential, by length; desuspension
+    # flips every parity, so they are exactly the canonical wedge words of
+    # lspace with the factors renamed, in the same (degree, index) order
+    monos: dict[int, dict[Word, None]] = {}
+    for el in A.diff.values():
+        for w in el.terms:
+            cw, _ = canonical_word(A.gens, "m", w.factors)
+            if cw is not None and cw.factors == w.factors:
+                monos.setdefault(len(w), {})[cw] = None
+    x_of = dict(zip(vnames, xnames))
+    key = A.gens.sortkey
     ops: dict[int, GradedMap] = {}
-    arities = sorted({len(w) for el in A.diff.values() for w in el.terms})
-    for j in arities:
+    for j in sorted(monos):
         images: dict[Word, Element] = {}
-        for w in word_basis(lspace, "w", j):
-            mono = tuple(v_of[f] for f in w.factors)
-            cw, s = canonical_word(A.gens, "m", mono)
-            if cw is None:
-                continue
+        for cw in sorted(monos[j], key=lambda cw: [key(f) for f in cw.factors]):
             mult = _multiplicity_factor(cw.factors)
             img = lincomb(lspace, [
-                (s * mult * A.diff[v].coeff(cw), Element.gen(lspace, x))
+                (mult * A.diff[v].coeff(cw), Element.gen(lspace, x))
                 for v, x in zip(vnames, xnames) if A.diff.get(v)])
             if img:
-                images[w] = img
+                images[Word.wedge(*(x_of[f] for f in cw.factors))] = img
         if images:
             ops[j] = GradedMap(lspace, lspace, j - 2, images, arity=j, in_kind="w")
     return LInfAlgebra(lspace, ops, validate=validate)

@@ -1,13 +1,15 @@
 """Exact linear algebra over Q.
 
-Matrices are lists of rows, entries are ``fractions.Fraction``.  Everything
+Matrices are lists of rows; entries are exact scalars, ints or
+``fractions.Fraction``, never floats.  The one division, by a pivot in
+`rref`, divides by a Fraction, so integer input stays exact.  Everything
 here is deterministic: pivots are chosen left to right, so echelon bases
 respect declaration order of the ambient basis.
 """
 
 from fractions import Fraction
 
-Row = list  # list[Fraction]
+Row = list  # list[int | Fraction]
 
 
 def zeros(n: int) -> Row:
@@ -26,7 +28,9 @@ def rref(mat: list[Row]) -> tuple[list[Row], list[int]]:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
         pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
+        if pv != 1:
+            pv = Fraction(pv)
+            rows[r] = [x / pv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]

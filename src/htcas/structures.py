@@ -37,6 +37,7 @@ from .core import (
     GradedSpace,
     ValidationError,
     Word,
+    apply_at,
     canonical_word,
     frac,
     from_coords,
@@ -45,7 +46,6 @@ from .core import (
     shuffles,
     suspend_element,
     suspension_sign,
-    tensor_apply,
     unshuffle,
 )
 
@@ -247,10 +247,10 @@ def unshift_bracket(space: GradedSpace, k: int,
 # A-infinity checks
 
 
-def _ainf_total(ops: dict[int, GradedMap], ident: GradedMap, gen: str,
+def _ainf_total(ops: dict[int, GradedMap], space: GradedSpace, gen: str,
                 i: int, literal_signs: bool) -> Element:
-    """The arity-i coherence sum on one generator; `ident` is the identity
-    of the space, built once per check."""
+    """The arity-i coherence sum on one generator: each
+    (id^{(x)a} (x) Delta_k (x) id^{(x)n}) applied in place by `apply_at`."""
     parts = []
     for k in ops:
         j = i - k + 1
@@ -260,11 +260,9 @@ def _ainf_total(ops: dict[int, GradedMap], ident: GradedMap, gen: str,
         if not inner:
             continue
         for n in range(0, i - k + 1):
-            a = i - k - n
-            slots = [ident] * a + [ops[k]] + [ident] * n
             sc = -1 if literal_signs and (k + n + k * n) % 2 else 1
-            parts.append((sc, tensor_apply(slots, [1] * (i - k + 1), inner)))
-    return lincomb(ident.source, parts)
+            parts.append((sc, apply_at(ops[k], i - k - n, inner)))
+    return lincomb(space, parts)
 
 
 def check_ainf(C: AInfCoalgebra) -> CheckReport:
@@ -272,10 +270,9 @@ def check_ainf(C: AInfCoalgebra) -> CheckReport:
     if not C.ops:
         return CheckReport(True)
     top = 2 * C.max_arity - 1
-    ident = GradedMap.identity(C.space)
     for i in range(1, top + 1):
         for gen in C.space.names:
-            total = _ainf_total(C.ops, ident, gen, i, literal_signs=True)
+            total = _ainf_total(C.ops, C.space, gen, i, literal_signs=True)
             if total:
                 return CheckReport(False, f"relation i={i} on {gen}", total)
     return CheckReport(True)
@@ -286,10 +283,9 @@ def check_ainf_shifted(C: AInfCoalgebra) -> CheckReport:
     sh = C.shifted()
     ops = {k: sh.op(k) for k in C.ops}
     top = 2 * C.max_arity - 1 if C.ops else 0
-    ident = GradedMap.identity(sh.space)
     for i in range(1, top + 1):
         for gen in sh.space.names:
-            total = _ainf_total(ops, ident, gen, i, literal_signs=False)
+            total = _ainf_total(ops, sh.space, gen, i, literal_signs=False)
             if total:
                 return CheckReport(False, f"shifted relation i={i} on {gen}", total)
     return CheckReport(True)
@@ -305,7 +301,7 @@ def check_cocommutative(C: AInfCoalgebra) -> CheckReport:
             acc: dict[tuple[Word, Word], Fraction] = {}
             for w, c in el.terms.items():
                 for pair, s in unshuffle(C.space, w, proper=True).items():
-                    acc[pair] = acc.get(pair, Fraction(0)) + s * c
+                    acc[pair] = acc.get(pair, 0) + s * c
             bad = {p: v for p, v in acc.items() if v}
             if bad:
                 pair = next(iter(bad))
@@ -320,17 +316,13 @@ def iterated_coproducts(C: AInfCoalgebra):
     before: Delta^{(k+1)} = (Delta (x) id^{(x)k}) o Delta^{(k)}."""
     if not C.is_dgc:
         raise ValueError("iterated coproducts need a DGC (Delta_k = 0 for k > 2)")
-    ident = GradedMap.identity(C.space)
     delta = C.delta(2)
     it = GradedMap(C.space, C.space, 0, {Word.tensor(n): delta.apply_word(Word.tensor(n))
                                           for n in C.space.names})
-    step = 1
     while True:
         yield it
-        slots = [delta] + [ident] * step
-        step += 1
         it = GradedMap(C.space, C.space, 0, {
-            w: tensor_apply(slots, [1] * step, el) for w, el in it.images.items()})
+            w: apply_at(delta, 0, el) for w, el in it.images.items()})
 
 
 def iterated_coproduct(C: AInfCoalgebra, k: int) -> GradedMap:
@@ -513,7 +505,7 @@ def perturb(L: LInfAlgebra, mc: MaurerCartanElement, validate: bool = True) -> L
                         cands[w] = None
         images = {}
         for w in cands:
-            arg = Element(L.space, {Word.tensor(*w.factors): Fraction(1)})
+            arg = Element(L.space, {Word.tensor(*w.factors): 1})
             parts = []
             for i in range(0, L.max_arity - k + 1):
                 if i > 0:

@@ -511,19 +511,44 @@ def _length_splits(k: int, j: int, most: int):
             yield (first,) + rest
 
 
-def _support_merges(support: dict, k: int, arities: list[int],
-                    space: GradedSpace) -> list[tuple[str, ...]]:
+def _support_merges(support: dict, k: int, arities: list[int], space: GradedSpace,
+                    L: LInfAlgebra) -> list[tuple[str, ...]]:
     """Canonical words of length k that merge j support words, j in arities,
-    in word-basis order: the only words on which F can be nonzero."""
+    into an input of a nonzero B_j, in word-basis order: the only words on
+    which F can be nonzero.
+
+    Each support entry I(x_B) is indexed by (block length, letter), a letter
+    being a factor of its terms.  B_j(I(x_B1) (x) ... (x) I(x_Bj)) != 0
+    needs a term u_1 (x) ... (x) u_j, u_i a letter of I(x_Bi), whose
+    canonical wedge word lies in the support of ell_j.  Ordering the blocks
+    by non-increasing length orders their letters as one ordering of that
+    support word, so for each support word of ell_j, each distinct ordering
+    of its letters and each length split, joining only the entries that
+    carry the assigned letters generates every word with F != 0.
+    """
+    index: dict[tuple[int, str], list[tuple[str, ...]]] = {}
+    for m, entries in support.items():
+        for x, val in entries.items():
+            for u in dict.fromkeys(f for w in val.terms for f in w.factors):
+                index.setdefault((m, u), []).append(x)
     found = set()
+    seen = set()
     for j in arities:
-        for split in _length_splits(k, j, k - 1):
-            pools = [itertools.combinations_with_replacement(support[m], len(list(g)))
-                     for m, g in itertools.groupby(split)]
-            for combo in itertools.product(*pools):
-                w, _ = canonical_word(space, "m", [f for grp in combo for u in grp for f in u])
-                if w is not None:
-                    found.add(w.factors)
+        splits = list(_length_splits(k, j, k - 1))
+        if not splits:
+            continue
+        for sw in L.ops[j].support():
+            for letters in dict.fromkeys(itertools.permutations(sw.factors)):
+                for split in splits:
+                    pools = [index.get(key, ()) for key in zip(split, letters)]
+                    for combo in itertools.product(*pools):
+                        blocks = tuple(sorted(combo))
+                        if blocks in seen:
+                            continue
+                        seen.add(blocks)
+                        w, _ = canonical_word(space, "m", [f for x in blocks for f in x])
+                        if w is not None:
+                            found.add(w.factors)
     return sorted(found, key=lambda fs: [space.sortkey(f) for f in fs])
 
 
@@ -568,10 +593,12 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
     for a single factor and I(x_B) = h(F(x_B)) otherwise, and
     ell'_k(w) = p(F(w)).  j runs over the arities of L from 2 up to the
     vertex cap (2 with only_binary).  Only canonical merges of words with
-    nonzero I are evaluated, so the cost follows the output rather than the
-    word basis.  A split into blocks, applied recursively, is a leaf-labelled
-    rooted tree, so by orbit-stabilizer this is the tree sum
-    sum_T ell_T / |Aut T| of `tree_map_lie`.
+    nonzero I whose letters meet a support word of ell_j are evaluated
+    (`_support_merges`), so the cost follows the output rather than the
+    word basis.  Scalars stay exact ints or Fractions throughout.  A split
+    into blocks, applied recursively, is a leaf-labelled rooted tree, so by
+    orbit-stabilizer this is the tree sum sum_T ell_T / |Aut T| of
+    `tree_map_lie`.
 
     `words`, when given, restricts which ell'_k images are kept at each
     arity; the I values below max_k are computed in full regardless.
@@ -599,7 +626,7 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
         partitions = {j: _set_partitions(k, j) for j in arities if j <= k}
         support[k] = {}
         images = {}
-        for w in _support_merges(support, k, arities, rr.small):
+        for w in _support_merges(support, k, arities, rr.small, L):
             if last and kept is not None and w not in kept:
                 continue
             f = _vertex_sum(w, support, partitions, B, rr)

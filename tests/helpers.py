@@ -9,15 +9,31 @@ The dense reference loops at the end evaluate the convolution, the
 Maurer-Cartan twist and the truncation on every wedge word of the space,
 and build the homology decomposition, its retract, the direct Quillen
 differential and the dual coalgebra by full-width solves; the tests compare
-the engine against them image by image.
+the engine against them image by image.  The kernel references after them
+are the routes the kernel replaced: the materialized tensor product of
+maps (for `apply_at`), the derivation built from prefix and suffix
+Elements (for `FreeLieDGL.d_tensor`), and the all-combinations merge of
+support words (for `transfer._support_merges`).
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 from htcas import linalg
-from htcas.core import Element, GradedMap, GradedSpace, Word, coords, from_coords, word_basis
+from htcas.core import (
+    Element,
+    GradedMap,
+    GradedSpace,
+    Word,
+    canonical_word,
+    coords,
+    from_coords,
+    lincomb,
+    tensor_apply,
+    word_basis,
+)
 from htcas.functors import (
     CDGA,
     FiniteCDGA,
@@ -30,6 +46,7 @@ from htcas.structures import (
     AInfCoalgebra,
     LInfAlgebra,
     MaurerCartanElement,
+    ShiftedBrackets,
     iterated_coproduct,
 )
 from htcas.transfer import (
@@ -37,6 +54,11 @@ from htcas.transfer import (
     Decomposition,
     HomotopyRetract,
     _as_wedge_op,
+    _length_splits,
+    _set_partitions,
+    _shift_retract,
+    _support_merges,
+    _vertex_sum,
     hom_complex,
     hom_name,
 )
@@ -571,3 +593,95 @@ def dense_dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None
         red_ops[2] = GradedMap(red_space, red_space, 0, red_cop)
     reduced = AInfCoalgebra(red_space, red_ops)
     return full, reduced
+
+
+# ---------------------------------------------------------------------------
+# kernel references
+
+
+def tensor_map(maps: list[GradedMap]) -> GradedMap:
+    """Materialized f_1 (x) ... (x) f_r over the product of stored domains,
+    one `tensor_apply` per basis word (dense reference for `apply_at`)."""
+    if not maps:
+        raise ValueError("empty tensor product")
+    source = maps[0].source
+    target = maps[0].target
+    arities = [m.arity for m in maps]
+    degree = sum(m.degree for m in maps)
+    domains = []
+    for m in maps:
+        if m.in_kind != "t":
+            raise ValueError("tensor_map expects tensor-domain factors")
+        domains.append(word_basis(m.source, "t", m.arity))
+    images = {}
+    for combo in itertools.product(*domains):
+        w = Word.tensor(*(f for u in combo for f in u.factors))
+        img = tensor_apply(maps, arities, Element(source, {w: 1}))
+        if img:
+            images[w] = img
+    return GradedMap(source, target, degree, images, sum(arities), "t")
+
+
+def d_tensor_by_elements(M: FreeLieDGL, el: Element) -> Element:
+    """The derivation extension of M's differential to tensor words, as
+    prefix (x) d(f) (x) suffix Elements per position (reference for
+    `FreeLieDGL.d_tensor`)."""
+    space = M.gens
+    parts = []
+    for w, c in el.terms.items():
+        fs = w.factors
+        sign = 1
+        for i, f in enumerate(fs):
+            img = M.diff.get(f)
+            if img and img.element:
+                pre = Element(space, {Word.tensor(*fs[:i]): c * sign})
+                post = Element(space, {Word.tensor(*fs[i + 1:]): 1})
+                parts.append((1, pre.tensor(img.element).tensor(post)))
+            if space.degree(f) % 2:
+                sign = -sign
+    return lincomb(space, parts)
+
+
+def all_support_merges(support: dict, k: int, arities: list[int],
+                       space: GradedSpace) -> list[tuple[str, ...]]:
+    """Every canonical merge of j support words of lengths summing to k, j
+    in arities, in word-basis order (reference generator for
+    `transfer._support_merges`, which also asks the letters to meet a
+    support word of ell_j)."""
+    found = set()
+    for j in arities:
+        for split in _length_splits(k, j, k - 1):
+            pools = [itertools.combinations_with_replacement(support[m], len(list(g)))
+                     for m, g in itertools.groupby(split)]
+            for combo in itertools.product(*pools):
+                w, _ = canonical_word(space, "m", [f for grp in combo for u in grp for f in u])
+                if w is not None:
+                    found.add(w.factors)
+    return sorted(found, key=lambda fs: [space.sortkey(f) for f in fs])
+
+
+def linf_merge_candidates(L: LInfAlgebra, r: HomotopyRetract, max_k: int) -> dict:
+    """The i_infinity recursion of `transfer_linf`, with F evaluated on
+    every word of `all_support_merges`.  Returns, per arity k, the
+    all-combinations candidates, the target-indexed candidates of
+    `_support_merges` on the same support, and the words with F != 0."""
+    B = ShiftedBrackets(L)
+    rr = _shift_retract(r, +1)
+    arities = [j for j in sorted(L.ops) if j >= 2]
+    support = {1: {(n,): rr.incl.apply_word(Word.tensor(n)) for n in rr.small.names}}
+    out = {}
+    for k in range(2, max_k + 1):
+        partitions = {j: _set_partitions(k, j) for j in arities if j <= k}
+        every = all_support_merges(support, k, arities, rr.small)
+        indexed = _support_merges(support, k, arities, rr.small, L)
+        support[k] = {}
+        nonzero = []
+        for w in every:
+            f = _vertex_sum(w, support, partitions, B, rr)
+            if f:
+                nonzero.append(w)
+                iw = rr.homotopy.apply(f)
+                if iw:
+                    support[k][w] = iw
+        out[k] = (every, indexed, nonzero)
+    return out

@@ -1,11 +1,13 @@
 import io
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from htcas import cli
 from htcas.cli import ParseError, main, parse, serialize
+from htcas.core import Word
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -66,7 +68,7 @@ def test_round_trip_dgl(tmp_path):
     p = write(tmp_path, "m.dgl", "\n".join(
         ln for ln in text.splitlines() if not ln.startswith("#")) + "\n")
     mf = parse(p)
-    assert serialize(mf.payload) == parse(str(MODELS / "example2_X.dgl")).payload and True or serialize(mf.payload)
+    assert serialize(mf.payload) == serialize(parse(str(MODELS / "example2_X.dgl")).payload)
     # serialization is stable under reparsing
     again = write(tmp_path, "m2.dgl", serialize(mf.payload))
     assert serialize(parse(again).payload) == serialize(mf.payload)
@@ -299,6 +301,10 @@ def test_malformed_directives_are_parse_errors(tmp_path, capsys):
         ("e.cdga", "kind cdga\ngen x : 3\ntruncate 3/2\n", ":3:9: expected an integer"),
         ("f.dgc", "kind dgc\ngen x : 2\ncounit x x\n", ":3:0: expected: counit <name>"),
         ("g.cdga", "kind cdga\ngen a : 3 7\n", ":2:10: expected: gen <name> : <degree>"),
+        ("h.linf", "kind linf\ngen x : 2\ngen y : 3\ngen z : 5\nl2 ( x y ) = z\n",
+         ":5:7: expected ^ between inputs, got 'y'"),
+        ("i.linf", "kind linf\ngen x : 2\ngen y : 3\ngen z : 5\nl2 ( x ^ ^ y ) = z\n",
+         ":5:9: expected a generator name, got '^'"),
     ]
     for name, text, want in cases:
         p = write(tmp_path, name, text)
@@ -306,6 +312,18 @@ def test_malformed_directives_are_parse_errors(tmp_path, capsys):
         assert code == 2 and err.startswith(p + want) and "Traceback" not in err, name
     p = write(tmp_path, "ok.cdga", "kind cdga\ngen x : 3\ntruncate 6\n")
     assert parse(p).options == {"truncate": 6}
+    p = write(tmp_path, "ok.linf", "kind linf\ngen x : 2\ngen y : 3\ngen z : 5\n"
+              "l2 ( x ^ y ) = z\n")
+    code, out, err = run(["check", p], capsys)
+    assert code == 0 and "linf ok" in out
+
+
+def test_coefficients_parse_to_exact_scalars(tmp_path):
+    p = write(tmp_path, "z.mc", "kind mc\ngen x : -1\ngen y : -1\nmc = 2/2 x - 3/6 y\n")
+    terms = parse(p).payload.terms
+    cx, cy = terms[Word.tensor("x")], terms[Word.tensor("y")]
+    assert cx == 1 and type(cx) is int
+    assert cy == Fraction(-1, 2) and type(cy) is Fraction
 
 
 def test_unknown_counit_rejected(tmp_path, capsys):

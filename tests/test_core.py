@@ -6,20 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import tensor_map
 from htcas.core import (
     Element,
     GradedMap,
     GradedSpace,
     ValidationError,
     Word,
+    apply_at,
     canonical_word,
     coords,
+    frac,
     from_coords,
     koszul_sign,
     suspension_sign,
     symmetrize,
     tensor_apply,
-    tensor_map,
     unshuffle,
     word_basis,
 )
@@ -198,6 +200,71 @@ def test_tensor_map_respects_composition_with_koszul_sign():
             gg = GradedMap(SP, SP, dg + dgp, {u: g.apply(e) for u, e in gp.images.items()})
             rhs = sign * tensor_apply([ff, gg], [1, 1], el)
             assert lhs == rhs
+
+
+def _random_map(rng, deg, arity, out_len):
+    """A random map of SP of the given degree from words of length `arity`
+    to sums of words of length `out_len`."""
+    outs = word_basis(SP, "t", out_len)
+    images = {}
+    for w in word_basis(SP, "t", arity):
+        targets = [u for u in outs if SP.word_degree(u) == SP.word_degree(w) + deg]
+        if targets and rng.random() < 0.8:
+            picked = rng.sample(targets, min(2, len(targets)))
+            images[w] = Element(SP, {u: rng.choice([-2, -1, 1, 3]) for u in picked})
+    return GradedMap(SP, SP, deg, images, arity=arity)
+
+
+def test_apply_at_matches_identity_padded_tensor_apply():
+    # (id^pos (x) m (x) id^rest) three ways: in place, through tensor_apply
+    # with identity slots, and through the materialized tensor product
+    rng = random.Random(11)
+    ident = GradedMap.identity(SP)
+    by_degree = {}
+    for w in word_basis(SP, "t", 3):
+        by_degree.setdefault(SP.word_degree(w), []).append(w)
+    shapes = [(-1, 1, 1), (0, 1, 1), (1, 1, 1), (0, 1, 2), (1, 1, 2), (-1, 2, 1), (0, 2, 1)]
+    parities = set()
+    for deg, arity, out_len in shapes:
+        m = _random_map(rng, deg, arity, out_len)
+        assert m.images, (deg, arity, out_len)
+        for pos in range(4 - arity):
+            rest = 3 - arity - pos
+            slots = [ident] * pos + [m] + [ident] * rest
+            arities = [1] * pos + [arity] + [1] * rest
+            dense = tensor_map(slots)
+            for words in by_degree.values():
+                el = Element(SP, {w: rng.choice([-1, 1, 2]) for w in
+                                  rng.sample(words, min(3, len(words)))})
+                got = apply_at(m, pos, el)
+                assert got == tensor_apply(slots, arities, el) == dense.apply(el)
+                if got:
+                    parities.add((deg % 2, pos))
+    assert {(p, pos) for p in (0, 1) for pos in range(3)} <= parities
+    # the threading sign of an odd map past an odd prefix
+    delta = GradedMap(SP, SP, -1, {Word.tensor("s"): Element.gen(SP, "r")})
+    g_s = Element.make(SP, [(1, "t", ("g", "s"))])
+    assert apply_at(delta, 1, g_s) == Element.make(SP, [(-1, "t", ("g", "r"))])
+    assert apply_at(delta, 0, Element.make(SP, [(1, "t", ("s", "g"))])) == Element.make(
+        SP, [(1, "t", ("r", "g"))])
+    with pytest.raises(ValueError):
+        apply_at(delta, 2, g_s)
+
+
+def test_scalars_are_ints_or_fractions():
+    assert frac(3) == 3 and type(frac(3)) is int
+    assert frac(Fraction(4, 2)) == 2 and type(frac(Fraction(4, 2))) is int
+    assert frac("2/2") == 1 and type(frac("2/2")) is int
+    assert frac("-6/4") == Fraction(-3, 2) and type(frac("-6/4")) is Fraction
+    for bad in (0.5, 1.0):
+        with pytest.raises(TypeError):
+            frac(bad)
+        with pytest.raises(TypeError):
+            Element.make(SP, [(bad, "t", ("g",))])
+        with pytest.raises(TypeError):
+            bad * Element.gen(SP, "g")
+    # int and Fraction coefficients of one value are one element
+    assert Element(SP, {Word.tensor("g"): 2}) == Element(SP, {Word.tensor("g"): Fraction(2)})
 
 
 def test_unshuffle_small_cases():

@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    d_tensor_by_elements,
     dense_dual_coalgebra,
     dense_quillen_direct,
     oracle_sources,
     random_cocommutative_dgc,
     random_sullivan,
 )
-from htcas.core import Element, GradedMap, GradedSpace, Word
+from htcas.core import Element, GradedMap, GradedSpace, Word, word_basis
 from htcas.functors import (
     CDGA,
     FiniteCDGA,
@@ -298,3 +299,25 @@ def test_quillen_reproduces_stated_cell_attachment_model():
     )
     assert M.diff["E"].element == want
     assert not M.diff.get("A") and not M.diff.get("B")
+
+
+def test_d_tensor_matches_prefix_suffix_route(cbar):
+    # the in-place derivation against pre (x) d(f) (x) post, on every
+    # differential and on every tensor word of length <= 2 (<= 3 on cbar),
+    # summed per degree
+    rng = random.Random(5)
+    duals = [dual_coalgebra(B)[1] for _, B in oracle_sources()]
+    nonzero = 0
+    for C in [cbar, *duals]:
+        M = quillen(C)
+        els = [img.element for img in M.diff.values()]
+        for n in (1, 2, 3) if C is cbar else (1, 2):
+            by_degree = {}
+            for w in word_basis(M.gens, "t", n):
+                by_degree.setdefault(M.gens.word_degree(w), {})[w] = rng.choice([-2, -1, 1, 3])
+            els += [Element(M.gens, terms) for terms in by_degree.values()]
+        for el in els:
+            got = M.d_tensor(el)
+            assert got == d_tensor_by_elements(M, el)
+            nonzero += bool(got)
+    assert nonzero > 20

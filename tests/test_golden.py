@@ -1,5 +1,6 @@
 """Byte-identical output: the sha256 of each command's stdout on the shipped
-models, recorded before the engine refactors that must keep it unchanged.
+models and on the benchmark's n4 and n5 sources, recorded before the engine
+refactors that must keep it unchanged.
 
 A digest that moves means the serialized output changed.  A change meant to
 alter output records the new digests and says why in CHANGES.md.
@@ -57,5 +58,35 @@ def test_outputs_are_byte_identical(tmp_path):
     files["linf"].write_text(stdout_of(["mapmodel", str(files["X1"]), str(files["Y1"]),
                                         "--pointed", "--emit", "linf"]))
     for args, want in GOLDEN:
+        argv = [a.format(**files) for a in args]
+        assert hashlib.sha256(stdout_of(argv).encode()).hexdigest() == want, args
+
+
+# the benchmark's n4 and n5 sources (Lambda(a3, b3, c5, e3), dc = ab, and
+# n4 + f5 with df = ae), their argv with {n4}, {n5}, {dgc} = the dualized n5,
+# and the sha256 of stdout
+N4 = "kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\nd c = + a^b\n"
+N5 = ("kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\ngen f : 5\n"
+      "d c = + a^b\nd f = + a^e\n")
+GOLDEN_N = [
+    (["mapmodel", "{n4}", Y1, "--pointed", "--emit", "both", "--max-arity", "4"],
+     "d6f3ac17e9a69bc11a5897479a4638cf633764951d358835c894341099a24130"),
+    (["mapmodel", "{n5}", Y1, "--pointed", "--emit", "linf", "--max-arity", "2"],
+     "b87e803fb18b9b841f1df752a951d74be9a47fa2e31d450af0f0e904e6811ac0"),
+    (["transfer-ainf", "{dgc}"],
+     "cfb3620151c984465a86a6b51d875d725a60b6477b4a7fdd428e92efae41f681"),
+    (["quillen", "--direct", "{dgc}"],
+     "4380d60bd0aae41944ee9c1d56fb8d9daaeb81e44b92e175811ab6b1ec077b79"),
+    (["hspace", "{dgc}", Y2], "9d5a564ab67aa3bd46e8667f4bcedcb4b5233ee236738f13a829e41c0197d4cf"),
+]
+
+
+def test_benchmark_models_are_byte_identical(tmp_path):
+    files = {"Y1": MODELS / "example1_Y.cdga", "Y2": MODELS / "example2_Y.cdga",
+             "n4": tmp_path / "n4.cdga", "n5": tmp_path / "n5.cdga", "dgc": tmp_path / "n5.dgc"}
+    files["n4"].write_text(N4)
+    files["n5"].write_text(N5)
+    files["dgc"].write_text(stdout_of(["dualize", str(files["n5"])]))
+    for args, want in GOLDEN_N:
         argv = [a.format(**files) for a in args]
         assert hashlib.sha256(stdout_of(argv).encode()).hexdigest() == want, args

@@ -53,3 +53,17 @@ def test_inverse_rejects_singular_and_nonsquare_blocks():
         linalg.inverse([[F(0), F(0)], [F(0), F(1)]])
     with pytest.raises(ValueError, match="not square"):
         linalg.inverse([[F(1), F(0)]])
+
+
+def test_integer_matrices_give_exact_values():
+    # pivots that do not divide the entries: a float division would give
+    # 0.4 and the like, which no exact comparison accepts
+    mat = [[3, 1], [1, 2]]
+    rows, pivots = linalg.rref([[3, 1, 1], [1, 2, 0]])
+    assert pivots == [0, 1] and rows == [[1, 0, F(2, 5)], [0, 1, F(-1, 5)]]
+    inv = linalg.inverse(mat)
+    assert inv == [[F(2, 5), F(-1, 5)], [F(-1, 5), F(3, 5)]]
+    basis = linalg.nullspace([[3, 6, 2]], 3)
+    assert basis == [[-2, 1, 0], [F(-2, 3), 0, 1]]
+    for x in [x for r in rows + inv + basis for x in r]:
+        assert isinstance(x, (int, Fraction)), x

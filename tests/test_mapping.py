@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     dense_convolution,
+    linf_merge_candidates,
     dense_perturb,
     dense_truncate,
     random_finite_cdga,
@@ -415,3 +416,30 @@ def test_perturb_and_truncate_match_dense_loops(worked):
     comp = truncate(model)
     assert any(d == 0 for d in comp.space.degrees())
     _assert_same_brackets(comp, dense_truncate(model))
+
+
+N4_INTO_EX1_Y = ([("a", 3), ("b", 3), ("c", 5), ("e", 3)], {"c": [(1, ("a", "b"))]},
+                 [("x", 4), ("y", 7), ("z", 10), ("t", 16)],
+                 {"z": [(1, ("x", "y"))], "t": [(1, ("y", "z"))]})
+# three free 3-spheres into a cubic target: ternary vertices only
+S3_INTO_CUBIC_Y = ([("a", 3), ("b", 3), ("e", 3)], {},
+                   [("x", 3), ("y", 3), ("z", 3), ("w", 8)], {"w": [(1, ("x", "y", "z"))]})
+
+
+@pytest.mark.parametrize("srcgens,srcd,tgtgens,tgtd",
+                         VARIANTS + [N4_INTO_EX1_Y, S3_INTO_CUBIC_Y])
+def test_target_indexed_merges_keep_every_nonzero_word(srcgens, srcd, tgtgens, tgtd):
+    # at every arity up to 4, the target-indexed candidates are all-combinations
+    # candidates, in the same order, and include every word with F != 0
+    B = FiniteCDGA(CDGA.of(srcgens, srcd), max_cohom=sum(d for _, d in srcgens))
+    _, red = dual_coalgebra(B)
+    L = linf_from_cdga(CDGA.of(tgtgens, tgtd))
+    r = retract_from_decomposition(
+        homology_decomposition(ChainComplex(red.space, red.delta(1))))
+    found = linf_merge_candidates(convolution_linf(red, L), hom_retract(r, L), 4)
+    for k, (every, indexed, nonzero) in found.items():
+        kept = set(indexed)
+        assert kept <= set(every), k
+        assert set(nonzero) <= kept, k
+        assert indexed == [w for w in every if w in kept], k
+    assert any(nonzero for _, _, nonzero in found.values())
