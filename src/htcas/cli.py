@@ -13,15 +13,18 @@ Grammar (one declaration per line, `#` comments):
     l<k> ( g1 ^ ... ^ gk ) = <sum>          (linf)       e.g. l2 ( x ^ y ) = z
     mc = <sum>                              (mc)
 
-Scalars are integers or p/q; dgl differentials use bracket words [a,[a,b]].
-One reader takes the `<head> <gen> = <sum>` lines of all four kinds that
-have them and checks that the sum has the degree its head gives: |g| + 1
-for d, |g| - 1 for diff (dgc and dgl alike), |g| for cop, |g| + k - 2 for
-D<k>.  A gen line takes exactly one degree.  Identifiers may contain
-letters, digits, _, ' and . (dotted names appear in Hom and reduced-model
-bases).  Serialization uses the same grammar, with one header helper for
-the kind, counit and gen lines, so parse(serialize(S)) round-trips;
-ordering is canonical and output is byte-stable.
+Scalars are integers or p/q with q != 0; dgl differentials use bracket
+words [a,[a,b]].  One reader takes the `<head> <operand> = <sum>` lines of
+all six kinds, the operand being a generator, a parenthesised input word
+or nothing (mc).  It checks that the sum has the degree its head gives:
+|g| + 1 for d, |g| - 1 for diff (dgc and dgl alike), |g| for cop,
+|g| + k - 2 for D<k> and |g1 ^ ... ^ gk| + k - 2 for l<k>, with k >= 1;
+and it refuses a second line with the same head and operand (an input
+word in any order).  A gen line takes exactly one degree.  Identifiers
+may contain letters, digits, _, ' and . (dotted names appear in Hom and
+reduced-model bases).  Serialization uses the same grammar, with one
+header helper for the kind, counit and gen lines, so parse(serialize(S))
+round-trips; ordering is canonical and output is byte-stable.
 
 Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 axiom failure, 4 bound
 exceeded (e.g. `mapmodel --emit bs` on a model with a bracket of arity
@@ -184,6 +187,9 @@ class _TermParser:
         coeff = sign
         tok = self.peek()
         if tok is not None and NUMBER.fullmatch(tok):
+            _, slash, den = tok.partition("/")
+            if slash and int(den) == 0:
+                self.error(f"zero denominator in {tok}")
             coeff *= frac(self.next())
             if self.peek() == "*":
                 self.next()
@@ -221,48 +227,103 @@ class _TermParser:
         return self.parse_name()
 
 
-def _element(space, items, kind):
-    return Element.make(space, [(c, kind, fs) for c, fs in items if fs is not None])
+# The `<head> <operand> = <sum>` lines of each kind: the word kind of the
+# sums, the operand ("gen", "word" for `( g1 ^ ... ^ gk )`, or None), the
+# degree each fixed head adds to the operand's, the prefix of the arity
+# heads `<prefix><k>` (which add k - 2), and the usage message.
+_LINES = {
+    "cdga": ("m", "gen", {"d": 1}, None, "expected: d <gen> = <sum>"),
+    "dgc": ("t", "gen", {"diff": -1, "cop": 0}, None, "expected: diff|cop <gen> = <sum>"),
+    "ainf": ("t", "gen", {}, "D", "expected: D<k> <gen> = <sum>"),
+    "linf": ("t", "word", {}, "l", "expected: l<k> ( g1 ^ ... ^ gk ) = <sum>"),
+    "dgl": ("lie", "gen", {"diff": -1}, None, "expected: diff <gen> = <sum>"),
+    "mc": ("t", None, {"mc": 0}, None, "expected: mc = <sum>"),
+}
 
 
-def _lie_element(space, items):
-    pres = [(c, tree) for c, tree in items if tree is not None]
-    total = lincomb(space, ((c, bracket_tree_element(space, tree)) for c, tree in pres))
-    return FreeLieElement(total), pres
-
-
-def _headed_lines(path, body, space, word_kind, shift, usage):
-    """Read `<head> <gen> = <sum>` lines: `shift(head)` is the degree the
-    head adds to |gen| (None for a head the kind does not have).  Yields
-    (head, gen, value, presentation) for each nonzero value; only a "lie"
-    sum has a presentation, its bracket trees."""
+def _headed_lines(path, body, space, kind):
+    """Read the body lines of a kind, as `_LINES` gives them.  Yields
+    (shift, operand, value, presentation) for each nonzero value: shift is
+    the degree the head adds, operand the generator, the canonical input
+    word (the value carries its sign) or None.  The value must have the
+    operand's degree plus shift; only a "lie" sum has a presentation, its
+    bracket trees.  A head and operand may be defined on one line only."""
+    word_kind, operand, fixed, prefix, usage = _LINES[kind]
+    first: dict = {}
     for lineno, toks in body:
-        head = toks[0][0]
-        shift_by = shift(head)
-        if shift_by is None or len(toks) < 3 or toks[2][0] != "=":
-            raise ParseError(path, lineno, toks[0][1], usage)
-        g = toks[1][0]
-        if g not in space:
-            raise ParseError(path, lineno, toks[1][1], f"unknown generator {g!r}")
-        items = _TermParser(path, lineno, toks[3:], space, word_kind).parse_sum()
-        if word_kind == "lie":
-            el, pres = _lie_element(space, items)
-            value = el.element
+        head, col = toks[0]
+
+        def fail(msg, at=col):
+            raise ParseError(path, lineno, at, msg)
+
+        m = re.fullmatch(rf"{prefix}(\d+)", head) if prefix else None
+        if m:
+            if int(m.group(1)) < 1:
+                fail(f"the arity of {head} must be at least 1")
+            shift = int(m.group(1)) - 2
+        elif head in fixed:
+            shift = fixed[head]
         else:
-            el = value = _element(space, items, word_kind)
+            fail(usage)
+        sign, degree = 1, None
+        if operand == "gen":
+            if len(toks) < 3 or toks[2][0] != "=":
+                fail(usage)
+            key, at = toks[1]
+            if key not in space:
+                fail(f"unknown generator {key!r}", at)
+            degree, eq = space.degree(key), 2
+            what = f"d({key})" if head == "d" else f"{head} {key}"
+        elif operand == "word":
+            if len(toks) < 2 or toks[1][0] != "(":
+                fail(usage)
+            eq = next((i for i, t in enumerate(toks) if t[0] == ")"), len(toks)) + 1
+            if eq >= len(toks) or toks[eq][0] != "=":
+                fail("expected ( ... ) = <sum>")
+            names = _input_names(toks[2:eq - 1], space, fail)
+            if len(names) != shift + 2:
+                fail(f"{head} takes {shift + 2} inputs, got {len(names)}")
+            key, sign = canonical_word(space, "w", names)
+            if key is None:
+                fail("degenerate wedge word")
+            degree = space.word_degree(key)
+            what = f"{head} ( {' ^ '.join(names)} )"
+        else:
+            if len(toks) < 2 or toks[1][0] != "=":
+                fail(usage)
+            key, eq, what = None, 1, head
+        seen = first.setdefault((shift, key), lineno)
+        if seen != lineno:
+            fail(f"{what} is already defined on line {seen}")
+        items = _TermParser(path, lineno, toks[eq + 1:], space, word_kind).parse_sum()
+        terms = [(c, w) for c, w in items if w is not None]
+        if word_kind == "lie":
+            el = FreeLieElement(lincomb(
+                space, ((c, bracket_tree_element(space, tree)) for c, tree in terms)))
+            value, pres = el.element, terms
+        else:
+            el = value = sign * Element.make(space, [(c, word_kind, fs) for c, fs in terms])
             pres = None
-        want = space.degree(g) + shift_by
-        if value and value.degree != want:
-            what = f"d({g})" if head == "d" else f"{head} {g}"
-            raise ParseError(path, lineno, toks[0][1],
-                             f"{what} must have degree {want}, got {value.degree}")
+        if value and degree is not None and value.degree != degree + shift:
+            fail(f"{what} must have degree {degree + shift}, got {value.degree}")
         if value:
-            yield head, g, el, pres
+            yield shift, key, el, pres
 
 
-def _ainf_shift(head):
-    m = re.fullmatch(r"D(\d+)", head)
-    return int(m.group(1)) - 2 if m else None
+def _input_names(inner, space, fail):
+    """The generator names of `g1 ^ ... ^ gk`, from the tokens between the
+    parentheses."""
+    for i, (t, col) in enumerate(inner):
+        if i % 2 and t != "^":
+            fail(f"expected ^ between inputs, got {t!r}", col)
+        if not i % 2 and t == "^":
+            fail("expected a generator name, got '^'", col)
+    if inner and len(inner) % 2 == 0:
+        fail("expected a generator name after ^", inner[-1][1])
+    for t, col in inner[::2]:
+        if t not in space:
+            fail(f"unknown generator {t!r}", col)
+    return [t for t, _ in inner[::2]]
 
 
 # ---------------------------------------------------------------------------
@@ -322,97 +383,35 @@ def parse(path: str) -> ModelFile:
     if kind is None:
         raise ParseError(path, 1, 0, "empty file")
     space = GradedSpace.of(gens)
-
-    def term_parser(lineno, toks, word_kind):
-        return _TermParser(path, lineno, toks, space, word_kind)
-
+    entries = _headed_lines(path, body, space, kind)
     if kind == "cdga":
-        diff = {g: el for _, g, el, _ in _headed_lines(
-            path, body, space, "m", {"d": 1}.get, "expected: d <gen> = <sum>")}
-        payload = CDGA(space, diff)
-    elif kind in ("dgc", "ainf"):
-        from .structures import AInfCoalgebra
+        payload = CDGA(space, {g: el for _, g, el, _ in entries})
+    elif kind in ("dgc", "ainf", "linf"):
+        from .structures import AInfCoalgebra, LInfAlgebra
 
-        if kind == "dgc":
-            shift, usage = {"diff": -1, "cop": 0}.get, "expected: diff|cop <gen> = <sum>"
-        else:
-            shift, usage = _ainf_shift, "expected: D<k> <gen> = <sum>"
         tabs: dict[int, dict] = {}
-        for head, g, el, _ in _headed_lines(path, body, space, "t", shift, usage):
-            tabs.setdefault(shift(head) + 2, {})[Word.tensor(g)] = el
-        ops = {k: GradedMap(space, space, k - 2, tab) for k, tab in sorted(tabs.items())}
-        payload = AInfCoalgebra(space, ops, counit=options.get("counit"))
-    elif kind == "linf":
-        from .structures import LInfAlgebra
-
-        tabs = {}
-        for lineno, toks in body:
-            m = re.fullmatch(r"l(\d+)", toks[0][0])
-            if not m or len(toks) < 2 or toks[1][0] != "(":
-                raise ParseError(path, lineno, toks[0][1],
-                                 "expected: l<k> ( g1 ^ ... ^ gk ) = <sum>")
-            k = int(m.group(1))
-            close = next((i for i, t in enumerate(toks) if t[0] == ")"), None)
-            if close is None or close + 1 >= len(toks) or toks[close + 1][0] != "=":
-                raise ParseError(path, lineno, toks[0][1], "expected ( ... ) = <sum>")
-            inner = toks[2:close]
-            for i, (t, col) in enumerate(inner):
-                if i % 2 and t != "^":
-                    raise ParseError(path, lineno, col, f"expected ^ between inputs, got {t!r}")
-                if not i % 2 and t == "^":
-                    raise ParseError(path, lineno, col, "expected a generator name, got '^'")
-            if inner and len(inner) % 2 == 0:
-                raise ParseError(path, lineno, inner[-1][1], "expected a generator name after ^")
-            names = [t for t, _ in inner[::2]]
-            for nm in names:
-                if nm not in space:
-                    raise ParseError(path, lineno, toks[0][1], f"unknown generator {nm!r}")
-            if len(names) != k:
-                raise ParseError(path, lineno, toks[0][1],
-                                 f"l{k} takes {k} inputs, got {len(names)}")
-            w, s = canonical_word(space, "w", tuple(names))
-            if w is None:
-                raise ParseError(path, lineno, toks[0][1], "degenerate wedge word")
-            items = term_parser(lineno, toks[close + 2:], "t").parse_sum()
-            el = _element(space, items, "t")
-            want = space.word_degree(w) + k - 2
-            if el and el.degree != want:
-                raise ParseError(path, lineno, toks[0][1],
-                                 f"l{k} image must have degree {want}, "
-                                 f"got {el.degree}")
-            if el:
-                tab = tabs.setdefault(k, {})
-                tab[w] = tab.get(w, Element.zero(space)) + s * el
-        ops = {
-            k: GradedMap(space, space, k - 2, tab, arity=k, in_kind="w")
-            for k, tab in tabs.items()
-        }
-        payload = LInfAlgebra(space, ops)
+        for shift, x, el, _ in entries:
+            tabs.setdefault(shift + 2, {})[x if kind == "linf" else Word.tensor(x)] = el
+        if kind == "linf":
+            payload = LInfAlgebra(space, {
+                k: GradedMap(space, space, k - 2, tab, arity=k, in_kind="w")
+                for k, tab in sorted(tabs.items())})
+        else:
+            ops = {k: GradedMap(space, space, k - 2, tab) for k, tab in sorted(tabs.items())}
+            payload = AInfCoalgebra(space, ops, counit=options.get("counit"))
     elif kind == "dgl":
         diff, pres = {}, {}
-        for _, g, el, p in _headed_lines(path, body, space, "lie", {"diff": -1}.get,
-                                         "expected: diff <gen> = <sum>"):
+        for _, g, el, p in entries:
             diff[g], pres[g] = el, p
         payload = FreeLieDGL(space, diff, presentation=pres)
         payload.validate()
-    elif kind == "mc":
-        def mc_lines():
-            for lineno, toks in body:
-                if toks[0][0] != "mc" or len(toks) < 2 or toks[1][0] != "=":
-                    raise ParseError(path, lineno, toks[0][1], "expected: mc = <sum>")
-                yield 1, _element(space, term_parser(lineno, toks[2:], "t").parse_sum(), "t")
-        payload = lincomb(space, mc_lines())
-    else:  # pragma: no cover
-        raise AssertionError(kind)
+    else:
+        payload = lincomb(space, ((1, el) for _, _, el, _ in entries))
     return ModelFile(kind, space, payload, options)
 
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def fmt_scalar(c: int | Fraction) -> str:
-    return str(c)
 
 
 def _fmt_sum(terms) -> str:
@@ -424,9 +423,9 @@ def _fmt_sum(terms) -> str:
         elif c == -1:
             term = f"- {word}"
         elif c < 0:
-            term = f"- {fmt_scalar(-c)} {word}"
+            term = f"- {-c} {word}"
         else:
-            term = f"{fmt_scalar(c)} {word}"
+            term = f"{c} {word}"
         if bits and not term.startswith("- "):
             term = "+ " + term
         bits.append(term)
@@ -600,8 +599,7 @@ def cmd_mapmodel(args) -> int:
     L = _as_linf(yf)
     full, red = dual_coalgebra(_finite_model(xf))
     C = red if args.pointed else full
-    mm = mapping_space_model(C, L, max_k=args.max_arity,
-                             only_binary=args.trees_only == "binary")
+    mm = mapping_space_model(C, L, max_k=args.max_arity)
     model = mm.model
     if args.pointed:
         phi = Element.zero(model.space)
@@ -690,7 +688,6 @@ def main(argv=None) -> int:
     p.add_argument("--mc", default=None)
     p.add_argument("--emit", choices=("linf", "bs", "both"), default="linf")
     p.add_argument("--max-arity", type=int, default=None)
-    p.add_argument("--trees-only", choices=("binary", "all"), default="all")
     p.set_defaults(fn=cmd_mapmodel)
 
     p = sub.add_parser("invariants", help="dl / bl / Wl / conilpotence")

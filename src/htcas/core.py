@@ -291,8 +291,8 @@ def canonical_word(space: GradedSpace, kind: str, factors) -> tuple[Word | None,
     return Word(kind, tuple(fs)), sign
 
 
-def word_basis(space: GradedSpace, kind: str, arity: int, degree: int | None = None):
-    """All canonical words of the given kind and arity (optionally one degree)."""
+def word_basis(space: GradedSpace, kind: str, arity: int):
+    """All canonical words of the given kind and arity."""
     names = space.names
     out = []
     if kind == "t":
@@ -304,8 +304,6 @@ def word_basis(space: GradedSpace, kind: str, arity: int, degree: int | None = N
     for fs in pool:
         w, s = canonical_word(space, kind, fs)
         if w is None or s != 1:
-            continue
-        if degree is not None and space.word_degree(w) != degree:
             continue
         out.append(w)
     return out
@@ -544,11 +542,11 @@ class GradedMap:
             return 0, None
         return s, self.images.get(w)
 
-    def apply_word(self, word: Word, coeff: Fraction = ONE) -> Element:
+    def apply_word(self, word: Word) -> Element:
         s, img = self._image(word.factors)
         if img is None:
             return Element.zero(self.target)
-        return (-coeff if s < 0 else coeff) * img
+        return -img if s < 0 else img
 
     def apply(self, el: Element) -> Element:
         """The sum of c * image(w) over the terms of el, accumulated in place.

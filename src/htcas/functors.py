@@ -66,14 +66,14 @@ class CDGA:
                     raise AxiomError(f"d^2 != 0 on generator {g}")
 
     @staticmethod
-    def of(gens, d: dict | None = None, validate: bool = True) -> "CDGA":
+    def of(gens, d: dict | None = None) -> "CDGA":
         """Build from [(name, cohomological degree)] and
         {gen: [(coeff, (factors...))]}."""
         space = GradedSpace.of([(n, int(deg)) for n, deg in gens])
         diff = {}
         for g, items in (d or {}).items():
             diff[g] = Element.make(space, [(c, "m", fs) for c, fs in items])
-        return CDGA(space, diff, validate=validate)
+        return CDGA(space, diff)
 
     def cohom_degree_of(self, factors) -> int:
         return sum(self.gens.degree(f) for f in factors)
@@ -360,7 +360,7 @@ class FreeLieDGL:
         return all(not img.weight_component(1) for img in self.diff.values())
 
 
-def quillen(C: AInfCoalgebra, check: bool = True) -> FreeLieDGL:
+def quillen(C: AInfCoalgebra) -> FreeLieDGL:
     """Generalized Quillen model: free Lie algebra on the desuspension with
     the differential read off the co-operations (cobar orientation on the
     linear part)."""
@@ -368,10 +368,9 @@ def quillen(C: AInfCoalgebra, check: bool = True) -> FreeLieDGL:
 
     if C.counit is not None:
         raise ValueError("quillen expects a reduced coalgebra")
-    if check:
-        rep = check_cocommutative(C)
-        if not rep:
-            raise ValueError(f"quillen needs a cocommutative input: {rep}")
+    rep = check_cocommutative(C)
+    if not rep:
+        raise ValueError(f"quillen needs a cocommutative input: {rep}")
     sh = ShiftedCoops(C)
     gens = sh.space
     diff: dict[str, FreeLieElement] = {}
@@ -504,7 +503,7 @@ def cochain(L: LInfAlgebra, names: list[str] | None = None, orient=None,
     return CDGA(vspace, {vn: el for vn, el in diff.items() if el}, validate=validate)
 
 
-def linf_from_cdga(A: CDGA, validate: bool = True) -> LInfAlgebra:
+def linf_from_cdga(A: CDGA) -> LInfAlgebra:
     """L-infinity structure on the desuspended dual of the generators,
     brackets read off the word-length parts of the differential (the exact
     inverse of `cochain`): only the monomials that occur in it are visited,
@@ -542,4 +541,4 @@ def linf_from_cdga(A: CDGA, validate: bool = True) -> LInfAlgebra:
                 images[Word.wedge(*(x_of[f] for f in cw.factors))] = img
         if images:
             ops[j] = GradedMap(lspace, lspace, j - 2, images, arity=j, in_kind="w")
-    return LInfAlgebra(lspace, ops, validate=validate)
+    return LInfAlgebra(lspace, ops)

@@ -163,8 +163,7 @@ def two_stage_filtration(M: FreeLieDGL) -> bool:
     return True
 
 
-def hspace_certificate(x_side, y_side: LInfAlgebra,
-                       direct_check: bool = True) -> HSpaceVerdict:
+def hspace_certificate(x_side, y_side: LInfAlgebra) -> HSpaceVerdict:
     """One-sided H-space detection for the components of the based mapping
     space: accepts a cone-length-2 certificate on the source and compares
     Whitehead length of the target with bracket length of the source."""
@@ -204,7 +203,7 @@ def hspace_certificate(x_side, y_side: LInfAlgebra,
     hypothesis = wl.value < bl.value
     trace.append(f"Wl = {wl.value} {'<' if hypothesis else '>='} bl = {bl.value}")
 
-    if cl_ok and hypothesis and direct_check and cbar is not None:
+    if cl_ok and hypothesis and cbar is not None:
         mm = mapping_space_model(cbar, y_side)
         higher = sorted(k for k in mm.model.ops if k >= 2)
         if higher:

@@ -57,8 +57,7 @@ from .transfer import (
 )
 
 
-def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra,
-                     validate: bool = True) -> LInfAlgebra:
+def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra) -> LInfAlgebra:
     """The convolution structure on Hom(C, L) for a DGC C.
 
     ell_k is built from the supports of the maps it reads: each term
@@ -102,7 +101,7 @@ def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra,
                         terms[f] = terms.get(f, 0) + sign * co * cx_
         images = {w: Element(hs, terms) for w, terms in acc.items()}
         ops[k] = GradedMap(hs, hs, k - 2, images, arity=k, in_kind="w")
-    return LInfAlgebra(hs, ops, validate=validate)
+    return LInfAlgebra(hs, ops)
 
 
 def mapping_arity_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:
@@ -130,22 +129,24 @@ class MappingModel:
 
 
 def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
-                        max_k: int | None = None, only_binary: bool = False,
-                        validate: bool = True) -> MappingModel:
+                        max_k: int | None = None) -> MappingModel:
     """Transferred structure on Hom(H, L): homology decomposition, induced
     Hom retract and transfer of the convolution structure by the i_infinity
     recursion of `transfer_linf`, up to the derived arity cap unless max_k
-    is given.  only_binary keeps the vertices of arity 2 only."""
+    is given.
+
+    The convolution ell_k is built from Delta^{(k-1)}, so a source of
+    conilpotence 2 (Delta^{(2)} = 0) gives brackets of arity <= 2 only and
+    the recursion meets binary vertices alone."""
     cx = ChainComplex(C.space, C.delta(1))
     dec = homology_decomposition(cx)
     r = retract_from_decomposition(dec)
     hr = hom_retract(r, L)
-    conv = convolution_linf(C, L, validate=validate)
+    conv = convolution_linf(C, L)
     cap = max_k if max_k is not None else mapping_arity_cap(C, r.small.space)
     if cap is None:
         raise BoundError("cannot derive an arity cap; pass max_k explicitly")
-    model = transfer_linf(conv, hr, max_k=cap, only_binary=only_binary,
-                          validate=validate)
+    model = transfer_linf(conv, hr, max_k=cap)
     return MappingModel(model, conv, hr, r.small.space, C, L)
 
 
@@ -218,16 +219,15 @@ def reduced_bs_cochain(model, source: GradedSpace | None = None,
 
 
 def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
-                      rename: dict[str, str] | None = None,
-                      pointed: bool = True) -> CDGA:
+                      rename: dict[str, str] | None = None) -> CDGA:
     """The differential on Lambda(V (x) H) by expanding dv against iterated
     coproducts and eliminating the A and dA parts of the dual recursively.
 
     B is the finite model of the source, A = (Lambda V, d) the Sullivan
-    model of the target.  Returns the CDGA on generators v.h.
+    model of the target.  Returns the CDGA on generators v.h, h running over
+    the homology of the reduced dual of B.
     """
-    full, red = dual_coalgebra(B, rename=rename)
-    C = red if pointed else full
+    _, C = dual_coalgebra(B, rename=rename)
     cx = ChainComplex(C.space, C.delta(1))
     dec = homology_decomposition(cx)
     r = retract_from_decomposition(dec)
@@ -339,9 +339,8 @@ def parity_involution(L: LInfAlgebra) -> LInfAlgebra:
 # component models
 
 
-def component_model(model: LInfAlgebra, phi: MaurerCartanElement | Element,
-                    validate: bool = True) -> LInfAlgebra:
+def component_model(model: LInfAlgebra, phi: MaurerCartanElement | Element) -> LInfAlgebra:
     """Perturb by a verified Maurer-Cartan element and truncate."""
     if isinstance(phi, Element):
         phi = mc_check(model, phi)
-    return truncate(perturb(model, phi, validate=validate), validate=validate)
+    return truncate(perturb(model, phi))

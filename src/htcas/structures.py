@@ -107,9 +107,6 @@ class AInfCoalgebra:
             return GradedMap.zero(self.space, self.space, k - 2)
         return m
 
-    def shifted(self) -> "ShiftedCoops":
-        return ShiftedCoops(self)
-
 
 class LInfAlgebra:
     """Graded space with brackets ell_k of degree k-2 stored on wedge words."""
@@ -148,9 +145,6 @@ class LInfAlgebra:
         for e in elements[1:]:
             el = el.tensor(e)
         return self.ell(k).apply(el)
-
-    def shifted(self) -> "ShiftedBrackets":
-        return ShiftedBrackets(self)
 
 
 class MaurerCartanElement:
@@ -280,7 +274,7 @@ def check_ainf(C: AInfCoalgebra) -> CheckReport:
 
 def check_ainf_shifted(C: AInfCoalgebra) -> CheckReport:
     """Cross-form of check_ainf in the degree -1 normalization (sign-free)."""
-    sh = C.shifted()
+    sh = ShiftedCoops(C)
     ops = {k: sh.op(k) for k in C.ops}
     top = 2 * C.max_arity - 1 if C.ops else 0
     for i in range(1, top + 1):
@@ -398,10 +392,8 @@ def _candidate_words(space: GradedSpace, images: dict[int, dict[Word, Element]],
     return out
 
 
-def check_linf(L: LInfAlgebra, words: list[Word] | None = None) -> CheckReport:
-    """Evaluate the generalized Jacobi identity.
-
-    Without an explicit word list the check runs on the words
+def check_linf(L: LInfAlgebra) -> CheckReport:
+    """Evaluate the generalized Jacobi identity on the words
     `_candidate_words` builds from the ops' supports and images, which
     include every word with a nonzero Jacobi total, so it is exhaustive.
     """
@@ -417,21 +409,18 @@ def check_linf(L: LInfAlgebra, words: list[Word] | None = None) -> CheckReport:
 
     top = 2 * L.max_arity - 1
     for n in range(1, top + 1):
-        cands = words if words is not None else _candidate_words(L.space, images, n)
-        for w in cands:
-            if len(w) != n:
-                continue
+        for w in _candidate_words(L.space, images, n):
             total = _jacobi_total(get, arities, L.space, w.factors, n, True)
             if total:
                 return CheckReport(False, f"Jacobi n={n} on {w!r}", total)
     return CheckReport(True)
 
 
-def check_linf_shifted(L: LInfAlgebra, words: list[Word] | None = None) -> CheckReport:
+def check_linf_shifted(L: LInfAlgebra) -> CheckReport:
     """Cross-form of check_linf in the suspended normalization."""
     if not L.ops:
         return CheckReport(True)
-    sh = L.shifted()
+    sh = ShiftedBrackets(L)
     arities = sorted(L.ops)
     images = {k: L.ops[k].images for k in arities}
 
@@ -442,13 +431,7 @@ def check_linf_shifted(L: LInfAlgebra, words: list[Word] | None = None) -> Check
 
     top = 2 * L.max_arity - 1
     for n in range(1, top + 1):
-        if words is not None:
-            cands = [Word.mono(*w.factors) for w in words if len(w) == n]
-        else:
-            cands = _candidate_words(sh.space, images, n, kind="m")
-        for w in cands:
-            if len(w) != n:
-                continue
+        for w in _candidate_words(sh.space, images, n, kind="m"):
             total = _jacobi_total(get, arities, sh.space, w.factors, n, False)
             if total:
                 return CheckReport(False, f"shifted Jacobi n={n} on {w!r}", total)
@@ -481,7 +464,7 @@ def mc_check(L: LInfAlgebra, z: Element) -> MaurerCartanElement:
     return MaurerCartanElement(z, L)
 
 
-def perturb(L: LInfAlgebra, mc: MaurerCartanElement, validate: bool = True) -> LInfAlgebra:
+def perturb(L: LInfAlgebra, mc: MaurerCartanElement) -> LInfAlgebra:
     """Twisted structure ell_k^z = sum_i (1/i!) ell_{i+k}(z,...,z, -).
 
     ell_k^z(w) is nonzero only when w is a support word of some ell_{i+k}
@@ -519,7 +502,7 @@ def perturb(L: LInfAlgebra, mc: MaurerCartanElement, validate: bool = True) -> L
                 images[w] = total
         if images:
             ops[k] = GradedMap(L.space, L.space, k - 2, images, arity=k, in_kind="w")
-    return LInfAlgebra(L.space, ops, validate=validate)
+    return LInfAlgebra(L.space, ops)
 
 def dgc_from_tables(space: GradedSpace, diff: dict, cop: dict,
                     counit: str | None = None, validate: bool = True) -> AInfCoalgebra:

@@ -347,8 +347,8 @@ def ainf_transfer_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:
     return max(2, (hi - 1) // lo) if hi >= 1 else 2
 
 
-def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract, max_k: int | None = None,
-                  validate: bool = True) -> AInfCoalgebra:
+def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
+                  max_k: int | None = None) -> AInfCoalgebra:
     """Transferred co-operations Delta'_k = unshift(F_k o i), where in the
     shifted world G_1 = p, G_m = F_m o h and
 
@@ -379,7 +379,7 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract, max_k: int | None = None
         G[m] = F.compose(rr.homotopy)
         ops[m] = unshift_coop(F.compose(rr.incl), m, r.small.space)
     counit = C.counit if (C.counit and C.counit in r.small.space) else None
-    return AInfCoalgebra(r.small.space, ops, counit=counit, validate=validate)
+    return AInfCoalgebra(r.small.space, ops, counit=counit)
 
 
 def _tree_coop(tree, coops: ShiftedCoops, rr: _ShiftedRetract) -> GradedMap:
@@ -579,8 +579,7 @@ def _vertex_sum(w: tuple[str, ...], support: dict, partitions: dict,
 
 
 def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
-                  words: dict[int, list[Word]] | None = None,
-                  only_binary: bool = False, validate: bool = True) -> LInfAlgebra:
+                  words: dict[int, list[Word]] | None = None) -> LInfAlgebra:
     """Transferred brackets ell'_k = p o F by the i_infinity recursion.
 
     In the shifted world, for a canonical word w = x_1...x_k of the small
@@ -591,8 +590,8 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
 
     where eps is the Koszul sign of concatenating the blocks, I(x) = i(x)
     for a single factor and I(x_B) = h(F(x_B)) otherwise, and
-    ell'_k(w) = p(F(w)).  j runs over the arities of L from 2 up to the
-    vertex cap (2 with only_binary).  Only canonical merges of words with
+    ell'_k(w) = p(F(w)).  j runs over the arities j >= 2 of L.  Only
+    canonical merges of words with
     nonzero I whose letters meet a support word of ell_j are evaluated
     (`_support_merges`), so the cost follows the output rather than the
     word basis.  Scalars stay exact ints or Fractions throughout.  A split
@@ -611,8 +610,7 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
         max_k = linf_transfer_cap(L, r.small.space)
         if max_k is None:
             raise BoundError("cannot derive an arity cap; pass max_k explicitly")
-    vertex_cap = 2 if only_binary else L.max_arity
-    arities = [j for j in sorted(L.ops) if 2 <= j <= vertex_cap]
+    arities = [j for j in sorted(L.ops) if j >= 2]
 
     ops: dict[int, GradedMap] = {}
     if not r.small.diff.is_zero():
@@ -642,7 +640,7 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
                     images[Word.wedge(*w)] = img
         if images:
             ops[k] = unshift_bracket(small, k, images)
-    return LInfAlgebra(small, ops, validate=validate)
+    return LInfAlgebra(small, ops)
 
 
 def tree_map_lie(tree, L: LInfAlgebra, r: HomotopyRetract) -> GradedMap:

@@ -64,6 +64,12 @@ from htcas.transfer import (
 )
 
 
+# a cubic differential, so that ell_3 reaches the convolution of any source
+# with Delta^{(2)} != 0
+CUBIC_Y = CDGA.of([("x", 3), ("y", 3), ("z", 3), ("w", 8)],
+                  {"w": [(1, ("x", "y", "z"))]})
+
+
 def random_sullivan(rng: random.Random, max_gens: int = 4, odd_only: bool = False,
                     max_degree: int = 7, quadratic_chance: float = 0.8) -> CDGA:
     gens: list[tuple[str, int]] = []

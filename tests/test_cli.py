@@ -206,15 +206,6 @@ def test_mapmodel_command(capsys):
     assert out2 == out
 
 
-def test_mapmodel_trees_only_binary_matches(capsys):
-    args = ["mapmodel", str(MODELS / "example1_X.cdga"),
-            str(MODELS / "example1_Y.cdga"), "--pointed", "--emit", "linf"]
-    code, full, err = run(args, capsys)
-    code, binary, err = run(args + ["--trees-only", "binary"], capsys)
-    # the worked example's target is a DGL, so all trees are binary anyway
-    assert full == binary
-
-
 def test_bound_exceeded_exit_code(tmp_path, capsys):
     # even generators make the free algebra infinite: dualize needs truncate
     p = write(tmp_path, "even.cdga", "kind cdga\ngen u : 2\n")
@@ -291,6 +282,10 @@ def test_mc_file_zero(capsys, tmp_path):
     assert not mf.payload
 
 
+CDGA_HEAD = "kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\n"
+DGC_HEAD = "kind dgc\ngen g : 3\ngen s : 6\n"
+
+
 def test_malformed_directives_are_parse_errors(tmp_path, capsys):
     # a directive missing its argument is located, not an IndexError
     cases = [
@@ -305,6 +300,32 @@ def test_malformed_directives_are_parse_errors(tmp_path, capsys):
          ":5:7: expected ^ between inputs, got 'y'"),
         ("i.linf", "kind linf\ngen x : 2\ngen y : 3\ngen z : 5\nl2 ( x ^ ^ y ) = z\n",
          ":5:9: expected a generator name, got '^'"),
+        # a zero denominator is located at its scalar
+        ("j.mc", "kind mc\ngen x : -1\nmc = 3/0 x\n", ":3:5: zero denominator in 3/0"),
+        ("k.cdga", CDGA_HEAD + "d c = 2/0 a^b\n", ":5:6: zero denominator in 2/0"),
+        # no curved structures: arity-0 heads are refused
+        ("l.linf", "kind linf\ngen z : -2\nl0 ( ) = z\n",
+         ":3:0: the arity of l0 must be at least 1"),
+        ("m.ainf", "kind ainf\ngen g : 2\ngen h : 0\nD0 g = h\n",
+         ":4:0: the arity of D0 must be at least 1"),
+        # a second line for one head and operand neither replaces nor adds
+        # to the first
+        ("n.cdga", CDGA_HEAD + "d c = a^b\nd c = - a^b\n",
+         ":6:0: d(c) is already defined on line 5"),
+        ("o.cdga", CDGA_HEAD + "d c = 0\nd c = a^b\n", ":6:0: d(c) is already defined on line 5"),
+        ("p.dgc", DGC_HEAD + "cop s = g|g\ncop s = g|g\n",
+         ":5:0: cop s is already defined on line 4"),
+        ("q.dgc", DGC_HEAD + "diff s = 0\ndiff s = 0\n",
+         ":5:0: diff s is already defined on line 4"),
+        ("r.ainf", "kind ainf\ngen g : 3\ngen s : 6\nD2 s = g|g\nD2 s = g|g\n",
+         ":5:0: D2 s is already defined on line 4"),
+        ("s.dgl", "kind dgl\ngen a : 6\ngen b : 6\ngen c : 19\n"
+         "diff c = [a,[a,b]]\ndiff c = [b,[a,b]]\n",
+         ":6:0: diff c is already defined on line 5"),
+        ("t.linf", "kind linf\ngen x : 2\ngen y : 3\ngen z : 5\n"
+         "l2 ( x ^ y ) = z\nl2 ( y ^ x ) = z\n",
+         ":6:0: l2 ( y ^ x ) is already defined on line 5"),
+        ("u.mc", "kind mc\ngen x : -1\nmc = x\nmc = x\n", ":4:0: mc is already defined on line 3"),
     ]
     for name, text, want in cases:
         p = write(tmp_path, name, text)
@@ -316,6 +337,10 @@ def test_malformed_directives_are_parse_errors(tmp_path, capsys):
               "l2 ( x ^ y ) = z\n")
     code, out, err = run(["check", p], capsys)
     assert code == 0 and "linf ok" in out
+    # diff and cop of one generator are distinct heads
+    p = write(tmp_path, "ok.dgc", DGC_HEAD + "diff s = 0\ncop s = g|g\n")
+    code, out, err = run(["check", p], capsys)
+    assert code == 0 and "dgc ok" in out
 
 
 def test_coefficients_parse_to_exact_scalars(tmp_path):

@@ -254,7 +254,7 @@ def test_quillen_direct_on_random_duals():
         cx = ChainComplex(red.space, red.delta(1))
         dec = homology_decomposition(cx)
         r = retract_from_decomposition(dec)
-        H = transfer_ainf(red, r, validate=True)
+        H = transfer_ainf(red, r)
         M1 = quillen(H)
         M2 = quillen_differential_direct(red, dec)
         assert M1.diff.keys() == M2.diff.keys()

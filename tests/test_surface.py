@@ -1,0 +1,83 @@
+"""The option surface: every flag of each `htcas` subcommand and every
+parameter of the engine entry points, pinned so that a new option shows up
+as a change to this file."""
+
+import contextlib
+import inspect
+import io
+import re
+
+from htcas import cli
+from htcas.core import GradedMap, word_basis
+from htcas.functors import CDGA, linf_from_cdga, quillen
+from htcas.invariants import hspace_certificate
+from htcas.mapping import (
+    component_model,
+    convolution_linf,
+    mapping_space_model,
+    reduced_bs_direct,
+)
+from htcas.structures import (
+    AInfCoalgebra,
+    LInfAlgebra,
+    check_linf,
+    check_linf_shifted,
+    perturb,
+)
+from htcas.transfer import transfer_ainf, transfer_linf
+
+FLAGS = {
+    "check": [],
+    "transfer-ainf": ["--max-arity"],
+    "quillen": ["--direct"],
+    "cochain": [],
+    "dualize": ["--full"],
+    "mapmodel": ["--pointed", "--mc", "--emit", "--max-arity"],
+    "invariants": [],
+    "hspace": [],
+}
+
+PARAMETERS = {
+    mapping_space_model: ["C", "L", "max_k"],
+    convolution_linf: ["C", "L"],
+    component_model: ["model", "phi"],
+    reduced_bs_direct: ["B", "A", "rename"],
+    perturb: ["L", "mc"],
+    transfer_linf: ["L", "r", "max_k", "words"],
+    transfer_ainf: ["C", "r", "max_k"],
+    linf_from_cdga: ["A"],
+    CDGA.of: ["gens", "d"],
+    quillen: ["C"],
+    check_linf: ["L"],
+    check_linf_shifted: ["L"],
+    hspace_certificate: ["x_side", "y_side"],
+    word_basis: ["space", "kind", "arity"],
+    GradedMap.apply_word: ["self", "word"],
+}
+
+
+def help_text(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + ["--help"]) == 0
+    return out.getvalue()
+
+
+def test_subcommands_and_their_flags():
+    commands = re.search(r"\{([a-z,-]+)\}", help_text([])).group(1).split(",")
+    assert commands == list(FLAGS)
+    for command, flags in FLAGS.items():
+        found = dict.fromkeys(re.findall(r"(?<![\w-])--[a-z][a-z-]*", help_text([command])))
+        found.pop("--help")
+        assert list(found) == flags, command
+
+
+def test_engine_parameters():
+    for fn, params in PARAMETERS.items():
+        assert list(inspect.signature(fn).parameters) == params, fn.__qualname__
+
+
+def test_no_wrappers_of_a_single_call():
+    assert not hasattr(AInfCoalgebra, "shifted")
+    assert not hasattr(LInfAlgebra, "shifted")
+    assert not hasattr(cli, "fmt_scalar")

@@ -349,10 +349,6 @@ def test_transfer_linf_ternary_vertex_with_internal_edge():
     total = sum((Fraction(1, aut_order(t)) * tree_values[serialize(t)]
                  for t in enumerate_rooted(4)), Element.zero(r.small.space))
     assert total == out.ell(4).apply_word(w)
-    # binary vertices only: the ternary path is cut and ell'_4 vanishes
-    binary = transfer_linf(L, r, max_k=4, only_binary=True)
-    assert not binary.ell(4).apply_word(w)
-    assert 4 not in binary.ops
 
 
 def test_transfer_ainf_checks_few_elements(monkeypatch):
