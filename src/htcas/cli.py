@@ -4,7 +4,7 @@ Grammar (one declaration per line, `#` comments):
 
     kind cdga|dgc|ainf|linf|dgl|mc
     gen <name> : <integer degree>     cohomological for cdga, else homological
-    counit <name>                     dgc only: marks a counital coalgebra
+    counit <name>                     dgc, ainf: marks a counital coalgebra
     truncate <N>                      cdga only: dualization degree cutoff
     d <gen> = <sum of product words>        (cdga)       e.g. d c = a^b
     diff <gen> = <sum>                      (dgc, dgl)   e.g. diff s = r
@@ -20,8 +20,10 @@ or nothing (mc).  It checks that the sum has the degree its head gives:
 |g| + 1 for d, |g| - 1 for diff (dgc and dgl alike), |g| for cop,
 |g| + k - 2 for D<k> and |g1 ^ ... ^ gk| + k - 2 for l<k>, with k >= 1;
 and it refuses a second line with the same head and operand (an input
-word in any order).  A gen line takes exactly one degree.  Identifiers
-may contain letters, digits, _, ' and . (dotted names appear in Hom and
+word in any order).  A second gen line for one name, a second counit or
+truncate line, and either directive in a kind that does not read it are
+refused too.  A gen line takes exactly one degree.  Identifiers may
+contain letters, digits, _, ' and . (dotted names appear in Hom and
 reduced-model bases).  Serialization uses the same grammar, with one
 header helper for the kind, counit and gen lines, so parse(serialize(S))
 round-trips; ordering is canonical and output is byte-stable.
@@ -329,6 +331,12 @@ def _input_names(inner, space, fail):
 # ---------------------------------------------------------------------------
 # file parsing
 
+# the directives, each allowed once: the kinds that read it and its usage
+_DIRECTIVES = {
+    "counit": (("dgc", "ainf"), "expected: counit <name>"),
+    "truncate": (("cdga",), "expected: truncate <N>"),
+}
+
 
 def parse(path: str) -> ModelFile:
     with open(path) as fh:
@@ -337,6 +345,13 @@ def parse(path: str) -> ModelFile:
     gens: list[tuple[str, int]] = []
     body: list[tuple[int, list]] = []
     options: dict = {}
+    first: dict[str, int] = {}
+
+    def once(what, lineno, col):
+        seen = first.setdefault(what, lineno)
+        if seen != lineno:
+            raise ParseError(path, lineno, col, f"{what} is already defined on line {seen}")
+
     for lineno, raw in enumerate(lines, start=1):
         toks = list(_tokens(path, lineno, raw))
         if not toks:
@@ -364,19 +379,23 @@ def parse(path: str) -> ModelFile:
             if di + 1 < len(toks):
                 raise ParseError(path, lineno, toks[di + 1][1],
                                  "expected: gen <name> : <degree>")
+            once(f"gen {name}", lineno, toks[0][1])
             gens.append((name, sign * int(toks[di][0])))
             continue
-        if head == "counit":
+        if head in _DIRECTIVES:
+            kinds, usage = _DIRECTIVES[head]
             if len(toks) != 2:
-                raise ParseError(path, lineno, toks[0][1], "expected: counit <name>")
-            options["counit"] = toks[1][0]
-            continue
-        if head == "truncate":
-            if len(toks) != 2:
-                raise ParseError(path, lineno, toks[0][1], "expected: truncate <N>")
-            if not toks[1][0].isdigit():
-                raise ParseError(path, lineno, toks[1][1], "expected an integer")
-            options["truncate"] = int(toks[1][0])
+                raise ParseError(path, lineno, toks[0][1], usage)
+            if kind not in kinds:
+                raise ParseError(path, lineno, toks[0][1],
+                                 f"{head} belongs to {' and '.join(kinds)} files, not {kind}")
+            once(head, lineno, toks[0][1])
+            value = toks[1][0]
+            if head == "truncate":
+                if not value.isdigit():
+                    raise ParseError(path, lineno, toks[1][1], "expected an integer")
+                value = int(value)
+            options[head] = value
             continue
         body.append((lineno, toks))
 

@@ -309,6 +309,26 @@ def word_basis(space: GradedSpace, kind: str, arity: int):
     return out
 
 
+def substituted_words(space: GradedSpace, kind: str, pool_lists,
+                      length: int | None = None) -> list[Word]:
+    """Distinct nonzero canonical words, in first-found order, of the
+    concatenations that take one tuple of names from each pool of a pool
+    list; with `length`, only the concatenations of that many names.
+
+    The support-following loops build one pool per factor of a support
+    word, holding the tuples that can stand in for that factor."""
+    found: dict[Word, None] = {}
+    for pools in pool_lists:
+        for combo in itertools.product(*pools):
+            fs = [f for part in combo for f in part]
+            if length is not None and len(fs) != length:
+                continue
+            w, _ = canonical_word(space, kind, fs)
+            if w is not None:
+                found[w] = None
+    return list(found)
+
+
 # ---------------------------------------------------------------------------
 # elements
 

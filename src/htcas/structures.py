@@ -44,6 +44,7 @@ from .core import (
     lincomb,
     shuffle_sign,
     shuffles,
+    substituted_words,
     suspend_element,
     suspension_sign,
     unshuffle,
@@ -362,40 +363,35 @@ def _candidate_words(space: GradedSpace, images: dict[int, dict[Word, Element]],
     """Words that can carry a nonzero Jacobi summand at arity n.
 
     `images` holds the nonzero images of each ell_k by support word.  A
-    summand ell_j(ell_i(x_L), x_R) is nonzero only when some output factor u
-    of ell_i(x_L) completes x_R to a support word of ell_j, so each support
-    word of ell_i is joined only with the support words of ell_j that
-    contain a factor of its image, less that factor.  The result contains
+    summand ell_j(ell_i(x_L), x_R), i = n + 1 - j, is nonzero only when some
+    factor u of ell_i(x_L) completes x_R to a support word of ell_j, so one
+    factor u at a time of each support word of ell_j is replaced by the
+    support words of ell_i whose image carries u.  The result contains
     every word whose Jacobi total is nonzero.
     """
-    rests: dict[int, dict[str, list[tuple[str, ...]]]] = {}
-    for j, imgs in images.items():
-        rests[j] = {}
-        for w_out in imgs:
-            fs = w_out.factors
-            for drop in range(len(fs)):
-                rests[j].setdefault(fs[drop], []).append(fs[:drop] + fs[drop + 1:])
-    seen = set()
-    out = []
+    pool_lists = []
     for i in sorted(images):
         j = n + 1 - i
         if j not in images:
             continue
+        carriers: dict[str, list[tuple[str, ...]]] = {}
         for w_in, val in images[i].items():
-            for u in dict.fromkeys(f for w in val.terms for f in w.factors):
-                for rest in rests[j].get(u, ()):
-                    w, _ = canonical_word(space, kind, w_in.factors + rest)
-                    if w is None or w in seen:
-                        continue
-                    seen.add(w)
-                    out.append(w)
-    return out
+            for u in {f for w in val.terms for f in w.factors}:
+                carriers.setdefault(u, []).append(w_in.factors)
+        for sw in images[j]:
+            fs = sw.factors
+            pool_lists.extend([carriers.get(u, ()) if q == p else [(f,)] for q, f in enumerate(fs)]
+                              for p, u in enumerate(fs))
+    return substituted_words(space, kind, pool_lists)
 
 
 def check_linf(L: LInfAlgebra) -> CheckReport:
     """Evaluate the generalized Jacobi identity on the words
-    `_candidate_words` builds from the ops' supports and images, which
-    include every word with a nonzero Jacobi total, so it is exhaustive.
+    `_candidate_words` builds from the ops' supports and images, each
+    support word of an outer ell_j with one factor replaced by the inner
+    support words whose image carries it.  They include every word with a
+    nonzero Jacobi total, so the check is exhaustive.  Among failing words
+    the one reported is the first in that order.
     """
     if not L.ops:
         return CheckReport(True)
@@ -469,23 +465,14 @@ def perturb(L: LInfAlgebra, mc: MaurerCartanElement) -> LInfAlgebra:
 
     ell_k^z(w) is nonzero only when w is a support word of some ell_{i+k}
     less i factors that lie in the support of z, so only those words are
-    evaluated."""
+    evaluated: each such factor may be dropped, keeping length k."""
     z = mc.element
     zsupp = {f for w in z.terms for f in w.factors}
     ops: dict[int, GradedMap] = {}
     for k in range(1, L.max_arity + 1):
-        cands: dict[Word, None] = {}
-        for i in range(0, L.max_arity - k + 1):
-            if i + k not in L.ops:
-                continue
-            for sw in L.ops[i + k].support():
-                fs = sw.factors
-                spots = [p for p, f in enumerate(fs) if f in zsupp]
-                for drop in itertools.combinations(spots, i):
-                    rest = [f for p, f in enumerate(fs) if p not in drop]
-                    w, _ = canonical_word(L.space, "w", rest)
-                    if w is not None:
-                        cands[w] = None
+        pool_lists = ([[(), (f,)] if f in zsupp else [(f,)] for f in sw.factors]
+                      for m in sorted(L.ops) if m >= k for sw in L.ops[m].support())
+        cands = substituted_words(L.space, "w", pool_lists, length=k)
         images = {}
         for w in cands:
             arg = Element(L.space, {Word.tensor(*w.factors): 1})
@@ -571,7 +558,7 @@ def truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
     pairs = [(n, space.degree(n)) for n in pos]
     include: dict[str, Element] = {n: Element.gen(space, n) for n in pos}
     # pre[n]: the new basis elements whose inclusion involves n
-    pre: dict[str, list[str]] = {n: [n] for n in pos}
+    pre: dict[str, list[tuple[str]]] = {n: [(n,)] for n in pos}
     cycle_words = [Word.tensor(n) for n in zero]
     pivots = []
     for vec in cycles:
@@ -581,7 +568,7 @@ def truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
         pairs.append((pivot, 0))
         for n, x in zip(zero, vec):
             if x:
-                pre.setdefault(n, []).append(pivot)
+                pre.setdefault(n, []).append((pivot,))
     new_space = GradedSpace.of(sorted(pairs, key=lambda p: space.index(p[0])))
 
     def reexpress(el: Element) -> Element:
@@ -602,12 +589,8 @@ def truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
 
     ops: dict[int, GradedMap] = {}
     for k in sorted(L.ops):
-        cands: dict[Word, None] = {}
-        for sw in L.ops[k].support():
-            for fs in itertools.product(*(pre.get(f, ()) for f in sw.factors)):
-                w, _ = canonical_word(new_space, "w", fs)
-                if w is not None:
-                    cands[w] = None
+        cands = substituted_words(
+            new_space, "w", ([pre.get(f, ()) for f in sw.factors] for sw in L.ops[k].support()))
         images = {}
         for w in cands:
             arg = None

@@ -42,10 +42,10 @@ from .core import (
     GradedSpace,
     ValidationError,
     Word,
-    canonical_word,
     from_coords,
     koszul_sign,
     lincomb,
+    substituted_words,
     tensor_apply,
     word_basis,
 )
@@ -500,56 +500,29 @@ def _set_partitions(k: int, j: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def _length_splits(k: int, j: int, most: int):
-    """Non-increasing j-tuples of positive lengths summing to k, each <= most."""
-    if j == 1:
-        if 1 <= k <= most:
-            yield (k,)
-        return
-    for first in range(min(k - j + 1, most), 0, -1):
-        for rest in _length_splits(k - first, j - 1, first):
-            yield (first,) + rest
-
-
 def _support_merges(support: dict, k: int, arities: list[int], space: GradedSpace,
                     L: LInfAlgebra) -> list[tuple[str, ...]]:
     """Canonical words of length k that merge j support words, j in arities,
     into an input of a nonzero B_j, in word-basis order: the only words on
     which F can be nonzero.
 
-    Each support entry I(x_B) is indexed by (block length, letter), a letter
-    being a factor of its terms.  B_j(I(x_B1) (x) ... (x) I(x_Bj)) != 0
-    needs a term u_1 (x) ... (x) u_j, u_i a letter of I(x_Bi), whose
-    canonical wedge word lies in the support of ell_j.  Ordering the blocks
-    by non-increasing length orders their letters as one ordering of that
-    support word, so for each support word of ell_j, each distinct ordering
-    of its letters and each length split, joining only the entries that
-    carry the assigned letters generates every word with F != 0.
+    B_j(I(x_B1) (x) ... (x) I(x_Bj)) != 0 needs a term u_1 (x) ... (x) u_j,
+    u_i a letter (a factor of a term) of I(x_Bi), whose canonical wedge
+    word lies in the support of ell_j.  The merge does not depend on the
+    order of its blocks, so replacing each factor u of each support word of
+    ell_j by every support entry whose value carries u, at any block
+    length, and keeping the merges of length k generates every word with
+    F != 0.
     """
-    index: dict[tuple[int, str], list[tuple[str, ...]]] = {}
-    for m, entries in support.items():
+    carriers: dict[str, list[tuple[str, ...]]] = {}
+    for entries in support.values():
         for x, val in entries.items():
-            for u in dict.fromkeys(f for w in val.terms for f in w.factors):
-                index.setdefault((m, u), []).append(x)
-    found = set()
-    seen = set()
-    for j in arities:
-        splits = list(_length_splits(k, j, k - 1))
-        if not splits:
-            continue
-        for sw in L.ops[j].support():
-            for letters in dict.fromkeys(itertools.permutations(sw.factors)):
-                for split in splits:
-                    pools = [index.get(key, ()) for key in zip(split, letters)]
-                    for combo in itertools.product(*pools):
-                        blocks = tuple(sorted(combo))
-                        if blocks in seen:
-                            continue
-                        seen.add(blocks)
-                        w, _ = canonical_word(space, "m", [f for x in blocks for f in x])
-                        if w is not None:
-                            found.add(w.factors)
-    return sorted(found, key=lambda fs: [space.sortkey(f) for f in fs])
+            for u in {f for w in val.terms for f in w.factors}:
+                carriers.setdefault(u, []).append(x)
+    pool_lists = ([carriers.get(u, ()) for u in sw.factors]
+                  for j in arities if j <= k for sw in L.ops[j].support())
+    found = substituted_words(space, "m", pool_lists, length=k)
+    return sorted((w.factors for w in found), key=lambda fs: [space.sortkey(f) for f in fs])
 
 
 def _vertex_sum(w: tuple[str, ...], support: dict, partitions: dict,
@@ -590,14 +563,15 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
 
     where eps is the Koszul sign of concatenating the blocks, I(x) = i(x)
     for a single factor and I(x_B) = h(F(x_B)) otherwise, and
-    ell'_k(w) = p(F(w)).  j runs over the arities j >= 2 of L.  Only
-    canonical merges of words with
-    nonzero I whose letters meet a support word of ell_j are evaluated
-    (`_support_merges`), so the cost follows the output rather than the
-    word basis.  Scalars stay exact ints or Fractions throughout.  A split
-    into blocks, applied recursively, is a leaf-labelled rooted tree, so by
-    orbit-stabilizer this is the tree sum sum_T ell_T / |Aut T| of
-    `tree_map_lie`.
+    ell'_k(w) = p(F(w)).  j runs over the arities j >= 2 of L.  Only the
+    canonical merges of words with nonzero I that fill a support word of
+    ell_j letter by letter are evaluated (`_support_merges`, built on the
+    candidate generator `core.substituted_words` that the Jacobi check,
+    twisting and truncation share), so the cost follows the output rather
+    than the word basis.  Scalars stay exact ints or Fractions throughout.
+    A split into blocks, applied recursively, is a leaf-labelled rooted
+    tree, so by orbit-stabilizer this is the tree sum sum_T ell_T / |Aut T|
+    of `tree_map_lie`.
 
     `words`, when given, restricts which ell'_k images are kept at each
     arity; the I values below max_k are computed in full regardless.

@@ -54,7 +54,6 @@ from htcas.transfer import (
     Decomposition,
     HomotopyRetract,
     _as_wedge_op,
-    _length_splits,
     _set_partitions,
     _shift_retract,
     _support_merges,
@@ -646,6 +645,17 @@ def d_tensor_by_elements(M: FreeLieDGL, el: Element) -> Element:
             if space.degree(f) % 2:
                 sign = -sign
     return lincomb(space, parts)
+
+
+def _length_splits(k: int, j: int, most: int):
+    """Non-increasing j-tuples of positive lengths summing to k, each <= most."""
+    if j == 1:
+        if 1 <= k <= most:
+            yield (k,)
+        return
+    for first in range(min(k - j + 1, most), 0, -1):
+        for rest in _length_splits(k - first, j - 1, first):
+            yield (first,) + rest
 
 
 def all_support_merges(support: dict, k: int, arities: list[int],

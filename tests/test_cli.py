@@ -326,6 +326,16 @@ def test_malformed_directives_are_parse_errors(tmp_path, capsys):
          "l2 ( x ^ y ) = z\nl2 ( y ^ x ) = z\n",
          ":6:0: l2 ( y ^ x ) is already defined on line 5"),
         ("u.mc", "kind mc\ngen x : -1\nmc = x\nmc = x\n", ":4:0: mc is already defined on line 3"),
+        # so do a second directive and a second gen line for one name, and
+        # a directive is refused where its kind does not read it
+        ("v.cdga", "kind cdga\ngen a : 3\ntruncate 6\ntruncate 9\n",
+         ":4:0: truncate is already defined on line 3"),
+        ("w.dgc", "kind dgc\ngen x : 2\ngen y : 2\ncounit x\ncounit y\n",
+         ":5:0: counit is already defined on line 4"),
+        ("x.linf", "kind linf\ngen x : 2\ntruncate 4\n", ":3:0: truncate belongs to cdga files"),
+        ("y.linf", "kind linf\ngen x : 2\ncounit x\n",
+         ":3:0: counit belongs to dgc and ainf files"),
+        ("z.cdga", "kind cdga\ngen a : 3\ngen a : 5\n", ":3:0: gen a is already defined on line 2"),
     ]
     for name, text, want in cases:
         p = write(tmp_path, name, text)

@@ -19,6 +19,7 @@ from htcas.core import (
     frac,
     from_coords,
     koszul_sign,
+    substituted_words,
     suspension_sign,
     symmetrize,
     tensor_apply,
@@ -89,6 +90,26 @@ def test_canonicalization_idempotent():
                 continue
             w2, s2 = canonical_word(SP, kind, w.factors)
             assert w2 == w and s2 == 1
+
+
+def test_substituted_words():
+    # one tuple from each pool, concatenated, canonicalized, deduplicated in
+    # first-found order: (s, r) and (r, s) are one wedge word, and (s, s)
+    # is zero
+    pool_lists = [[[("s",), ("r",)], [("r",), ("s",), ("g", "h")]],
+                  [[("h",)], [("g",)]]]
+    assert substituted_words(SP, "w", pool_lists) == [
+        Word.wedge("r", "s"), Word.wedge("g", "h", "s"), Word.wedge("r", "r"),
+        Word.wedge("g", "h", "r"), Word.wedge("g", "h")]
+    assert substituted_words(SP, "w", pool_lists, length=3) == [
+        Word.wedge("g", "h", "s"), Word.wedge("g", "h", "r")]
+    # a repeated even factor kills a wedge word, a repeated odd one a monomial
+    assert substituted_words(SP, "w", [[[("s",)], [("s",), ("g",)]]]) == [Word.wedge("g", "s")]
+    assert substituted_words(SP, "m", [[[("g",)], [("g",), ("s",)]]]) == [Word.mono("g", "s")]
+    # an empty tuple drops its factor; an empty pool yields nothing
+    assert substituted_words(SP, "w", [[[(), ("g",)], [("h",)]]], length=1) == [Word.wedge("h")]
+    assert substituted_words(SP, "w", [[[("g",)], []]]) == []
+    assert substituted_words(SP, "w", []) == []
 
 
 def test_element_homogeneity_enforced():

@@ -1,6 +1,8 @@
 """What a process loads: the lazy package namespace and each command's
-module set, read from `sys.modules` of a fresh interpreter."""
+module set, read from `sys.modules` of a fresh interpreter; and what each
+module imports, read from its syntax tree."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -80,3 +82,40 @@ def test_star_import():
     proc = subprocess.run([*PYTHON, script], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _annotation_names(tree):
+    """Names read by the annotations of a module, string annotations included."""
+    notes = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes.append(node.returns)
+        elif isinstance(node, ast.arg):
+            notes.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            notes.append(node.annotation)
+    names = set()
+    for note in filter(None, notes):
+        for sub in ast.walk(note):
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                sub = ast.parse(sub.value, mode="eval")
+            names |= {n.id for n in ast.walk(sub) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_no_module_imports_an_unused_name():
+    # a use anywhere in the module counts: in a TYPE_CHECKING block, a
+    # function body or an annotation written as a string
+    for path in sorted((ROOT / "src" / "htcas").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= _annotation_names(tree)
+        unused = {name: line for name, line in imported.items() if name not in used}
+        assert not unused, (path.name, unused)

@@ -432,7 +432,7 @@ S3_INTO_CUBIC_Y = ([("a", 3), ("b", 3), ("e", 3)], {},
                          VARIANTS + [N4_INTO_EX1_Y, S3_INTO_CUBIC_Y])
 def test_target_indexed_merges_keep_every_nonzero_word(srcgens, srcd, tgtgens, tgtd):
     # at every arity up to 4, the target-indexed candidates are all-combinations
-    # candidates, in the same order, and include every word with F != 0
+    # candidates, in the same order, and are exactly the words with F != 0
     B = FiniteCDGA(CDGA.of(srcgens, srcd), max_cohom=sum(d for _, d in srcgens))
     _, red = dual_coalgebra(B)
     L = linf_from_cdga(CDGA.of(tgtgens, tgtd))
@@ -444,4 +444,5 @@ def test_target_indexed_merges_keep_every_nonzero_word(srcgens, srcd, tgtgens, t
         assert kept <= set(every), k
         assert set(nonzero) <= kept, k
         assert indexed == [w for w in every if w in kept], k
+        assert indexed == nonzero, k
     assert any(nonzero for _, _, nonzero in found.values())
