@@ -364,21 +364,21 @@ def quillen(C: AInfCoalgebra) -> FreeLieDGL:
     """Generalized Quillen model: free Lie algebra on the desuspension with
     the differential read off the co-operations (cobar orientation on the
     linear part)."""
-    from .structures import ShiftedCoops, check_cocommutative
+    from .structures import check_cocommutative, shifted_coops
 
     if C.counit is not None:
         raise ValueError("quillen expects a reduced coalgebra")
     rep = check_cocommutative(C)
     if not rep:
         raise ValueError(f"quillen needs a cocommutative input: {rep}")
-    sh = ShiftedCoops(C)
-    gens = sh.space
+    coops = shifted_coops(C)
+    gens = C.space.suspend(-1)
     diff: dict[str, FreeLieElement] = {}
     for name in C.space.names:
         # the cobar sign (-1)^k; pinned by agreement with the direct
         # homology-decomposition recursion in every arity
-        total = lincomb(gens, ((-1 if k % 2 else 1, sh.op(k).apply_word(Word.tensor(name)))
-                               for k in C.ops))
+        total = lincomb(gens, ((-1 if k % 2 else 1, m.apply_word(Word.tensor(name)))
+                               for k, m in coops.items()))
         if total:
             diff[name] = FreeLieElement(total)
     out = FreeLieDGL(gens, diff)

@@ -12,15 +12,19 @@ literally:
 
 with the Koszul tensor-evaluation rule supplying all remaining signs.
 
-The engine also keeps suspension-normalized views in which every op has
-degree -1 (co-ops conjugated onto s^{-1}C, brackets onto sL):
+`shifted_coops` and `shifted_brackets` build the suspension-normalized
+ops once, as plain GradedMaps of degree -1 (co-ops conjugated onto
+s^{-1}C, brackets onto sL):
 
-    shifted_k = (s^{-1})^{(x)k} o op_k o s          (A-infinity)
-    B_k       = s o ell_k o (s^{-1})^{(x)k}         (L-infinity)
+    delta_k = (s^{-1})^{(x)k} o Delta_k o s         (A-infinity)
+    B_k     = s o ell_k o (s^{-1})^{(x)k}           (L-infinity)
 
 and the exact inverse conjugation carries the interleaving sign
-(-1)^{k(k-1)/2}.  In this normalization the homotopy-transfer tree sums
-are sign-free, which is how the transfer module computes them.
+(-1)^{k(k-1)/2}.  By decalage B_k is graded symmetric on sL, so it is
+stored on monomial words and GradedMap's canonicalization evaluates it on
+every input order.  In this normalization the homotopy-transfer tree
+sums are sign-free, which is how the transfer module computes them, and
+the shifted checkers run the literal checkers' loops on these maps.
 """
 
 from __future__ import annotations
@@ -66,10 +70,6 @@ class CheckReport:
         if self.ok:
             return "ok"
         return f"FAIL at {self.where}: {self.residual!r}"
-
-
-def _interleave_sign(k: int) -> int:
-    return -1 if (k * (k - 1) // 2) % 2 else 1
 
 
 class AInfCoalgebra:
@@ -157,69 +157,42 @@ class MaurerCartanElement:
 
 
 # ---------------------------------------------------------------------------
-# shifted views
+# shifted ops
 
 
-class ShiftedCoops:
-    """Co-ops conjugated onto the desuspension: uniform degree -1."""
-
-    def __init__(self, C: AInfCoalgebra):
-        self.coalgebra = C
-        self.space = C.space.suspend(-1)
-        self._maps: dict[int, GradedMap] = {}
-
-    @property
-    def arities(self):
-        return sorted(self.coalgebra.ops)
-
-    def op(self, k: int) -> GradedMap:
-        if k not in self._maps:
-            C = self.coalgebra
-            images = {}
-            for name in C.space.names:
-                img = C.delta(k).apply_word(Word.tensor(name))
-                if img:
-                    images[Word.tensor(name)] = suspend_element(img, self.space)
-            self._maps[k] = GradedMap(self.space, self.space, -1, images)
-        return self._maps[k]
+def shifted_coops(C: AInfCoalgebra) -> dict[int, GradedMap]:
+    """delta_k = (s^{-1})^{(x)k} o Delta_k o s on s^{-1}C, for each arity of C."""
+    space = C.space.suspend(-1)
+    return {k: GradedMap(space, space, -1, {w: suspend_element(el, space)
+                                            for w, el in m.images.items()})
+            for k, m in C.ops.items()}
 
 
 def unshift_coop(shifted_map: GradedMap, k: int, space: GradedSpace) -> GradedMap:
     """Inverse conjugation: Delta_k = (-1)^{k(k-1)/2} s^{(x)k} o delta_k o s^{-1}."""
-    c = _interleave_sign(k)
+    c = suspension_sign([1] * k)
     images = {}
     for w, el in shifted_map.images.items():
         images[w] = c * suspend_element(el, space)
     return GradedMap(space, space, k - 2, images)
 
 
-class ShiftedBrackets:
-    """Brackets conjugated onto the suspension: B_k of uniform degree -1.
+def shifted_brackets(L: LInfAlgebra) -> dict[int, GradedMap]:
+    """B_k = s o ell_k o (s^{-1})^{(x)k} on the monomial words of sL, for
+    each arity of L.
 
-    Evaluation is on tensor words over sL (memoized); the underlying wedge
-    lookup canonicalizes in L-degrees.
-    """
-
-    def __init__(self, L: LInfAlgebra):
-        self.algebra = L
-        self.space = L.space.suspend(+1)
-        self._cache: dict[tuple[int, tuple[str, ...]], Element] = {}
-
-    def apply_factors(self, k: int, factors: tuple[str, ...]) -> Element:
-        key = (k, factors)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        L = self.algebra
-        sign = suspension_sign([self.space.degree(f) for f in factors])
-        val = L.ell(k).apply_word(Word.tensor(*factors))
-        out = sign * suspend_element(val, self.space)
-        self._cache[key] = out
-        return out
-
-    def apply(self, k: int, el: Element) -> Element:
-        return lincomb(self.space, ((c, self.apply_factors(k, w.factors))
-                                    for w, c in el.terms.items()))
+    The canonical wedge words of L are the canonical monomial words of sL.
+    Swapping adjacent inputs of sL-degrees p and q costs the wedge sign
+    -(-1)^{(p-1)(q-1)} in L times the change (-1)^{p+q} of the suspension
+    sign, which is the Koszul sign (-1)^{pq} of monomial words; so these
+    images give B_k on every input order."""
+    space = L.space.suspend(+1)
+    out = {}
+    for k, m in L.ops.items():
+        images = {Word.mono(*w.factors): suspension_sign([space.degree(f) for f in w.factors])
+                  * suspend_element(el, space) for w, el in m.images.items()}
+        out[k] = GradedMap(space, space, -1, images, arity=k, in_kind="m")
+    return out
 
 
 def unshift_bracket(space: GradedSpace, k: int,
@@ -230,7 +203,7 @@ def unshift_bracket(space: GradedSpace, k: int,
     `shifted_images` is keyed by canonical wedge words of `space` (which are
     the canonical monomial words of its suspension); every other word maps
     to zero.  The images keep the order of the keys."""
-    c = _interleave_sign(k)
+    c = suspension_sign([1] * k)
     images = {}
     for w, val in shifted_images.items():
         sign = suspension_sign([space.degree(f) for f in w.factors])
@@ -260,30 +233,24 @@ def _ainf_total(ops: dict[int, GradedMap], space: GradedSpace, gen: str,
     return lincomb(space, parts)
 
 
+def _check_coherence(ops: dict[int, GradedMap], space: GradedSpace,
+                     literal_signs: bool, label: str) -> CheckReport:
+    for i in range(1, 2 * max(ops, default=0)):
+        for gen in space.names:
+            total = _ainf_total(ops, space, gen, i, literal_signs)
+            if total:
+                return CheckReport(False, f"{label} i={i} on {gen}", total)
+    return CheckReport(True)
+
+
 def check_ainf(C: AInfCoalgebra) -> CheckReport:
     """Evaluate the A-infinity coherence relation on every basis element."""
-    if not C.ops:
-        return CheckReport(True)
-    top = 2 * C.max_arity - 1
-    for i in range(1, top + 1):
-        for gen in C.space.names:
-            total = _ainf_total(C.ops, C.space, gen, i, literal_signs=True)
-            if total:
-                return CheckReport(False, f"relation i={i} on {gen}", total)
-    return CheckReport(True)
+    return _check_coherence(C.ops, C.space, True, "relation")
 
 
 def check_ainf_shifted(C: AInfCoalgebra) -> CheckReport:
     """Cross-form of check_ainf in the degree -1 normalization (sign-free)."""
-    sh = ShiftedCoops(C)
-    ops = {k: sh.op(k) for k in C.ops}
-    top = 2 * C.max_arity - 1 if C.ops else 0
-    for i in range(1, top + 1):
-        for gen in sh.space.names:
-            total = _ainf_total(ops, sh.space, gen, i, literal_signs=False)
-            if total:
-                return CheckReport(False, f"shifted relation i={i} on {gen}", total)
-    return CheckReport(True)
+    return _check_coherence(shifted_coops(C), C.space.suspend(-1), False, "shifted relation")
 
 
 def check_cocommutative(C: AInfCoalgebra) -> CheckReport:
@@ -333,56 +300,65 @@ def iterated_coproduct(C: AInfCoalgebra, k: int) -> GradedMap:
 # L-infinity checks
 
 
-def _jacobi_total(get, arities, space: GradedSpace, factors: tuple[str, ...],
+def _jacobi_total(ops: dict[int, GradedMap], space: GradedSpace, factors: tuple[str, ...],
                   n: int, literal_signs: bool) -> Element:
     """Sum over (i, n-i)-shuffles of outer(inner(block), rest)."""
     degs = [space.degree(f) for f in factors]
     parts = []
-    for i in arities:
+    for i in sorted(ops):
         j = n + 1 - i
-        if j < 1 or j not in arities:
+        if j not in ops:
             continue
         block_sign = 1
         if literal_signs and (i * (j - 1)) % 2:
             block_sign = -1
         for left, right in shuffles(n, i):
             s = shuffle_sign(degs, left, right, signature=literal_signs)
-            inner = get(i, tuple(factors[p] for p in left))
+            inner = ops[i].apply_word(Word("t", tuple(factors[p] for p in left)))
             if not inner:
                 continue
             rest = tuple(factors[p] for p in right)
             for w, c in inner.terms.items():
-                out = get(j, w.factors + rest)
+                out = ops[j].apply_word(Word("t", w.factors + rest))
                 if out:
                     parts.append((block_sign * s * c, out))
     return lincomb(space, parts)
 
 
-def _candidate_words(space: GradedSpace, images: dict[int, dict[Word, Element]],
-                     n: int, kind: str = "w"):
-    """Words that can carry a nonzero Jacobi summand at arity n.
+def _candidate_words(space: GradedSpace, ops: dict[int, GradedMap], n: int, kind: str):
+    """Words of the given kind that can carry a nonzero Jacobi summand at
+    arity n.
 
-    `images` holds the nonzero images of each ell_k by support word.  A
-    summand ell_j(ell_i(x_L), x_R), i = n + 1 - j, is nonzero only when some
+    A summand ell_j(ell_i(x_L), x_R), i = n + 1 - j, is nonzero only when some
     factor u of ell_i(x_L) completes x_R to a support word of ell_j, so one
     factor u at a time of each support word of ell_j is replaced by the
     support words of ell_i whose image carries u.  The result contains
     every word whose Jacobi total is nonzero.
     """
     pool_lists = []
-    for i in sorted(images):
+    for i in sorted(ops):
         j = n + 1 - i
-        if j not in images:
+        if j not in ops:
             continue
         carriers: dict[str, list[tuple[str, ...]]] = {}
-        for w_in, val in images[i].items():
+        for w_in, val in ops[i].images.items():
             for u in {f for w in val.terms for f in w.factors}:
                 carriers.setdefault(u, []).append(w_in.factors)
-        for sw in images[j]:
+        for sw in ops[j].images:
             fs = sw.factors
             pool_lists.extend([carriers.get(u, ()) if q == p else [(f,)] for q, f in enumerate(fs)]
                               for p, u in enumerate(fs))
     return substituted_words(space, kind, pool_lists)
+
+
+def _check_jacobi(ops: dict[int, GradedMap], space: GradedSpace, kind: str,
+                  literal_signs: bool, label: str) -> CheckReport:
+    for n in range(1, 2 * max(ops, default=0)):
+        for w in _candidate_words(space, ops, n, kind):
+            total = _jacobi_total(ops, space, w.factors, n, literal_signs)
+            if total:
+                return CheckReport(False, f"{label} n={n} on {w!r}", total)
+    return CheckReport(True)
 
 
 def check_linf(L: LInfAlgebra) -> CheckReport:
@@ -393,45 +369,12 @@ def check_linf(L: LInfAlgebra) -> CheckReport:
     nonzero Jacobi total, so the check is exhaustive.  Among failing words
     the one reported is the first in that order.
     """
-    if not L.ops:
-        return CheckReport(True)
-    arities = sorted(L.ops)
-    images = {k: L.ops[k].images for k in arities}
-
-    def get(k, factors):
-        if k not in L.ops:
-            return Element.zero(L.space)
-        return L.ops[k].apply_word(Word.tensor(*factors))
-
-    top = 2 * L.max_arity - 1
-    for n in range(1, top + 1):
-        for w in _candidate_words(L.space, images, n):
-            total = _jacobi_total(get, arities, L.space, w.factors, n, True)
-            if total:
-                return CheckReport(False, f"Jacobi n={n} on {w!r}", total)
-    return CheckReport(True)
+    return _check_jacobi(L.ops, L.space, "w", True, "Jacobi")
 
 
 def check_linf_shifted(L: LInfAlgebra) -> CheckReport:
     """Cross-form of check_linf in the suspended normalization."""
-    if not L.ops:
-        return CheckReport(True)
-    sh = ShiftedBrackets(L)
-    arities = sorted(L.ops)
-    images = {k: L.ops[k].images for k in arities}
-
-    def get(k, factors):
-        if k not in L.ops:
-            return Element.zero(sh.space)
-        return sh.apply_factors(k, factors)
-
-    top = 2 * L.max_arity - 1
-    for n in range(1, top + 1):
-        for w in _candidate_words(sh.space, images, n, kind="m"):
-            total = _jacobi_total(get, arities, sh.space, w.factors, n, False)
-            if total:
-                return CheckReport(False, f"shifted Jacobi n={n} on {w!r}", total)
-    return CheckReport(True)
+    return _check_jacobi(shifted_brackets(L), L.space.suspend(+1), "m", False, "shifted Jacobi")
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +524,8 @@ def truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
             return Element(new_space, dict(el.terms))
         # the cycle basis is in RREF: the coordinates of a cycle in it are
         # its entries at the pivots
-        vec = [el.coeff(w) for w in cycle_words]
         sol = [el.coeff(Word.tensor(p)) for p in pivots]
-        if [sum(c * v[i] for c, v in zip(sol, cycles)) for i in range(len(zero))] != vec:
+        if lincomb(space, ((c, include[p]) for p, c in zip(pivots, sol))) != el:
             raise ValueError("bracket output is not an ell_1-cycle in degree 0")
         return Element.make(new_space, [(c, "t", (p,)) for p, c in zip(pivots, sol) if c])
 

@@ -52,8 +52,8 @@ from .core import (
 from .structures import (
     AInfCoalgebra,
     LInfAlgebra,
-    ShiftedBrackets,
-    ShiftedCoops,
+    shifted_brackets,
+    shifted_coops,
     unshift_bracket,
     unshift_coop,
 )
@@ -318,16 +318,18 @@ def _shift_retract(r: HomotopyRetract, shift: int) -> _ShiftedRetract:
 # A-infinity transfer
 
 
-def _coop_map(coops: ShiftedCoops, rr: _ShiftedRetract, slot_tuples) -> GradedMap:
+def _coop_map(coops: dict[int, GradedMap], rr: _ShiftedRetract, slot_tuples) -> GradedMap:
     """Sum over slot tuples S of (S_1 (x) ... (x) S_j) o delta_j, j = len(S),
-    as a map from the big space to tensor words of the small one.  Every
-    slot has degree 0, so the evaluation carries no Koszul signs."""
+    as a map from the big space to tensor words of the small one; an arity
+    missing from `coops` contributes zero.  Every slot has degree 0, so the
+    evaluation carries no Koszul signs."""
     images = {}
     for name in rr.big.names:
         w = Word.tensor(name)
         parts = []
         for slots in slot_tuples:
-            mid = coops.op(len(slots)).apply_word(w)
+            delta = coops.get(len(slots))
+            mid = delta.apply_word(w) if delta is not None else None
             if mid:
                 parts.append((1, tensor_apply(slots, [1] * len(slots), mid)))
         images[w] = lincomb(rr.small, parts)
@@ -359,7 +361,7 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
     each planar tree once: it is the tree sum of `tree_map_coalgebra`."""
     if max_k is not None and max_k < 2:
         raise ValidationError(f"the arity cap must be at least 2, got {max_k}")
-    coops = ShiftedCoops(C)
+    coops = shifted_coops(C)
     rr = _shift_retract(r, -1)
     cap = max_k if max_k is not None else ainf_transfer_cap(C, r.small.space)
     if cap is None:
@@ -368,7 +370,7 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
     ops: dict[int, GradedMap] = {}
     if not r.small.diff.is_zero():
         ops[1] = r.small.diff
-    arities = [j for j in coops.arities if j >= 2]
+    arities = [j for j in sorted(coops) if j >= 2]
     G = {1: rr.proj}
     for m in range(2, cap + 1):
         F = _coop_map(coops, rr, [
@@ -382,7 +384,7 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
     return AInfCoalgebra(r.small.space, ops, counit=counit)
 
 
-def _tree_coop(tree, coops: ShiftedCoops, rr: _ShiftedRetract) -> GradedMap:
+def _tree_coop(tree, coops: dict[int, GradedMap], rr: _ShiftedRetract) -> GradedMap:
     """F_T for a planar tree T with an internal root: the root co-op followed
     by p on each leaf and F_c o h on each subtree c."""
     from . import trees
@@ -398,7 +400,7 @@ def tree_map_coalgebra(tree, C: AInfCoalgebra, r: HomotopyRetract) -> GradedMap:
     from . import trees
 
     rr = _shift_retract(r, -1)
-    delta = _tree_coop(tree, ShiftedCoops(C), rr).compose(rr.incl)
+    delta = _tree_coop(tree, shifted_coops(C), rr).compose(rr.incl)
     return unshift_coop(delta, trees.leaf_count(tree), r.small.space)
 
 
@@ -406,7 +408,7 @@ def tree_map_coalgebra(tree, C: AInfCoalgebra, r: HomotopyRetract) -> GradedMap:
 # L-infinity transfer
 
 
-def _lie_node(tree, B: ShiftedBrackets, rr: _ShiftedRetract,
+def _lie_node(tree, B: dict[int, GradedMap], rr: _ShiftedRetract,
               factors: tuple[str, ...], memo: dict) -> Element:
     """Value of a subtree on its chunk of leaf inputs (before the edge below)."""
     from . import trees
@@ -418,7 +420,7 @@ def _lie_node(tree, B: ShiftedBrackets, rr: _ShiftedRetract,
     if hit is not None:
         return hit
     arity = len(tree)
-    if arity not in B.algebra.ops:
+    if arity not in B:
         out = Element.zero(rr.big)
         memo[key] = out
         return out
@@ -441,7 +443,7 @@ def _lie_node(tree, B: ShiftedBrackets, rr: _ShiftedRetract,
         arg = vals[0]
         for v in vals[1:]:
             arg = arg.tensor(v)
-        out = B.apply(arity, arg)
+        out = B[arity].apply(arg)
     memo[key] = out
     return out
 
@@ -526,7 +528,7 @@ def _support_merges(support: dict, k: int, arities: list[int], space: GradedSpac
 
 
 def _vertex_sum(w: tuple[str, ...], support: dict, partitions: dict,
-                B: ShiftedBrackets, rr: _ShiftedRetract) -> Element:
+                B: dict[int, GradedMap], rr: _ShiftedRetract) -> Element:
     """F(w): every root vertex B_j over every split of w into j blocks.
 
     The subwords of a canonical word are canonical, so each block is looked
@@ -546,7 +548,7 @@ def _vertex_sum(w: tuple[str, ...], support: dict, partitions: dict,
                 arg = vals[0]
                 for v in vals[1:]:
                     arg = arg.tensor(v)
-                for word, c in B.apply(j, arg).terms.items():
+                for word, c in B[j].apply(arg).terms.items():
                     terms[word] = terms.get(word, ZERO) + eps * c
     return Element(rr.big, terms)
 
@@ -578,7 +580,7 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
     """
     if max_k is not None and max_k < 2:
         raise ValidationError(f"the arity cap must be at least 2, got {max_k}")
-    B = ShiftedBrackets(L)
+    B = shifted_brackets(L)
     rr = _shift_retract(r, +1)
     if max_k is None:
         max_k = linf_transfer_cap(L, r.small.space)
@@ -625,7 +627,7 @@ def tree_map_lie(tree, L: LInfAlgebra, r: HomotopyRetract) -> GradedMap:
     from . import trees
 
     k = trees.leaf_count(tree)
-    B = ShiftedBrackets(L)
+    B = shifted_brackets(L)
     rr = _shift_retract(r, +1)
     memo: dict = {}
     small = r.small.space

@@ -46,8 +46,8 @@ from htcas.structures import (
     AInfCoalgebra,
     LInfAlgebra,
     MaurerCartanElement,
-    ShiftedBrackets,
     iterated_coproduct,
+    shifted_brackets,
 )
 from htcas.transfer import (
     ChainComplex,
@@ -681,7 +681,7 @@ def linf_merge_candidates(L: LInfAlgebra, r: HomotopyRetract, max_k: int) -> dic
     every word of `all_support_merges`.  Returns, per arity k, the
     all-combinations candidates, the target-indexed candidates of
     `_support_merges` on the same support, and the words with F != 0."""
-    B = ShiftedBrackets(L)
+    B = shifted_brackets(L)
     rr = _shift_retract(r, +1)
     arities = [j for j in sorted(L.ops) if j >= 2]
     support = {1: {(n,): rr.incl.apply_word(Word.tensor(n)) for n in rr.small.names}}

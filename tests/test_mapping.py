@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from helpers import (
     random_finite_cdga,
     random_sullivan,
 )
-from htcas.core import BoundError, Element, GradedSpace, Word
+from htcas.core import BoundError, Element, GradedSpace, Word, suspend_element, suspension_sign
 from htcas.functors import CDGA, FiniteCDGA, cochain, dual_coalgebra, linf_from_cdga
 from htcas.mapping import (
     component_model,
@@ -24,7 +25,7 @@ from htcas.mapping import (
     reduced_bs_direct,
     restrict_positive,
 )
-from htcas.structures import check_linf, mc_check, perturb, truncate
+from htcas.structures import check_linf, mc_check, perturb, shifted_brackets, truncate
 from htcas.transfer import (
     ChainComplex,
     hom_retract,
@@ -446,3 +447,30 @@ def test_target_indexed_merges_keep_every_nonzero_word(srcgens, srcd, tgtgens, t
         assert indexed == [w for w in every if w in kept], k
         assert indexed == nonzero, k
     assert any(nonzero for _, _, nonzero in found.values())
+
+
+def test_shifted_brackets_give_the_suspended_bracket_on_every_order(cbar, target_dgl):
+    # decalage: B_k, stored once on the monomial words of sL, equals
+    # suspension_sign * s ell_k on every ordering of every stored input word.
+    # The worked-example convolution has ell_2 only; no VARIANTS convolution
+    # has an ell_3 (their sources are DGCs, their targets quadratic), so the
+    # transferred model of one and the convolution into the cubic target
+    # bring the ell_3
+    srcgens, srcd, tgtgens, tgtd = VARIANTS[1]
+    B = FiniteCDGA(CDGA.of(srcgens, srcd), max_cohom=sum(d for _, d in srcgens))
+    variant = mapping_space_model(dual_coalgebra(B)[1], linf_from_cdga(CDGA.of(tgtgens, tgtd)),
+                                  max_k=4).model
+    srcgens, srcd, tgtgens, tgtd = S3_INTO_CUBIC_Y
+    B = FiniteCDGA(CDGA.of(srcgens, srcd), max_cohom=sum(d for _, d in srcgens))
+    cubic = convolution_linf(dual_coalgebra(B)[1], linf_from_cdga(CDGA.of(tgtgens, tgtd)))
+    assert 3 in variant.ops and 3 in cubic.ops
+    for L in (convolution_linf(cbar, target_dgl), variant, cubic):
+        sL = L.space.suspend(+1)
+        shifted = shifted_brackets(L)
+        assert sorted(shifted) == sorted(L.ops)
+        for k, m in L.ops.items():
+            for w in m.images:
+                for perm in itertools.permutations(w.factors):
+                    want = suspension_sign([sL.degree(f) for f in perm]) * suspend_element(
+                        L.ell(k).apply_word(Word.tensor(*perm)), sL)
+                    assert want and shifted[k].apply_word(Word.tensor(*perm)) == want, (k, perm)
