@@ -36,7 +36,7 @@ _EXPORTS = {
         "iterated_coproduct", "mc_check", "perturb", "truncate",
     ),
     "transfer": (
-        "ChainComplex", "HomotopyRetract", "hom_retract",
+        "ChainComplex", "HomotopyRetract", "canonical_retract", "hom_retract",
         "homology_decomposition", "identity_retract",
         "retract_from_decomposition", "transfer_ainf", "transfer_linf",
         "tree_map_coalgebra", "tree_map_lie",

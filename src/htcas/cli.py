@@ -37,8 +37,10 @@ is lazy), so a process compiles no more than it needs.  `check` on a cdga
 or dgl file loads `core`, `functors` and `invariants` (which imports only
 `core` at its top); a dgc, ainf or linf model, `dualize`, `quillen`,
 `cochain` and `invariants` on such models add `structures` and `linalg`;
-`transfer-ainf` and `quillen --direct` add `transfer`; `mapmodel` and
-`hspace` add `transfer` and `mapping`.  The tree-sum oracles' `trees` is
+`transfer-ainf` adds `transfer`, and so does `quillen --direct`, through
+`functors.quillen_differential_direct`; `mapmodel` and `hspace` add
+`transfer` and `mapping`, and `mapmodel` checks a Maurer-Cartan element
+through `mapping.component_model`.  The tree-sum oracles' `trees` is
 never loaded.
 """
 
@@ -561,13 +563,10 @@ def cmd_transfer_ainf(args) -> int:
     mf = parse(args.file)
     if mf.kind != "dgc":
         raise ValidationError("transfer-ainf expects a dgc model")
-    from .transfer import (ChainComplex, homology_decomposition,
-                           retract_from_decomposition, transfer_ainf)
+    from .transfer import canonical_retract, transfer_ainf
 
     C = mf.payload
-    dec = homology_decomposition(ChainComplex(C.space, C.delta(1)))
-    r = retract_from_decomposition(dec)
-    H = transfer_ainf(C, r, max_k=args.max_arity)
+    H = transfer_ainf(C, canonical_retract(C), max_k=args.max_arity)
     sys.stdout.write(serialize(H, kind="ainf"))
     return 0
 
@@ -577,13 +576,7 @@ def cmd_quillen(args) -> int:
     if mf.kind != "dgc":
         raise ValidationError("quillen expects a dgc model")
     C = mf.payload
-    if args.direct:
-        from .transfer import ChainComplex, homology_decomposition
-
-        dec = homology_decomposition(ChainComplex(C.space, C.delta(1)))
-        M = quillen_differential_direct(C, dec)
-    else:
-        M = quillen(C)
+    M = quillen_differential_direct(C) if args.direct else quillen(C)
     sys.stdout.write(serialize(M))
     return 0
 
@@ -613,7 +606,6 @@ def cmd_mapmodel(args) -> int:
     if xf.kind != "cdga":
         raise ValidationError("the source side of mapmodel must be a cdga model")
     from .mapping import component_model, mapping_space_model, reduced_bs_cochain
-    from .structures import mc_check
 
     L = _as_linf(yf)
     full, red = dual_coalgebra(_finite_model(xf))
@@ -627,7 +619,7 @@ def cmd_mapmodel(args) -> int:
             if mcf.kind != "mc":
                 raise ValidationError("--mc expects a mc model file")
             phi = Element(model.space, dict(mcf.payload.terms))
-        model = component_model(model, mc_check(model, phi))
+        model = component_model(model, phi)
     if args.emit in ("linf", "both"):
         sys.stdout.write(serialize(model))
     if args.emit in ("bs", "both"):
@@ -642,10 +634,9 @@ def cmd_invariants(args) -> int:
     reports = []
     if mf.kind == "cdga":
         reports.append(differential_length(mf.payload))
-        try:
+        # Wl needs L = s^{-1}V positively graded: no generator of degree <= 1
+        if all(d > 1 for d in mf.payload.gens.degrees()):
             reports.append(whitehead_length(linf_from_cdga(mf.payload)))
-        except ValueError:
-            pass
     elif mf.kind == "dgl":
         reports.append(bracket_length(mf.payload))
     elif mf.kind == "linf":

@@ -92,7 +92,9 @@ def koszul_sign(perm, degrees, signature: bool = True) -> int:
 
     `perm` is 1-based: slot i of the output holds symbol number perm[i-1].
     With signature=True returns eps_sigma * eps (wedge/shuffle signs); with
-    signature=False the Koszul sign alone (symmetric words).
+    signature=False the Koszul sign alone (symmetric words).  The sign of an
+    unshuffle (left, right) of 0-based positions is that of the permutation
+    left + right.
     """
     n = len(perm)
     if len(degrees) != n:
@@ -704,20 +706,6 @@ def shuffles(n: int, i: int):
         yield left, right
 
 
-def shuffle_sign(degs, left, right, signature: bool = True) -> int:
-    """Graded signature of an unshuffle (Koszul sign alone with
-    signature=False)."""
-    sign = 1
-    for a in left:
-        for b in right:
-            if b < a:
-                if signature:
-                    sign = -sign
-                if degs[a] % 2 and degs[b] % 2:
-                    sign = -sign
-    return sign
-
-
 def unshuffle(space: GradedSpace, word: Word, proper: bool = False):
     """Unshuffle splittings of a tensor word with graded-signature signs.
 
@@ -738,7 +726,8 @@ def unshuffle(space: GradedSpace, word: Word, proper: bool = False):
         for left, right in shuffles(n, i):
             lw = Word.tensor(*(word.factors[p] for p in left))
             rw = Word.tensor(*(word.factors[p] for p in right))
-            out[(lw, rw)] = out.get((lw, rw), 0) + shuffle_sign(degs, left, right)
+            sign = koszul_sign([p + 1 for p in left + right], degs)
+            out[(lw, rw)] = out.get((lw, rw), 0) + sign
     return {k: v for k, v in out.items() if v}
 
 

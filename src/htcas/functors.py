@@ -8,7 +8,10 @@ the homological coalgebra/Lie side is unaffected.  Dualizing
 a finite-dimensional graded-commutative algebra uses the plain transpose
 pairing (no extra signs): <Delta phi, x (x) y> = <phi, x y> and
 <delta phi, x> = <phi, d x>; the resulting coalgebras pass the executable
-axioms and this convention is pinned by the dual-coalgebra tests.
+axioms and this convention is pinned by the dual-coalgebra tests.  The
+reduced dual is the restriction of each full co-operation away from the
+dual of the unit.  The direct Quillen differential reads the canonical
+retract of `transfer.canonical_retract`.
 
 Free graded Lie elements are stored through their expansion in the tensor
 algebra (faithful in characteristic zero); zero tests are exact and
@@ -183,7 +186,9 @@ def dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None
     |m|; <Delta m*, x (x) y> = <m*, xy> and <delta m*, x> = <m*, dx>.
     Each dx and each product xy is computed once and its terms are
     scattered into the dual images of the monomials they hit, in the
-    order (x, then y) of the monomial basis.
+    order (x, then y) of the monomial basis.  Each co-operation of the
+    reduced C is the full one with every word that involves the counit
+    dropped, from its inputs and from its outputs.
     """
     from .structures import AInfCoalgebra
 
@@ -195,56 +200,30 @@ def dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None
     space = GradedSpace.of(pairs)
     unit = names[()]
 
-    dd: dict[tuple, list] = {}
-    cc: dict[tuple, list] = {}
+    # tables[k][m]: the (coeff, dual word) terms of Delta_k(m*)
+    tables: dict[int, dict[tuple, list]] = {1: {}, 2: {}}
     for xs in B.monomials:
         for w, co in B.d(xs).terms.items():
-            dd.setdefault(w.factors, []).append((co, (names[xs],)))
+            tables[1].setdefault(w.factors, []).append((co, (names[xs],)))
         for ys in B.monomials:
             if degrees[xs] + degrees[ys] > B.max_cohom:
                 continue
             for w, co in B.multiply(xs, ys).terms.items():
-                cc.setdefault(w.factors, []).append((co, (names[xs], names[ys])))
-    diff_imgs: dict[Word, Element] = {}
-    cop_imgs: dict[Word, Element] = {}
-    for fs in B.monomials:
-        phi = Word.tensor(names[fs])
-        if fs in dd:
-            diff_imgs[phi] = Element.make(space, [(c, "t", t) for c, t in dd[fs]])
-        if fs in cc:
-            cop_imgs[phi] = Element.make(space, [(c, "t", t) for c, t in cc[fs]])
-    ops: dict[int, GradedMap] = {}
-    if diff_imgs:
-        ops[1] = GradedMap(space, space, -1, diff_imgs)
-    ops[2] = GradedMap(space, space, 0, cop_imgs)
+                tables[2].setdefault(w.factors, []).append((co, (names[xs], names[ys])))
+    ops = {k: GradedMap(space, space, k - 2, {
+        Word.tensor(names[fs]): Element.make(space, [(c, "t", t) for c, t in table[fs]])
+        for fs in B.monomials if fs in table}) for k, table in tables.items()}
     full = AInfCoalgebra(space, ops, counit=unit)
 
-    red_pairs = [(n, d) for n, d in pairs if n != unit]
-    red_space = GradedSpace.of(red_pairs)
+    red_space = GradedSpace.of([(n, d) for n, d in pairs if n != unit])
 
-    def reduce_el(el: Element) -> Element:
-        keep = {
-            w: c for w, c in el.terms.items() if unit not in w.factors
-        }
-        return Element(red_space, keep)
+    def restrict(m: GradedMap) -> GradedMap:
+        """m with the unit dropped from its inputs and from its outputs."""
+        return GradedMap(red_space, red_space, m.degree, {
+            w: Element(red_space, {t: c for t, c in el.terms.items() if unit not in t.factors})
+            for w, el in m.images.items() if unit not in w.factors})
 
-    red_ops: dict[int, GradedMap] = {}
-    if diff_imgs:
-        red_ops[1] = GradedMap(red_space, red_space, -1, {
-            w: reduce_el(el) for w, el in diff_imgs.items()
-            if unit not in w.factors
-        })
-    red_cop = {}
-    for w, el in cop_imgs.items():
-        if unit in w.factors:
-            continue
-        kept = reduce_el(el)
-        if kept:
-            red_cop[w] = kept
-    if red_cop:
-        red_ops[2] = GradedMap(red_space, red_space, 0, red_cop)
-    reduced = AInfCoalgebra(red_space, red_ops)
-    return full, reduced
+    return full, AInfCoalgebra(red_space, {k: restrict(m) for k, m in ops.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -386,11 +365,12 @@ def quillen(C: AInfCoalgebra) -> FreeLieDGL:
     return out
 
 
-def quillen_differential_direct(C: AInfCoalgebra, dec) -> FreeLieDGL:
-    """Quillen-minimal differential straight from a homology decomposition
-    of a DGC: on s^{-1}h it is (1/2) sum (-1)^{|z'|} [lam z', lam z''] over
-    the coproduct of h, with lam recursing through the homotopy inverse of
-    the differential on the A-part.
+def quillen_differential_direct(C: AInfCoalgebra) -> FreeLieDGL:
+    """Quillen-minimal differential straight from the canonical retract of
+    a DGC (`transfer.canonical_retract`): on s^{-1}h it is
+    (1/2) sum (-1)^{|z'|} [lam z', lam z''] over the coproduct of h, with lam
+    recursing through the homotopy inverse of the differential on the
+    A-part of the homology decomposition.
 
     lam(e) is the H-part p(e) plus the bracket halves of Delta(sum c_j a_j),
     where c_j is the dA_j-coefficient of e.  The canonical homotopy kills A
@@ -404,9 +384,9 @@ def quillen_differential_direct(C: AInfCoalgebra, dec) -> FreeLieDGL:
         raise ValueError("the direct recursion expects a reduced coalgebra")
     space = C.space
 
-    from .transfer import retract_from_decomposition
+    from .transfer import canonical_retract
 
-    r = retract_from_decomposition(dec)
+    r = canonical_retract(C)
     small = r.small.space
     gens = small.suspend(-1)
     memo: dict[str, Element] = {}

@@ -170,7 +170,6 @@ def hspace_certificate(x_side, y_side: LInfAlgebra) -> HSpaceVerdict:
     from .functors import FreeLieDGL, quillen_differential_direct
     from .mapping import mapping_space_model
     from .structures import AInfCoalgebra
-    from .transfer import ChainComplex, homology_decomposition
 
     reports = []
     trace = []
@@ -184,8 +183,7 @@ def hspace_certificate(x_side, y_side: LInfAlgebra) -> HSpaceVerdict:
             f"cone-length certificate: conilpotence {co.value} "
             + ("<= 2, accepted" if cl_ok else "> 2, not a certificate")
         )
-        dec = homology_decomposition(ChainComplex(cbar.space, cbar.delta(1)))
-        model = quillen_differential_direct(cbar, dec)
+        model = quillen_differential_direct(cbar)
     elif isinstance(x_side, FreeLieDGL):
         model = x_side
         cl_ok = two_stage_filtration(model)

@@ -6,12 +6,15 @@ a DGC to an L-infinity algebra,
     ell_1(f) = ell_1 o f + (-1)^{|f|+1} f o delta,
     ell_k(f_1, ..., f_k) = ell_k o (f_1 (x) ... (x) f_k) o Delta^{(k-1)},
 
-and homotopy transfer along the induced Hom retract moves it onto the maps
-out of homology.  Every bracket-level loop follows the supports of the
-maps it reads, never the wedge-word basis of Hom(C, L): the convolution
-pairs the terms of Delta^{(k-1)} with the orderings of ell_k's support
+and homotopy transfer along the retract that `transfer.hom_retract` induces
+from `transfer.canonical_retract(C)` moves it onto the maps out of
+homology.  Every bracket-level loop follows the supports of the maps it
+reads, never the wedge-word basis of Hom(C, L): the convolution pairs the
+terms of Delta^{(k-1)}, taken from one pass of
+`structures.iterated_coproducts`, with the orderings of ell_k's support
 words, and the reduced model reads the stored images of the transferred
-brackets.  The cochain functor of the transferred structure, with
+brackets.  `component_model` takes a plain element and checks the
+Maurer-Cartan equation itself.  The cochain functor of the transferred structure, with
 generators renamed v.h, is the reduced Brown-Szczarba model; the same
 differential is also computed by the direct substitution recursion on
 (Lambda V (x) dual basis), and the two routes agreeing generator by
@@ -38,8 +41,7 @@ from .functors import CDGA, FiniteCDGA, cochain, dual_coalgebra
 from .structures import (
     AInfCoalgebra,
     LInfAlgebra,
-    MaurerCartanElement,
-    iterated_coproduct,
+    iterated_coproducts,
     mc_check,
     perturb,
     truncate,
@@ -48,11 +50,10 @@ from .transfer import (
     ChainComplex,
     HomotopyRetract,
     _as_wedge_op,
+    canonical_retract,
     hom_complex,
     hom_name,
     hom_retract,
-    homology_decomposition,
-    retract_from_decomposition,
     transfer_linf,
 )
 
@@ -75,6 +76,8 @@ def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra) -> LInfAlgebra:
     ops: dict[int, GradedMap] = {}
     if not hc.diff.is_zero():
         ops[1] = _as_wedge_op(hc.diff)
+    # cops[k]: Delta^{(k-1)}, each extended from the one before
+    cops = dict(zip(range(2, L.max_arity + 1), iterated_coproducts(C)))
 
     for k in sorted(L.ops):
         if k < 2:
@@ -84,10 +87,9 @@ def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra) -> LInfAlgebra:
         for sw in ellk.support():
             for xs in dict.fromkeys(itertools.permutations(sw.factors)):
                 values[xs] = ellk.apply_word(Word.tensor(*xs))
-        cop = iterated_coproduct(C, k - 1)
         acc: dict[Word, dict[Word, Fraction]] = {}
         for c in C.space.names:
-            for cw, co in cop.apply_word(Word.tensor(c)).terms.items():
+            for cw, co in cops[k].apply_word(Word.tensor(c)).terms.items():
                 for xs, val in values.items():
                     fs = tuple(hom_name(ci, xi) for ci, xi in zip(cw.factors, xs))
                     w, _ = canonical_word(hs, "w", fs)
@@ -138,9 +140,7 @@ def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
     The convolution ell_k is built from Delta^{(k-1)}, so a source of
     conilpotence 2 (Delta^{(2)} = 0) gives brackets of arity <= 2 only and
     the recursion meets binary vertices alone."""
-    cx = ChainComplex(C.space, C.delta(1))
-    dec = homology_decomposition(cx)
-    r = retract_from_decomposition(dec)
+    r = canonical_retract(C)
     hr = hom_retract(r, L)
     conv = convolution_linf(C, L)
     cap = max_k if max_k is not None else mapping_arity_cap(C, r.small.space)
@@ -227,10 +227,10 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
     model of the target.  Returns the CDGA on generators v.h, h running over
     the homology of the reduced dual of B.
     """
+    if not A.is_sullivan:
+        raise ValueError("the target must be a Sullivan algebra (d V in Lambda^{>=1} V)")
     _, C = dual_coalgebra(B, rename=rename)
-    cx = ChainComplex(C.space, C.delta(1))
-    dec = homology_decomposition(cx)
-    r = retract_from_decomposition(dec)
+    r = canonical_retract(C)
     csp = C.space
     hsp = r.small.space
 
@@ -241,12 +241,9 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
     bs = GradedSpace.of(pairs)
 
     multiply = CDGA(bs).multiply
-    cop_cache: dict[int, GradedMap] = {}
-
-    def cop(n: int) -> GradedMap:
-        if n not in cop_cache:
-            cop_cache[n] = iterated_coproduct(C, n)
-        return cop_cache[n]
+    # cops[n]: Delta^{(n)} for every n the words of dv can ask for
+    longest = max((len(w) for dv in A.diff.values() for w in dv.terms), default=1)
+    cops = [GradedMap.identity(csp), *itertools.islice(iterated_coproducts(C), longest - 1)]
 
     def expand(vfactors: tuple[str, ...], c_el: Element, depth: int) -> Element:
         """Sum of products (v_1.c^1)...(v_n.c^n) over the (n-1)-fold
@@ -255,7 +252,7 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
             raise ValidationError("non-terminating substitution")
         n = len(vfactors)
         vdegs = [A.gens.degree(v) for v in vfactors]
-        split = cop(n - 1).apply(c_el)
+        split = cops[n - 1].apply(c_el)
         parts = []
         for cw, co in split.terms.items():
             sign = threading_sign([csp.degree(cf) for cf in cw.factors], vdegs)
@@ -339,8 +336,6 @@ def parity_involution(L: LInfAlgebra) -> LInfAlgebra:
 # component models
 
 
-def component_model(model: LInfAlgebra, phi: MaurerCartanElement | Element) -> LInfAlgebra:
-    """Perturb by a verified Maurer-Cartan element and truncate."""
-    if isinstance(phi, Element):
-        phi = mc_check(model, phi)
-    return truncate(perturb(model, phi))
+def component_model(model: LInfAlgebra, phi: Element) -> LInfAlgebra:
+    """Check that phi is a Maurer-Cartan element, perturb by it and truncate."""
+    return truncate(perturb(model, mc_check(model, phi)))

@@ -10,7 +10,10 @@ literally:
   L-infinity:  sum_{i+j=n+1} sum_{(i,n-i)-shuffles} eps_sigma eps (-1)^{i(j-1)}
                ell_j(ell_i(x_sigma...), x_sigma...) = 0
 
-with the Koszul tensor-evaluation rule supplying all remaining signs.
+with the Koszul tensor-evaluation rule supplying all remaining signs, and
+`core.koszul_sign` the sign of each shuffle.  `iterated_coproducts` yields
+Delta^{(1)}, Delta^{(2)}, ... in one pass; the convolution brackets, the
+reduced Brown-Szczarba recursion and `conilpotence` all read it.
 
 `shifted_coops` and `shifted_brackets` build the suspension-normalized
 ops once, as plain GradedMaps of degree -1 (co-ops conjugated onto
@@ -45,8 +48,8 @@ from .core import (
     canonical_word,
     frac,
     from_coords,
+    koszul_sign,
     lincomb,
-    shuffle_sign,
     shuffles,
     substituted_words,
     suspend_element,
@@ -313,15 +316,16 @@ def _jacobi_total(ops: dict[int, GradedMap], space: GradedSpace, factors: tuple[
         if literal_signs and (i * (j - 1)) % 2:
             block_sign = -1
         for left, right in shuffles(n, i):
-            s = shuffle_sign(degs, left, right, signature=literal_signs)
             inner = ops[i].apply_word(Word("t", tuple(factors[p] for p in left)))
             if not inner:
                 continue
+            s = block_sign * koszul_sign([p + 1 for p in left + right], degs,
+                                         signature=literal_signs)
             rest = tuple(factors[p] for p in right)
             for w, c in inner.terms.items():
                 out = ops[j].apply_word(Word("t", w.factors + rest))
                 if out:
-                    parts.append((block_sign * s * c, out))
+                    parts.append((s * c, out))
     return lincomb(space, parts)
 
 

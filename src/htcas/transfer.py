@@ -7,7 +7,10 @@ user-supplied retracts are rejected otherwise: the transfer formulas below
 assume them).  The differential is homogeneous, so the homology
 decomposition, the canonical retract and the homology check all work one
 degree block at a time: a few RREFs of each block of d, and one inverse
-of each block of the basis matrix of A + dA + H.
+of each block of the basis matrix of A + dA + H.  `canonical_retract` is
+the one place that builds the canonical retract of a coalgebra, and
+`hom_retract` induces a retract on Hom(C, L) by precomposition, the one
+rule (`_precompose`) that also gives the f o delta term of `hom_complex`.
 
 Transfer is computed in the suspension-normalized world of `structures`
 (all ops degree -1), where the transfer formulas carry no signs beyond
@@ -274,6 +277,13 @@ def retract_from_decomposition(dec: Decomposition) -> HomotopyRetract:
     proj = GradedMap(space, small_space, 0, proj_images)
     homotopy = GradedMap(space, space, 1, hom_images)
     return HomotopyRetract(cx, small, incl, proj, homotopy)
+
+
+def canonical_retract(C: AInfCoalgebra) -> HomotopyRetract:
+    """The canonical retract of (C, Delta_1) onto its homology: the retract
+    of its homology decomposition.  Every pipeline that retracts a
+    coalgebra takes it from here."""
+    return retract_from_decomposition(homology_decomposition(ChainComplex(C.space, C.delta(1))))
 
 
 def identity_retract(cx: ChainComplex) -> HomotopyRetract:
@@ -657,65 +667,54 @@ def hom_space(source: GradedSpace, target: GradedSpace) -> GradedSpace:
     return GradedSpace.of(pairs)
 
 
-def _preimage_columns(g: GradedMap) -> dict[Word, list[tuple[str, Fraction]]]:
-    """For each word w in the images of g, the (c', co) with co the
-    coefficient of w in g(c'), in the order of g's source basis: each image
-    of g read once."""
-    cols: dict[Word, list[tuple[str, Fraction]]] = {}
+def _precompose(g: GradedMap, L: GradedSpace, out: GradedSpace,
+                twist: int | None = None) -> dict[Word, Element]:
+    """f |-> f o g on the elementary maps f = c.x, c in the target of g and
+    x in L, as images in `out`; with `twist` t, times (-1)^{|f| + t}.
+    f o g sends c' to co * x, co the coefficient of c in g(c'): each image
+    of g is read once, in the order of g's source basis."""
+    cols: dict[str, list[tuple[str, Fraction]]] = {}
     for cp in g.source.names:
         for w, co in g.apply_word(Word.tensor(cp)).terms.items():
-            cols.setdefault(w, []).append((cp, co))
-    return cols
+            cols.setdefault(w.factors[0], []).append((cp, co))
+    images = {}
+    for c in g.target.names:
+        col = cols.get(c)
+        if not col:
+            continue
+        for x in L.names:
+            odd = twist is not None and (L.degree(x) - g.target.degree(c) + twist) % 2
+            images[Word.tensor(hom_name(c, x))] = lincomb(
+                out, [(-co if odd else co, Element.gen(out, hom_name(cp, x))) for cp, co in col])
+    return images
 
 
 def hom_complex(source: ChainComplex, L: LInfAlgebra) -> ChainComplex:
     """Hom(C, L) with ell_1(f) = ell_1 o f + (-1)^{|f|+1} f o delta."""
     space = hom_space(source.space, L.space)
     ell1 = L.ell(1)
-    pre = _preimage_columns(source.diff)
+    zero = Element.zero(space)
+    pre = _precompose(source.diff, L.space, space, twist=1)
     images: dict[Word, Element] = {}
     for c in source.space.names:
-        col = pre.get(Word.tensor(c), ())
         for x in L.space.names:
-            f = hom_name(c, x)
+            f = Word.tensor(hom_name(c, x))
             post = ell1.apply_word(Word.tensor(x))
-            sgn = -1 if (space.degree(f) + 1) % 2 else 1
-            out = lincomb(space, [
-                *((cy, Element.gen(space, hom_name(c, wy.factors[0])))
-                  for wy, cy in post.terms.items()),
-                *((sgn * co, Element.gen(space, hom_name(cp, x))) for cp, co in col),
-            ])
+            out = lincomb(space, [*((cy, Element.gen(space, hom_name(c, wy.factors[0])))
+                                    for wy, cy in post.terms.items()),
+                                  (1, pre.get(f, zero))])
             if out:
-                images[Word.tensor(f)] = out
+                images[f] = out
     return ChainComplex(space, GradedMap(space, space, -1, images))
 
 
 def hom_retract(r: HomotopyRetract, L: LInfAlgebra) -> HomotopyRetract:
-    """The retract induced on Hom complexes: precomposition with p, i and
-    (sign-twisted) k; big side Hom(C,L), small side Hom(H,L)."""
+    """The retract induced on Hom complexes by precomposition: f |-> f o p,
+    f o i and (-1)^{|f|} f o h; big side Hom(C,L), small side Hom(H,L)."""
     big = hom_complex(r.big, L)
     small = hom_complex(r.small, L)
     bs, ss = big.space, small.space
-
-    def precompose(space_out, g: GradedMap, f_source, twisted: bool = False):
-        """f |-> f o g as a map on elementary-map bases, times (-1)^{|f|}
-        when twisted (f then lives in space_out)."""
-        cols = _preimage_columns(g)
-        images = {}
-        for c in f_source.names:
-            col = cols.get(Word.tensor(c))
-            if not col:
-                continue
-            for x in L.space.names:
-                f = hom_name(c, x)
-                sgn = -1 if twisted and space_out.degree(f) % 2 else 1
-                out = lincomb(space_out, [(sgn * co, Element.gen(space_out, hom_name(cp, x)))
-                                          for cp, co in col])
-                if out:
-                    images[Word.tensor(f)] = out
-        return images
-
-    incl = GradedMap(ss, bs, 0, precompose(bs, r.proj, r.small.space))
-    proj = GradedMap(bs, ss, 0, precompose(ss, r.incl, r.big.space))
-    homotopy = GradedMap(bs, bs, 1, precompose(bs, r.homotopy, r.big.space, twisted=True))
+    incl = GradedMap(ss, bs, 0, _precompose(r.proj, L.space, bs))
+    proj = GradedMap(bs, ss, 0, _precompose(r.incl, L.space, ss))
+    homotopy = GradedMap(bs, bs, 1, _precompose(r.homotopy, L.space, bs, twist=0))
     return HomotopyRetract(big, small, incl, proj, homotopy)

@@ -214,7 +214,7 @@ def test_c6_quillen_consistency():
         r = retract_from_decomposition(dec)
         H = transfer_ainf(C, r)
         M1 = quillen(H)
-        M2 = quillen_differential_direct(C, dec)
+        M2 = quillen_differential_direct(C)
         assert M1.diff.keys() == M2.diff.keys()
         for g in M1.diff:
             assert M1.diff[g].element == M2.diff[g].element, g

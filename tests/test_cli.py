@@ -7,7 +7,7 @@ import pytest
 
 from htcas import cli
 from htcas.cli import ParseError, main, parse, serialize
-from htcas.core import Word
+from htcas.core import AxiomError, Word
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -176,6 +176,20 @@ def test_invariants_commands(capsys):
     code, out, err = run(["invariants", str(MODELS / "example2_Y.cdga")], capsys)
     assert code == 0
     assert "dl = 2" in out and "Wl = 2" in out
+
+
+def test_invariants_wl_skip_and_errors(tmp_path, capsys, monkeypatch):
+    # a generator of degree 1 leaves L = s^{-1}V not positively graded: dl only
+    p = write(tmp_path, "deg1.cdga", "kind cdga\ngen a : 1\ngen b : 1\ngen c : 1\nd c = a^b\n")
+    code, out, err = run(["invariants", p], capsys)
+    assert code == 0 and "dl = 2" in out and "Wl" not in out
+    # every other failure of the Wl route reaches main: an AxiomError exits 3
+    def failing(A):
+        raise AxiomError("generalized Jacobi fails")
+
+    monkeypatch.setattr(cli, "linf_from_cdga", failing)
+    code, out, err = run(["invariants", str(MODELS / "example2_Y.cdga")], capsys)
+    assert code == 3 and "generalized Jacobi fails" in err
 
 
 def test_hspace_command(capsys):

@@ -19,6 +19,7 @@ from htcas.core import (
     frac,
     from_coords,
     koszul_sign,
+    shuffles,
     substituted_words,
     suspension_sign,
     symmetrize,
@@ -316,6 +317,26 @@ def test_unshuffle_n2_brute_force():
         (Word.tensor("g"), Word.tensor("h")): 1,
         (Word.tensor("h"), Word.tensor("g")): 1,
     }
+
+
+def test_unshuffle_signs_count_inversions():
+    # every unshuffle up to length 6 under every parity pattern, against a
+    # brute-force count of the inversions of left + right
+    for n in range(1, 7):
+        for parities in itertools.product((0, 1), repeat=n):
+            space = GradedSpace.of([(f"x{p}", 2 + odd) for p, odd in enumerate(parities)])
+            splits = unshuffle(space, Word.tensor(*space.names))
+            for i in range(n + 1):
+                for left, right in shuffles(n, i):
+                    perm = left + right
+                    inv = [(a, b) for x, a in enumerate(perm) for b in perm[x + 1:] if a > b]
+                    odd = sum(parities[a] * parities[b] for a, b in inv)
+                    one_based = [p + 1 for p in perm]
+                    assert koszul_sign(one_based, parities, signature=False) == (-1) ** odd
+                    assert koszul_sign(one_based, parities) == (-1) ** (len(inv) + odd)
+                    key = (Word.tensor(*(space.names[p] for p in left)),
+                           Word.tensor(*(space.names[p] for p in right)))
+                    assert splits[key] == (-1) ** (len(inv) + odd)
 
 
 def test_symmetrize_counts_and_signs():

@@ -11,7 +11,7 @@ from helpers import (
     random_cocommutative_dgc,
     random_sullivan,
 )
-from htcas.core import Element, GradedMap, GradedSpace, Word, word_basis
+from htcas.core import AxiomError, Element, GradedMap, GradedSpace, Word, word_basis
 from htcas.functors import (
     CDGA,
     FiniteCDGA,
@@ -24,6 +24,7 @@ from htcas.functors import (
     quillen,
     quillen_differential_direct,
 )
+from htcas.mapping import convolution_linf
 from htcas.structures import (
     AInfCoalgebra,
     check_ainf,
@@ -199,6 +200,27 @@ def test_cochain_d_squared_iff_jacobi():
         checked += 1
 
 
+@pytest.mark.xfail(strict=True, raises=AxiomError,
+                   reason="ROADMAP item 1: cochain drops the decalage word sign")
+def test_cochain_of_the_worked_example_convolution():
+    # check_linf accepts the convolution; cochain raises d^2 != 0 on a.b.c.z
+    _, red = dual_coalgebra(FiniteCDGA(SOURCE, max_cohom=11))
+    conv = convolution_linf(red, linf_from_cdga(TARGET))
+    assert check_linf(conv)
+    cochain(conv)
+
+
+@pytest.mark.xfail(strict=True, raises=AxiomError,
+                   reason="ROADMAP item 1: linf_from_cdga drops the decalage word sign")
+def test_linf_from_cdga_of_a_valid_sullivan_algebra():
+    # d^2 v4 = -v0^5 + v0^5 = 0, yet generalized Jacobi fails at n = 5 on v0'^5
+    A = CDGA.of([("v0", 2), ("v1", 5), ("v2", 7), ("v3", 7), ("v4", 8)],
+                {"v1": [(1, ("v0", "v0", "v0"))], "v3": [(-1, ("v0",) * 4)],
+                 "v4": [(-1, ("v0", "v0", "v1")), (-1, ("v0", "v2")), (-1, ("v0", "v3"))]})
+    assert not A.d(A.diff["v4"])
+    linf_from_cdga(A)
+
+
 def test_free_lie_elements():
     sp = GradedSpace.of([("a", 2), ("b", 2), ("c", 19)])
     x = Element.gen(sp, "a")
@@ -225,7 +247,7 @@ def test_quillen_of_transferred_equals_direct(cbar):
     r = retract_from_decomposition(dec)
     H = transfer_ainf(cbar, r)
     M1 = quillen(H)
-    M2 = quillen_differential_direct(cbar, dec)
+    M2 = quillen_differential_direct(cbar)
     assert M1.gens.basis == M2.gens.basis
     assert M1.diff.keys() == M2.diff.keys()
     for g in M1.diff:
@@ -256,7 +278,7 @@ def test_quillen_direct_on_random_duals():
         r = retract_from_decomposition(dec)
         H = transfer_ainf(red, r)
         M1 = quillen(H)
-        M2 = quillen_differential_direct(red, dec)
+        M2 = quillen_differential_direct(red)
         assert M1.diff.keys() == M2.diff.keys()
         for g in M1.diff:
             assert M1.diff[g].element == M2.diff[g].element
@@ -273,7 +295,7 @@ def test_dual_coalgebra_and_quillen_direct_match_dense_routes():
                 assert list(C.ops[k].images.items()) == list(D.ops[k].images.items()), (tag, k)
         red = duals[1]
         dec = homology_decomposition(ChainComplex(red.space, red.delta(1)))
-        M, N = quillen_differential_direct(red, dec), dense_quillen_direct(red, dec)
+        M, N = quillen_differential_direct(red), dense_quillen_direct(red, dec)
         assert M.gens == N.gens, tag
         assert {g: e.element for g, e in M.diff.items()} == \
             {g: e.element for g, e in N.diff.items()}, tag

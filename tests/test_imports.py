@@ -119,3 +119,29 @@ def test_no_module_imports_an_unused_name():
         used |= _annotation_names(tree)
         unused = {name: line for name, line in imported.items() if name not in used}
         assert not unused, (path.name, unused)
+
+
+def _used_names(node):
+    """Identifiers a syntax tree reads: loaded names, attributes and the
+    names in its annotations."""
+    used = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    used |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+    return used | _annotation_names(node)
+
+
+def test_every_top_level_definition_is_referenced():
+    # a def or class of src/htcas must be read somewhere outside its own
+    # body, in src/, tests/ or benchmark/: a twin left unused fails here
+    files = [path for top in ("src", "tests", "benchmark") for path in (ROOT / top).rglob("*.py")]
+    trees = {path: ast.parse(path.read_text()) for path in files}
+    used = {path: [_used_names(node) for node in tree.body] for path, tree in trees.items()}
+    hooks = {"__getattr__", "__dir__"}
+    unused = []
+    for path in sorted((ROOT / "src" / "htcas").glob("*.py")):
+        for i, node in enumerate(trees[path].body):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in hooks:
+                continue
+            if not any(node.name in names for other, parts in used.items()
+                       for j, names in enumerate(parts) if other != path or j != i):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, unused

@@ -21,7 +21,6 @@ from htcas.invariants import (
     whitehead_length,
 )
 from htcas.structures import LInfAlgebra, linf_from_tables
-from htcas.transfer import ChainComplex, homology_decomposition
 
 EX2_TARGET = CDGA.of(
     [("u", 2), ("v", 4), ("w", 7)],
@@ -60,8 +59,7 @@ def test_bracket_length_and_witness():
 
 
 def test_bracket_length_of_massey_model(cbar):
-    dec = homology_decomposition(ChainComplex(cbar.space, cbar.delta(1)))
-    M = quillen_differential_direct(cbar, dec)
+    M = quillen_differential_direct(cbar)
     assert bracket_length(M).value == 2
 
 
@@ -168,8 +166,7 @@ def test_hspace_direct_check_on_conilpotence_two(cbar, target_dgl):
     # a conilpotence-2 source realizing the bl = 3 attachment
     c2 = conilpotence_two_cell_attachment()
     assert conilpotence(c2).value == 2
-    dec = homology_decomposition(ChainComplex(c2.space, c2.delta(1)))
-    M = quillen_differential_direct(c2, dec)
+    M = quillen_differential_direct(c2)
     assert bracket_length(M).value == 3
     verdict = hspace_certificate(c2, linf_from_cdga(EX2_TARGET))
     assert verdict.verdict == "yes-by-theorem"

@@ -278,6 +278,13 @@ def test_conilpotence_two_binary_shortcut():
         done += 1
 
 
+def test_bs_direct_rejects_a_non_sullivan_target():
+    # d x = 1 has no coproduct to expand against
+    B = FiniteCDGA(CDGA.of([("a", 3)]), max_cohom=3)
+    with pytest.raises(ValueError, match="Sullivan"):
+        reduced_bs_direct(B, CDGA.of([("x", -1)], {"x": [(1, ())]}))
+
+
 def test_bs_cochain_rejects_unpinned_arity():
     from htcas.core import GradedMap
     from htcas.structures import LInfAlgebra

@@ -9,7 +9,13 @@ import re
 
 from htcas import cli
 from htcas.core import GradedMap, word_basis
-from htcas.functors import CDGA, linf_from_cdga, quillen
+from htcas.functors import (
+    CDGA,
+    dual_coalgebra,
+    linf_from_cdga,
+    quillen,
+    quillen_differential_direct,
+)
 from htcas.invariants import hspace_certificate
 from htcas.mapping import (
     component_model,
@@ -24,7 +30,7 @@ from htcas.structures import (
     check_linf_shifted,
     perturb,
 )
-from htcas.transfer import transfer_ainf, transfer_linf
+from htcas.transfer import hom_retract, transfer_ainf, transfer_linf
 
 FLAGS = {
     "check": [],
@@ -48,6 +54,9 @@ PARAMETERS = {
     linf_from_cdga: ["A"],
     CDGA.of: ["gens", "d"],
     quillen: ["C"],
+    quillen_differential_direct: ["C"],
+    hom_retract: ["r", "L"],
+    dual_coalgebra: ["B", "rename"],
     check_linf: ["L"],
     check_linf_shifted: ["L"],
     hspace_certificate: ["x_side", "y_side"],

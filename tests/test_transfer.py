@@ -160,7 +160,7 @@ def test_fixed_linear_data_is_built_once_per_degree_block(monkeypatch):
     assert calls["rref"] <= 5 * len(cx.blocks)
     assert calls["solve"] == 0
     calls.clear()
-    quillen_differential_direct(red, dec)
+    quillen_differential_direct(red)
     assert calls["solve"] == 0
 
 
