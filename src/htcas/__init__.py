@@ -18,7 +18,7 @@ _EXPORTS = {
         "symmetrize", "tensor_apply", "unshuffle",
     ),
     "functors": (
-        "CDGA", "FiniteCDGA", "FreeLieDGL", "FreeLieElement", "cochain",
+        "CDGA", "FiniteCDGA", "FreeLieDGL", "cochain",
         "dual_coalgebra", "linf_from_cdga", "quillen",
         "quillen_differential_direct",
     ),
@@ -31,9 +31,9 @@ _EXPORTS = {
         "reduced_bs_cochain", "reduced_bs_direct",
     ),
     "structures": (
-        "AInfCoalgebra", "CheckReport", "LInfAlgebra", "MaurerCartanElement",
-        "check_ainf", "check_cocommutative", "check_linf",
-        "iterated_coproduct", "mc_check", "perturb", "truncate",
+        "AInfCoalgebra", "CheckReport", "LInfAlgebra", "check_ainf",
+        "check_cocommutative", "check_linf", "mc_check", "perturb",
+        "truncate",
     ),
     "transfer": (
         "ChainComplex", "HomotopyRetract", "canonical_retract", "hom_retract",

@@ -68,7 +68,6 @@ from .functors import (
     CDGA,
     FiniteCDGA,
     FreeLieDGL,
-    FreeLieElement,
     bracket_tree_element,
     bracket_tree_str,
     cochain,
@@ -76,6 +75,8 @@ from .functors import (
     linf_from_cdga,
     quillen,
     quillen_differential_direct,
+    weight_component,
+    weights,
 )
 from .invariants import (
     bracket_length,
@@ -302,16 +303,15 @@ def _headed_lines(path, body, space, kind):
         items = _TermParser(path, lineno, toks[eq + 1:], space, word_kind).parse_sum()
         terms = [(c, w) for c, w in items if w is not None]
         if word_kind == "lie":
-            el = FreeLieElement(lincomb(
-                space, ((c, bracket_tree_element(space, tree)) for c, tree in terms)))
-            value, pres = el.element, terms
+            value, pres = lincomb(
+                space, ((c, bracket_tree_element(space, tree)) for c, tree in terms)), terms
         else:
-            el = value = sign * Element.make(space, [(c, word_kind, fs) for c, fs in terms])
+            value = sign * Element.make(space, [(c, word_kind, fs) for c, fs in terms])
             pres = None
         if value and degree is not None and value.degree != degree + shift:
             fail(f"{what} must have degree {degree + shift}, got {value.degree}")
         if value:
-            yield shift, key, el, pres
+            yield shift, key, value, pres
 
 
 def _input_names(inner, space, fail):
@@ -425,7 +425,6 @@ def parse(path: str) -> ModelFile:
         for _, g, el, p in entries:
             diff[g], pres[g] = el, p
         payload = FreeLieDGL(space, diff, presentation=pres)
-        payload.validate()
     else:
         payload = lincomb(space, ((1, el) for _, _, el, _ in entries))
     return ModelFile(kind, space, payload, options)
@@ -517,8 +516,8 @@ def _fmt_lie(M: FreeLieDGL, g: str) -> str:
     # fall back to the Dynkin expansion: t = (1/k) rho(t) weightwise
     img = M.diff[g]
     terms = []
-    for k in img.weights():
-        for w, c in img.weight_component(k).sorted_items():
+    for k in weights(img):
+        for w, c in weight_component(img, k).sorted_items():
             # right-normed bracketing: t = (1/k) rho(t) on Lie elements
             fs = w.factors
             tree = fs[-1]
@@ -623,8 +622,7 @@ def cmd_mapmodel(args) -> int:
     if args.emit in ("linf", "both"):
         sys.stdout.write(serialize(model))
     if args.emit in ("bs", "both"):
-        bs = reduced_bs_cochain(model, source=mm.homology,
-                                target=mm.target.space)
+        bs = reduced_bs_cochain(model, mm.homology, L.space)
         sys.stdout.write(serialize(bs))
     return 0
 

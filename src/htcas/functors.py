@@ -13,10 +13,10 @@ reduced dual is the restriction of each full co-operation away from the
 dual of the unit.  The direct Quillen differential reads the canonical
 retract of `transfer.canonical_retract`.
 
-Free graded Lie elements are stored through their expansion in the tensor
+A free graded Lie element is a plain Element, its expansion in the tensor
 algebra (faithful in characteristic zero); zero tests are exact and
-primitivity is decided by the bracketing operator, which acts as k times
-the identity on Lie elements of weight k.
+`is_primitive` decides primitivity by the bracketing operator, which acts
+as k times the identity on Lie elements of weight k (words of length k).
 """
 
 from __future__ import annotations
@@ -53,12 +53,9 @@ class CDGA:
     is given on generators and extended as a derivation.
     """
 
-    def __init__(self, gens, diff: dict[str, Element] | None = None,
+    def __init__(self, gens: GradedSpace, diff: dict[str, Element] | None = None,
                  validate: bool = True):
-        if isinstance(gens, GradedSpace):
-            self.gens = gens
-        else:
-            self.gens = GradedSpace.of([(n, int(d)) for n, d in gens])
+        self.gens = gens
         self.diff = {g: el for g, el in (diff or {}).items() if el}
         for g, el in self.diff.items():
             if el.degree is not None and el.degree != self.gens.degree(g) + 1:
@@ -268,45 +265,36 @@ def bracketing(el: Element) -> Element:
     return lincomb(space, parts)
 
 
-class FreeLieElement:
-    """Element of the free graded Lie algebra, stored as its tensor expansion."""
+def weights(el: Element) -> list[int]:
+    """The word lengths (bracket weights) that occur in el, ascending."""
+    return sorted({len(w) for w in el.terms})
 
-    def __init__(self, element: Element):
-        self.element = element
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.element == other.element
+def weight_component(el: Element, k: int) -> Element:
+    """The weight-k part of el."""
+    return Element(el.space, {w: c for w, c in el.terms.items() if len(w) == k})
 
-    def weight_component(self, k: int) -> Element:
-        keep = {w: c for w, c in self.element.terms.items() if len(w) == k}
-        return Element(self.element.space, keep)
 
-    def weights(self):
-        return sorted({len(w) for w in self.element.terms})
-
-    def is_primitive(self) -> bool:
-        """Dynkin criterion on every weight component."""
-        for k in self.weights():
-            comp = self.weight_component(k)
-            if bracketing(comp) != k * comp:
-                return False
-        return True
-
-    def __bool__(self) -> bool:
-        return bool(self.element)
+def is_primitive(el: Element) -> bool:
+    """Dynkin criterion on every weight component."""
+    for k in weights(el):
+        comp = weight_component(el, k)
+        if bracketing(comp) != k * comp:
+            return False
+    return True
 
 
 class FreeLieDGL:
     """Free graded Lie algebra on named generators with a differential
-    given on generators by tensor-expanded Lie elements."""
+    given on generators by tensor-expanded Lie elements; checked for
+    primitivity and d^2 = 0 when built."""
 
-    def __init__(self, gens: GradedSpace, diff: dict[str, FreeLieElement],
+    def __init__(self, gens: GradedSpace, diff: dict[str, Element],
                  presentation: dict[str, list] | None = None):
         self.gens = gens
         self.diff = diff
         self.presentation = {} if presentation is None else presentation
+        self.validate()
 
     def d_tensor(self, el: Element) -> Element:
         """Derivation extension to tensor words: each factor f of a word is
@@ -318,9 +306,9 @@ class FreeLieDGL:
             fs = w.factors
             for i, f in enumerate(fs):
                 img = self.diff.get(f)
-                if img and img.element:
+                if img:
                     pre, post = fs[:i], fs[i + 1:]
-                    for iw, ic in img.element.terms.items():
+                    for iw, ic in img.terms.items():
                         nw = Word("t", pre + iw.factors + post)
                         terms[nw] = terms.get(nw, 0) + c * ic
                 if space.degree(f) % 2:
@@ -329,14 +317,14 @@ class FreeLieDGL:
 
     def validate(self) -> None:
         for g, img in self.diff.items():
-            if not img.is_primitive():
+            if not is_primitive(img):
                 raise AxiomError(f"differential of {g} is not a Lie element")
-            if self.d_tensor(img.element):
+            if self.d_tensor(img):
                 raise AxiomError(f"d^2 != 0 on generator {g}")
 
     @property
     def is_minimal(self) -> bool:
-        return all(not img.weight_component(1) for img in self.diff.values())
+        return all(not weight_component(img, 1) for img in self.diff.values())
 
 
 def quillen(C: AInfCoalgebra) -> FreeLieDGL:
@@ -352,17 +340,15 @@ def quillen(C: AInfCoalgebra) -> FreeLieDGL:
         raise ValueError(f"quillen needs a cocommutative input: {rep}")
     coops = shifted_coops(C)
     gens = C.space.suspend(-1)
-    diff: dict[str, FreeLieElement] = {}
+    diff: dict[str, Element] = {}
     for name in C.space.names:
         # the cobar sign (-1)^k; pinned by agreement with the direct
         # homology-decomposition recursion in every arity
         total = lincomb(gens, ((-1 if k % 2 else 1, m.apply_word(Word.tensor(name)))
                                for k, m in coops.items()))
         if total:
-            diff[name] = FreeLieElement(total)
-    out = FreeLieDGL(gens, diff)
-    out.validate()
-    return out
+            diff[name] = total
+    return FreeLieDGL(gens, diff)
 
 
 def quillen_differential_direct(C: AInfCoalgebra) -> FreeLieDGL:
@@ -417,14 +403,13 @@ def quillen_differential_direct(C: AInfCoalgebra) -> FreeLieDGL:
         out = memo[name] = lincomb(gens, parts)
         return out
 
-    diff: dict[str, FreeLieElement] = {}
+    diff: dict[str, Element] = {}
     for nm in small.names:
         rep = r.incl.apply_word(Word.tensor(nm))
         total = bracket_halves(C.delta(2).apply(rep), 0)
         if total:
-            diff[nm] = FreeLieElement(total)
+            diff[nm] = total
     out = FreeLieDGL(gens, diff)
-    out.validate()
     if not out.is_minimal:
         raise ValueError("direct Quillen differential has a linear part")
     return out

@@ -61,19 +61,16 @@ def differential_length(A: CDGA) -> InvariantReport:
 
 def bracket_length(M: FreeLieDGL) -> InvariantReport:
     """Least bracket weight in the differential of a minimal free-Lie model."""
-    from .functors import bracket_tree_element, bracket_tree_str
+    from .functors import bracket_tree_element, bracket_tree_str, weight_component, weights
 
     if not M.is_minimal:
         raise ValueError("bracket length needs a minimal model (no linear part)")
-    best = None
-    gen = None
-    for g, img in M.diff.items():
-        for k in img.weights():
-            if img.weight_component(k) and (best is None or k < best):
-                best, gen = k, g
-    if best is None:
+    lowest = {g: weights(img)[0] for g, img in M.diff.items() if img}
+    if not lowest:
         return InvariantReport("bl", INF)
-    comp = M.diff[gen].weight_component(best)
+    gen = min(lowest, key=lowest.get)
+    best = lowest[gen]
+    comp = weight_component(M.diff[gen], best)
     witness = None
     for coeff, tree in M.presentation.get(gen, []):
         if _bracket_weight(tree) == best:
@@ -154,10 +151,8 @@ class HSpaceVerdict:
 def two_stage_filtration(M: FreeLieDGL) -> bool:
     """W = W0 + W1 with dW0 = 0 and dW1 inside the Lie algebra on W0."""
     w0 = {g for g in M.gens.names if not M.diff.get(g)}
-    for g, img in M.diff.items():
-        if not img:
-            continue
-        for w in img.element.terms:
+    for img in M.diff.values():
+        for w in img.terms:
             if any(f not in w0 for f in w.factors):
                 return False
     return True

@@ -14,8 +14,9 @@ terms of Delta^{(k-1)}, taken from one pass of
 `structures.iterated_coproducts`, with the orderings of ell_k's support
 words, and the reduced model reads the stored images of the transferred
 brackets.  `component_model` takes a plain element and checks the
-Maurer-Cartan equation itself.  The cochain functor of the transferred structure, with
-generators renamed v.h, is the reduced Brown-Szczarba model; the same
+Maurer-Cartan equation itself.  The cochain functor of the transferred
+structure, with generators renamed v.h from the spaces of H and of L that
+`reduced_bs_cochain` takes, is the reduced Brown-Szczarba model; the same
 differential is also computed by the direct substitution recursion on
 (Lambda V (x) dual basis), and the two routes agreeing generator by
 generator is the strongest correctness check in the package.
@@ -48,7 +49,6 @@ from .structures import (
 )
 from .transfer import (
     ChainComplex,
-    HomotopyRetract,
     _as_wedge_op,
     canonical_retract,
     hom_complex,
@@ -109,7 +109,10 @@ def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra) -> LInfAlgebra:
 def mapping_arity_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:
     """Cap on transferred bracket arities from the source-side degrees:
     a k-leaf tree splits a homology class across k factors of the source,
-    gaining at most one degree per internal edge."""
+    gaining at most one degree per internal edge.  An empty homology
+    carries no brackets, and the cap is 2."""
+    if not small.dim:
+        return 2
     lo = C.space.min_degree()
     hi = small.max_degree()
     if lo < 2:
@@ -120,11 +123,10 @@ def mapping_arity_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:
 class MappingModel:
     """The transferred mapping-space model and the data that built it."""
 
-    def __init__(self, model: LInfAlgebra, convolution: LInfAlgebra, retract: HomotopyRetract,
+    def __init__(self, model: LInfAlgebra, convolution: LInfAlgebra,
                  homology: GradedSpace, coalgebra: AInfCoalgebra, target: LInfAlgebra):
         self.model = model
         self.convolution = convolution
-        self.retract = retract
         self.homology = homology
         self.coalgebra = coalgebra
         self.target = target
@@ -147,7 +149,7 @@ def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
     if cap is None:
         raise BoundError("cannot derive an arity cap; pass max_k explicitly")
     model = transfer_linf(conv, hr, max_k=cap)
-    return MappingModel(model, conv, hr, r.small.space, C, L)
+    return MappingModel(model, conv, r.small.space, C, L)
 
 
 # ---------------------------------------------------------------------------
@@ -164,14 +166,13 @@ def bs_name(f: str) -> str:
     return f"{v}.{c}"
 
 
-def reduced_bs_cochain(model, source: GradedSpace | None = None,
-                       target: GradedSpace | None = None) -> CDGA:
+def reduced_bs_cochain(model: LInfAlgebra, source: GradedSpace, target: GradedSpace) -> CDGA:
     """Cochain algebra of the transferred model on generators v.h of
     cohomological degree |v| - |h|: `cochain` with the generators named by
     `bs_name` and the Brown-Szczarba orientation.
 
-    Accepts a MappingModel or an LInfAlgebra on a Hom space together with
-    its source (H) and target (L) spaces.  The orientation lists the inputs
+    `model` lives on a Hom space; `source` and `target` are the spaces of H
+    and of L.  The orientation lists the inputs
     of each bracket in the monomial order of the target generators (degree,
     then declaration), with the wedge sign of that order, the sign
     (-1)^{(j-1)(j-2)/2} of arity j, and (-1)^{|c_a| (|c_b| + 1)} for each
@@ -181,12 +182,6 @@ def reduced_bs_cochain(model, source: GradedSpace | None = None,
     by generator.  It is pinned for arity <= 3 only, so a model with a
     nonzero bracket of arity 4 or more is refused with a BoundError.
     """
-    if isinstance(model, MappingModel):
-        source = model.homology
-        target = model.target.space
-        model = model.model
-    if source is None or target is None:
-        raise ValueError("pass the source homology and target spaces")
     for k in model.ops:
         if k >= 4:
             raise BoundError(

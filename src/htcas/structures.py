@@ -28,11 +28,14 @@ stored on monomial words and GradedMap's canonicalization evaluates it on
 every input order.  In this normalization the homotopy-transfer tree
 sums are sign-free, which is how the transfer module computes them, and
 the shifted checkers run the literal checkers' loops on these maps.
+
+A Maurer-Cartan element is a plain Element of degree -1, which `mc_check`
+returns once its curvature vanishes; the curvature is the k = 0 case, on
+the empty word, of the twisted brackets that `perturb` builds.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -149,14 +152,6 @@ class LInfAlgebra:
         for e in elements[1:]:
             el = el.tensor(e)
         return self.ell(k).apply(el)
-
-
-class MaurerCartanElement:
-    """Degree -1 element with vanishing curvature (verified by mc_check)."""
-
-    def __init__(self, element: Element, algebra: LInfAlgebra):
-        self.element = element
-        self.algebra = algebra
 
 
 # ---------------------------------------------------------------------------
@@ -290,15 +285,6 @@ def iterated_coproducts(C: AInfCoalgebra):
             w: apply_at(delta, 0, el) for w, el in it.images.items()})
 
 
-def iterated_coproduct(C: AInfCoalgebra, k: int) -> GradedMap:
-    """Delta^{(k)} = (Delta (x) id^{...}) o ... o Delta, Delta^{(0)} = id."""
-    if not C.is_dgc:
-        raise ValueError("iterated coproducts need a DGC (Delta_k = 0 for k > 2)")
-    if k == 0:
-        return GradedMap.identity(C.space)
-    return next(itertools.islice(iterated_coproducts(C), k - 1, None))
-
-
 # ---------------------------------------------------------------------------
 # L-infinity checks
 
@@ -385,36 +371,43 @@ def check_linf_shifted(L: LInfAlgebra) -> CheckReport:
 # Maurer-Cartan machinery
 
 
-def mc_residual(L: LInfAlgebra, z: Element) -> Element:
-    """sum_k (1/k!) ell_k(z, ..., z); finite because the op family is."""
+def _twisted(L: LInfAlgebra, z: Element, factors: tuple[str, ...]) -> Element:
+    """sum_i (1/i!) ell_{i+k}(z, ..., z, w): z taken i times, w the word of the k factors."""
+    k = len(factors)
+    w = Element(L.space, {Word.tensor(*factors): 1})
     parts = []
-    power = z
-    for k in range(1, L.max_arity + 1):
-        if k > 1:
-            power = power.tensor(z)
-        if k in L.ops:
-            parts.append((Fraction(1, math.factorial(k)), L.ell(k).apply(power)))
+    for i in range(0, L.max_arity - k + 1):
+        if i > 0:
+            w = z.tensor(w)
+            if not w:
+                break
+        if i + k in L.ops:
+            parts.append((Fraction(1, math.factorial(i)), L.ell(i + k).apply(w)))
     return lincomb(L.space, parts)
 
 
-def mc_check(L: LInfAlgebra, z: Element) -> MaurerCartanElement:
-    """Verify the Maurer-Cartan equation; raises on failure."""
+def mc_residual(L: LInfAlgebra, z: Element) -> Element:
+    """sum_k (1/k!) ell_k(z, ..., z); finite because the op family is."""
+    return _twisted(L, z, ())
+
+
+def mc_check(L: LInfAlgebra, z: Element) -> Element:
+    """Verify the Maurer-Cartan equation and return z; raises on failure."""
     if z and z.degree != -1:
         raise ValueError(f"Maurer-Cartan elements have degree -1, got {z.degree}")
     res = mc_residual(L, z)
     if res:
         raise ValueError(f"Maurer-Cartan equation fails, residual {res!r}")
-    return MaurerCartanElement(z, L)
+    return z
 
 
-def perturb(L: LInfAlgebra, mc: MaurerCartanElement) -> LInfAlgebra:
-    """Twisted structure ell_k^z = sum_i (1/i!) ell_{i+k}(z,...,z, -).
+def perturb(L: LInfAlgebra, mc: Element) -> LInfAlgebra:
+    """Twisted structure ell_k^z = sum_i (1/i!) ell_{i+k}(z,...,z, -), z = mc.
 
     ell_k^z(w) is nonzero only when w is a support word of some ell_{i+k}
     less i factors that lie in the support of z, so only those words are
     evaluated: each such factor may be dropped, keeping length k."""
-    z = mc.element
-    zsupp = {f for w in z.terms for f in w.factors}
+    zsupp = {f for w in mc.terms for f in w.factors}
     ops: dict[int, GradedMap] = {}
     for k in range(1, L.max_arity + 1):
         pool_lists = ([[(), (f,)] if f in zsupp else [(f,)] for f in sw.factors]
@@ -422,21 +415,13 @@ def perturb(L: LInfAlgebra, mc: MaurerCartanElement) -> LInfAlgebra:
         cands = substituted_words(L.space, "w", pool_lists, length=k)
         images = {}
         for w in cands:
-            arg = Element(L.space, {Word.tensor(*w.factors): 1})
-            parts = []
-            for i in range(0, L.max_arity - k + 1):
-                if i > 0:
-                    arg = z.tensor(arg)
-                    if not arg:
-                        break
-                if i + k in L.ops:
-                    parts.append((Fraction(1, math.factorial(i)), L.ell(i + k).apply(arg)))
-            total = lincomb(L.space, parts)
+            total = _twisted(L, mc, w.factors)
             if total:
                 images[w] = total
         if images:
             ops[k] = GradedMap(L.space, L.space, k - 2, images, arity=k, in_kind="w")
     return LInfAlgebra(L.space, ops)
+
 
 def dgc_from_tables(space: GradedSpace, diff: dict, cop: dict,
                     counit: str | None = None, validate: bool = True) -> AInfCoalgebra:

@@ -350,8 +350,11 @@ def ainf_transfer_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:
     """Largest arity a tree-transferred co-op can have, by degree counting.
 
     Each leaf value lands in the desuspended small space; its degrees bound
-    how many leaves the fixed total degree can feed.
+    how many leaves the fixed total degree can feed.  An empty small space
+    carries no co-operations, and the cap is 2.
     """
+    if not small.dim:
+        return 2
     lo = small.min_degree() - 1
     hi = C.space.max_degree() - 1
     if lo < 1:
@@ -478,7 +481,10 @@ def _as_wedge_op(m: GradedMap) -> GradedMap:
 
 
 def linf_transfer_cap(L: LInfAlgebra, small: GradedSpace) -> int | None:
-    """Arity cap by degree counting, available for positively graded input."""
+    """Arity cap by degree counting, available for positively graded input;
+    2 on an empty small space, which carries no brackets."""
+    if not small.dim:
+        return 2
     lo = small.min_degree() + 1
     hi = L.space.max_degree() + 1
     if lo < 1:

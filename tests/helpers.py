@@ -38,15 +38,13 @@ from htcas.functors import (
     CDGA,
     FiniteCDGA,
     FreeLieDGL,
-    FreeLieElement,
     dual_coalgebra,
     lie_bracket,
 )
 from htcas.structures import (
     AInfCoalgebra,
     LInfAlgebra,
-    MaurerCartanElement,
-    iterated_coproduct,
+    iterated_coproducts,
     shifted_brackets,
 )
 from htcas.transfer import (
@@ -181,7 +179,7 @@ def dense_convolution(C: AInfCoalgebra, L: LInfAlgebra,
         for c in C.space.names
         for x in L.space.names
     }
-    cops = {k: iterated_coproduct(C, k - 1) for k in L.ops if k >= 2}
+    cops = dict(zip(range(2, L.max_arity + 1), iterated_coproducts(C)))
     for k in sorted(L.ops):
         if k < 2:
             continue
@@ -214,10 +212,9 @@ def dense_convolution(C: AInfCoalgebra, L: LInfAlgebra,
     return LInfAlgebra(hs, ops, validate=validate)
 
 
-def dense_perturb(L: LInfAlgebra, mc: MaurerCartanElement, validate: bool = True) -> LInfAlgebra:
+def dense_perturb(L: LInfAlgebra, z: Element, validate: bool = True) -> LInfAlgebra:
     """Twisted structure ell_k^z = sum_i (1/i!) ell_{i+k}(z,...,z, -), on
     every wedge word (reference for `structures.perturb`)."""
-    z = mc.element
     ops: dict[int, GradedMap] = {}
     for k in range(1, L.max_arity + 1):
         images = {}
@@ -512,12 +509,12 @@ def dense_quillen_direct(C: AInfCoalgebra, dec) -> FreeLieDGL:
                     out = out + cj * bracket_halves(cop, lam, depth + 1)
         return out
 
-    diff: dict[str, FreeLieElement] = {}
+    diff: dict[str, Element] = {}
     for nm in small.names:
         rep = r.incl.apply_word(Word.tensor(nm))
         total = bracket_halves(C.delta(2).apply(rep), lam, 0)
         if total:
-            diff[nm] = FreeLieElement(total)
+            diff[nm] = total
     out = FreeLieDGL(gens, diff)
     out.validate()
     if not out.is_minimal:
@@ -638,10 +635,10 @@ def d_tensor_by_elements(M: FreeLieDGL, el: Element) -> Element:
         sign = 1
         for i, f in enumerate(fs):
             img = M.diff.get(f)
-            if img and img.element:
+            if img:
                 pre = Element(space, {Word.tensor(*fs[:i]): c * sign})
                 post = Element(space, {Word.tensor(*fs[i + 1:]): 1})
-                parts.append((1, pre.tensor(img.element).tensor(post)))
+                parts.append((1, pre.tensor(img).tensor(post)))
             if space.degree(f) % 2:
                 sign = -sign
     return lincomb(space, parts)

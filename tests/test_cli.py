@@ -269,6 +269,27 @@ def test_arity_cap_below_two_exit_code(tmp_path, capsys):
     assert code == 0 and "D2" in out
 
 
+def test_empty_homology_derives_the_least_cap(tmp_path, capsys):
+    # a contractible source and a point have empty reduced homology: the
+    # derived arity caps are 2, as if --max-arity 2 had been passed
+    y1 = str(MODELS / "example1_Y.cdga")
+    y2 = str(MODELS / "example2_Y.cdga")
+    sources = {
+        "contr": "kind cdga\ngen u : 3\ngen v : 4\nd u = v\ntruncate 8\n",
+        "point": "kind cdga\ngen a : 3\ntruncate 0\n",
+    }
+    for name, text in sources.items():
+        x = write(tmp_path, f"{name}.cdga", text)
+        code, dual, err = run(["dualize", x], capsys)
+        dgc = write(tmp_path, f"{name}.dgc", dual)
+        for argv in (["mapmodel", x, y1, "--pointed"], ["transfer-ainf", dgc]):
+            code, out, err = run(argv, capsys)
+            assert code == 0 and err == "", argv
+            assert run(argv + ["--max-arity=2"], capsys) == (0, out, ""), argv
+        code, out, err = run(["hspace", dgc, y2], capsys)
+        assert code == 0 and out.startswith("verdict: yes-by-theorem"), name
+
+
 def test_non_conilpotent_coalgebra_exit_code(tmp_path, capsys):
     # check accepts x with Delta(x) = x|x, whose iterated coproducts never vanish
     dgc = write(tmp_path, "x.dgc", "kind dgc\ngen x : 0\ncop x = x|x\n")

@@ -15,14 +15,16 @@ from htcas.core import AxiomError, Element, GradedMap, GradedSpace, Word, word_b
 from htcas.functors import (
     CDGA,
     FiniteCDGA,
-    FreeLieElement,
+    FreeLieDGL,
     bracketing,
     cochain,
     dual_coalgebra,
+    is_primitive,
     lie_bracket,
     linf_from_cdga,
     quillen,
     quillen_differential_direct,
+    weights,
 )
 from htcas.mapping import convolution_linf
 from htcas.structures import (
@@ -226,11 +228,21 @@ def test_free_lie_elements():
     x = Element.gen(sp, "a")
     y = Element.gen(sp, "b")
     br = lie_bracket(x, lie_bracket(x, y))
-    fl = FreeLieElement(br)
-    assert fl.is_primitive()
+    assert is_primitive(br)
     assert bracketing(br) == 3 * br
     # a bare tensor word is not a Lie element
-    assert not FreeLieElement(x.tensor(y)).is_primitive()
+    assert not is_primitive(x.tensor(y))
+
+
+def test_free_lie_dgl_checks_itself_when_built():
+    sp = GradedSpace.of([("a", 2), ("b", 2), ("c", 5)])
+    x, y = Element.gen(sp, "a"), Element.gen(sp, "b")
+    with pytest.raises(AxiomError, match="differential of c is not a Lie element"):
+        FreeLieDGL(sp, {"c": x.tensor(y)})
+    # d c = b and d b = a: every image is a Lie element, but d^2 c = a
+    sp = GradedSpace.of([("a", 1), ("b", 2), ("c", 3)])
+    with pytest.raises(AxiomError, match="d\\^2 != 0 on generator c"):
+        FreeLieDGL(sp, {"b": Element.gen(sp, "a"), "c": Element.gen(sp, "b")})
 
 
 def test_quillen_abelian_and_sphere():
@@ -251,21 +263,21 @@ def test_quillen_of_transferred_equals_direct(cbar):
     assert M1.gens.basis == M2.gens.basis
     assert M1.diff.keys() == M2.diff.keys()
     for g in M1.diff:
-        assert M1.diff[g].element == M2.diff[g].element
+        assert M1.diff[g] == M2.diff[g]
     assert M1.is_minimal and M2.is_minimal
     # the differential of w is quadratic (the bracket of the transferred
     # coproduct; the terms through s and r die since lambda kills the
     # A-part); the Massey coproduct shows up as the cubic part on u and v
     dw = M1.diff["w"]
-    assert dw.weights() == [2]
+    assert weights(dw) == [2]
     du = M1.diff["u"]
-    assert du.weights() == [3]
+    assert weights(du) == [3]
     gens = M1.gens
     want = lie_bracket(
         Element.gen(gens, "g"),
         lie_bracket(Element.gen(gens, "g"), Element.gen(gens, "h")),
     )
-    assert du.element == want
+    assert du == want
 
 
 def test_quillen_direct_on_random_duals():
@@ -281,7 +293,7 @@ def test_quillen_direct_on_random_duals():
         M2 = quillen_differential_direct(red)
         assert M1.diff.keys() == M2.diff.keys()
         for g in M1.diff:
-            assert M1.diff[g].element == M2.diff[g].element
+            assert M1.diff[g] == M2.diff[g]
         done += 1
 
 
@@ -297,8 +309,7 @@ def test_dual_coalgebra_and_quillen_direct_match_dense_routes():
         dec = homology_decomposition(ChainComplex(red.space, red.delta(1)))
         M, N = quillen_differential_direct(red), dense_quillen_direct(red, dec)
         assert M.gens == N.gens, tag
-        assert {g: e.element for g, e in M.diff.items()} == \
-            {g: e.element for g, e in N.diff.items()}, tag
+        assert M.diff == N.diff, tag
 
 
 def test_quillen_reproduces_stated_cell_attachment_model():
@@ -319,7 +330,7 @@ def test_quillen_reproduces_stated_cell_attachment_model():
         Element.gen(gens, "A"),
         lie_bracket(Element.gen(gens, "A"), Element.gen(gens, "B")),
     )
-    assert M.diff["E"].element == want
+    assert M.diff["E"] == want
     assert not M.diff.get("A") and not M.diff.get("B")
 
 
@@ -332,7 +343,7 @@ def test_d_tensor_matches_prefix_suffix_route(cbar):
     nonzero = 0
     for C in [cbar, *duals]:
         M = quillen(C)
-        els = [img.element for img in M.diff.values()]
+        els = list(M.diff.values())
         for n in (1, 2, 3) if C is cbar else (1, 2):
             by_degree = {}
             for w in word_basis(M.gens, "t", n):

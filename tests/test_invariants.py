@@ -5,7 +5,6 @@ from htcas.functors import (
     CDGA,
     FiniteCDGA,
     FreeLieDGL,
-    FreeLieElement,
     dual_coalgebra,
     lie_bracket,
     linf_from_cdga,
@@ -32,7 +31,7 @@ def cell_attachment_model():
     gens = GradedSpace.of([("a", 6), ("b", 6), ("c", 19)])
     a, b = Element.gen(gens, "a"), Element.gen(gens, "b")
     img = lie_bracket(a, lie_bracket(a, b))
-    M = FreeLieDGL(gens, {"c": FreeLieElement(img)},
+    M = FreeLieDGL(gens, {"c": img},
                    presentation={"c": [(1, ("a", ("a", "b")))]})
     M.validate()
     return M
@@ -65,7 +64,7 @@ def test_bracket_length_of_massey_model(cbar):
 
 def test_bracket_length_rejects_linear_part():
     gens = GradedSpace.of([("a", 3), ("b", 2)])
-    M = FreeLieDGL(gens, {"a": FreeLieElement(Element.gen(gens, "b"))})
+    M = FreeLieDGL(gens, {"a": Element.gen(gens, "b")})
     with pytest.raises(ValueError):
         bracket_length(M)
 
@@ -115,8 +114,8 @@ def test_two_stage_filtration():
     a, b = Element.gen(gens, "a"), Element.gen(gens, "b")
     M = FreeLieDGL(
         gens,
-        {"b": FreeLieElement(lie_bracket(a, a)),
-         "c": FreeLieElement(lie_bracket(a, b))},
+        {"b": lie_bracket(a, a),
+         "c": lie_bracket(a, b)},
     )
     M.validate()
     assert not two_stage_filtration(M)
@@ -134,7 +133,7 @@ def test_hspace_inconclusive_when_hypothesis_fails():
     # equal lengths: the theorem makes no claim
     gens = GradedSpace.of([("a", 6), ("b", 6), ("c", 13)])
     a, b = Element.gen(gens, "a"), Element.gen(gens, "b")
-    M = FreeLieDGL(gens, {"c": FreeLieElement(lie_bracket(a, b))})
+    M = FreeLieDGL(gens, {"c": lie_bracket(a, b)})
     M.validate()
     assert bracket_length(M).value == 2
     verdict = hspace_certificate(M, linf_from_cdga(EX2_TARGET))

@@ -216,7 +216,7 @@ def test_route_agreement_variants(srcgens, srcd, tgtgens, tgtd):
     full, red = dual_coalgebra(B)
     L = linf_from_cdga(A)
     mm = mapping_space_model(red, L, max_k=4)
-    r1 = reduced_bs_cochain(mm)
+    r1 = reduced_bs_cochain(mm.model, mm.homology, mm.target.space)
     r2 = reduced_bs_direct(B, A)
     gens = set(r1.diff) | set(r2.diff)
     assert gens
@@ -243,7 +243,7 @@ def test_route_agreement_randomized():
                      default=0)
         assert maxlen <= 3  # within the pinned-orientation envelope
         mm = mapping_space_model(red, L, max_k=3)
-        r1 = reduced_bs_cochain(mm)
+        r1 = reduced_bs_cochain(mm.model, mm.homology, mm.target.space)
         for g in set(r1.diff) | set(r2.diff):
             t1 = r1.diff.get(g).terms if r1.diff.get(g) else {}
             t2 = r2.diff.get(g).terms if r2.diff.get(g) else {}

@@ -7,8 +7,8 @@ import inspect
 import io
 import re
 
-from htcas import cli
-from htcas.core import GradedMap, word_basis
+from htcas import cli, functors, structures
+from htcas.core import GradedMap, GradedSpace, word_basis
 from htcas.functors import (
     CDGA,
     dual_coalgebra,
@@ -21,6 +21,7 @@ from htcas.mapping import (
     component_model,
     convolution_linf,
     mapping_space_model,
+    reduced_bs_cochain,
     reduced_bs_direct,
 )
 from htcas.structures import (
@@ -28,6 +29,7 @@ from htcas.structures import (
     LInfAlgebra,
     check_linf,
     check_linf_shifted,
+    mc_check,
     perturb,
 )
 from htcas.transfer import hom_retract, transfer_ainf, transfer_linf
@@ -48,7 +50,9 @@ PARAMETERS = {
     convolution_linf: ["C", "L"],
     component_model: ["model", "phi"],
     reduced_bs_direct: ["B", "A", "rename"],
+    reduced_bs_cochain: ["model", "source", "target"],
     perturb: ["L", "mc"],
+    mc_check: ["L", "z"],
     transfer_linf: ["L", "r", "max_k", "words"],
     transfer_ainf: ["C", "r", "max_k"],
     linf_from_cdga: ["A"],
@@ -90,3 +94,9 @@ def test_no_wrappers_of_a_single_call():
     assert not hasattr(AInfCoalgebra, "shifted")
     assert not hasattr(LInfAlgebra, "shifted")
     assert not hasattr(cli, "fmt_scalar")
+    assert not hasattr(functors, "FreeLieElement")
+    assert not hasattr(structures, "MaurerCartanElement")
+    assert not hasattr(structures, "iterated_coproduct")
+    sphere = AInfCoalgebra(GradedSpace.of([("e", 5)]), {})
+    mm = mapping_space_model(sphere, LInfAlgebra(GradedSpace.of([("x", 2)]), {}))
+    assert not hasattr(mm, "retract")

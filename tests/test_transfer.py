@@ -26,6 +26,7 @@ from htcas.transfer import (
     hom_space,
     homology_decomposition,
     identity_retract,
+    linf_transfer_cap,
     retract_from_decomposition,
     transfer_ainf,
     transfer_linf,
@@ -207,9 +208,13 @@ def test_engine_transfers_enumerate_no_trees(monkeypatch, cbar, cbar_retract, ta
     assert 3 in transfer_linf(convolution_linf(cbar, target_dgl), hr, max_k=3).ops
 
 
-def test_transfer_cap_derivation(cbar, cbar_retract):
+def test_transfer_cap_derivation(cbar, cbar_retract, target_dgl):
     _, r = cbar_retract
     assert ainf_transfer_cap(cbar, r.small.space) == 4
+    # an empty small space carries no operations: the least cap
+    empty = GradedSpace.of([])
+    assert ainf_transfer_cap(cbar, empty) == 2
+    assert linf_transfer_cap(target_dgl, empty) == 2
 
 
 def test_massey_coproducts_of_cbar(cbar, cbar_retract):
