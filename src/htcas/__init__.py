@@ -1,6 +1,7 @@
 """Exact-arithmetic engine for homotopy transfer of A-infinity coalgebra
-and L-infinity algebra structures over rooted-tree formulas, convolution
-models of mapping spaces, Quillen models and rational homotopy invariants.
+and L-infinity algebra structures by the planar and i-infinity
+recursions, convolution models of mapping spaces, Quillen models and
+rational homotopy invariants.
 
 Everything is computed exactly over Q: scalars are ints, or
 `fractions.Fraction` where a value is not integral, and never floats.  All
@@ -15,7 +16,7 @@ import importlib
 _EXPORTS = {
     "core": (
         "Element", "GradedMap", "GradedSpace", "Word", "koszul_sign",
-        "symmetrize", "tensor_apply", "unshuffle",
+        "tensor_apply", "unshuffle",
     ),
     "functors": (
         "CDGA", "FiniteCDGA", "FreeLieDGL", "cochain",
@@ -37,11 +38,9 @@ _EXPORTS = {
     ),
     "transfer": (
         "ChainComplex", "HomotopyRetract", "canonical_retract", "hom_retract",
-        "homology_decomposition", "identity_retract",
-        "retract_from_decomposition", "transfer_ainf", "transfer_linf",
-        "tree_map_coalgebra", "tree_map_lie",
+        "homology_decomposition", "retract_from_decomposition",
+        "transfer_ainf", "transfer_linf",
     ),
-    "trees": ("aut_order", "enumerate_planar", "enumerate_rooted", "planar_embedding"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

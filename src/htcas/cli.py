@@ -40,8 +40,7 @@ or dgl file loads `core`, `functors` and `invariants` (which imports only
 `transfer-ainf` adds `transfer`, and so does `quillen --direct`, through
 `functors.quillen_differential_direct`; `mapmodel` and `hspace` add
 `transfer` and `mapping`, and `mapmodel` checks a Maurer-Cartan element
-through `mapping.component_model`.  The tree-sum oracles' `trees` is
-never loaded.
+through `mapping.component_model`.
 """
 
 from __future__ import annotations

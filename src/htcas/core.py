@@ -501,10 +501,6 @@ def lincomb(space: GradedSpace, pairs) -> Element:
     return Element._of(space, acc)
 
 
-def coords(el: Element, words: list[Word]) -> list[Fraction]:
-    return [el.coeff(w) for w in words]
-
-
 def from_coords(space: GradedSpace, words: list[Word], vec) -> Element:
     return Element(space, {w: frac(c) for w, c in zip(words, vec) if c})
 
@@ -696,7 +692,7 @@ def apply_at(m: GradedMap, pos: int, el: Element) -> Element:
 
 
 # ---------------------------------------------------------------------------
-# unshuffles and symmetrization
+# unshuffles
 
 
 def shuffles(n: int, i: int):
@@ -729,20 +725,6 @@ def unshuffle(space: GradedSpace, word: Word, proper: bool = False):
             sign = koszul_sign([p + 1 for p in left + right], degs)
             out[(lw, rw)] = out.get((lw, rw), 0) + sign
     return {k: v for k, v in out.items() if v}
-
-
-def symmetrize(space: GradedSpace, word: Word, signature: bool = True) -> Element:
-    """Signed sum of the k! tensor rearrangements of a word: graded
-    signature signs for a wedge word, Koszul signs alone (signature=False)
-    for a monomial word."""
-    fs = word.factors
-    degs = [space.degree(f) for f in fs]
-    terms: dict[Word, Fraction] = {}
-    for perm in itertools.permutations(range(1, len(fs) + 1)):
-        s = koszul_sign(list(perm), degs, signature=signature)
-        w = Word.tensor(*(fs[p - 1] for p in perm))
-        terms[w] = terms.get(w, ZERO) + s
-    return Element(space, terms)
 
 
 # ---------------------------------------------------------------------------

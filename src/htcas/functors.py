@@ -53,17 +53,15 @@ class CDGA:
     is given on generators and extended as a derivation.
     """
 
-    def __init__(self, gens: GradedSpace, diff: dict[str, Element] | None = None,
-                 validate: bool = True):
+    def __init__(self, gens: GradedSpace, diff: dict[str, Element] | None = None):
         self.gens = gens
         self.diff = {g: el for g, el in (diff or {}).items() if el}
         for g, el in self.diff.items():
             if el.degree is not None and el.degree != self.gens.degree(g) + 1:
                 raise ValidationError(f"d({g}) has the wrong degree")
-        if validate:
-            for g in self.diff:
-                if self.d(self.diff[g]):
-                    raise AxiomError(f"d^2 != 0 on generator {g}")
+        for g in self.diff:
+            if self.d(self.diff[g]):
+                raise AxiomError(f"d^2 != 0 on generator {g}")
 
     @staticmethod
     def of(gens, d: dict | None = None) -> "CDGA":
@@ -287,7 +285,7 @@ def is_primitive(el: Element) -> bool:
 class FreeLieDGL:
     """Free graded Lie algebra on named generators with a differential
     given on generators by tensor-expanded Lie elements; checked for
-    primitivity and d^2 = 0 when built."""
+    degree -1, primitivity and d^2 = 0 when built."""
 
     def __init__(self, gens: GradedSpace, diff: dict[str, Element],
                  presentation: dict[str, list] | None = None):
@@ -317,6 +315,9 @@ class FreeLieDGL:
 
     def validate(self) -> None:
         for g, img in self.diff.items():
+            want = self.gens.degree(g) - 1
+            if img.degree is not None and img.degree != want:
+                raise ValidationError(f"diff {g} must have degree {want}, got {img.degree}")
             if not is_primitive(img):
                 raise AxiomError(f"differential of {g} is not a Lie element")
             if self.d_tensor(img):
@@ -436,8 +437,7 @@ def _multiplicity_factor(factors) -> int:
     return mult
 
 
-def cochain(L: LInfAlgebra, names: list[str] | None = None, orient=None,
-            validate: bool = True) -> CDGA:
+def cochain(L: LInfAlgebra, names: list[str] | None = None, orient=None) -> CDGA:
     """Chevalley-Eilenberg algebra: generators dual to the suspension, with
     <d_j v; s x_1 ^ ... ^ s x_j> = <v; s ell_j(x_1, ..., x_j)>.
 
@@ -465,7 +465,7 @@ def cochain(L: LInfAlgebra, names: list[str] | None = None, orient=None,
             for xw, co in val.terms.items():
                 parts[dual_of[xw.factors[0]]].append((co, mono))
     diff = {vn: lincomb(vspace, ps) for vn, ps in parts.items()}
-    return CDGA(vspace, {vn: el for vn, el in diff.items() if el}, validate=validate)
+    return CDGA(vspace, {vn: el for vn, el in diff.items() if el})
 
 
 def linf_from_cdga(A: CDGA) -> LInfAlgebra:

@@ -312,21 +312,6 @@ def restrict_positive(A: CDGA) -> CDGA:
     return CDGA(space, diff)
 
 
-def parity_involution(L: LInfAlgebra) -> LInfAlgebra:
-    """Conjugation by f -> (-1)^{|f|+1} f, which negates every bracket.
-
-    This is an isomorphism of L-infinity algebras; it is the documented
-    global normalization used when comparing transferred brackets against
-    their printed worked-example values."""
-    ops = {
-        k: GradedMap(m.source, m.target, m.degree,
-                     {w: (-1) * el for w, el in m.images.items()},
-                     arity=m.arity, in_kind=m.in_kind)
-        for k, m in L.ops.items()
-    }
-    return LInfAlgebra(L.space, ops, validate=False)
-
-
 # ---------------------------------------------------------------------------
 # component models
 

@@ -26,8 +26,9 @@ and the exact inverse conjugation carries the interleaving sign
 (-1)^{k(k-1)/2}.  By decalage B_k is graded symmetric on sL, so it is
 stored on monomial words and GradedMap's canonicalization evaluates it on
 every input order.  In this normalization the homotopy-transfer tree
-sums are sign-free, which is how the transfer module computes them, and
-the shifted checkers run the literal checkers' loops on these maps.
+sums are sign-free, which is how the transfer module computes them.  The
+checker loops take the ops and a flag for the literal signs, so the test
+suite's shifted cross-checks run the same loops on these maps.
 
 A Maurer-Cartan element is a plain Element of degree -1, which `mc_check`
 returns once its curvature vanishes; the curvature is the k = 0 case, on
@@ -48,8 +49,6 @@ from .core import (
     ValidationError,
     Word,
     apply_at,
-    canonical_word,
-    frac,
     from_coords,
     koszul_sign,
     lincomb,
@@ -246,11 +245,6 @@ def check_ainf(C: AInfCoalgebra) -> CheckReport:
     return _check_coherence(C.ops, C.space, True, "relation")
 
 
-def check_ainf_shifted(C: AInfCoalgebra) -> CheckReport:
-    """Cross-form of check_ainf in the degree -1 normalization (sign-free)."""
-    return _check_coherence(shifted_coops(C), C.space.suspend(-1), False, "shifted relation")
-
-
 def check_cocommutative(C: AInfCoalgebra) -> CheckReport:
     """tau o Delta_k = 0 for all k, tau the proper unshuffle splittings."""
     for k, m in sorted(C.ops.items()):
@@ -362,11 +356,6 @@ def check_linf(L: LInfAlgebra) -> CheckReport:
     return _check_jacobi(L.ops, L.space, "w", True, "Jacobi")
 
 
-def check_linf_shifted(L: LInfAlgebra) -> CheckReport:
-    """Cross-form of check_linf in the suspended normalization."""
-    return _check_jacobi(shifted_brackets(L), L.space.suspend(+1), "m", False, "shifted Jacobi")
-
-
 # ---------------------------------------------------------------------------
 # Maurer-Cartan machinery
 
@@ -423,45 +412,7 @@ def perturb(L: LInfAlgebra, mc: Element) -> LInfAlgebra:
     return LInfAlgebra(L.space, ops)
 
 
-def dgc_from_tables(space: GradedSpace, diff: dict, cop: dict,
-                    counit: str | None = None, validate: bool = True) -> AInfCoalgebra:
-    """DGC from tables: diff {gen: [(coeff, target)]},
-    cop {gen: [(coeff, (left, right))]}."""
-    ops: dict[int, GradedMap] = {}
-    if diff:
-        images = {
-            Word.tensor(g): Element.make(space, [(c, "t", (t,)) for c, t in pairs])
-            for g, pairs in diff.items()
-        }
-        ops[1] = GradedMap(space, space, -1, images)
-    if cop:
-        images = {
-            Word.tensor(g): Element.make(space, [(c, "t", fs) for c, fs in pairs])
-            for g, pairs in cop.items()
-        }
-        ops[2] = GradedMap(space, space, 0, images)
-    return AInfCoalgebra(space, ops, counit=counit, validate=validate)
-
-
-def linf_from_tables(space: GradedSpace, ops_table: dict[int, dict],
-                     validate: bool = True) -> LInfAlgebra:
-    """L-infinity from {k: {(names...): [(coeff, target)]}} tables."""
-    ops: dict[int, GradedMap] = {}
-    for k, table in ops_table.items():
-        images = {}
-        for fs, pairs in table.items():
-            w, s = canonical_word(space, "w", fs)
-            if w is None:
-                raise ValueError(f"degenerate wedge word {fs}")
-            el = Element.make(space, [(s * frac(c), "t", (t,)) for c, t in pairs])
-            if el:
-                images[w] = el
-        if images:
-            ops[k] = GradedMap(space, space, k - 2, images, arity=k, in_kind="w")
-    return LInfAlgebra(space, ops, validate=validate)
-
-
-def truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
+def truncate(L: LInfAlgebra) -> LInfAlgebra:
     """Keep positive degrees and the ell_1-cycles in degree 0.
 
     The degree-0 part is replaced by an echelon basis of ker(ell_1),
@@ -539,4 +490,4 @@ def truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
                 images[w] = img
         if images:
             ops[k] = GradedMap(new_space, new_space, k - 2, images, arity=k, in_kind="w")
-    return LInfAlgebra(new_space, ops, validate=validate)
+    return LInfAlgebra(new_space, ops)

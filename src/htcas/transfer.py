@@ -20,13 +20,14 @@ back with the exact-inverse suspension bookkeeping.  Transferred co-ops
 come from the planar recursion G_1 = p, G_m = F_m o h, with F_m the sum
 of (G_{m_1} (x) ... (x) G_{m_j}) o delta_j over the compositions of m
 (Markl, Transferring A-infinity structures); it builds each G_m once and
-unrolls to the sum over planar trees that `tree_map_coalgebra` evaluates
-one tree at a time.  Transferred brackets come from the recursion for
-the infinity-morphism i_infinity over splits of the inputs into blocks
-(Berglund, arXiv:0909.3485; Loday-Vallette, Algebraic Operads, 10.3),
-driven by the words on which it is nonzero; it sums each leaf-labelled
-tree once, which equals the tree sum over isomorphism classes weighted by
-1/|Aut(T)| that `tree_map_lie` evaluates one tree at a time.
+unrolls to the sum over planar trees.  Transferred brackets come from the
+recursion for the infinity-morphism i_infinity over splits of the inputs
+into blocks (Berglund, arXiv:0909.3485; Loday-Vallette, Algebraic
+Operads, 10.3), driven by the words on which it is nonzero; it sums each
+leaf-labelled tree once, which equals the tree sum over isomorphism
+classes weighted by 1/|Aut(T)|.  Neither transfer enumerates a tree: the
+tree sums, evaluated one tree at a time, are the test suite's oracles
+(`tests/tree_oracles.py`).
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .core import (
     lincomb,
     substituted_words,
     tensor_apply,
-    word_basis,
 )
 from .structures import (
     AInfCoalgebra,
@@ -286,11 +286,6 @@ def canonical_retract(C: AInfCoalgebra) -> HomotopyRetract:
     return retract_from_decomposition(homology_decomposition(ChainComplex(C.space, C.delta(1))))
 
 
-def identity_retract(cx: ChainComplex) -> HomotopyRetract:
-    ident = GradedMap.identity(cx.space)
-    return HomotopyRetract(cx, cx, ident, ident, GradedMap.zero(cx.space, cx.space, 1))
-
-
 # ---------------------------------------------------------------------------
 # shifted retract views
 
@@ -371,7 +366,7 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
 
     over the arities j >= 2 of C and the compositions of m.  Each G_m is one
     map from the big space to small^{(x)m}, built once.  Unrolled, this visits
-    each planar tree once: it is the tree sum of `tree_map_coalgebra`."""
+    each planar tree once: it is the sum over planar trees with m leaves."""
     if max_k is not None and max_k < 2:
         raise ValidationError(f"the arity cap must be at least 2, got {max_k}")
     coops = shifted_coops(C)
@@ -397,81 +392,8 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
     return AInfCoalgebra(r.small.space, ops, counit=counit)
 
 
-def _tree_coop(tree, coops: dict[int, GradedMap], rr: _ShiftedRetract) -> GradedMap:
-    """F_T for a planar tree T with an internal root: the root co-op followed
-    by p on each leaf and F_c o h on each subtree c."""
-    from . import trees
-
-    slots = tuple(rr.proj if trees.is_leaf(c) else _tree_coop(c, coops, rr).compose(rr.homotopy)
-                  for c in tree)
-    return _coop_map(coops, rr, [slots])
-
-
-def tree_map_coalgebra(tree, C: AInfCoalgebra, r: HomotopyRetract) -> GradedMap:
-    """The single labeled tree map Delta_T : H -> H^{(x)k}; a test oracle for
-    `transfer_ainf`, which sums these over the planar trees with k leaves."""
-    from . import trees
-
-    rr = _shift_retract(r, -1)
-    delta = _tree_coop(tree, shifted_coops(C), rr).compose(rr.incl)
-    return unshift_coop(delta, trees.leaf_count(tree), r.small.space)
-
-
 # ---------------------------------------------------------------------------
 # L-infinity transfer
-
-
-def _lie_node(tree, B: dict[int, GradedMap], rr: _ShiftedRetract,
-              factors: tuple[str, ...], memo: dict) -> Element:
-    """Value of a subtree on its chunk of leaf inputs (before the edge below)."""
-    from . import trees
-
-    if trees.is_leaf(tree):
-        return rr.incl.apply_word(Word.tensor(factors[0]))
-    key = (id(tree), factors)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    arity = len(tree)
-    if arity not in B:
-        out = Element.zero(rr.big)
-        memo[key] = out
-        return out
-    vals = []
-    pos = 0
-    dead = False
-    for child in tree:
-        n = trees.leaf_count(child)
-        v = _lie_node(child, B, rr, factors[pos:pos + n], memo)
-        pos += n
-        if not trees.is_leaf(child):
-            v = rr.homotopy.apply(v)
-        if not v:
-            dead = True
-            break
-        vals.append(v)
-    if dead:
-        out = Element.zero(rr.big)
-    else:
-        arg = vals[0]
-        for v in vals[1:]:
-            arg = arg.tensor(v)
-        out = B[arity].apply(arg)
-    memo[key] = out
-    return out
-
-
-def _lie_tree_shifted(tree, B, rr, factors: tuple[str, ...], memo: dict) -> Element:
-    """p-hat o (tree composite) o Koszul symmetrization of the inputs."""
-    degs = [rr.small.degree(f) for f in factors]
-    parts = []
-    for perm in itertools.permutations(range(1, len(factors) + 1)):
-        s = koszul_sign(list(perm), degs, signature=False)
-        arranged = tuple(factors[p - 1] for p in perm)
-        val = _lie_node(tree, B, rr, arranged, memo)
-        if val:
-            parts.append((s, rr.proj.apply(val)))
-    return lincomb(rr.small, parts)
 
 
 def _as_wedge_op(m: GradedMap) -> GradedMap:
@@ -589,7 +511,7 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
     than the word basis.  Scalars stay exact ints or Fractions throughout.
     A split into blocks, applied recursively, is a leaf-labelled rooted
     tree, so by orbit-stabilizer this is the tree sum sum_T ell_T / |Aut T|
-    of `tree_map_lie`.
+    over the isomorphism classes of rooted trees with k leaves.
 
     `words`, when given, restricts which ell'_k images are kept at each
     arity; the I values below max_k are computed in full regardless.
@@ -633,27 +555,6 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
         if images:
             ops[k] = unshift_bracket(small, k, images)
     return LInfAlgebra(small, ops)
-
-
-def tree_map_lie(tree, L: LInfAlgebra, r: HomotopyRetract) -> GradedMap:
-    """The single tree map ell_T (symmetrization included, no 1/|Aut|).
-
-    A test oracle for `transfer_linf`: it evaluates one planar embedding on
-    every canonical word and every input permutation."""
-    from . import trees
-
-    k = trees.leaf_count(tree)
-    B = shifted_brackets(L)
-    rr = _shift_retract(r, +1)
-    memo: dict = {}
-    small = r.small.space
-    emb = trees.planar_embedding(tree)
-    values = {}
-    for w in word_basis(small, "w", k):
-        val = _lie_tree_shifted(emb, B, rr, w.factors, memo)
-        if val:
-            values[w] = val
-    return unshift_bracket(small, k, values)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ x'(3), y'(6), z'(9), t'(15) with [x',y'] = z', [y',z'] = t'.
 
 import pytest
 
+from helpers import dgc_from_tables, linf_from_tables
 from htcas.core import GradedSpace
-from htcas.structures import dgc_from_tables, linf_from_tables
 
 
 @pytest.fixture(scope="session")

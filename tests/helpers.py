@@ -1,4 +1,12 @@
-"""Randomized generators of valid test structures.
+"""Fixture constructors, cross-checks and randomized generators of valid
+test structures.
+
+The table constructors build the fixtures' coalgebras and L-infinity
+algebras from coefficient tables.  The shifted checkers run the engine's
+axiom loops on the suspension-normalized ops, without the literal signs,
+as a second form of `check_ainf` and `check_linf`.  `parity_involution`
+negates every bracket, the normalization under which transferred brackets
+are compared with printed worked-example values.
 
 Sullivan algebras are built generator by generator with differentials drawn
 from the exact kernel of d on the smaller algebra, so d^2 = 0 holds by
@@ -23,13 +31,15 @@ from fractions import Fraction
 
 from htcas import linalg
 from htcas.core import (
+    ZERO,
     Element,
     GradedMap,
     GradedSpace,
     Word,
     canonical_word,
-    coords,
+    frac,
     from_coords,
+    koszul_sign,
     lincomb,
     tensor_apply,
     word_basis,
@@ -43,9 +53,13 @@ from htcas.functors import (
 )
 from htcas.structures import (
     AInfCoalgebra,
+    CheckReport,
     LInfAlgebra,
+    _check_coherence,
+    _check_jacobi,
     iterated_coproducts,
     shifted_brackets,
+    shifted_coops,
 )
 from htcas.transfer import (
     ChainComplex,
@@ -59,6 +73,92 @@ from htcas.transfer import (
     hom_complex,
     hom_name,
 )
+
+
+def dgc_from_tables(space: GradedSpace, diff: dict, cop: dict,
+                    counit: str | None = None, validate: bool = True) -> AInfCoalgebra:
+    """DGC from tables: diff {gen: [(coeff, target)]},
+    cop {gen: [(coeff, (left, right))]}."""
+    ops: dict[int, GradedMap] = {}
+    if diff:
+        images = {
+            Word.tensor(g): Element.make(space, [(c, "t", (t,)) for c, t in pairs])
+            for g, pairs in diff.items()
+        }
+        ops[1] = GradedMap(space, space, -1, images)
+    if cop:
+        images = {
+            Word.tensor(g): Element.make(space, [(c, "t", fs) for c, fs in pairs])
+            for g, pairs in cop.items()
+        }
+        ops[2] = GradedMap(space, space, 0, images)
+    return AInfCoalgebra(space, ops, counit=counit, validate=validate)
+
+
+def linf_from_tables(space: GradedSpace, ops_table: dict[int, dict],
+                     validate: bool = True) -> LInfAlgebra:
+    """L-infinity from {k: {(names...): [(coeff, target)]}} tables."""
+    ops: dict[int, GradedMap] = {}
+    for k, table in ops_table.items():
+        images = {}
+        for fs, pairs in table.items():
+            w, s = canonical_word(space, "w", fs)
+            if w is None:
+                raise ValueError(f"degenerate wedge word {fs}")
+            el = Element.make(space, [(s * frac(c), "t", (t,)) for c, t in pairs])
+            if el:
+                images[w] = el
+        if images:
+            ops[k] = GradedMap(space, space, k - 2, images, arity=k, in_kind="w")
+    return LInfAlgebra(space, ops, validate=validate)
+
+
+def check_ainf_shifted(C: AInfCoalgebra) -> CheckReport:
+    """Cross-form of check_ainf in the degree -1 normalization (sign-free)."""
+    return _check_coherence(shifted_coops(C), C.space.suspend(-1), False, "shifted relation")
+
+
+def check_linf_shifted(L: LInfAlgebra) -> CheckReport:
+    """Cross-form of check_linf in the suspended normalization."""
+    return _check_jacobi(shifted_brackets(L), L.space.suspend(+1), "m", False, "shifted Jacobi")
+
+
+def parity_involution(L: LInfAlgebra) -> LInfAlgebra:
+    """Conjugation by f -> (-1)^{|f|+1} f, which negates every bracket.
+
+    This is an isomorphism of L-infinity algebras; it is the documented
+    global normalization used when comparing transferred brackets against
+    their printed worked-example values."""
+    ops = {
+        k: GradedMap(m.source, m.target, m.degree,
+                     {w: (-1) * el for w, el in m.images.items()},
+                     arity=m.arity, in_kind=m.in_kind)
+        for k, m in L.ops.items()
+    }
+    return LInfAlgebra(L.space, ops, validate=False)
+
+
+def identity_retract(cx: ChainComplex) -> HomotopyRetract:
+    ident = GradedMap.identity(cx.space)
+    return HomotopyRetract(cx, cx, ident, ident, GradedMap.zero(cx.space, cx.space, 1))
+
+
+def symmetrize(space: GradedSpace, word: Word, signature: bool = True) -> Element:
+    """Signed sum of the k! tensor rearrangements of a word: graded
+    signature signs for a wedge word, Koszul signs alone (signature=False)
+    for a monomial word."""
+    fs = word.factors
+    degs = [space.degree(f) for f in fs]
+    terms: dict[Word, Fraction] = {}
+    for perm in itertools.permutations(range(1, len(fs) + 1)):
+        s = koszul_sign(list(perm), degs, signature=signature)
+        w = Word.tensor(*(fs[p - 1] for p in perm))
+        terms[w] = terms.get(w, ZERO) + s
+    return Element(space, terms)
+
+
+def coords(el: Element, words: list[Word]) -> list[Fraction]:
+    return [el.coeff(w) for w in words]
 
 
 # a cubic differential, so that ell_3 reaches the convolution of any source
@@ -516,7 +616,6 @@ def dense_quillen_direct(C: AInfCoalgebra, dec) -> FreeLieDGL:
         if total:
             diff[nm] = total
     out = FreeLieDGL(gens, diff)
-    out.validate()
     if not out.is_minimal:
         raise ValueError("direct Quillen differential has a linear part")
     return out

@@ -15,8 +15,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from helpers import CUBIC_Y, random_cocommutative_dgc, random_finite_cdga, random_sullivan
-from htcas.core import Element, GradedSpace, Word
+from helpers import (
+    CUBIC_Y,
+    linf_from_tables,
+    parity_involution,
+    random_cocommutative_dgc,
+    random_finite_cdga,
+    random_sullivan,
+)
+from htcas.core import AxiomError, Element, GradedSpace, Word
 from htcas.functors import (
     CDGA,
     FiniteCDGA,
@@ -38,7 +45,6 @@ from htcas.invariants import (
 from htcas.mapping import (
     component_model,
     mapping_space_model,
-    parity_involution,
     reduced_bs_cochain,
     reduced_bs_direct,
     restrict_positive,
@@ -47,7 +53,6 @@ from htcas.structures import (
     check_ainf,
     check_cocommutative,
     check_linf,
-    linf_from_tables,
     mc_check,
     perturb,
 )
@@ -57,7 +62,7 @@ from htcas.transfer import (
     retract_from_decomposition,
     transfer_ainf,
 )
-from htcas.trees import arity_product, aut_order, enumerate_planar, enumerate_rooted
+from tree_oracles import arity_product, aut_order, enumerate_planar, enumerate_rooted
 
 RENAME = {"a": "g", "b": "h", "c": "r", "a.b": "s", "a.c": "u", "b.c": "v",
           "a.b.c": "w", "one": "unit"}
@@ -218,7 +223,6 @@ def test_c6_quillen_consistency():
         for g in M1.diff:
             assert M1.diff[g] == M2.diff[g], g
         assert M1.is_minimal and M2.is_minimal  # zero weight-1 part
-        M1.validate()  # primitivity and d^2 = 0
     _report(6, "Quillen model consistency on 21 coalgebras")
 
 
@@ -227,7 +231,6 @@ def test_c7_invariants_and_hspace():
     a, b = Element.gen(gens, "a"), Element.gen(gens, "b")
     M = FreeLieDGL(gens, {"c": lie_bracket(a, lie_bracket(a, b))},
                    presentation={"c": [(1, ("a", ("a", "b")))]})
-    M.validate()
     Y = CDGA.of([("u", 2), ("v", 4), ("w", 7)],
                 {"w": [(1, ("u", "u", "u", "u")), (1, ("v", "v"))]})
     bl = bracket_length(M)
@@ -308,8 +311,11 @@ def test_c8_property_suites():
         ops = dict(L.ops)
         ops[k] = GradedMap(space, space, k - 2, images, arity=k, in_kind="w")
         corrupted = LInfAlgebra(space, ops, validate=False)
-        Ac = cochain(corrupted, validate=False)
-        d2_zero = all(not Ac.d(img) for img in Ac.diff.values())
+        try:
+            cochain(corrupted)
+            d2_zero = True
+        except AxiomError:
+            d2_zero = False
         assert bool(check_linf(corrupted)) == d2_zero
         done += 1
     # perturbing by a verified Maurer-Cartan element keeps the structure valid

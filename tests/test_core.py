@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import tensor_map
+from helpers import coords, symmetrize, tensor_map
 from htcas.core import (
     Element,
     GradedMap,
@@ -15,14 +15,12 @@ from htcas.core import (
     Word,
     apply_at,
     canonical_word,
-    coords,
     frac,
     from_coords,
     koszul_sign,
     shuffles,
     substituted_words,
     suspension_sign,
-    symmetrize,
     tensor_apply,
     unshuffle,
     word_basis,

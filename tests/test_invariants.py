@@ -1,5 +1,6 @@
 import pytest
 
+from helpers import dgc_from_tables, linf_from_tables
 from htcas.core import Element, GradedSpace
 from htcas.functors import (
     CDGA,
@@ -19,7 +20,7 @@ from htcas.invariants import (
     two_stage_filtration,
     whitehead_length,
 )
-from htcas.structures import LInfAlgebra, linf_from_tables
+from htcas.structures import LInfAlgebra
 
 EX2_TARGET = CDGA.of(
     [("u", 2), ("v", 4), ("w", 7)],
@@ -33,7 +34,6 @@ def cell_attachment_model():
     img = lie_bracket(a, lie_bracket(a, b))
     M = FreeLieDGL(gens, {"c": img},
                    presentation={"c": [(1, ("a", ("a", "b")))]})
-    M.validate()
     return M
 
 
@@ -117,7 +117,6 @@ def test_two_stage_filtration():
         {"b": lie_bracket(a, a),
          "c": lie_bracket(a, b)},
     )
-    M.validate()
     assert not two_stage_filtration(M)
 
 
@@ -134,7 +133,6 @@ def test_hspace_inconclusive_when_hypothesis_fails():
     gens = GradedSpace.of([("a", 6), ("b", 6), ("c", 13)])
     a, b = Element.gen(gens, "a"), Element.gen(gens, "b")
     M = FreeLieDGL(gens, {"c": lie_bracket(a, b)})
-    M.validate()
     assert bracket_length(M).value == 2
     verdict = hspace_certificate(M, linf_from_cdga(EX2_TARGET))
     assert verdict.verdict == "inconclusive"
@@ -143,8 +141,6 @@ def test_hspace_inconclusive_when_hypothesis_fails():
 def conilpotence_two_cell_attachment():
     """A conilpotence-2 coalgebra model of the two-sphere wedge with the
     long-bracket cell: the direct Quillen differential is [a,[a,b]]."""
-    from htcas.structures import dgc_from_tables
-
     space = GradedSpace.of(
         [("al", 7), ("be", 7), ("q", 13), ("p", 14), ("e", 20)]
     )

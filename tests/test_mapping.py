@@ -10,6 +10,7 @@ from helpers import (
     linf_merge_candidates,
     dense_perturb,
     dense_truncate,
+    parity_involution,
     random_finite_cdga,
     random_sullivan,
 )
@@ -20,7 +21,6 @@ from htcas.mapping import (
     convolution_linf,
     mapping_arity_cap,
     mapping_space_model,
-    parity_involution,
     reduced_bs_cochain,
     reduced_bs_direct,
     restrict_positive,
@@ -33,9 +33,8 @@ from htcas.transfer import (
     homology_decomposition,
     retract_from_decomposition,
     transfer_linf,
-    tree_map_lie,
 )
-from htcas.trees import aut_order, enumerate_rooted
+from tree_oracles import aut_order, enumerate_rooted, tree_map_lie
 
 RENAME = {"a": "g", "b": "h", "c": "r", "a.b": "s", "a.c": "u", "b.c": "v",
           "a.b.c": "w", "one": "unit"}

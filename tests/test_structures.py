@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from helpers import check_ainf_shifted, check_linf_shifted, dgc_from_tables, linf_from_tables
 from htcas.core import Element, GradedMap, GradedSpace, Word, word_basis
 from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, linf_from_cdga
 from htcas.mapping import convolution_linf
@@ -12,13 +13,9 @@ from htcas.structures import (
     _candidate_words,
     _jacobi_total,
     check_ainf,
-    check_ainf_shifted,
     check_cocommutative,
     check_linf,
-    check_linf_shifted,
-    dgc_from_tables,
     iterated_coproducts,
-    linf_from_tables,
     mc_check,
     mc_residual,
     perturb,
@@ -246,13 +243,13 @@ def test_truncate_rejects_a_degree_zero_output_off_the_cycles():
         2: {("a", "c"): [(1, "a")]},
     }, validate=False)
     with pytest.raises(ValueError, match="not an ell_1-cycle"):
-        truncate(L, validate=False)
+        truncate(L)
     # the same bracket landing on the cycle a + b is re-expressed as a
     L = linf_from_tables(space, {
         1: {("a",): [(1, "mm")], ("b",): [(-1, "mm")]},
         2: {("a", "c"): [(1, "a")], ("b", "c"): [(1, "b")]},
     }, validate=False)
-    T = truncate(L, validate=False)
+    T = truncate(L)
     assert T.space.names == ("a", "c", "p")
     assert T.ops[2].images == {Word.wedge("a", "c"): Element.gen(T.space, "a")}
 

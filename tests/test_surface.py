@@ -11,6 +11,7 @@ from htcas import cli, functors, structures
 from htcas.core import GradedMap, GradedSpace, word_basis
 from htcas.functors import (
     CDGA,
+    cochain,
     dual_coalgebra,
     linf_from_cdga,
     quillen,
@@ -28,9 +29,9 @@ from htcas.structures import (
     AInfCoalgebra,
     LInfAlgebra,
     check_linf,
-    check_linf_shifted,
     mc_check,
     perturb,
+    truncate,
 )
 from htcas.transfer import hom_retract, transfer_ainf, transfer_linf
 
@@ -56,13 +57,15 @@ PARAMETERS = {
     transfer_linf: ["L", "r", "max_k", "words"],
     transfer_ainf: ["C", "r", "max_k"],
     linf_from_cdga: ["A"],
+    cochain: ["L", "names", "orient"],
+    truncate: ["L"],
+    CDGA: ["gens", "diff"],
     CDGA.of: ["gens", "d"],
     quillen: ["C"],
     quillen_differential_direct: ["C"],
     hom_retract: ["r", "L"],
     dual_coalgebra: ["B", "rename"],
     check_linf: ["L"],
-    check_linf_shifted: ["L"],
     hspace_certificate: ["x_side", "y_side"],
     word_basis: ["space", "kind", "arity"],
     GradedMap.apply_word: ["self", "word"],

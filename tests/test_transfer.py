@@ -6,9 +6,11 @@ from helpers import (
     dense_decomposition,
     dense_homology_dims,
     dense_retract,
+    identity_retract,
+    linf_from_tables,
     oracle_sources,
 )
-from htcas import linalg, trees
+from htcas import linalg
 from htcas.core import Element, GradedMap, GradedSpace, ValidationError, Word
 from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, quillen_differential_direct
 from htcas.mapping import convolution_linf
@@ -16,7 +18,6 @@ from htcas.structures import (
     check_ainf,
     check_cocommutative,
     check_linf,
-    linf_from_tables,
 )
 from htcas.transfer import (
     ChainComplex,
@@ -25,15 +26,20 @@ from htcas.transfer import (
     hom_retract,
     hom_space,
     homology_decomposition,
-    identity_retract,
     linf_transfer_cap,
     retract_from_decomposition,
     transfer_ainf,
     transfer_linf,
+)
+from tree_oracles import (
+    aut_order,
+    enumerate_planar,
+    enumerate_rooted,
+    is_leaf,
+    serialize,
     tree_map_coalgebra,
     tree_map_lie,
 )
-from htcas.trees import aut_order, enumerate_planar, enumerate_rooted, serialize
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +185,7 @@ def test_identity_retract_transfers_identically(cbar, n4):
 
 def planar_tree_sum(C, r, k):
     maps = [tree_map_coalgebra(t, C, r) for t in enumerate_planar(k)
-            if not trees.is_leaf(t)]
+            if not is_leaf(t)]
     return sum(maps[1:], maps[0])
 
 
@@ -201,8 +207,8 @@ def test_engine_transfers_enumerate_no_trees(monkeypatch, cbar, cbar_retract, ta
     def refuse(*args, **kwargs):
         raise AssertionError("tree enumeration on the transfer path")
 
-    monkeypatch.setattr(trees, "enumerate_planar", refuse)
-    monkeypatch.setattr(trees, "enumerate_rooted", refuse)
+    monkeypatch.setattr("tree_oracles.enumerate_planar", refuse)
+    monkeypatch.setattr("tree_oracles.enumerate_rooted", refuse)
     assert 3 in transfer_ainf(*n4).ops
     hr = hom_retract(cbar_retract[1], target_dgl)
     assert 3 in transfer_linf(convolution_linf(cbar, target_dgl), hr, max_k=3).ops
@@ -269,9 +275,6 @@ def test_transfer_linf_identity_retract(target_dgl):
 
 def test_tree_map_lie_corolla_and_sum(target_dgl):
     from fractions import Fraction
-
-    from htcas.transfer import tree_map_lie
-    from htcas.trees import aut_order, enumerate_rooted
 
     r = identity_retract(ChainComplex.zero_diff(target_dgl.space))
     corolla = ("*", "*")

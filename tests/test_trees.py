@@ -2,16 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from htcas.trees import (
+from tree_oracles import (
     LEAF,
     arity_product,
     aut_order,
-    canonical,
     enumerate_planar,
     enumerate_rooted,
-    internal_edges,
     leaf_count,
-    parse_tree,
     planar_embedding,
     serialize,
 )
@@ -88,23 +85,6 @@ def test_embedding_count_identity():
 def test_planar_embedding_canonical():
     assert planar_embedding((LEAF, LEAF)) == (LEAF, LEAF)
     assert planar_embedding((LEAF, (LEAF, LEAF))) == ((LEAF, LEAF), LEAF)
-
-
-def test_serialize_parse_round_trip():
-    for k in range(1, 6):
-        for t in enumerate_planar(k):
-            assert parse_tree(serialize(t)) == t
-    with pytest.raises(ValueError):
-        parse_tree("(*)")
-    with pytest.raises(ValueError):
-        parse_tree("((**)")
-
-
-def test_internal_edges():
-    assert internal_edges((LEAF, LEAF)) == 0
-    assert internal_edges(((LEAF, LEAF), LEAF)) == 1
-    assert internal_edges(((LEAF, LEAF), (LEAF, LEAF))) == 2
-    assert internal_edges(canonical(((LEAF, LEAF), LEAF))) == 1
 
 
 def test_leaf_count():

@@ -1,4 +1,4 @@
-"""Rooted-tree combinatorics for homotopy transfer.
+"""Tree-sum oracles for both homotopy transfers.
 
 Planar rooted trees (ordered children) index transferred A-infinity
 co-operations; isomorphism classes of rooted trees index transferred
@@ -7,6 +7,12 @@ valence >= 2 and trees are counted by their number of leaves.
 
 Trees serialize as nested parentheses with `*` for a leaf, e.g. the
 3-leaf left comb is ((**)*).
+
+`tree_map_coalgebra` and `tree_map_lie` evaluate one tree at a time in
+the suspension-normalized world of `htcas.structures`, on the shifted
+retract of `htcas.transfer`.  The engine computes the same sums by the
+planar recursion and the i_infinity recursion and never enumerates a
+tree; the tests compare the two tree by tree and arity by arity.
 """
 
 from __future__ import annotations
@@ -14,6 +20,17 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+
+from htcas.core import Element, GradedMap, Word, koszul_sign, lincomb, word_basis
+from htcas.structures import (
+    AInfCoalgebra,
+    LInfAlgebra,
+    shifted_brackets,
+    shifted_coops,
+    unshift_bracket,
+    unshift_coop,
+)
+from htcas.transfer import HomotopyRetract, _coop_map, _shift_retract, _ShiftedRetract
 
 # A tree is either LEAF or a tuple of >= 2 subtrees (children, left to right).
 LEAF = "*"
@@ -41,37 +58,6 @@ def serialize(t) -> str:
     if is_leaf(t):
         return LEAF
     return "(" + "".join(serialize(c) for c in t) + ")"
-
-
-def parse_tree(s: str):
-    """Inverse of `serialize`."""
-    pos = 0
-
-    def rec():
-        nonlocal pos
-        if pos >= len(s):
-            raise ValueError("unexpected end of tree string")
-        ch = s[pos]
-        if ch == LEAF:
-            pos += 1
-            return LEAF
-        if ch != "(":
-            raise ValueError(f"unexpected {ch!r} at position {pos}")
-        pos += 1
-        children = []
-        while pos < len(s) and s[pos] != ")":
-            children.append(rec())
-        if pos >= len(s):
-            raise ValueError("unbalanced parentheses")
-        pos += 1
-        if len(children) < 2:
-            raise ValueError("internal vertex of valence < 2")
-        return tuple(children)
-
-    t = rec()
-    if pos != len(s):
-        raise ValueError(f"trailing input at position {pos}")
-    return t
 
 
 def _compositions(k: int, max_parts: int):
@@ -180,7 +166,95 @@ def arity_product(t) -> int:
     return p
 
 
-def internal_edges(t) -> int:
-    if is_leaf(t):
-        return 0
-    return sum(internal_edges(c) + (0 if is_leaf(c) else 1) for c in t)
+# ---------------------------------------------------------------------------
+# A-infinity tree maps
+
+
+def _tree_coop(tree, coops: dict[int, GradedMap], rr: _ShiftedRetract) -> GradedMap:
+    """F_T for a planar tree T with an internal root: the root co-op followed
+    by p on each leaf and F_c o h on each subtree c."""
+    slots = tuple(rr.proj if is_leaf(c) else _tree_coop(c, coops, rr).compose(rr.homotopy)
+                  for c in tree)
+    return _coop_map(coops, rr, [slots])
+
+
+def tree_map_coalgebra(tree, C: AInfCoalgebra, r: HomotopyRetract) -> GradedMap:
+    """The single labeled tree map Delta_T : H -> H^{(x)k}; a test oracle for
+    `transfer_ainf`, which sums these over the planar trees with k leaves."""
+    rr = _shift_retract(r, -1)
+    delta = _tree_coop(tree, shifted_coops(C), rr).compose(rr.incl)
+    return unshift_coop(delta, leaf_count(tree), r.small.space)
+
+
+# ---------------------------------------------------------------------------
+# L-infinity tree maps
+
+
+def _lie_node(tree, B: dict[int, GradedMap], rr: _ShiftedRetract,
+              factors: tuple[str, ...], memo: dict) -> Element:
+    """Value of a subtree on its chunk of leaf inputs (before the edge below)."""
+    if is_leaf(tree):
+        return rr.incl.apply_word(Word.tensor(factors[0]))
+    key = (id(tree), factors)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    arity = len(tree)
+    if arity not in B:
+        out = Element.zero(rr.big)
+        memo[key] = out
+        return out
+    vals = []
+    pos = 0
+    dead = False
+    for child in tree:
+        n = leaf_count(child)
+        v = _lie_node(child, B, rr, factors[pos:pos + n], memo)
+        pos += n
+        if not is_leaf(child):
+            v = rr.homotopy.apply(v)
+        if not v:
+            dead = True
+            break
+        vals.append(v)
+    if dead:
+        out = Element.zero(rr.big)
+    else:
+        arg = vals[0]
+        for v in vals[1:]:
+            arg = arg.tensor(v)
+        out = B[arity].apply(arg)
+    memo[key] = out
+    return out
+
+
+def _lie_tree_shifted(tree, B, rr, factors: tuple[str, ...], memo: dict) -> Element:
+    """p-hat o (tree composite) o Koszul symmetrization of the inputs."""
+    degs = [rr.small.degree(f) for f in factors]
+    parts = []
+    for perm in itertools.permutations(range(1, len(factors) + 1)):
+        s = koszul_sign(list(perm), degs, signature=False)
+        arranged = tuple(factors[p - 1] for p in perm)
+        val = _lie_node(tree, B, rr, arranged, memo)
+        if val:
+            parts.append((s, rr.proj.apply(val)))
+    return lincomb(rr.small, parts)
+
+
+def tree_map_lie(tree, L: LInfAlgebra, r: HomotopyRetract) -> GradedMap:
+    """The single tree map ell_T (symmetrization included, no 1/|Aut|).
+
+    A test oracle for `transfer_linf`: it evaluates one planar embedding on
+    every canonical word and every input permutation."""
+    k = leaf_count(tree)
+    B = shifted_brackets(L)
+    rr = _shift_retract(r, +1)
+    memo: dict = {}
+    small = r.small.space
+    emb = planar_embedding(tree)
+    values = {}
+    for w in word_basis(small, "w", k):
+        val = _lie_tree_shifted(emb, B, rr, w.factors, memo)
+        if val:
+            values[w] = val
+    return unshift_bracket(small, k, values)
