@@ -19,7 +19,13 @@ Conventions used across the package:
     "m"  monomial words (graded-commutative order; a repeated odd-degree
          factor kills the word).
   Wedge and monomial words are kept sorted by (degree, declaration index)
-  with the sorting sign absorbed into the coefficient.
+  with the sorting sign absorbed into the coefficient.  The word algebra has
+  one product, `Element.times`, which concatenates words and canonicalizes
+  the result by its kind, and one odd derivation, `derivation`, which
+  splices a generator's image in place of each factor with the sign
+  (-1)**deg(prefix).  They give the product of Lambda V and of the tensor
+  algebra that expands a free Lie algebra, and the Sullivan and Quillen
+  differentials.
 * Suspension: s and s^{-1} are degree +1 / -1 symbols; applying them
   slotwise to a k-factor word costs (-1)**sum((k-i)*|x_i|), the Koszul
   price of threading each symbol to its slot.
@@ -37,7 +43,7 @@ Conventions used across the package:
   it is built.  Results computed from checked operands are built by the
   trusted `Element._of` without a second scan, because they are homogeneous
   by construction: a scalar multiple keeps the words (a scalar of 1 returns
-  the element itself; elements are never mutated); a concatenation of two
+  the element itself; elements are never mutated); a product `times` of two
   elements of one space has the sum of their degrees; `GradedMap.apply` on
   an element of its source, `tensor_apply` when every slot maps from the
   element's space into the first slot's target, and `apply_at` when its
@@ -46,7 +52,9 @@ Conventions used across the package:
   compares each operand's degree with the partial sum's in O(1).  An
   operand from another space object is first checked in the space of the
   sum, so every inhomogeneity `Element(...)` would reject is still
-  rejected, with the same `ValidationError`.
+  rejected, with the same `ValidationError`.  `derivation` checks its sum
+  once, because the generator images it splices need not share one degree
+  shift.
 """
 
 from __future__ import annotations
@@ -455,17 +463,22 @@ class Element:
             return self
         return Element._of(self.space, _scaled(self.terms, c))
 
-    def tensor(self, other: "Element") -> "Element":
-        """Concatenation x (x) y; both sides must be tensor-kind words.  The
-        words of y are checked in this element's space unless y lives there."""
-        if self.terms and other.space is not self.space:
-            other = Element(self.space, other.terms)
+    def times(self, other: "Element") -> "Element":
+        """The product x y of the word algebra: each pair of words is
+        concatenated and canonicalized by its kind (`_joined`), so a tensor
+        word stays as it is, a wedge or monomial word takes its sorting sign
+        and a killed word drops out.  The words of y are checked in this
+        element's space unless y lives there."""
+        space = self.space
+        if self.terms and other.space is not space:
+            other = Element(space, other.terms)
         terms: dict[Word, Fraction] = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = Word("t", w1.factors + w2.factors)
-                terms[w] = terms.get(w, ZERO) + c1 * c2
-        return Element._of(self.space, {w: c for w, c in terms.items() if c})
+                w, s = _joined(space, w1, w2, w1.factors + w2.factors)
+                if s:
+                    terms[w] = terms.get(w, ZERO) + (c1 * c2 if s > 0 else -c1 * c2)
+        return Element._of(space, {w: c for w, c in terms.items() if c})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -474,6 +487,43 @@ class Element:
         for w, c in self.sorted_items():
             bits.append(f"{c}*{w}")
         return " + ".join(bits)
+
+
+def _joined(space: GradedSpace, a: Word, b: Word, factors: tuple[str, ...]
+            ) -> tuple[Word | None, int]:
+    """The word of `factors`, spliced from the words a and b: of their kind,
+    or of the other's when one is a tensor word (a length-1 tensor word
+    doubles as a plain basis word), and canonical, with its sorting sign;
+    (None, 0) when it is killed."""
+    kind = a.kind if a.kind != "t" else b.kind
+    if kind == "t":
+        return Word("t", factors), 1
+    return canonical_word(space, kind, factors)
+
+
+def derivation(diff: dict[str, Element], el: Element) -> Element:
+    """The odd derivation that extends `diff`, given on generators, to the
+    words of el: each factor f is replaced in place by the words of
+    diff[f], with the sign (-1)**deg(prefix) of threading the derivation
+    past the factors before it, and each spliced word is canonicalized by
+    its kind as in `Element.times`.  The images of `diff` are not known to
+    share one degree shift, so the sum is checked once."""
+    space = el.space
+    degree = space._degree
+    terms: dict[Word, int | Fraction] = {}
+    for w, c in el.terms.items():
+        fs = w.factors
+        for i, f in enumerate(fs):
+            img = diff.get(f)
+            if img:
+                pre, post = fs[:i], fs[i + 1:]
+                for iw, ic in img.terms.items():
+                    nw, s = _joined(space, w, iw, pre + iw.factors + post)
+                    if s:
+                        terms[nw] = terms.get(nw, ZERO) + (c * ic if s > 0 else -c * ic)
+            if degree[f] % 2:
+                c = -c
+    return Element(space, terms)
 
 
 def lincomb(space: GradedSpace, pairs) -> Element:
@@ -581,14 +631,6 @@ class GradedMap:
         if el.space == self.source:
             return Element._of(self.target, acc)
         return Element(self.target, acc)
-
-    def __add__(self, other: "GradedMap") -> "GradedMap":
-        if (self.degree, self.arity, self.in_kind) != (other.degree, other.arity, other.in_kind):
-            raise ValueError("cannot add maps of different shapes")
-        images = dict(self.images)
-        for w, el in other.images.items():
-            images[w] = images.get(w, Element.zero(self.target)) + el
-        return GradedMap(self.source, self.target, self.degree, images, self.arity, self.in_kind)
 
     def compose(self, inner: "GradedMap") -> "GradedMap":
         """self after inner (defined on inner's stored domain words)."""

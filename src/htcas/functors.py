@@ -1,6 +1,11 @@
 """Dictionaries between presentations: Sullivan algebras, dual coalgebras,
 Quillen models on free graded Lie algebras, and the cochain functor.
 
+The word algebra lives in `core`: the product of Lambda V and of the tensor
+algebra is `Element.times` on monomial and tensor words, and the Sullivan
+and the Quillen differentials are both `core.derivation` of the generator
+images.
+
 Cohomological data (Sullivan generators, monomials) is stored with its
 cohomological degree as the integer grade, so canonical monomial order is by
 ascending cohomological degree; the Koszul rules only consult parities, and
@@ -34,6 +39,7 @@ from .core import (
     ValidationError,
     Word,
     canonical_word,
+    derivation,
     lincomb,
 )
 
@@ -73,42 +79,9 @@ class CDGA:
             diff[g] = Element.make(space, [(c, "m", fs) for c, fs in items])
         return CDGA(space, diff)
 
-    def cohom_degree_of(self, factors) -> int:
-        return sum(self.gens.degree(f) for f in factors)
-
-    def multiply(self, a: Element, b: Element) -> Element:
-        terms = []
-        for wa, ca in a.terms.items():
-            for wb, cb in b.terms.items():
-                terms.append((ca * cb, "m", wa.factors + wb.factors))
-        return Element.make(self.gens, terms)
-
-    def monomial(self, factors, coeff=1) -> Element:
-        return Element.make(self.gens, [(coeff, "m", tuple(factors))])
-
     def d(self, el: Element) -> Element:
         """Derivation extension of the generator differential."""
-        parts = []
-        for w, c in el.terms.items():
-            fs = w.factors
-            sign = 1
-            for i, f in enumerate(fs):
-                img = self.diff.get(f)
-                if img:
-                    pre = self.monomial(fs[:i], c * sign)
-                    post = self.monomial(fs[i + 1:])
-                    parts.append((1, self.multiply(self.multiply(pre, img), post)))
-                if self.gens.degree(f) % 2:
-                    sign = -sign
-        return lincomb(self.gens, parts)
-
-    def d_parts(self, g: str) -> dict[int, Element]:
-        """Word-length components d_j(g)."""
-        parts: dict[int, dict[Word, Fraction]] = {}
-        img = self.diff.get(g)
-        for w, c in (img.terms if img else {}).items():
-            parts.setdefault(len(w), {})[w] = c
-        return {j: Element(self.gens, terms) for j, terms in parts.items()}
+        return derivation(self.diff, el)
 
     @property
     def is_sullivan(self) -> bool:
@@ -161,13 +134,8 @@ class FiniteCDGA:
                 keep[w] = c
         return Element(self.parent.gens, keep)
 
-    def multiply(self, fa, fb) -> Element:
-        return self.truncate(
-            self.parent.multiply(self.parent.monomial(fa), self.parent.monomial(fb))
-        )
-
     def d(self, fs) -> Element:
-        return self.truncate(self.parent.d(self.parent.monomial(fs)))
+        return self.truncate(self.parent.d(Element(self.parent.gens, {Word("m", fs): 1})))
 
     def cohom_degree(self, fs) -> int:
         return sum(self.parent.gens.degree(f) for f in fs)
@@ -179,15 +147,17 @@ def dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None
 
     The dual basis element of a monomial m sits in homological degree
     |m|; <Delta m*, x (x) y> = <m*, xy> and <delta m*, x> = <m*, dx>.
-    Each dx and each product xy is computed once and its terms are
-    scattered into the dual images of the monomials they hit, in the
-    order (x, then y) of the monomial basis.  Each co-operation of the
+    Each dx is computed once, and each product xy is one canonical word
+    with its sorting sign, kept when that word is a basis monomial; their
+    terms are scattered into the dual images of the monomials they hit, in
+    the order (x, then y) of the monomial basis.  Each co-operation of the
     reduced C is the full one with every word that involves the counit
     dropped, from its inputs and from its outputs.
     """
     from .structures import AInfCoalgebra
 
     rename = rename or {}
+    gens = B.parent.gens
     names = {fs: rename.get(B.names[fs], B.names[fs]) for fs in B.monomials}
     degrees = {fs: B.cohom_degree(fs) for fs in B.monomials}
 
@@ -203,8 +173,9 @@ def dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None
         for ys in B.monomials:
             if degrees[xs] + degrees[ys] > B.max_cohom:
                 continue
-            for w, co in B.multiply(xs, ys).terms.items():
-                tables[2].setdefault(w.factors, []).append((co, (names[xs], names[ys])))
+            w, sign = canonical_word(gens, "m", xs + ys)
+            if w is not None and w.factors in B.names:
+                tables[2].setdefault(w.factors, []).append((sign, (names[xs], names[ys])))
     ops = {k: GradedMap(space, space, k - 2, {
         Word.tensor(names[fs]): Element.make(space, [(c, "t", t) for c, t in table[fs]])
         for fs in B.monomials if fs in table}) for k, table in tables.items()}
@@ -231,7 +202,7 @@ def lie_bracket(a: Element, b: Element) -> Element:
     if da is None or db is None:
         return Element.zero(a.space)
     sign = -1 if (da % 2 and db % 2) else 1
-    return a.tensor(b) - sign * b.tensor(a)
+    return a.times(b) - sign * b.times(a)
 
 
 def bracket_tree_element(space: GradedSpace, tree) -> Element:
@@ -294,25 +265,6 @@ class FreeLieDGL:
         self.presentation = {} if presentation is None else presentation
         self.validate()
 
-    def d_tensor(self, el: Element) -> Element:
-        """Derivation extension to tensor words: each factor f of a word is
-        replaced in place by the words of d(f), with the sign
-        (-1)**deg(prefix) of threading d past the factors before it."""
-        space = self.gens
-        terms: dict[Word, int | Fraction] = {}
-        for w, c in el.terms.items():
-            fs = w.factors
-            for i, f in enumerate(fs):
-                img = self.diff.get(f)
-                if img:
-                    pre, post = fs[:i], fs[i + 1:]
-                    for iw, ic in img.terms.items():
-                        nw = Word("t", pre + iw.factors + post)
-                        terms[nw] = terms.get(nw, 0) + c * ic
-                if space.degree(f) % 2:
-                    c = -c
-        return Element(space, terms)
-
     def validate(self) -> None:
         for g, img in self.diff.items():
             want = self.gens.degree(g) - 1
@@ -320,7 +272,7 @@ class FreeLieDGL:
                 raise ValidationError(f"diff {g} must have degree {want}, got {img.degree}")
             if not is_primitive(img):
                 raise AxiomError(f"differential of {g} is not a Lie element")
-            if self.d_tensor(img):
+            if derivation(self.diff, img):
                 raise AxiomError(f"d^2 != 0 on generator {g}")
 
     @property

@@ -45,18 +45,16 @@ class InvariantReport:
 def differential_length(A: CDGA) -> InvariantReport:
     """Least word length of a nonzero part of a minimal Sullivan
     differential; infinity when d = 0."""
+    from .functors import weight_component, weights
+
     if not A.is_minimal:
         raise ValueError("differential length needs a minimal Sullivan algebra")
-    best = None
-    wit = None
-    for g in A.gens.names:
-        for j, part in A.d_parts(g).items():
-            if part and (best is None or j < best):
-                best, wit = j, (g, part)
-    if best is None:
+    lowest = {g: weights(A.diff[g])[0] for g in A.gens.names if g in A.diff}
+    if not lowest:
         return InvariantReport("dl", INF)
-    gen, part = wit
-    return InvariantReport("dl", best, witness=f"d({gen}) has the part {part!r}")
+    gen = min(lowest, key=lowest.get)
+    part = weight_component(A.diff[gen], lowest[gen])
+    return InvariantReport("dl", lowest[gen], witness=f"d({gen}) has the part {part!r}")
 
 
 def bracket_length(M: FreeLieDGL) -> InvariantReport:

@@ -235,7 +235,7 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
             pairs.append((f"{v}.{h}", A.gens.degree(v) - hsp.degree(h)))
     bs = GradedSpace.of(pairs)
 
-    multiply = CDGA(bs).multiply
+    unit = Element(bs, {Word.mono(): 1})
     # cops[n]: Delta^{(n)} for every n the words of dv can ask for
     longest = max((len(w) for dv in A.diff.values() for w in dv.terms), default=1)
     cops = [GradedMap.identity(csp), *itertools.islice(iterated_coproducts(C), longest - 1)]
@@ -251,34 +251,30 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
         parts = []
         for cw, co in split.terms.items():
             sign = threading_sign([csp.degree(cf) for cf in cw.factors], vdegs)
-            prod = Element(bs, {Word.mono(): Fraction(1)})
-            for i, cf in enumerate(cw.factors):
-                factor = factor_of(vfactors[i], cf, depth)
-                if not factor:
-                    prod = Element.zero(bs)
+            prod = unit
+            for v, cf in zip(vfactors, cw.factors):
+                prod = prod.times(factor_of(v, cf, depth))
+                if not prod:
                     break
-                prod = multiply(prod, factor)
             if prod:
                 parts.append((sign * co, prod))
         return lincomb(bs, parts)
 
     def factor_of(v: str, cf: str, depth: int) -> Element:
         """The factor v.c with c a source basis element, split over the
-        decomposition: H passes through, A dies, dA substitutes."""
+        decomposition: H passes through, A dies, dA substitutes.
+
+        The canonical homotopy kills A and H and sends da_j to a_j, so h(c)
+        is the element whose differential is the dA part of c: it is read
+        directly, without splitting c first."""
         e = Element.gen(csp, cf)
-        hpart = r.proj.apply(e)
         parts = [(hco, Element.gen(bs, f"{v}.{hw.factors[0]}"))
-                 for hw, hco in hpart.terms.items()]
-        rest = e - r.incl.apply(hpart)
-        if rest:
-            apart = r.homotopy.apply(r.big.diff.apply(rest))  # the A component
-            dapart = rest - apart
-            if dapart:
-                a_el = r.homotopy.apply(dapart)
-                dv = A.diff.get(v)
-                if dv:
-                    parts += [(mc, expand(mw.factors, a_el, depth + 1))
-                              for mw, mc in dv.terms.items()]
+                 for hw, hco in r.proj.apply(e).terms.items()]
+        dv = A.diff.get(v)
+        a_el = r.homotopy.apply(e) if dv else None
+        if a_el:
+            parts += [(mc, expand(mw.factors, a_el, depth + 1))
+                      for mw, mc in dv.terms.items()]
         return lincomb(bs, parts)
 
     diff: dict[str, Element] = {}

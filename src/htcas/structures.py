@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 
 from . import linalg
 from .core import (
@@ -147,10 +148,7 @@ class LInfAlgebra:
 
     def bracket(self, k: int, *elements: Element) -> Element:
         """ell_k evaluated on elements (tensor positions in the given order)."""
-        el = elements[0]
-        for e in elements[1:]:
-            el = el.tensor(e)
-        return self.ell(k).apply(el)
+        return self.ell(k).apply(reduce(Element.times, elements))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +365,7 @@ def _twisted(L: LInfAlgebra, z: Element, factors: tuple[str, ...]) -> Element:
     parts = []
     for i in range(0, L.max_arity - k + 1):
         if i > 0:
-            w = z.tensor(w)
+            w = z.times(w)
             if not w:
                 break
         if i + k in L.ops:
@@ -475,11 +473,7 @@ def truncate(L: LInfAlgebra) -> LInfAlgebra:
             new_space, "w", ([pre.get(f, ()) for f in sw.factors] for sw in L.ops[k].support()))
         images = {}
         for w in cands:
-            arg = None
-            for f in w.factors:
-                e = include[f]
-                arg = e if arg is None else arg.tensor(e)
-            out = L.ell(k).apply(arg)
+            out = L.ell(k).apply(reduce(Element.times, (include[f] for f in w.factors)))
             out_deg = out.degree
             if not out or out_deg is None:
                 continue

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import linalg
 from .core import (
@@ -109,10 +109,6 @@ class Decomposition:
         self.complex = complex
         self.a_part = a_part
         self.h_part = h_part
-
-    @property
-    def da_part(self) -> list[Element]:
-        return [self.complex.diff.apply(a) for a in self.a_part]
 
 
 def homology_decomposition(cx: ChainComplex) -> Decomposition:
@@ -483,10 +479,7 @@ def _vertex_sum(w: tuple[str, ...], support: dict, partitions: dict,
                 vals.append(v)
             else:
                 eps = koszul_sign([p + 1 for b in blocks for p in b], degs, signature=False)
-                arg = vals[0]
-                for v in vals[1:]:
-                    arg = arg.tensor(v)
-                for word, c in B[j].apply(arg).terms.items():
+                for word, c in B[j].apply(reduce(Element.times, vals)).terms.items():
                     terms[word] = terms.get(word, ZERO) + eps * c
     return Element(rr.big, terms)
 

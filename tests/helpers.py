@@ -19,8 +19,8 @@ and build the homology decomposition, its retract, the direct Quillen
 differential and the dual coalgebra by full-width solves; the tests compare
 the engine against them image by image.  The kernel references after them
 are the routes the kernel replaced: the materialized tensor product of
-maps (for `apply_at`), the derivation built from prefix and suffix
-Elements (for `FreeLieDGL.d_tensor`), and the all-combinations merge of
+maps (for `apply_at`), the derivation built as products of prefix and
+suffix Elements (for `core.derivation`), and the all-combinations merge of
 support words (for `transfer._support_merges`).
 """
 
@@ -161,6 +161,11 @@ def coords(el: Element, words: list[Word]) -> list[Fraction]:
     return [el.coeff(w) for w in words]
 
 
+# the worked example's dual basis names: monomials of Lambda(a3, b3, c5), dc = ab
+RENAME = {"a": "g", "b": "h", "c": "r", "a.b": "s", "a.c": "u", "b.c": "v",
+          "a.b.c": "w", "one": "unit"}
+
+
 # a cubic differential, so that ell_3 reaches the convolution of any source
 # with Delta^{(2)} != 0
 CUBIC_Y = CDGA.of([("x", 3), ("y", 3), ("z", 3), ("w", 8)],
@@ -183,21 +188,12 @@ def random_sullivan(rng: random.Random, max_gens: int = 4, odd_only: bool = Fals
             monos = [
                 fs
                 for fs in algebra.monomial_basis(deg + 1)
-                if len(fs) >= 2 and algebra.cohom_degree_of(fs) == deg + 1
+                if len(fs) >= 2 and algebra.gens.word_degree(Word.mono(*fs)) == deg + 1
             ]
             if monos:
-                allw = sorted(
-                    {
-                        w
-                        for fs in monos
-                        for w in algebra.d(algebra.monomial(fs)).terms
-                    },
-                    key=repr,
-                )
-                rows = [
-                    [algebra.d(algebra.monomial(fs)).coeff(w) for fs in monos]
-                    for w in allw
-                ]
+                dmonos = [algebra.d(Element.make(algebra.gens, [(1, "m", fs)])) for fs in monos]
+                allw = sorted({w for dm in dmonos for w in dm.terms}, key=repr)
+                rows = [[dm.coeff(w) for dm in dmonos] for w in allw]
                 kernel = linalg.nullspace(rows, len(monos))
                 if kernel:
                     combo = [Fraction(0)] * len(monos)
@@ -324,7 +320,7 @@ def dense_perturb(L: LInfAlgebra, z: Element, validate: bool = True) -> LInfAlge
             arg = base
             for i in range(0, L.max_arity - k + 1):
                 if i > 0:
-                    arg = z.tensor(arg)
+                    arg = z.times(arg)
                     if not arg:
                         break
                 if i + k in L.ops:
@@ -395,7 +391,7 @@ def dense_truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
             arg = None
             for f in w.factors:
                 e = include[f]
-                arg = e if arg is None else arg.tensor(e)
+                arg = e if arg is None else arg.times(e)
             out = L.ell(k).apply(arg)
             out_deg = out.degree
             if not out or out_deg is None:
@@ -624,9 +620,13 @@ def dense_quillen_direct(C: AInfCoalgebra, dec) -> FreeLieDGL:
 def dense_dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None
                          ) -> tuple[AInfCoalgebra, AInfCoalgebra]:
     """Dual DGC of a finite CDGA, one dual basis element at a time: every
-    derivation and every product re-evaluated per target monomial
+    derivation and every product re-evaluated per target monomial, each
+    product as the Element product of two monomials truncated to the basis
     (reference for `functors.dual_coalgebra`)."""
     rename = rename or {}
+
+    def mono(fs) -> Element:
+        return Element.make(B.parent.gens, [(1, "m", fs)])
 
     def name_of(fs) -> str:
         return rename.get(B.names[fs], B.names[fs])
@@ -654,7 +654,7 @@ def dense_dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None
             for ys in B.monomials:
                 if B.cohom_degree(xs) + B.cohom_degree(ys) != B.cohom_degree(fs):
                     continue
-                prod = B.multiply(xs, ys)
+                prod = B.truncate(mono(xs).times(mono(ys)))
                 co = prod.coeff(Word.mono(*fs))
                 if co:
                     cc.append((co, (name_of(xs), name_of(ys))))
@@ -723,10 +723,11 @@ def tensor_map(maps: list[GradedMap]) -> GradedMap:
     return GradedMap(source, target, degree, images, sum(arities), "t")
 
 
-def d_tensor_by_elements(M: FreeLieDGL, el: Element) -> Element:
-    """The derivation extension of M's differential to tensor words, as
-    prefix (x) d(f) (x) suffix Elements per position (reference for
-    `FreeLieDGL.d_tensor`)."""
+def derivation_by_elements(M: CDGA | FreeLieDGL, el: Element) -> Element:
+    """The derivation extension of M's differential to the words of el, as
+    products prefix d(f) suffix of Elements per position, each prefix and
+    suffix a word of the kind of its input (reference for `core.derivation`
+    under `CDGA.d` and `FreeLieDGL.validate`)."""
     space = M.gens
     parts = []
     for w, c in el.terms.items():
@@ -735,9 +736,9 @@ def d_tensor_by_elements(M: FreeLieDGL, el: Element) -> Element:
         for i, f in enumerate(fs):
             img = M.diff.get(f)
             if img:
-                pre = Element(space, {Word.tensor(*fs[:i]): c * sign})
-                post = Element(space, {Word.tensor(*fs[i + 1:]): 1})
-                parts.append((1, pre.tensor(img).tensor(post)))
+                pre = Element(space, {Word(w.kind, fs[:i]): c * sign})
+                post = Element(space, {Word(w.kind, fs[i + 1:]): 1})
+                parts.append((1, pre.times(img).times(post)))
             if space.degree(f) % 2:
                 sign = -sign
     return lincomb(space, parts)

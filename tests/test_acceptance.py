@@ -17,6 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from helpers import (
     CUBIC_Y,
+    RENAME,
     linf_from_tables,
     parity_involution,
     random_cocommutative_dgc,
@@ -63,9 +64,6 @@ from htcas.transfer import (
     transfer_ainf,
 )
 from tree_oracles import arity_product, aut_order, enumerate_planar, enumerate_rooted
-
-RENAME = {"a": "g", "b": "h", "c": "r", "a.b": "s", "a.c": "u", "b.c": "v",
-          "a.b.c": "w", "one": "unit"}
 
 
 def _worked_example():

@@ -170,6 +170,33 @@ def test_element_arithmetic_round_trip():
     assert from_coords(SP, words, coords(e, words)) == e
 
 
+def test_product_on_wedge_and_monomial_words():
+    # x y is Element.make of the concatenation, with the sorting sign, and it
+    # is zero exactly when a factor repeats with self-transposition sign -1:
+    # an odd factor of a monomial word, an even factor of a wedge word; a
+    # length-1 tensor word doubles as a generator of either kind
+    rng = random.Random(3)
+    killed = {"m": 1, "w": 0}
+    for kind in ("w", "m"):
+        words = [w for n in range(3) for w in word_basis(SP, kind, n)]
+        zeros = 0
+        for w1, w2 in itertools.product(words, repeat=2):
+            c1, c2 = rng.choice([-2, -1, 1, Fraction(1, 3)]), rng.choice([-1, 1, 3])
+            x, y = Element(SP, {w1: c1}), Element(SP, {w2: c2})
+            fs = w1.factors + w2.factors
+            got = x.times(y)
+            assert got == Element.make(SP, [(c1 * c2, kind, fs)])
+            dead = any(fs.count(f) > 1 and SP.degree(f) % 2 == killed[kind] for f in fs)
+            assert (not got) == dead, (w1, w2)
+            zeros += dead
+            if len(w1) == 1:
+                assert Element.gen(SP, w1.factors[0]).times(y) == Element.make(SP, [(c2, kind, fs)])
+        assert zeros
+    # bilinear on sums: odd factors commute in wedge words, so (gh + 2 hg) s = 3 ghs
+    x = Element.make(SP, [(1, "w", ("g", "h")), (2, "w", ("h", "g"))])
+    assert x.times(Element.make(SP, [(1, "w", ("s",))])) == Element.make(SP, [(3, "w", ("g", "h", "s"))])
+
+
 def test_tensor_map_examples():
     # delta: s -> r, degree -1
     delta = GradedMap(SP, SP, -1, {Word.tensor("s"): Element.gen(SP, "r")})

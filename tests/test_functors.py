@@ -4,14 +4,24 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
-    d_tensor_by_elements,
+    RENAME,
+    derivation_by_elements,
     dense_dual_coalgebra,
     dense_quillen_direct,
     oracle_sources,
     random_cocommutative_dgc,
     random_sullivan,
 )
-from htcas.core import AxiomError, Element, GradedMap, GradedSpace, ValidationError, Word, word_basis
+from htcas.core import (
+    AxiomError,
+    Element,
+    GradedMap,
+    GradedSpace,
+    ValidationError,
+    Word,
+    derivation,
+    word_basis,
+)
 from htcas.functors import (
     CDGA,
     FiniteCDGA,
@@ -44,16 +54,14 @@ TARGET = CDGA.of(
     [("x", 4), ("y", 7), ("z", 10), ("t", 16)],
     {"z": [(1, ("x", "y"))], "t": [(1, ("y", "z"))]},
 )
-RENAME = {"a": "g", "b": "h", "c": "r", "a.b": "s", "a.c": "u", "b.c": "v",
-          "a.b.c": "w", "one": "unit"}
 
 
 def test_cdga_basics():
     A = SOURCE
     assert A.is_sullivan and A.is_minimal
-    ab = A.monomial(("a", "b"))
-    assert A.multiply(A.monomial(("b",)), A.monomial(("a",))) == -1 * ab
-    assert not A.d(A.d(A.monomial(("c", "a"))))
+    a, b = (Element.make(A.gens, [(1, "m", (g,))]) for g in "ab")
+    assert b.times(a) == -1 * a.times(b) == Element.make(A.gens, [(-1, "m", ("a", "b"))])
+    assert not A.d(A.d(Element.make(A.gens, [(1, "m", ("c", "a"))])))
     with pytest.raises(ValueError):
         CDGA.of([("a", 3), ("e", 4)], {"e": [(1, ("a",))], "a": [(1, ())]})
 
@@ -233,14 +241,14 @@ def test_free_lie_elements():
     assert is_primitive(br)
     assert bracketing(br) == 3 * br
     # a bare tensor word is not a Lie element
-    assert not is_primitive(x.tensor(y))
+    assert not is_primitive(x.times(y))
 
 
 def test_free_lie_dgl_checks_itself_when_built():
     sp = GradedSpace.of([("a", 2), ("b", 2), ("c", 5)])
     x, y = Element.gen(sp, "a"), Element.gen(sp, "b")
     with pytest.raises(AxiomError, match="differential of c is not a Lie element"):
-        FreeLieDGL(sp, {"c": x.tensor(y)})
+        FreeLieDGL(sp, {"c": x.times(y)})
     # d c = b and d b = a: every image is a Lie element, but d^2 c = a
     sp = GradedSpace.of([("a", 1), ("b", 2), ("c", 3)])
     with pytest.raises(AxiomError, match="d\\^2 != 0 on generator c"):
@@ -341,12 +349,14 @@ def test_quillen_reproduces_stated_cell_attachment_model():
 
 
 def test_d_tensor_matches_prefix_suffix_route(cbar):
-    # the in-place derivation against pre (x) d(f) (x) post, on every
-    # differential and on every tensor word of length <= 2 (<= 3 on cbar),
-    # summed per degree
+    # the in-place derivation against the products pre d(f) post: for the
+    # Quillen models, on every differential and on every tensor word of
+    # length <= 2 (<= 3 on cbar), summed per degree; for random Sullivan
+    # algebras, through CDGA.d on every monomial of cohomological degree
+    # <= 12, alone and summed per degree
     rng = random.Random(5)
     duals = [dual_coalgebra(B)[1] for _, B in oracle_sources()]
-    nonzero = 0
+    cases = []
     for C in [cbar, *duals]:
         M = quillen(C)
         els = list(M.diff.values())
@@ -355,8 +365,19 @@ def test_d_tensor_matches_prefix_suffix_route(cbar):
             for w in word_basis(M.gens, "t", n):
                 by_degree.setdefault(M.gens.word_degree(w), {})[w] = rng.choice([-2, -1, 1, 3])
             els += [Element(M.gens, terms) for terms in by_degree.values()]
-        for el in els:
-            got = M.d_tensor(el)
-            assert got == d_tensor_by_elements(M, el)
-            nonzero += bool(got)
-    assert nonzero > 20
+        cases += [(M, el, derivation(M.diff, el)) for el in els]
+    for _ in range(12):
+        A = random_sullivan(rng, max_gens=5, max_degree=6)
+        by_degree = {}
+        for fs in A.monomial_basis(12):
+            w = Word.mono(*fs)
+            by_degree.setdefault(A.gens.word_degree(w), {})[w] = rng.choice([-2, -1, 1, 3])
+        terms = [{w: c} for t in by_degree.values() for w, c in t.items()]
+        els = [Element(A.gens, t) for t in terms + list(by_degree.values())]
+        cases += [(A, el, A.d(el)) for el in els]
+    nonzero = {"t": 0, "m": 0}
+    for M, el, got in cases:
+        assert got == derivation_by_elements(M, el)
+        if got:
+            nonzero[next(iter(el.terms)).kind] += 1
+    assert nonzero["t"] > 20 and nonzero["m"] > 20

@@ -145,25 +145,61 @@ def _string_names(node):
             for name in re.findall(r"[A-Za-z_]\w*", n.value)}
 
 
-def test_every_top_level_definition_is_referenced():
-    # a def or class of src/htcas must be read somewhere outside its own
-    # body, in src/ or benchmark/: a twin left unused, or code that only
-    # tests read, fails here.  Under benchmark/ the names spelled in strings
-    # count too, because the tracer names its targets that way; the
-    # `_EXPORTS` strings of htcas/__init__.py do not count.
+def _references():
+    """The syntax trees of src/ and benchmark/, and per top-level node of
+    each the names it reads.  Under benchmark/ the names spelled in strings
+    count too, because the tracer names its targets that way; the
+    `_EXPORTS` strings of htcas/__init__.py do not count."""
     files = [path for top in ("src", "benchmark") for path in (ROOT / top).rglob("*.py")]
     trees = {path: ast.parse(path.read_text()) for path in files}
     bench = ROOT / "benchmark"
     used = {path: [_used_names(node) | (_string_names(node) if bench in path.parents else set())
                    for node in tree.body]
             for path, tree in trees.items()}
+    return trees, used
+
+
+def _read_elsewhere(used, path, i):
+    """The name sets of every top-level node but node i of `path`."""
+    return [names for other, parts in used.items()
+            for j, names in enumerate(parts) if other != path or j != i]
+
+
+def test_every_top_level_definition_is_referenced():
+    # a def or class of src/htcas must be read somewhere outside its own
+    # body, in src/ or benchmark/: a twin left unused, or code that only
+    # tests read, fails here
+    trees, used = _references()
     hooks = {"__getattr__", "__dir__"}
     unused = []
     for path in sorted((ROOT / "src" / "htcas").glob("*.py")):
         for i, node in enumerate(trees[path].body):
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in hooks:
                 continue
-            if not any(node.name in names for other, parts in used.items()
-                       for j, names in enumerate(parts) if other != path or j != i):
+            if not any(node.name in names for names in _read_elsewhere(used, path, i)):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not unused, unused
+
+
+def test_every_method_is_referenced():
+    # the same for the non-dunder methods and properties of src/htcas
+    # classes: each must be read outside its own body, by another member of
+    # its class or elsewhere in src/ or benchmark/.  Dunders are called by
+    # the language, so the lint cannot see whether they are used.
+    trees, used = _references()
+    unused = []
+    for path in sorted((ROOT / "src" / "htcas").glob("*.py")):
+        for i, node in enumerate(trees[path].body):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            elsewhere = _read_elsewhere(used, path, i)
+            header = set().union(*map(_used_names, [*node.bases, *node.keywords,
+                                                    *node.decorator_list]))
+            for member in node.body:
+                if (not isinstance(member, ast.FunctionDef)
+                        or member.name.startswith("__") and member.name.endswith("__")):
+                    continue
+                siblings = [_used_names(m) for m in node.body if m is not member]
+                if not any(member.name in names for names in [header, *siblings, *elsewhere]):
+                    unused.append(f"{path.name}:{member.lineno} {node.name}.{member.name}")
     assert not unused, unused

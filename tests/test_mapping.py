@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     CUBIC_Y,
+    RENAME,
     dense_convolution,
     linf_merge_candidates,
     dense_perturb,
@@ -35,9 +36,6 @@ from htcas.transfer import (
     transfer_linf,
 )
 from tree_oracles import aut_order, enumerate_rooted, tree_map_lie
-
-RENAME = {"a": "g", "b": "h", "c": "r", "a.b": "s", "a.c": "u", "b.c": "v",
-          "a.b.c": "w", "one": "unit"}
 
 
 @pytest.fixture(scope="module")
@@ -303,7 +301,7 @@ def test_bs_cochain_rejects_unpinned_arity():
         reduced_bs_cochain(fake, source=source, target=target)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: on n4 the BS routes disagree "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: on n4 the BS routes disagree "
                    "at t.a.e.c and t.b.e.c, every term with the opposite sign")
 def test_bs_routes_agree_on_n4_component():
     # n4 = Lambda(a3, b3, c5, e3), dc = ab, into example1_Y at max_k = 4,

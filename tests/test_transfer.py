@@ -11,7 +11,7 @@ from helpers import (
     oracle_sources,
 )
 from htcas import linalg
-from htcas.core import Element, GradedMap, GradedSpace, ValidationError, Word
+from htcas.core import Element, GradedMap, GradedSpace, ValidationError, Word, lincomb
 from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, quillen_differential_direct
 from htcas.mapping import convolution_linf
 from htcas.structures import (
@@ -66,7 +66,7 @@ def names_of(elements):
 def test_homology_decomposition_of_cbar(cbar, cbar_retract):
     dec, _ = cbar_retract
     assert names_of(dec.a_part) == ["s"]
-    assert names_of(dec.da_part) == ["r"]
+    assert names_of(dec.complex.diff.apply(a) for a in dec.a_part) == ["r"]
     assert names_of(dec.h_part) == ["g", "h", "u", "v", "w"]
 
 
@@ -81,7 +81,7 @@ def test_decomposition_acyclic_pair():
     d = GradedMap(sp, sp, -1, {Word.tensor("a"): Element.gen(sp, "b")})
     dec = homology_decomposition(ChainComplex(sp, d))
     assert names_of(dec.a_part) == ["a"]
-    assert names_of(dec.da_part) == ["b"]
+    assert names_of(dec.complex.diff.apply(a) for a in dec.a_part) == ["b"]
     assert not dec.h_part
 
 
@@ -183,24 +183,32 @@ def test_identity_retract_transfers_identically(cbar, n4):
             assert out.ops[k].images == C.ops[k].images
 
 
+def summed_images(maps):
+    """The nonzero images of the sum of maps of one shape, per input word."""
+    assert len({(m.degree, m.arity, m.in_kind) for m in maps}) == 1
+    target = maps[0].target
+    words = dict.fromkeys(w for m in maps for w in m.images)
+    sums = {w: lincomb(target, [(1, m.images[w]) for m in maps if w in m.images]) for w in words}
+    return {w: el for w, el in sums.items() if el}
+
+
 def planar_tree_sum(C, r, k):
-    maps = [tree_map_coalgebra(t, C, r) for t in enumerate_planar(k)
-            if not is_leaf(t)]
-    return sum(maps[1:], maps[0])
+    return summed_images([tree_map_coalgebra(t, C, r) for t in enumerate_planar(k)
+                          if not is_leaf(t)])
 
 
 def test_transfer_ainf_matches_planar_tree_sum(cbar, cbar_retract, n4):
     for C, r, top in ((cbar, cbar_retract[1], 4), (*n4, 6)):
         H = transfer_ainf(C, r, max_k=top)
         for k in range(2, top + 1):
-            assert planar_tree_sum(C, r, k).images == H.delta(k).images, k
+            assert planar_tree_sum(C, r, k) == H.delta(k).images, k
     C, r = n4
     H = transfer_ainf(C, r)
     assert {k: len(m.images) for k, m in H.ops.items()} == {2: 6, 3: 4}
     # a DGC has no ternary vertex: every Delta'_3 image needs an internal edge
     assert tree_map_coalgebra(("*", "*", "*"), C, r).is_zero()
     binary = [tree_map_coalgebra(t, C, r) for t in enumerate_planar(3, max_arity=2)]
-    assert (binary[0] + binary[1]).images == H.delta(3).images
+    assert summed_images(binary) == H.delta(3).images
 
 
 def test_engine_transfers_enumerate_no_trees(monkeypatch, cbar, cbar_retract, target_dgl, n4):

@@ -222,7 +222,7 @@ def _lie_node(tree, B: dict[int, GradedMap], rr: _ShiftedRetract,
     else:
         arg = vals[0]
         for v in vals[1:]:
-            arg = arg.tensor(v)
+            arg = arg.times(v)
         out = B[arity].apply(arg)
     memo[key] = out
     return out
