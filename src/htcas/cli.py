@@ -52,6 +52,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .core import (
+    SEPARATOR,
     AxiomError,
     BoundError,
     Element,
@@ -74,6 +75,7 @@ from .functors import (
     linf_from_cdga,
     quillen,
     quillen_differential_direct,
+    right_normed,
     weight_component,
     weights,
 )
@@ -92,8 +94,6 @@ if TYPE_CHECKING:  # imported by the commands and models that use them
 class ParseError(Exception):
     def __init__(self, path, line, col, msg):
         super().__init__(f"{path}:{line}:{col}: {msg}")
-        self.line = line
-        self.col = col
 
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_'.]*")
@@ -204,7 +204,7 @@ class _TermParser:
         if self.kind == "lie":
             return coeff, self.parse_bracket()
         factors = [self.parse_name()]
-        sep = "^" if self.kind == "m" else "|"
+        sep = SEPARATOR[self.kind]
         while self.peek() == sep:
             self.next()
             factors.append(self.parse_name())
@@ -340,8 +340,12 @@ _DIRECTIVES = {
 
 
 def parse(path: str) -> ModelFile:
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        why = exc.reason if isinstance(exc, UnicodeDecodeError) else exc.strerror
+        raise ParseError(path, 1, 0, f"cannot read the file: {why}") from None
     kind = None
     gens: list[tuple[str, int]] = []
     body: list[tuple[int, list]] = []
@@ -361,9 +365,9 @@ def parse(path: str) -> ModelFile:
         if kind is None:
             if head != "kind" or len(toks) != 2:
                 raise ParseError(path, lineno, toks[0][1],
-                                 "file must start with: kind <cdga|dgc|ainf|linf|dgl|mc>")
+                                 f"file must start with: kind <{'|'.join(_LINES)}>")
             kind = toks[1][0]
-            if kind not in ("cdga", "dgc", "ainf", "linf", "dgl", "mc"):
+            if kind not in _LINES:
                 raise ParseError(path, lineno, toks[1][1], f"unknown kind {kind!r}")
             continue
         if head == "gen":
@@ -451,8 +455,8 @@ def _fmt_sum(terms) -> str:
     return " ".join(bits) if bits else "0"
 
 
-def _fmt_terms(el: Element, sep: str) -> str:
-    return _fmt_sum((c, sep.join(w.factors)) for w, c in el.sorted_items())
+def _fmt_terms(el: Element) -> str:
+    return _fmt_sum((c, SEPARATOR[w.kind].join(w.factors)) for w, c in el.sorted_items())
 
 
 def _header(kind: str, space: GradedSpace, counit: str | None = None) -> list[str]:
@@ -471,29 +475,23 @@ def serialize(obj, kind: str | None = None) -> str:
         for g in obj.gens.names:
             el = obj.diff.get(g)
             if el:
-                lines.append(f"d {g} = {_fmt_terms(el, '^')}")
+                lines.append(f"d {g} = {_fmt_terms(el)}")
     elif isinstance(obj, AInfCoalgebra):
-        if obj.is_dgc and kind != "ainf":
-            lines = _header("dgc", obj.space, obj.counit)
-            for head, k in (("diff", 1), ("cop", 2)):
-                for g in obj.space.names:
-                    el = obj.delta(k).apply_word(Word.tensor(g))
-                    if el:
-                        lines.append(f"{head} {g} = {_fmt_terms(el, '|')}")
-        else:
-            lines = _header("ainf", obj.space, obj.counit)
-            for k in sorted(obj.ops):
-                for g in obj.space.names:
-                    el = obj.ops[k].apply_word(Word.tensor(g))
-                    if el:
-                        lines.append(f"D{k} {g} = {_fmt_terms(el, '|')}")
+        dgc = obj.is_dgc and kind != "ainf"
+        lines = _header("dgc" if dgc else "ainf", obj.space, obj.counit)
+        heads = (("diff", 1), ("cop", 2)) if dgc else ((f"D{k}", k) for k in sorted(obj.ops))
+        for head, k in heads:
+            for g in obj.space.names:
+                el = obj.delta(k).apply_word(Word.tensor(g))
+                if el:
+                    lines.append(f"{head} {g} = {_fmt_terms(el)}")
     elif isinstance(obj, LInfAlgebra):
         lines = _header("linf", obj.space)
         for k in sorted(obj.ops):
             m = obj.ops[k]
             for w in sorted(m.images, key=lambda w: [obj.space.sortkey(f) for f in w.factors]):
                 head = " ^ ".join(w.factors)
-                lines.append(f"l{k} ( {head} ) = {_fmt_terms(m.images[w], '|')}")
+                lines.append(f"l{k} ( {head} ) = {_fmt_terms(m.images[w])}")
     elif isinstance(obj, FreeLieDGL):
         lines = _header("dgl", obj.gens)
         for g in obj.gens.names:
@@ -502,7 +500,7 @@ def serialize(obj, kind: str | None = None) -> str:
                 lines.append(f"diff {g} = {_fmt_lie(obj, g)}")
     elif isinstance(obj, Element):
         lines = _header("mc", obj.space)
-        lines.append(f"mc = {_fmt_terms(obj, '|')}")
+        lines.append(f"mc = {_fmt_terms(obj)}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     return "\n".join(lines) + "\n"
@@ -517,12 +515,7 @@ def _fmt_lie(M: FreeLieDGL, g: str) -> str:
     terms = []
     for k in weights(img):
         for w, c in weight_component(img, k).sorted_items():
-            # right-normed bracketing: t = (1/k) rho(t) on Lie elements
-            fs = w.factors
-            tree = fs[-1]
-            for f in reversed(fs[:-1]):
-                tree = (f, tree)
-            terms.append((Fraction(c, k), bracket_tree_str(tree)))
+            terms.append((Fraction(c, k), bracket_tree_str(right_normed(w.factors))))
     return _fmt_sum(terms)
 
 

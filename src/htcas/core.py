@@ -49,17 +49,19 @@ Conventions used across the package:
   element's space into the first slot's target, and `apply_at` when its
   map takes the element's space to itself, sum images of one degree; and
   `lincomb`, the one in-place accumulator behind `+` and every engine sum,
-  compares each operand's degree with the partial sum's in O(1).  An
-  operand from another space object is first checked in the space of the
-  sum, so every inhomogeneity `Element(...)` would reject is still
-  rejected, with the same `ValidationError`.  `derivation` checks its sum
-  once, because the generator images it splices need not share one degree
-  shift.
+  compares each operand's degree with the partial sum's in O(1).  Spaces
+  are interned, so each of these tests of whether two spaces are the same
+  is `is`, and a re-scan happens only for a different basis: an operand or
+  image of another space is first checked in the space of the result, so
+  every inhomogeneity `Element(...)` would reject is still rejected, with
+  the same `ValidationError`.  `derivation` checks its sum once, because
+  the generator images it splices need not share one degree shift.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from fractions import Fraction
 from functools import cached_property
 
@@ -144,23 +146,23 @@ def suspension_sign(degrees) -> int:
 class GradedSpace:
     """Finite ordered basis of named generators with integer degrees.
 
-    Spaces are values: equal and hash-equal when their bases are."""
+    Spaces are interned: `GradedSpace(basis)`, and so `of` and `suspend`,
+    returns the one live object for an equal basis, so two spaces are the
+    same space exactly when they are the same object.  The objects are held
+    weakly, so a space nobody references is freed."""
 
-    def __init__(self, basis: tuple[tuple[str, int], ...]):
-        self.basis = basis
-        names = [n for n, _ in basis]
-        if len(set(names)) != len(names):
-            raise ValidationError("duplicate basis names")
+    _live: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash(self.basis)
+    def __new__(cls, basis: tuple[tuple[str, int], ...]):
+        space = cls._live.get(basis)
+        if space is None:
+            names = [n for n, _ in basis]
+            if len(set(names)) != len(names):
+                raise ValidationError("duplicate basis names")
+            space = super().__new__(cls)
+            space.basis = basis
+            cls._live[basis] = space
+        return space
 
     def __repr__(self) -> str:
         return f"GradedSpace(basis={self.basis!r})"
@@ -200,18 +202,9 @@ class GradedSpace:
     def word_degree(self, word: "Word") -> int:
         return sum(self._degree[f] for f in word.factors)
 
-    @cached_property
-    def _suspensions(self) -> dict[int, "GradedSpace"]:
-        return {}
-
     def suspend(self, shift: int) -> "GradedSpace":
-        """The space with every degree moved by `shift`; built once per shift,
-        so every suspension of a space is the same object."""
-        out = self._suspensions.get(shift)
-        if out is None:
-            out = self._suspensions[shift] = GradedSpace(
-                tuple((n, d + shift) for n, d in self.basis))
-        return out
+        """The space with every degree moved by `shift`."""
+        return GradedSpace(tuple((n, d + shift) for n, d in self.basis))
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(d for _, d in self.basis)
@@ -221,6 +214,10 @@ class GradedSpace:
 
     def max_degree(self) -> int:
         return max(self.degrees())
+
+
+# the separator that joins the factors of each word kind in text
+SEPARATOR = {"t": "|", "w": "^", "m": "^"}
 
 
 class Word:
@@ -252,8 +249,7 @@ class Word:
         return len(self.factors)
 
     def __repr__(self) -> str:
-        sep = {"t": "|", "w": "^", "m": "^"}[self.kind]
-        return sep.join(self.factors) if self.factors else "1"
+        return SEPARATOR[self.kind].join(self.factors) if self.factors else "1"
 
     @staticmethod
     def tensor(*names: str) -> "Word":
@@ -531,8 +527,8 @@ def lincomb(space: GradedSpace, pairs) -> Element:
 
     Each operand of `space` was checked when it was built, so the sum stays
     homogeneous exactly when every operand has the degree of the partial sum
-    it meets, which is compared in O(1); an operand of another space object
-    is first checked in `space`.  This is the check `+` made term by term.
+    it meets, which is compared in O(1); an operand of another space is
+    first checked in `space`.  This is the check `+` made term by term.
     """
     acc: dict[Word, Fraction] = {}
     deg = None
@@ -628,7 +624,7 @@ class GradedMap:
                 s, img = self._image(w.factors)
             if img is not None:
                 _add_terms(acc, img.terms, -c if s < 0 else c)
-        if el.space == self.source:
+        if el.space is self.source:
             return Element._of(self.target, acc)
         return Element(self.target, acc)
 
@@ -690,7 +686,7 @@ def tensor_apply(slots, arities, el: Element) -> Element:
             old = out_terms.get(w)
             out_terms[w] = cc if old is None else old + cc
     out_terms = {w: v for w, v in out_terms.items() if v}
-    if all(m.target is target and m.source == space for m in slots):
+    if all(m.target is target and m.source is space for m in slots):
         return Element._of(target, out_terms)
     return Element(target, out_terms)
 
@@ -728,7 +724,7 @@ def apply_at(m: GradedMap, pos: int, el: Element) -> Element:
             old = get(nw)
             out_terms[nw] = v if old is None else old + v
     out_terms = {w: v for w, v in out_terms.items() if v}
-    if m.source == space and m.target == space:
+    if m.source is space and m.target is space:
         return Element._of(m.target, out_terms)
     return Element(m.target, out_terms)
 

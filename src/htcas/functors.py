@@ -123,7 +123,6 @@ class FiniteCDGA:
     def __init__(self, parent: CDGA, max_cohom: int, max_length: int | None = None):
         self.parent = parent
         self.max_cohom = max_cohom
-        self.max_length = max_length
         self.monomials = parent.monomial_basis(max_cohom, max_length)
         self.names = {fs: ".".join(fs) if fs else "one" for fs in self.monomials}
 
@@ -220,18 +219,20 @@ def bracket_tree_str(tree) -> str:
     return f"[{bracket_tree_str(tree[0])},{bracket_tree_str(tree[1])}]"
 
 
+def right_normed(factors):
+    """The right-normed bracket tree [x1, [x2, [..., xk]]] of x1 ... xk."""
+    tree = factors[-1]
+    for f in reversed(factors[:-1]):
+        tree = (f, tree)
+    return tree
+
+
 def bracketing(el: Element) -> Element:
     """Right-normed bracketing word by word:
     rho(x1 (x) ... (x) xk) = [x1, [x2, [..., xk]]]."""
     space = el.space
-    parts = []
-    for w, c in el.terms.items():
-        fs = w.factors
-        acc = Element.gen(space, fs[-1])
-        for f in reversed(fs[:-1]):
-            acc = lie_bracket(Element.gen(space, f), acc)
-        parts.append((c, acc))
-    return lincomb(space, parts)
+    return lincomb(space, ((c, bracket_tree_element(space, right_normed(w.factors)))
+                           for w, c in el.terms.items()))
 
 
 def weights(el: Element) -> list[int]:

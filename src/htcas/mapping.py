@@ -50,6 +50,7 @@ from .structures import (
 from .transfer import (
     ChainComplex,
     _as_wedge_op,
+    arity_cap,
     canonical_retract,
     hom_complex,
     hom_name,
@@ -145,9 +146,7 @@ def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
     r = canonical_retract(C)
     hr = hom_retract(r, L)
     conv = convolution_linf(C, L)
-    cap = max_k if max_k is not None else mapping_arity_cap(C, r.small.space)
-    if cap is None:
-        raise BoundError("cannot derive an arity cap; pass max_k explicitly")
+    cap = arity_cap(max_k, mapping_arity_cap, C, r.small.space)
     model = transfer_linf(conv, hr, max_k=cap)
     return MappingModel(model, conv, r.small.space, C, L)
 

@@ -174,7 +174,12 @@ class HomotopyRetract:
         self.validate()
 
     def validate(self) -> None:
-        """Retract identity, chain maps, side conditions, matching homology."""
+        """Retract identity, chain maps, side conditions, matching homology.
+
+        When d^2 = 0 on the big complex, p is a chain map and i a homotopy
+        equivalence by the other conditions: p d = p d (ip + dh + hd) = d p,
+        as pi = 1, di = id, ph = 0 and so pdh = 0.  Both are still checked,
+        because `ChainComplex` does not check d^2 = 0."""
         big, small = self.big, self.small
         i, p, h = self.incl, self.proj, self.homotopy
         for n in small.space.names:
@@ -337,6 +342,18 @@ def _coop_map(coops: dict[int, GradedMap], rr: _ShiftedRetract, slot_tuples) -> 
     return GradedMap(rr.big, rr.small, -1, images)
 
 
+def arity_cap(max_k: int | None, derive, *args) -> int:
+    """max_k, which must be at least 2, or else the cap `derive(*args)`; a
+    BoundError names both ways to give a cap when none can be derived."""
+    if max_k is not None and max_k < 2:
+        raise ValidationError(f"the arity cap must be at least 2, got {max_k}")
+    cap = max_k if max_k is not None else derive(*args)
+    if cap is None:
+        raise BoundError("cannot derive an arity cap; give max_k "
+                         "(--max-arity on the command line)")
+    return cap
+
+
 def ainf_transfer_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:
     """Largest arity a tree-transferred co-op can have, by degree counting.
 
@@ -363,13 +380,9 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
     over the arities j >= 2 of C and the compositions of m.  Each G_m is one
     map from the big space to small^{(x)m}, built once.  Unrolled, this visits
     each planar tree once: it is the sum over planar trees with m leaves."""
-    if max_k is not None and max_k < 2:
-        raise ValidationError(f"the arity cap must be at least 2, got {max_k}")
     coops = shifted_coops(C)
     rr = _shift_retract(r, -1)
-    cap = max_k if max_k is not None else ainf_transfer_cap(C, r.small.space)
-    if cap is None:
-        raise BoundError("cannot derive an arity cap; pass max_k explicitly")
+    cap = arity_cap(max_k, ainf_transfer_cap, C, r.small.space)
 
     ops: dict[int, GradedMap] = {}
     if not r.small.diff.is_zero():
@@ -509,14 +522,9 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
     `words`, when given, restricts which ell'_k images are kept at each
     arity; the I values below max_k are computed in full regardless.
     """
-    if max_k is not None and max_k < 2:
-        raise ValidationError(f"the arity cap must be at least 2, got {max_k}")
     B = shifted_brackets(L)
     rr = _shift_retract(r, +1)
-    if max_k is None:
-        max_k = linf_transfer_cap(L, r.small.space)
-        if max_k is None:
-            raise BoundError("cannot derive an arity cap; pass max_k explicitly")
+    max_k = arity_cap(max_k, linf_transfer_cap, L, r.small.space)
     arities = [j for j in sorted(L.ops) if j >= 2]
 
     ops: dict[int, GradedMap] = {}

@@ -1,4 +1,5 @@
 import io
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -267,6 +268,29 @@ def test_arity_cap_below_two_exit_code(tmp_path, capsys):
             assert code == 2 and out == "" and "at least 2" in err, argv
     code, out, err = run(["transfer-ainf", dgc, "--max-arity=2"], capsys)
     assert code == 0 and "D2" in out
+
+
+def test_underivable_cap_names_the_flag(tmp_path, capsys):
+    # the full dual keeps its counit, so no arity cap can be derived; the
+    # refusal names the flag that gives one
+    x = str(MODELS / "example1_X.cdga")
+    y = str(MODELS / "example1_Y.cdga")
+    code, out, err = run(["dualize", "--full", x], capsys)
+    dgc = write(tmp_path, "full.dgc", out)
+    for argv in (["mapmodel", x, y, "--emit", "linf"], ["transfer-ainf", dgc]):
+        code, out, err = run(argv, capsys)
+        assert code == 4 and out == "" and "--max-arity" in err, argv
+
+
+def test_unreadable_input_is_a_located_parse_error(tmp_path, capsys):
+    # a missing file, a directory and a file that is not UTF-8
+    binary = tmp_path / "binary.cdga"
+    binary.write_bytes(b"kind cdga\ngen a : 3\n\xff\xfe\n")
+    for path in (str(tmp_path / "missing.cdga"), str(tmp_path), str(binary)):
+        with pytest.raises(ParseError, match=f"^{re.escape(path)}:1:0: cannot read the file"):
+            parse(path)
+        code, out, err = run(["check", path], capsys)
+        assert code == 2 and out == "" and err.startswith(f"{path}:1:0: "), path
 
 
 def test_empty_homology_derives_the_least_cap(tmp_path, capsys):

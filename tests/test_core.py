@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,28 @@ from htcas.core import (
     unshuffle,
     word_basis,
 )
+
+
+def test_one_space_object_per_basis():
+    pairs = (("a", 1), ("b", 2))
+    S = GradedSpace.of(pairs)
+    assert GradedSpace.of(list(pairs)) is S
+    for k in (1, -3):
+        assert S.suspend(k).suspend(-k) is S
+    with pytest.raises(ValidationError, match="duplicate"):
+        GradedSpace.of([("a", 1), ("a", 2)])
+    # a space nobody references is freed
+    ref = weakref.ref(GradedSpace.of([("only_here", 7)]))
+    gc.collect()
+    assert ref() is None
+
+
+def test_both_hom_builds_share_one_space(cbar, target_dgl):
+    from htcas.mapping import convolution_linf
+    from htcas.transfer import canonical_retract, hom_retract
+
+    r = canonical_retract(cbar)
+    assert hom_retract(r, target_dgl).big.space is convolution_linf(cbar, target_dgl).space
 
 
 def test_koszul_sign_examples():

@@ -203,3 +203,20 @@ def test_every_method_is_referenced():
                 if not any(member.name in names for names in [header, *siblings, *elsewhere]):
                     unused.append(f"{path.name}:{member.lineno} {node.name}.{member.name}")
     assert not unused, unused
+
+
+def test_every_stored_attribute_is_read():
+    # an attribute that a src/htcas class stores must be loaded somewhere in
+    # src/ or benchmark/: a value kept for nobody fails here.  Only attribute
+    # loads count; the tracer names functions in strings, never attributes.
+    trees, _ = _references()
+    loaded = {n.attr for tree in trees.values() for n in ast.walk(tree)
+              if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unused = set()
+    for path in sorted((ROOT / "src" / "htcas").glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, ast.ClassDef):
+                unused |= {f"{path.name} {node.name}.{n.attr}" for n in ast.walk(node)
+                           if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+                           and n.attr not in loaded}
+    assert not unused, sorted(unused)

@@ -21,6 +21,7 @@ from htcas.structures import (
 )
 from htcas.transfer import (
     ChainComplex,
+    HomotopyRetract,
     ainf_transfer_cap,
     hom_complex,
     hom_retract,
@@ -147,6 +148,46 @@ def test_retract_rejects_a_decomposition_that_does_not_span(cbar):
     dec.h_part = dec.h_part[1:]
     with pytest.raises(ValidationError, match="does not span"):
         retract_from_decomposition(dec)
+
+
+def _hand_retract(big, diff, small, incl, proj, homotopy):
+    """A retract from (name, degree) bases and {name: {name: coeff}} tables;
+    the small complex has zero differential."""
+    B, S = GradedSpace.of(big), GradedSpace.of(small)
+
+    def table(source, target, degree, images):
+        return GradedMap(source, target, degree, {
+            Word.tensor(n): Element.make(target, [(c, "t", (x,)) for x, c in img.items()])
+            for n, img in images.items()})
+
+    return HomotopyRetract(ChainComplex(B, table(B, B, -1, diff)), ChainComplex.zero_diff(S),
+                           table(S, B, 0, incl), table(B, S, 0, proj), table(B, B, 1, homotopy))
+
+
+@pytest.mark.parametrize("big, diff, small, incl, proj, homotopy, message", [
+    ([("x", 0)], {}, [("x'", 0)], {"x'": {"x": 1}}, {}, {},
+     "p o i is not the identity"),
+    ([("x", 1), ("y", 0)], {"x": {"y": 1}}, [("x'", 1), ("y'", 0)],
+     {"x'": {"x": 1}, "y'": {"y": 1}}, {"x": {"x'": 1}, "y": {"y'": 1}}, {},
+     "i is not a chain map"),
+    ([("x", 0), ("y", 1)], {}, [("x'", 0)], {"x'": {"x": 1}}, {"x": {"x'": 1}},
+     {"x": {"y": 1}}, "side condition h o i = 0 fails"),
+    ([("x", 0)], {}, [], {}, {}, {}, "retract identity fails on x"),
+    # d^2 != 0: p d y = z' but d p y = 0
+    ([("x", 2), ("y", 1), ("z", 0)], {"x": {"y": 1}, "y": {"z": 1}}, [("z'", 0)],
+     {"z'": {"z": 1}}, {"z": {"z'": 1}}, {"y": {"x": 1}}, "p is not a chain map"),
+    ([("b", 0), ("a", 1), ("c", 1)], {"a": {"b": 1}}, [("c'", 1)], {"c'": {"c": 1}},
+     {"c": {"c'": 1}}, {"b": {"a": 1, "c": 1}}, "side condition p o h = 0 fails"),
+    ([("b", 0), ("a", 1), ("e", 2)], {"a": {"b": 1}}, [], {}, {},
+     {"b": {"a": 1}, "a": {"e": 1}}, "side condition h o h = 0 fails"),
+    # d^2 != 0 on a contractible complex: its rank count gives -1 in degrees 1, 2
+    ([("a", 3), ("b", 2), ("e", 1), ("g", 0)], {"a": {"b": 1}, "b": {"e": 1}, "e": {"g": 1}},
+     [], {}, {}, {"b": {"a": 1}, "g": {"e": 1}}, "homology differs"),
+])
+def test_retract_check_rejects_each_broken_condition(big, diff, small, incl, proj,
+                                                     homotopy, message):
+    with pytest.raises(ValueError, match=message):
+        _hand_retract(big, diff, small, incl, proj, homotopy)
 
 
 def test_fixed_linear_data_is_built_once_per_degree_block(monkeypatch):
