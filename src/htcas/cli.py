@@ -26,11 +26,19 @@ refused too.  A gen line takes exactly one degree.  Identifiers may
 contain letters, digits, _, ' and . (dotted names appear in Hom and
 reduced-model bases).  Serialization uses the same grammar, with one
 header helper for the kind, counit and gen lines, so parse(serialize(S))
-round-trips; ordering is canonical and output is byte-stable.
+round-trips for every kind but mc, which only `mapmodel --mc` reads;
+ordering is canonical and output is byte-stable.
 
-Exit codes: 0 ok, 1 usage, 2 parse/validation, 3 axiom failure, 4 bound
-exceeded (e.g. `mapmodel --emit bs` on a model with a bracket of arity
-4 or more).  `mapmodel --mc FILE` needs `--pointed`.
+One table, `_COMMANDS`, states each subcommand once: its handler, help,
+positional files and options, from which `main` builds the argument parser.
+Every command reads a model through one loader, `_load(path, what, *kinds)`,
+which refuses any other kind as "<what> expects a <kinds> model, got
+<kind>"; the target of `mapmodel` and `hspace` is a linf model or a cdga
+model read as one.
+
+Exit codes: 0 ok, 1 usage, 2 parse/validation (a wrong model kind too), 3
+axiom failure, 4 bound exceeded (e.g. `mapmodel --emit bs` on a model with
+a bracket of arity 4 or more).  `mapmodel --mc FILE` needs `--pointed`.
 
 Each command imports only the engine modules it runs (`import htcas` itself
 is lazy), so a process compiles no more than it needs.  `check` on a cdga
@@ -112,31 +120,20 @@ class ModelFile:
 # tokenizing and term parsing
 
 
+# one token per match, after any whitespace: the end of the line or a
+# comment, an identifier, a number or a one-character symbol, or anything else
+_SCANNER = re.compile(rf"\s*(?:(?P<end>#|$)|(?P<tok>{IDENT.pattern}|{NUMBER.pattern}"
+                      r"|[\^|+\-=:()\[\]/,*])|(?P<bad>.))")
+
+
 def _tokens(path, lineno, text):
     """Yield (token, col) pairs; symbols are single characters."""
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "#":
+    for m in _SCANNER.finditer(text):
+        if m.lastgroup == "end":
             return
-        m = IDENT.match(text, i)
-        if m:
-            yield m.group(0), i
-            i = m.end()
-            continue
-        m = NUMBER.match(text, i)
-        if m:
-            yield m.group(0), i
-            i = m.end()
-            continue
-        if ch in "^|+-=:()[]/,*":
-            yield ch, i
-            i += 1
-            continue
-        raise ParseError(path, lineno, i, f"unexpected character {ch!r}")
+        if m.lastgroup == "bad":
+            raise ParseError(path, lineno, m.start("bad"), f"unexpected character {m['bad']!r}")
+        yield m["tok"], m.start("tok")
 
 
 class _TermParser:
@@ -498,9 +495,6 @@ def serialize(obj, kind: str | None = None) -> str:
             img = obj.diff.get(g)
             if img:
                 lines.append(f"diff {g} = {_fmt_lie(obj, g)}")
-    elif isinstance(obj, Element):
-        lines = _header("mc", obj.space)
-        lines.append(f"mc = {_fmt_terms(obj)}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
     return "\n".join(lines) + "\n"
@@ -535,56 +529,48 @@ def _finite_model(mf: ModelFile) -> FiniteCDGA:
     return FiniteCDGA(A, max_cohom=cutoff)
 
 
-def _as_linf(mf: ModelFile) -> LInfAlgebra:
-    if mf.kind == "linf":
-        return mf.payload
-    if mf.kind == "cdga":
-        return linf_from_cdga(mf.payload)
-    raise ValidationError(f"expected a linf or cdga model, got {mf.kind}")
+def _load(path: str, what: str, *kinds: str) -> ModelFile:
+    """The model file at `path`, which `what` reads; any other kind is refused."""
+    mf = parse(path)
+    if mf.kind not in kinds:
+        raise ValidationError(f"{what} expects a {' or '.join(kinds)} model, got {mf.kind}")
+    return mf
+
+
+def _as_linf(path: str, what: str) -> LInfAlgebra:
+    mf = _load(path, what, "linf", "cdga")
+    return mf.payload if mf.kind == "linf" else linf_from_cdga(mf.payload)
 
 
 def cmd_check(args) -> int:
     mf = parse(args.file)
-    print(f"{args.file}: {mf.kind} ok "
-          f"({mf.space.dim} generators)")
+    print(f"{args.file}: {mf.kind} ok ({mf.space.dim} generators)")
     return 0
 
 
 def cmd_transfer_ainf(args) -> int:
-    mf = parse(args.file)
-    if mf.kind != "dgc":
-        raise ValidationError("transfer-ainf expects a dgc model")
+    C = _load(args.file, args.command, "dgc").payload
     from .transfer import canonical_retract, transfer_ainf
 
-    C = mf.payload
     H = transfer_ainf(C, canonical_retract(C), max_k=args.max_arity)
     sys.stdout.write(serialize(H, kind="ainf"))
     return 0
 
 
 def cmd_quillen(args) -> int:
-    mf = parse(args.file)
-    if mf.kind != "dgc":
-        raise ValidationError("quillen expects a dgc model")
-    C = mf.payload
+    C = _load(args.file, args.command, "dgc").payload
     M = quillen_differential_direct(C) if args.direct else quillen(C)
     sys.stdout.write(serialize(M))
     return 0
 
 
 def cmd_cochain(args) -> int:
-    mf = parse(args.file)
-    if mf.kind != "linf":
-        raise ValidationError("cochain expects a linf model")
-    sys.stdout.write(serialize(cochain(mf.payload)))
+    sys.stdout.write(serialize(cochain(_load(args.file, args.command, "linf").payload)))
     return 0
 
 
 def cmd_dualize(args) -> int:
-    mf = parse(args.file)
-    if mf.kind != "cdga":
-        raise ValidationError("dualize expects a cdga model")
-    full, red = dual_coalgebra(_finite_model(mf))
+    full, red = dual_coalgebra(_finite_model(_load(args.file, args.command, "cdga")))
     sys.stdout.write(serialize(full if args.full else red))
     return 0
 
@@ -592,13 +578,10 @@ def cmd_dualize(args) -> int:
 def cmd_mapmodel(args) -> int:
     if args.mc and not args.pointed:
         raise ValidationError("--mc applies to the pointed model only; add --pointed")
-    xf = parse(args.xfile)
-    yf = parse(args.yfile)
-    if xf.kind != "cdga":
-        raise ValidationError("the source side of mapmodel must be a cdga model")
+    xf = _load(args.xfile, f"{args.command} source", "cdga")
+    L = _as_linf(args.yfile, f"{args.command} target")
     from .mapping import component_model, mapping_space_model, reduced_bs_cochain
 
-    L = _as_linf(yf)
     full, red = dual_coalgebra(_finite_model(xf))
     C = red if args.pointed else full
     mm = mapping_space_model(C, L, max_k=args.max_arity)
@@ -606,10 +589,8 @@ def cmd_mapmodel(args) -> int:
     if args.pointed:
         phi = Element.zero(model.space)
         if args.mc:
-            mcf = parse(args.mc)
-            if mcf.kind != "mc":
-                raise ValidationError("--mc expects a mc model file")
-            phi = Element(model.space, dict(mcf.payload.terms))
+            mc = _load(args.mc, f"{args.command} --mc", "mc").payload
+            phi = Element(model.space, dict(mc.terms))
         model = component_model(model, phi)
     if args.emit in ("linf", "both"):
         sys.stdout.write(serialize(model))
@@ -620,34 +601,47 @@ def cmd_mapmodel(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    mf = parse(args.file)
-    reports = []
+    mf = _load(args.file, args.command, "cdga", "dgl", "linf", "dgc")
+    A = mf.payload
     if mf.kind == "cdga":
-        reports.append(differential_length(mf.payload))
+        reports = [differential_length(A)]
         # Wl needs L = s^{-1}V positively graded: no generator of degree <= 1
-        if all(d > 1 for d in mf.payload.gens.degrees()):
-            reports.append(whitehead_length(linf_from_cdga(mf.payload)))
-    elif mf.kind == "dgl":
-        reports.append(bracket_length(mf.payload))
-    elif mf.kind == "linf":
-        reports.append(whitehead_length(mf.payload))
-    elif mf.kind == "dgc":
-        reports.append(conilpotence(mf.payload))
+        if all(d > 1 for d in A.gens.degrees()):
+            reports.append(whitehead_length(linf_from_cdga(A)))
     else:
-        raise ValidationError(f"no invariants for kind {mf.kind}")
+        reports = [{"dgl": bracket_length, "linf": whitehead_length,
+                    "dgc": conilpotence}[mf.kind](A)]
     for r in reports:
         print(repr(r))
     return 0
 
 
 def cmd_hspace(args) -> int:
-    xf = parse(args.xfile)
-    yf = parse(args.yfile)
-    if xf.kind not in ("dgc", "dgl"):
-        raise ValidationError("the source side of hspace must be a dgc or dgl model")
-    verdict = hspace_certificate(xf.payload, _as_linf(yf))
-    print(repr(verdict))
+    x = _load(args.xfile, f"{args.command} source", "dgc", "dgl").payload
+    print(repr(hspace_certificate(x, _as_linf(args.yfile, f"{args.command} target"))))
     return 0
+
+
+# Each subcommand, in the order of the usage line: its handler, its help, its
+# positional files and its options, each a flag and its `add_argument` keywords.
+_COMMANDS = {
+    "check": (cmd_check, "parse and run the axiom checkers", ("file",), {}),
+    "transfer-ainf": (cmd_transfer_ainf, "higher Massey coproducts on homology", ("file",),
+                      {"--max-arity": {"type": int}}),
+    "quillen": (cmd_quillen, "free Lie model of a coalgebra", ("file",), {
+        "--direct": {"action": "store_true",
+                     "help": "minimal differential through the homology decomposition"}}),
+    "cochain": (cmd_cochain, "Sullivan algebra of a linf model", ("file",), {}),
+    "dualize": (cmd_dualize, "dual coalgebra of a finite cdga", ("file",),
+                {"--full": {"action": "store_true", "help": "keep the counit"}}),
+    "mapmodel": (cmd_mapmodel, "mapping-space model", ("xfile", "yfile"), {
+        "--pointed": {"action": "store_true"},
+        "--mc": {},
+        "--emit": {"choices": ("linf", "bs", "both"), "default": "linf"},
+        "--max-arity": {"type": int}}),
+    "invariants": (cmd_invariants, "dl / bl / Wl / conilpotence", ("file",), {}),
+    "hspace": (cmd_hspace, "H-space criterion for mapping components", ("xfile", "yfile"), {}),
+}
 
 
 def main(argv=None) -> int:
@@ -656,49 +650,13 @@ def main(argv=None) -> int:
         description="exact homotopy-transfer computer algebra",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="parse and run the axiom checkers")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("transfer-ainf", help="higher Massey coproducts on homology")
-    p.add_argument("file")
-    p.add_argument("--max-arity", type=int, default=None)
-    p.set_defaults(fn=cmd_transfer_ainf)
-
-    p = sub.add_parser("quillen", help="free Lie model of a coalgebra")
-    p.add_argument("file")
-    p.add_argument("--direct", action="store_true",
-                   help="minimal differential through the homology decomposition")
-    p.set_defaults(fn=cmd_quillen)
-
-    p = sub.add_parser("cochain", help="Sullivan algebra of a linf model")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_cochain)
-
-    p = sub.add_parser("dualize", help="dual coalgebra of a finite cdga")
-    p.add_argument("file")
-    p.add_argument("--full", action="store_true", help="keep the counit")
-    p.set_defaults(fn=cmd_dualize)
-
-    p = sub.add_parser("mapmodel", help="mapping-space model")
-    p.add_argument("xfile")
-    p.add_argument("yfile")
-    p.add_argument("--pointed", action="store_true")
-    p.add_argument("--mc", default=None)
-    p.add_argument("--emit", choices=("linf", "bs", "both"), default="linf")
-    p.add_argument("--max-arity", type=int, default=None)
-    p.set_defaults(fn=cmd_mapmodel)
-
-    p = sub.add_parser("invariants", help="dl / bl / Wl / conilpotence")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_invariants)
-
-    p = sub.add_parser("hspace", help="H-space criterion for mapping components")
-    p.add_argument("xfile")
-    p.add_argument("yfile")
-    p.set_defaults(fn=cmd_hspace)
-
+    for name, (fn, summary, files, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for file in files:
+            p.add_argument(file)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(fn=fn)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -63,7 +63,13 @@ from .structures import (
 
 
 class ChainComplex:
+    """A graded space with a differential; d^2 != 0 is refused, checked
+    sparsely on the image of each generator."""
+
     def __init__(self, space: GradedSpace, diff: GradedMap):
+        for n in space.names:
+            if diff.apply(diff.apply_word(Word.tensor(n))):
+                raise ValidationError(f"d^2 != 0 on generator {n}")
         self.space = space
         self.diff = diff
 
@@ -178,8 +184,9 @@ class HomotopyRetract:
 
         When d^2 = 0 on the big complex, p is a chain map and i a homotopy
         equivalence by the other conditions: p d = p d (ip + dh + hd) = d p,
-        as pi = 1, di = id, ph = 0 and so pdh = 0.  Both are still checked,
-        because `ChainComplex` does not check d^2 = 0."""
+        as pi = 1, di = id, ph = 0 and so pdh = 0.  `ChainComplex` refuses
+        d^2 != 0, so neither check fails on a retract that meets all the
+        others; both are kept as guards of that argument."""
         big, small = self.big, self.small
         i, p, h = self.incl, self.proj, self.homotopy
         for n in small.space.names:

@@ -25,6 +25,14 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+def linf_file(tmp_path, model):
+    """The shipped cdga model `model`, written as a linf file."""
+    from htcas.functors import linf_from_cdga
+
+    return write(tmp_path, f"{model}.linf",
+                 serialize(linf_from_cdga(parse(str(MODELS / f"{model}.cdga")).payload)))
+
+
 def test_parse_shipped_models():
     for f in MODELS.iterdir():
         mf = parse(str(f))
@@ -170,13 +178,17 @@ def test_cochain_command(capsys, tmp_path):
     assert "d z = x^y" in out and "d t = y^z" in out
 
 
-def test_invariants_commands(capsys):
+def test_invariants_commands(capsys, tmp_path):
     code, out, err = run(["invariants", str(MODELS / "example2_X.dgl")], capsys)
     assert code == 0
     assert "bl = 3" in out and "[a,[a,b]]" in out
     code, out, err = run(["invariants", str(MODELS / "example2_Y.cdga")], capsys)
     assert code == 0
     assert "dl = 2" in out and "Wl = 2" in out
+    # a linf model has its Whitehead length only
+    y = linf_file(tmp_path, "example2_Y")
+    code, out, err = run(["invariants", y], capsys)
+    assert code == 0 and out.startswith("Wl = 2  (witness: [v',v'])") and "dl" not in out
 
 
 def test_invariants_wl_skip_and_errors(tmp_path, capsys, monkeypatch):
@@ -221,6 +233,32 @@ def test_mapmodel_command(capsys):
     assert out2 == out
 
 
+def test_linf_target_reads_as_its_cdga(tmp_path, capsys):
+    # the target of mapmodel and hspace may be the linf model of a cdga
+    x1, y1 = str(MODELS / "example1_X.cdga"), str(MODELS / "example1_Y.cdga")
+    x2, y2 = str(MODELS / "example2_X.dgl"), str(MODELS / "example2_Y.cdga")
+    for argv, model in ((["mapmodel", x1, y1, "--pointed", "--emit", "both"], "example1_Y"),
+                        (["hspace", x2, y2], "example2_Y")):
+        code, want, err = run(argv, capsys)
+        assert code == 0 and want, argv
+        argv[2] = linf_file(tmp_path, model)
+        assert run(argv, capsys) == (0, want, ""), argv
+
+
+def test_mc_file_picks_the_component(tmp_path, capsys):
+    # the zero MC element gives the model of the run without --mc; a name
+    # outside Hom(H, L) is a validation failure
+    argv = ["mapmodel", str(MODELS / "example1_X.cdga"), str(MODELS / "example1_Y.cdga"),
+            "--pointed", "--emit", "both"]
+    code, want, err = run(argv, capsys)
+    assert code == 0
+    zero = write(tmp_path, "zero.mc", "kind mc\ngen a.x' : 0\nmc = 0\n")
+    assert run(argv + ["--mc", zero], capsys) == (0, want, "")
+    outside = write(tmp_path, "q.mc", "kind mc\ngen q : -1\nmc = q\n")
+    code, out, err = run(argv + ["--mc", outside], capsys)
+    assert code == 2 and out == "" and err == "validation failure: unknown name 'q'\n"
+
+
 def test_bound_exceeded_exit_code(tmp_path, capsys):
     # even generators make the free algebra infinite: dualize needs truncate
     p = write(tmp_path, "even.cdga", "kind cdga\ngen u : 2\n")
@@ -253,6 +291,13 @@ def test_wrong_model_kind_exit_code(tmp_path, capsys):
     ):
         code, out, err = run(argv, capsys)
         assert code == 2 and "validation failure" in err and out == "", argv
+    # the refusal names the reader and the kind it got
+    for argv, want in ((["transfer-ainf", x], "transfer-ainf expects a dgc model, got cdga"),
+                       (["mapmodel", x, dgc], "mapmodel target expects a linf or cdga model, "
+                                              "got dgc"),
+                       (["invariants", mc], "invariants expects a cdga or dgl or linf or dgc "
+                                            "model, got mc")):
+        assert run(argv, capsys) == (2, "", f"validation failure: {want}\n"), argv
 
 
 def test_arity_cap_below_two_exit_code(tmp_path, capsys):

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import htcas
-from htcas import cli
+from htcas import cli, functors
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src")
@@ -54,10 +54,16 @@ def test_each_command_imports_only_what_it_runs(tmp_path):
         assert cli.main(["dualize", x]) == 0
     dgc = tmp_path / "x.dgc"
     dgc.write_text(out.getvalue())
+    linf = tmp_path / "y.linf"
+    linf.write_text(cli.serialize(functors.linf_from_cdga(cli.parse(y).payload)))
     cases = [
         (["check", x], BASE),
         (["dualize", x], COALGEBRA),
+        (["quillen", str(dgc)], COALGEBRA),
+        (["invariants", str(dgc)], COALGEBRA),
+        (["cochain", str(linf)], COALGEBRA),
         (["transfer-ainf", str(dgc)], TRANSFER),
+        (["quillen", "--direct", str(dgc)], TRANSFER),
         (["mapmodel", x, y, "--pointed", "--emit", "both"], MAPPING),
         (["hspace", str(MODELS / "example2_X.dgl"), str(MODELS / "example2_Y.cdga")], MAPPING),
     ]

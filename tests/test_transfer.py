@@ -173,21 +173,37 @@ def _hand_retract(big, diff, small, incl, proj, homotopy):
     ([("x", 0), ("y", 1)], {}, [("x'", 0)], {"x'": {"x": 1}}, {"x": {"x'": 1}},
      {"x": {"y": 1}}, "side condition h o i = 0 fails"),
     ([("x", 0)], {}, [], {}, {}, {}, "retract identity fails on x"),
-    # d^2 != 0: p d y = z' but d p y = 0
-    ([("x", 2), ("y", 1), ("z", 0)], {"x": {"y": 1}, "y": {"z": 1}}, [("z'", 0)],
-     {"z'": {"z": 1}}, {"z": {"z'": 1}}, {"y": {"x": 1}}, "p is not a chain map"),
+    # p d y = z' but d p y = 0, met at y before the identity fails on z
+    ([("y", 1), ("z", 0), ("w", 0)], {"y": {"z": 1}}, [("z'", 0)], {"z'": {"w": 1}},
+     {"z": {"z'": 1}, "w": {"z'": 1}}, {"z": {"y": 1}}, "p is not a chain map"),
     ([("b", 0), ("a", 1), ("c", 1)], {"a": {"b": 1}}, [("c'", 1)], {"c'": {"c": 1}},
      {"c": {"c'": 1}}, {"b": {"a": 1, "c": 1}}, "side condition p o h = 0 fails"),
     ([("b", 0), ("a", 1), ("e", 2)], {"a": {"b": 1}}, [], {}, {},
      {"b": {"a": 1}, "a": {"e": 1}}, "side condition h o h = 0 fails"),
-    # d^2 != 0 on a contractible complex: its rank count gives -1 in degrees 1, 2
+    # d^2 != 0 on a contractible complex is refused by name, not found as a
+    # homology mismatch (its rank count would give -1 in degrees 1 and 2)
     ([("a", 3), ("b", 2), ("e", 1), ("g", 0)], {"a": {"b": 1}, "b": {"e": 1}, "e": {"g": 1}},
-     [], {}, {}, {"b": {"a": 1}, "g": {"e": 1}}, "homology differs"),
+     [], {}, {}, {"b": {"a": 1}, "g": {"e": 1}}, r"d\^2 != 0 on generator a"),
 ])
 def test_retract_check_rejects_each_broken_condition(big, diff, small, incl, proj,
                                                      homotopy, message):
     with pytest.raises(ValueError, match=message):
         _hand_retract(big, diff, small, incl, proj, homotopy)
+
+
+def test_chain_complex_refuses_d_squared_nonzero():
+    # a3 -> b2 -> e1 -> g0 with d a = b, d b = e, d e = g: the first generator
+    # with d(d(g)) != 0 is named, before any rank is counted
+    sp = GradedSpace.of([("a", 3), ("b", 2), ("e", 1), ("g", 0)])
+    gen = {n: Element.gen(sp, n) for n in sp.names}
+    d = {Word.tensor(x): gen[y] for x, y in (("a", "b"), ("b", "e"), ("e", "g"))}
+    with pytest.raises(ValidationError, match=r"^d\^2 != 0 on generator a$"):
+        ChainComplex(sp, GradedMap(sp, sp, -1, d))
+    del d[Word.tensor("a")]
+    with pytest.raises(ValidationError, match=r"^d\^2 != 0 on generator b$"):
+        ChainComplex(sp, GradedMap(sp, sp, -1, d))
+    del d[Word.tensor("b")]
+    assert ChainComplex(sp, GradedMap(sp, sp, -1, d)).homology_dims() == {3: 1, 2: 1}
 
 
 def test_fixed_linear_data_is_built_once_per_degree_block(monkeypatch):
@@ -261,6 +277,21 @@ def test_engine_transfers_enumerate_no_trees(monkeypatch, cbar, cbar_retract, ta
     assert 3 in transfer_ainf(*n4).ops
     hr = hom_retract(cbar_retract[1], target_dgl)
     assert 3 in transfer_linf(convolution_linf(cbar, target_dgl), hr, max_k=3).ops
+
+
+def test_transfer_linf_restricted_to_words(cbar, cbar_retract, target_dgl):
+    # words at the top arity keep only those images of ell'_k; the lower
+    # arities, and the I values under them, are computed in full
+    L, hr = convolution_linf(cbar, target_dgl), hom_retract(cbar_retract[1], target_dgl)
+    full = transfer_linf(L, hr, max_k=3)
+    top = sorted(full.ops[3].images, key=str)
+    assert len(top) > 1
+    kept = top[::2] + [Word.wedge(*hr.small.space.names[:3])]
+    out = transfer_linf(L, hr, max_k=3, words={3: kept})
+    assert out.ops.keys() == full.ops.keys()
+    assert out.ops[3].images == {w: full.ops[3].images[w] for w in top[::2]}
+    for k in full.ops.keys() - {3}:
+        assert out.ops[k].images == full.ops[k].images, k
 
 
 def test_transfer_cap_derivation(cbar, cbar_retract, target_dgl):
