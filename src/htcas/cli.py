@@ -139,16 +139,19 @@ def _tokens(path, lineno, text):
 class _TermParser:
     """Sums of scalar-weighted words over a known generator set."""
 
-    def __init__(self, path, lineno, toks, space: GradedSpace, kind: str):
+    def __init__(self, path, lineno, toks, start, space: GradedSpace, kind: str):
         self.path = path
         self.lineno = lineno
-        self.toks = list(toks)
-        self.pos = 0
+        self.toks = toks
+        self.pos = start
         self.space = space
         self.kind = kind  # "m" product words, "t" tensor words, "lie" brackets
 
-    def error(self, msg):
-        col = self.toks[self.pos][1] if self.pos < len(self.toks) else 0
+    def error(self, msg, at=None):
+        """Raise at token `at` (by default the last one read), or past the end."""
+        at = self.pos - 1 if at is None else at
+        tok, col = self.toks[min(at, len(self.toks) - 1)]
+        col += len(tok) if at >= len(self.toks) else 0
         raise ParseError(self.path, self.lineno, col, msg)
 
     def peek(self):
@@ -156,7 +159,7 @@ class _TermParser:
 
     def next(self):
         if self.pos >= len(self.toks):
-            self.error("unexpected end of line")
+            self.error("unexpected end of line", self.pos)
         tok = self.toks[self.pos][0]
         self.pos += 1
         return tok
@@ -181,23 +184,24 @@ class _TermParser:
             elif tok == "-":
                 sign = -1
             else:
-                self.error(f"expected + or -, got {tok!r}")
+                self.error(f"expected + or -, got {tok!r}", self.pos)
             self.next()
 
     def parse_term(self, sign):
         coeff = sign
         tok = self.peek()
         if tok is not None and NUMBER.fullmatch(tok):
+            at = self.pos
             _, slash, den = tok.partition("/")
             if slash and int(den) == 0:
-                self.error(f"zero denominator in {tok}")
+                self.error(f"zero denominator in {tok}", at)
             coeff *= frac(self.next())
             if self.peek() == "*":
                 self.next()
             if self.peek() is None or self.peek() in "+-":
                 if coeff == 0:
                     return coeff, None
-                self.error("scalar term without a word (only 0 is allowed)")
+                self.error("scalar term without a word (only 0 is allowed)", at)
         if self.kind == "lie":
             return coeff, self.parse_bracket()
         factors = [self.parse_name()]
@@ -296,7 +300,7 @@ def _headed_lines(path, body, space, kind):
         seen = first.setdefault((shift, key), lineno)
         if seen != lineno:
             fail(f"{what} is already defined on line {seen}")
-        items = _TermParser(path, lineno, toks[eq + 1:], space, word_kind).parse_sum()
+        items = _TermParser(path, lineno, toks, eq + 1, space, word_kind).parse_sum()
         terms = [(c, w) for c, w in items if w is not None]
         if word_kind == "lie":
             value, pres = lincomb(

@@ -28,7 +28,8 @@ Conventions used across the package:
   differentials.
 * Suspension: s and s^{-1} are degree +1 / -1 symbols; applying them
   slotwise to a k-factor word costs (-1)**sum((k-i)*|x_i|), the Koszul
-  price of threading each symbol to its slot.
+  price of threading each symbol to its slot.  `suspend_map` is the one
+  place that applies it, to the input and output words of a map.
 * Scalars are exact: an int, or a `fractions.Fraction` when the value is
   not integral, never a float.  `frac` turns any accepted scalar into that
   form.  Arithmetic may leave an integral Fraction, which is not
@@ -639,9 +640,6 @@ class GradedMap:
     def is_zero(self) -> bool:
         return not self.images
 
-    def support(self):
-        return list(self.images.keys())
-
 
 def tensor_apply(slots, arities, el: Element) -> Element:
     """Evaluate (m_1 (x) ... (x) m_r) on tensor words, Koszul signs included.
@@ -769,10 +767,20 @@ def unshuffle(space: GradedSpace, word: Word, proper: bool = False):
 # suspension
 
 
-def suspend_element(el: Element, target: GradedSpace) -> Element:
-    """Slotwise s / s^{-1} on tensor words, with the threading sign."""
-    terms: dict[Word, Fraction] = {}
-    for w, c in el.terms.items():
-        degs = [el.space.degree(f) for f in w.factors]
-        terms[w] = terms.get(w, ZERO) + suspension_sign(degs) * c
-    return Element(target, terms)
+def suspend_map(m: GradedMap, source: GradedSpace, target: GradedSpace, degree: int,
+                kind: str | None = None, scale=1) -> GradedMap:
+    """The decalage: m carried onto spaces with the names of its own, as a
+    map of `degree` on words of `kind` (m's by default).  The image of w is
+    scale * suspension_sign(w in source) times m(w), each word of which is
+    signed by its suspension sign in m's target.  A one-factor word has sign
+    +1, so this one rule shifts co-operations (one input), brackets (one
+    output), their inverses and retract maps (one of each)."""
+    kind = kind or m.in_kind
+    in_deg, out_deg = source._degree, m.target._degree
+    images = {}
+    for w, el in m.images.items():
+        c = scale * suspension_sign([in_deg[f] for f in w.factors])
+        images[Word(kind, w.factors)] = Element(target, {
+            v: c * suspension_sign([out_deg[f] for f in v.factors]) * x
+            for v, x in el.terms.items()})
+    return GradedMap(source, target, degree, images, m.arity, kind)

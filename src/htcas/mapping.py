@@ -36,6 +36,7 @@ from .core import (
     Word,
     canonical_word,
     lincomb,
+    suspend_map,
     threading_sign,
 )
 from .functors import CDGA, FiniteCDGA, cochain, dual_coalgebra
@@ -49,7 +50,6 @@ from .structures import (
 )
 from .transfer import (
     ChainComplex,
-    _as_wedge_op,
     arity_cap,
     canonical_retract,
     hom_complex,
@@ -76,7 +76,7 @@ def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra) -> LInfAlgebra:
     hs = hc.space
     ops: dict[int, GradedMap] = {}
     if not hc.diff.is_zero():
-        ops[1] = _as_wedge_op(hc.diff)
+        ops[1] = suspend_map(hc.diff, hs, hs, -1, kind="w")
     # cops[k]: Delta^{(k-1)}, each extended from the one before
     cops = dict(zip(range(2, L.max_arity + 1), iterated_coproducts(C)))
 
@@ -85,7 +85,7 @@ def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra) -> LInfAlgebra:
             continue
         ellk = L.ops[k]
         values: dict[tuple[str, ...], Element] = {}
-        for sw in ellk.support():
+        for sw in ellk.images:
             for xs in dict.fromkeys(itertools.permutations(sw.factors)):
                 values[xs] = ellk.apply_word(Word.tensor(*xs))
         acc: dict[Word, dict[Word, Fraction]] = {}
@@ -125,12 +125,11 @@ class MappingModel:
     """The transferred mapping-space model and the data that built it."""
 
     def __init__(self, model: LInfAlgebra, convolution: LInfAlgebra,
-                 homology: GradedSpace, coalgebra: AInfCoalgebra, target: LInfAlgebra):
+                 homology: GradedSpace, coalgebra: AInfCoalgebra):
         self.model = model
         self.convolution = convolution
         self.homology = homology
         self.coalgebra = coalgebra
-        self.target = target
 
 
 def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
@@ -148,7 +147,7 @@ def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
     conv = convolution_linf(C, L)
     cap = arity_cap(max_k, mapping_arity_cap, C, r.small.space)
     model = transfer_linf(conv, hr, max_k=cap)
-    return MappingModel(model, conv, r.small.space, C, L)
+    return MappingModel(model, conv, r.small.space, C)
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +258,18 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
                 parts.append((sign * co, prod))
         return lincomb(bs, parts)
 
+    factors: dict[tuple[str, str], Element] = {}
+
     def factor_of(v: str, cf: str, depth: int) -> Element:
         """The factor v.c with c a source basis element, split over the
         decomposition: H passes through, A dies, dA substitutes.
 
         The canonical homotopy kills A and H and sends da_j to a_j, so h(c)
         is the element whose differential is the dA part of c: it is read
-        directly, without splitting c first."""
+        directly, without splitting c first.  It is stored when the call
+        returns, so a non-terminating substitution meets the depth guard."""
+        if (v, cf) in factors:
+            return factors[v, cf]
         e = Element.gen(csp, cf)
         parts = [(hco, Element.gen(bs, f"{v}.{hw.factors[0]}"))
                  for hw, hco in r.proj.apply(e).terms.items()]
@@ -274,7 +278,8 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
         if a_el:
             parts += [(mc, expand(mw.factors, a_el, depth + 1))
                       for mw, mc in dv.terms.items()]
-        return lincomb(bs, parts)
+        factors[v, cf] = out = lincomb(bs, parts)
+        return out
 
     diff: dict[str, Element] = {}
     for h in hsp.names:

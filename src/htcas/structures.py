@@ -22,13 +22,15 @@ s^{-1}C, brackets onto sL):
     delta_k = (s^{-1})^{(x)k} o Delta_k o s         (A-infinity)
     B_k     = s o ell_k o (s^{-1})^{(x)k}           (L-infinity)
 
-and the exact inverse conjugation carries the interleaving sign
-(-1)^{k(k-1)/2}.  By decalage B_k is graded symmetric on sL, so it is
-stored on monomial words and GradedMap's canonicalization evaluates it on
-every input order.  In this normalization the homotopy-transfer tree
-sums are sign-free, which is how the transfer module computes them.  The
-checker loops take the ops and a flag for the literal signs, so the test
-suite's shifted cross-checks run the same loops on these maps.
+and `unshift`, the exact inverse conjugation, carries the interleaving
+sign (-1)^{k(k-1)/2}.  All three, like the shifted retract maps of
+`transfer`, are `core.suspend_map`, the one decalage rule.  By decalage
+B_k is graded symmetric on sL, so it is stored on monomial words and
+GradedMap's canonicalization evaluates it on every input order.  In this
+normalization the homotopy-transfer tree sums are sign-free, which is how
+the transfer module computes them.  The checker loops take the ops and a
+flag for the literal signs, so the test suite's shifted cross-checks run
+the same loops on these maps.
 
 A Maurer-Cartan element is a plain Element of degree -1, which `mc_check`
 returns once its curvature vanishes; the curvature is the k = 0 case, on
@@ -55,7 +57,7 @@ from .core import (
     lincomb,
     shuffles,
     substituted_words,
-    suspend_element,
+    suspend_map,
     suspension_sign,
     unshuffle,
 )
@@ -158,18 +160,7 @@ class LInfAlgebra:
 def shifted_coops(C: AInfCoalgebra) -> dict[int, GradedMap]:
     """delta_k = (s^{-1})^{(x)k} o Delta_k o s on s^{-1}C, for each arity of C."""
     space = C.space.suspend(-1)
-    return {k: GradedMap(space, space, -1, {w: suspend_element(el, space)
-                                            for w, el in m.images.items()})
-            for k, m in C.ops.items()}
-
-
-def unshift_coop(shifted_map: GradedMap, k: int, space: GradedSpace) -> GradedMap:
-    """Inverse conjugation: Delta_k = (-1)^{k(k-1)/2} s^{(x)k} o delta_k o s^{-1}."""
-    c = suspension_sign([1] * k)
-    images = {}
-    for w, el in shifted_map.images.items():
-        images[w] = c * suspend_element(el, space)
-    return GradedMap(space, space, k - 2, images)
+    return {k: suspend_map(m, space, space, -1) for k, m in C.ops.items()}
 
 
 def shifted_brackets(L: LInfAlgebra) -> dict[int, GradedMap]:
@@ -182,28 +173,14 @@ def shifted_brackets(L: LInfAlgebra) -> dict[int, GradedMap]:
     sign, which is the Koszul sign (-1)^{pq} of monomial words; so these
     images give B_k on every input order."""
     space = L.space.suspend(+1)
-    out = {}
-    for k, m in L.ops.items():
-        images = {Word.mono(*w.factors): suspension_sign([space.degree(f) for f in w.factors])
-                  * suspend_element(el, space) for w, el in m.images.items()}
-        out[k] = GradedMap(space, space, -1, images, arity=k, in_kind="m")
-    return out
+    return {k: suspend_map(m, space, space, -1, kind="m") for k, m in L.ops.items()}
 
 
-def unshift_bracket(space: GradedSpace, k: int,
-                    shifted_images: dict[Word, Element]) -> GradedMap:
-    """ell_k from the nonzero values of a shifted bracket B_k:
-    ell_k = (-1)^{k(k-1)/2} s^{-1} o B_k o s^{(x)k}, materialized on wedge words.
-
-    `shifted_images` is keyed by canonical wedge words of `space` (which are
-    the canonical monomial words of its suspension); every other word maps
-    to zero.  The images keep the order of the keys."""
-    c = suspension_sign([1] * k)
-    images = {}
-    for w, val in shifted_images.items():
-        sign = suspension_sign([space.degree(f) for f in w.factors])
-        images[w] = (c * sign) * suspend_element(val, space)
-    return GradedMap(space, space, k - 2, images, arity=k, in_kind="w")
+def unshift(m: GradedMap, k: int, space: GradedSpace) -> GradedMap:
+    """The inverse conjugation of a shifted arity-k op m onto `space`, on m's
+    word kind: Delta_k = (-1)^{k(k-1)/2} s^{(x)k} o delta_k o s^{-1} for a
+    co-operation, ell_k = (-1)^{k(k-1)/2} s^{-1} o B_k o s^{(x)k} for a bracket."""
+    return suspend_map(m, space, space, k - 2, scale=suspension_sign([1] * k))
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +245,7 @@ def iterated_coproducts(C: AInfCoalgebra):
     before: Delta^{(k+1)} = (Delta (x) id^{(x)k}) o Delta^{(k)}."""
     if not C.is_dgc:
         raise ValueError("iterated coproducts need a DGC (Delta_k = 0 for k > 2)")
-    delta = C.delta(2)
-    it = GradedMap(C.space, C.space, 0, {Word.tensor(n): delta.apply_word(Word.tensor(n))
-                                          for n in C.space.names})
+    delta = it = C.delta(2)
     while True:
         yield it
         it = GradedMap(C.space, C.space, 0, {
@@ -398,7 +373,7 @@ def perturb(L: LInfAlgebra, mc: Element) -> LInfAlgebra:
     ops: dict[int, GradedMap] = {}
     for k in range(1, L.max_arity + 1):
         pool_lists = ([[(), (f,)] if f in zsupp else [(f,)] for f in sw.factors]
-                      for m in sorted(L.ops) if m >= k for sw in L.ops[m].support())
+                      for m in sorted(L.ops) if m >= k for sw in L.ops[m].images)
         cands = substituted_words(L.space, "w", pool_lists, length=k)
         images = {}
         for w in cands:
@@ -453,8 +428,6 @@ def truncate(L: LInfAlgebra) -> LInfAlgebra:
     new_space = GradedSpace.of(sorted(pairs, key=lambda p: space.index(p[0])))
 
     def reexpress(el: Element) -> Element:
-        if not el:
-            return Element.zero(new_space)
         if el.degree != 0:
             for w in el.terms:
                 if any(f not in new_space for f in w.factors):
@@ -470,14 +443,13 @@ def truncate(L: LInfAlgebra) -> LInfAlgebra:
     ops: dict[int, GradedMap] = {}
     for k in sorted(L.ops):
         cands = substituted_words(
-            new_space, "w", ([pre.get(f, ()) for f in sw.factors] for sw in L.ops[k].support()))
+            new_space, "w", ([pre.get(f, ()) for f in sw.factors] for sw in L.ops[k].images))
         images = {}
         for w in cands:
             out = L.ell(k).apply(reduce(Element.times, (include[f] for f in w.factors)))
-            out_deg = out.degree
-            if not out or out_deg is None:
+            if not out:
                 continue
-            if out_deg < 0:
+            if out.degree < 0:
                 raise ValueError("truncation is not closed under brackets")
             img = reexpress(out)
             if img:

@@ -16,9 +16,10 @@ Transfer is computed in the suspension-normalized world of `structures`
 (all ops degree -1), where the transfer formulas carry no signs beyond
 Koszul tensor evaluation; internal edges are labeled by the negated
 suspended homotopy (the bar/cobar orientation) and results are conjugated
-back with the exact-inverse suspension bookkeeping.  Transferred co-ops
-come from the planar recursion G_1 = p, G_m = F_m o h, with F_m the sum
-of (G_{m_1} (x) ... (x) G_{m_j}) o delta_j over the compositions of m
+back by `structures.unshift`.  Every shift, of the ops, of the retract
+maps and back, is the one decalage rule `core.suspend_map`.  Transferred
+co-ops come from the planar recursion G_1 = p, G_m = F_m o h, with F_m the
+sum of (G_{m_1} (x) ... (x) G_{m_j}) o delta_j over the compositions of m
 (Markl, Transferring A-infinity structures); it builds each G_m once and
 unrolls to the sum over planar trees.  Transferred brackets come from the
 recursion for the infinity-morphism i_infinity over splits of the inputs
@@ -50,6 +51,7 @@ from .core import (
     koszul_sign,
     lincomb,
     substituted_words,
+    suspend_map,
     tensor_apply,
 )
 from .structures import (
@@ -57,8 +59,7 @@ from .structures import (
     LInfAlgebra,
     shifted_brackets,
     shifted_coops,
-    unshift_bracket,
-    unshift_coop,
+    unshift,
 )
 
 
@@ -308,22 +309,15 @@ class _ShiftedRetract:
         self.homotopy = homotopy  # already carries the bar-orientation flip
 
 
-def _shift_map(m: GradedMap, src: GradedSpace, tgt: GradedSpace, scale=1) -> GradedMap:
-    images = {}
-    for w, el in m.images.items():
-        images[w] = Element(tgt, {wd: scale * c for wd, c in el.terms.items()})
-    return GradedMap(src, tgt, m.degree, images)
-
-
 def _shift_retract(r: HomotopyRetract, shift: int) -> _ShiftedRetract:
     big = r.big.space.suspend(shift)
     small = r.small.space.suspend(shift)
     return _ShiftedRetract(
         big,
         small,
-        _shift_map(r.incl, small, big),
-        _shift_map(r.proj, big, small),
-        _shift_map(r.homotopy, big, big, scale=-1),
+        suspend_map(r.incl, small, big, 0),
+        suspend_map(r.proj, big, small, 0),
+        suspend_map(r.homotopy, big, big, 1, scale=-1),
     )
 
 
@@ -403,7 +397,7 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
             for cuts in itertools.combinations(range(1, m), j - 1)
         ])
         G[m] = F.compose(rr.homotopy)
-        ops[m] = unshift_coop(F.compose(rr.incl), m, r.small.space)
+        ops[m] = unshift(F.compose(rr.incl), m, r.small.space)
     counit = C.counit if (C.counit and C.counit in r.small.space) else None
     return AInfCoalgebra(r.small.space, ops, counit=counit)
 
@@ -412,22 +406,18 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
 # L-infinity transfer
 
 
-def _as_wedge_op(m: GradedMap) -> GradedMap:
-    """Reshape an arity-1 map onto wedge-word keys (for bracket storage)."""
-    images = {Word.wedge(*w.factors): el for w, el in m.images.items()}
-    return GradedMap(m.source, m.target, m.degree, images, arity=1, in_kind="w")
-
-
 def linf_transfer_cap(L: LInfAlgebra, small: GradedSpace) -> int | None:
     """Arity cap by degree counting, available for positively graded input;
-    2 on an empty small space, which carries no brackets."""
+    2 on an empty small space, which carries no brackets.  In the shifted
+    world the k inputs of B'_k have degrees >= lo and its value, of degree
+    one less than theirs, degree <= hi: a nonzero ell'_k needs k lo - 1 <= hi."""
     if not small.dim:
         return 2
     lo = small.min_degree() + 1
     hi = L.space.max_degree() + 1
     if lo < 1:
         return None
-    return max(2, hi // lo)
+    return max(2, (hi + 1) // lo)
 
 
 def _set_partitions(k: int, j: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -476,7 +466,7 @@ def _support_merges(support: dict, k: int, arities: list[int], space: GradedSpac
             for u in {f for w in val.terms for f in w.factors}:
                 carriers.setdefault(u, []).append(x)
     pool_lists = ([carriers.get(u, ()) for u in sw.factors]
-                  for j in arities if j <= k for sw in L.ops[j].support())
+                  for j in arities if j <= k for sw in L.ops[j].images)
     found = substituted_words(space, "m", pool_lists, length=k)
     return sorted((w.factors for w in found), key=lambda fs: [space.sortkey(f) for f in fs])
 
@@ -534,10 +524,10 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
     max_k = arity_cap(max_k, linf_transfer_cap, L, r.small.space)
     arities = [j for j in sorted(L.ops) if j >= 2]
 
+    small = r.small.space
     ops: dict[int, GradedMap] = {}
     if not r.small.diff.is_zero():
-        ops[1] = _as_wedge_op(r.small.diff)
-    small = r.small.space
+        ops[1] = suspend_map(r.small.diff, small, small, -1, kind="w")
     # support[m]: canonical words of length m with nonzero I, mapped to I
     support = {1: {(n,): rr.incl.apply_word(Word.tensor(n)) for n in small.names}}
     for k in range(2, max_k + 1):
@@ -561,7 +551,7 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
                 if img:
                     images[Word.wedge(*w)] = img
         if images:
-            ops[k] = unshift_bracket(small, k, images)
+            ops[k] = unshift(GradedMap(rr.small, rr.small, -1, images, k, "w"), k, small)
     return LInfAlgebra(small, ops)
 
 

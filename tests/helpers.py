@@ -41,6 +41,7 @@ from htcas.core import (
     from_coords,
     koszul_sign,
     lincomb,
+    suspend_map,
     tensor_apply,
     word_basis,
 )
@@ -65,7 +66,6 @@ from htcas.transfer import (
     ChainComplex,
     Decomposition,
     HomotopyRetract,
-    _as_wedge_op,
     _set_partitions,
     _shift_retract,
     _support_merges,
@@ -268,7 +268,7 @@ def dense_convolution(C: AInfCoalgebra, L: LInfAlgebra,
     hs = hc.space
     ops: dict[int, GradedMap] = {}
     if not hc.diff.is_zero():
-        ops[1] = _as_wedge_op(hc.diff)
+        ops[1] = suspend_map(hc.diff, hs, hs, -1, kind="w")
 
     parts = {
         hom_name(c, x): (c, x)

@@ -193,8 +193,9 @@ def test_c5_reduced_brown_szczarba():
         r2 = reduced_bs_direct(Br, Ar)
         assert max((len(w) for el in r2.diff.values() for w in el.terms),
                    default=0) <= 3
-        mmr = mapping_space_model(redr, linf_from_cdga(Ar), max_k=3)
-        r1 = reduced_bs_cochain(mmr.model, mmr.homology, mmr.target.space)
+        Lr = linf_from_cdga(Ar)
+        mmr = mapping_space_model(redr, Lr, max_k=3)
+        r1 = reduced_bs_cochain(mmr.model, mmr.homology, Lr.space)
         for g in set(r1.diff) | set(r2.diff):
             t1 = r1.diff.get(g).terms if r1.diff.get(g) else {}
             t2 = r2.diff.get(g).terms if r2.diff.get(g) else {}

@@ -388,6 +388,8 @@ def test_mc_file_zero(capsys, tmp_path):
 
 CDGA_HEAD = "kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\n"
 DGC_HEAD = "kind dgc\ngen g : 3\ngen s : 6\n"
+DGL_HEAD = "kind dgl\ngen a : 6\ngen b : 6\ngen c : 19\n"
+LINF_HEAD = "kind linf\ngen x : 2\ngen y : 3\ngen z : 5\n"
 
 
 def test_malformed_directives_are_parse_errors(tmp_path, capsys):
@@ -440,6 +442,33 @@ def test_malformed_directives_are_parse_errors(tmp_path, capsys):
         ("y.linf", "kind linf\ngen x : 2\ncounit x\n",
          ":3:0: counit belongs to dgc and ainf files"),
         ("z.cdga", "kind cdga\ngen a : 3\ngen a : 5\n", ":3:0: gen a is already defined on line 2"),
+        # a term error names the column of the token it complains about, or
+        # the column just past the last token at the end of the line
+        ("t1.cdga", CDGA_HEAD + "d c = a^q\n", ":5:8: unknown generator 'q'"),
+        ("t2.cdga", CDGA_HEAD + "d c = a^q + a^b\n", ":5:8: unknown generator 'q'"),
+        ("t3.cdga", CDGA_HEAD + "d c = 2 2 + a^b\n", ":5:8: expected a generator name, got '2'"),
+        ("t4.dgl", DGL_HEAD + "diff c = [a b]\n", ":5:12: expected , in bracket"),
+        ("t5.dgl", DGL_HEAD + "diff c = [a,b,a]\n", ":5:13: expected closing ]"),
+        ("t6.cdga", CDGA_HEAD + "d c = 3\n", ":5:6: scalar term without a word"),
+        ("t7.cdga", CDGA_HEAD + "d c = 2 * + a^b\n", ":5:6: scalar term without a word"),
+        ("t8.cdga", CDGA_HEAD + "d c = a^\n", ":5:8: unexpected end of line"),
+        ("t9.cdga", CDGA_HEAD + "d c =\n", ":5:5: unexpected end of line"),
+        ("t10.cdga", CDGA_HEAD + "d c = a^b a^b\n", ":5:10: expected + or -, got 'a'"),
+        # each remaining refusal of a body line or of a file's head
+        ("u1.cdga", CDGA_HEAD + "x c = a^b\n", ":5:0: expected: d <gen> = <sum>"),
+        ("u2.cdga", CDGA_HEAD + "d c a^b\n", ":5:0: expected: d <gen> = <sum>"),
+        ("u3.mc", "kind mc\ngen x : -1\nmc x = x\n", ":3:0: expected: mc = <sum>"),
+        ("u4.cdga", CDGA_HEAD + "d q = a^b\n", ":5:2: unknown generator 'q'"),
+        ("u5.linf", LINF_HEAD + "l2 ( x ^ y z\n", ":5:0: expected ( ... ) = <sum>"),
+        ("u6.linf", LINF_HEAD + "l3 ( x ^ y ) = z\n", ":5:0: l3 takes 3 inputs, got 2"),
+        ("u7.linf", LINF_HEAD + "l2 ( x ^ x ) = z\n", ":5:0: degenerate wedge word"),
+        ("u8.linf", LINF_HEAD + "l2 ( x ^ ) = z\n", ":5:7: expected a generator name after ^"),
+        ("u9.linf", LINF_HEAD + "l2 ( x ^ q ) = z\n", ":5:9: unknown generator 'q'"),
+        ("u10.cdga", "gen x : 2\n", ":1:0: file must start with: kind <cdga|dgc|"),
+        ("u11.cdga", "kind foo\n", ":1:5: unknown kind 'foo'"),
+        ("u12.cdga", "kind cdga\ngen x 2\n", ":2:0: expected: gen <name> : <degree>"),
+        ("u13.cdga", "kind cdga\ngen x : y\n", ":2:8: expected an integer degree"),
+        ("u14.cdga", "# nothing\n", ":1:0: empty file"),
     ]
     for name, text, want in cases:
         p = write(tmp_path, name, text)
@@ -455,6 +484,9 @@ def test_malformed_directives_are_parse_errors(tmp_path, capsys):
     p = write(tmp_path, "ok.dgc", DGC_HEAD + "diff s = 0\ncop s = g|g\n")
     code, out, err = run(["check", p], capsys)
     assert code == 0 and "dgc ok" in out
+    # a scalar may be joined to its word by *
+    p = write(tmp_path, "ok.mc", "kind mc\ngen x : -1\nmc = 2 * x\n")
+    assert parse(p).payload.terms == {Word.tensor("x"): 2}
 
 
 def test_coefficients_parse_to_exact_scalars(tmp_path):

@@ -15,7 +15,7 @@ from helpers import (
     random_finite_cdga,
     random_sullivan,
 )
-from htcas.core import BoundError, Element, GradedSpace, Word, suspend_element, suspension_sign
+from htcas.core import BoundError, Element, GradedSpace, Word, suspension_sign
 from htcas.functors import CDGA, FiniteCDGA, cochain, dual_coalgebra, linf_from_cdga
 from htcas.mapping import (
     component_model,
@@ -213,7 +213,7 @@ def test_route_agreement_variants(srcgens, srcd, tgtgens, tgtd):
     full, red = dual_coalgebra(B)
     L = linf_from_cdga(A)
     mm = mapping_space_model(red, L, max_k=4)
-    r1 = reduced_bs_cochain(mm.model, mm.homology, mm.target.space)
+    r1 = reduced_bs_cochain(mm.model, mm.homology, L.space)
     r2 = reduced_bs_direct(B, A)
     gens = set(r1.diff) | set(r2.diff)
     assert gens
@@ -240,7 +240,7 @@ def test_route_agreement_randomized():
                      default=0)
         assert maxlen <= 3  # within the pinned-orientation envelope
         mm = mapping_space_model(red, L, max_k=3)
-        r1 = reduced_bs_cochain(mm.model, mm.homology, mm.target.space)
+        r1 = reduced_bs_cochain(mm.model, mm.homology, L.space)
         for g in set(r1.diff) | set(r2.diff):
             t1 = r1.diff.get(g).terms if r1.diff.get(g) else {}
             t2 = r2.diff.get(g).terms if r2.diff.get(g) else {}
@@ -309,9 +309,10 @@ def test_bs_routes_agree_on_n4_component():
     B = FiniteCDGA(CDGA.of([("a", 3), ("b", 3), ("c", 5), ("e", 3)],
                            {"c": [(1, ("a", "b"))]}), max_cohom=14)
     _, red = dual_coalgebra(B)
-    mm = mapping_space_model(red, linf_from_cdga(EX1_Y), max_k=4)
+    L = linf_from_cdga(EX1_Y)
+    mm = mapping_space_model(red, L, max_k=4)
     comp = component_model(mm.model, Element.zero(mm.model.space))
-    emitted = reduced_bs_cochain(comp, source=mm.homology, target=mm.target.space)
+    emitted = reduced_bs_cochain(comp, source=mm.homology, target=L.space)
     direct = restrict_positive(reduced_bs_direct(B, EX1_Y))
     space = direct.gens
     assert set(emitted.gens.names) == set(space.names)
@@ -475,6 +476,6 @@ def test_shifted_brackets_give_the_suspended_bracket_on_every_order(cbar, target
         for k, m in L.ops.items():
             for w in m.images:
                 for perm in itertools.permutations(w.factors):
-                    want = suspension_sign([sL.degree(f) for f in perm]) * suspend_element(
-                        L.ell(k).apply_word(Word.tensor(*perm)), sL)
+                    want = suspension_sign([sL.degree(f) for f in perm]) * Element(
+                        sL, L.ell(k).apply_word(Word.tensor(*perm)).terms)
                     assert want and shifted[k].apply_word(Word.tensor(*perm)) == want, (k, perm)

@@ -7,7 +7,7 @@ import inspect
 import io
 import re
 
-from htcas import cli, functors, structures
+from htcas import cli, core, functors, structures, transfer
 from htcas.core import GradedMap, GradedSpace, word_basis
 from htcas.functors import (
     CDGA,
@@ -100,6 +100,13 @@ def test_no_wrappers_of_a_single_call():
     assert not hasattr(functors, "FreeLieElement")
     assert not hasattr(structures, "MaurerCartanElement")
     assert not hasattr(structures, "iterated_coproduct")
+    # one decalage rule, core.suspend_map, in place of its seven copies
+    assert not hasattr(core, "suspend_element")
+    assert not hasattr(structures, "unshift_coop")
+    assert not hasattr(structures, "unshift_bracket")
+    assert not hasattr(transfer, "_shift_map")
+    assert not hasattr(transfer, "_as_wedge_op")
+    assert not hasattr(GradedMap, "support")
     sphere = AInfCoalgebra(GradedSpace.of([("e", 5)]), {})
     mm = mapping_space_model(sphere, LInfAlgebra(GradedSpace.of([("x", 2)]), {}))
     assert not hasattr(mm, "retract")

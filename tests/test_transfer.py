@@ -412,9 +412,10 @@ def test_hom_retract_valid(cbar_retract, target_dgl):
     assert img == Element.make(hr.big.space, [(-1, "t", ("r.x'",))])
 
 
-def test_transfer_linf_ternary_vertex_with_internal_edge():
-    # ell_3(h ell_2(a, b), c, d) is the only nonzero composite: a ternary
-    # root whose first child is the binary vertex, joined by h(v) = u
+def ternary_vertex():
+    """A positively graded L and its retract, on which ell_3(h ell_2(a, b),
+    c, d) is the only nonzero composite: a ternary root whose first child is
+    the binary vertex, joined by h(v) = u."""
     space = GradedSpace.of([("a", 2), ("b", 2), ("c", 2), ("d", 2),
                             ("v", 4), ("u", 5), ("e", 10)])
     L = linf_from_tables(space, {
@@ -422,7 +423,11 @@ def test_transfer_linf_ternary_vertex_with_internal_edge():
         2: {("a", "b"): [(1, "v")]},
         3: {("u", "c", "d"): [(1, "e")]},
     })
-    r = retract_from_decomposition(homology_decomposition(ChainComplex(space, L.ell(1))))
+    return L, retract_from_decomposition(homology_decomposition(ChainComplex(space, L.ell(1))))
+
+
+def test_transfer_linf_ternary_vertex_with_internal_edge():
+    L, r = ternary_vertex()
     assert r.small.space.names == ("a", "b", "c", "d", "e")
     out = transfer_linf(L, r, max_k=4)
     w = Word.wedge("a", "b", "c", "d")
@@ -437,6 +442,17 @@ def test_transfer_linf_ternary_vertex_with_internal_edge():
     total = sum((Fraction(1, aut_order(t)) * tree_values[serialize(t)]
                  for t in enumerate_rooted(4)), Element.zero(r.small.space))
     assert total == out.ell(4).apply_word(w)
+
+
+def test_derived_linf_cap_keeps_every_bracket():
+    # B'_k has degree -1, so a nonzero ell'_k needs k * lo - 1 <= hi with lo
+    # = 3 and hi = 11 here: the derived cap is (hi + 1) // lo = 4, and it
+    # must reach the ell'_4(a, b, c, d) = -e that max_k=4 finds
+    L, r = ternary_vertex()
+    assert linf_transfer_cap(L, r.small.space) == 4
+    derived, capped = transfer_linf(L, r), transfer_linf(L, r, max_k=4)
+    assert derived.ops.keys() == capped.ops.keys() == {4}
+    assert same_map(derived.ell(4), capped.ell(4))
 
 
 def test_transfer_ainf_checks_few_elements(monkeypatch):

@@ -27,8 +27,7 @@ from htcas.structures import (
     LInfAlgebra,
     shifted_brackets,
     shifted_coops,
-    unshift_bracket,
-    unshift_coop,
+    unshift,
 )
 from htcas.transfer import HomotopyRetract, _coop_map, _shift_retract, _ShiftedRetract
 
@@ -183,7 +182,7 @@ def tree_map_coalgebra(tree, C: AInfCoalgebra, r: HomotopyRetract) -> GradedMap:
     `transfer_ainf`, which sums these over the planar trees with k leaves."""
     rr = _shift_retract(r, -1)
     delta = _tree_coop(tree, shifted_coops(C), rr).compose(rr.incl)
-    return unshift_coop(delta, leaf_count(tree), r.small.space)
+    return unshift(delta, leaf_count(tree), r.small.space)
 
 
 # ---------------------------------------------------------------------------
@@ -257,4 +256,4 @@ def tree_map_lie(tree, L: LInfAlgebra, r: HomotopyRetract) -> GradedMap:
         val = _lie_tree_shifted(emb, B, rr, w.factors, memo)
         if val:
             values[w] = val
-    return unshift_bracket(small, k, values)
+    return unshift(GradedMap(rr.small, rr.small, -1, values, k, "w"), k, small)
