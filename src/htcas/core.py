@@ -2,9 +2,9 @@
 
 Conventions used across the package:
 
-* Degrees are integers and homological.  Cohomological objects (Sullivan
-  algebras, duals) are stored with negated degrees and rendered with upper
-  indices only at the I/O boundary.
+* Degrees are integers.  Coalgebras and Lie algebras are graded
+  homologically; Sullivan algebras store each cohomological degree as
+  written, and their differential raises it by one.
 * Every sign comes from the Koszul rule: transposing graded symbols of
   degrees p and q costs (-1)**(p*q).  `koszul_sign` returns the graded
   signature (ordinary signature times Koszul sign), which governs wedge
@@ -628,14 +628,6 @@ class GradedMap:
         if el.space is self.source:
             return Element._of(self.target, acc)
         return Element(self.target, acc)
-
-    def compose(self, inner: "GradedMap") -> "GradedMap":
-        """self after inner (defined on inner's stored domain words)."""
-        images = {w: self.apply(el) for w, el in inner.images.items()}
-        return GradedMap(
-            inner.source, self.target, self.degree + inner.degree,
-            images, inner.arity, inner.in_kind,
-        )
 
     def is_zero(self) -> bool:
         return not self.images

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 
 from .core import (
     AxiomError,
+    BoundError,
     Element,
     GradedMap,
     GradedSpace,
@@ -54,7 +55,7 @@ if TYPE_CHECKING:  # imported where used, so `import htcas.functors` loads only 
 class CDGA:
     """Free graded-commutative algebra Lambda(V) with a differential.
 
-    Generators carry cohomological degrees (stored negated); monomials are
+    Generators carry their cohomological degrees as written; monomials are
     monomial-kind words, so odd generators square to zero.  The differential
     is given on generators and extended as a derivation.
     """
@@ -121,6 +122,11 @@ class FiniteCDGA:
     with a chosen monomial basis; the input to dualization."""
 
     def __init__(self, parent: CDGA, max_cohom: int, max_length: int | None = None):
+        if max_length is None:
+            for g, deg in parent.gens.basis:
+                if deg <= 0 and deg % 2 == 0:
+                    raise BoundError(f"the powers of the even generator {g} of degree "
+                                     f"{deg} never pass the degree cutoff")
         self.parent = parent
         self.max_cohom = max_cohom
         self.monomials = parent.monomial_basis(max_cohom, max_length)

@@ -154,12 +154,8 @@ def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
 # reduced Brown-Szczarba model, route 1: cochains of the transferred model
 
 
-def bs_name(f: str) -> str:
-    """Hom basis name c.x to Brown-Szczarba generator name v.c.
-
-    The target name is the last dotted component (source monomial names may
-    themselves contain dots; target generator names never do)."""
-    c, x = f.rsplit(".", 1)
+def bs_name(c: str, x: str) -> str:
+    """Brown-Szczarba generator name v.c of the Hom basis element c -> x."""
     v = x[:-1] if x.endswith("'") else x
     return f"{v}.{c}"
 
@@ -187,10 +183,11 @@ def reduced_bs_cochain(model: LInfAlgebra, source: GradedSpace, target: GradedSp
                 f"brackets of arity <= 3; a nonzero arity-{k} bracket is present"
             )
     hs = model.space
+    pairs = {hom_name(c, x): (c, x) for c in source.names for x in target.names}
     cdeg = {}
     okey = {}
     for f in hs.names:
-        c, x = f.rsplit(".", 1)
+        c, x = pairs[f]
         cdeg[f] = source.degree(c)
         okey[f] = (target.degree(x) + 1, target.index(x),
                    source.degree(c), source.index(c))
@@ -204,7 +201,7 @@ def reduced_bs_cochain(model: LInfAlgebra, source: GradedSpace, target: GradedSp
         c = [cdeg[f] for f in ordered]
         return sign * threading_sign(c, [d + 1 for d in c]), ordered
 
-    return cochain(model, names=[bs_name(f) for f in hs.names], orient=orient)
+    return cochain(model, names=[bs_name(*pairs[f]) for f in hs.names], orient=orient)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ back by `structures.unshift`.  Every shift, of the ops, of the retract
 maps and back, is the one decalage rule `core.suspend_map`.  Transferred
 co-ops come from the planar recursion G_1 = p, G_m = F_m o h, with F_m the
 sum of (G_{m_1} (x) ... (x) G_{m_j}) o delta_j over the compositions of m
-(Markl, Transferring A-infinity structures); it builds each G_m once and
-unrolls to the sum over planar trees.  Transferred brackets come from the
+(Markl, Transferring A-infinity structures), evaluated on demand from
+i(H) downward and memoized per arity and basis element; it unrolls to the
+sum over planar trees.  Transferred brackets come from the
 recursion for the infinity-morphism i_infinity over splits of the inputs
 into blocks (Berglund, arXiv:0909.3485; Loday-Vallette, Algebraic
 Operads, 10.3), driven by the words on which it is nonzero; it sums each
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 from . import linalg
 from .core import (
@@ -52,7 +53,6 @@ from .core import (
     lincomb,
     substituted_words,
     suspend_map,
-    tensor_apply,
 )
 from .structures import (
     AInfCoalgebra,
@@ -325,24 +325,6 @@ def _shift_retract(r: HomotopyRetract, shift: int) -> _ShiftedRetract:
 # A-infinity transfer
 
 
-def _coop_map(coops: dict[int, GradedMap], rr: _ShiftedRetract, slot_tuples) -> GradedMap:
-    """Sum over slot tuples S of (S_1 (x) ... (x) S_j) o delta_j, j = len(S),
-    as a map from the big space to tensor words of the small one; an arity
-    missing from `coops` contributes zero.  Every slot has degree 0, so the
-    evaluation carries no Koszul signs."""
-    images = {}
-    for name in rr.big.names:
-        w = Word.tensor(name)
-        parts = []
-        for slots in slot_tuples:
-            delta = coops.get(len(slots))
-            mid = delta.apply_word(w) if delta is not None else None
-            if mid:
-                parts.append((1, tensor_apply(slots, [1] * len(slots), mid)))
-        images[w] = lincomb(rr.small, parts)
-    return GradedMap(rr.big, rr.small, -1, images)
-
-
 def arity_cap(max_k: int | None, derive, *args) -> int:
     """max_k, which must be at least 2, or else the cap `derive(*args)`; a
     BoundError names both ways to give a cap when none can be derived."""
@@ -373,31 +355,41 @@ def ainf_transfer_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:
 
 def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
                   max_k: int | None = None) -> AInfCoalgebra:
-    """Transferred co-operations Delta'_k = unshift(F_k o i), where in the
-    shifted world G_1 = p, G_m = F_m o h and
-
-        F_m = sum_j sum_{m = m_1 + ... + m_j} (G_{m_1} (x) ... (x) G_{m_j}) o delta_j
-
-    over the arities j >= 2 of C and the compositions of m.  Each G_m is one
-    map from the big space to small^{(x)m}, built once.  Unrolled, this visits
-    each planar tree once: it is the sum over planar trees with m leaves."""
+    """Transferred co-operations Delta'_m(n) = unshift(F(m, i(n))), where in
+    the shifted world G(1, y) = p(y) and G(m, y) = F(m, h(y)) on a basis
+    element y of the big space, and F(m, el) is the sum, over the arities
+    j >= 2 of C, the compositions m = m_1 + ... + m_j and the terms
+    c (y_1|...|y_j) of delta_j(el), of c G(m_1, y_1) ... G(m_j, y_j).  Every
+    G value has degree 0, so their tensor carries no Koszul sign.  G is
+    evaluated on demand from i(H) downward, once per (m, y).  Unrolled, this
+    visits each planar tree once: it is the sum over planar trees with m
+    leaves."""
     coops = shifted_coops(C)
     rr = _shift_retract(r, -1)
     cap = arity_cap(max_k, ainf_transfer_cap, C, r.small.space)
+    arities = [j for j in sorted(coops) if j >= 2]
+
+    @cache
+    def G(m: int, y: str) -> Element:
+        w = Word.tensor(y)
+        return rr.proj.apply_word(w) if m == 1 else F(m, rr.homotopy.apply_word(w))
+
+    def F(m: int, el: Element) -> Element:
+        parts = []
+        for j in arities:
+            terms = coops[j].apply(el).terms.items()
+            for cuts in itertools.combinations(range(1, m), j - 1):
+                sizes = [b - a for a, b in zip((0,) + cuts, cuts + (m,))]
+                parts.extend((c, reduce(Element.times, map(G, sizes, w.factors)))
+                             for w, c in terms)
+        return lincomb(rr.small, parts)
 
     ops: dict[int, GradedMap] = {}
     if not r.small.diff.is_zero():
         ops[1] = r.small.diff
-    arities = [j for j in sorted(coops) if j >= 2]
-    G = {1: rr.proj}
     for m in range(2, cap + 1):
-        F = _coop_map(coops, rr, [
-            tuple(G[b - a] for a, b in zip((0,) + cuts, cuts + (m,)))
-            for j in arities
-            for cuts in itertools.combinations(range(1, m), j - 1)
-        ])
-        G[m] = F.compose(rr.homotopy)
-        ops[m] = unshift(F.compose(rr.incl), m, r.small.space)
+        images = {w: F(m, el) for w, el in rr.incl.images.items()}
+        ops[m] = unshift(GradedMap(rr.small, rr.small, -1, images), m, r.small.space)
     counit = C.counit if (C.counit and C.counit in r.small.space) else None
     return AInfCoalgebra(r.small.space, ops, counit=counit)
 

@@ -1,5 +1,6 @@
 import io
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -214,7 +215,7 @@ def test_hspace_command(capsys):
     assert "yes-by-theorem" in out
 
 
-def test_mapmodel_command(capsys):
+def test_mapmodel_command(capsys, tmp_path):
     code, out, err = run(
         ["mapmodel", str(MODELS / "example1_X.cdga"), str(MODELS / "example1_Y.cdga"),
          "--pointed", "--emit", "bs"],
@@ -231,6 +232,16 @@ def test_mapmodel_command(capsys):
         capsys,
     )
     assert out2 == out
+    # identifiers may contain dots: the Hom names c.x are split by the pair
+    # that built them, so renaming x to x.1 renames it in the output alone
+    text = (MODELS / "example1_Y.cdga").read_text()
+    dotted = write(tmp_path, "y.cdga", re.sub(r"\bx\b", "x.1", text))
+    code3, out3, err3 = run(
+        ["mapmodel", str(MODELS / "example1_X.cdga"), dotted, "--pointed", "--emit", "bs"],
+        capsys,
+    )
+    assert (code3, err3) == (0, "") and "x.1.a" in out3
+    assert out3.replace("x.1", "x") == out
 
 
 def test_linf_target_reads_as_its_cdga(tmp_path, capsys):
@@ -264,6 +275,25 @@ def test_bound_exceeded_exit_code(tmp_path, capsys):
     p = write(tmp_path, "even.cdga", "kind cdga\ngen u : 2\n")
     code, out, err = run(["dualize", p], capsys)
     assert code == 4 and "truncate" in err
+
+
+def test_non_positive_even_generator_is_refused(tmp_path):
+    # the powers of an even generator of degree <= 0 never pass the degree
+    # cutoff; run in a child with a timeout, so a hang fails instead of
+    # stalling the suite
+    y = str(MODELS / "example1_Y.cdga")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for text in ("kind cdga\ngen x : 0\ntruncate 3\n",
+                 "kind cdga\ngen x : -2\ngen y : 3\ntruncate 3\n"):
+        x = write(tmp_path, "x.cdga", text)
+        for argv in (["dualize", x], ["mapmodel", x, y]):
+            proc = subprocess.run(
+                [sys.executable, "-I", "-B", "-c",
+                 f"import sys; sys.path.insert(0, {src!r}); from htcas import cli; "
+                 "sys.exit(cli.main(sys.argv[1:]))", *argv],
+                capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 4 and proc.stdout == "", (text, argv)
+            assert "generator x " in proc.stderr, (text, argv)
 
 
 def test_wrong_model_kind_exit_code(tmp_path, capsys):

@@ -107,6 +107,9 @@ def test_no_wrappers_of_a_single_call():
     assert not hasattr(transfer, "_shift_map")
     assert not hasattr(transfer, "_as_wedge_op")
     assert not hasattr(GradedMap, "support")
+    # the A-infinity transfer evaluates its recursion per basis element
+    assert not hasattr(transfer, "_coop_map")
+    assert not hasattr(GradedMap, "compose")
     sphere = AInfCoalgebra(GradedSpace.of([("e", 5)]), {})
     mm = mapping_space_model(sphere, LInfAlgebra(GradedSpace.of([("x", 2)]), {}))
     assert not hasattr(mm, "retract")

@@ -1,3 +1,4 @@
+import inspect
 import pytest
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,7 @@ from htcas.structures import (
 from htcas.transfer import (
     ChainComplex,
     HomotopyRetract,
+    _shift_retract,
     ainf_transfer_cap,
     hom_complex,
     hom_retract,
@@ -473,3 +475,33 @@ def test_transfer_ainf_checks_few_elements(monkeypatch):
     assert 3 in H.ops
     assert calls["init"] <= 2000
 
+
+def test_transfer_ainf_evaluates_each_arity_and_element_once(monkeypatch):
+    # a work guard for the memo: h is applied to a basis element y only to
+    # evaluate G(m, y), once per arity m; the pair is read off the arguments
+    # of the caller of h
+    _, red = dual_coalgebra(dict(oracle_sources())["n5"])
+    r = retract_from_decomposition(homology_decomposition(ChainComplex(red.space, red.delta(1))))
+    calls = Counter()
+
+    class CountingHomotopy:
+        def __init__(self, h):
+            self.h = h
+
+        def apply_word(self, w):
+            frame = inspect.getargvalues(inspect.currentframe().f_back)
+            calls[tuple(frame.locals[a] for a in frame.args)] += 1
+            return self.h.apply_word(w)
+
+    def counted(r, shift_by):
+        rr = _shift_retract(r, shift_by)
+        rr.homotopy = CountingHomotopy(rr.homotopy)
+        return rr
+
+    monkeypatch.setattr("htcas.transfer._shift_retract", counted)
+    H = transfer_ainf(red, r)
+    monkeypatch.undo()
+    assert all(same_map(m, H.ops[k]) for k, m in transfer_ainf(red, r).ops.items())
+    assert calls and max(calls.values()) == 1
+    assert {m for m, _ in calls} == set(range(2, ainf_transfer_cap(red, r.small.space)))
+    assert {y for _, y in calls} <= set(red.space.names)

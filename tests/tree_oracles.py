@@ -21,7 +21,15 @@ import itertools
 import math
 from functools import lru_cache
 
-from htcas.core import Element, GradedMap, Word, koszul_sign, lincomb, word_basis
+from htcas.core import (
+    Element,
+    GradedMap,
+    Word,
+    koszul_sign,
+    lincomb,
+    tensor_apply,
+    word_basis,
+)
 from htcas.structures import (
     AInfCoalgebra,
     LInfAlgebra,
@@ -29,7 +37,7 @@ from htcas.structures import (
     shifted_coops,
     unshift,
 )
-from htcas.transfer import HomotopyRetract, _coop_map, _shift_retract, _ShiftedRetract
+from htcas.transfer import HomotopyRetract, _shift_retract, _ShiftedRetract
 
 # A tree is either LEAF or a tuple of >= 2 subtrees (children, left to right).
 LEAF = "*"
@@ -169,19 +177,37 @@ def arity_product(t) -> int:
 # A-infinity tree maps
 
 
+def _compose(outer: GradedMap, inner: GradedMap) -> GradedMap:
+    """outer after inner, on inner's stored domain words."""
+    images = {w: outer.apply(el) for w, el in inner.images.items()}
+    return GradedMap(inner.source, outer.target, outer.degree + inner.degree, images)
+
+
+def _vertex(coops: dict[int, GradedMap], rr: _ShiftedRetract, slots) -> GradedMap:
+    """(S_1 (x) ... (x) S_j) o delta_j for the slot maps S, j = len(slots), on
+    every basis element of the big space; zero when C has no arity-j co-op."""
+    delta = coops.get(len(slots))
+    images = {}
+    if delta is not None:
+        for name in rr.big.names:
+            w = Word.tensor(name)
+            images[w] = tensor_apply(slots, [1] * len(slots), delta.apply_word(w))
+    return GradedMap(rr.big, rr.small, -1, images)
+
+
 def _tree_coop(tree, coops: dict[int, GradedMap], rr: _ShiftedRetract) -> GradedMap:
     """F_T for a planar tree T with an internal root: the root co-op followed
     by p on each leaf and F_c o h on each subtree c."""
-    slots = tuple(rr.proj if is_leaf(c) else _tree_coop(c, coops, rr).compose(rr.homotopy)
+    slots = tuple(rr.proj if is_leaf(c) else _compose(_tree_coop(c, coops, rr), rr.homotopy)
                   for c in tree)
-    return _coop_map(coops, rr, [slots])
+    return _vertex(coops, rr, slots)
 
 
 def tree_map_coalgebra(tree, C: AInfCoalgebra, r: HomotopyRetract) -> GradedMap:
     """The single labeled tree map Delta_T : H -> H^{(x)k}; a test oracle for
     `transfer_ainf`, which sums these over the planar trees with k leaves."""
     rr = _shift_retract(r, -1)
-    delta = _tree_coop(tree, shifted_coops(C), rr).compose(rr.incl)
+    delta = _compose(_tree_coop(tree, shifted_coops(C), rr), rr.incl)
     return unshift(delta, leaf_count(tree), r.small.space)
 
 
