@@ -19,15 +19,17 @@ all six kinds, the operand being a generator, a parenthesised input word
 or nothing (mc).  It checks that the sum has the degree its head gives:
 |g| + 1 for d, |g| - 1 for diff (dgc and dgl alike), |g| for cop,
 |g| + k - 2 for D<k> and |g1 ^ ... ^ gk| + k - 2 for l<k>, with k >= 1;
-and it refuses a second line with the same head and operand (an input
-word in any order).  A second gen line for one name, a second counit or
-truncate line, and either directive in a kind that does not read it are
-refused too.  A gen line takes exactly one degree.  Identifiers may
-contain letters, digits, _, ' and . (dotted names appear in Hom and
-reduced-model bases).  Serialization uses the same grammar, with one
-header helper for the kind, counit and gen lines, so parse(serialize(S))
-round-trips for every kind but mc, which only `mapmodel --mc` reads;
-ordering is canonical and output is byte-stable.
+that each tensor word has the length its head gives: 1 for diff in a
+dgc, 2 for cop, k for D<k>, and 1 for l<k> and mc, whose values are sums
+of generators; and it refuses a second line with the same head and
+operand (an input word in any order).  A second gen line for one name, a
+second counit or truncate line, and either directive in a kind that does
+not read it are refused too.  A gen line takes exactly one degree.
+Identifiers may contain letters, digits, _, ' and . (dotted names appear
+in Hom and reduced-model bases).  Serialization uses the same grammar,
+with one header helper for the kind, counit and gen lines, so
+parse(serialize(S)) round-trips for every kind but mc, which only
+`mapmodel --mc` reads; ordering is canonical and output is byte-stable.
 
 One table, `_COMMANDS`, states each subcommand once: its handler, help,
 positional files and options, from which `main` builds the argument parser.
@@ -139,13 +141,15 @@ def _tokens(path, lineno, text):
 class _TermParser:
     """Sums of scalar-weighted words over a known generator set."""
 
-    def __init__(self, path, lineno, toks, start, space: GradedSpace, kind: str):
+    def __init__(self, path, lineno, toks, start, space: GradedSpace, kind: str,
+                 letters: int | None):
         self.path = path
         self.lineno = lineno
         self.toks = toks
         self.pos = start
         self.space = space
         self.kind = kind  # "m" product words, "t" tensor words, "lie" brackets
+        self.letters = letters  # the length of every word, when fixed
 
     def error(self, msg, at=None):
         """Raise at token `at` (by default the last one read), or past the end."""
@@ -204,11 +208,16 @@ class _TermParser:
                 self.error("scalar term without a word (only 0 is allowed)", at)
         if self.kind == "lie":
             return coeff, self.parse_bracket()
+        at = self.pos
         factors = [self.parse_name()]
         sep = SEPARATOR[self.kind]
         while self.peek() == sep:
             self.next()
             factors.append(self.parse_name())
+        n = self.letters
+        if n is not None and len(factors) != n:
+            want = "a generator" if n == 1 else f"a word of {n} letters"
+            self.error(f"expected {want}, got {sep.join(factors)}", at)
         return coeff, tuple(factors)
 
     def parse_name(self):
@@ -252,7 +261,9 @@ def _headed_lines(path, body, space, kind):
     the degree the head adds, operand the generator, the canonical input
     word (the value carries its sign) or None.  The value must have the
     operand's degree plus shift; only a "lie" sum has a presentation, its
-    bracket trees.  A head and operand may be defined on one line only."""
+    bracket trees.  A head and operand may be defined on one line only.
+    A tensor sum has words of fixed length: k letters for a co-operation
+    of arity k (diff 1, cop 2, D<k> k), one for a bracket value or mc."""
     word_kind, operand, fixed, prefix, usage = _LINES[kind]
     first: dict = {}
     for lineno, toks in body:
@@ -300,7 +311,8 @@ def _headed_lines(path, body, space, kind):
         seen = first.setdefault((shift, key), lineno)
         if seen != lineno:
             fail(f"{what} is already defined on line {seen}")
-        items = _TermParser(path, lineno, toks, eq + 1, space, word_kind).parse_sum()
+        letters = (shift + 2 if operand == "gen" else 1) if word_kind == "t" else None
+        items = _TermParser(path, lineno, toks, eq + 1, space, word_kind, letters).parse_sum()
         terms = [(c, w) for c, w in items if w is not None]
         if word_kind == "lie":
             value, pres = lincomb(
@@ -562,8 +574,10 @@ def cmd_transfer_ainf(args) -> int:
 
 
 def cmd_quillen(args) -> int:
-    C = _load(args.file, args.command, "dgc").payload
-    M = quillen_differential_direct(C) if args.direct else quillen(C)
+    if args.direct:
+        M = quillen_differential_direct(_load(args.file, "quillen --direct", "dgc").payload)
+    else:  # the functor reads co-operations of every arity
+        M = quillen(_load(args.file, args.command, "dgc", "ainf").payload)
     sys.stdout.write(serialize(M))
     return 0
 

@@ -55,6 +55,7 @@ from .transfer import (
     hom_complex,
     hom_name,
     hom_retract,
+    pair_names,
     transfer_linf,
 )
 
@@ -201,7 +202,8 @@ def reduced_bs_cochain(model: LInfAlgebra, source: GradedSpace, target: GradedSp
         c = [cdeg[f] for f in ordered]
         return sign * threading_sign(c, [d + 1 for d in c]), ordered
 
-    return cochain(model, names=[bs_name(*pairs[f]) for f in hs.names], orient=orient)
+    names = pair_names((pairs[f] for f in hs.names), bs_name)
+    return cochain(model, names=names, orient=orient)
 
 
 # ---------------------------------------------------------------------------

@@ -368,7 +368,10 @@ def perturb(L: LInfAlgebra, mc: Element) -> LInfAlgebra:
 
     ell_k^z(w) is nonzero only when w is a support word of some ell_{i+k}
     less i factors that lie in the support of z, so only those words are
-    evaluated: each such factor may be dropped, keeping length k."""
+    evaluated: each such factor may be dropped, keeping length k.  At z = 0
+    every ell_k^z is ell_k, and L itself is returned."""
+    if not mc:
+        return L
     zsupp = {f for w in mc.terms for f in w.factors}
     ops: dict[int, GradedMap] = {}
     for k in range(1, L.max_arity + 1):

@@ -436,8 +436,9 @@ def dense_extend_to_complement(span: list, dim: int) -> list[int]:
 
 
 def dense_homology_dims(cx: ChainComplex) -> dict[int, int]:
-    """Dimension of homology per degree, by full-width ranks (reference for
-    `ChainComplex.homology_dims`)."""
+    """Dimension of homology per degree, by full-width ranks: the reference
+    for the degrees of H in `homology_decomposition`, which the engine never
+    recounts (the retract checks already make i a homotopy equivalence)."""
     names = cx.space.names
     words = [Word.tensor(n) for n in names]
     by_deg: dict[int, list[str]] = {}

@@ -167,6 +167,47 @@ def test_quillen_commands(capsys, tmp_path):
     assert "diff a.b" in cobar
 
 
+def test_quillen_of_the_transferred_ainf_is_the_direct_route(capsys, tmp_path):
+    # the first theorem as a two-route check: the Quillen functor of the
+    # higher Massey coproducts is the minimal model that the direct
+    # recursion reads off the homology decomposition, byte for byte
+    from helpers import oracle_sources
+    from htcas.functors import dual_coalgebra
+
+    code, out, err = run(["dualize", str(MODELS / "example1_X.cdga")], capsys)
+    duals = {"ex1": out}
+    duals.update((tag, serialize(dual_coalgebra(B)[1]))
+                 for tag, B in oracle_sources() if tag in ("n4", "n5"))
+    for tag, text in duals.items():
+        dgc = write(tmp_path, f"{tag}.dgc", text)
+        code, out, err = run(["transfer-ainf", dgc], capsys)
+        assert code == 0, tag
+        ainf = write(tmp_path, f"{tag}.ainf", out)
+        code, cobar, err = run(["quillen", ainf], capsys)
+        assert code == 0 and err == "", tag
+        assert cobar == run(["quillen", "--direct", dgc], capsys)[1], tag
+    # the direct recursion reads a dgc only
+    assert run(["quillen", "--direct", ainf], capsys) == (
+        2, "", "validation failure: quillen --direct expects a dgc model, got ainf\n")
+
+
+def test_colliding_basis_names_are_named(capsys, tmp_path):
+    # dotted names can give two Hom or Brown-Szczarba basis elements one
+    # name; the refusal names it and both (c, x) pairs
+    x = write(tmp_path, "ab.cdga", "kind cdga\ngen a : 3\ngen b : 3\n")
+    y = write(tmp_path, "y.cdga", "kind cdga\ngen x : 4\ngen b.x : 4\n")
+    assert run(["mapmodel", x, y, "--pointed", "--emit", "bs"], capsys) == (
+        2, "", "validation failure: basis name \"a.b.x'\" is given to both "
+               "(c, x) = (a, b.x') and (a.b, x')\n")
+    # y and y' both give the generator name y.a in the reduced model
+    y = write(tmp_path, "y.linf", "kind linf\ngen y : 5\ngen y' : 5\n")
+    assert run(["mapmodel", x, y, "--pointed", "--emit", "bs"], capsys) == (
+        2, "", "validation failure: basis name 'y.a' is given to both "
+               "(c, x) = (a, y) and (a, y')\n")
+    code, out, err = run(["mapmodel", x, y, "--pointed", "--emit", "linf"], capsys)
+    assert code == 0 and "gen a.y' : 2" in out
+
+
 def test_cochain_command(capsys, tmp_path):
     from htcas.functors import linf_from_cdga
     from htcas.cli import serialize as ser
@@ -499,6 +540,19 @@ def test_malformed_directives_are_parse_errors(tmp_path, capsys):
         ("u12.cdga", "kind cdga\ngen x 2\n", ":2:0: expected: gen <name> : <degree>"),
         ("u13.cdga", "kind cdga\ngen x : y\n", ":2:8: expected an integer degree"),
         ("u14.cdga", "# nothing\n", ":1:0: empty file"),
+        # a tensor word has the length its head gives: one letter for a dgc
+        # differential, a bracket value or mc, two for cop and k for D<k>
+        ("w1.dgc", "kind dgc\ngen a : 2\ngen b : 5\ndiff b = a|a\n",
+         ":4:9: expected a generator, got a|a"),
+        ("w2.dgc", "kind dgc\ngen a : 2\ngen c : 6\ncop c = a|a|a\n",
+         ":4:8: expected a word of 2 letters, got a|a|a"),
+        ("w3.linf", LINF_HEAD + "l2 ( x ^ y ) = x|y\n", ":5:15: expected a generator, got x|y"),
+        ("w4.mc", "kind mc\ngen a : -1\ngen b : 0\nmc = a|b\n",
+         ":4:5: expected a generator, got a|b"),
+        ("w5.ainf", "kind ainf\ngen g : 2\ngen h : 3\ngen u : 4\nD3 u = g|h\n",
+         ":5:7: expected a word of 3 letters, got g|h"),
+        ("w6.dgc", "kind dgc\ngen a : 2\ngen c : 4\ncop c = a|a - 2 a\n",
+         ":4:16: expected a word of 2 letters, got a"),
     ]
     for name, text, want in cases:
         p = write(tmp_path, name, text)

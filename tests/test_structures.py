@@ -211,8 +211,9 @@ def test_perturb_expansion():
     got = Lz.ell(1).apply_word(Word.tensor("x"))
     want = L.bracket(2, Element.gen(space, "z0"), Element.gen(space, "x"))
     assert got == want and got == Element.gen(space, "y")
-    # z = 0 perturbs nothing
+    # z = 0 perturbs nothing: ell^0_k = ell_k, and L itself comes back
     L0 = perturb(L, mc_check(L, Element.zero(space)))
+    assert L0 is L
     assert L0.ops.keys() == L.ops.keys()
     for k in L.ops:
         assert L0.ops[k].images == L.ops[k].images

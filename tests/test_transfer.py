@@ -136,9 +136,11 @@ def test_blocked_decomposition_matches_dense_route(cbar, target_dgl):
         dec = homology_decomposition(cx)
         assert dec.a_part == dense.a_part, label
         assert dec.h_part == dense.h_part, label
-        assert cx.homology_dims() == dense_homology_dims(cx), label
         r, rd = retract_from_decomposition(dec), dense_retract(dense)
         assert r.small.space == rd.small.space, label
+        # the homology oracle: H, as the retract's small space, has the
+        # dimensions the full-width ranks count, degree by degree
+        assert Counter(r.small.space.degrees()) == dense_homology_dims(cx), label
         for part in ("incl", "proj", "homotopy"):
             assert same_map(getattr(r, part), getattr(rd, part)), (label, part)
         seen_cycle_vector |= any(len(h.terms) > 1 for h in dec.h_part)
@@ -205,12 +207,13 @@ def test_chain_complex_refuses_d_squared_nonzero():
     with pytest.raises(ValidationError, match=r"^d\^2 != 0 on generator b$"):
         ChainComplex(sp, GradedMap(sp, sp, -1, d))
     del d[Word.tensor("b")]
-    assert ChainComplex(sp, GradedMap(sp, sp, -1, d)).homology_dims() == {3: 1, 2: 1}
+    dec = homology_decomposition(ChainComplex(sp, GradedMap(sp, sp, -1, d)))
+    assert Counter(h.degree for h in dec.h_part) == {3: 1, 2: 1}
 
 
 def test_fixed_linear_data_is_built_once_per_degree_block(monkeypatch):
     # a work guard: at most one RREF per block for each of the kernel, the
-    # cycle basis, the H choice, the block inverse and the homology check;
+    # cycle basis, the H choice and the block inverse;
     # the dense routes make 169 RREFs (111 of them in solves) on this input
     # and the solve-based Quillen recursion 395 more solves
     _, red = dual_coalgebra(dict(oracle_sources())["n5"])
@@ -223,7 +226,7 @@ def test_fixed_linear_data_is_built_once_per_degree_block(monkeypatch):
     cx = ChainComplex(red.space, red.delta(1))
     dec = homology_decomposition(cx)
     retract_from_decomposition(dec)
-    assert calls["rref"] <= 5 * len(cx.blocks)
+    assert calls["rref"] <= 4 * len(cx.blocks)
     assert calls["solve"] == 0
     calls.clear()
     quillen_differential_direct(red)
