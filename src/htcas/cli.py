@@ -40,7 +40,8 @@ model read as one.
 
 Exit codes: 0 ok, 1 usage, 2 parse/validation (a wrong model kind too), 3
 axiom failure, 4 bound exceeded (e.g. `mapmodel --emit bs` on a model with
-a bracket of arity 4 or more).  `mapmodel --mc FILE` needs `--pointed`.
+a bracket of arity 4 or more), 141 (128 + SIGPIPE) stdout closed early,
+with nothing on stderr.  `mapmodel --mc FILE` needs `--pointed`.
 
 Each command imports only the engine modules it runs (`import htcas` itself
 is lazy), so a process compiles no more than it needs.  `check` on a cdga
@@ -56,6 +57,7 @@ through `mapping.component_model`.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from fractions import Fraction
@@ -541,7 +543,7 @@ def _finite_model(mf: ModelFile) -> FiniteCDGA:
             raise BoundError(
                 "dualizing a CDGA with even generators needs `truncate <N>`"
             )
-        cutoff = sum(d for _, d in A.gens.basis)
+        cutoff = sum(d for _, d in A.gens.basis if d > 0)  # the top monomial's degree
     return FiniteCDGA(A, max_cohom=cutoff)
 
 
@@ -588,8 +590,8 @@ def cmd_cochain(args) -> int:
 
 
 def cmd_dualize(args) -> int:
-    full, red = dual_coalgebra(_finite_model(_load(args.file, args.command, "cdga")))
-    sys.stdout.write(serialize(full if args.full else red))
+    B = _finite_model(_load(args.file, args.command, "cdga"))
+    sys.stdout.write(serialize(dual_coalgebra(B, counital=args.full)))
     return 0
 
 
@@ -600,8 +602,7 @@ def cmd_mapmodel(args) -> int:
     L = _as_linf(args.yfile, f"{args.command} target")
     from .mapping import component_model, mapping_space_model, reduced_bs_cochain
 
-    full, red = dual_coalgebra(_finite_model(xf))
-    C = red if args.pointed else full
+    C = dual_coalgebra(_finite_model(xf), counital=not args.pointed)
     mm = mapping_space_model(C, L, max_k=args.max_arity)
     model = mm.model
     if args.pointed:
@@ -680,7 +681,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ParseError as exc:
         print(exc, file=sys.stderr)
         return 2

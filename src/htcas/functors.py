@@ -14,9 +14,9 @@ a finite-dimensional graded-commutative algebra uses the plain transpose
 pairing (no extra signs): <Delta phi, x (x) y> = <phi, x y> and
 <delta phi, x> = <phi, d x>; the resulting coalgebras pass the executable
 axioms and this convention is pinned by the dual-coalgebra tests.  The
-reduced dual is the restriction of each full co-operation away from the
-dual of the unit.  The direct Quillen differential reads the canonical
-retract of `transfer.canonical_retract`.
+reduced dual is the same construction on the non-unit monomials.  The
+direct Quillen differential reads the canonical retract of
+`transfer.canonical_retract`.
 
 A free graded Lie element is a plain Element, its expansion in the tensor
 algebra (faithful in characteristic zero); zero tests are exact and
@@ -146,55 +146,44 @@ class FiniteCDGA:
         return sum(self.parent.gens.degree(f) for f in fs)
 
 
-def dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None
-                   ) -> tuple[AInfCoalgebra, AInfCoalgebra]:
-    """Dual DGC of a finite-dimensional CDGA: returns (C, reduced C).
+def dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None, *,
+                   counital: bool) -> AInfCoalgebra:
+    """Dual DGC of a finite-dimensional CDGA: the counital C when `counital`,
+    else the reduced C.
 
     The dual basis element of a monomial m sits in homological degree
     |m|; <Delta m*, x (x) y> = <m*, xy> and <delta m*, x> = <m*, dx>.
     Each dx is computed once, and each product xy is one canonical word
     with its sorting sign, kept when that word is a basis monomial; their
     terms are scattered into the dual images of the monomials they hit, in
-    the order (x, then y) of the monomial basis.  Each co-operation of the
-    reduced C is the full one with every word that involves the counit
-    dropped, from its inputs and from its outputs.
+    the order (x, then y) of the monomial basis.  The reduced C is built the
+    same way on the non-unit monomials alone, so no word of it involves the
+    counit.
     """
     from .structures import AInfCoalgebra
 
     rename = rename or {}
     gens = B.parent.gens
-    names = {fs: rename.get(B.names[fs], B.names[fs]) for fs in B.monomials}
-    degrees = {fs: B.cohom_degree(fs) for fs in B.monomials}
-
-    pairs = [(names[fs], degrees[fs]) for fs in B.monomials]
-    space = GradedSpace.of(pairs)
-    unit = names[()]
+    monomials = B.monomials if counital else [fs for fs in B.monomials if fs]
+    names = {fs: rename.get(B.names[fs], B.names[fs]) for fs in monomials}
+    degrees = {fs: B.cohom_degree(fs) for fs in monomials}
+    space = GradedSpace.of([(names[fs], degrees[fs]) for fs in monomials])
 
     # tables[k][m]: the (coeff, dual word) terms of Delta_k(m*)
     tables: dict[int, dict[tuple, list]] = {1: {}, 2: {}}
-    for xs in B.monomials:
+    for xs in monomials:
         for w, co in B.d(xs).terms.items():
             tables[1].setdefault(w.factors, []).append((co, (names[xs],)))
-        for ys in B.monomials:
+        for ys in monomials:
             if degrees[xs] + degrees[ys] > B.max_cohom:
                 continue
             w, sign = canonical_word(gens, "m", xs + ys)
-            if w is not None and w.factors in B.names:
+            if w is not None and w.factors in names:
                 tables[2].setdefault(w.factors, []).append((sign, (names[xs], names[ys])))
     ops = {k: GradedMap(space, space, k - 2, {
         Word.tensor(names[fs]): Element.make(space, [(c, "t", t) for c, t in table[fs]])
-        for fs in B.monomials if fs in table}) for k, table in tables.items()}
-    full = AInfCoalgebra(space, ops, counit=unit)
-
-    red_space = GradedSpace.of([(n, d) for n, d in pairs if n != unit])
-
-    def restrict(m: GradedMap) -> GradedMap:
-        """m with the unit dropped from its inputs and from its outputs."""
-        return GradedMap(red_space, red_space, m.degree, {
-            w: Element(red_space, {t: c for t, c in el.terms.items() if unit not in t.factors})
-            for w, el in m.images.items() if unit not in w.factors})
-
-    return full, AInfCoalgebra(red_space, {k: restrict(m) for k, m in ops.items()})
+        for fs in monomials if fs in table}) for k, table in tables.items()}
+    return AInfCoalgebra(space, ops, counit=names[()] if counital else None)
 
 
 # ---------------------------------------------------------------------------

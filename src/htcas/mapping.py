@@ -8,13 +8,14 @@ a DGC to an L-infinity algebra,
 
 and homotopy transfer along the retract that `transfer.hom_retract` induces
 from `transfer.canonical_retract(C)` moves it onto the maps out of
-homology.  Every bracket-level loop follows the supports of the maps it
-reads, never the wedge-word basis of Hom(C, L): the convolution pairs the
-terms of Delta^{(k-1)}, taken from one pass of
-`structures.iterated_coproducts`, with the orderings of ell_k's support
-words, and the reduced model reads the stored images of the transferred
-brackets.  `component_model` takes a plain element and checks the
-Maurer-Cartan equation itself.  The cochain functor of the transferred
+homology; ell_1 is the differential of that retract's big side, so one
+complex of C and one Hom(C, L) serve the whole model.  Every bracket-level
+loop follows the supports of the maps it reads, never the wedge-word basis
+of Hom(C, L): the convolution pairs the terms of Delta^{(k-1)}, taken from
+one pass of `structures.iterated_coproducts`, with the orderings of ell_k's
+support words, and the reduced model reads the stored images of the
+transferred brackets.  `component_model` takes a plain element and checks
+the Maurer-Cartan equation itself.  The cochain functor of the transferred
 structure, with generators renamed v.h from the spaces of H and of L that
 `reduced_bs_cochain` takes, is the reduced Brown-Szczarba model; the same
 differential is also computed by the direct substitution recursion on
@@ -52,16 +53,17 @@ from .transfer import (
     ChainComplex,
     arity_cap,
     canonical_retract,
-    hom_complex,
     hom_name,
     hom_retract,
+    hom_space,
     pair_names,
     transfer_linf,
 )
 
 
-def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra) -> LInfAlgebra:
-    """The convolution structure on Hom(C, L) for a DGC C.
+def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra, hom: ChainComplex) -> LInfAlgebra:
+    """The convolution structure on Hom(C, L) for a DGC C; ell_1 is the
+    differential of `hom`, the complex Hom(C, L) of `transfer.hom_complex`.
 
     ell_k is built from the supports of the maps it reads: each term
     (c_1 ... c_k, co) of Delta^{(k-1)}(c) meets each ordered target tuple
@@ -72,12 +74,12 @@ def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra) -> LInfAlgebra:
     """
     if not C.is_dgc:
         raise ValueError("convolution brackets need a DGC source")
-    cx = ChainComplex(C.space, C.delta(1))
-    hc = hom_complex(cx, L)
-    hs = hc.space
+    hs = hom.space
+    if hs is not hom_space(C.space, L.space):
+        raise ValueError("the convolution needs the complex Hom(C, L)")
     ops: dict[int, GradedMap] = {}
-    if not hc.diff.is_zero():
-        ops[1] = suspend_map(hc.diff, hs, hs, -1, kind="w")
+    if not hom.diff.is_zero():
+        ops[1] = suspend_map(hom.diff, hs, hs, -1, kind="w")
     # cops[k]: Delta^{(k-1)}, each extended from the one before
     cops = dict(zip(range(2, L.max_arity + 1), iterated_coproducts(C)))
 
@@ -145,7 +147,7 @@ def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
     the recursion meets binary vertices alone."""
     r = canonical_retract(C)
     hr = hom_retract(r, L)
-    conv = convolution_linf(C, L)
+    conv = convolution_linf(C, L, hr.big)
     cap = arity_cap(max_k, mapping_arity_cap, C, r.small.space)
     model = transfer_linf(conv, hr, max_k=cap)
     return MappingModel(model, conv, r.small.space, C)
@@ -221,7 +223,7 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
     """
     if not A.is_sullivan:
         raise ValueError("the target must be a Sullivan algebra (d V in Lambda^{>=1} V)")
-    _, C = dual_coalgebra(B, rename=rename)
+    C = dual_coalgebra(B, rename=rename, counital=False)
     r = canonical_retract(C)
     csp = C.space
     hsp = r.small.space

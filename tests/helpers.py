@@ -52,6 +52,7 @@ from htcas.functors import (
     dual_coalgebra,
     lie_bracket,
 )
+from htcas.mapping import convolution_linf
 from htcas.structures import (
     AInfCoalgebra,
     CheckReport,
@@ -227,7 +228,7 @@ def random_cocommutative_dgc(rng: random.Random, max_dim: int = 6,
                              conilpotence_two: bool = False):
     """(full, reduced) dual pair of a random finite CDGA, reduced dim <= max_dim."""
     B = random_finite_cdga(rng, max_dim=max_dim, conilpotence_two=conilpotence_two)
-    return dual_coalgebra(B)
+    return dual_coalgebra(B, counital=True), dual_coalgebra(B, counital=False)
 
 
 def oracle_sources() -> list[tuple[str, FiniteCDGA]]:
@@ -250,6 +251,11 @@ def oracle_sources() -> list[tuple[str, FiniteCDGA]]:
             out.append((f"random{len(out) - len(fixed)}",
                         FiniteCDGA(A, max_cohom=2 * A.gens.max_degree())))
     return out
+
+
+def convolution(C: AInfCoalgebra, L: LInfAlgebra) -> LInfAlgebra:
+    """`mapping.convolution_linf` on the Hom complex of C and L built here."""
+    return convolution_linf(C, L, hom_complex(ChainComplex(C.space, C.delta(1)), L))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import os
 import re
 import subprocess
 import sys
@@ -176,7 +177,7 @@ def test_quillen_of_the_transferred_ainf_is_the_direct_route(capsys, tmp_path):
 
     code, out, err = run(["dualize", str(MODELS / "example1_X.cdga")], capsys)
     duals = {"ex1": out}
-    duals.update((tag, serialize(dual_coalgebra(B)[1]))
+    duals.update((tag, serialize(dual_coalgebra(B, counital=False)))
                  for tag, B in oracle_sources() if tag in ("n4", "n5"))
     for tag, text in duals.items():
         dgc = write(tmp_path, f"{tag}.dgc", text)
@@ -335,6 +336,34 @@ def test_non_positive_even_generator_is_refused(tmp_path):
                 capture_output=True, text=True, timeout=60)
             assert proc.returncode == 4 and proc.stdout == "", (text, argv)
             assert "generator x " in proc.stderr, (text, argv)
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that closes its end early (`htcas ... | head -1`) ends the
+    # command with 128 + SIGPIPE and nothing on stderr, output still buffered
+    # when the command returns included
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv in (["check", str(MODELS / "example1_X.cdga")],
+                 ["dualize", str(MODELS / "example1_X.cdga")]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-I", "-B", "-c",
+                 f"import sys; sys.path.insert(0, {src!r}); from htcas import cli; "
+                 "sys.exit(cli.main(sys.argv[1:]))", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b""), argv
+
+
+def test_dualize_cutoff_is_the_top_monomial_degree(tmp_path, capsys):
+    # Lambda(a3, x-1): the top monomial x.a has degree 2, but a itself has
+    # degree 3, so the cutoff is the sum of the positive degrees
+    x = write(tmp_path, "x.cdga", "kind cdga\ngen a : 3\ngen x : -1\n")
+    assert run(["dualize", x], capsys) == (
+        0, "kind dgc\ngen x : -1\ngen a : 3\ngen x.a : 2\ncop x.a = x|a - a|x\n", "")
 
 
 def test_wrong_model_kind_exit_code(tmp_path, capsys):

@@ -45,10 +45,15 @@ def test_one_space_object_per_basis():
 
 def test_both_hom_builds_share_one_space(cbar, target_dgl):
     from htcas.mapping import convolution_linf
-    from htcas.transfer import canonical_retract, hom_retract
+    from htcas.transfer import canonical_retract, hom_complex, hom_retract
 
     r = canonical_retract(cbar)
-    assert hom_retract(r, target_dgl).big.space is convolution_linf(cbar, target_dgl).space
+    hr = hom_retract(r, target_dgl)
+    assert hr.big.space is hom_complex(r.big, target_dgl).space
+    assert convolution_linf(cbar, target_dgl, hr.big).space is hr.big.space
+    # the convolution refuses a complex that is not Hom(C, L)
+    with pytest.raises(ValueError, match="Hom\\(C, L\\)"):
+        convolution_linf(cbar, target_dgl, hr.small)
 
 
 def test_koszul_sign_examples():

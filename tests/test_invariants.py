@@ -96,14 +96,12 @@ def test_conilpotence(cbar):
     # the worked example has a double splitting on the top class
     assert conilpotence(cbar).value == 3
     # a primitive coalgebra has conilpotence 1
-    prim = dual_coalgebra(
-        FiniteCDGA(CDGA.of([("a", 3), ("b", 5)], {}), max_cohom=5)
-    )[1]
+    prim = dual_coalgebra(FiniteCDGA(CDGA.of([("a", 3), ("b", 5)], {}), max_cohom=5),
+                          counital=False)
     assert conilpotence(prim).value == 1
     # conilpotence 2: one product survives, nothing longer
-    c2 = dual_coalgebra(
-        FiniteCDGA(CDGA.of([("a", 3), ("b", 5)], {}), max_cohom=8)
-    )[1]
+    c2 = dual_coalgebra(FiniteCDGA(CDGA.of([("a", 3), ("b", 5)], {}), max_cohom=8),
+                        counital=False)
     assert conilpotence(c2).value == 2
 
 

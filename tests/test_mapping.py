@@ -1,12 +1,15 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from helpers import (
     CUBIC_Y,
     RENAME,
+    convolution,
     dense_convolution,
     linf_merge_candidates,
     dense_perturb,
@@ -50,7 +53,7 @@ def test_hom_space_type(cbar, target_dgl):
 
 
 def test_convolution_is_valid_and_pinned(cbar, target_dgl):
-    conv = convolution_linf(cbar, target_dgl)
+    conv = convolution(cbar, target_dgl)
     assert check_linf(conv)
     assert sorted(conv.ops) == [1, 2]
     # the engine's pinned orientation on the canonical pair
@@ -61,14 +64,14 @@ def test_convolution_is_valid_and_pinned(cbar, target_dgl):
     from htcas.structures import AInfCoalgebra
 
     C = AInfCoalgebra(sp, {})
-    conv2 = convolution_linf(C, target_dgl)
+    conv2 = convolution(C, target_dgl)
     assert sorted(conv2.ops) == []
 
 
 def test_convolution_symmetry_matches_wedge_rule(cbar, target_dgl):
     # the bracket formula is graded-symmetric, so evaluating at a permuted
     # tuple equals the wedge-rule sign times the stored value
-    conv = convolution_linf(cbar, target_dgl)
+    conv = convolution(cbar, target_dgl)
     a, b = "g.y'", "v.z'"
     fwd = conv.ell(2).apply_word(Word.tensor(a, b))
     rev = conv.ell(2).apply_word(Word.tensor(b, a))
@@ -84,10 +87,10 @@ def test_pointed_convolution_is_convolution_of_reduced_dual(cbar, target_dgl):
         CDGA.of([("a", 3), ("b", 3), ("c", 5)], {"c": [(1, ("a", "b"))]}),
         max_cohom=11,
     )
-    full, red = dual_coalgebra(B, rename=RENAME)
-    conv = convolution_linf(red, target_dgl)
+    red = dual_coalgebra(B, rename=RENAME, counital=False)
+    conv = convolution(red, target_dgl)
     assert check_linf(conv)
-    _assert_same_brackets(conv, convolution_linf(cbar, target_dgl))
+    _assert_same_brackets(conv, convolution(cbar, target_dgl))
 
 
 def test_mapping_model_brackets(worked):
@@ -210,7 +213,7 @@ def test_route_agreement_variants(srcgens, srcd, tgtgens, tgtd):
     B = FiniteCDGA(CDGA.of(srcgens, srcd),
                    max_cohom=sum(d for _, d in srcgens))
     A = CDGA.of(tgtgens, tgtd)
-    full, red = dual_coalgebra(B)
+    red = dual_coalgebra(B, counital=False)
     L = linf_from_cdga(A)
     mm = mapping_space_model(red, L, max_k=4)
     r1 = reduced_bs_cochain(mm.model, mm.homology, L.space)
@@ -231,7 +234,7 @@ def test_route_agreement_randomized():
         A = random_sullivan(rng, max_gens=4, max_degree=8)
         if not A.diff:
             continue
-        full, red = dual_coalgebra(B)
+        red = dual_coalgebra(B, counital=False)
         if red.space.dim < 2 or red.space.min_degree() < 2:
             continue
         L = linf_from_cdga(A)
@@ -254,7 +257,7 @@ def test_conilpotence_two_binary_shortcut():
     # binary vertices only, even into CUBIC_Y, whose ell_3 reaches the
     # convolution of the worked example's source (conilpotence 3)
     _, cbar = _ex1_dual()
-    assert 3 in convolution_linf(cbar, linf_from_cdga(CUBIC_Y)).ops
+    assert 3 in convolution(cbar, linf_from_cdga(CUBIC_Y)).ops
     rng = random.Random(77)
     done = 0
     while done < 4:
@@ -262,7 +265,7 @@ def test_conilpotence_two_binary_shortcut():
         A = random_sullivan(rng, max_gens=3, max_degree=8)
         if not A.diff:
             continue
-        full, red = dual_coalgebra(B)
+        red = dual_coalgebra(B, counital=False)
         if red.space.dim < 2 or red.space.min_degree() < 2:
             continue
         try:
@@ -308,7 +311,7 @@ def test_bs_routes_agree_on_n4_component():
     # as `htcas mapmodel n4 example1_Y --pointed --emit bs --max-arity 4`
     B = FiniteCDGA(CDGA.of([("a", 3), ("b", 3), ("c", 5), ("e", 3)],
                            {"c": [(1, ("a", "b"))]}), max_cohom=14)
-    _, red = dual_coalgebra(B)
+    red = dual_coalgebra(B, counital=False)
     L = linf_from_cdga(EX1_Y)
     mm = mapping_space_model(red, L, max_k=4)
     comp = component_model(mm.model, Element.zero(mm.model.space))
@@ -330,7 +333,7 @@ def test_transfer_linf_matches_tree_sum_on_worked_example(cbar, target_dgl):
     r = retract_from_decomposition(
         homology_decomposition(ChainComplex(cbar.space, cbar.delta(1))))
     hr = hom_retract(r, target_dgl)
-    conv = convolution_linf(cbar, target_dgl)
+    conv = convolution_linf(cbar, target_dgl, hr.big)
     out = transfer_linf(conv, hr, max_k=4)
     small = hr.small.space
     for k in (2, 3, 4):
@@ -354,7 +357,7 @@ def test_mapping_model_n4_at_derived_cap():
                            {"c": [(1, ("a", "b"))]}), max_cohom=14)
     A = CDGA.of([("x", 4), ("y", 7), ("z", 10), ("t", 16)],
                 {"z": [(1, ("x", "y"))], "t": [(1, ("y", "z"))]})
-    _, red = dual_coalgebra(B)
+    red = dual_coalgebra(B, counital=False)
     mm = mapping_space_model(red, linf_from_cdga(A))
     assert mapping_arity_cap(red, mm.homology) == 6
     assert {k: len(m.images) for k, m in mm.model.ops.items()} == {2: 44, 3: 14}
@@ -368,7 +371,7 @@ EX1_Y = CDGA.of([("x", 4), ("y", 7), ("z", 10), ("t", 16)],
 def _ex1_dual():
     B = FiniteCDGA(CDGA.of([("a", 3), ("b", 3), ("c", 5)], {"c": [(1, ("a", "b"))]}),
                    max_cohom=11)
-    return dual_coalgebra(B)
+    return dual_coalgebra(B, counital=True), dual_coalgebra(B, counital=False)
 
 
 def _assert_same_brackets(got, want):
@@ -384,7 +387,7 @@ def test_convolution_matches_dense_loop(cbar, target_dgl):
                             {"c": [(1, ("a", "b"))]}), max_cohom=14)
     pairs = [
         (cbar, target_dgl),
-        (dual_coalgebra(n4)[1], linf_from_cdga(EX1_Y)),
+        (dual_coalgebra(n4, counital=False), linf_from_cdga(EX1_Y)),
         (full, linf_from_cdga(EX1_Y)),
         (red, linf_from_cdga(CUBIC_Y)),
     ]
@@ -393,10 +396,10 @@ def test_convolution_matches_dense_loop(cbar, target_dgl):
         B = random_finite_cdga(rng, max_dim=8)
         A = random_sullivan(rng, max_gens=4, max_degree=8)
         if A.diff:
-            pairs.append((dual_coalgebra(B)[1], linf_from_cdga(A)))
+            pairs.append((dual_coalgebra(B, counital=False), linf_from_cdga(A)))
     arities = set()
     for C, L in pairs:
-        conv = convolution_linf(C, L)
+        conv = convolution(C, L)
         _assert_same_brackets(conv, dense_convolution(C, L))
         _assert_same_brackets(truncate(conv), dense_truncate(conv))
         assert conv.max_arity >= 2
@@ -408,7 +411,7 @@ def test_perturb_and_truncate_match_dense_loops(worked):
     # a nonzero Maurer-Cartan element on a convolution algebra with ell_3:
     # ell_1^z(c.z') picks up (1/2) ell_3(z, z, c.z')
     for C in _ex1_dual():
-        conv = convolution_linf(C, linf_from_cdga(CUBIC_Y))
+        conv = convolution(C, linf_from_cdga(CUBIC_Y))
         assert 3 in conv.ops
         z = mc_check(conv, Element.make(conv.space, [(1, "t", ("a.x'",)),
                                                      (2, "t", ("b.y'",))]))
@@ -440,11 +443,12 @@ def test_target_indexed_merges_keep_every_nonzero_word(srcgens, srcd, tgtgens, t
     # at every arity up to 4, the target-indexed candidates are all-combinations
     # candidates, in the same order, and are exactly the words with F != 0
     B = FiniteCDGA(CDGA.of(srcgens, srcd), max_cohom=sum(d for _, d in srcgens))
-    _, red = dual_coalgebra(B)
+    red = dual_coalgebra(B, counital=False)
     L = linf_from_cdga(CDGA.of(tgtgens, tgtd))
     r = retract_from_decomposition(
         homology_decomposition(ChainComplex(red.space, red.delta(1))))
-    found = linf_merge_candidates(convolution_linf(red, L), hom_retract(r, L), 4)
+    hr = hom_retract(r, L)
+    found = linf_merge_candidates(convolution_linf(red, L, hr.big), hr, 4)
     for k, (every, indexed, nonzero) in found.items():
         kept = set(indexed)
         assert kept <= set(every), k
@@ -463,13 +467,13 @@ def test_shifted_brackets_give_the_suspended_bracket_on_every_order(cbar, target
     # bring the ell_3
     srcgens, srcd, tgtgens, tgtd = VARIANTS[1]
     B = FiniteCDGA(CDGA.of(srcgens, srcd), max_cohom=sum(d for _, d in srcgens))
-    variant = mapping_space_model(dual_coalgebra(B)[1], linf_from_cdga(CDGA.of(tgtgens, tgtd)),
-                                  max_k=4).model
+    variant = mapping_space_model(dual_coalgebra(B, counital=False),
+                                  linf_from_cdga(CDGA.of(tgtgens, tgtd)), max_k=4).model
     srcgens, srcd, tgtgens, tgtd = S3_INTO_CUBIC_Y
     B = FiniteCDGA(CDGA.of(srcgens, srcd), max_cohom=sum(d for _, d in srcgens))
-    cubic = convolution_linf(dual_coalgebra(B)[1], linf_from_cdga(CDGA.of(tgtgens, tgtd)))
+    cubic = convolution(dual_coalgebra(B, counital=False), linf_from_cdga(CDGA.of(tgtgens, tgtd)))
     assert 3 in variant.ops and 3 in cubic.ops
-    for L in (convolution_linf(cbar, target_dgl), variant, cubic):
+    for L in (convolution(cbar, target_dgl), variant, cubic):
         sL = L.space.suspend(+1)
         shifted = shifted_brackets(L)
         assert sorted(shifted) == sorted(L.ops)
@@ -479,3 +483,49 @@ def test_shifted_brackets_give_the_suspended_bracket_on_every_order(cbar, target
                     want = suspension_sign([sL.degree(f) for f in perm]) * Element(
                         sL, L.ell(k).apply_word(Word.tensor(*perm)).terms)
                     assert want and shifted[k].apply_word(Word.tensor(*perm)) == want, (k, perm)
+
+
+def test_each_dual_and_hom_complex_is_built_and_checked_once(monkeypatch, capsys):
+    # a work guard on the dualize and mapmodel paths: the one dual a command
+    # reads is the one built and checked, and a mapping-space model builds
+    # the complex of C once (in its retract) and Hom(C, L) once (the big
+    # side of the Hom retract, whose differential the convolution reads),
+    # beside Hom(H, L)
+    from htcas import cli, mapping, structures, transfer
+
+    checked, complexes, homs = [], Counter(), []
+    check_ainf, init = structures.check_ainf, ChainComplex.__init__
+    hom_complex = transfer.hom_complex
+
+    def counted_check(C):
+        checked.append(C.space)
+        return check_ainf(C)
+
+    def counted_init(self, space, diff):
+        complexes[space] += 1
+        init(self, space, diff)
+
+    def counted_hom(source, L):
+        homs.append(source.space)
+        return hom_complex(source, L)
+
+    monkeypatch.setattr(structures, "check_ainf", counted_check)
+    monkeypatch.setattr(ChainComplex, "__init__", counted_init)
+    for module in (transfer, mapping):  # every name that binds hom_complex
+        if vars(module).get("hom_complex") is hom_complex:
+            monkeypatch.setattr(module, "hom_complex", counted_hom)
+    models = Path(__file__).resolve().parent.parent / "models"
+    x, y = str(models / "example1_X.cdga"), str(models / "example1_Y.cdga")
+    for argv in (["dualize", x], ["dualize", "--full", x],
+                 ["mapmodel", x, y, "--pointed", "--emit", "both"],
+                 ["mapmodel", x, y, "--max-arity", "3"]):
+        checked.clear()
+        complexes.clear()
+        homs.clear()
+        assert cli.main(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv
+        assert len(checked) == 1, argv
+        if argv[0] == "mapmodel":
+            source = checked[0]
+            assert complexes[source] == 1, argv
+            assert len(homs) == 2 and homs[0] is source and homs[1] is not source, argv

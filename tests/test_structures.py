@@ -3,10 +3,15 @@ import random
 
 import pytest
 
-from helpers import check_ainf_shifted, check_linf_shifted, dgc_from_tables, linf_from_tables
+from helpers import (
+    check_ainf_shifted,
+    check_linf_shifted,
+    convolution,
+    dgc_from_tables,
+    linf_from_tables,
+)
 from htcas.core import Element, GradedMap, GradedSpace, Word, word_basis
 from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, linf_from_cdga
-from htcas.mapping import convolution_linf
 from htcas.structures import (
     AInfCoalgebra,
     LInfAlgebra,
@@ -154,7 +159,7 @@ def _n4_convolution():
                            {"c": [(1, ("a", "b"))]}), max_cohom=14)
     A = CDGA.of([("x", 4), ("y", 7), ("z", 10), ("t", 16)],
                 {"z": [(1, ("x", "y"))], "t": [(1, ("y", "z"))]})
-    return convolution_linf(dual_coalgebra(B)[1], linf_from_cdga(A))
+    return convolution(dual_coalgebra(B, counital=False), linf_from_cdga(A))
 
 
 def test_jacobi_candidates_are_exhaustive():

@@ -48,7 +48,7 @@ FLAGS = {
 
 PARAMETERS = {
     mapping_space_model: ["C", "L", "max_k"],
-    convolution_linf: ["C", "L"],
+    convolution_linf: ["C", "L", "hom"],
     component_model: ["model", "phi"],
     reduced_bs_direct: ["B", "A", "rename"],
     reduced_bs_cochain: ["model", "source", "target"],
@@ -64,7 +64,7 @@ PARAMETERS = {
     quillen: ["C"],
     quillen_differential_direct: ["C"],
     hom_retract: ["r", "L"],
-    dual_coalgebra: ["B", "rename"],
+    dual_coalgebra: ["B", "rename", "counital"],
     check_linf: ["L"],
     hspace_certificate: ["x_side", "y_side"],
     word_basis: ["space", "kind", "arity"],

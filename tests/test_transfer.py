@@ -57,7 +57,7 @@ def n4():
     """Reduced dual of n4 = Lambda(a3, b3, c5, e3), dc = ab, and its retract."""
     B = FiniteCDGA(CDGA.of([("a", 3), ("b", 3), ("c", 5), ("e", 3)],
                            {"c": [(1, ("a", "b"))]}), max_cohom=14)
-    _, red = dual_coalgebra(B)
+    red = dual_coalgebra(B, counital=False)
     return red, retract_from_decomposition(
         homology_decomposition(ChainComplex(red.space, red.delta(1))))
 
@@ -124,7 +124,7 @@ def oracle_complexes(cbar, target_dgl):
     yield "cycle vectors", ChainComplex(sp, GradedMap(sp, sp, -1, d))
     yield "hom complex", hom_complex(cbar_cx, target_dgl)
     for tag, B in oracle_sources():
-        full, red = dual_coalgebra(B)
+        full, red = (dual_coalgebra(B, counital=c) for c in (True, False))
         yield f"{tag} full", ChainComplex(full.space, full.delta(1))
         yield f"{tag} reduced", ChainComplex(red.space, red.delta(1))
 
@@ -216,7 +216,7 @@ def test_fixed_linear_data_is_built_once_per_degree_block(monkeypatch):
     # cycle basis, the H choice and the block inverse;
     # the dense routes make 169 RREFs (111 of them in solves) on this input
     # and the solve-based Quillen recursion 395 more solves
-    _, red = dual_coalgebra(dict(oracle_sources())["n5"])
+    red = dual_coalgebra(dict(oracle_sources())["n5"], counital=False)
     calls = Counter()
     for fn in ("rref", "solve"):
         def counting(*args, _fn=fn, _original=getattr(linalg, fn)):
@@ -281,13 +281,14 @@ def test_engine_transfers_enumerate_no_trees(monkeypatch, cbar, cbar_retract, ta
     monkeypatch.setattr("tree_oracles.enumerate_rooted", refuse)
     assert 3 in transfer_ainf(*n4).ops
     hr = hom_retract(cbar_retract[1], target_dgl)
-    assert 3 in transfer_linf(convolution_linf(cbar, target_dgl), hr, max_k=3).ops
+    assert 3 in transfer_linf(convolution_linf(cbar, target_dgl, hr.big), hr, max_k=3).ops
 
 
 def test_transfer_linf_restricted_to_words(cbar, cbar_retract, target_dgl):
     # words at the top arity keep only those images of ell'_k; the lower
     # arities, and the I values under them, are computed in full
-    L, hr = convolution_linf(cbar, target_dgl), hom_retract(cbar_retract[1], target_dgl)
+    hr = hom_retract(cbar_retract[1], target_dgl)
+    L = convolution_linf(cbar, target_dgl, hr.big)
     full = transfer_linf(L, hr, max_k=3)
     top = sorted(full.ops[3].images, key=str)
     assert len(top) > 1
@@ -464,7 +465,7 @@ def test_transfer_ainf_checks_few_elements(monkeypatch):
     # a work guard: sums, scalings, map applications and tensor evaluations
     # build their results without the homogeneity scan of Element(...),
     # which the transfer used to pay 16,376 times on this input
-    _, red = dual_coalgebra(dict(oracle_sources())["n5"])
+    red = dual_coalgebra(dict(oracle_sources())["n5"], counital=False)
     r = retract_from_decomposition(homology_decomposition(ChainComplex(red.space, red.delta(1))))
     calls = Counter()
     original = Element.__init__
@@ -483,7 +484,7 @@ def test_transfer_ainf_evaluates_each_arity_and_element_once(monkeypatch):
     # a work guard for the memo: h is applied to a basis element y only to
     # evaluate G(m, y), once per arity m; the pair is read off the arguments
     # of the caller of h
-    _, red = dual_coalgebra(dict(oracle_sources())["n5"])
+    red = dual_coalgebra(dict(oracle_sources())["n5"], counital=False)
     r = retract_from_decomposition(homology_decomposition(ChainComplex(red.space, red.delta(1))))
     calls = Counter()
 
