@@ -677,13 +677,13 @@ def main(argv=None) -> int:
             p.add_argument(flag, **keywords)
         p.set_defaults(fn=fn)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code else 0
-    try:
-        code = args.fn(args)
-        sys.stdout.flush()
-        return code
+        try:
+            args = parser.parse_args(argv)
+            return args.fn(args)
+        except SystemExit as exc:  # argparse has printed the help or a usage error
+            return 1 if exc.code else 0
+        finally:
+            sys.stdout.flush()
     except BrokenPipeError:
         # the reader is gone; the interpreter's last flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

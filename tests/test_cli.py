@@ -341,9 +341,9 @@ def test_non_positive_even_generator_is_refused(tmp_path):
 def test_closed_stdout_ends_quietly():
     # a reader that closes its end early (`htcas ... | head -1`) ends the
     # command with 128 + SIGPIPE and nothing on stderr, output still buffered
-    # when the command returns included
+    # when the command returns and argparse's help text included
     src = str(Path(__file__).resolve().parent.parent / "src")
-    for argv in (["check", str(MODELS / "example1_X.cdga")],
+    for argv in (["--help"], ["check", str(MODELS / "example1_X.cdga")],
                  ["dualize", str(MODELS / "example1_X.cdga")]):
         read_end, write_end = os.pipe()
         os.close(read_end)
