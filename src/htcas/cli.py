@@ -609,6 +609,9 @@ def cmd_mapmodel(args) -> int:
         phi = Element.zero(model.space)
         if args.mc:
             mc = _load(args.mc, f"{args.command} --mc", "mc").payload
+            unknown = [f for w in mc.terms for f in w.factors if f not in model.space]
+            if unknown:
+                raise ValidationError(f"unknown name {unknown[0]!r}")
             phi = Element(model.space, dict(mc.terms))
         model = component_model(model, phi)
     if args.emit in ("linf", "both"):
@@ -697,9 +700,6 @@ def main(argv=None) -> int:
     except BoundError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return 4
-    except KeyError as exc:
-        print(f"validation failure: unknown name {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:  # ValidationError and every other ValueError
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2

@@ -316,6 +316,16 @@ def word_basis(space: GradedSpace, kind: str, arity: int):
     return out
 
 
+def letter_index(items) -> dict[str, list]:
+    """letter -> the keys, in order, of the (key, value) pairs whose value
+    has a term with that letter as a factor: pools for `substituted_words`."""
+    index: dict[str, list] = {}
+    for key, val in items:
+        for u in dict.fromkeys(f for w in val.terms for f in w.factors):
+            index.setdefault(u, []).append(key)
+    return index
+
+
 def substituted_words(space: GradedSpace, kind: str, pool_lists,
                       length: int | None = None) -> list[Word]:
     """Distinct nonzero canonical words, in first-found order, of the

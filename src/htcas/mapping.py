@@ -53,6 +53,7 @@ from .transfer import (
     ChainComplex,
     arity_cap,
     canonical_retract,
+    degree_cap,
     hom_name,
     hom_retract,
     hom_space,
@@ -113,15 +114,10 @@ def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra, hom: ChainComplex) -> LIn
 def mapping_arity_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:
     """Cap on transferred bracket arities from the source-side degrees:
     a k-leaf tree splits a homology class across k factors of the source,
-    gaining at most one degree per internal edge.  An empty homology
-    carries no brackets, and the cap is 2."""
-    if not small.dim:
-        return 2
-    lo = C.space.min_degree()
-    hi = small.max_degree()
-    if lo < 2:
-        return None
-    return max(2, (hi - 2) // (lo - 1))
+    gaining at most one degree per internal edge, k - 2 in all: with
+    lo = min(C) - 1 and hi = max(small), k lo + 2 <= hi.  An empty
+    homology carries no brackets, and the cap is 2."""
+    return degree_cap(C.space.min_degree() - 1, small.max_degree(), 2) if small.dim else 2
 
 
 class MappingModel:
@@ -148,7 +144,7 @@ def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
     r = canonical_retract(C)
     hr = hom_retract(r, L)
     conv = convolution_linf(C, L, hr.big)
-    cap = arity_cap(max_k, mapping_arity_cap, C, r.small.space)
+    cap = arity_cap(max_k, mapping_arity_cap(C, r.small.space))
     model = transfer_linf(conv, hr, max_k=cap)
     return MappingModel(model, conv, r.small.space, C)
 

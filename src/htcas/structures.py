@@ -54,6 +54,7 @@ from .core import (
     apply_at,
     from_coords,
     koszul_sign,
+    letter_index,
     lincomb,
     shuffles,
     substituted_words,
@@ -77,7 +78,7 @@ class CheckReport:
     def __repr__(self) -> str:
         if self.ok:
             return "ok"
-        return f"FAIL at {self.where}: {self.residual!r}"
+        return f"FAIL at {self.where}" + ("" if self.residual is None else f": {self.residual!r}")
 
 
 class AInfCoalgebra:
@@ -282,9 +283,9 @@ def _jacobi_total(ops: dict[int, GradedMap], space: GradedSpace, factors: tuple[
     return lincomb(space, parts)
 
 
-def _candidate_words(space: GradedSpace, ops: dict[int, GradedMap], n: int, kind: str):
+def _candidate_words(space: GradedSpace, ops: dict[int, GradedMap], n: int, kind: str, index):
     """Words of the given kind that can carry a nonzero Jacobi summand at
-    arity n.
+    arity n; index[i] is the `core.letter_index` of ell_i's images.
 
     A summand ell_j(ell_i(x_L), x_R), i = n + 1 - j, is nonzero only when some
     factor u of ell_i(x_L) completes x_R to a support word of ell_j, so one
@@ -297,21 +298,19 @@ def _candidate_words(space: GradedSpace, ops: dict[int, GradedMap], n: int, kind
         j = n + 1 - i
         if j not in ops:
             continue
-        carriers: dict[str, list[tuple[str, ...]]] = {}
-        for w_in, val in ops[i].images.items():
-            for u in {f for w in val.terms for f in w.factors}:
-                carriers.setdefault(u, []).append(w_in.factors)
         for sw in ops[j].images:
             fs = sw.factors
-            pool_lists.extend([carriers.get(u, ()) if q == p else [(f,)] for q, f in enumerate(fs)]
+            pool_lists.extend([index[i].get(u, ()) if q == p else [(f,)] for q, f in enumerate(fs)]
                               for p, u in enumerate(fs))
     return substituted_words(space, kind, pool_lists)
 
 
 def _check_jacobi(ops: dict[int, GradedMap], space: GradedSpace, kind: str,
                   literal_signs: bool, label: str) -> CheckReport:
+    index = {i: letter_index((w.factors, val) for w, val in op.images.items())
+             for i, op in ops.items()}
     for n in range(1, 2 * max(ops, default=0)):
-        for w in _candidate_words(space, ops, n, kind):
+        for w in _candidate_words(space, ops, n, kind, index):
             total = _jacobi_total(ops, space, w.factors, n, literal_signs)
             if total:
                 return CheckReport(False, f"{label} n={n} on {w!r}", total)
@@ -416,8 +415,6 @@ def truncate(L: LInfAlgebra) -> LInfAlgebra:
 
     pairs = [(n, space.degree(n)) for n in pos]
     include: dict[str, Element] = {n: Element.gen(space, n) for n in pos}
-    # pre[n]: the new basis elements whose inclusion involves n
-    pre: dict[str, list[tuple[str]]] = {n: [(n,)] for n in pos}
     cycle_words = [Word.tensor(n) for n in zero]
     pivots = []
     for vec in cycles:
@@ -425,9 +422,8 @@ def truncate(L: LInfAlgebra) -> LInfAlgebra:
         pivots.append(pivot)
         include[pivot] = from_coords(space, cycle_words, vec)
         pairs.append((pivot, 0))
-        for n, x in zip(zero, vec):
-            if x:
-                pre.setdefault(n, []).append((pivot,))
+    # pre[n]: the new basis elements whose inclusion involves n
+    pre = letter_index(((m,), el) for m, el in include.items())
     new_space = GradedSpace.of(sorted(pairs, key=lambda p: space.index(p[0])))
 
     def reexpress(el: Element) -> Element:

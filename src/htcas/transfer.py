@@ -29,7 +29,8 @@ Operads, 10.3), driven by the words on which it is nonzero; it sums each
 leaf-labelled tree once, which equals the tree sum over isomorphism
 classes weighted by 1/|Aut(T)|.  Neither transfer enumerates a tree: the
 tree sums, evaluated one tree at a time, are the test suite's oracles
-(`tests/tree_oracles.py`).
+(`tests/tree_oracles.py`).  Every derived arity cap, of both transfers and
+of `mapping`, is the one degree-counting rule `degree_cap`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .core import (
     Word,
     from_coords,
     koszul_sign,
+    letter_index,
     lincomb,
     substituted_words,
     suspend_map,
@@ -309,12 +311,21 @@ def _shift_retract(r: HomotopyRetract, shift: int) -> _ShiftedRetract:
 # A-infinity transfer
 
 
-def arity_cap(max_k: int | None, derive, *args) -> int:
-    """max_k, which must be at least 2, or else the cap `derive(*args)`; a
+def degree_cap(lo: int, hi: int, shift: int) -> int | None:
+    """The one degree-counting rule of the derived arity caps: the largest
+    k >= 2 with k lo + shift <= hi (2 when none fits), or None when lo < 1
+    and the degrees bound nothing."""
+    if lo < 1:
+        return None
+    return max(2, (hi - shift) // lo)
+
+
+def arity_cap(max_k: int | None, derived: int | None) -> int:
+    """max_k, which must be at least 2, or else the derived cap; a
     BoundError names both ways to give a cap when none can be derived."""
     if max_k is not None and max_k < 2:
         raise ValidationError(f"the arity cap must be at least 2, got {max_k}")
-    cap = max_k if max_k is not None else derive(*args)
+    cap = max_k if max_k is not None else derived
     if cap is None:
         raise BoundError("cannot derive an arity cap; give max_k "
                          "(--max-arity on the command line)")
@@ -325,16 +336,12 @@ def ainf_transfer_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:
     """Largest arity a tree-transferred co-op can have, by degree counting.
 
     Each leaf value lands in the desuspended small space; its degrees bound
-    how many leaves the fixed total degree can feed.  An empty small space
-    carries no co-operations, and the cap is 2.
+    how many leaves the fixed total degree can feed: shifted, k leaves of
+    degree >= lo = min(small) - 1 sum to one less than a root of degree
+    <= hi = max(C) - 1, so k lo + 1 <= hi.  An empty small space carries
+    no co-operations, and the cap is 2.
     """
-    if not small.dim:
-        return 2
-    lo = small.min_degree() - 1
-    hi = C.space.max_degree() - 1
-    if lo < 1:
-        return None
-    return max(2, (hi - 1) // lo) if hi >= 1 else 2
+    return degree_cap(small.min_degree() - 1, C.space.max_degree() - 1, 1) if small.dim else 2
 
 
 def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
@@ -350,7 +357,7 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
     leaves."""
     coops = shifted_coops(C)
     rr = _shift_retract(r, -1)
-    cap = arity_cap(max_k, ainf_transfer_cap, C, r.small.space)
+    cap = arity_cap(max_k, ainf_transfer_cap(C, r.small.space))
     arities = [j for j in sorted(coops) if j >= 2]
 
     @cache
@@ -385,15 +392,9 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
 def linf_transfer_cap(L: LInfAlgebra, small: GradedSpace) -> int | None:
     """Arity cap by degree counting, available for positively graded input;
     2 on an empty small space, which carries no brackets.  In the shifted
-    world the k inputs of B'_k have degrees >= lo and its value, of degree
-    one less than theirs, degree <= hi: a nonzero ell'_k needs k lo - 1 <= hi."""
-    if not small.dim:
-        return 2
-    lo = small.min_degree() + 1
-    hi = L.space.max_degree() + 1
-    if lo < 1:
-        return None
-    return max(2, (hi + 1) // lo)
+    world the k inputs of B'_k have degrees >= lo = min(small) + 1 and its
+    value, one less than theirs, degree <= hi = max(L) + 1: k lo - 1 <= hi."""
+    return degree_cap(small.min_degree() + 1, L.space.max_degree() + 1, -1) if small.dim else 2
 
 
 def _set_partitions(k: int, j: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -436,11 +437,7 @@ def _support_merges(support: dict, k: int, arities: list[int], space: GradedSpac
     length, and keeping the merges of length k generates every word with
     F != 0.
     """
-    carriers: dict[str, list[tuple[str, ...]]] = {}
-    for entries in support.values():
-        for x, val in entries.items():
-            for u in {f for w in val.terms for f in w.factors}:
-                carriers.setdefault(u, []).append(x)
+    carriers = letter_index(kv for entries in support.values() for kv in entries.items())
     pool_lists = ([carriers.get(u, ()) for u in sw.factors]
                   for j in arities if j <= k for sw in L.ops[j].images)
     found = substituted_words(space, "m", pool_lists, length=k)
@@ -497,7 +494,7 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
     """
     B = shifted_brackets(L)
     rr = _shift_retract(r, +1)
-    max_k = arity_cap(max_k, linf_transfer_cap, L, r.small.space)
+    max_k = arity_cap(max_k, linf_transfer_cap(L, r.small.space))
     arities = [j for j in sorted(L.ops) if j >= 2]
 
     small = r.small.space

@@ -358,6 +358,30 @@ def test_closed_stdout_ends_quietly():
         assert (proc.returncode, proc.stderr) == (141, b""), argv
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path, capsys):
+    # the engine iterates sets of names (the letter index among them); two
+    # interpreters with different string hash seeds print the same bytes
+    y = str(MODELS / "example1_Y.cdga")
+    n4 = write(tmp_path, "n4.cdga",
+               "kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\nd c = + a^b\n")
+    n5 = write(tmp_path, "n5.cdga", "kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\n"
+                                    "gen f : 5\nd c = + a^b\nd f = + a^e\n")
+    dual = write(tmp_path, "n5.dgc", run(["dualize", n5], capsys)[1])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv in (["mapmodel", n4, y, "--pointed", "--emit", "both", "--max-arity", "4"],
+                 ["transfer-ainf", dual]):
+        outs = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-B", "-c",
+                 f"import sys; sys.path.insert(0, {src!r}); from htcas import cli; "
+                 "sys.exit(cli.main(sys.argv[1:]))", *argv],
+                env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True, timeout=120)
+            assert proc.returncode == 0 and proc.stdout, (argv, proc.stderr)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], argv
+
+
 def test_dualize_cutoff_is_the_top_monomial_degree(tmp_path, capsys):
     # Lambda(a3, x-1): the top monomial x.a has degree 2, but a itself has
     # degree 3, so the cutoff is the sum of the positive degrees
@@ -397,6 +421,29 @@ def test_wrong_model_kind_exit_code(tmp_path, capsys):
                                               "got dgc"),
                        (["invariants", mc], "invariants expects a cdga or dgl or linf or dgc "
                                             "model, got mc")):
+        assert run(argv, capsys) == (2, "", f"validation failure: {want}\n"), argv
+
+
+def test_refusals_state_their_reason(tmp_path, capsys):
+    # inputs each command refuses with exit 2, and the one stderr line it prints
+    x = str(MODELS / "example1_X.cdga")
+    y = str(MODELS / "example1_Y.cdga")
+    full = write(tmp_path, "full.dgc", run(["dualize", "--full", x], capsys)[1])
+    # Delta(c) = a|b has no b|a term, so the coalgebra is not cocommutative
+    skew = write(tmp_path, "skew.dgc", "kind dgc\ngen a : 3\ngen b : 3\ngen c : 6\ncop c = a|b\n")
+    primes = write(tmp_path, "primes.linf", "kind linf\ngen x : 2\ngen x' : 3\n")
+    deg0 = write(tmp_path, "deg0.linf", "kind linf\ngen x : 0\ngen y : 2\n")
+    mc0 = write(tmp_path, "deg0.mc", "kind mc\ngen a.x' : 0\nmc = a.x'\n")
+    for argv, want in (
+        (["quillen", full], "quillen expects a reduced coalgebra"),
+        (["quillen", "--direct", full], "the direct recursion expects a reduced coalgebra"),
+        (["quillen", skew], "quillen needs a cocommutative input: "
+                            "FAIL at tau on Delta_2(c), split a|b"),
+        (["cochain", primes], "dual naming collides; rename generators"),
+        (["invariants", deg0], "Whitehead length needs a positively graded algebra"),
+        (["mapmodel", x, y, "--pointed", "--mc", mc0],
+         "Maurer-Cartan elements have degree -1, got 0"),
+    ):
         assert run(argv, capsys) == (2, "", f"validation failure: {want}\n"), argv
 
 

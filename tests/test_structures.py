@@ -10,7 +10,8 @@ from helpers import (
     dgc_from_tables,
     linf_from_tables,
 )
-from htcas.core import Element, GradedMap, GradedSpace, Word, word_basis
+from htcas import structures
+from htcas.core import Element, GradedMap, GradedSpace, Word, letter_index, word_basis
 from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, linf_from_cdga
 from htcas.structures import (
     AInfCoalgebra,
@@ -162,6 +163,13 @@ def _n4_convolution():
     return convolution(dual_coalgebra(B, counital=False), linf_from_cdga(A))
 
 
+def _candidates(L, n):
+    """`_candidate_words` at arity n, with the letter index of each op."""
+    index = {i: letter_index((w.factors, v) for w, v in m.images.items())
+             for i, m in L.ops.items()}
+    return _candidate_words(L.space, L.ops, n, "w", index)
+
+
 def test_jacobi_candidates_are_exhaustive():
     conv = _n4_convolution()
     ops = {}
@@ -175,7 +183,7 @@ def test_jacobi_candidates_are_exhaustive():
 
     nonzero = 0
     for n in (1, 2, 3):
-        cands = set(_candidate_words(bad.space, bad.ops, n, "w"))
+        cands = set(_candidates(bad, n))
         for w in word_basis(bad.space, "w", n):
             if _jacobi_total(bad.ops, bad.space, w.factors, n, True):
                 nonzero += 1
@@ -189,9 +197,19 @@ def test_jacobi_candidate_count_on_n4_convolution():
     # the dense pairing of every support word with every outer support
     # word less one factor gave 3,824 words here
     conv = _n4_convolution()
-    counts = [len(_candidate_words(conv.space, conv.ops, n, "w")) for n in (1, 2, 3)]
+    counts = [len(_candidates(conv, n)) for n in (1, 2, 3)]
     assert counts == [0, 10, 30]
     assert check_linf(conv) and check_linf_shifted(conv)
+
+
+def test_check_linf_indexes_each_op_once(monkeypatch):
+    # the letter index of an op serves every arity n of the Jacobi check
+    conv = _n4_convolution()
+    calls = []
+    monkeypatch.setattr(structures, "letter_index",
+                        lambda items: calls.append(1) or letter_index(items))
+    assert check_linf(conv)
+    assert len(calls) == len(conv.ops) == 2
 
 
 def test_mc_zero_and_failure():

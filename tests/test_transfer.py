@@ -1,7 +1,9 @@
 import inspect
+import random
 import pytest
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 from helpers import (
     dense_decomposition,
@@ -14,7 +16,7 @@ from helpers import (
 from htcas import linalg
 from htcas.core import Element, GradedMap, GradedSpace, ValidationError, Word, lincomb
 from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, quillen_differential_direct
-from htcas.mapping import convolution_linf
+from htcas.mapping import convolution_linf, mapping_arity_cap
 from htcas.structures import (
     check_ainf,
     check_cocommutative,
@@ -307,6 +309,54 @@ def test_transfer_cap_derivation(cbar, cbar_retract, target_dgl):
     empty = GradedSpace.of([])
     assert ainf_transfer_cap(cbar, empty) == 2
     assert linf_transfer_cap(target_dgl, empty) == 2
+
+
+# the three derived caps as each was written before they shared one rule,
+# kept as the oracle: each takes the big and the small degree lists
+def old_ainf_cap(big, small):
+    if not small:
+        return 2
+    lo, hi = min(small) - 1, max(big) - 1
+    if lo < 1:
+        return None
+    return max(2, (hi - 1) // lo) if hi >= 1 else 2
+
+
+def old_linf_cap(big, small):
+    if not small:
+        return 2
+    lo, hi = min(small) + 1, max(big) + 1
+    if lo < 1:
+        return None
+    return max(2, (hi + 1) // lo)
+
+
+def old_mapping_cap(big, small):
+    if not small:
+        return 2
+    lo, hi = min(big), max(small)
+    if lo < 2:
+        return None
+    return max(2, (hi - 2) // (lo - 1))
+
+
+def test_caps_match_their_old_formulas():
+    # 1,000 random (big, small) degree sets, small possibly empty; each cap
+    # reads only the degrees of its two spaces
+    rng = random.Random(11)
+    seen = Counter()
+    for _ in range(1000):
+        big = [rng.randint(-3, 14) for _ in range(rng.randint(1, 6))]
+        small = [rng.randint(-3, 14) for _ in range(rng.randint(0, 5))]
+        side = SimpleNamespace(space=GradedSpace.of((f"b{i}", d) for i, d in enumerate(big)))
+        h = GradedSpace.of((f"s{i}", d) for i, d in enumerate(small))
+        for new, old in ((ainf_transfer_cap, old_ainf_cap), (linf_transfer_cap, old_linf_cap),
+                         (mapping_arity_cap, old_mapping_cap)):
+            want = old(big, small)
+            assert new(side, h) == want, (new.__name__, big, small)
+            seen[new.__name__, want if want is None else min(want, 3)] += 1
+    # every cap meets the underivable case, the least cap and a larger one
+    assert len(seen) == 9, seen
 
 
 def test_massey_coproducts_of_cbar(cbar, cbar_retract):
