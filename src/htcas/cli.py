@@ -24,7 +24,12 @@ dgc, 2 for cop, k for D<k>, and 1 for l<k> and mc, whose values are sums
 of generators; and it refuses a second line with the same head and
 operand (an input word in any order).  A second gen line for one name, a
 second counit or truncate line, and either directive in a kind that does
-not read it are refused too.  A gen line takes exactly one degree.
+not read it are refused too.  A gen line takes exactly one degree.  Each
+line is tokenized once, into a `_Line` that holds its tokens, their
+columns and a cursor, and reads its sums.  Every error it locates names
+the column of the token it complains about, or the column just past the
+last token; one table per file records the line that defines each gen
+name, directive and head with operand, and names it in a refusal.
 Identifiers may contain letters, digits, _, ' and . (dotted names appear
 in Hom and reduced-model bases).  Serialization uses the same grammar,
 with one header helper for the kind, counit and gen lines, so
@@ -121,7 +126,7 @@ class ModelFile:
 
 
 # ---------------------------------------------------------------------------
-# tokenizing and term parsing
+# line reading
 
 
 # one token per match, after any whitespace: the end of the line or a
@@ -130,115 +135,109 @@ _SCANNER = re.compile(rf"\s*(?:(?P<end>#|$)|(?P<tok>{IDENT.pattern}|{NUMBER.patt
                       r"|[\^|+\-=:()\[\]/,*])|(?P<bad>.))")
 
 
-def _tokens(path, lineno, text):
-    """Yield (token, col) pairs; symbols are single characters."""
-    for m in _SCANNER.finditer(text):
-        if m.lastgroup == "end":
-            return
-        if m.lastgroup == "bad":
-            raise ParseError(path, lineno, m.start("bad"), f"unexpected character {m['bad']!r}")
-        yield m["tok"], m.start("tok")
+class _Line:
+    """One tokenized line of a model file: its tokens (symbols are single
+    characters), their columns and a cursor.  Every error located on the
+    line goes through `fail`, and every sum is read by the term methods,
+    over a known generator set."""
 
+    def __init__(self, path, lineno, text):
+        self.path, self.lineno, self.pos = path, lineno, 0
+        self.toks, self.cols = [], []
+        for m in _SCANNER.finditer(text):
+            if m.lastgroup == "end":
+                break
+            self.toks.append(m[m.lastgroup])
+            self.cols.append(m.start(m.lastgroup))
+            if m.lastgroup == "bad":
+                self.fail(f"unexpected character {m['bad']!r}", len(self.toks) - 1)
 
-class _TermParser:
-    """Sums of scalar-weighted words over a known generator set."""
+    def tok(self, i):
+        """Token i, or None past the end of the line."""
+        return self.toks[i] if i < len(self.toks) else None
 
-    def __init__(self, path, lineno, toks, start, space: GradedSpace, kind: str,
-                 letters: int | None):
-        self.path = path
-        self.lineno = lineno
-        self.toks = toks
-        self.pos = start
-        self.space = space
-        self.kind = kind  # "m" product words, "t" tensor words, "lie" brackets
-        self.letters = letters  # the length of every word, when fixed
-
-    def error(self, msg, at=None):
-        """Raise at token `at` (by default the last one read), or past the end."""
-        at = self.pos - 1 if at is None else at
-        tok, col = self.toks[min(at, len(self.toks) - 1)]
-        col += len(tok) if at >= len(self.toks) else 0
+    def fail(self, msg, at=0):
+        """Raise at the column of token `at`, or just past the last token."""
+        col = self.cols[at] if at < len(self.toks) else self.cols[-1] + len(self.toks[-1])
         raise ParseError(self.path, self.lineno, col, msg)
 
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
+    def once(self, first: dict, key, what=None):
+        """Record this line as the one that defines `key` in `first`, or refuse
+        a second definition, naming `what` (by default the key)."""
+        seen = first.setdefault(key, self.lineno)
+        if seen != self.lineno:
+            self.fail(f"{what or key} is already defined on line {seen}")
 
     def next(self):
-        if self.pos >= len(self.toks):
-            self.error("unexpected end of line", self.pos)
-        tok = self.toks[self.pos][0]
+        tok = self.tok(self.pos)
+        if tok is None:
+            self.fail("unexpected end of line", self.pos)
         self.pos += 1
         return tok
 
-    def parse_sum(self):
-        """Returns a list of (scalar, word-factors | bracket-tree | None)."""
+    def parse_sum(self, start, space: GradedSpace, kind: str, letters: int | None):
+        """The sum from token `start` on, as a list of (scalar, word-factors |
+        bracket-tree | None).  `kind` is "m" for product words, "t" for
+        tensor words and "lie" for brackets; `letters` is the length of every
+        word, when fixed.  The first term's sign is optional."""
+        self.pos, self.space, self.kind, self.letters = start, space, kind, letters
         out = []
-        sign = 1
-        tok = self.peek()
-        if tok == "-":
-            self.next()
-            sign = -1
-        elif tok == "+":
-            self.next()
         while True:
-            out.append(self.parse_term(sign))
-            tok = self.peek()
-            if tok is None:
+            tok = self.tok(self.pos)
+            if tok in ("+", "-"):
+                self.next()
+            elif out:
+                self.fail(f"expected + or -, got {tok!r}", self.pos)
+            out.append(self.parse_term(-1 if tok == "-" else 1))
+            if self.tok(self.pos) is None:
                 return out
-            if tok == "+":
-                sign = 1
-            elif tok == "-":
-                sign = -1
-            else:
-                self.error(f"expected + or -, got {tok!r}", self.pos)
-            self.next()
 
     def parse_term(self, sign):
         coeff = sign
-        tok = self.peek()
+        tok = self.tok(self.pos)
         if tok is not None and NUMBER.fullmatch(tok):
             at = self.pos
             _, slash, den = tok.partition("/")
             if slash and int(den) == 0:
-                self.error(f"zero denominator in {tok}", at)
+                self.fail(f"zero denominator in {tok}", at)
             coeff *= frac(self.next())
-            if self.peek() == "*":
+            if self.tok(self.pos) == "*":
                 self.next()
-            if self.peek() is None or self.peek() in "+-":
+            if self.tok(self.pos) in (None, "+", "-"):
                 if coeff == 0:
                     return coeff, None
-                self.error("scalar term without a word (only 0 is allowed)", at)
+                self.fail("scalar term without a word (only 0 is allowed)", at)
         if self.kind == "lie":
             return coeff, self.parse_bracket()
         at = self.pos
         factors = [self.parse_name()]
         sep = SEPARATOR[self.kind]
-        while self.peek() == sep:
+        while self.tok(self.pos) == sep:
             self.next()
             factors.append(self.parse_name())
         n = self.letters
         if n is not None and len(factors) != n:
             want = "a generator" if n == 1 else f"a word of {n} letters"
-            self.error(f"expected {want}, got {sep.join(factors)}", at)
+            self.fail(f"expected {want}, got {sep.join(factors)}", at)
         return coeff, tuple(factors)
 
     def parse_name(self):
         tok = self.next()
         if not IDENT.fullmatch(tok):
-            self.error(f"expected a generator name, got {tok!r}")
+            self.fail(f"expected a generator name, got {tok!r}", self.pos - 1)
         if tok not in self.space:
-            self.error(f"unknown generator {tok!r}")
+            self.fail(f"unknown generator {tok!r}", self.pos - 1)
         return tok
 
     def parse_bracket(self):
-        if self.peek() == "[":
+        if self.tok(self.pos) == "[":
             self.next()
             left = self.parse_bracket()
             if self.next() != ",":
-                self.error("expected , in bracket")
+                self.fail("expected , in bracket", self.pos - 1)
             right = self.parse_bracket()
             if self.next() != "]":
-                self.error("expected closing ]")
+                self.fail("expected closing ]", self.pos - 1)
             return (left, right)
         return self.parse_name()
 
@@ -257,65 +256,60 @@ _LINES = {
 }
 
 
-def _headed_lines(path, body, space, kind):
+def _headed_lines(body, space, kind, first):
     """Read the body lines of a kind, as `_LINES` gives them.  Yields
     (shift, operand, value, presentation) for each nonzero value: shift is
     the degree the head adds, operand the generator, the canonical input
     word (the value carries its sign) or None.  The value must have the
     operand's degree plus shift; only a "lie" sum has a presentation, its
-    bracket trees.  A head and operand may be defined on one line only.
-    A tensor sum has words of fixed length: k letters for a co-operation
-    of arity k (diff 1, cop 2, D<k> k), one for a bracket value or mc."""
+    bracket trees.  A head and operand may be defined on one line only,
+    which the file's table `first` records.  A tensor sum has words of
+    fixed length: k letters for a co-operation of arity k (diff 1, cop 2,
+    D<k> k), one for a bracket value or mc."""
     word_kind, operand, fixed, prefix, usage = _LINES[kind]
-    first: dict = {}
-    for lineno, toks in body:
-        head, col = toks[0]
-
-        def fail(msg, at=col):
-            raise ParseError(path, lineno, at, msg)
-
+    for line in body:
+        toks = line.toks
+        head = toks[0]
         m = re.fullmatch(rf"{prefix}(\d+)", head) if prefix else None
         if m:
             if int(m.group(1)) < 1:
-                fail(f"the arity of {head} must be at least 1")
+                line.fail(f"the arity of {head} must be at least 1")
             shift = int(m.group(1)) - 2
         elif head in fixed:
             shift = fixed[head]
         else:
-            fail(usage)
+            line.fail(usage)
         sign, degree = 1, None
         if operand == "gen":
-            if len(toks) < 3 or toks[2][0] != "=":
-                fail(usage)
-            key, at = toks[1]
+            if line.tok(2) != "=":
+                line.fail(usage)
+            key = toks[1]
             if key not in space:
-                fail(f"unknown generator {key!r}", at)
+                line.fail(f"unknown generator {key!r}", 1)
             degree, eq = space.degree(key), 2
             what = f"d({key})" if head == "d" else f"{head} {key}"
         elif operand == "word":
-            if len(toks) < 2 or toks[1][0] != "(":
-                fail(usage)
-            eq = next((i for i, t in enumerate(toks) if t[0] == ")"), len(toks)) + 1
-            if eq >= len(toks) or toks[eq][0] != "=":
-                fail("expected ( ... ) = <sum>")
-            names = _input_names(toks[2:eq - 1], space, fail)
+            if line.tok(1) != "(":
+                line.fail(usage)
+            eq = (toks.index(")") if ")" in toks else len(toks)) + 1
+            if line.tok(eq) != "=":
+                line.fail("expected ( ... ) = <sum>")
+            names = _input_names(line, eq - 1, space)
             if len(names) != shift + 2:
-                fail(f"{head} takes {shift + 2} inputs, got {len(names)}")
+                line.fail(f"{head} takes {shift + 2} inputs, got {len(names)}")
             key, sign = canonical_word(space, "w", names)
             if key is None:
-                fail("degenerate wedge word")
+                line.fail("degenerate wedge word")
             degree = space.word_degree(key)
             what = f"{head} ( {' ^ '.join(names)} )"
         else:
-            if len(toks) < 2 or toks[1][0] != "=":
-                fail(usage)
+            if line.tok(1) != "=":
+                line.fail(usage)
             key, eq, what = None, 1, head
-        seen = first.setdefault((shift, key), lineno)
-        if seen != lineno:
-            fail(f"{what} is already defined on line {seen}")
+        line.once(first, (shift, key), what)
         letters = (shift + 2 if operand == "gen" else 1) if word_kind == "t" else None
-        items = _TermParser(path, lineno, toks, eq + 1, space, word_kind, letters).parse_sum()
-        terms = [(c, w) for c, w in items if w is not None]
+        terms = [(c, w) for c, w in line.parse_sum(eq + 1, space, word_kind, letters)
+                 if w is not None]
         if word_kind == "lie":
             value, pres = lincomb(
                 space, ((c, bracket_tree_element(space, tree)) for c, tree in terms)), terms
@@ -323,25 +317,26 @@ def _headed_lines(path, body, space, kind):
             value = sign * Element.make(space, [(c, word_kind, fs) for c, fs in terms])
             pres = None
         if value and degree is not None and value.degree != degree + shift:
-            fail(f"{what} must have degree {degree + shift}, got {value.degree}")
+            line.fail(f"{what} must have degree {degree + shift}, got {value.degree}")
         if value:
             yield shift, key, value, pres
 
 
-def _input_names(inner, space, fail):
-    """The generator names of `g1 ^ ... ^ gk`, from the tokens between the
-    parentheses."""
-    for i, (t, col) in enumerate(inner):
-        if i % 2 and t != "^":
-            fail(f"expected ^ between inputs, got {t!r}", col)
-        if not i % 2 and t == "^":
-            fail("expected a generator name, got '^'", col)
-    if inner and len(inner) % 2 == 0:
-        fail("expected a generator name after ^", inner[-1][1])
-    for t, col in inner[::2]:
-        if t not in space:
-            fail(f"unknown generator {t!r}", col)
-    return [t for t, _ in inner[::2]]
+def _input_names(line, end, space):
+    """The generator names of `g1 ^ ... ^ gk`, tokens 2 to `end` (exclusive)
+    of `line`, the ones between the parentheses."""
+    toks = line.toks
+    for i in range(2, end):
+        if i % 2 and toks[i] != "^":
+            line.fail(f"expected ^ between inputs, got {toks[i]!r}", i)
+        if not i % 2 and toks[i] == "^":
+            line.fail("expected a generator name, got '^'", i)
+    if end > 2 and end % 2 == 0:
+        line.fail("expected a generator name after ^", end - 1)
+    for i in range(2, end, 2):
+        if toks[i] not in space:
+            line.fail(f"unknown generator {toks[i]!r}", i)
+    return toks[2:end:2]
 
 
 # ---------------------------------------------------------------------------
@@ -363,66 +358,53 @@ def parse(path: str) -> ModelFile:
         raise ParseError(path, 1, 0, f"cannot read the file: {why}") from None
     kind = None
     gens: list[tuple[str, int]] = []
-    body: list[tuple[int, list]] = []
+    body: list[_Line] = []
     options: dict = {}
-    first: dict[str, int] = {}
-
-    def once(what, lineno, col):
-        seen = first.setdefault(what, lineno)
-        if seen != lineno:
-            raise ParseError(path, lineno, col, f"{what} is already defined on line {seen}")
-
+    first: dict = {}  # what each gen line, directive and headed line defines
     for lineno, raw in enumerate(lines, start=1):
-        toks = list(_tokens(path, lineno, raw))
+        line = _Line(path, lineno, raw)
+        toks = line.toks
         if not toks:
             continue
-        head = toks[0][0]
+        head = toks[0]
         if kind is None:
             if head != "kind" or len(toks) != 2:
-                raise ParseError(path, lineno, toks[0][1],
-                                 f"file must start with: kind <{'|'.join(_LINES)}>")
-            kind = toks[1][0]
+                line.fail(f"file must start with: kind <{'|'.join(_LINES)}>")
+            kind = toks[1]
             if kind not in _LINES:
-                raise ParseError(path, lineno, toks[1][1], f"unknown kind {kind!r}")
+                line.fail(f"unknown kind {kind!r}", 1)
             continue
         if head == "gen":
-            if len(toks) < 4 or toks[2][0] != ":":
-                raise ParseError(path, lineno, toks[0][1], "expected: gen <name> : <degree>")
-            name = toks[1][0]
-            sign = 1
-            di = 3
-            if toks[3][0] == "-":
-                sign = -1
-                di = 4
-            if di >= len(toks) or not toks[di][0].isdigit():
-                raise ParseError(path, lineno, toks[-1][1], "expected an integer degree")
+            if len(toks) < 4 or toks[2] != ":":
+                line.fail("expected: gen <name> : <degree>")
+            di = 4 if toks[3] == "-" else 3
+            if di >= len(toks) or not toks[di].isdigit():
+                line.fail("expected an integer degree", len(toks) - 1)
             if di + 1 < len(toks):
-                raise ParseError(path, lineno, toks[di + 1][1],
-                                 "expected: gen <name> : <degree>")
-            once(f"gen {name}", lineno, toks[0][1])
-            gens.append((name, sign * int(toks[di][0])))
+                line.fail("expected: gen <name> : <degree>", di + 1)
+            line.once(first, f"gen {toks[1]}")
+            gens.append((toks[1], (-1 if di == 4 else 1) * int(toks[di])))
             continue
         if head in _DIRECTIVES:
             kinds, usage = _DIRECTIVES[head]
             if len(toks) != 2:
-                raise ParseError(path, lineno, toks[0][1], usage)
+                line.fail(usage)
             if kind not in kinds:
-                raise ParseError(path, lineno, toks[0][1],
-                                 f"{head} belongs to {' and '.join(kinds)} files, not {kind}")
-            once(head, lineno, toks[0][1])
-            value = toks[1][0]
+                line.fail(f"{head} belongs to {' and '.join(kinds)} files, not {kind}")
+            line.once(first, head)
+            value = toks[1]
             if head == "truncate":
                 if not value.isdigit():
-                    raise ParseError(path, lineno, toks[1][1], "expected an integer")
+                    line.fail("expected an integer", 1)
                 value = int(value)
             options[head] = value
             continue
-        body.append((lineno, toks))
+        body.append(line)
 
     if kind is None:
         raise ParseError(path, 1, 0, "empty file")
     space = GradedSpace.of(gens)
-    entries = _headed_lines(path, body, space, kind)
+    entries = _headed_lines(body, space, kind, first)
     if kind == "cdga":
         payload = CDGA(space, {g: el for _, g, el, _ in entries})
     elif kind in ("dgc", "ainf", "linf"):

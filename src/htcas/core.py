@@ -639,6 +639,18 @@ class GradedMap:
             return Element._of(self.target, acc)
         return Element(self.target, acc)
 
+    def matrix(self, sources, targets) -> list[list[Fraction]]:
+        """The matrix of this map from the generators `sources` to the
+        generators `targets`, which hold every letter of their images: one
+        column per source, from one application of the map, and one row per
+        target."""
+        row = {n: i for i, n in enumerate(targets)}
+        mat = [[ZERO] * len(sources) for _ in row]
+        for j, g in enumerate(sources):
+            for w, c in self.apply_word(Word.tensor(g)).terms.items():
+                mat[row[w.factors[0]]][j] = c
+        return mat
+
     def is_zero(self) -> bool:
         return not self.images
 

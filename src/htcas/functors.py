@@ -276,17 +276,26 @@ class FreeLieDGL:
         return all(not weight_component(img, 1) for img in self.diff.values())
 
 
+def _quillen_hypotheses(C: AInfCoalgebra, route: str) -> None:
+    """The first theorem's hypotheses on C, which both Quillen routes read:
+    C is reduced (no counit) and cocommutative.  A refusal starts with the
+    name of the route."""
+    from .structures import check_cocommutative
+
+    if C.counit is not None:
+        raise ValueError(f"{route} expects a reduced coalgebra")
+    rep = check_cocommutative(C)
+    if not rep:
+        raise ValueError(f"{route} needs a cocommutative input: {rep}")
+
+
 def quillen(C: AInfCoalgebra) -> FreeLieDGL:
     """Generalized Quillen model: free Lie algebra on the desuspension with
     the differential read off the co-operations (cobar orientation on the
     linear part)."""
-    from .structures import check_cocommutative, shifted_coops
+    from .structures import shifted_coops
 
-    if C.counit is not None:
-        raise ValueError("quillen expects a reduced coalgebra")
-    rep = check_cocommutative(C)
-    if not rep:
-        raise ValueError(f"quillen needs a cocommutative input: {rep}")
+    _quillen_hypotheses(C, "quillen")
     coops = shifted_coops(C)
     gens = C.space.suspend(-1)
     diff: dict[str, Element] = {}
@@ -315,8 +324,7 @@ def quillen_differential_direct(C: AInfCoalgebra) -> FreeLieDGL:
     """
     if not C.is_dgc:
         raise ValueError("the direct recursion needs a DGC")
-    if C.counit is not None:
-        raise ValueError("the direct recursion expects a reduced coalgebra")
+    _quillen_hypotheses(C, "the direct recursion")
     space = C.space
 
     from .transfer import canonical_retract
@@ -419,8 +427,13 @@ def cochain(L: LInfAlgebra, names: list[str] | None = None, orient=None) -> CDGA
 def linf_from_cdga(A: CDGA) -> LInfAlgebra:
     """L-infinity structure on the desuspended dual of the generators,
     brackets read off the word-length parts of the differential (the exact
-    inverse of `cochain`): only the monomials that occur in it are visited,
-    in word-basis order."""
+    inverse of `cochain`).  Each term c w of each d(v) is read once, into
+    the image of the wedge word of w, as mult(w) c times the dual of v.
+
+    The terms are canonical monomials: the parser, `Element.make` and
+    `lincomb` build them that way.  Desuspension flips every parity, so they
+    are exactly the canonical wedge words of the dual space with the factors
+    renamed, in the same (degree, index) order."""
     from .structures import LInfAlgebra
 
     if not A.is_sullivan:
@@ -430,28 +443,19 @@ def linf_from_cdga(A: CDGA) -> LInfAlgebra:
     lspace = GradedSpace.of(
         [(x, A.gens.degree(v) - 1) for x, v in zip(xnames, vnames)]
     )
-
-    # the canonical monomials of the differential, by length; desuspension
-    # flips every parity, so they are exactly the canonical wedge words of
-    # lspace with the factors renamed, in the same (degree, index) order
-    monos: dict[int, dict[Word, None]] = {}
-    for el in A.diff.values():
-        for w in el.terms:
-            cw, _ = canonical_word(A.gens, "m", w.factors)
-            if cw is not None and cw.factors == w.factors:
-                monos.setdefault(len(w), {})[cw] = None
+    # parts[j][w]: the (coefficient, dual of v) pairs of the monomial w of length j
+    parts: dict[int, dict[Word, list]] = {}
+    for v, x in zip(vnames, xnames):
+        for w, c in (A.diff[v].terms.items() if v in A.diff else ()):
+            parts.setdefault(len(w), {}).setdefault(w, []).append((c, x))
     x_of = dict(zip(vnames, xnames))
     key = A.gens.sortkey
     ops: dict[int, GradedMap] = {}
-    for j in sorted(monos):
+    for j in sorted(parts):
         images: dict[Word, Element] = {}
-        for cw in sorted(monos[j], key=lambda cw: [key(f) for f in cw.factors]):
-            mult = _multiplicity_factor(cw.factors)
-            img = lincomb(lspace, [
-                (mult * A.diff[v].coeff(cw), Element.gen(lspace, x))
-                for v, x in zip(vnames, xnames) if A.diff.get(v)])
-            if img:
-                images[Word.wedge(*(x_of[f] for f in cw.factors))] = img
-        if images:
-            ops[j] = GradedMap(lspace, lspace, j - 2, images, arity=j, in_kind="w")
+        for w in sorted(parts[j], key=lambda w: [key(f) for f in w.factors]):
+            mult = _multiplicity_factor(w.factors)
+            images[Word.wedge(*(x_of[f] for f in w.factors))] = lincomb(
+                lspace, [(mult * c, Element.gen(lspace, x)) for c, x in parts[j][w]])
+        ops[j] = GradedMap(lspace, lspace, j - 2, images, arity=j, in_kind="w")
     return LInfAlgebra(lspace, ops)

@@ -399,17 +399,9 @@ def truncate(L: LInfAlgebra) -> LInfAlgebra:
     space = L.space
     pos = [n for n in space.names if space.degree(n) > 0]
     zero = [n for n in space.names if space.degree(n) == 0]
-    ell1 = L.ell(1)
 
     # cycle basis in degree 0
-    tgt = [n for n in space.names if space.degree(n) == -1]
-    mat = []
-    for t in tgt:
-        row = []
-        for n in zero:
-            img = ell1.apply_word(Word.tensor(n))
-            row.append(img.coeff(Word.tensor(t)))
-        mat.append(row)
+    mat = L.ell(1).matrix(zero, [n for n in space.names if space.degree(n) == -1])
     cycles = linalg.nullspace(mat, len(zero)) if zero else []
     cycles = linalg.echelon_basis(cycles)
 

@@ -91,13 +91,7 @@ class ChainComplex:
     def block_matrix(self, deg: int) -> list[list[Fraction]]:
         """Matrix of d from degree `deg` to degree `deg + |d|`: one column
         per generator of degree `deg`, one row per generator of the target."""
-        row = {n: i for i, n in enumerate(self.blocks.get(deg + self.diff.degree, []))}
-        gens = self.blocks[deg]
-        mat = [[ZERO] * len(gens) for _ in row]
-        for j, g in enumerate(gens):
-            for w, c in self.diff.apply_word(Word.tensor(g)).terms.items():
-                mat[row[w.factors[0]]][j] = c
-        return mat
+        return self.diff.matrix(self.blocks[deg], self.blocks.get(deg + self.diff.degree, []))
 
 
 class Decomposition:

@@ -439,6 +439,10 @@ def test_refusals_state_their_reason(tmp_path, capsys):
         (["quillen", "--direct", full], "the direct recursion expects a reduced coalgebra"),
         (["quillen", skew], "quillen needs a cocommutative input: "
                             "FAIL at tau on Delta_2(c), split a|b"),
+        (["quillen", "--direct", skew], "the direct recursion needs a cocommutative input: "
+                                        "FAIL at tau on Delta_2(c), split a|b"),
+        (["hspace", skew, y], "the direct recursion needs a cocommutative input: "
+                              "FAIL at tau on Delta_2(c), split a|b"),
         (["cochain", primes], "dual naming collides; rename generators"),
         (["invariants", deg0], "Whitehead length needs a positively graded algebra"),
         (["mapmodel", x, y, "--pointed", "--mc", mc0],
@@ -629,6 +633,13 @@ def test_malformed_directives_are_parse_errors(tmp_path, capsys):
          ":5:7: expected a word of 3 letters, got g|h"),
         ("w6.dgc", "kind dgc\ngen a : 2\ngen c : 4\ncop c = a|a - 2 a\n",
          ":4:16: expected a word of 2 letters, got a"),
+        # refusal order: the input word before the sum, the = before the
+        # sum, the scanner before the term reader, the duplicate before the sum
+        ("v1.linf", LINF_HEAD + "l2 ( q y ) = z\n", ":5:7: expected ^ between inputs, got 'y'"),
+        ("v2.cdga", CDGA_HEAD + "d q a^b\n", ":5:0: expected: d <gen> = <sum>"),
+        ("v3.cdga", "kind cdga\ngen a : 3\nd a = a @ b\n", ":3:8: unexpected character '@'"),
+        ("v4.linf", LINF_HEAD + "l2 ( x ^ y ) = z\nl2 ( y ^ x ) = q\n",
+         ":6:0: l2 ( y ^ x ) is already defined on line 5"),
     ]
     for name, text, want in cases:
         p = write(tmp_path, name, text)

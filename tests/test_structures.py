@@ -7,6 +7,7 @@ from helpers import (
     check_ainf_shifted,
     check_linf_shifted,
     convolution,
+    dense_truncate,
     dgc_from_tables,
     linf_from_tables,
 )
@@ -276,6 +277,32 @@ def test_truncate_rejects_a_degree_zero_output_off_the_cycles():
     T = truncate(L)
     assert T.space.names == ("a", "c", "p")
     assert T.ops[2].images == {Word.wedge("a", "c"): Element.gen(T.space, "a")}
+
+
+def test_truncate_applies_ell1_once_per_degree_zero_generator(monkeypatch):
+    # the degree-0 matrix of ell_1 is read one column per generator, not
+    # one entry per (degree -1, degree 0) pair
+    space = GradedSpace.of([("m1", -1), ("m2", -1), ("a", 0), ("b", 0), ("c", 0), ("p", 1)])
+    L = linf_from_tables(space, {
+        1: {("a",): [(1, "m1")], ("b",): [(-1, "m1"), (2, "m2")], ("c",): [(1, "m2")]},
+        2: {("a", "p"): [(1, "p")]},
+    }, validate=False)
+    ell1, apply_word = L.ops[1], GradedMap.apply_word
+    calls = []
+
+    def counted(m, word):
+        if m is ell1:
+            calls.append(word)
+        return apply_word(m, word)
+
+    monkeypatch.setattr(GradedMap, "apply_word", counted)
+    T = truncate(L)
+    assert len(calls) == 3
+    monkeypatch.undo()
+    D = dense_truncate(L, validate=False)
+    assert T.space is D.space
+    assert T.ops[2].images and T.ops.keys() == D.ops.keys() == {2}
+    assert T.ops[2].images == D.ops[2].images
 
 
 def test_truncate_after_perturb_identity_case():
