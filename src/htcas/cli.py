@@ -31,7 +31,9 @@ the column of the token it complains about, or the column just past the
 last token; one table per file records the line that defines each gen
 name, directive and head with operand, and names it in a refusal.
 Identifiers may contain letters, digits, _, ' and . (dotted names appear
-in Hom and reduced-model bases).  Serialization uses the same grammar,
+in Hom and reduced-model bases); every derived basis (Hom maps,
+reduced-model generators, dual monomials, primed duals) refuses a name
+that two sources get, naming both.  Serialization uses the same grammar,
 with one header helper for the kind, counit and gen lines, so
 parse(serialize(S)) round-trips for every kind but mc, which only
 `mapmodel --mc` reads; ordering is canonical and output is byte-stable.
@@ -517,18 +519,6 @@ def _fmt_lie(M: FreeLieDGL, g: str) -> str:
 # commands
 
 
-def _finite_model(mf: ModelFile) -> FiniteCDGA:
-    A = mf.payload
-    cutoff = mf.options.get("truncate")
-    if cutoff is None:
-        if any(d % 2 == 0 for _, d in A.gens.basis):
-            raise BoundError(
-                "dualizing a CDGA with even generators needs `truncate <N>`"
-            )
-        cutoff = sum(d for _, d in A.gens.basis if d > 0)  # the top monomial's degree
-    return FiniteCDGA(A, max_cohom=cutoff)
-
-
 def _load(path: str, what: str, *kinds: str) -> ModelFile:
     """The model file at `path`, which `what` reads; any other kind is refused."""
     mf = parse(path)
@@ -572,7 +562,8 @@ def cmd_cochain(args) -> int:
 
 
 def cmd_dualize(args) -> int:
-    B = _finite_model(_load(args.file, args.command, "cdga"))
+    mf = _load(args.file, args.command, "cdga")
+    B = FiniteCDGA(mf.payload, max_cohom=mf.options.get("truncate"))
     sys.stdout.write(serialize(dual_coalgebra(B, counital=args.full)))
     return 0
 
@@ -584,7 +575,8 @@ def cmd_mapmodel(args) -> int:
     L = _as_linf(args.yfile, f"{args.command} target")
     from .mapping import component_model, mapping_space_model, reduced_bs_cochain
 
-    C = dual_coalgebra(_finite_model(xf), counital=not args.pointed)
+    C = dual_coalgebra(FiniteCDGA(xf.payload, max_cohom=xf.options.get("truncate")),
+                       counital=not args.pointed)
     mm = mapping_space_model(C, L, max_k=args.max_arity)
     model = mm.model
     if args.pointed:

@@ -159,7 +159,8 @@ class GradedSpace:
         if space is None:
             names = [n for n, _ in basis]
             if len(set(names)) != len(names):
-                raise ValidationError("duplicate basis names")
+                repeated = next(n for i, n in enumerate(names) if n in names[:i])
+                raise ValidationError(f"duplicate basis name {repeated!r}")
             space = super().__new__(cls)
             space.basis = basis
             cls._live[basis] = space
@@ -215,6 +216,18 @@ class GradedSpace:
 
     def max_degree(self) -> int:
         return max(self.degrees())
+
+
+def derived_names(keys, rule, what: str) -> list[str]:
+    """rule(key) for each key: the names of a derived basis.  A name that two
+    keys get is refused with both, after `what`, a tuple as (k_1, ..., k_n)."""
+    seen: dict[str, object] = {}
+    for key in keys:
+        first = seen.setdefault(rule(key), key)
+        if first != key:
+            a, b = (f"({', '.join(k)})" if isinstance(k, tuple) else k for k in (first, key))
+            raise ValidationError(f"basis name {rule(key)!r} is given to both {what} {a} and {b}")
+    return list(seen)
 
 
 # the separator that joins the factors of each word kind in text

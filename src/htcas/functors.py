@@ -41,6 +41,7 @@ from .core import (
     Word,
     canonical_word,
     derivation,
+    derived_names,
     lincomb,
 )
 
@@ -119,9 +120,16 @@ class CDGA:
 
 class FiniteCDGA:
     """Degree- (and optionally word-length-) truncated quotient of a CDGA,
-    with a chosen monomial basis; the input to dualization."""
+    with a chosen monomial basis; the input to dualization.  Without
+    `max_cohom` the cutoff is the top monomial's degree, which exists only
+    when every generator is odd."""
 
-    def __init__(self, parent: CDGA, max_cohom: int, max_length: int | None = None):
+    def __init__(self, parent: CDGA, max_cohom: int | None = None,
+                 max_length: int | None = None):
+        if max_cohom is None:
+            if any(d % 2 == 0 for d in parent.gens.degrees()):
+                raise BoundError("dualizing a CDGA with even generators needs `truncate <N>`")
+            max_cohom = sum(d for d in parent.gens.degrees() if d > 0)
         if max_length is None:
             for g, deg in parent.gens.basis:
                 if deg <= 0 and deg % 2 == 0:
@@ -165,7 +173,8 @@ def dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None, *,
     rename = rename or {}
     gens = B.parent.gens
     monomials = B.monomials if counital else [fs for fs in B.monomials if fs]
-    names = {fs: rename.get(B.names[fs], B.names[fs]) for fs in monomials}
+    names = dict(zip(monomials, derived_names(
+        monomials, lambda fs: rename.get(B.names[fs], B.names[fs]), "monomials")))
     degrees = {fs: B.cohom_degree(fs) for fs in monomials}
     space = GradedSpace.of([(names[fs], degrees[fs]) for fs in monomials])
 
@@ -376,14 +385,11 @@ def quillen_differential_direct(C: AInfCoalgebra) -> FreeLieDGL:
 # the cochain functor and its inverse
 
 
-def _dual_names(names, strip: bool = False):
-    if strip:
-        out = [n[:-1] if n.endswith("'") else n for n in names]
-    else:
-        out = [n + "'" for n in names]
-    if len(set(out)) != len(out):
-        raise ValueError("dual naming collides; rename generators")
-    return out
+def unprimed(x: str) -> str:
+    """The prime rule: `linf_from_cdga` names the dual of a Sullivan
+    generator v as v', and the Sullivan generator dual to x is x less a
+    trailing prime."""
+    return x[:-1] if x.endswith("'") else x
 
 
 def _multiplicity_factor(factors) -> int:
@@ -399,12 +405,12 @@ def cochain(L: LInfAlgebra, names: list[str] | None = None, orient=None) -> CDGA
 
     The monomial dual to a canonical wedge word lists the dual generators in
     the same factor order, divided by the repetition factorials.  `names`
-    renames the dual generators (default: the bracket names less a trailing
-    prime); `orient(w)` returns (sign, factor order) to identify the
-    monomial of the wedge word w differently, with the sign multiplying it.
+    renames the dual generators (default: `unprimed` bracket names);
+    `orient(w)` returns (sign, factor order) to identify the monomial of the
+    wedge word w differently, with the sign multiplying it.
     """
     lnames = L.space.names
-    vnames = names if names is not None else _dual_names(lnames, strip=True)
+    vnames = names if names is not None else derived_names(lnames, unprimed, "generators")
     vspace = GradedSpace.of(
         [(vn, L.space.degree(x) + 1) for vn, x in zip(vnames, lnames)]
     )
@@ -439,7 +445,7 @@ def linf_from_cdga(A: CDGA) -> LInfAlgebra:
     if not A.is_sullivan:
         raise ValueError("input must be a Sullivan algebra (d V in Lambda^{>=1} V)")
     vnames = A.gens.names
-    xnames = _dual_names(vnames)
+    xnames = derived_names(vnames, lambda v: v + "'", "generators")
     lspace = GradedSpace.of(
         [(x, A.gens.degree(v) - 1) for x, v in zip(xnames, vnames)]
     )

@@ -36,11 +36,12 @@ from .core import (
     ValidationError,
     Word,
     canonical_word,
+    derived_names,
     lincomb,
     suspend_map,
     threading_sign,
 )
-from .functors import CDGA, FiniteCDGA, cochain, dual_coalgebra
+from .functors import CDGA, FiniteCDGA, cochain, dual_coalgebra, unprimed
 from .structures import (
     AInfCoalgebra,
     LInfAlgebra,
@@ -57,7 +58,6 @@ from .transfer import (
     hom_name,
     hom_retract,
     hom_space,
-    pair_names,
     transfer_linf,
 )
 
@@ -153,16 +153,16 @@ def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
 # reduced Brown-Szczarba model, route 1: cochains of the transferred model
 
 
-def bs_name(c: str, x: str) -> str:
-    """Brown-Szczarba generator name v.c of the Hom basis element c -> x."""
-    v = x[:-1] if x.endswith("'") else x
+def bs_name(c: str, v: str) -> str:
+    """Brown-Szczarba generator name v.c of the source basis element c and
+    the target generator v of Lambda V."""
     return f"{v}.{c}"
 
 
 def reduced_bs_cochain(model: LInfAlgebra, source: GradedSpace, target: GradedSpace) -> CDGA:
     """Cochain algebra of the transferred model on generators v.h of
     cohomological degree |v| - |h|: `cochain` with the generators named by
-    `bs_name` and the Brown-Szczarba orientation.
+    `bs_name(c, unprimed(x))` and the Brown-Szczarba orientation.
 
     `model` lives on a Hom space; `source` and `target` are the spaces of H
     and of L.  The orientation lists the inputs
@@ -200,7 +200,8 @@ def reduced_bs_cochain(model: LInfAlgebra, source: GradedSpace, target: GradedSp
         c = [cdeg[f] for f in ordered]
         return sign * threading_sign(c, [d + 1 for d in c]), ordered
 
-    names = pair_names((pairs[f] for f in hs.names), bs_name)
+    names = derived_names([pairs[f] for f in hs.names],
+                          lambda p: bs_name(p[0], unprimed(p[1])), "(c, x) =")
     return cochain(model, names=names, orient=orient)
 
 
@@ -224,11 +225,9 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
     csp = C.space
     hsp = r.small.space
 
-    pairs = []
-    for h in hsp.names:
-        for v in A.gens.names:
-            pairs.append((f"{v}.{h}", A.gens.degree(v) - hsp.degree(h)))
-    bs = GradedSpace.of(pairs)
+    keys = [(h, v) for h in hsp.names for v in A.gens.names]
+    name = dict(zip(keys, derived_names(keys, lambda k: bs_name(*k), "(c, v) =")))
+    bs = GradedSpace.of([(name[h, v], A.gens.degree(v) - hsp.degree(h)) for h, v in keys])
 
     unit = Element(bs, {Word.mono(): 1})
     # cops[n]: Delta^{(n)} for every n the words of dv can ask for
@@ -268,7 +267,7 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
         if (v, cf) in factors:
             return factors[v, cf]
         e = Element.gen(csp, cf)
-        parts = [(hco, Element.gen(bs, f"{v}.{hw.factors[0]}"))
+        parts = [(hco, Element.gen(bs, name[hw.factors[0], v]))
                  for hw, hco in r.proj.apply(e).terms.items()]
         dv = A.diff.get(v)
         a_el = r.homotopy.apply(e) if dv else None
@@ -288,7 +287,7 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
             total = lincomb(bs, [(mc, expand(mw.factors, h_el, 0))
                                  for mw, mc in dv.terms.items()])
             if total:
-                diff[f"{v}.{h}"] = total
+                diff[name[h, v]] = total
     return CDGA(bs, diff)
 
 

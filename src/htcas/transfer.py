@@ -49,6 +49,7 @@ from .core import (
     GradedSpace,
     ValidationError,
     Word,
+    derived_names,
     from_coords,
     koszul_sign,
     letter_index,
@@ -530,24 +531,12 @@ def hom_name(c: str, x: str) -> str:
     return f"{c}.{x}"
 
 
-def pair_names(pairs, name) -> list[str]:
-    """name(c, x) for each pair (c, x), in order.  Dotted names can
-    collide, as (a.b, x) and (a, b.x) do under `hom_name`; a repeated name
-    is refused with both pairs that give it."""
-    seen: dict[str, tuple[str, str]] = {}
-    for c, x in pairs:
-        first = seen.setdefault(name(c, x), (c, x))
-        if first != (c, x):
-            raise ValidationError(f"basis name {name(c, x)!r} is given to both (c, x) = "
-                                  f"({first[0]}, {first[1]}) and ({c}, {x})")
-    return list(seen)
-
-
 def hom_space(source: GradedSpace, target: GradedSpace) -> GradedSpace:
     """Elementary maps c -> x in source-major order; degree |x| - |c|."""
     pairs = [(c, x) for c in source.names for x in target.names]
+    names = derived_names(pairs, lambda p: hom_name(*p), "(c, x) =")
     return GradedSpace.of([(n, target.degree(x) - source.degree(c))
-                           for n, (c, x) in zip(pair_names(pairs, hom_name), pairs)])
+                           for n, (c, x) in zip(names, pairs)])
 
 
 def _precompose(g: GradedMap, L: GradedSpace, out: GradedSpace,

@@ -207,6 +207,27 @@ def test_colliding_basis_names_are_named(capsys, tmp_path):
                "(c, x) = (a, y) and (a, y')\n")
     code, out, err = run(["mapmodel", x, y, "--pointed", "--emit", "linf"], capsys)
     assert code == 0 and "gen a.y' : 2" in out
+    # the dual monomial a^b and the generator a.b, and the unit and a
+    # generator one, give one dual basis name
+    ab = write(tmp_path, "ab7.cdga", "kind cdga\ngen a : 3\ngen b : 3\ngen a.b : 7\n")
+    assert run(["dualize", ab], capsys) == (
+        2, "", "validation failure: basis name 'a.b' is given to both "
+               "monomials (a.b) and (a, b)\n")
+    one = write(tmp_path, "one.cdga", "kind cdga\ngen one : 3\ngen b : 3\n")
+    assert run(["dualize", "--full", one], capsys) == (
+        2, "", "validation failure: basis name 'one' is given to both monomials () and (one)\n")
+    # (a.b, x) and (b, x.a) both give x.a.b on the substitution route; the
+    # pointed model drops the first, of degree -2, so route 1 names x.a.b once
+    from htcas.core import ValidationError
+    from htcas.functors import FiniteCDGA
+    from htcas.mapping import reduced_bs_direct
+
+    xa = write(tmp_path, "xa.cdga", "kind cdga\ngen x : 4\ngen x.a : 4\n")
+    code, out, err = run(["mapmodel", x, xa, "--pointed", "--emit", "bs"], capsys)
+    assert code == 0 and out.count("gen x.a.b : 1\n") == 1
+    with pytest.raises(ValidationError, match=r"^basis name 'x\.a\.b' is given to both "
+                                              r"\(c, v\) = \(b, x\.a\) and \(a\.b, x\)$"):
+        reduced_bs_direct(FiniteCDGA(parse(x).payload), parse(xa).payload)
 
 
 def test_cochain_command(capsys, tmp_path):
@@ -443,7 +464,7 @@ def test_refusals_state_their_reason(tmp_path, capsys):
                                         "FAIL at tau on Delta_2(c), split a|b"),
         (["hspace", skew, y], "the direct recursion needs a cocommutative input: "
                               "FAIL at tau on Delta_2(c), split a|b"),
-        (["cochain", primes], "dual naming collides; rename generators"),
+        (["cochain", primes], "basis name 'x' is given to both generators x and x'"),
         (["invariants", deg0], "Whitehead length needs a positively graded algebra"),
         (["mapmodel", x, y, "--pointed", "--mc", mc0],
          "Maurer-Cartan elements have degree -1, got 0"),

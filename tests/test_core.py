@@ -17,6 +17,7 @@ from htcas.core import (
     Word,
     apply_at,
     canonical_word,
+    derived_names,
     frac,
     from_coords,
     koszul_sign,
@@ -41,6 +42,18 @@ def test_one_space_object_per_basis():
     ref = weakref.ref(GradedSpace.of([("only_here", 7)]))
     gc.collect()
     assert ref() is None
+
+
+def test_repeated_names_are_named():
+    # a hand-built space names the repeat; a derived basis names both keys
+    with pytest.raises(ValidationError, match=r"^duplicate basis name 'b'$"):
+        GradedSpace.of([("a", 1), ("b", 1), ("c", 2), ("b", 3)])
+    assert derived_names([("a", "b"), ("b", "c")], ".".join, "pairs") == ["a.b", "b.c"]
+    with pytest.raises(ValidationError, match=r"^basis name 'a\.b\.c' is given to both "
+                                              r"pairs \(a, b\.c\) and \(a\.b, c\)$"):
+        derived_names([("a", "b.c"), ("a.b", "c")], ".".join, "pairs")
+    with pytest.raises(ValidationError, match=r"^basis name 'x' is given to both names x and x'$"):
+        derived_names(["x", "x'"], lambda n: n.rstrip("'"), "names")
 
 
 def test_both_hom_builds_share_one_space(cbar, target_dgl):

@@ -64,12 +64,15 @@ def test_outputs_are_byte_identical(tmp_path):
 
 # the benchmark's n4 and n5 sources (Lambda(a3, b3, c5, e3), dc = ab, and
 # n4 + f5 with df = ae), six free 3-spheres s3x6 (whose degree-0 cycle block
-# has dimension 6), their argv with {n4}, {n5}, {s3x6}, {dgc} = the dualized
-# n5, and the sha256 of stdout
+# has dimension 6), n8 (n5 + g3, h5 with dh = bg), their argv with {n4},
+# {n5}, {s3x6}, {dgc} = the dualized n5, {n8dgc} = the dualized n8, and the
+# sha256 of stdout
 N4 = "kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\nd c = + a^b\n"
 N5 = ("kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\ngen f : 5\n"
       "d c = + a^b\nd f = + a^e\n")
 S3X6 = "kind cdga\n" + "".join(f"gen {g} : 3\n" for g in "abcefg")
+N8 = ("kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\ngen f : 5\ngen g : 3\n"
+      "gen h : 5\nd c = + a^b\nd f = + a^e\nd h = + b^g\n")
 GOLDEN_N = [
     (["mapmodel", "{n4}", Y1, "--pointed", "--emit", "both", "--max-arity", "4"],
      "d6f3ac17e9a69bc11a5897479a4638cf633764951d358835c894341099a24130"),
@@ -82,17 +85,23 @@ GOLDEN_N = [
     (["hspace", "{dgc}", Y2], "9d5a564ab67aa3bd46e8667f4bcedcb4b5233ee236738f13a829e41c0197d4cf"),
     (["mapmodel", "{s3x6}", Y1, "--pointed", "--emit", "both"],
      "b3fb5d6ad0dd4fc9a49c5108151fbbb494d1e29a53ff8ca7a1edce736c02b19a"),
+    # conilpotence = 7, and bl = 2 with the witness d(a.g)
+    (["invariants", "{n8dgc}"], "af8e37f1abac0dfb45b68deca47cc3a9d029244f2eba543e3fe795433127b73b"),
+    (["hspace", "{n8dgc}", Y1], "b16cb1b9899c6c7e4dac048dea35c5fb304bf1e2f097c634d2b5fbf25b00f2d6"),
 ]
 
 
 def test_benchmark_models_are_byte_identical(tmp_path):
     files = {"Y1": MODELS / "example1_Y.cdga", "Y2": MODELS / "example2_Y.cdga",
              "n4": tmp_path / "n4.cdga", "n5": tmp_path / "n5.cdga",
-             "s3x6": tmp_path / "s3x6.cdga", "dgc": tmp_path / "n5.dgc"}
+             "s3x6": tmp_path / "s3x6.cdga", "dgc": tmp_path / "n5.dgc",
+             "n8": tmp_path / "n8.cdga", "n8dgc": tmp_path / "n8.dgc"}
     files["n4"].write_text(N4)
     files["n5"].write_text(N5)
     files["s3x6"].write_text(S3X6)
     files["dgc"].write_text(stdout_of(["dualize", str(files["n5"])]))
+    files["n8"].write_text(N8)
+    files["n8dgc"].write_text(stdout_of(["dualize", str(files["n8"])]))
     for args, want in GOLDEN_N:
         argv = [a.format(**files) for a in args]
         assert hashlib.sha256(stdout_of(argv).encode()).hexdigest() == want, args
