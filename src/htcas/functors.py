@@ -13,8 +13,10 @@ the homological coalgebra/Lie side is unaffected.  Dualizing
 a finite-dimensional graded-commutative algebra uses the plain transpose
 pairing (no extra signs): <Delta phi, x (x) y> = <phi, x y> and
 <delta phi, x> = <phi, d x>; the resulting coalgebras pass the executable
-axioms and this convention is pinned by the dual-coalgebra tests.  The
-reduced dual is the same construction on the non-unit monomials.  The
+axioms, which their constructor checks once, when built, and this
+convention is pinned by the dual-coalgebra tests.  The dual basis is named
+by one rule, the monomial's factors joined by dots (`one` for the unit).
+The reduced dual is the same construction on the non-unit monomials.  The
 direct Quillen differential reads the canonical retract of
 `transfer.canonical_retract`.
 
@@ -22,6 +24,7 @@ A free graded Lie element is a plain Element, its expansion in the tensor
 algebra (faithful in characteristic zero); zero tests are exact and
 `is_primitive` decides primitivity by the bracketing operator, which acts
 as k times the identity on Lie elements of weight k (words of length k).
+Both expansions are counted first and refused past LIE_WORD_BOUND words.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ class CDGA:
     def is_minimal(self) -> bool:
         return all(min(len(w) for w in el.terms) >= 2 for el in self.diff.values())
 
-    def monomial_basis(self, max_cohom: int, max_length: int | None = None):
+    def monomial_basis(self, max_cohom: int):
         """Canonical monomials of cohomological degree <= max_cohom."""
         names = sorted(self.gens.names, key=self.gens.sortkey)
         out: list[tuple[str, ...]] = [()]
@@ -110,8 +113,6 @@ class CDGA:
                         continue
                     if sum(self.gens.degree(f) for f in cand) > max_cohom:
                         continue
-                    if max_length is not None and len(cand) > max_length:
-                        continue
                     nxt.append(cand)
             out.extend(nxt)
             frontier = nxt
@@ -119,25 +120,24 @@ class CDGA:
 
 
 class FiniteCDGA:
-    """Degree- (and optionally word-length-) truncated quotient of a CDGA,
-    with a chosen monomial basis; the input to dualization.  Without
+    """Degree-truncated quotient of a CDGA, with its monomial basis of
+    cohomological degree <= max_cohom; the input to dualization.  Without
     `max_cohom` the cutoff is the top monomial's degree, which exists only
-    when every generator is odd."""
+    when every generator is odd.  An even generator whose powers never
+    pass the cutoff is refused."""
 
-    def __init__(self, parent: CDGA, max_cohom: int | None = None,
-                 max_length: int | None = None):
-        if max_cohom is None:
-            if any(d % 2 == 0 for d in parent.gens.degrees()):
+    def __init__(self, parent: CDGA, max_cohom: int | None = None):
+        for g, deg in parent.gens.basis:
+            if deg % 2 == 0 and max_cohom is None:
                 raise BoundError("dualizing a CDGA with even generators needs `truncate <N>`")
+            if deg % 2 == 0 and deg <= 0:
+                raise BoundError(f"the powers of the even generator {g} of degree "
+                                 f"{deg} never pass the degree cutoff")
+        if max_cohom is None:
             max_cohom = sum(d for d in parent.gens.degrees() if d > 0)
-        if max_length is None:
-            for g, deg in parent.gens.basis:
-                if deg <= 0 and deg % 2 == 0:
-                    raise BoundError(f"the powers of the even generator {g} of degree "
-                                     f"{deg} never pass the degree cutoff")
         self.parent = parent
         self.max_cohom = max_cohom
-        self.monomials = parent.monomial_basis(max_cohom, max_length)
+        self.monomials = parent.monomial_basis(max_cohom)
         self.names = {fs: ".".join(fs) if fs else "one" for fs in self.monomials}
 
     def truncate(self, el: Element) -> Element:
@@ -154,13 +154,14 @@ class FiniteCDGA:
         return sum(self.parent.gens.degree(f) for f in fs)
 
 
-def dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None, *,
-                   counital: bool) -> AInfCoalgebra:
+def dual_coalgebra(B: FiniteCDGA, *, counital: bool) -> AInfCoalgebra:
     """Dual DGC of a finite-dimensional CDGA: the counital C when `counital`,
     else the reduced C.
 
     The dual basis element of a monomial m sits in homological degree
-    |m|; <Delta m*, x (x) y> = <m*, xy> and <delta m*, x> = <m*, dx>.
+    |m| and is named by the one rule of `FiniteCDGA.names`: its factors
+    joined by dots, `one` for the unit (a name two monomials get is
+    refused).  <Delta m*, x (x) y> = <m*, xy> and <delta m*, x> = <m*, dx>.
     Each dx is computed once, and each product xy is one canonical word
     with its sorting sign, kept when that word is a basis monomial; their
     terms are scattered into the dual images of the monomials they hit, in
@@ -170,11 +171,9 @@ def dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None, *,
     """
     from .structures import AInfCoalgebra
 
-    rename = rename or {}
     gens = B.parent.gens
     monomials = B.monomials if counital else [fs for fs in B.monomials if fs]
-    names = dict(zip(monomials, derived_names(
-        monomials, lambda fs: rename.get(B.names[fs], B.names[fs]), "monomials")))
+    names = dict(zip(monomials, derived_names(monomials, B.names.__getitem__, "monomials")))
     degrees = {fs: B.cohom_degree(fs) for fs in monomials}
     space = GradedSpace.of([(names[fs], degrees[fs]) for fs in monomials])
 
@@ -208,12 +207,38 @@ def lie_bracket(a: Element, b: Element) -> Element:
     return a.times(b) - sign * b.times(a)
 
 
-def bracket_tree_element(space: GradedSpace, tree) -> Element:
-    """Tensor expansion of a bracket tree: a generator name or a pair of trees."""
+# the most tensor words one Lie expansion may produce: a bracket tree of
+# weight w expands into 2^(w-1) words, and the Dynkin check brackets n
+# words of weight k into n 2^(k-1) (Reutenauer, Free Lie Algebras); the
+# Quillen model of the dual of nine odd generators needs 151,520
+LIE_WORD_BOUND = 1 << 20
+
+
+def _bounded_expansion(words: int, what: str) -> None:
+    if words > LIE_WORD_BOUND:
+        raise BoundError(f"{what} expands to {words:,} tensor words, "
+                         f"over the bound of {LIE_WORD_BOUND:,}")
+
+
+def bracket_weight(tree) -> int:
+    """The number of generators in a bracket tree."""
+    if isinstance(tree, str):
+        return 1
+    return sum(bracket_weight(t) for t in tree)
+
+
+def _expansion(space: GradedSpace, tree) -> Element:
     if isinstance(tree, str):
         return Element.gen(space, tree)
-    return lie_bracket(bracket_tree_element(space, tree[0]),
-                       bracket_tree_element(space, tree[1]))
+    return lie_bracket(_expansion(space, tree[0]), _expansion(space, tree[1]))
+
+
+def bracket_tree_element(space: GradedSpace, tree) -> Element:
+    """Tensor expansion of a bracket tree: a generator name or a pair of
+    trees, refused past LIE_WORD_BOUND words before it is expanded."""
+    weight = bracket_weight(tree)
+    _bounded_expansion(1 << (weight - 1), f"a bracket tree of weight {weight}")
+    return _expansion(space, tree)
 
 
 def bracket_tree_str(tree) -> str:
@@ -235,7 +260,7 @@ def bracketing(el: Element) -> Element:
     """Right-normed bracketing word by word:
     rho(x1 (x) ... (x) xk) = [x1, [x2, [..., xk]]]."""
     space = el.space
-    return lincomb(space, ((c, bracket_tree_element(space, right_normed(w.factors)))
+    return lincomb(space, ((c, _expansion(space, right_normed(w.factors)))
                            for w, c in el.terms.items()))
 
 
@@ -250,9 +275,13 @@ def weight_component(el: Element, k: int) -> Element:
 
 
 def is_primitive(el: Element) -> bool:
-    """Dynkin criterion on every weight component."""
+    """Dynkin criterion on every weight component, each refused past
+    LIE_WORD_BOUND words before it is bracketed."""
     for k in weights(el):
         comp = weight_component(el, k)
+        n = len(comp.terms)
+        _bounded_expansion(n << (k - 1),
+                           f"the Dynkin check of a weight-{k} component of {n:,} words")
         if bracketing(comp) != k * comp:
             return False
     return True

@@ -59,7 +59,13 @@ def differential_length(A: CDGA) -> InvariantReport:
 
 def bracket_length(M: FreeLieDGL) -> InvariantReport:
     """Least bracket weight in the differential of a minimal free-Lie model."""
-    from .functors import bracket_tree_element, bracket_tree_str, weight_component, weights
+    from .functors import (
+        bracket_tree_element,
+        bracket_tree_str,
+        bracket_weight,
+        weight_component,
+        weights,
+    )
 
     if not M.is_minimal:
         raise ValueError("bracket length needs a minimal model (no linear part)")
@@ -71,19 +77,13 @@ def bracket_length(M: FreeLieDGL) -> InvariantReport:
     comp = weight_component(M.diff[gen], best)
     witness = None
     for coeff, tree in M.presentation.get(gen, []):
-        if _bracket_weight(tree) == best:
+        if bracket_weight(tree) == best:
             if bracket_tree_element(M.gens, tree):
                 witness = bracket_tree_str(tree)
                 break
     if witness is None:
         witness = f"weight-{best} part of d({gen}): {comp!r}"
     return InvariantReport("bl", best, witness=witness)
-
-
-def _bracket_weight(tree) -> int:
-    if isinstance(tree, str):
-        return 1
-    return sum(_bracket_weight(t) for t in tree)
 
 
 def whitehead_length(L: LInfAlgebra) -> InvariantReport:

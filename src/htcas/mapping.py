@@ -14,13 +14,14 @@ loop follows the supports of the maps it reads, never the wedge-word basis
 of Hom(C, L): the convolution pairs the terms of Delta^{(k-1)}, taken from
 one pass of `structures.iterated_coproducts`, with the orderings of ell_k's
 support words, and the reduced model reads the stored images of the
-transferred brackets.  `component_model` takes a plain element and checks
-the Maurer-Cartan equation itself.  The cochain functor of the transferred
-structure, with generators renamed v.h from the spaces of H and of L that
-`reduced_bs_cochain` takes, is the reduced Brown-Szczarba model; the same
-differential is also computed by the direct substitution recursion on
-(Lambda V (x) dual basis), and the two routes agreeing generator by
-generator is the strongest correctness check in the package.
+transferred brackets.  Every structure built here is checked once, when
+built, by its constructor.  `component_model` takes a plain element and
+checks the Maurer-Cartan equation itself.  The cochain functor of the
+transferred structure, with generators renamed v.h from the spaces of H
+and of L that `reduced_bs_cochain` takes, is the reduced Brown-Szczarba
+model; the same differential is also computed by the direct substitution
+recursion on (Lambda V (x) dual basis), and the two routes agreeing
+generator by generator is the strongest correctness check in the package.
 """
 
 from __future__ import annotations
@@ -209,18 +210,19 @@ def reduced_bs_cochain(model: LInfAlgebra, source: GradedSpace, target: GradedSp
 # reduced Brown-Szczarba model, route 2: the substitution recursion
 
 
-def reduced_bs_direct(B: FiniteCDGA, A: CDGA,
-                      rename: dict[str, str] | None = None) -> CDGA:
+def reduced_bs_direct(B: FiniteCDGA, A: CDGA) -> CDGA:
     """The differential on Lambda(V (x) H) by expanding dv against iterated
     coproducts and eliminating the A and dA parts of the dual recursively.
 
     B is the finite model of the source, A = (Lambda V, d) the Sullivan
     model of the target.  Returns the CDGA on generators v.h, h running over
-    the homology of the reduced dual of B.
+    the homology of the reduced dual of B; the dual basis and the homology
+    classes are named by their one rules (`dual_coalgebra`,
+    `transfer.retract_from_decomposition`).
     """
     if not A.is_sullivan:
         raise ValueError("the target must be a Sullivan algebra (d V in Lambda^{>=1} V)")
-    C = dual_coalgebra(B, rename=rename, counital=False)
+    C = dual_coalgebra(B, counital=False)
     r = canonical_retract(C)
     csp = C.space
     hsp = r.small.space

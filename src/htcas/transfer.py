@@ -200,6 +200,8 @@ class HomotopyRetract:
 
 def retract_from_decomposition(dec: Decomposition) -> HomotopyRetract:
     """The canonical retract: p kills A and dA, h inverts d from dA to A.
+    Each homology class is named by its pivot, the first generator it
+    involves, through `core.derived_names`.
 
     A, dA and H are homogeneous, so the basis matrix of A + dA + H is
     block-diagonal by degree.  Each block is inverted once (Gauss-Jordan on
@@ -211,15 +213,14 @@ def retract_from_decomposition(dec: Decomposition) -> HomotopyRetract:
     space = cx.space
     names = space.names
 
-    used: set[str] = set()
-    small_pairs = []
-    for el in dec.h_part:
-        name = min((w.factors[0] for w in el.terms), key=space.index)
-        pivot = name
-        while name in used:
-            name += "_"
-        used.add(name)
-        small_pairs.append((name, space.degree(pivot)))
+    # each class is named by its pivot, the first generator it involves; the
+    # pivots of a canonical decomposition are distinct, as a unit generator's
+    # cycle vector is the generator itself
+    def pivot(el: Element) -> str:
+        return min((w.factors[0] for w in el.terms), key=space.index)
+
+    small_names = derived_names(dec.h_part, pivot, "homology classes")
+    small_pairs = [(nm, space.degree(nm)) for nm in small_names]
     small_space = GradedSpace.of(small_pairs)
     small = ChainComplex.zero_diff(small_space)
 

@@ -8,10 +8,16 @@ as a second form of `check_ainf` and `check_linf`.  `parity_involution`
 negates every bracket, the normalization under which transferred brackets
 are compared with printed worked-example values.
 
+Every structure is checked when it is built; `unchecked` patches the
+constructors' axiom checks out, for the tests that feed a broken structure
+to a checker.  `paper_dual` and `paper_bs_direct` give the worked example's
+dual and its route-2 Brown-Szczarba model the paper's names `RENAME`.
+
 Sullivan algebras are built generator by generator with differentials drawn
 from the exact kernel of d on the smaller algebra, so d^2 = 0 holds by
-construction; finite CDGAs are degree/word-length truncations of those, and
-random cocommutative DGCs are their duals.
+construction; finite CDGAs are degree truncations of those, optionally
+cut to words of length <= 2 (`length_two`), and random cocommutative DGCs
+are their duals.
 
 The dense reference loops at the end evaluate the convolution, the
 Maurer-Cartan twist and the truncation on every wedge word of the space,
@@ -24,12 +30,14 @@ suffix Elements (for `core.derivation`), and the all-combinations merge of
 support words (for `transfer._support_merges`).
 """
 
+import contextlib
 import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
-from htcas import linalg
+from htcas import linalg, structures
 from htcas.core import (
     ZERO,
     Element,
@@ -52,7 +60,7 @@ from htcas.functors import (
     dual_coalgebra,
     lie_bracket,
 )
-from htcas.mapping import convolution_linf
+from htcas.mapping import bs_name, convolution_linf, reduced_bs_direct
 from htcas.structures import (
     AInfCoalgebra,
     CheckReport,
@@ -71,13 +79,24 @@ from htcas.transfer import (
     _shift_retract,
     _support_merges,
     _vertex_sum,
+    canonical_retract,
     hom_complex,
     hom_name,
 )
 
 
+@contextlib.contextmanager
+def unchecked():
+    """The structure constructors with their A-infinity and Jacobi checks
+    patched out, for building a broken structure to feed a checker."""
+    ok = mock.Mock(return_value=CheckReport(True))
+    with mock.patch.object(structures, "check_ainf", ok), \
+            mock.patch.object(structures, "check_linf", ok):
+        yield
+
+
 def dgc_from_tables(space: GradedSpace, diff: dict, cop: dict,
-                    counit: str | None = None, validate: bool = True) -> AInfCoalgebra:
+                    counit: str | None = None) -> AInfCoalgebra:
     """DGC from tables: diff {gen: [(coeff, target)]},
     cop {gen: [(coeff, (left, right))]}."""
     ops: dict[int, GradedMap] = {}
@@ -93,11 +112,10 @@ def dgc_from_tables(space: GradedSpace, diff: dict, cop: dict,
             for g, pairs in cop.items()
         }
         ops[2] = GradedMap(space, space, 0, images)
-    return AInfCoalgebra(space, ops, counit=counit, validate=validate)
+    return AInfCoalgebra(space, ops, counit=counit)
 
 
-def linf_from_tables(space: GradedSpace, ops_table: dict[int, dict],
-                     validate: bool = True) -> LInfAlgebra:
+def linf_from_tables(space: GradedSpace, ops_table: dict[int, dict]) -> LInfAlgebra:
     """L-infinity from {k: {(names...): [(coeff, target)]}} tables."""
     ops: dict[int, GradedMap] = {}
     for k, table in ops_table.items():
@@ -111,7 +129,7 @@ def linf_from_tables(space: GradedSpace, ops_table: dict[int, dict],
                 images[w] = el
         if images:
             ops[k] = GradedMap(space, space, k - 2, images, arity=k, in_kind="w")
-    return LInfAlgebra(space, ops, validate=validate)
+    return LInfAlgebra(space, ops)
 
 
 def check_ainf_shifted(C: AInfCoalgebra) -> CheckReport:
@@ -136,7 +154,7 @@ def parity_involution(L: LInfAlgebra) -> LInfAlgebra:
                      arity=m.arity, in_kind=m.in_kind)
         for k, m in L.ops.items()
     }
-    return LInfAlgebra(L.space, ops, validate=False)
+    return LInfAlgebra(L.space, ops)
 
 
 def identity_retract(cx: ChainComplex) -> HomotopyRetract:
@@ -165,6 +183,37 @@ def coords(el: Element, words: list[Word]) -> list[Fraction]:
 # the worked example's dual basis names: monomials of Lambda(a3, b3, c5), dc = ab
 RENAME = {"a": "g", "b": "h", "c": "r", "a.b": "s", "a.c": "u", "b.c": "v",
           "a.b.c": "w", "one": "unit"}
+
+
+def _renamed(names: dict, w: Word) -> Word:
+    return Word(w.kind, tuple(names.get(f, f) for f in w.factors))
+
+
+def _renamed_element(space: GradedSpace, names: dict, el: Element) -> Element:
+    return Element(space, {_renamed(names, w): c for w, c in el.terms.items()})
+
+
+def paper_dual(B: FiniteCDGA, counital: bool) -> AInfCoalgebra:
+    """`dual_coalgebra` of B with its basis renamed by RENAME."""
+    C = dual_coalgebra(B, counital=counital)
+    space = GradedSpace.of([(RENAME.get(n, n), d) for n, d in C.space.basis])
+    ops = {k: GradedMap(space, space, m.degree, {
+        _renamed(RENAME, w): _renamed_element(space, RENAME, el)
+        for w, el in m.images.items()}) for k, m in C.ops.items()}
+    return AInfCoalgebra(space, ops, counit=None if C.counit is None else RENAME[C.counit])
+
+
+def paper_bs_direct(B: FiniteCDGA, A: CDGA) -> CDGA:
+    """`reduced_bs_direct` of B and A with each generator v.h renamed
+    v.RENAME[h], keyed by (h, v): h a homology class of B's reduced dual,
+    v a generator of A."""
+    bs = reduced_bs_direct(B, A)
+    homology = canonical_retract(dual_coalgebra(B, counital=False)).small.space
+    names = {bs_name(h, v): bs_name(RENAME.get(h, h), v)
+             for h in homology.names for v in A.gens.names}
+    space = GradedSpace.of([(names[n], d) for n, d in bs.gens.basis])
+    return CDGA(space, {names[g]: _renamed_element(space, names, el)
+                        for g, el in bs.diff.items()})
 
 
 # a cubic differential, so that ell_3 reaches the convolution of any source
@@ -212,14 +261,24 @@ def random_sullivan(rng: random.Random, max_gens: int = 4, odd_only: bool = Fals
     return algebra
 
 
+def length_two(B: FiniteCDGA) -> FiniteCDGA:
+    """B cut to its monomials of word length <= 2, in the same order: its
+    reduced dual has conilpotence two."""
+    B.monomials = [fs for fs in B.monomials if len(fs) <= 2]
+    B.names = {fs: B.names[fs] for fs in B.monomials}
+    return B
+
+
 def random_finite_cdga(rng: random.Random, max_dim: int = 8,
                        conilpotence_two: bool = False) -> FiniteCDGA:
-    """Finite-dimensional truncation of a random Sullivan algebra."""
+    """Finite-dimensional truncation of a random Sullivan algebra, cut by
+    `length_two` when `conilpotence_two`."""
     while True:
         A = random_sullivan(rng, max_gens=3, odd_only=True, max_degree=7)
-        max_len = 2 if conilpotence_two else None
         top = 2 * A.gens.max_degree() + 2
-        B = FiniteCDGA(A, max_cohom=top, max_length=max_len)
+        B = FiniteCDGA(A, max_cohom=top)
+        if conilpotence_two:
+            B = length_two(B)
         if 2 <= len(B.monomials) - 1 <= max_dim:
             return B
 
@@ -263,8 +322,7 @@ def convolution(C: AInfCoalgebra, L: LInfAlgebra) -> LInfAlgebra:
 # builds the same brackets from the supports of the maps it reads
 
 
-def dense_convolution(C: AInfCoalgebra, L: LInfAlgebra,
-                      validate: bool = True) -> LInfAlgebra:
+def dense_convolution(C: AInfCoalgebra, L: LInfAlgebra) -> LInfAlgebra:
     """The convolution structure on Hom(C, L) for a DGC C, one wedge word of
     Hom(C, L) at a time (reference for `mapping.convolution_linf`)."""
     if not C.is_dgc:
@@ -311,10 +369,10 @@ def dense_convolution(C: AInfCoalgebra, L: LInfAlgebra,
                 images[w] = out
         if images:
             ops[k] = GradedMap(hs, hs, k - 2, images, arity=k, in_kind="w")
-    return LInfAlgebra(hs, ops, validate=validate)
+    return LInfAlgebra(hs, ops)
 
 
-def dense_perturb(L: LInfAlgebra, z: Element, validate: bool = True) -> LInfAlgebra:
+def dense_perturb(L: LInfAlgebra, z: Element) -> LInfAlgebra:
     """Twisted structure ell_k^z = sum_i (1/i!) ell_{i+k}(z,...,z, -), on
     every wedge word (reference for `structures.perturb`)."""
     ops: dict[int, GradedMap] = {}
@@ -335,10 +393,10 @@ def dense_perturb(L: LInfAlgebra, z: Element, validate: bool = True) -> LInfAlge
                 images[w] = total
         if images:
             ops[k] = GradedMap(L.space, L.space, k - 2, images, arity=k, in_kind="w")
-    return LInfAlgebra(L.space, ops, validate=validate)
+    return LInfAlgebra(L.space, ops)
 
 
-def dense_truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
+def dense_truncate(L: LInfAlgebra) -> LInfAlgebra:
     """Keep positive degrees and the ell_1-cycles in degree 0.
 
     The degree-0 part is replaced by an echelon basis of ker(ell_1),
@@ -409,7 +467,7 @@ def dense_truncate(L: LInfAlgebra, validate: bool = True) -> LInfAlgebra:
                 images[w] = img
         if images:
             ops[k] = GradedMap(new_space, new_space, k - 2, images, arity=k, in_kind="w")
-    return LInfAlgebra(new_space, ops, validate=validate)
+    return LInfAlgebra(new_space, ops)
 
 
 # ---------------------------------------------------------------------------
@@ -624,34 +682,29 @@ def dense_quillen_direct(C: AInfCoalgebra, dec) -> FreeLieDGL:
     return out
 
 
-def dense_dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None
-                         ) -> tuple[AInfCoalgebra, AInfCoalgebra]:
+def dense_dual_coalgebra(B: FiniteCDGA) -> tuple[AInfCoalgebra, AInfCoalgebra]:
     """Dual DGC of a finite CDGA, one dual basis element at a time: every
     derivation and every product re-evaluated per target monomial, each
     product as the Element product of two monomials truncated to the basis
     (reference for `functors.dual_coalgebra`)."""
-    rename = rename or {}
 
     def mono(fs) -> Element:
         return Element.make(B.parent.gens, [(1, "m", fs)])
 
-    def name_of(fs) -> str:
-        return rename.get(B.names[fs], B.names[fs])
-
-    pairs = [(name_of(fs), B.cohom_degree(fs)) for fs in B.monomials]
+    pairs = [(B.names[fs], B.cohom_degree(fs)) for fs in B.monomials]
     space = GradedSpace.of(pairs)
-    unit = name_of(())
+    unit = B.names[()]
 
     diff_imgs: dict[Word, Element] = {}
     cop_imgs: dict[Word, Element] = {}
     for fs in B.monomials:
-        phi = name_of(fs)
+        phi = B.names[fs]
         dd = []
         for xs in B.monomials:
             dx = B.d(xs)
             co = dx.coeff(Word.mono(*fs))
             if co:
-                dd.append((co, (name_of(xs),)))
+                dd.append((co, (B.names[xs],)))
         if dd:
             diff_imgs[Word.tensor(phi)] = Element.make(
                 space, [(c, "t", t) for c, t in dd]
@@ -664,7 +717,7 @@ def dense_dual_coalgebra(B: FiniteCDGA, rename: dict[str, str] | None = None
                 prod = B.truncate(mono(xs).times(mono(ys)))
                 co = prod.coeff(Word.mono(*fs))
                 if co:
-                    cc.append((co, (name_of(xs), name_of(ys))))
+                    cc.append((co, (B.names[xs], B.names[ys])))
         if cc:
             cop_imgs[Word.tensor(phi)] = Element.make(
                 space, [(c, "t", t) for c, t in cc]

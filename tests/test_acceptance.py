@@ -17,12 +17,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from helpers import (
     CUBIC_Y,
-    RENAME,
     linf_from_tables,
+    paper_bs_direct,
+    paper_dual,
     parity_involution,
     random_cocommutative_dgc,
     random_finite_cdga,
     random_sullivan,
+    unchecked,
 )
 from htcas.core import AxiomError, Element, GradedSpace, Word
 from htcas.functors import (
@@ -71,7 +73,7 @@ def _worked_example():
         CDGA.of([("a", 3), ("b", 3), ("c", 5)], {"c": [(1, ("a", "b"))]}),
         max_cohom=11,
     )
-    red = dual_coalgebra(B, rename=RENAME, counital=False)
+    red = paper_dual(B, counital=False)
     A = CDGA.of([("x", 4), ("y", 7), ("z", 10), ("t", 16)],
                 {"z": [(1, ("x", "y"))], "t": [(1, ("y", "z"))]})
     return B, red, A, linf_from_cdga(A)
@@ -161,7 +163,7 @@ def test_c5_reduced_brown_szczarba():
     mm = mapping_space_model(cbar, L)
     comp = component_model(mm.model, Element.zero(mm.model.space))
     route1 = reduced_bs_cochain(comp, source=mm.homology, target=L.space)
-    route2 = restrict_positive(reduced_bs_direct(B, A, rename=RENAME))
+    route2 = restrict_positive(paper_bs_direct(B, A))
     G = route1.gens
     for g in ("x.g", "x.h", "z.u", "z.v", "y.g", "y.h", "z.g", "z.h",
               "t.g", "t.h"):
@@ -309,7 +311,8 @@ def test_c8_property_suites():
         images[w] = images[w] + Element.gen(space, rng.choice(tgt))
         ops = dict(L.ops)
         ops[k] = GradedMap(space, space, k - 2, images, arity=k, in_kind="w")
-        corrupted = LInfAlgebra(space, ops, validate=False)
+        with unchecked():
+            corrupted = LInfAlgebra(space, ops)
         try:
             cochain(corrupted)
             d2_zero = True

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -357,6 +358,49 @@ def test_non_positive_even_generator_is_refused(tmp_path):
                 capture_output=True, text=True, timeout=60)
             assert proc.returncode == 4 and proc.stdout == "", (text, argv)
             assert "generator x " in proc.stderr, (text, argv)
+
+
+def _nested_bracket(weight: int) -> str:
+    """A dgl model with d c = [a,[b,[a,...]]], `weight` letters alternating a3, b4."""
+    letters = "ab" * (weight // 2) + "a" * (weight % 2)
+    tree = letters[-1]
+    for f in reversed(letters[:-1]):
+        tree = f"[{f},{tree}]"
+    degree = sum(3 if f == "a" else 4 for f in letters) + 1
+    return f"kind dgl\ngen a : 3\ngen b : 4\ngen c : {degree}\ndiff c = {tree}\n"
+
+
+def test_nested_bracket_is_refused_in_time(tmp_path, capsys):
+    # the Dynkin check of the weight-16 bracket took 24 s before it was
+    # bounded: its 4,284 words bracket into 140 M; a weight-30 tree is
+    # refused before it is expanded into 2^29 words
+    from htcas.functors import LIE_WORD_BOUND
+
+    bound = f"over the bound of {LIE_WORD_BOUND:,}"
+    assert run(["check", write(tmp_path, "w12.dgl", _nested_bracket(12))], capsys)[0] == 0
+    start = time.perf_counter()
+    code, out, err = run(["check", write(tmp_path, "w16.dgl", _nested_bracket(16))], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert f"weight-16 component of 4,284 words expands to 140,378,112 tensor words, {bound}" in err
+    code, out, err = run(["check", write(tmp_path, "w30.dgl", _nested_bracket(30))], capsys)
+    assert code == 4 and out == ""
+    assert f"a bracket tree of weight 30 expands to 536,870,912 tensor words, {bound}" in err
+
+
+def test_coproduct_growth_is_refused(tmp_path, capsys, monkeypatch):
+    # each Delta^{(k)} is counted before it is built: on the n5 dual the
+    # counts of Delta^{(2)} to Delta^{(5)} are 390, 360, 120 and 0
+    from htcas import structures
+
+    n5 = write(tmp_path, "n5.cdga", "kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\n"
+                                    "gen f : 5\nd c = + a^b\nd f = + a^e\n")
+    dual = write(tmp_path, "n5.dgc", run(["dualize", n5], capsys)[1])
+    assert run(["invariants", dual], capsys)[1] == "conilpotence = 5\n"
+    monkeypatch.setattr(structures, "COPRODUCT_TERM_BOUND", 389)
+    code, out, err = run(["invariants", dual], capsys)
+    assert code == 4 and out == ""
+    assert "Delta^{(2)} has 390 terms before cancellation, over the bound of 389" in err
 
 
 def test_closed_stdout_ends_quietly():

@@ -8,12 +8,13 @@ import pytest
 
 from helpers import (
     CUBIC_Y,
-    RENAME,
     convolution,
     dense_convolution,
     linf_merge_candidates,
     dense_perturb,
     dense_truncate,
+    paper_bs_direct,
+    paper_dual,
     parity_involution,
     random_finite_cdga,
     random_sullivan,
@@ -87,7 +88,7 @@ def test_pointed_convolution_is_convolution_of_reduced_dual(cbar, target_dgl):
         CDGA.of([("a", 3), ("b", 3), ("c", 5)], {"c": [(1, ("a", "b"))]}),
         max_cohom=11,
     )
-    red = dual_coalgebra(B, rename=RENAME, counital=False)
+    red = paper_dual(B, counital=False)
     conv = convolution(red, target_dgl)
     assert check_linf(conv)
     _assert_same_brackets(conv, convolution(cbar, target_dgl))
@@ -171,7 +172,7 @@ def test_reduced_bs_direct_worked_example(cbar, target_dgl, worked):
     )
     A = CDGA.of([("x", 4), ("y", 7), ("z", 10), ("t", 16)],
                 {"z": [(1, ("x", "y"))], "t": [(1, ("y", "z"))]})
-    full_bs = reduced_bs_direct(B, A, rename=RENAME)
+    full_bs = paper_bs_direct(B, A)
     pos = restrict_positive(full_bs)
     G = pos.gens
     assert pos.diff["t.w"] == Element.make(
@@ -298,7 +299,6 @@ def test_bs_cochain_rejects_unpinned_arity():
         {4: GradedMap(hs, hs, 2,
                       {w4: Element.make(hs, [(1, "t", ("c1.q'",))])},
                       arity=4, in_kind="w")},
-        validate=False,
     )
     with pytest.raises(BoundError, match="arity <= 3"):
         reduced_bs_cochain(fake, source=source, target=target)

@@ -10,9 +10,10 @@ from helpers import (
     dense_truncate,
     dgc_from_tables,
     linf_from_tables,
+    unchecked,
 )
 from htcas import structures
-from htcas.core import Element, GradedMap, GradedSpace, Word, letter_index, word_basis
+from htcas.core import AxiomError, Element, GradedMap, GradedSpace, Word, letter_index, word_basis
 from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, linf_from_cdga
 from htcas.structures import (
     AInfCoalgebra,
@@ -40,7 +41,7 @@ def test_cbar_is_a_valid_cocommutative_dgc(cbar):
 def test_broken_coproduct_detected(cbar):
     space = cbar.space
     cop = {"s": [(1, ("g", "h"))]}  # one term only: not cocommutative
-    C = dgc_from_tables(space, {}, cop, validate=False)
+    C = dgc_from_tables(space, {}, cop)
     assert check_ainf(C)  # still coassociative and compatible
     rep = check_cocommutative(C)
     assert not rep and "Delta_2(s)" in rep.where
@@ -49,15 +50,12 @@ def test_broken_coproduct_detected(cbar):
 def test_broken_compatibility_detected(cbar):
     space = cbar.space
     # flipping one sign in Delta(w) breaks compatibility with ds = r
-    C = dgc_from_tables(
-        space,
-        {"s": [(1, "r")]},
-        {
-            "s": [(1, ("g", "h")), (-1, ("h", "g"))],
-            "w": [(1, ("s", "r")), (-1, ("r", "s"))],
-        },
-        validate=False,
-    )
+    diff = {"s": [(1, "r")]}
+    cop = {"s": [(1, ("g", "h")), (-1, ("h", "g"))], "w": [(1, ("s", "r")), (-1, ("r", "s"))]}
+    with pytest.raises(AxiomError, match="A-infinity relation fails"):
+        dgc_from_tables(space, diff, cop)
+    with unchecked():
+        C = dgc_from_tables(space, diff, cop)
     rep = check_ainf(C)
     assert not rep
     rep2 = check_ainf_shifted(C)
@@ -83,7 +81,8 @@ def test_literal_and_shifted_ainf_checkers_agree(cbar):
             ]
             if pairs and rng.random() < 0.5:
                 cop[n] = [(rng.randint(-2, 2), rng.choice(pairs))]
-        C = dgc_from_tables(space, diff, cop, validate=False)
+        with unchecked():
+            C = dgc_from_tables(space, diff, cop)
         assert bool(check_ainf(C)) == bool(check_ainf_shifted(C))
 
 
@@ -106,7 +105,7 @@ def test_iterated_coproduct_rejects_genuine_ainf(cbar):
         {Word.tensor("e"): Element.make(space, [(1, "t", ("a", "b", "c"))])},
         1, "t",
     )
-    C = AInfCoalgebra(space, {3: d3}, validate=False)
+    C = AInfCoalgebra(space, {3: d3})
     with pytest.raises(ValueError):
         next(iterated_coproducts(C))
 
@@ -125,11 +124,11 @@ def test_classical_dgl_and_mutation():
     )
     assert check_linf(good)
     # dz = w breaks the Leibniz rule against [x,y] = z
-    bad = linf_from_tables(
-        space,
-        {1: {("z",): [(1, "w")]}, 2: {("x", "y"): [(1, "z")]}},
-        validate=False,
-    )
+    table = {1: {("z",): [(1, "w")]}, 2: {("x", "y"): [(1, "z")]}}
+    with pytest.raises(AxiomError, match="generalized Jacobi fails"):
+        linf_from_tables(space, table)
+    with unchecked():
+        bad = linf_from_tables(space, table)
     rep = check_linf(bad)
     assert not rep and "n=2" in rep.where
     assert not check_linf_shifted(bad)
@@ -148,7 +147,8 @@ def test_literal_and_shifted_linf_checkers_agree():
                 if tgt and rng.random() < 0.7:
                     table[k][fs] = [(rng.randint(-2, 2), rng.choice(tgt))]
         try:
-            L = linf_from_tables(space, table, validate=False)
+            with unchecked():
+                L = linf_from_tables(space, table)
         except ValueError:
             continue
         assert bool(check_linf(L)) == bool(check_linf_shifted(L))
@@ -179,7 +179,10 @@ def test_jacobi_candidates_are_exhaustive():
         first = next(iter(images))
         images[first] = 2 * images[first]
         ops[k] = GradedMap(m.source, m.target, m.degree, images, m.arity, m.in_kind)
-    bad = LInfAlgebra(conv.space, ops, validate=False)
+    with pytest.raises(AxiomError, match="generalized Jacobi fails"):
+        LInfAlgebra(conv.space, ops)
+    with unchecked():
+        bad = LInfAlgebra(conv.space, ops)
     assert sorted(ops) == [1, 2]
 
     nonzero = 0
@@ -263,17 +266,19 @@ def test_truncate_rejects_a_degree_zero_output_off_the_cycles():
     # ker(ell_1) in degree 0 is spanned by a + b and c, named a and c;
     # ell_2(a + b, c) = a has a nonzero pivot coordinate but is no cycle
     space = GradedSpace.of([("mm", -1), ("a", 0), ("b", 0), ("c", 0), ("p", 1)])
-    L = linf_from_tables(space, {
-        1: {("a",): [(1, "mm")], ("b",): [(-1, "mm")]},
-        2: {("a", "c"): [(1, "a")]},
-    }, validate=False)
+    with unchecked():
+        L = linf_from_tables(space, {
+            1: {("a",): [(1, "mm")], ("b",): [(-1, "mm")]},
+            2: {("a", "c"): [(1, "a")]},
+        })
     with pytest.raises(ValueError, match="not an ell_1-cycle"):
         truncate(L)
     # the same bracket landing on the cycle a + b is re-expressed as a
-    L = linf_from_tables(space, {
-        1: {("a",): [(1, "mm")], ("b",): [(-1, "mm")]},
-        2: {("a", "c"): [(1, "a")], ("b", "c"): [(1, "b")]},
-    }, validate=False)
+    with unchecked():
+        L = linf_from_tables(space, {
+            1: {("a",): [(1, "mm")], ("b",): [(-1, "mm")]},
+            2: {("a", "c"): [(1, "a")], ("b", "c"): [(1, "b")]},
+        })
     T = truncate(L)
     assert T.space.names == ("a", "c", "p")
     assert T.ops[2].images == {Word.wedge("a", "c"): Element.gen(T.space, "a")}
@@ -286,7 +291,7 @@ def test_truncate_applies_ell1_once_per_degree_zero_generator(monkeypatch):
     L = linf_from_tables(space, {
         1: {("a",): [(1, "m1")], ("b",): [(-1, "m1"), (2, "m2")], ("c",): [(1, "m2")]},
         2: {("a", "p"): [(1, "p")]},
-    }, validate=False)
+    })
     ell1, apply_word = L.ops[1], GradedMap.apply_word
     calls = []
 
@@ -299,7 +304,7 @@ def test_truncate_applies_ell1_once_per_degree_zero_generator(monkeypatch):
     T = truncate(L)
     assert len(calls) == 3
     monkeypatch.undo()
-    D = dense_truncate(L, validate=False)
+    D = dense_truncate(L)
     assert T.space is D.space
     assert T.ops[2].images and T.ops.keys() == D.ops.keys() == {2}
     assert T.ops[2].images == D.ops[2].images

@@ -11,6 +11,7 @@ from htcas import cli, core, functors, structures, transfer
 from htcas.core import GradedMap, GradedSpace, word_basis
 from htcas.functors import (
     CDGA,
+    FiniteCDGA,
     cochain,
     dual_coalgebra,
     linf_from_cdga,
@@ -50,10 +51,12 @@ PARAMETERS = {
     mapping_space_model: ["C", "L", "max_k"],
     convolution_linf: ["C", "L", "hom"],
     component_model: ["model", "phi"],
-    reduced_bs_direct: ["B", "A", "rename"],
+    reduced_bs_direct: ["B", "A"],
     reduced_bs_cochain: ["model", "source", "target"],
     perturb: ["L", "mc"],
     mc_check: ["L", "z"],
+    # `words` is the one parameter that only tests set; the benchmark's
+    # tracer binds it by name
     transfer_linf: ["L", "r", "max_k", "words"],
     transfer_ainf: ["C", "r", "max_k"],
     linf_from_cdga: ["A"],
@@ -61,10 +64,14 @@ PARAMETERS = {
     truncate: ["L"],
     CDGA: ["gens", "diff"],
     CDGA.of: ["gens", "d"],
+    CDGA.monomial_basis: ["self", "max_cohom"],
+    FiniteCDGA: ["parent", "max_cohom"],
+    AInfCoalgebra: ["space", "ops", "counit"],
+    LInfAlgebra: ["space", "ops"],
     quillen: ["C"],
     quillen_differential_direct: ["C"],
     hom_retract: ["r", "L"],
-    dual_coalgebra: ["B", "rename", "counital"],
+    dual_coalgebra: ["B", "counital"],
     check_linf: ["L"],
     hspace_certificate: ["x_side", "y_side"],
     word_basis: ["space", "kind", "arity"],
