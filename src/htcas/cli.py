@@ -46,9 +46,10 @@ which refuses any other kind as "<what> expects a <kinds> model, got
 model read as one.
 
 Exit codes: 0 ok, 1 usage, 2 parse/validation (a wrong model kind too), 3
-axiom failure, 4 bound exceeded (e.g. `mapmodel --emit bs` on a model with
-a bracket of arity 4 or more), 141 (128 + SIGPIPE) stdout closed early,
-with nothing on stderr.  `mapmodel --mc FILE` needs `--pointed`.
+axiom failure, 4 bound exceeded (e.g. `mapmodel --emit bs|both` on a model
+with a bracket of arity 4 or more; stdout stays empty), 141 (128 + SIGPIPE)
+stdout closed early, with nothing on stderr.  `mapmodel --mc FILE` needs
+`--pointed`.
 
 Each command imports only the engine modules it runs (`import htcas` itself
 is lazy), so a process compiles no more than it needs.  `check` on a cdga
@@ -588,11 +589,10 @@ def cmd_mapmodel(args) -> int:
                 raise ValidationError(f"unknown name {unknown[0]!r}")
             phi = Element(model.space, dict(mc.terms))
         model = component_model(model, phi)
-    if args.emit in ("linf", "both"):
-        sys.stdout.write(serialize(model))
-    if args.emit in ("bs", "both"):
-        bs = reduced_bs_cochain(model, mm.homology, L.space)
-        sys.stdout.write(serialize(bs))
+    texts = [serialize(model)] if args.emit != "bs" else []
+    if args.emit != "linf":  # built before anything is written
+        texts.append(serialize(reduced_bs_cochain(model, mm.homology, L.space)))
+    sys.stdout.write("".join(texts))
     return 0
 
 

@@ -1,6 +1,8 @@
 """A-infinity coalgebras and L-infinity algebras as executable data, each
 checked once, when built: one whose defining relations fail is refused
-with an AxiomError, so every structure the engine holds is valid.
+with an AxiomError, so every structure the engine holds is valid.  Each
+map's shape is checked there too (input words, and image words: tensor
+words of k letters for Delta_k, generators for ell_k), so each round-trips.
 
 Structure maps are stored unshifted: co-operations Delta_k : C -> C^{(x)k}
 of degree k-2 on plain basis words, brackets ell_k : Lambda^k L -> L of
@@ -86,6 +88,25 @@ class CheckReport:
         return f"FAIL at {self.where}" + ("" if self.residual is None else f": {self.residual!r}")
 
 
+def _check_shapes(name: str, ops: dict[int, GradedMap], shape) -> None:
+    """Refuse an op name_k of degree other than k - 2, on input words other
+    than `kind` words of `inputs` letters, or with an image word other than
+    a tensor word of `letters` letters, for (kind, inputs, letters) = shape(k)."""
+    for k, m in ops.items():
+        kind, inputs, letters = shape(k)
+        if m.degree != k - 2:
+            raise ValidationError(f"{name}_{k} must have degree {k - 2}, got {m.degree}")
+        if (m.in_kind, m.arity) != (kind, inputs) or any(
+                (w.kind, len(w)) != (kind, inputs) for w in m.images):
+            words = {"t": "tensor", "w": "wedge"}[kind]
+            raise ValidationError(f"{name}_{k} must act on {words} words of length {inputs}")
+        for w, el in m.images.items():
+            for t in el.terms:
+                if (t.kind, len(t)) != ("t", letters):
+                    want = "a generator" if letters == 1 else f"a tensor word of {letters} letters"
+                    raise ValidationError(f"{name}_{k}({w!r}) has the word {t!r}, not {want}")
+
+
 class AInfCoalgebra:
     """Graded space with co-operations Delta_k of degree k-2, checked once,
     when built, against the A-infinity relations (`check_ainf`).
@@ -101,9 +122,7 @@ class AInfCoalgebra:
         self.counit = counit
         if counit is not None and counit not in space:
             raise ValidationError(f"counit {counit!r} is not a generator")
-        for k, m in self.ops.items():
-            if m.degree != k - 2:
-                raise ValidationError(f"Delta_{k} must have degree {k - 2}, got {m.degree}")
+        _check_shapes("Delta", self.ops, lambda k: ("t", 1, k))
         rep = check_ainf(self)
         if not rep:
             raise AxiomError(f"A-infinity relation fails: {rep}")
@@ -131,11 +150,7 @@ class LInfAlgebra:
     def __init__(self, space: GradedSpace, ops: dict[int, GradedMap]):
         self.space = space
         self.ops = {k: m for k, m in ops.items() if not m.is_zero()}
-        for k, m in self.ops.items():
-            if m.degree != k - 2:
-                raise ValidationError(f"ell_{k} must have degree {k - 2}, got {m.degree}")
-            if m.in_kind != "w" or m.arity != k:
-                raise ValidationError(f"ell_{k} must act on wedge words of length {k}")
+        _check_shapes("ell", self.ops, lambda k: ("w", k, 1))
         rep = check_linf(self)
         if not rep:
             raise AxiomError(f"generalized Jacobi fails: {rep}")
@@ -409,6 +424,8 @@ def truncate(L: LInfAlgebra) -> LInfAlgebra:
 
     The degree-0 part is replaced by an echelon basis of ker(ell_1),
     named by pivot generators; brackets are re-expressed in that basis.
+    L's checks close the result under brackets: a value is a sum of
+    generators of degree >= 0, and in degree 0 a cycle (Jacobi, n = 1, 2).
     ell_k is evaluated only on the words whose inclusion meets a support
     word of ell_k: each factor of a support word replaced by a new basis
     element whose inclusion involves it.
@@ -435,19 +452,6 @@ def truncate(L: LInfAlgebra) -> LInfAlgebra:
     pre = letter_index(((m,), el) for m, el in include.items())
     new_space = GradedSpace.of(sorted(pairs, key=lambda p: space.index(p[0])))
 
-    def reexpress(el: Element) -> Element:
-        if el.degree != 0:
-            for w in el.terms:
-                if any(f not in new_space for f in w.factors):
-                    raise ValueError("truncation is not closed under brackets")
-            return Element(new_space, dict(el.terms))
-        # the cycle basis is in RREF: the coordinates of a cycle in it are
-        # its entries at the pivots
-        sol = [el.coeff(Word.tensor(p)) for p in pivots]
-        if lincomb(space, ((c, include[p]) for p, c in zip(pivots, sol))) != el:
-            raise ValueError("bracket output is not an ell_1-cycle in degree 0")
-        return Element.make(new_space, [(c, "t", (p,)) for p, c in zip(pivots, sol) if c])
-
     ops: dict[int, GradedMap] = {}
     for k in sorted(L.ops):
         cands = substituted_words(
@@ -455,13 +459,13 @@ def truncate(L: LInfAlgebra) -> LInfAlgebra:
         images = {}
         for w in cands:
             out = L.ell(k).apply(reduce(Element.times, (include[f] for f in w.factors)))
-            if not out:
-                continue
-            if out.degree < 0:
-                raise ValueError("truncation is not closed under brackets")
-            img = reexpress(out)
-            if img:
-                images[w] = img
+            if out.degree == 0:
+                # a cycle: its coordinates in the RREF cycle basis are its
+                # entries at the pivots
+                images[w] = Element.make(new_space, [(out.coeff(Word.tensor(p)), "t", (p,))
+                                                     for p in pivots])
+            elif out:
+                images[w] = Element(new_space, dict(out.terms))
         if images:
             ops[k] = GradedMap(new_space, new_space, k - 2, images, arity=k, in_kind="w")
     return LInfAlgebra(new_space, ops)

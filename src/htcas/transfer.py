@@ -165,12 +165,12 @@ class HomotopyRetract:
         self.validate()
 
     def validate(self) -> None:
-        """Retract identity, chain maps and side conditions, per generator.
+        """Retract identity, i a chain map and side conditions, per generator.
 
         They make p a homotopy inverse of i (pi = 1, 1 - ip = dh + hd), so
         homology is not recounted.  `ChainComplex` refuses d^2 != 0, and
         then p is a chain map by the others: pd = pd(ip + dh + hd) = dp, as
-        pi = 1, di = id and pdh = p(1 - ip - hd) = 0; that check is kept."""
+        pi = 1, di = id and pdh = p(1 - ip - hd) = 0."""
         big, small = self.big, self.small
         i, p, h = self.incl, self.proj, self.homotopy
         for n in small.space.names:
@@ -190,8 +190,6 @@ class HomotopyRetract:
             rhs = big.diff.apply(h.apply_word(w)) + h.apply(big.diff.apply_word(w))
             if lhs != rhs:
                 raise ValueError(f"retract identity fails on {n}")
-            if small.diff.apply(p.apply_word(w)) != p.apply(big.diff.apply_word(w)):
-                raise ValueError("p is not a chain map")
             if p.apply(h.apply_word(w)):
                 raise ValueError("side condition p o h = 0 fails")
             if h.apply(h.apply_word(w)):

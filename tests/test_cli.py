@@ -341,6 +341,18 @@ def test_bound_exceeded_exit_code(tmp_path, capsys):
     assert code == 4 and "truncate" in err
 
 
+def test_refused_bs_model_leaves_stdout_empty(tmp_path, capsys):
+    # the BS model is built before either model is written, so a nonzero
+    # arity-4 bracket refuses `--emit both` before the L-infinity model
+    x = write(tmp_path, "x.cdga", "kind cdga\ngen a : 3\ngen b : 3\ngen c : 3\ngen e : 3\n")
+    y = write(tmp_path, "y.linf", "kind linf\ngen p : 4\ngen q : 4\ngen r : 4\ngen s : 4\n"
+                                  "gen y : 18\nl4 ( p ^ q ^ r ^ s ) = y\n")
+    for emit in ("bs", "both"):
+        code, out, err = run(["mapmodel", x, y, "--pointed", "--emit", emit, "--max-arity", "4"],
+                             capsys)
+        assert code == 4 and out == "" and "a nonzero arity-4 bracket is present" in err, emit
+
+
 def test_non_positive_even_generator_is_refused(tmp_path):
     # the powers of an even generator of degree <= 0 never pass the degree
     # cutoff; run in a child with a timeout, so a hang fails instead of

@@ -64,15 +64,19 @@ def test_outputs_are_byte_identical(tmp_path):
 
 # the benchmark's n4 and n5 sources (Lambda(a3, b3, c5, e3), dc = ab, and
 # n4 + f5 with df = ae), six free 3-spheres s3x6 (whose degree-0 cycle block
-# has dimension 6), n8 (n5 + g3, h5 with dh = bg), their argv with {n4},
-# {n5}, {s3x6}, {dgc} = the dualized n5, {n8dgc} = the dualized n8, and the
-# sha256 of stdout
+# has dimension 6), n8 (n5 + g3, h5 with dh = bg), two free 3-spheres ab
+# into xyzt (dz = xy, dt = xz) with the Maurer-Cartan element a.x' of
+# mc_ax, their argv with {n4}, {n5}, {s3x6}, {ab}, {xyzt}, {mc_ax}, {dgc} =
+# the dualized n5, {n8dgc} = the dualized n8, and the sha256 of stdout
 N4 = "kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\nd c = + a^b\n"
 N5 = ("kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\ngen f : 5\n"
       "d c = + a^b\nd f = + a^e\n")
 S3X6 = "kind cdga\n" + "".join(f"gen {g} : 3\n" for g in "abcefg")
 N8 = ("kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\ngen f : 5\ngen g : 3\n"
       "gen h : 5\nd c = + a^b\nd f = + a^e\nd h = + b^g\n")
+AB = "kind cdga\ngen a : 3\ngen b : 3\n"
+XYZT = "kind cdga\ngen x : 3\ngen y : 3\ngen z : 5\ngen t : 7\nd z = x^y\nd t = x^z\n"
+MC_AX = "kind mc\ngen a.x' : -1\nmc = a.x'\n"
 GOLDEN_N = [
     (["mapmodel", "{n4}", Y1, "--pointed", "--emit", "both", "--max-arity", "4"],
      "d6f3ac17e9a69bc11a5897479a4638cf633764951d358835c894341099a24130"),
@@ -88,17 +92,30 @@ GOLDEN_N = [
     # conilpotence = 7, and bl = 2 with the witness d(a.g)
     (["invariants", "{n8dgc}"], "af8e37f1abac0dfb45b68deca47cc3a9d029244f2eba543e3fe795433127b73b"),
     (["hspace", "{n8dgc}", Y1], "b16cb1b9899c6c7e4dac048dea35c5fb304bf1e2f097c634d2b5fbf25b00f2d6"),
+    # the unpointed free model, which no benchmark digest covers
+    (["mapmodel", X1, Y1, "--emit", "both", "--max-arity", "3"],
+     "dd70c6fa1adfe2ed6dc55f475a0f031ef3aec36ff15a05fd53480773aae09b2a"),
+    # a nonzero Maurer-Cartan component: two lines off the phi = 0 run,
+    # l1 ( b.z' ) = - a.b.t' and d t.a.b = - z.b
+    (["mapmodel", "{ab}", "{xyzt}", "--pointed", "--emit", "both", "--max-arity", "3",
+      "--mc", "{mc_ax}"], "94f4563333a57872cdcf3dea6f83a199a2aff6d111a36366ccf2ffea819ffe87"),
 ]
 
 
 def test_benchmark_models_are_byte_identical(tmp_path):
-    files = {"Y1": MODELS / "example1_Y.cdga", "Y2": MODELS / "example2_Y.cdga",
+    files = {"X1": MODELS / "example1_X.cdga", "Y1": MODELS / "example1_Y.cdga",
+             "Y2": MODELS / "example2_Y.cdga",
              "n4": tmp_path / "n4.cdga", "n5": tmp_path / "n5.cdga",
              "s3x6": tmp_path / "s3x6.cdga", "dgc": tmp_path / "n5.dgc",
-             "n8": tmp_path / "n8.cdga", "n8dgc": tmp_path / "n8.dgc"}
+             "n8": tmp_path / "n8.cdga", "n8dgc": tmp_path / "n8.dgc",
+             "ab": tmp_path / "ab.cdga", "xyzt": tmp_path / "xyzt.cdga",
+             "mc_ax": tmp_path / "ax.mc"}
     files["n4"].write_text(N4)
     files["n5"].write_text(N5)
     files["s3x6"].write_text(S3X6)
+    files["ab"].write_text(AB)
+    files["xyzt"].write_text(XYZT)
+    files["mc_ax"].write_text(MC_AX)
     files["dgc"].write_text(stdout_of(["dualize", str(files["n5"])]))
     files["n8"].write_text(N8)
     files["n8dgc"].write_text(stdout_of(["dualize", str(files["n8"])]))

@@ -13,7 +13,16 @@ from helpers import (
     unchecked,
 )
 from htcas import structures
-from htcas.core import AxiomError, Element, GradedMap, GradedSpace, Word, letter_index, word_basis
+from htcas.core import (
+    AxiomError,
+    Element,
+    GradedMap,
+    GradedSpace,
+    ValidationError,
+    Word,
+    letter_index,
+    word_basis,
+)
 from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, linf_from_cdga
 from htcas.structures import (
     AInfCoalgebra,
@@ -262,26 +271,43 @@ def test_truncate_drops_noncycles_and_negatives():
     assert not T.ops
 
 
-def test_truncate_rejects_a_degree_zero_output_off_the_cycles():
+def test_truncate_reexpresses_a_degree_zero_output_in_the_cycle_basis():
     # ker(ell_1) in degree 0 is spanned by a + b and c, named a and c;
-    # ell_2(a + b, c) = a has a nonzero pivot coordinate but is no cycle
+    # ell_2(a, c) = a + b is the cycle named a
     space = GradedSpace.of([("mm", -1), ("a", 0), ("b", 0), ("c", 0), ("p", 1)])
-    with unchecked():
-        L = linf_from_tables(space, {
-            1: {("a",): [(1, "mm")], ("b",): [(-1, "mm")]},
-            2: {("a", "c"): [(1, "a")]},
-        })
-    with pytest.raises(ValueError, match="not an ell_1-cycle"):
-        truncate(L)
-    # the same bracket landing on the cycle a + b is re-expressed as a
-    with unchecked():
-        L = linf_from_tables(space, {
-            1: {("a",): [(1, "mm")], ("b",): [(-1, "mm")]},
-            2: {("a", "c"): [(1, "a")], ("b", "c"): [(1, "b")]},
-        })
+    L = linf_from_tables(space, {
+        1: {("a",): [(1, "mm")], ("b",): [(-1, "mm")]},
+        2: {("a", "c"): [(1, "a"), (1, "b")]},
+    })
     T = truncate(L)
     assert T.space.names == ("a", "c", "p")
     assert T.ops[2].images == {Word.wedge("a", "c"): Element.gen(T.space, "a")}
+
+
+def test_constructors_refuse_a_structure_map_of_the_wrong_shape():
+    # the parser's rule, on maps built in the library: a Delta_k image is a
+    # sum of tensor words of k letters, an ell_k value a sum of generators
+    sp = GradedSpace.of([("x", 3), ("y", 1)])
+    cop = GradedMap(sp, sp, 0, {Word.tensor("x"): Element.make(sp, [(1, "t", ("y", "y", "y"))])})
+    with pytest.raises(ValidationError,
+                       match=r"^Delta_2\(x\) has the word y\|y\|y, not a tensor word of 2 letters$"):
+        AInfCoalgebra(sp, {2: cop})
+    sp = GradedSpace.of([("a", 2), ("b", 3), ("c", 2)])
+    bracket = GradedMap(sp, sp, 0, {Word.wedge("a", "b"): Element.make(sp, [(1, "t", ("c", "b"))])},
+                        arity=2, in_kind="w")
+    with pytest.raises(ValidationError, match=r"^ell_2\(a\^b\) has the word c\|b, not a generator$"):
+        LInfAlgebra(sp, {2: bracket})
+    # and on input words of the arity: the text format has no line for
+    # Delta_2(y|z) and refuses l2 ( a ^ b ^ c )
+    sp = GradedSpace.of([("x", 4), ("y", 1), ("z", 2)])
+    cop = GradedMap(sp, sp, 0, {Word.tensor("y", "z"): Element.make(sp, [(1, "t", ("y", "z"))])})
+    with pytest.raises(ValidationError, match=r"^Delta_2 must act on tensor words of length 1$"):
+        AInfCoalgebra(sp, {2: cop})
+    sp = GradedSpace.of([("a", 2), ("b", 3), ("c", 4), ("d", 9)])
+    bracket = GradedMap(sp, sp, 0, {Word.wedge("a", "b", "c"): Element.gen(sp, "d")},
+                        arity=2, in_kind="w")
+    with pytest.raises(ValidationError, match=r"^ell_2 must act on wedge words of length 2$"):
+        LInfAlgebra(sp, {2: bracket})
 
 
 def test_truncate_applies_ell1_once_per_degree_zero_generator(monkeypatch):

@@ -179,9 +179,10 @@ def _hand_retract(big, diff, small, incl, proj, homotopy):
     ([("x", 0), ("y", 1)], {}, [("x'", 0)], {"x'": {"x": 1}}, {"x": {"x'": 1}},
      {"x": {"y": 1}}, "side condition h o i = 0 fails"),
     ([("x", 0)], {}, [], {}, {}, {}, "retract identity fails on x"),
-    # p d y = z' but d p y = 0, met at y before the identity fails on z
+    # p d y = z' but d p y = 0: a p that is no chain map breaks the retract
+    # identity, here on z
     ([("y", 1), ("z", 0), ("w", 0)], {"y": {"z": 1}}, [("z'", 0)], {"z'": {"w": 1}},
-     {"z": {"z'": 1}, "w": {"z'": 1}}, {"z": {"y": 1}}, "p is not a chain map"),
+     {"z": {"z'": 1}, "w": {"z'": 1}}, {"z": {"y": 1}}, "retract identity fails on z"),
     ([("b", 0), ("a", 1), ("c", 1)], {"a": {"b": 1}}, [("c'", 1)], {"c'": {"c": 1}},
      {"c": {"c'": 1}}, {"b": {"a": 1, "c": 1}}, "side condition p o h = 0 fails"),
     ([("b", 0), ("a", 1), ("e", 2)], {"a": {"b": 1}}, [], {}, {},
