@@ -39,7 +39,8 @@ parse(serialize(S)) round-trips for every kind but mc, which only
 `mapmodel --mc` reads; ordering is canonical and output is byte-stable.
 
 One table, `_COMMANDS`, states each subcommand once: its handler, help,
-positional files and options, from which `main` builds the argument parser.
+positional files and options, from which `main` builds the argument parser
+(the named command's alone when argv[0] names one).
 Every command reads a model through one loader, `_load(path, what, *kinds)`,
 which refuses any other kind as "<what> expects a <kinds> model, got
 <kind>"; the target of `mapmodel` and `hspace` is a linf model or a cdga
@@ -49,7 +50,9 @@ Exit codes: 0 ok, 1 usage, 2 parse/validation (a wrong model kind too), 3
 axiom failure, 4 bound exceeded (e.g. `mapmodel --emit bs|both` on a model
 with a bracket of arity 4 or more; stdout stays empty), 141 (128 + SIGPIPE)
 stdout closed early, with nothing on stderr.  `mapmodel --mc FILE` needs
-`--pointed`.
+`--pointed`.  `mapmodel --pointed` dualizes its source only through degree
+N + 1, N the top degree of the target's L (N + 2 with --mc), or through
+its `truncate` when that is lower; the printed model is the same.
 
 Each command imports only the engine modules it runs (`import htcas` itself
 is lazy), so a process compiles no more than it needs.  `check` on a cdga
@@ -569,6 +572,23 @@ def cmd_dualize(args) -> int:
     return 0
 
 
+def _pointed_cutoff(B: CDGA, top: int | None, L: LInfAlgebra, mc: bool) -> int | None:
+    """The dualization cutoff of a pointed model's source: its `truncate`
+    `top`, lowered to N + 1, N the top degree of L (N + 2 with an MC element,
+    which has degree -1).  A map c.x of degree >= 0 has |c| <= |x| <= N, and
+    C_{<=N+1}, the dual of B / B^{>N+1}, is a sub-DGC with C's degree blocks
+    through N and the boundaries from N + 1, so the printed model is the
+    same.  B^{>N+1} is an ideal only when every generator has positive
+    degree; otherwise, or on an empty L, `top` stands.  The cut never stands
+    in for a missing `truncate`, which FiniteCDGA asks for on even generators."""
+    degrees = B.gens.degrees()
+    if not L.space.dim or min(degrees, default=1) <= 0 or (
+            top is None and any(d % 2 == 0 for d in degrees)):
+        return top
+    cut = L.space.max_degree() + (2 if mc else 1)
+    return cut if top is None else min(top, cut)
+
+
 def cmd_mapmodel(args) -> int:
     if args.mc and not args.pointed:
         raise ValidationError("--mc applies to the pointed model only; add --pointed")
@@ -576,8 +596,10 @@ def cmd_mapmodel(args) -> int:
     L = _as_linf(args.yfile, f"{args.command} target")
     from .mapping import component_model, mapping_space_model, reduced_bs_cochain
 
-    C = dual_coalgebra(FiniteCDGA(xf.payload, max_cohom=xf.options.get("truncate")),
-                       counital=not args.pointed)
+    top = xf.options.get("truncate")
+    if args.pointed:
+        top = _pointed_cutoff(xf.payload, top, L, bool(args.mc))
+    C = dual_coalgebra(FiniteCDGA(xf.payload, max_cohom=top), counital=not args.pointed)
     mm = mapping_space_model(C, L, max_k=args.max_arity)
     model = mm.model
     if args.pointed:
@@ -641,12 +663,19 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = argparse.ArgumentParser(
         prog="htcas",
         description="exact homotopy-transfer computer algebra",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (fn, summary, files, options) in _COMMANDS.items():
+    # a process runs one command, so only its parser is built when argv[0]
+    # names one; the metavar keeps every choice in the top-level usage line
+    names = argv[:1] if argv and argv[0] in _COMMANDS else list(_COMMANDS)
+    every = "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=every if len(names) == 1 else None)
+    for name in names:
+        fn, summary, files, options = _COMMANDS[name]
         p = sub.add_parser(name, help=summary)
         for file in files:
             p.add_argument(file)

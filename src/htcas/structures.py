@@ -1,8 +1,9 @@
 """A-infinity coalgebras and L-infinity algebras as executable data, each
 checked once, when built: one whose defining relations fail is refused
 with an AxiomError, so every structure the engine holds is valid.  Each
-map's shape is checked there too (input words, and image words: tensor
-words of k letters for Delta_k, generators for ell_k), so each round-trips.
+map's shape is checked there too (canonical input words, and image words:
+tensor words of k letters for Delta_k, generators for ell_k), so each
+round-trips.
 
 Structure maps are stored unshifted: co-operations Delta_k : C -> C^{(x)k}
 of degree k-2 on plain basis words, brackets ell_k : Lambda^k L -> L of
@@ -59,6 +60,7 @@ from .core import (
     ValidationError,
     Word,
     apply_at,
+    canonical_word,
     from_coords,
     koszul_sign,
     letter_index,
@@ -90,8 +92,9 @@ class CheckReport:
 
 def _check_shapes(name: str, ops: dict[int, GradedMap], shape) -> None:
     """Refuse an op name_k of degree other than k - 2, on input words other
-    than `kind` words of `inputs` letters, or with an image word other than
-    a tensor word of `letters` letters, for (kind, inputs, letters) = shape(k)."""
+    than canonical `kind` words of `inputs` letters (maps are evaluated on
+    the canonical word), or with an image word other than a tensor word of
+    `letters` letters, for (kind, inputs, letters) = shape(k)."""
     for k, m in ops.items():
         kind, inputs, letters = shape(k)
         if m.degree != k - 2:
@@ -101,6 +104,10 @@ def _check_shapes(name: str, ops: dict[int, GradedMap], shape) -> None:
             words = {"t": "tensor", "w": "wedge"}[kind]
             raise ValidationError(f"{name}_{k} must act on {words} words of length {inputs}")
         for w, el in m.images.items():
+            cw = canonical_word(m.source, kind, w.factors)[0]
+            if cw != w:
+                why = "the word is zero" if cw is None else f"its canonical order is {cw!r}"
+                raise ValidationError(f"{name}_{k} is given on {w!r}, but {why}")
             for t in el.terms:
                 if (t.kind, len(t)) != ("t", letters):
                     want = "a generator" if letters == 1 else f"a tensor word of {letters} letters"

@@ -142,9 +142,35 @@ def test_check_command(capsys):
     assert code == 0 and "ok" in out
 
 
-def test_usage_error(capsys):
+def test_usage_error(capsys, monkeypatch):
+    # an argv that names no command builds every subparser, so the usage
+    # and the error list all eight; one that names a command builds its
+    # parser alone, under the same prog
+    monkeypatch.setenv("COLUMNS", "80")
+    choices = "{" + ",".join(cli._COMMANDS) + "}"
     code, out, err = run(["frobnicate"], capsys)
-    assert code == 1
+    assert (code, out) == (1, "")
+    *usage, error = err.splitlines()
+    assert usage == ["usage: htcas [-h]", f"             {choices}", "             ..."]
+    assert error.startswith("htcas: error: argument command: invalid choice: 'frobnicate' (")
+    assert re.findall(r"[\w-]+", error.partition("(choose from ")[2]) == list(cli._COMMANDS)
+    code, out, err = run(["mapmodel", "x"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("usage: htcas mapmodel [-h] [--pointed] [--mc MC]")
+    assert err.endswith("\nhtcas mapmodel: error: the following arguments are required: yfile\n")
+    # an unknown option is reported by the top-level parser, whose usage
+    # still lists every command
+    code, out, err = run(["mapmodel", "x", "y", "--bogus"], capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[1] == f"             {choices}"
+    # main() reads sys.argv when given no argv, as the console script calls it
+    x = str(MODELS / "example1_X.cdga")
+    monkeypatch.setattr(sys, "argv", ["htcas", "check", x])
+    assert main() == 0
+    assert capsys.readouterr().out == f"{x}: cdga ok (3 generators)\n"
+    monkeypatch.setattr(sys, "argv", ["htcas", "frobnicate"])
+    assert main() == 1
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
 
 def test_transfer_ainf_command(capsys, tmp_path):
@@ -195,12 +221,18 @@ def test_quillen_of_the_transferred_ainf_is_the_direct_route(capsys, tmp_path):
 
 def test_colliding_basis_names_are_named(capsys, tmp_path):
     # dotted names can give two Hom or Brown-Szczarba basis elements one
-    # name; the refusal names it and both (c, x) pairs
+    # name; the refusal names it and both (c, x) pairs.  w puts the top
+    # degree of L at 7, so the pointed source keeps a.b (degree 6)
     x = write(tmp_path, "ab.cdga", "kind cdga\ngen a : 3\ngen b : 3\n")
-    y = write(tmp_path, "y.cdga", "kind cdga\ngen x : 4\ngen b.x : 4\n")
+    y = write(tmp_path, "y.cdga", "kind cdga\ngen x : 4\ngen b.x : 4\ngen w : 8\n")
     assert run(["mapmodel", x, y, "--pointed", "--emit", "bs"], capsys) == (
         2, "", "validation failure: basis name \"a.b.x'\" is given to both "
                "(c, x) = (a, b.x') and (a.b, x')\n")
+    # without w the pointed source stops at degree 4, so (a.b, x'), of
+    # degree -3, is never built and a.b.x' names one map
+    y = write(tmp_path, "y3.cdga", "kind cdga\ngen x : 4\ngen b.x : 4\n")
+    code, out, err = run(["mapmodel", x, y, "--pointed", "--emit", "bs"], capsys)
+    assert code == 0 and "gen b.x.a : 1\n" in out
     # y and y' both give the generator name y.a in the reduced model
     y = write(tmp_path, "y.linf", "kind linf\ngen y : 5\ngen y' : 5\n")
     assert run(["mapmodel", x, y, "--pointed", "--emit", "bs"], capsys) == (
@@ -339,6 +371,11 @@ def test_bound_exceeded_exit_code(tmp_path, capsys):
     p = write(tmp_path, "even.cdga", "kind cdga\ngen u : 2\n")
     code, out, err = run(["dualize", p], capsys)
     assert code == 4 and "truncate" in err
+    # the pointed model's cut at the target's top degree never stands in
+    # for the missing directive
+    y = str(MODELS / "example1_Y.cdga")
+    assert run(["mapmodel", p, y, "--pointed"], capsys) == (
+        4, "", "bound exceeded: dualizing a CDGA with even generators needs `truncate <N>`\n")
 
 
 def test_refused_bs_model_leaves_stdout_empty(tmp_path, capsys):

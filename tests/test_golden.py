@@ -64,19 +64,23 @@ def test_outputs_are_byte_identical(tmp_path):
 
 # the benchmark's n4 and n5 sources (Lambda(a3, b3, c5, e3), dc = ab, and
 # n4 + f5 with df = ae), six free 3-spheres s3x6 (whose degree-0 cycle block
-# has dimension 6), n8 (n5 + g3, h5 with dh = bg), two free 3-spheres ab
-# into xyzt (dz = xy, dt = xz) with the Maurer-Cartan element a.x' of
-# mc_ax, their argv with {n4}, {n5}, {s3x6}, {ab}, {xyzt}, {mc_ax}, {dgc} =
-# the dualized n5, {n8dgc} = the dualized n8, and the sha256 of stdout
+# has dimension 6), n8 (n5 + g3, h5 with dh = bg), n9 (n8 + k3, m5 with
+# dm = ek), two free 3-spheres ab into xyzt (dz = xy, dt = xz) with the
+# Maurer-Cartan element a.x' of mc_ax, the target y4 (example1_Y + u22 with
+# du = yt), their argv with {n4}, {n5}, {s3x6}, {n8}, {n9}, {ab}, {xyzt},
+# {mc_ax}, {y4}, {dgc} = the dualized n5, {n8dgc} = the dualized n8, and
+# the sha256 of stdout
 N4 = "kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\nd c = + a^b\n"
 N5 = ("kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\ngen f : 5\n"
       "d c = + a^b\nd f = + a^e\n")
 S3X6 = "kind cdga\n" + "".join(f"gen {g} : 3\n" for g in "abcefg")
 N8 = ("kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\ngen f : 5\ngen g : 3\n"
       "gen h : 5\nd c = + a^b\nd f = + a^e\nd h = + b^g\n")
+N9 = N8 + "gen k : 3\ngen m : 5\nd m = + e^k\n"
 AB = "kind cdga\ngen a : 3\ngen b : 3\n"
 XYZT = "kind cdga\ngen x : 3\ngen y : 3\ngen z : 5\ngen t : 7\nd z = x^y\nd t = x^z\n"
 MC_AX = "kind mc\ngen a.x' : -1\nmc = a.x'\n"
+U22 = "gen u : 22\nd u = y^t\n"
 GOLDEN_N = [
     (["mapmodel", "{n4}", Y1, "--pointed", "--emit", "both", "--max-arity", "4"],
      "d6f3ac17e9a69bc11a5897479a4638cf633764951d358835c894341099a24130"),
@@ -99,6 +103,12 @@ GOLDEN_N = [
     # l1 ( b.z' ) = - a.b.t' and d t.a.b = - z.b
     (["mapmodel", "{ab}", "{xyzt}", "--pointed", "--emit", "both", "--max-arity", "3",
       "--mc", "{mc_ax}"], "94f4563333a57872cdcf3dea6f83a199a2aff6d111a36366ccf2ffea819ffe87"),
+    # pointed, these dualize their sources only through degrees 16 and 22:
+    # the cut n9 has dim C 235 of 511
+    (["mapmodel", "{n9}", Y1, "--pointed", "--emit", "both"],
+     "613428ada0763392dc35f2c19eda57f38f29506afac63353cb7c57ba4e055b8b"),
+    (["mapmodel", "{n8}", "{y4}", "--pointed", "--emit", "linf"],
+     "65f602f56c1bdd0df5ae0482a71bc5402b19bbe94c5a2e5dea35b453ad5ad34d"),
 ]
 
 
@@ -108,6 +118,7 @@ def test_benchmark_models_are_byte_identical(tmp_path):
              "n4": tmp_path / "n4.cdga", "n5": tmp_path / "n5.cdga",
              "s3x6": tmp_path / "s3x6.cdga", "dgc": tmp_path / "n5.dgc",
              "n8": tmp_path / "n8.cdga", "n8dgc": tmp_path / "n8.dgc",
+             "n9": tmp_path / "n9.cdga", "y4": tmp_path / "y4.cdga",
              "ab": tmp_path / "ab.cdga", "xyzt": tmp_path / "xyzt.cdga",
              "mc_ax": tmp_path / "ax.mc"}
     files["n4"].write_text(N4)
@@ -118,7 +129,93 @@ def test_benchmark_models_are_byte_identical(tmp_path):
     files["mc_ax"].write_text(MC_AX)
     files["dgc"].write_text(stdout_of(["dualize", str(files["n5"])]))
     files["n8"].write_text(N8)
+    files["n9"].write_text(N9)
+    files["y4"].write_text(files["Y1"].read_text() + U22)
     files["n8dgc"].write_text(stdout_of(["dualize", str(files["n8"])]))
     for args, want in GOLDEN_N:
         argv = [a.format(**files) for a in args]
         assert hashlib.sha256(stdout_of(argv).encode()).hexdigest() == want, args
+
+
+# models of the cut-and-whole comparison: the Heisenberg nilmanifold, four
+# free 3-spheres, a source with a generator of degree -1, and S^2
+HEIS = "kind cdga\ngen a : 1\ngen b : 1\ngen c : 1\nd c = a^b\n"
+S3X4 = "kind cdga\n" + "".join(f"gen {g} : 3\n" for g in "abce")
+NEG = "kind cdga\ngen a : -1\ngen b : 3\ngen c : 5\n"
+S2 = "kind cdga\ngen v : 2\ngen w : 3\nd w = v^v\n"
+
+
+def whole_source_model(x, y, emit, max_k=None, mc=None):
+    """`mapmodel X Y --pointed` through the engine on the whole source."""
+    from htcas.core import Element
+    from htcas.functors import FiniteCDGA, dual_coalgebra, linf_from_cdga
+    from htcas.mapping import component_model, mapping_space_model, reduced_bs_cochain
+
+    xf = cli.parse(x)
+    L = linf_from_cdga(cli.parse(y).payload)
+    C = dual_coalgebra(FiniteCDGA(xf.payload, max_cohom=xf.options.get("truncate")),
+                       counital=False)
+    mm = mapping_space_model(C, L, max_k=max_k)
+    phi = (Element.zero(mm.model.space) if mc is None
+           else Element(mm.model.space, dict(cli.parse(mc).payload.terms)))
+    model = component_model(mm.model, phi)
+    texts = [cli.serialize(model)] if emit != "bs" else []
+    if emit != "linf":
+        texts.append(cli.serialize(reduced_bs_cochain(model, mm.homology, L.space)))
+    return "".join(texts)
+
+
+def test_pointed_cut_matches_the_whole_source(tmp_path, monkeypatch):
+    # mapmodel --pointed dualizes its source only through degree N + 1, N
+    # the top degree of the target's L (N + 2 with --mc), and prints the
+    # whole source's model byte for byte, though the derived arity cap then
+    # reads the cut homology (the caps of both runs are recorded, cut first)
+    from htcas import mapping
+
+    cutoffs, caps = [], []
+    finite, cap = cli.FiniteCDGA, mapping.mapping_arity_cap
+
+    def recorded_cutoff(B, max_cohom):
+        cutoffs.append(max_cohom)
+        return finite(B, max_cohom=max_cohom)
+
+    def recorded_cap(C, small):
+        caps.append(cap(C, small))
+        return caps[-1]
+
+    monkeypatch.setattr(cli, "FiniteCDGA", recorded_cutoff)
+    monkeypatch.setattr(mapping, "mapping_arity_cap", recorded_cap)
+    files = {"Y1": MODELS / "example1_Y.cdga"}
+    for name, text in (("n8", N8), ("heis", HEIS), ("s3x4", S3X4), ("neg", NEG), ("ab", AB),
+                       ("s5", "kind cdga\ngen a : 5\n"),
+                       ("xyzt", XYZT), ("mc_ax", MC_AX), ("s2", S2), ("point", "kind cdga\n")):
+        files[name] = tmp_path / name
+        files[name].write_text(text)
+    files["y4"] = tmp_path / "y4"
+    files["y4"].write_text(files["Y1"].read_text() + U22)
+    cases = [
+        # y4's L tops out at u' (21); the derived cap falls from 12 to 9
+        ("n8", "y4", "linf", None, None, 22, [9, 12]),
+        # degree-1 generators derive no cap; the cut at 16 keeps all of Heis
+        ("heis", "Y1", "linf", 4, None, 16, [None, None]),
+        # phi = a.x' has degree -1: xyzt's L tops out at t' (6), so the cut
+        # is 8, below the source's top degree 12, and the cap falls from 5 to 2
+        ("s3x4", "xyzt", "both", None, "mc_ax", 8, [2, 5]),
+        # B^{>N+1} is no ideal when a generator has degree -1: cut at 7, this
+        # source's dual fails coassociativity, so it stays whole
+        ("neg", "xyzt", "linf", 3, None, None, [None, None]),
+        # S^2's L tops out at w' (2): the cut at 3 leaves S^5 no cells at all
+        ("s5", "s2", "both", None, None, 3, [2, 2]),
+        # a point as the target has no top degree, and the source stays whole
+        ("ab", "point", "both", None, None, None, [2, 2]),
+    ]
+    for x, y, emit, max_k, mc, cutoff, want_caps in cases:
+        cutoffs.clear()
+        caps.clear()
+        argv = ["mapmodel", str(files[x]), str(files[y]), "--pointed", "--emit", emit]
+        argv += ["--max-arity", str(max_k)] if max_k else []
+        argv += ["--mc", str(files[mc])] if mc else []
+        cut = stdout_of(argv)
+        whole = whole_source_model(str(files[x]), str(files[y]), emit, max_k,
+                                   mc and str(files[mc]))
+        assert (cut, cutoffs, caps) == (whole, [cutoff], want_caps), x

@@ -308,6 +308,19 @@ def test_constructors_refuse_a_structure_map_of_the_wrong_shape():
                         arity=2, in_kind="w")
     with pytest.raises(ValidationError, match=r"^ell_2 must act on wedge words of length 2$"):
         LInfAlgebra(sp, {2: bracket})
+    # and on canonical input words only: a map is evaluated on the canonical
+    # word, so ell_2 on b^a was never read, yet serialized as l2 ( b ^ a )
+    sp = GradedSpace.of([("a", 2), ("b", 3), ("c", 5)])
+    bracket = GradedMap(sp, sp, 0, {Word.wedge("b", "a"): Element.gen(sp, "c")},
+                        arity=2, in_kind="w")
+    with pytest.raises(ValidationError,
+                       match=r"^ell_2 is given on b\^a, but its canonical order is a\^b$"):
+        LInfAlgebra(sp, {2: bracket})
+    sp = GradedSpace.of([("a", 2), ("c", 4)])
+    bracket = GradedMap(sp, sp, 0, {Word.wedge("a", "a"): Element.gen(sp, "c")},
+                        arity=2, in_kind="w")
+    with pytest.raises(ValidationError, match=r"^ell_2 is given on a\^a, but the word is zero$"):
+        LInfAlgebra(sp, {2: bracket})
 
 
 def test_truncate_applies_ell1_once_per_degree_zero_generator(monkeypatch):
