@@ -17,8 +17,8 @@ axioms, which their constructor checks once, when built, and this
 convention is pinned by the dual-coalgebra tests.  The dual basis is named
 by one rule, the monomial's factors joined by dots (`one` for the unit).
 The reduced dual is the same construction on the non-unit monomials.  The
-direct Quillen differential reads the canonical retract of
-`transfer.canonical_retract`.
+direct Quillen differential is `transfer.retract_recursion` through the
+canonical retract.
 
 A free graded Lie element is a plain Element, its expansion in the tensor
 algebra (faithful in characteristic zero); zero tests are exact and
@@ -124,7 +124,9 @@ class FiniteCDGA:
     cohomological degree <= max_cohom; the input to dualization.  Without
     `max_cohom` the cutoff is the top monomial's degree, which exists only
     when every generator is odd.  An even generator whose powers never
-    pass the cutoff is refused."""
+    pass the cutoff is refused, and so is a cutoff N that is no dg-ideal
+    cut: one with a monomial m above N whose product with a generator g of
+    negative degree falls back to N or below (N < |m| <= N - |g|)."""
 
     def __init__(self, parent: CDGA, max_cohom: int | None = None):
         for g, deg in parent.gens.basis:
@@ -135,6 +137,15 @@ class FiniteCDGA:
                                  f"{deg} never pass the degree cutoff")
         if max_cohom is None:
             max_cohom = sum(d for d in parent.gens.degrees() if d > 0)
+        for g, deg in parent.gens.basis:
+            # g is odd, as an even generator of degree <= 0 is refused above
+            for fs in parent.monomial_basis(max_cohom - deg) if deg < 0 else ():
+                top = sum(map(parent.gens.degree, fs))
+                if g not in fs and top > max_cohom:
+                    raise ValidationError(
+                        f"truncate {max_cohom} cuts no dg ideal: the monomial "
+                        f"{'.'.join(fs) or 'one'} of degree {top} lies above it, but its "
+                        f"product with the generator {g} of degree {deg} does not")
         self.parent = parent
         self.max_cohom = max_cohom
         self.monomials = parent.monomial_basis(max_cohom)
@@ -349,60 +360,39 @@ def quillen(C: AInfCoalgebra) -> FreeLieDGL:
 
 def quillen_differential_direct(C: AInfCoalgebra) -> FreeLieDGL:
     """Quillen-minimal differential straight from the canonical retract of
-    a DGC (`transfer.canonical_retract`): on s^{-1}h it is
-    (1/2) sum (-1)^{|z'|} [lam z', lam z''] over the coproduct of h, with lam
-    recursing through the homotopy inverse of the differential on the
-    A-part of the homology decomposition.
-
-    lam(e) is the H-part p(e) plus the bracket halves of Delta(sum c_j a_j),
-    where c_j is the dA_j-coefficient of e.  The canonical homotopy kills A
-    and H and sends da_j to a_j, so h(e) = sum c_j a_j itself: lam needs no
-    solve.  lam is linear and only ever evaluated on generators, so it is
-    computed once per generator.  Each term brackets two nonzero elements,
-    so the model is minimal.
+    a DGC: on s^{-1}h it is the bracket halves
+    (1/2) sum (-1)^{|z'|} [lam z', lam z''] of Delta(h), where lam(c) is
+    s^{-1}p(c) plus the bracket halves of Delta(h(c)), the recursion
+    `transfer.retract_recursion` with no key.  Each term brackets two
+    nonzero elements, so the model is minimal.
     """
     if not C.is_dgc:
         raise ValueError("the direct recursion needs a DGC")
     _quillen_hypotheses(C, "the direct recursion")
     space = C.space
 
-    from .transfer import canonical_retract
+    from .transfer import canonical_retract, retract_recursion
 
     r = canonical_retract(C)
     small = r.small.space
     gens = small.suspend(-1)
-    memo: dict[str, Element] = {}
 
-    def bracket_halves(cop: Element, depth: int) -> Element:
-        """(1/2) sum (-1)^{|z'|} [lam z', lam z''] over a coproduct value."""
+    def bracket_halves(_, el: Element, lam) -> Element:
+        """(1/2) sum (-1)^{|z'|} [lam z', lam z''] over Delta(el)."""
         parts = []
-        for w, c in cop.terms.items():
+        for w, c in C.delta(2).apply(el).terms.items():
             zl, zr = w.factors
             sign = -1 if space.degree(zl) % 2 else 1
-            left = lam(zl, depth)
-            right = lam(zr, depth)
+            left = lam(None, zl)
+            right = lam(None, zr)
             if left and right:
                 parts.append((Fraction(1, 2) * sign * c, lie_bracket(left, right)))
         return lincomb(gens, parts)
 
-    def lam(name: str, depth: int) -> Element:
-        if name in memo:
-            return memo[name]
-        if depth > space.dim + 2:
-            raise ValidationError("non-terminating recursion")
-        w = Word.tensor(name)
-        parts = [(c, Element.gen(gens, pw.factors[0]))
-                 for pw, c in r.proj.apply_word(w).terms.items()]
-        ha = r.homotopy.apply_word(w)
-        if ha:
-            parts.append((1, bracket_halves(C.delta(2).apply(ha), depth + 1)))
-        out = memo[name] = lincomb(gens, parts)
-        return out
-
+    lam = retract_recursion(r, gens, lambda _, h: Element.gen(gens, h), bracket_halves)
     diff: dict[str, Element] = {}
     for nm in small.names:
-        rep = r.incl.apply_word(Word.tensor(nm))
-        total = bracket_halves(C.delta(2).apply(rep), 0)
+        total = bracket_halves(None, r.incl.apply_word(Word.tensor(nm)), lam)
         if total:
             diff[nm] = total
     return FreeLieDGL(gens, diff)

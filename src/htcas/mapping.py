@@ -20,8 +20,9 @@ checks the Maurer-Cartan equation itself.  The cochain functor of the
 transferred structure, with generators renamed v.h from the spaces of H
 and of L that `reduced_bs_cochain` takes, is the reduced Brown-Szczarba
 model; the same differential is also computed by the direct substitution
-recursion on (Lambda V (x) dual basis), and the two routes agreeing
-generator by generator is the strongest correctness check in the package.
+recursion on (Lambda V (x) dual basis), `transfer.retract_recursion`, and
+the two routes agreeing generator by generator is the strongest
+correctness check in the package.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .core import (
     Element,
     GradedMap,
     GradedSpace,
-    ValidationError,
     Word,
     canonical_word,
     derived_names,
@@ -59,6 +59,7 @@ from .transfer import (
     hom_name,
     hom_retract,
     hom_space,
+    retract_recursion,
     transfer_linf,
 )
 
@@ -212,7 +213,9 @@ def reduced_bs_cochain(model: LInfAlgebra, source: GradedSpace, target: GradedSp
 
 def reduced_bs_direct(B: FiniteCDGA, A: CDGA) -> CDGA:
     """The differential on Lambda(V (x) H) by expanding dv against iterated
-    coproducts and eliminating the A and dA parts of the dual recursively.
+    coproducts, each factor v.c split over the canonical retract of the
+    dual by `transfer.retract_recursion`: H passes through, A dies, dA
+    substitutes dv expanded over h(c).
 
     B is the finite model of the source, A = (Lambda V, d) the Sullivan
     model of the target.  Returns the CDGA on generators v.h, h running over
@@ -236,58 +239,29 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA) -> CDGA:
     longest = max((len(w) for dv in A.diff.values() for w in dv.terms), default=1)
     cops = [GradedMap.identity(csp), *itertools.islice(iterated_coproducts(C), longest - 1)]
 
-    def expand(vfactors: tuple[str, ...], c_el: Element, depth: int) -> Element:
-        """Sum of products (v_1.c^1)...(v_n.c^n) over the (n-1)-fold
-        coproduct of c_el, with A parts dropped and dA parts replaced."""
-        if depth > csp.dim + 2:
-            raise ValidationError("non-terminating substitution")
-        n = len(vfactors)
-        vdegs = [A.gens.degree(v) for v in vfactors]
-        split = cops[n - 1].apply(c_el)
+    def expand(v: str, c_el: Element, factor) -> Element:
+        """dv expanded over c_el: for each word v_1...v_n of dv, the sum of
+        the products (v_1.c^1)...(v_n.c^n) over Delta^{(n-1)}(c_el)."""
         parts = []
-        for cw, co in split.terms.items():
-            sign = threading_sign([csp.degree(cf) for cf in cw.factors], vdegs)
-            prod = unit
-            for v, cf in zip(vfactors, cw.factors):
-                prod = prod.times(factor_of(v, cf, depth))
-                if not prod:
-                    break
-            if prod:
-                parts.append((sign * co, prod))
+        for mw, mc in (A.diff[v].terms.items() if v in A.diff else ()):
+            vdegs = [A.gens.degree(u) for u in mw.factors]
+            for cw, co in cops[len(mw) - 1].apply(c_el).terms.items():
+                sign = threading_sign([csp.degree(cf) for cf in cw.factors], vdegs)
+                prod = unit
+                for u, cf in zip(mw.factors, cw.factors):
+                    prod = prod.times(factor(u, cf))
+                    if not prod:
+                        break
+                if prod:
+                    parts.append((mc * sign * co, prod))
         return lincomb(bs, parts)
 
-    factors: dict[tuple[str, str], Element] = {}
-
-    def factor_of(v: str, cf: str, depth: int) -> Element:
-        """The factor v.c with c a source basis element, split over the
-        decomposition: H passes through, A dies, dA substitutes.
-
-        The canonical homotopy kills A and H and sends da_j to a_j, so h(c)
-        is the element whose differential is the dA part of c: it is read
-        directly, without splitting c first.  It is stored when the call
-        returns, so a non-terminating substitution meets the depth guard."""
-        if (v, cf) in factors:
-            return factors[v, cf]
-        e = Element.gen(csp, cf)
-        parts = [(hco, Element.gen(bs, name[hw.factors[0], v]))
-                 for hw, hco in r.proj.apply(e).terms.items()]
-        dv = A.diff.get(v)
-        a_el = r.homotopy.apply(e) if dv else None
-        if a_el:
-            parts += [(mc, expand(mw.factors, a_el, depth + 1))
-                      for mw, mc in dv.terms.items()]
-        factors[v, cf] = out = lincomb(bs, parts)
-        return out
-
+    factor = retract_recursion(r, bs, lambda v, h: Element.gen(bs, name[h, v]), expand)
     diff: dict[str, Element] = {}
     for h in hsp.names:
         h_el = r.incl.apply_word(Word.tensor(h))
         for v in A.gens.names:
-            dv = A.diff.get(v)
-            if not dv:
-                continue
-            total = lincomb(bs, [(mc, expand(mw.factors, h_el, 0))
-                                 for mw, mc in dv.terms.items()])
+            total = expand(v, h_el, factor)
             if total:
                 diff[name[h, v]] = total
     return CDGA(bs, diff)

@@ -9,8 +9,10 @@ decomposition and the canonical retract work one degree block at a
 time: a few RREFs of each block of d, and one inverse of each block of
 the basis matrix of A + dA + H.  `canonical_retract` is
 the one place that builds the canonical retract of a coalgebra, and
-`hom_retract` induces a retract on Hom(C, L) by precomposition, the one
-rule (`_precompose`) that also gives the f o delta term of `hom_complex`.
+`retract_recursion` the one recursion through it that the direct Quillen
+and Brown-Szczarba routes run.  `hom_retract` induces a retract on
+Hom(C, L) by precomposition, the one rule (`_precompose`) that also gives
+the f o delta term of `hom_complex`.
 
 Transfer is computed in the suspension-normalized world of `structures`
 (all ops degree -1), where the transfer formulas carry no signs beyond
@@ -43,6 +45,7 @@ from . import linalg
 from .core import (
     ONE,
     ZERO,
+    AxiomError,
     BoundError,
     Element,
     GradedMap,
@@ -73,7 +76,7 @@ class ChainComplex:
     def __init__(self, space: GradedSpace, diff: GradedMap):
         for n in space.names:
             if diff.apply(diff.apply_word(Word.tensor(n))):
-                raise ValidationError(f"d^2 != 0 on generator {n}")
+                raise AxiomError(f"d^2 != 0 on generator {n}")
         self.space = space
         self.diff = diff
 
@@ -273,6 +276,43 @@ def canonical_retract(C: AInfCoalgebra) -> HomotopyRetract:
     of its homology decomposition.  Every pipeline that retracts a
     coalgebra takes it from here."""
     return retract_from_decomposition(homology_decomposition(ChainComplex(C.space, C.delta(1))))
+
+
+def retract_recursion(r: HomotopyRetract, out: GradedSpace, leaf, substitute):
+    """The one recursion through the canonical retract r that both direct
+    routes run, the Quillen differential and the reduced Brown-Szczarba
+    model: on a basis element c of the big space and a key,
+
+        f(key, c) = sum_{h in p(c)} leaf(key, h) + substitute(key, h(c), f'),
+
+    in `out`, where f' is f one level deeper.  The canonical homotopy kills
+    A and H and sends da_j to a_j, so h(c) is the element whose differential
+    is the dA part of c: it is read directly, and c is never split by a
+    solve.  f is memoized per (key, c), stored when the call returns, so a
+    substitution that asks for an unfinished value meets the depth guard at
+    dim + 2 rather than recursing without end.  Returns f at depth 0.
+    """
+    memo: dict = {}
+    limit = r.big.space.dim + 2
+
+    def at(depth: int):
+        def f(key, c: str) -> Element:
+            if (key, c) in memo:
+                return memo[key, c]
+            if depth > limit:
+                raise ValidationError(f"the recursion through the retract passes depth "
+                                      f"{limit} = dim + 2 without terminating")
+            w = Word.tensor(c)
+            parts = [(co, leaf(key, hw.factors[0]))
+                     for hw, co in r.proj.apply_word(w).terms.items()]
+            a = r.homotopy.apply_word(w)
+            if a:
+                parts.append((1, substitute(key, a, at(depth + 1))))
+            memo[key, c] = value = lincomb(out, parts)
+            return value
+        return f
+
+    return at(0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ are their duals.
 The dense reference loops at the end evaluate the convolution, the
 Maurer-Cartan twist and the truncation on every wedge word of the space,
 and build the homology decomposition, its retract, the direct Quillen
-differential and the dual coalgebra by full-width solves; the tests compare
-the engine against them image by image.  The kernel references after them
+differential, the direct reduced Brown-Szczarba differential and the dual
+coalgebra by full-width solves; the tests compare the engine against them
+image by image.  The kernel references after them
 are the routes the kernel replaced: the materialized tensor product of
 maps (for `apply_at`), the derivation built as products of prefix and
 suffix Elements (for `core.derivation`), and the all-combinations merge of
@@ -682,6 +683,78 @@ def dense_quillen_direct(C: AInfCoalgebra, dec) -> FreeLieDGL:
     if not out.is_minimal:
         raise ValueError("direct Quillen differential has a linear part")
     return out
+
+
+def dense_bs_direct(B: FiniteCDGA, A: CDGA) -> CDGA:
+    """The reduced Brown-Szczarba differential with each factor v.c split by
+    a fresh solve against the A + dA basis of the dense decomposition, no
+    value stored, and Delta^{(n-1)} taken as (id (x) Delta^{(n-2)}) o Delta
+    (reference for `mapping.reduced_bs_direct`)."""
+    C = dual_coalgebra(B, counital=False)
+    space = C.space
+    words = [Word.tensor(n) for n in space.names]
+    dec = dense_decomposition(ChainComplex(space, C.delta(1)))
+    r = dense_retract(dec)
+    small = r.small.space
+    bs = GradedSpace.of([(bs_name(h, v), A.gens.degree(v) - small.degree(h))
+                         for h in small.names for v in A.gens.names])
+    basis = [coords(a, words) for a in dec.a_part]
+    basis += [coords(C.delta(1).apply(a), words) for a in dec.a_part]
+    cols = [[vec[i] for vec in basis] for i in range(space.dim)]
+
+    def split(el: Element, n: int) -> Element:
+        """Delta^{(n-1)}(el), splitting off the first factor each time."""
+        if n == 1:
+            return el
+        total = Element.zero(space)
+        for w, c in C.delta(2).apply(el).terms.items():
+            head, tail = w.factors
+            for t, ct in split(Element.gen(space, tail), n - 1).terms.items():
+                total = total + Element.make(space, [(c * ct, "t", (head, *t.factors))])
+        return total
+
+    def expand(v: str, el: Element, depth: int) -> Element:
+        """dv over el: the products (v_1.c^1)...(v_n.c^n) over Delta^{(n-1)}(el),
+        each signed by (-1)^{|c^i||v_j|} for i < j."""
+        total = Element.zero(bs)
+        for mw, mc in A.diff[v].terms.items():
+            n = len(mw)
+            for cw, co in split(el, n).terms.items():
+                cdegs = [space.degree(cf) for cf in cw.factors]
+                vdegs = [A.gens.degree(u) for u in mw.factors]
+                odd = sum(cdegs[i] * vdegs[j] for i in range(n) for j in range(i + 1, n)) % 2
+                prod = Element(bs, {Word.mono(): 1})
+                for u, cf in zip(mw.factors, cw.factors):
+                    prod = prod.times(factor(u, Element.gen(space, cf), depth))
+                total = total + (-mc * co if odd else mc * co) * prod
+        return total
+
+    def factor(v: str, el: Element, depth: int) -> Element:
+        """v.el: the H part passes through, A dies, dA substitutes dv."""
+        if depth > space.dim + 2:
+            raise RuntimeError("non-terminating substitution")
+        proj = r.proj.apply(el)
+        out = Element.zero(bs)
+        for w, c in proj.terms.items():
+            out = out + c * Element.gen(bs, bs_name(w.factors[0], v))
+        rest = coords(el - r.incl.apply(proj), words)
+        if any(rest) and v in A.diff:
+            sol = linalg.solve(cols, rest)
+            if sol is None:
+                raise ValueError("element outside A + dA + H")
+            a_el = Element.zero(space)
+            for cj, a in zip(sol[len(dec.a_part):], dec.a_part):
+                a_el = a_el + cj * a
+            out = out + expand(v, a_el, depth + 1)
+        return out
+
+    diff = {}
+    for h in small.names:
+        for v in A.diff:
+            total = expand(v, r.incl.apply_word(Word.tensor(h)), 0)
+            if total:
+                diff[bs_name(h, v)] = total
+    return CDGA(bs, diff)
 
 
 def dense_dual_coalgebra(B: FiniteCDGA) -> tuple[AInfCoalgebra, AInfCoalgebra]:

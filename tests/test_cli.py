@@ -390,6 +390,24 @@ def test_refused_bs_model_leaves_stdout_empty(tmp_path, capsys):
         assert code == 4 and out == "" and "a nonzero arity-4 bracket is present" in err, emit
 
 
+def test_truncate_that_cuts_no_dg_ideal_is_refused(tmp_path, capsys):
+    # B^{>7} of Lambda(a-1, b3, c5) holds b.c (degree 8) but not a.b.c
+    # (degree 7), so the cut is no dg ideal and its dual failed its own
+    # A-infinity check (exit 3); it is refused by name, and the default
+    # cutoff, the top monomial's degree 8, still dualizes
+    gens = "kind cdga\ngen a : -1\ngen b : 3\ngen c : 5\n"
+    y = write(tmp_path, "xyzt.cdga", "kind cdga\ngen x : 3\ngen y : 3\ngen z : 5\ngen t : 7\n"
+                                     "d z = x^y\nd t = x^z\n")
+    cut = write(tmp_path, "cut.cdga", gens + "truncate 7\n")
+    whole = write(tmp_path, "whole.cdga", gens)
+    err = ("validation failure: truncate 7 cuts no dg ideal: the monomial b.c of degree 8 "
+           "lies above it, but its product with the generator a of degree -1 does not\n")
+    for command, rest in {"dualize": [], "mapmodel": [y, "--pointed", "--max-arity", "3"]}.items():
+        assert run([command, cut, *rest], capsys) == (2, "", err), command
+        code, out, _ = run([command, whole, *rest], capsys)
+        assert code == 0 and out, command
+
+
 def test_non_positive_even_generator_is_refused(tmp_path):
     # the powers of an even generator of degree <= 0 never pass the degree
     # cutoff; run in a child with a timeout, so a hang fails instead of

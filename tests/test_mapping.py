@@ -9,10 +9,12 @@ import pytest
 from helpers import (
     CUBIC_Y,
     convolution,
+    dense_bs_direct,
     dense_convolution,
     linf_merge_candidates,
     dense_perturb,
     dense_truncate,
+    oracle_sources,
     paper_bs_direct,
     paper_dual,
     parity_involution,
@@ -252,6 +254,18 @@ def test_route_agreement_randomized():
         done += 1
 
 
+def test_bs_direct_matches_the_dense_substitution():
+    # route 2 on its own, not through the cochain route: every oracle source
+    # (n4 and n5 among them) into three targets, against fresh solves and no
+    # stored value
+    for tag, B in oracle_sources():
+        for label, Y in (("example1_Y", EX1_Y), ("CUBIC_Y", CUBIC_Y), ("Y4", Y4)):
+            got, want = reduced_bs_direct(B, Y), dense_bs_direct(B, Y)
+            assert got.gens == want.gens, (tag, label)
+            for g in got.gens.names:
+                assert got.diff.get(g) == want.diff.get(g), (tag, label, g)
+
+
 def test_conilpotence_two_binary_shortcut():
     # the convolution ell_k is built from Delta^{(k-1)}, so a source with
     # Delta^{(2)} = 0 gives no bracket of arity >= 3 and the transfer meets
@@ -366,6 +380,9 @@ def test_mapping_model_n4_at_derived_cap():
 
 EX1_Y = CDGA.of([("x", 4), ("y", 7), ("z", 10), ("t", 16)],
                 {"z": [(1, ("x", "y"))], "t": [(1, ("y", "z"))]})
+# example1_Y with a fourth stage u22, du = yt
+Y4 = CDGA.of([("x", 4), ("y", 7), ("z", 10), ("t", 16), ("u", 22)],
+             {"z": [(1, ("x", "y"))], "t": [(1, ("y", "z"))], "u": [(1, ("y", "t"))]})
 
 
 def _ex1_dual():

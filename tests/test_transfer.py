@@ -14,7 +14,7 @@ from helpers import (
     oracle_sources,
 )
 from htcas import linalg
-from htcas.core import Element, GradedMap, GradedSpace, ValidationError, Word, lincomb
+from htcas.core import AxiomError, Element, GradedMap, GradedSpace, ValidationError, Word, lincomb
 from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, quillen_differential_direct
 from htcas.mapping import convolution_linf, mapping_arity_cap
 from htcas.structures import (
@@ -33,6 +33,7 @@ from htcas.transfer import (
     homology_decomposition,
     linf_transfer_cap,
     retract_from_decomposition,
+    retract_recursion,
     transfer_ainf,
     transfer_linf,
 )
@@ -170,32 +171,34 @@ def _hand_retract(big, diff, small, incl, proj, homotopy):
                            table(S, B, 0, incl), table(B, S, 0, proj), table(B, B, 1, homotopy))
 
 
-@pytest.mark.parametrize("big, diff, small, incl, proj, homotopy, message", [
+@pytest.mark.parametrize("big, diff, small, incl, proj, homotopy, error, message", [
     ([("x", 0)], {}, [("x'", 0)], {"x'": {"x": 1}}, {}, {},
-     "p o i is not the identity"),
+     ValueError, "p o i is not the identity"),
     ([("x", 1), ("y", 0)], {"x": {"y": 1}}, [("x'", 1), ("y'", 0)],
      {"x'": {"x": 1}, "y'": {"y": 1}}, {"x": {"x'": 1}, "y": {"y'": 1}}, {},
-     "i is not a chain map"),
+     ValueError, "i is not a chain map"),
     ([("x", 0), ("y", 1)], {}, [("x'", 0)], {"x'": {"x": 1}}, {"x": {"x'": 1}},
-     {"x": {"y": 1}}, "side condition h o i = 0 fails"),
-    ([("x", 0)], {}, [], {}, {}, {}, "retract identity fails on x"),
+     {"x": {"y": 1}}, ValueError, "side condition h o i = 0 fails"),
+    ([("x", 0)], {}, [], {}, {}, {}, ValueError, "retract identity fails on x"),
     # p d y = z' but d p y = 0: a p that is no chain map breaks the retract
     # identity, here on z
     ([("y", 1), ("z", 0), ("w", 0)], {"y": {"z": 1}}, [("z'", 0)], {"z'": {"w": 1}},
-     {"z": {"z'": 1}, "w": {"z'": 1}}, {"z": {"y": 1}}, "retract identity fails on z"),
+     {"z": {"z'": 1}, "w": {"z'": 1}}, {"z": {"y": 1}}, ValueError, "retract identity fails on z"),
     ([("b", 0), ("a", 1), ("c", 1)], {"a": {"b": 1}}, [("c'", 1)], {"c'": {"c": 1}},
-     {"c": {"c'": 1}}, {"b": {"a": 1, "c": 1}}, "side condition p o h = 0 fails"),
+     {"c": {"c'": 1}}, {"b": {"a": 1, "c": 1}}, ValueError, "side condition p o h = 0 fails"),
     ([("b", 0), ("a", 1), ("e", 2)], {"a": {"b": 1}}, [], {}, {},
-     {"b": {"a": 1}, "a": {"e": 1}}, "side condition h o h = 0 fails"),
+     {"b": {"a": 1}, "a": {"e": 1}}, ValueError, "side condition h o h = 0 fails"),
     # d^2 != 0 on a contractible complex is refused by name, not found as a
     # homology mismatch (its rank count would give -1 in degrees 1 and 2)
     ([("a", 3), ("b", 2), ("e", 1), ("g", 0)], {"a": {"b": 1}, "b": {"e": 1}, "e": {"g": 1}},
-     [], {}, {}, {"b": {"a": 1}, "g": {"e": 1}}, r"d\^2 != 0 on generator a"),
+     [], {}, {}, {"b": {"a": 1}, "g": {"e": 1}}, AxiomError,
+     r"d\^2 != 0 on generator a"),
 ])
 def test_retract_check_rejects_each_broken_condition(big, diff, small, incl, proj,
-                                                     homotopy, message):
-    with pytest.raises(ValueError, match=message):
+                                                     homotopy, error, message):
+    with pytest.raises(error, match=message) as exc:
         _hand_retract(big, diff, small, incl, proj, homotopy)
+    assert exc.type is error
 
 
 def test_chain_complex_refuses_d_squared_nonzero():
@@ -204,14 +207,64 @@ def test_chain_complex_refuses_d_squared_nonzero():
     sp = GradedSpace.of([("a", 3), ("b", 2), ("e", 1), ("g", 0)])
     gen = {n: Element.gen(sp, n) for n in sp.names}
     d = {Word.tensor(x): gen[y] for x, y in (("a", "b"), ("b", "e"), ("e", "g"))}
-    with pytest.raises(ValidationError, match=r"^d\^2 != 0 on generator a$"):
+    with pytest.raises(AxiomError, match=r"^d\^2 != 0 on generator a$"):
         ChainComplex(sp, GradedMap(sp, sp, -1, d))
     del d[Word.tensor("a")]
-    with pytest.raises(ValidationError, match=r"^d\^2 != 0 on generator b$"):
+    with pytest.raises(AxiomError, match=r"^d\^2 != 0 on generator b$"):
         ChainComplex(sp, GradedMap(sp, sp, -1, d))
     del d[Word.tensor("b")]
     dec = homology_decomposition(ChainComplex(sp, GradedMap(sp, sp, -1, d)))
     assert Counter(h.degree for h in dec.h_part) == {3: 1, 2: 1}
+
+
+def _recursion_retract():
+    """x' retracts x (+) (a -> b): p(x) = x', h(b) = a; dim 3, so the
+    recursion's depth guard sits at 5."""
+    return _hand_retract([("x", 0), ("a", 1), ("b", 0)], {"a": {"b": 1}}, [("x'", 0)],
+                         {"x'": {"x": 1}}, {"x": {"x'": 1}}, {"b": {"a": 1}})
+
+
+def test_retract_recursion_refuses_a_substitution_without_end():
+    # a substitution that asks for its own argument again finds no stored
+    # value and recurses until the depth passes dim + 2
+    r = _recursion_retract()
+    entered = []
+
+    def substitute(key, el, f):
+        entered.append(el)
+        return f(key, "b")
+
+    f = retract_recursion(r, r.small.space, lambda key, h: Element.gen(r.small.space, h),
+                          substitute)
+    with pytest.raises(ValidationError, match=r"passes depth 5 = dim \+ 2 without terminating"):
+        f(None, "b")
+    # one substitution at each depth 0, ..., dim + 2, and the call below it refused
+    assert len(entered) == r.big.space.dim + 3
+
+
+def test_retract_recursion_evaluates_each_key_and_element_once():
+    r = _recursion_retract()
+    S = r.small.space
+    leaves, substitutions = Counter(), Counter()
+
+    def leaf(key, h):
+        leaves[key, h] += 1
+        return Element.gen(S, h)
+
+    def substitute(key, el, f):
+        substitutions[key] += 1
+        assert el == Element.gen(r.big.space, "a")  # h(b), read without a solve
+        return lincomb(S, [(1, f(key, "x")), (2, f(key, "x"))])
+
+    f = retract_recursion(r, S, leaf, substitute)
+    x = Element.gen(S, "x'")
+    for _ in range(2):
+        for key in ("u", "v"):
+            assert f(key, "b") == 3 * x
+            assert f(key, "x") == x
+            assert not f(key, "a")
+    assert leaves == {("u", "x'"): 1, ("v", "x'"): 1}
+    assert substitutions == {"u": 1, "v": 1}
 
 
 def test_fixed_linear_data_is_built_once_per_degree_block(monkeypatch):
