@@ -703,7 +703,7 @@ def main(argv=None) -> int:
     except BoundError as exc:
         print(f"bound exceeded: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:  # ValidationError and every other ValueError
+    except ValidationError as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 2
 

@@ -765,12 +765,11 @@ def shuffles(n: int, i: int):
         yield left, right
 
 
-def unshuffle(space: GradedSpace, word: Word, proper: bool = False):
-    """Unshuffle splittings of a tensor word with graded-signature signs.
-
-    Returns {(left Word, right Word): sign}.  With proper=True the trivial
-    (n,0) and (0,n) splits are dropped; those never cancel anything, so the
-    cocommutativity test uses the proper part.
+def unshuffle(space: GradedSpace, word: Word):
+    """Proper unshuffle splittings of a tensor word with graded-signature
+    signs: {(left Word, right Word): sign}, both sides nonempty.  The
+    trivial (n,0) and (0,n) splits never cancel anything, so the
+    cocommutativity test needs only the proper ones.
     """
     if word.kind != "t":
         raise ValueError("unshuffle acts on tensor words")
@@ -778,10 +777,8 @@ def unshuffle(space: GradedSpace, word: Word, proper: bool = False):
     if n == 0:
         raise ValueError("empty word")
     degs = [space.degree(f) for f in word.factors]
-    lo = 1 if proper else 0
-    hi = n - 1 if proper else n
     out: dict[tuple[Word, Word], int] = {}
-    for i in range(lo, hi + 1):
+    for i in range(1, n):
         for left, right in shuffles(n, i):
             lw = Word.tensor(*(word.factors[p] for p in left))
             rw = Word.tensor(*(word.factors[p] for p in right))

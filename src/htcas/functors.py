@@ -332,10 +332,10 @@ def _quillen_hypotheses(C: AInfCoalgebra, route: str) -> None:
     from .structures import check_cocommutative
 
     if C.counit is not None:
-        raise ValueError(f"{route} expects a reduced coalgebra")
+        raise ValidationError(f"{route} expects a reduced coalgebra")
     rep = check_cocommutative(C)
     if not rep:
-        raise ValueError(f"{route} needs a cocommutative input: {rep}")
+        raise ValidationError(f"{route} needs a cocommutative input: {rep}")
 
 
 def quillen(C: AInfCoalgebra) -> FreeLieDGL:

@@ -48,7 +48,7 @@ def differential_length(A: CDGA) -> InvariantReport:
     from .functors import weight_component, weights
 
     if not A.is_minimal:
-        raise ValueError("differential length needs a minimal Sullivan algebra")
+        raise ValidationError("differential length needs a minimal Sullivan algebra")
     lowest = {g: weights(A.diff[g])[0] for g in A.gens.names if g in A.diff}
     if not lowest:
         return InvariantReport("dl", INF)
@@ -68,7 +68,7 @@ def bracket_length(M: FreeLieDGL) -> InvariantReport:
     )
 
     if not M.is_minimal:
-        raise ValueError("bracket length needs a minimal model (no linear part)")
+        raise ValidationError("bracket length needs a minimal model (no linear part)")
     lowest = {g: weights(img)[0] for g, img in M.diff.items() if img}
     if not lowest:
         return InvariantReport("bl", INF)
@@ -89,9 +89,9 @@ def bracket_length(M: FreeLieDGL) -> InvariantReport:
 def whitehead_length(L: LInfAlgebra) -> InvariantReport:
     """Longest nonzero iterated binary bracket of a minimal structure."""
     if not L.is_minimal:
-        raise ValueError("Whitehead length needs a minimal structure")
+        raise ValidationError("Whitehead length needs a minimal structure")
     if L.space.dim and L.space.min_degree() < 1:
-        raise ValueError("Whitehead length needs a positively graded algebra")
+        raise ValidationError("Whitehead length needs a positively graded algebra")
     note = "binary brackets only" if any(k > 2 for k in L.ops) else None
     if 2 not in L.ops:
         return InvariantReport("Wl", 1, witness="all binary brackets vanish",
@@ -123,7 +123,7 @@ def conilpotence(C: AInfCoalgebra) -> InvariantReport:
     from .structures import iterated_coproducts
 
     if C.counit is not None:
-        raise ValueError("conilpotence is an invariant of the reduced coalgebra")
+        raise ValidationError("conilpotence is an invariant of the reduced coalgebra")
     if not C.is_dgc:
         raise ValueError("conilpotence of a genuine A-infinity coalgebra "
                          "is not implemented; pass a DGC")

@@ -257,7 +257,7 @@ def check_cocommutative(C: AInfCoalgebra) -> CheckReport:
             el = m.apply_word(Word.tensor(gen))
             acc: dict[tuple[Word, Word], Fraction] = {}
             for w, c in el.terms.items():
-                for pair, s in unshuffle(C.space, w, proper=True).items():
+                for pair, s in unshuffle(C.space, w).items():
                     acc[pair] = acc.get(pair, 0) + s * c
             bad = {p: v for p, v in acc.items() if v}
             if bad:
@@ -394,10 +394,10 @@ def mc_residual(L: LInfAlgebra, z: Element) -> Element:
 def mc_check(L: LInfAlgebra, z: Element) -> Element:
     """Verify the Maurer-Cartan equation and return z; raises on failure."""
     if z and z.degree != -1:
-        raise ValueError(f"Maurer-Cartan elements have degree -1, got {z.degree}")
+        raise ValidationError(f"Maurer-Cartan elements have degree -1, got {z.degree}")
     res = mc_residual(L, z)
     if res:
-        raise ValueError(f"Maurer-Cartan equation fails, residual {res!r}")
+        raise ValidationError(f"Maurer-Cartan equation fails, residual {res!r}")
     return z
 
 

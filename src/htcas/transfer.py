@@ -27,9 +27,10 @@ i(H) downward and memoized per arity and basis element; it unrolls to the
 sum over planar trees.  Transferred brackets come from the
 recursion for the infinity-morphism i_infinity over splits of the inputs
 into blocks (Berglund, arXiv:0909.3485; Loday-Vallette, Algebraic
-Operads, 10.3), driven by the words on which it is nonzero; it sums each
-leaf-labelled tree once, which equals the tree sum over isomorphism
-classes weighted by 1/|Aut(T)|.  Neither transfer enumerates a tree: the
+Operads, 10.3), driven by the words on which it is nonzero; each split is
+peeled block by block from one support table, the words with nonzero I.
+It sums each leaf-labelled tree once, which equals the tree sum over
+isomorphism classes weighted by 1/|Aut(T)|.  Neither transfer enumerates a tree: the
 tree sums, evaluated one tree at a time, are the test suite's oracles
 (`tests/tree_oracles.py`).  Every derived arity cap, of both transfers and
 of `mapping`, is the one degree-counting rule `degree_cap`.
@@ -431,32 +432,6 @@ def linf_transfer_cap(L: LInfAlgebra, small: GradedSpace) -> int | None:
     return degree_cap(small.min_degree() + 1, L.space.max_degree() + 1, -1) if small.dim else 2
 
 
-def _set_partitions(k: int, j: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Unordered partitions of the positions 0..k-1 into j blocks; each block
-    is increasing and the blocks are ordered by their least position."""
-    out = []
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> None:
-        if i == k:
-            if len(blocks) == j:
-                out.append(tuple(tuple(b) for b in blocks))
-            return
-        if k - i < j - len(blocks):
-            return
-        for b in blocks:
-            b.append(i)
-            rec(i + 1)
-            b.pop()
-        if len(blocks) < j:
-            blocks.append([i])
-            rec(i + 1)
-            blocks.pop()
-
-    rec(0)
-    return out
-
-
 def _support_merges(support: dict, k: int, arities: list[int], space: GradedSpace,
                     L: LInfAlgebra) -> list[tuple[str, ...]]:
     """Canonical words of length k that merge j support words, j in arities,
@@ -471,33 +446,40 @@ def _support_merges(support: dict, k: int, arities: list[int], space: GradedSpac
     length, and keeping the merges of length k generates every word with
     F != 0.
     """
-    carriers = letter_index(kv for entries in support.values() for kv in entries.items())
+    carriers = letter_index(support.items())
     pool_lists = ([carriers.get(u, ()) for u in sw.factors]
                   for j in arities if j <= k for sw in L.ops[j].images)
     found = substituted_words(space, "m", pool_lists, length=k)
     return sorted((w.factors for w in found), key=lambda fs: [space.sortkey(f) for f in fs])
 
 
-def _vertex_sum(w: tuple[str, ...], support: dict, partitions: dict,
+def _vertex_sum(w: tuple[str, ...], support: dict, arities: list[int],
                 B: dict[int, GradedMap], rr: _ShiftedRetract) -> Element:
     """F(w): every root vertex B_j over every split of w into j blocks.
 
+    A split is peeled block by block: the block that holds the least
+    position left is looked up in the support, the rest is split alike.
     The subwords of a canonical word are canonical, so each block is looked
-    up in the support as it stands; a block outside it has I = 0."""
+    up as it stands; a block outside the support has I = 0."""
     degs = [rr.small.degree(f) for f in w]
     terms: dict[Word, Fraction] = {}
-    for j, parts in partitions.items():
-        for blocks in parts:
-            vals = []
-            for b in blocks:
-                v = support[len(b)].get(tuple(w[p] for p in b))
-                if v is None:
-                    break
-                vals.append(v)
-            else:
-                eps = koszul_sign([p + 1 for b in blocks for p in b], degs, signature=False)
-                for word, c in B[j].apply(reduce(Element.times, vals)).terms.items():
+
+    def peel(left: tuple[int, ...], order: tuple[int, ...], vals: list[Element]) -> None:
+        if not left:
+            if len(vals) in arities:
+                eps = koszul_sign([p + 1 for p in order], degs, signature=False)
+                for word, c in B[len(vals)].apply(reduce(Element.times, vals)).terms.items():
                     terms[word] = terms.get(word, ZERO) + eps * c
+        elif len(vals) < arities[-1]:
+            first, rest = left[0], left[1:]
+            for n in range(len(rest) + 1):
+                for others in itertools.combinations(rest, n):
+                    v = support.get(tuple(w[p] for p in (first, *others)))
+                    if v is not None:
+                        peel(tuple(p for p in rest if p not in others),
+                             (*order, first, *others), [*vals, v])
+
+    peel(tuple(range(len(w))), (), [])
     return Element(rr.big, terms)
 
 
@@ -508,17 +490,20 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
     In the shifted world, for a canonical word w = x_1...x_k of the small
     space,
 
-        F(w) = sum_j sum_{partitions of the k positions into j blocks}
+        F(w) = sum_j sum_{splits of the k positions into j blocks}
                eps * B_j(I(x_{B_1}) (x) ... (x) I(x_{B_j})),
 
     where eps is the Koszul sign of concatenating the blocks, I(x) = i(x)
     for a single factor and I(x_B) = h(F(x_B)) otherwise, and
-    ell'_k(w) = p(F(w)).  j runs over the arities j >= 2 of L.  Only the
-    canonical merges of words with nonzero I that fill a support word of
-    ell_j letter by letter are evaluated (`_support_merges`, built on the
-    candidate generator `core.substituted_words` that the Jacobi check,
-    twisting and truncation share), so the cost follows the output rather
-    than the word basis.  Scalars stay exact ints or Fractions throughout.
+    ell'_k(w) = p(F(w)).  j runs over the arities j >= 2 of L.  The splits
+    are peeled from one support table, the dict from every word with
+    nonzero I to its value (`_vertex_sum`), so no split with a block of
+    I = 0 is enumerated.  Only the canonical merges of words with nonzero
+    I that fill a support word of ell_j letter by letter are evaluated
+    (`_support_merges`, built on the candidate generator
+    `core.substituted_words` that the Jacobi check, twisting and
+    truncation share), so the cost follows the output rather than the word
+    basis.  Scalars stay exact ints or Fractions throughout.
     A split into blocks, applied recursively, is a leaf-labelled rooted
     tree, so by orbit-stabilizer this is the tree sum sum_T ell_T / |Aut T|
     over the isomorphism classes of rooted trees with k leaves.
@@ -535,24 +520,22 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
     ops: dict[int, GradedMap] = {}
     if not r.small.diff.is_zero():
         ops[1] = suspend_map(r.small.diff, small, small, -1, kind="w")
-    # support[m]: canonical words of length m with nonzero I, mapped to I
-    support = {1: {(n,): rr.incl.apply_word(Word.tensor(n)) for n in small.names}}
+    # support: the canonical words with nonzero I, of every length so far, mapped to I
+    support = {(n,): rr.incl.apply_word(Word.tensor(n)) for n in small.names}
     for k in range(2, max_k + 1):
         kept = None if words is None or words.get(k) is None else {w.factors for w in words[k]}
         last = k == max_k
-        partitions = {j: _set_partitions(k, j) for j in arities if j <= k}
-        support[k] = {}
         images = {}
         for w in _support_merges(support, k, arities, rr.small, L):
             if last and kept is not None and w not in kept:
                 continue
-            f = _vertex_sum(w, support, partitions, B, rr)
+            f = _vertex_sum(w, support, arities, B, rr)
             if not f:
                 continue
             if not last:
                 iw = rr.homotopy.apply(f)
                 if iw:
-                    support[k][w] = iw
+                    support[w] = iw
             if kept is None or w in kept:
                 img = rr.proj.apply(f)
                 if img:

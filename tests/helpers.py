@@ -76,7 +76,6 @@ from htcas.transfer import (
     ChainComplex,
     Decomposition,
     HomotopyRetract,
-    _set_partitions,
     _shift_retract,
     _support_merges,
     _vertex_sum,
@@ -295,14 +294,18 @@ def random_cocommutative_dgc(rng: random.Random, max_dim: int = 6,
 
 def oracle_sources() -> list[tuple[str, FiniteCDGA]]:
     """Finite CDGAs on whose duals the engine is compared with the dense
-    routes: example1_X, n4 and n5 truncated at their top degree, and the
-    first ten random Sullivan algebras from random.Random(37) with a nonzero
-    differential, truncated at twice their top generator degree."""
+    routes: example1_X, n4, n5 and chain truncated at their top degree, and
+    the first ten random Sullivan algebras from random.Random(37) with a
+    nonzero differential, truncated at twice their top generator degree.
+    chain (de = ac on top of dc = ab) is the one whose substitutions through
+    the canonical retract nest two levels deep, on both direct routes."""
     fixed = {
         "ex1": ([("a", 3), ("b", 3), ("c", 5)], {"c": [(1, ("a", "b"))]}),
         "n4": ([("a", 3), ("b", 3), ("c", 5), ("e", 3)], {"c": [(1, ("a", "b"))]}),
         "n5": ([("a", 3), ("b", 3), ("c", 5), ("e", 3), ("f", 5)],
                {"c": [(1, ("a", "b"))], "f": [(1, ("a", "e"))]}),
+        "chain": ([("a", 3), ("b", 3), ("c", 5), ("e", 7)],
+                  {"c": [(1, ("a", "b"))], "e": [(1, ("a", "c"))]}),
     }
     out = [(tag, FiniteCDGA(CDGA.of(gens, d), max_cohom=sum(deg for _, deg in gens)))
            for tag, (gens, d) in fixed.items()]
@@ -896,10 +899,13 @@ def all_support_merges(support: dict, k: int, arities: list[int],
     in arities, in word-basis order (reference generator for
     `transfer._support_merges`, which also asks the letters to meet a
     support word of ell_j)."""
+    by_length: dict[int, list[tuple[str, ...]]] = {}
+    for u in support:
+        by_length.setdefault(len(u), []).append(u)
     found = set()
     for j in arities:
         for split in _length_splits(k, j, k - 1):
-            pools = [itertools.combinations_with_replacement(support[m], len(list(g)))
+            pools = [itertools.combinations_with_replacement(by_length.get(m, []), len(list(g)))
                      for m, g in itertools.groupby(split)]
             for combo in itertools.product(*pools):
                 w, _ = canonical_word(space, "m", [f for grp in combo for u in grp for f in u])
@@ -916,20 +922,18 @@ def linf_merge_candidates(L: LInfAlgebra, r: HomotopyRetract, max_k: int) -> dic
     B = shifted_brackets(L)
     rr = _shift_retract(r, +1)
     arities = [j for j in sorted(L.ops) if j >= 2]
-    support = {1: {(n,): rr.incl.apply_word(Word.tensor(n)) for n in rr.small.names}}
+    support = {(n,): rr.incl.apply_word(Word.tensor(n)) for n in rr.small.names}
     out = {}
     for k in range(2, max_k + 1):
-        partitions = {j: _set_partitions(k, j) for j in arities if j <= k}
         every = all_support_merges(support, k, arities, rr.small)
         indexed = _support_merges(support, k, arities, rr.small, L)
-        support[k] = {}
         nonzero = []
         for w in every:
-            f = _vertex_sum(w, support, partitions, B, rr)
+            f = _vertex_sum(w, support, arities, B, rr)
             if f:
                 nonzero.append(w)
                 iw = rr.homotopy.apply(f)
                 if iw:
-                    support[k][w] = iw
+                    support[w] = iw
         out[k] = (every, indexed, nonzero)
     return out

@@ -566,6 +566,13 @@ def test_refusals_state_their_reason(tmp_path, capsys):
     primes = write(tmp_path, "primes.linf", "kind linf\ngen x : 2\ngen x' : 3\n")
     deg0 = write(tmp_path, "deg0.linf", "kind linf\ngen x : 0\ngen y : 2\n")
     mc0 = write(tmp_path, "deg0.mc", "kind mc\ngen a.x' : 0\nmc = a.x'\n")
+    linear = write(tmp_path, "linear.cdga", "kind cdga\ngen c : 6\ngen e : 5\nd e = + c\n")
+    dgl = write(tmp_path, "linear.dgl", "kind dgl\ngen a : 2\ngen b : 3\ndiff b = a\n")
+    linf = write(tmp_path, "linear.linf", "kind linf\ngen x : 2\ngen y : 1\nl1 ( x ) = y\n")
+    ab = write(tmp_path, "ab.cdga", "kind cdga\ngen a : 3\ngen b : 3\n")
+    xyzt = write(tmp_path, "xyzt.cdga", "kind cdga\ngen x : 3\ngen y : 3\ngen z : 5\n"
+                                        "gen t : 7\nd z = x^y\nd t = x^z\n")
+    mc = write(tmp_path, "bad.mc", "kind mc\ngen a.x' : -1\ngen b.y' : -1\nmc = a.x' + b.y'\n")
     for argv, want in (
         (["quillen", full], "quillen expects a reduced coalgebra"),
         (["quillen", "--direct", full], "the direct recursion expects a reduced coalgebra"),
@@ -579,8 +586,25 @@ def test_refusals_state_their_reason(tmp_path, capsys):
         (["invariants", deg0], "Whitehead length needs a positively graded algebra"),
         (["mapmodel", x, y, "--pointed", "--mc", mc0],
          "Maurer-Cartan elements have degree -1, got 0"),
+        (["invariants", linear], "differential length needs a minimal Sullivan algebra"),
+        (["invariants", dgl], "bracket length needs a minimal model (no linear part)"),
+        (["invariants", linf], "Whitehead length needs a minimal structure"),
+        (["mapmodel", ab, xyzt, "--pointed", "--max-arity", "3", "--mc", mc],
+         "Maurer-Cartan equation fails, residual -1*a.b.z'"),
     ):
         assert run(argv, capsys) == (2, "", f"validation failure: {want}\n"), argv
+
+
+def test_engine_fault_is_not_an_input_error(capsys, monkeypatch):
+    # a plain ValueError raised inside the engine is a fault, not a refusal
+    # of the input: it leaves main with its traceback instead of exit 2
+    def faulty(*args, **kwargs):
+        raise ValueError("engine fault")
+
+    monkeypatch.setattr(cli, "dual_coalgebra", faulty)
+    with pytest.raises(ValueError, match="engine fault"):
+        main(["dualize", str(MODELS / "example1_X.cdga")])
+    assert capsys.readouterr().err == ""
 
 
 def test_arity_cap_below_two_exit_code(tmp_path, capsys):

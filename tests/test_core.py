@@ -357,14 +357,8 @@ def test_scalars_are_ints_or_fractions():
 
 
 def test_unshuffle_small_cases():
-    # n=1: only the trivial splits
-    w = Word.tensor("g")
-    out = unshuffle(SP, w)
-    assert out == {
-        (Word.tensor("g"), Word.tensor()): 1,
-        (Word.tensor(), Word.tensor("g")): 1,
-    }
-    assert unshuffle(SP, w, proper=True) == {}
+    # n=1: no proper split
+    assert unshuffle(SP, Word.tensor("g")) == {}
     with pytest.raises(ValueError):
         unshuffle(SP, Word.tensor())
 
@@ -373,13 +367,11 @@ def test_unshuffle_n2_brute_force():
     # even-degree letters: proper part is x(x)y + y(x)x off-diagonal pattern
     sp = GradedSpace.of([("a", 2), ("b", 4)])
     out = unshuffle(sp, Word.tensor("a", "b"))
-    assert out[(Word.tensor("a", "b"), Word.tensor())] == 1
-    assert out[(Word.tensor(), Word.tensor("a", "b"))] == 1
     assert out[(Word.tensor("a"), Word.tensor("b"))] == 1
     assert out[(Word.tensor("b"), Word.tensor("a"))] == -1
-    assert len(out) == 4
+    assert len(out) == 2
     # both odd: the swap picks up signature times Koszul = +1
-    out = unshuffle(SP, Word.tensor("g", "h"), proper=True)
+    out = unshuffle(SP, Word.tensor("g", "h"))
     assert out == {
         (Word.tensor("g"), Word.tensor("h")): 1,
         (Word.tensor("h"), Word.tensor("g")): 1,
@@ -387,13 +379,14 @@ def test_unshuffle_n2_brute_force():
 
 
 def test_unshuffle_signs_count_inversions():
-    # every unshuffle up to length 6 under every parity pattern, against a
-    # brute-force count of the inversions of left + right
+    # every proper unshuffle up to length 6 under every parity pattern,
+    # against a brute-force count of the inversions of left + right
     for n in range(1, 7):
         for parities in itertools.product((0, 1), repeat=n):
             space = GradedSpace.of([(f"x{p}", 2 + odd) for p, odd in enumerate(parities)])
             splits = unshuffle(space, Word.tensor(*space.names))
-            for i in range(n + 1):
+            assert len(splits) == 2 ** n - 2
+            for i in range(1, n):
                 for left, right in shuffles(n, i):
                     perm = left + right
                     inv = [(a, b) for x, a in enumerate(perm) for b in perm[x + 1:] if a > b]

@@ -68,8 +68,9 @@ def test_outputs_are_byte_identical(tmp_path):
 # dm = ek), two free 3-spheres ab into xyzt (dz = xy, dt = xz) with the
 # Maurer-Cartan element a.x' of mc_ax, the target y4 (example1_Y + u22 with
 # du = yt), their argv with {n4}, {n5}, {s3x6}, {n8}, {n9}, {ab}, {xyzt},
-# {mc_ax}, {y4}, {dgc} = the dualized n5, {n8dgc} = the dualized n8, and
-# the sha256 of stdout
+# {mc_ax}, {y4}, {dgc} = the dualized n5, {n8dgc} = the dualized n8,
+# {chaindgc} = the dualized chain (Lambda(a3, b3, c5, e7), dc = ab and
+# de = ac), and the sha256 of stdout
 N4 = "kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\nd c = + a^b\n"
 N5 = ("kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 3\ngen f : 5\n"
       "d c = + a^b\nd f = + a^e\n")
@@ -81,6 +82,7 @@ AB = "kind cdga\ngen a : 3\ngen b : 3\n"
 XYZT = "kind cdga\ngen x : 3\ngen y : 3\ngen z : 5\ngen t : 7\nd z = x^y\nd t = x^z\n"
 MC_AX = "kind mc\ngen a.x' : -1\nmc = a.x'\n"
 U22 = "gen u : 22\nd u = y^t\n"
+CHAIN = "kind cdga\ngen a : 3\ngen b : 3\ngen c : 5\ngen e : 7\nd c = + a^b\nd e = + a^c\n"
 GOLDEN_N = [
     (["mapmodel", "{n4}", Y1, "--pointed", "--emit", "both", "--max-arity", "4"],
      "d6f3ac17e9a69bc11a5897479a4638cf633764951d358835c894341099a24130"),
@@ -109,6 +111,9 @@ GOLDEN_N = [
      "613428ada0763392dc35f2c19eda57f38f29506afac63353cb7c57ba4e055b8b"),
     (["mapmodel", "{n8}", "{y4}", "--pointed", "--emit", "linf"],
      "65f602f56c1bdd0df5ae0482a71bc5402b19bbe94c5a2e5dea35b453ad5ad34d"),
+    # the direct Quillen recursion substitutes two levels deep on this dual
+    (["quillen", "--direct", "{chaindgc}"],
+     "75619bfcaa34847e99d1e4bc7c7e2f9f72b054ce760634ad830d3cf43c81a614"),
 ]
 
 
@@ -120,7 +125,8 @@ def test_benchmark_models_are_byte_identical(tmp_path):
              "n8": tmp_path / "n8.cdga", "n8dgc": tmp_path / "n8.dgc",
              "n9": tmp_path / "n9.cdga", "y4": tmp_path / "y4.cdga",
              "ab": tmp_path / "ab.cdga", "xyzt": tmp_path / "xyzt.cdga",
-             "mc_ax": tmp_path / "ax.mc"}
+             "mc_ax": tmp_path / "ax.mc", "chain": tmp_path / "chain.cdga",
+             "chaindgc": tmp_path / "chain.dgc"}
     files["n4"].write_text(N4)
     files["n5"].write_text(N5)
     files["s3x6"].write_text(S3X6)
@@ -132,6 +138,8 @@ def test_benchmark_models_are_byte_identical(tmp_path):
     files["n9"].write_text(N9)
     files["y4"].write_text(files["Y1"].read_text() + U22)
     files["n8dgc"].write_text(stdout_of(["dualize", str(files["n8"])]))
+    files["chain"].write_text(CHAIN)
+    files["chaindgc"].write_text(stdout_of(["dualize", str(files["chain"])]))
     for args, want in GOLDEN_N:
         argv = [a.format(**files) for a in args]
         assert hashlib.sha256(stdout_of(argv).encode()).hexdigest() == want, args

@@ -14,7 +14,16 @@ from helpers import (
     oracle_sources,
 )
 from htcas import linalg
-from htcas.core import AxiomError, Element, GradedMap, GradedSpace, ValidationError, Word, lincomb
+from htcas.core import (
+    AxiomError,
+    Element,
+    GradedMap,
+    GradedSpace,
+    ValidationError,
+    Word,
+    lincomb,
+    word_basis,
+)
 from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, quillen_differential_direct
 from htcas.mapping import convolution_linf, mapping_arity_cap
 from htcas.structures import (
@@ -552,6 +561,32 @@ def test_transfer_linf_ternary_vertex_with_internal_edge():
     total = sum((Fraction(1, aut_order(t)) * tree_values[serialize(t)]
                  for t in enumerate_rooted(4)), Element.zero(r.small.space))
     assert total == out.ell(4).apply_word(w)
+
+
+def test_transfer_linf_quaternary_root_matches_the_tree_sum():
+    # ell_4(a, h ell_2(b, d), c, f) is the only nonzero composite: at arity 5
+    # the root has four blocks, and the one of them that spans two positions,
+    # b and d, is neither first nor contiguous in the word a b c d f
+    space = GradedSpace.of([("a", 2), ("b", 2), ("c", 2), ("d", 2), ("f", 2),
+                            ("v", 4), ("u", 5), ("e", 13)])
+    L = linf_from_tables(space, {
+        1: {("u",): [(1, "v")]},
+        2: {("b", "d"): [(1, "v")]},
+        4: {("a", "u", "c", "f"): [(1, "e")]},
+    })
+    r = retract_from_decomposition(homology_decomposition(ChainComplex(space, L.ell(1))))
+    assert r.small.space.names == ("a", "b", "c", "d", "f", "e")
+    out = transfer_linf(L, r)
+    assert out.ops.keys() == {5}
+    w = Word.wedge("a", "b", "c", "d", "f")
+    assert out.ell(5).images.keys() == {w}
+    assert out.ell(5).apply_word(w)
+    trees = enumerate_rooted(5)
+    tree_maps = [(Fraction(1, aut_order(t)), tree_map_lie(t, L, r)) for t in trees]
+    for word in word_basis(r.small.space, "w", 5):
+        total = sum((c * m.apply_word(word) for c, m in tree_maps),
+                    Element.zero(r.small.space))
+        assert total == out.ell(5).apply_word(word), word
 
 
 def test_derived_linf_cap_keeps_every_bracket():
