@@ -57,6 +57,12 @@ Conventions used across the package:
   every inhomogeneity `Element(...)` would reject is still rejected, with
   the same `ValidationError`.  `derivation` checks its sum once, because
   the generator images it splices need not share one degree shift.
+* No zero is stored, and the constructors alone decide it: `Element`
+  drops a zero coefficient, `GradedMap` a zero image, `CDGA` and
+  `FreeLieDGL` a zero differential, and `AInfCoalgebra` and `LInfAlgebra`
+  a zero op.  A builder hands over every value it computes, and a reader
+  may take each stored image, op and differential to be nonzero; a
+  builder tests for zero only to skip work.
 """
 
 from __future__ import annotations

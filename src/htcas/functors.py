@@ -68,7 +68,7 @@ class CDGA:
         self.gens = gens
         self.diff = {g: el for g, el in (diff or {}).items() if el}
         for g, el in self.diff.items():
-            if el.degree is not None and el.degree != self.gens.degree(g) + 1:
+            if el.degree != self.gens.degree(g) + 1:
                 raise ValidationError(f"d({g}) has the wrong degree")
         for g in self.diff:
             if self.d(self.diff[g]):
@@ -306,14 +306,14 @@ class FreeLieDGL:
     def __init__(self, gens: GradedSpace, diff: dict[str, Element],
                  presentation: dict[str, list] | None = None):
         self.gens = gens
-        self.diff = diff
+        self.diff = {g: img for g, img in diff.items() if img}
         self.presentation = {} if presentation is None else presentation
         self.validate()
 
     def validate(self) -> None:
         for g, img in self.diff.items():
             want = self.gens.degree(g) - 1
-            if img.degree is not None and img.degree != want:
+            if img.degree != want:
                 raise ValidationError(f"diff {g} must have degree {want}, got {img.degree}")
             if not is_primitive(img):
                 raise AxiomError(f"differential of {g} is not a Lie element")
@@ -351,10 +351,8 @@ def quillen(C: AInfCoalgebra) -> FreeLieDGL:
     for name in C.space.names:
         # the cobar sign (-1)^k; pinned by agreement with the direct
         # homology-decomposition recursion in every arity
-        total = lincomb(gens, ((-1 if k % 2 else 1, m.apply_word(Word.tensor(name)))
-                               for k, m in coops.items()))
-        if total:
-            diff[name] = total
+        diff[name] = lincomb(gens, ((-1 if k % 2 else 1, m.apply_word(Word.tensor(name)))
+                                    for k, m in coops.items()))
     return FreeLieDGL(gens, diff)
 
 
@@ -390,12 +388,8 @@ def quillen_differential_direct(C: AInfCoalgebra) -> FreeLieDGL:
         return lincomb(gens, parts)
 
     lam = retract_recursion(r, gens, lambda _, h: Element.gen(gens, h), bracket_halves)
-    diff: dict[str, Element] = {}
-    for nm in small.names:
-        total = bracket_halves(None, r.incl.apply_word(Word.tensor(nm)), lam)
-        if total:
-            diff[nm] = total
-    return FreeLieDGL(gens, diff)
+    return FreeLieDGL(gens, {nm: bracket_halves(None, r.incl.apply_word(Word.tensor(nm)), lam)
+                             for nm in small.names})
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +437,7 @@ def cochain(L: LInfAlgebra, names: list[str] | None = None, orient=None) -> CDGA
             )
             for xw, co in val.terms.items():
                 parts[dual_of[xw.factors[0]]].append((co, mono))
-    diff = {vn: lincomb(vspace, ps) for vn, ps in parts.items()}
-    return CDGA(vspace, {vn: el for vn, el in diff.items() if el})
+    return CDGA(vspace, {vn: lincomb(vspace, ps) for vn, ps in parts.items()})
 
 
 def linf_from_cdga(A: CDGA) -> LInfAlgebra:

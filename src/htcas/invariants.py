@@ -69,7 +69,7 @@ def bracket_length(M: FreeLieDGL) -> InvariantReport:
 
     if not M.is_minimal:
         raise ValidationError("bracket length needs a minimal model (no linear part)")
-    lowest = {g: weights(img)[0] for g, img in M.diff.items() if img}
+    lowest = {g: weights(img)[0] for g, img in M.diff.items()}
     if not lowest:
         return InvariantReport("bl", INF)
     gen = min(lowest, key=lowest.get)

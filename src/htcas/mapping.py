@@ -80,9 +80,7 @@ def convolution_linf(C: AInfCoalgebra, L: LInfAlgebra, hom: ChainComplex) -> LIn
     hs = hom.space
     if hs is not hom_space(C.space, L.space):
         raise ValueError("the convolution needs the complex Hom(C, L)")
-    ops: dict[int, GradedMap] = {}
-    if not hom.diff.is_zero():
-        ops[1] = suspend_map(hom.diff, hs, hs, -1, kind="w")
+    ops = {1: suspend_map(hom.diff, hs, hs, -1, kind="w")}
     # cops[k]: Delta^{(k-1)}, each extended from the one before
     cops = dict(zip(range(2, L.max_arity + 1), iterated_coproducts(C)))
 
@@ -142,11 +140,13 @@ def mapping_space_model(C: AInfCoalgebra, L: LInfAlgebra,
 
     The convolution ell_k is built from Delta^{(k-1)}, so a source of
     conilpotence 2 (Delta^{(2)} = 0) gives brackets of arity <= 2 only and
-    the recursion meets binary vertices alone."""
+    the recursion meets binary vertices alone.  An empty Hom(H, L) carries
+    no brackets, and the derived cap is 2."""
     r = canonical_retract(C)
     hr = hom_retract(r, L)
     conv = convolution_linf(C, L, hr.big)
-    cap = arity_cap(max_k, mapping_arity_cap(C, r.small.space))
+    derived = mapping_arity_cap(C, r.small.space)
+    cap = arity_cap(max_k, derived if hr.small.space.dim else 2)
     model = transfer_linf(conv, hr, max_k=cap)
     return MappingModel(model, conv, r.small.space, C)
 
@@ -261,9 +261,7 @@ def reduced_bs_direct(B: FiniteCDGA, A: CDGA) -> CDGA:
     for h in hsp.names:
         h_el = r.incl.apply_word(Word.tensor(h))
         for v in A.gens.names:
-            total = expand(v, h_el, factor)
-            if total:
-                diff[name[h, v]] = total
+            diff[name[h, v]] = expand(v, h_el, factor)
     return CDGA(bs, diff)
 
 
@@ -272,16 +270,10 @@ def restrict_positive(A: CDGA) -> CDGA:
     restriction on the Brown-Szczarba side)."""
     keep = [(n, d) for n, d in A.gens.basis if d > 0]
     space = GradedSpace.of(keep)
-    diff = {}
-    for g, el in A.diff.items():
-        if g not in space:
-            continue
-        kept = {
-            w: c for w, c in el.terms.items() if all(f in space for f in w.factors)
-        }
-        if kept:
-            diff[g] = Element(space, kept)
-    return CDGA(space, diff)
+    return CDGA(space, {
+        g: Element(space, {w: c for w, c in el.terms.items()
+                           if all(f in space for f in w.factors)})
+        for g, el in A.diff.items() if g in space})
 
 
 # ---------------------------------------------------------------------------

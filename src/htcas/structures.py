@@ -3,7 +3,8 @@ checked once, when built: one whose defining relations fail is refused
 with an AxiomError, so every structure the engine holds is valid.  Each
 map's shape is checked there too (canonical input words, and image words:
 tensor words of k letters for Delta_k, generators for ell_k), so each
-round-trips.
+round-trips.  A zero op is dropped there, by the rule of `core`'s
+Conventions that no zero is stored.
 
 Structure maps are stored unshifted: co-operations Delta_k : C -> C^{(x)k}
 of degree k-2 on plain basis words, brackets ell_k : Lambda^k L -> L of
@@ -386,16 +387,12 @@ def _twisted(L: LInfAlgebra, z: Element, factors: tuple[str, ...]) -> Element:
     return lincomb(L.space, parts)
 
 
-def mc_residual(L: LInfAlgebra, z: Element) -> Element:
-    """sum_k (1/k!) ell_k(z, ..., z); finite because the op family is."""
-    return _twisted(L, z, ())
-
-
 def mc_check(L: LInfAlgebra, z: Element) -> Element:
     """Verify the Maurer-Cartan equation and return z; raises on failure."""
     if z and z.degree != -1:
         raise ValidationError(f"Maurer-Cartan elements have degree -1, got {z.degree}")
-    res = mc_residual(L, z)
+    # the curvature sum_k (1/k!) ell_k(z, ..., z), finite because the op family is
+    res = _twisted(L, z, ())
     if res:
         raise ValidationError(f"Maurer-Cartan equation fails, residual {res!r}")
     return z
@@ -416,13 +413,8 @@ def perturb(L: LInfAlgebra, mc: Element) -> LInfAlgebra:
         pool_lists = ([[(), (f,)] if f in zsupp else [(f,)] for f in sw.factors]
                       for m in sorted(L.ops) if m >= k for sw in L.ops[m].images)
         cands = substituted_words(L.space, "w", pool_lists, length=k)
-        images = {}
-        for w in cands:
-            total = _twisted(L, mc, w.factors)
-            if total:
-                images[w] = total
-        if images:
-            ops[k] = GradedMap(L.space, L.space, k - 2, images, arity=k, in_kind="w")
+        images = {w: _twisted(L, mc, w.factors) for w in cands}
+        ops[k] = GradedMap(L.space, L.space, k - 2, images, arity=k, in_kind="w")
     return LInfAlgebra(L.space, ops)
 
 
@@ -471,8 +463,7 @@ def truncate(L: LInfAlgebra) -> LInfAlgebra:
                 # entries at the pivots
                 images[w] = Element.make(new_space, [(out.coeff(Word.tensor(p)), "t", (p,))
                                                      for p in pivots])
-            elif out:
-                images[w] = Element(new_space, dict(out.terms))
-        if images:
-            ops[k] = GradedMap(new_space, new_space, k - 2, images, arity=k, in_kind="w")
+            else:  # GradedMap checks it into new_space
+                images[w] = out
+        ops[k] = GradedMap(new_space, new_space, k - 2, images, arity=k, in_kind="w")
     return LInfAlgebra(new_space, ops)

@@ -260,13 +260,10 @@ def retract_from_decomposition(dec: Decomposition) -> HomotopyRetract:
     hom_images = {}
     for n in names:
         sol = coeffs[n]
-        p_el = Element.make(
+        proj_images[Word.tensor(n)] = Element.make(
             small_space, [(x, "t", (small_pairs[j][0],)) for part, j, x in sol if part == "h"])
-        if p_el:
-            proj_images[Word.tensor(n)] = p_el
-        h_el = lincomb(space, ((x, dec.a_part[j]) for part, j, x in sol if part == "da"))
-        if h_el:
-            hom_images[Word.tensor(n)] = h_el
+        hom_images[Word.tensor(n)] = lincomb(
+            space, ((x, dec.a_part[j]) for part, j, x in sol if part == "da"))
     proj = GradedMap(space, small_space, 0, proj_images)
     homotopy = GradedMap(space, space, 1, hom_images)
     return HomotopyRetract(cx, small, incl, proj, homotopy)
@@ -410,9 +407,7 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
                              for w, c in terms)
         return lincomb(rr.small, parts)
 
-    ops: dict[int, GradedMap] = {}
-    if not r.small.diff.is_zero():
-        ops[1] = r.small.diff
+    ops = {1: r.small.diff}
     for m in range(2, cap + 1):
         images = {w: F(m, el) for w, el in rr.incl.images.items()}
         ops[m] = unshift(GradedMap(rr.small, rr.small, -1, images), m, r.small.space)
@@ -517,9 +512,7 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
     arities = [j for j in sorted(L.ops) if j >= 2]
 
     small = r.small.space
-    ops: dict[int, GradedMap] = {}
-    if not r.small.diff.is_zero():
-        ops[1] = suspend_map(r.small.diff, small, small, -1, kind="w")
+    ops = {1: suspend_map(r.small.diff, small, small, -1, kind="w")}
     # support: the canonical words with nonzero I, of every length so far, mapped to I
     support = {(n,): rr.incl.apply_word(Word.tensor(n)) for n in small.names}
     for k in range(2, max_k + 1):
@@ -537,11 +530,8 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
                 if iw:
                     support[w] = iw
             if kept is None or w in kept:
-                img = rr.proj.apply(f)
-                if img:
-                    images[Word.wedge(*w)] = img
-        if images:
-            ops[k] = unshift(GradedMap(rr.small, rr.small, -1, images, k, "w"), k, small)
+                images[Word.wedge(*w)] = rr.proj.apply(f)
+        ops[k] = unshift(GradedMap(rr.small, rr.small, -1, images, k, "w"), k, small)
     return LInfAlgebra(small, ops)
 
 
@@ -594,11 +584,9 @@ def hom_complex(source: ChainComplex, L: LInfAlgebra) -> ChainComplex:
         for x in L.space.names:
             f = Word.tensor(hom_name(c, x))
             post = ell1.apply_word(Word.tensor(x))
-            out = lincomb(space, [*((cy, Element.gen(space, hom_name(c, wy.factors[0])))
-                                    for wy, cy in post.terms.items()),
-                                  (1, pre.get(f, zero))])
-            if out:
-                images[f] = out
+            images[f] = lincomb(space, [*((cy, Element.gen(space, hom_name(c, wy.factors[0])))
+                                          for wy, cy in post.terms.items()),
+                                        (1, pre.get(f, zero))])
     return ChainComplex(space, GradedMap(space, space, -1, images))
 
 

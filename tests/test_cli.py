@@ -666,6 +666,17 @@ def test_empty_homology_derives_the_least_cap(tmp_path, capsys):
         assert code == 0 and out.startswith("verdict: yes-by-theorem"), name
 
 
+def test_empty_hom_derives_the_least_cap(tmp_path, capsys):
+    # a target with no generators leaves Hom(H, L) = 0, which carries no
+    # brackets: the unpointed model derives the cap 2, though the counit of
+    # the full dual bounds no arity by degrees
+    x = str(MODELS / "example1_X.cdga")
+    point = write(tmp_path, "point.cdga", "kind cdga\n")
+    assert run(["mapmodel", x, point], capsys) == (0, "kind linf\n", "")
+    assert run(["mapmodel", x, point, "--emit", "both"], capsys) == (
+        0, "kind linf\nkind cdga\n", "")
+
+
 def test_non_conilpotent_coalgebra_exit_code(tmp_path, capsys):
     # check accepts x with Delta(x) = x|x, whose iterated coproducts never vanish
     dgc = write(tmp_path, "x.dgc", "kind dgc\ngen x : 0\ncop x = x|x\n")

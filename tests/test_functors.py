@@ -260,6 +260,8 @@ def test_free_lie_dgl_checks_itself_when_built():
     sp = GradedSpace.of([("a", 1), ("c", 3)])
     with pytest.raises(ValidationError, match="diff c must have degree 2, got 1"):
         FreeLieDGL(sp, {"c": Element.gen(sp, "a")})
+    # a zero image is dropped, as CDGA drops one (core's Conventions)
+    assert FreeLieDGL(sp, {"c": Element.zero(sp)}).diff == {}
 
 
 def test_quillen_abelian_and_sphere():

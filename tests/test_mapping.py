@@ -21,8 +21,17 @@ from helpers import (
     random_finite_cdga,
     random_sullivan,
 )
-from htcas.core import BoundError, Element, GradedSpace, Word, suspension_sign
-from htcas.functors import CDGA, FiniteCDGA, cochain, dual_coalgebra, linf_from_cdga
+from htcas.core import BoundError, Element, GradedMap, GradedSpace, Word, suspension_sign
+from htcas.functors import (
+    CDGA,
+    FiniteCDGA,
+    FreeLieDGL,
+    cochain,
+    dual_coalgebra,
+    linf_from_cdga,
+    quillen,
+    quillen_differential_direct,
+)
 from htcas.mapping import (
     component_model,
     convolution_linf,
@@ -32,13 +41,24 @@ from htcas.mapping import (
     reduced_bs_direct,
     restrict_positive,
 )
-from htcas.structures import check_linf, mc_check, perturb, shifted_brackets, truncate
+from htcas.structures import (
+    AInfCoalgebra,
+    LInfAlgebra,
+    check_linf,
+    mc_check,
+    perturb,
+    shifted_brackets,
+    truncate,
+)
 from htcas.transfer import (
     ChainComplex,
+    HomotopyRetract,
+    canonical_retract,
     hom_retract,
     hom_space,
     homology_decomposition,
     retract_from_decomposition,
+    transfer_ainf,
     transfer_linf,
 )
 from tree_oracles import aut_order, enumerate_rooted, tree_map_lie
@@ -264,6 +284,50 @@ def test_bs_direct_matches_the_dense_substitution():
             assert got.gens == want.gens, (tag, label)
             for g in got.gens.names:
                 assert got.diff.get(g) == want.diff.get(g), (tag, label, g)
+
+
+def _stored(x) -> list:
+    """Every image, op value and differential value that x stores; an op
+    of an A-infinity or L-infinity structure is checked to be nonzero."""
+    if isinstance(x, GradedMap):
+        return list(x.images.values())
+    if isinstance(x, HomotopyRetract):
+        maps = (x.big.diff, x.small.diff, x.incl, x.proj, x.homotopy)
+        return [el for m in maps for el in _stored(m)]
+    if isinstance(x, (CDGA, FreeLieDGL)):
+        return list(x.diff.values())
+    assert isinstance(x, (AInfCoalgebra, LInfAlgebra)) and not any(
+        m.is_zero() for m in x.ops.values())
+    return [el for m in x.ops.values() for el in _stored(m)]
+
+
+def test_no_structure_stores_a_zero():
+    # the constructors own the rule of core's Conventions, and the builders
+    # leave it to them: no structure a pipeline builds from an oracle source
+    # stores a zero image, op or differential
+    stored = 0
+    for tag, B in oracle_sources():
+        C = dual_coalgebra(B, counital=False)
+        r = canonical_retract(C)
+        H = transfer_ainf(C, r)
+        built = [dual_coalgebra(B, counital=True), C, r, H, quillen(H),
+                 quillen_differential_direct(C)]
+        for Y in (EX1_Y, Y4):
+            L = linf_from_cdga(Y)
+            mm = mapping_space_model(C, L)
+            component = component_model(mm.model, Element.zero(mm.model.space))
+            bs = reduced_bs_direct(B, Y)
+            built += [hom_retract(r, L), mm.convolution, mm.model, component, cochain(L), bs,
+                      restrict_positive(bs)]
+            # route 1 into Y4 is refused on n4 (d^2 != 0, ROADMAP item 1)
+            # and on chain (a bracket of arity 4)
+            if Y is EX1_Y:
+                built.append(reduced_bs_cochain(component, mm.homology, L.space))
+        for x in built:
+            values = _stored(x)
+            assert all(values), (tag, type(x).__name__)
+            stored += len(values)
+    assert stored > 5_000
 
 
 def test_conilpotence_two_binary_shortcut():

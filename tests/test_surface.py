@@ -107,6 +107,8 @@ def test_no_wrappers_of_a_single_call():
     assert not hasattr(functors, "FreeLieElement")
     assert not hasattr(structures, "MaurerCartanElement")
     assert not hasattr(structures, "iterated_coproduct")
+    # mc_check reads the curvature off _twisted on the empty word
+    assert not hasattr(structures, "mc_residual")
     # one decalage rule, core.suspend_map, in place of its seven copies
     assert not hasattr(core, "suspend_element")
     assert not hasattr(structures, "unshift_coop")
