@@ -804,7 +804,9 @@ def suspend_map(m: GradedMap, source: GradedSpace, target: GradedSpace, degree: 
     scale * suspension_sign(w in source) times m(w), each word of which is
     signed by its suspension sign in m's target.  A one-factor word has sign
     +1, so this one rule shifts co-operations (one input), brackets (one
-    output), their inverses and retract maps (one of each)."""
+    output) and their inverses.  On a map with one letter in and one out,
+    as each retract map is, it only relabels, so the transfers read the
+    retract in place."""
     kind = kind or m.in_kind
     in_deg, out_deg = source._degree, m.target._degree
     images = {}

@@ -308,9 +308,6 @@ class FreeLieDGL:
         self.gens = gens
         self.diff = {g: img for g, img in diff.items() if img}
         self.presentation = {} if presentation is None else presentation
-        self.validate()
-
-    def validate(self) -> None:
         for g, img in self.diff.items():
             want = self.gens.degree(g) - 1
             if img.degree != want:

@@ -30,8 +30,9 @@ s^{-1}C, brackets onto sL):
     B_k     = s o ell_k o (s^{-1})^{(x)k}           (L-infinity)
 
 and `unshift`, the exact inverse conjugation, carries the interleaving
-sign (-1)^{k(k-1)/2}.  All three, like the shifted retract maps of
-`transfer`, are `core.suspend_map`, the one decalage rule.  By decalage
+sign (-1)^{k(k-1)/2}.  All three are `core.suspend_map`, the one
+decalage rule; the retract maps `transfer` reads in place, as it only
+relabels a map with one letter in and one out.  By decalage
 B_k is graded symmetric on sL, so it is stored on monomial words and
 GradedMap's canonicalization evaluates it on every input order.  In this
 normalization the homotopy-transfer tree sums are sign-free, which is how

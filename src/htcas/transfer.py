@@ -18,15 +18,19 @@ Transfer is computed in the suspension-normalized world of `structures`
 (all ops degree -1), where the transfer formulas carry no signs beyond
 Koszul tensor evaluation; internal edges are labeled by the negated
 suspended homotopy (the bar/cobar orientation) and results are conjugated
-back by `structures.unshift`.  Every shift, of the ops, of the retract
-maps and back, is the one decalage rule `core.suspend_map`.  Transferred
-co-ops come from the planar recursion G_1 = p, G_m = F_m o h, with F_m the
-sum of (G_{m_1} (x) ... (x) G_{m_j}) o delta_j over the compositions of m
+back by `structures.unshift`.  Every shift, of the ops and back, is the
+one decalage rule `core.suspend_map`.  The retract is read in place: i, p
+and h take one letter to one letter, whose suspension sign is +1, so a
+value moves onto the suspended space by its names alone (relabelled, not
+re-checked, as a uniform shift keeps it homogeneous), and h is negated
+where each transfer reads it.  Transferred co-ops come from the planar
+recursion G_1 = p, G_m = F_m o h, with F_m the sum of
+(G_{m_1} (x) ... (x) G_{m_j}) o delta_j over the compositions of m
 (Markl, Transferring A-infinity structures), evaluated on demand from
 i(H) downward and memoized per arity and basis element; it unrolls to the
-sum over planar trees.  Transferred brackets come from the
-recursion for the infinity-morphism i_infinity over splits of the inputs
-into blocks (Berglund, arXiv:0909.3485; Loday-Vallette, Algebraic
+sum over planar trees.  Transferred brackets come from the recursion for
+the infinity-morphism i_infinity over splits of the inputs into blocks
+(Berglund, arXiv:0909.3485; Loday-Vallette, Algebraic
 Operads, 10.3), driven by the words on which it is nonzero; each split is
 peeled block by block from one support table, the words with nonzero I.
 It sums each leaf-labelled tree once, which equals the tree sum over
@@ -166,17 +170,13 @@ class HomotopyRetract:
         self.incl = incl
         self.proj = proj
         self.homotopy = homotopy
-        self.validate()
-
-    def validate(self) -> None:
-        """Retract identity, i a chain map and side conditions, per generator.
-
-        They make p a homotopy inverse of i (pi = 1, 1 - ip = dh + hd), so
-        homology is not recounted.  `ChainComplex` refuses d^2 != 0, and
-        then p is a chain map by the others: pd = pd(ip + dh + hd) = dp, as
-        pi = 1, di = id and pdh = p(1 - ip - hd) = 0."""
-        big, small = self.big, self.small
-        i, p, h = self.incl, self.proj, self.homotopy
+        # the retract identity, i a chain map and the side conditions, per
+        # generator.  They make p a homotopy inverse of i (pi = 1,
+        # 1 - ip = dh + hd), so homology is not recounted.  `ChainComplex`
+        # refuses d^2 != 0, and then p is a chain map by the others:
+        # pd = pd(ip + dh + hd) = dp, as pi = 1, di = id and
+        # pdh = p(1 - ip - hd) = 0.
+        i, p, h = incl, proj, homotopy
         for n in small.space.names:
             w = Word.tensor(n)
             if p.apply(i.apply_word(w)) != Element.gen(small.space, n):
@@ -314,32 +314,6 @@ def retract_recursion(r: HomotopyRetract, out: GradedSpace, leaf, substitute):
 
 
 # ---------------------------------------------------------------------------
-# shifted retract views
-
-
-class _ShiftedRetract:
-    def __init__(self, big: GradedSpace, small: GradedSpace, incl: GradedMap,
-                 proj: GradedMap, homotopy: GradedMap):
-        self.big = big
-        self.small = small
-        self.incl = incl
-        self.proj = proj
-        self.homotopy = homotopy  # already carries the bar-orientation flip
-
-
-def _shift_retract(r: HomotopyRetract, shift: int) -> _ShiftedRetract:
-    big = r.big.space.suspend(shift)
-    small = r.small.space.suspend(shift)
-    return _ShiftedRetract(
-        big,
-        small,
-        suspend_map(r.incl, small, big, 0),
-        suspend_map(r.proj, big, small, 0),
-        suspend_map(r.homotopy, big, big, 1, scale=-1),
-    )
-
-
-# ---------------------------------------------------------------------------
 # A-infinity transfer
 
 
@@ -388,14 +362,16 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
     visits each planar tree once: it is the sum over planar trees with m
     leaves."""
     coops = shifted_coops(C)
-    rr = _shift_retract(r, -1)
+    big, small = r.big.space.suspend(-1), r.small.space.suspend(-1)
     cap = arity_cap(max_k, ainf_transfer_cap(C, r.small.space))
     arities = [j for j in sorted(coops) if j >= 2]
 
     @cache
     def G(m: int, y: str) -> Element:
         w = Word.tensor(y)
-        return rr.proj.apply_word(w) if m == 1 else F(m, rr.homotopy.apply_word(w))
+        if m == 1:
+            return Element._of(small, r.proj.apply_word(w).terms)
+        return F(m, Element._of(big, (-r.homotopy.apply_word(w)).terms))
 
     def F(m: int, el: Element) -> Element:
         parts = []
@@ -405,12 +381,12 @@ def transfer_ainf(C: AInfCoalgebra, r: HomotopyRetract,
                 sizes = [b - a for a, b in zip((0,) + cuts, cuts + (m,))]
                 parts.extend((c, reduce(Element.times, map(G, sizes, w.factors)))
                              for w, c in terms)
-        return lincomb(rr.small, parts)
+        return lincomb(small, parts)
 
     ops = {1: r.small.diff}
     for m in range(2, cap + 1):
-        images = {w: F(m, el) for w, el in rr.incl.images.items()}
-        ops[m] = unshift(GradedMap(rr.small, rr.small, -1, images), m, r.small.space)
+        images = {w: F(m, Element._of(big, el.terms)) for w, el in r.incl.images.items()}
+        ops[m] = unshift(GradedMap(small, small, -1, images), m, r.small.space)
     counit = C.counit if (C.counit and C.counit in r.small.space) else None
     return AInfCoalgebra(r.small.space, ops, counit=counit)
 
@@ -449,14 +425,14 @@ def _support_merges(support: dict, k: int, arities: list[int], space: GradedSpac
 
 
 def _vertex_sum(w: tuple[str, ...], support: dict, arities: list[int],
-                B: dict[int, GradedMap], rr: _ShiftedRetract) -> Element:
+                B: dict[int, GradedMap], small: GradedSpace, big: GradedSpace) -> Element:
     """F(w): every root vertex B_j over every split of w into j blocks.
 
     A split is peeled block by block: the block that holds the least
     position left is looked up in the support, the rest is split alike.
     The subwords of a canonical word are canonical, so each block is looked
     up as it stands; a block outside the support has I = 0."""
-    degs = [rr.small.degree(f) for f in w]
+    degs = [small.degree(f) for f in w]
     terms: dict[Word, Fraction] = {}
 
     def peel(left: tuple[int, ...], order: tuple[int, ...], vals: list[Element]) -> None:
@@ -475,7 +451,7 @@ def _vertex_sum(w: tuple[str, ...], support: dict, arities: list[int],
                              (*order, first, *others), [*vals, v])
 
     peel(tuple(range(len(w))), (), [])
-    return Element(rr.big, terms)
+    return Element(big, terms)
 
 
 def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
@@ -507,32 +483,33 @@ def transfer_linf(L: LInfAlgebra, r: HomotopyRetract, max_k: int | None = None,
     arity; the I values below max_k are computed in full regardless.
     """
     B = shifted_brackets(L)
-    rr = _shift_retract(r, +1)
-    max_k = arity_cap(max_k, linf_transfer_cap(L, r.small.space))
+    H = r.small.space
+    big, small = r.big.space.suspend(+1), H.suspend(+1)
+    max_k = arity_cap(max_k, linf_transfer_cap(L, H))
     arities = [j for j in sorted(L.ops) if j >= 2]
 
-    small = r.small.space
-    ops = {1: suspend_map(r.small.diff, small, small, -1, kind="w")}
+    ops = {1: suspend_map(r.small.diff, H, H, -1, kind="w")}
     # support: the canonical words with nonzero I, of every length so far, mapped to I
-    support = {(n,): rr.incl.apply_word(Word.tensor(n)) for n in small.names}
+    support = {(n,): Element._of(big, r.incl.apply_word(Word.tensor(n)).terms) for n in H.names}
     for k in range(2, max_k + 1):
         kept = None if words is None or words.get(k) is None else {w.factors for w in words[k]}
         last = k == max_k
         images = {}
-        for w in _support_merges(support, k, arities, rr.small, L):
+        for w in _support_merges(support, k, arities, small, L):
             if last and kept is not None and w not in kept:
                 continue
-            f = _vertex_sum(w, support, arities, B, rr)
+            f = _vertex_sum(w, support, arities, B, small, big)
             if not f:
                 continue
+            f = Element._of(r.big.space, f.terms)
             if not last:
-                iw = rr.homotopy.apply(f)
+                iw = r.homotopy.apply(f)
                 if iw:
-                    support[w] = iw
+                    support[w] = Element._of(big, (-iw).terms)
             if kept is None or w in kept:
-                images[Word.wedge(*w)] = rr.proj.apply(f)
-        ops[k] = unshift(GradedMap(rr.small, rr.small, -1, images, k, "w"), k, small)
-    return LInfAlgebra(small, ops)
+                images[Word.wedge(*w)] = Element._of(small, r.proj.apply(f).terms)
+        ops[k] = unshift(GradedMap(small, small, -1, images, k, "w"), k, H)
+    return LInfAlgebra(H, ops)
 
 
 # ---------------------------------------------------------------------------

@@ -76,13 +76,13 @@ from htcas.transfer import (
     ChainComplex,
     Decomposition,
     HomotopyRetract,
-    _shift_retract,
     _support_merges,
     _vertex_sum,
     canonical_retract,
     hom_complex,
     hom_name,
 )
+from tree_oracles import shift_retract
 
 
 @contextlib.contextmanager
@@ -865,7 +865,7 @@ def derivation_by_elements(M: CDGA | FreeLieDGL, el: Element) -> Element:
     """The derivation extension of M's differential to the words of el, as
     products prefix d(f) suffix of Elements per position, each prefix and
     suffix a word of the kind of its input (reference for `core.derivation`
-    under `CDGA.d` and `FreeLieDGL.validate`)."""
+    under `CDGA.d` and the `FreeLieDGL` check)."""
     space = M.gens
     parts = []
     for w, c in el.terms.items():
@@ -920,7 +920,7 @@ def linf_merge_candidates(L: LInfAlgebra, r: HomotopyRetract, max_k: int) -> dic
     all-combinations candidates, the target-indexed candidates of
     `_support_merges` on the same support, and the words with F != 0."""
     B = shifted_brackets(L)
-    rr = _shift_retract(r, +1)
+    rr = shift_retract(r, +1)
     arities = [j for j in sorted(L.ops) if j >= 2]
     support = {(n,): rr.incl.apply_word(Word.tensor(n)) for n in rr.small.names}
     out = {}
@@ -929,7 +929,7 @@ def linf_merge_candidates(L: LInfAlgebra, r: HomotopyRetract, max_k: int) -> dic
         indexed = _support_merges(support, k, arities, rr.small, L)
         nonzero = []
         for w in every:
-            f = _vertex_sum(w, support, arities, B, rr)
+            f = _vertex_sum(w, support, arities, B, rr.small, rr.big)
             if f:
                 nonzero.append(w)
                 iw = rr.homotopy.apply(f)

@@ -227,3 +227,25 @@ def test_pointed_cut_matches_the_whole_source(tmp_path, monkeypatch):
         whole = whole_source_model(str(files[x]), str(files[y]), emit, max_k,
                                    mc and str(files[mc]))
         assert (cut, cutoffs, caps) == (whole, [cutoff], want_caps), x
+
+
+def test_heisenberg_triple_massey_coproducts(tmp_path):
+    # Heis's generators have degree 1, so no arity cap is derived, and its
+    # classes a, b shift to degree 0, where the A-infinity recursion nests
+    # without lowering degree: every cap from 3 up prints the same triple
+    # Massey coproducts, cap 2 none, and the full dual keeps them
+    heis = tmp_path / "heis.cdga"
+    heis.write_text(HEIS)
+    d3 = "D3 a.c = a|a|b - 2 a|b|a + b|a|a\nD3 b.c = - a|b|b + 2 b|a|b - b|b|a\n"
+    for dual in (["dualize"], ["dualize", "--full"]):
+        dgc = tmp_path / "heis.dgc"
+        dgc.write_text(stdout_of(dual + [str(heis)]))
+        outs = {cap: stdout_of(["transfer-ainf", str(dgc), "--max-arity", cap])
+                for cap in ("2", "3", "4", "8", "12")}
+        assert outs["3"].endswith(d3), dual
+        assert all(outs[cap] == outs["3"] for cap in ("4", "8", "12")), dual
+        assert "D3" not in outs["2"], dual
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(["transfer-ainf", str(dgc)]) == 4, dual
+        assert "cannot derive an arity cap" in err.getvalue(), dual

@@ -116,6 +116,12 @@ def test_no_wrappers_of_a_single_call():
     assert not hasattr(transfer, "_shift_map")
     assert not hasattr(transfer, "_as_wedge_op")
     assert not hasattr(GradedMap, "support")
+    # the transfers read the canonical retract in place, h negated where read
+    assert not hasattr(transfer, "_shift_retract")
+    assert not hasattr(transfer, "_ShiftedRetract")
+    # each structure check runs in its constructor, its only caller
+    assert not hasattr(functors.FreeLieDGL, "validate")
+    assert not hasattr(transfer.HomotopyRetract, "validate")
     # the A-infinity transfer evaluates its recursion per basis element
     assert not hasattr(transfer, "_coop_map")
     assert not hasattr(GradedMap, "compose")

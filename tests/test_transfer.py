@@ -34,7 +34,6 @@ from htcas.structures import (
 from htcas.transfer import (
     ChainComplex,
     HomotopyRetract,
-    _shift_retract,
     ainf_transfer_cap,
     hom_complex,
     hom_retract,
@@ -636,12 +635,7 @@ def test_transfer_ainf_evaluates_each_arity_and_element_once(monkeypatch):
             calls[tuple(frame.locals[a] for a in frame.args)] += 1
             return self.h.apply_word(w)
 
-    def counted(r, shift_by):
-        rr = _shift_retract(r, shift_by)
-        rr.homotopy = CountingHomotopy(rr.homotopy)
-        return rr
-
-    monkeypatch.setattr("htcas.transfer._shift_retract", counted)
+    monkeypatch.setattr(r, "homotopy", CountingHomotopy(r.homotopy))
     H = transfer_ainf(red, r)
     monkeypatch.undo()
     assert all(same_map(m, H.ops[k]) for k, m in transfer_ainf(red, r).ops.items())

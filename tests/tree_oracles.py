@@ -9,10 +9,12 @@ Trees serialize as nested parentheses with `*` for a leaf, e.g. the
 3-leaf left comb is ((**)*).
 
 `tree_map_coalgebra` and `tree_map_lie` evaluate one tree at a time in
-the suspension-normalized world of `htcas.structures`, on the shifted
-retract of `htcas.transfer`.  The engine computes the same sums by the
-planar recursion and the i_infinity recursion and never enumerates a
-tree; the tests compare the two tree by tree and arity by arity.
+the suspension-normalized world of `htcas.structures`, on a shifted copy
+of the retract built here (`shift_retract`), with h negated once and for
+all.  The engine reads the retract in place and negates h where it reads
+it, so the two do not share that step.  The engine computes the same sums
+by the planar recursion and the i_infinity recursion and never enumerates
+a tree; the tests compare the two tree by tree and arity by arity.
 """
 
 from __future__ import annotations
@@ -20,13 +22,16 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 from htcas.core import (
     Element,
     GradedMap,
     Word,
+    GradedSpace,
     koszul_sign,
     lincomb,
+    suspend_map,
     tensor_apply,
     word_basis,
 )
@@ -37,7 +42,7 @@ from htcas.structures import (
     shifted_coops,
     unshift,
 )
-from htcas.transfer import HomotopyRetract, _shift_retract, _ShiftedRetract
+from htcas.transfer import HomotopyRetract
 
 # A tree is either LEAF or a tuple of >= 2 subtrees (children, left to right).
 LEAF = "*"
@@ -174,6 +179,33 @@ def arity_product(t) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the shifted retract
+
+
+class ShiftedRetract(NamedTuple):
+    big: GradedSpace
+    small: GradedSpace
+    incl: GradedMap
+    proj: GradedMap
+    homotopy: GradedMap  # already carries the bar-orientation sign
+
+
+def shift_retract(r: HomotopyRetract, shift: int) -> ShiftedRetract:
+    """i, p and -h carried onto the spaces suspended by `shift`, each by the
+    decalage `core.suspend_map`; the internal edges of a tree are labelled
+    by -h (the bar/cobar orientation)."""
+    big = r.big.space.suspend(shift)
+    small = r.small.space.suspend(shift)
+    return ShiftedRetract(
+        big,
+        small,
+        suspend_map(r.incl, small, big, 0),
+        suspend_map(r.proj, big, small, 0),
+        suspend_map(r.homotopy, big, big, 1, scale=-1),
+    )
+
+
+# ---------------------------------------------------------------------------
 # A-infinity tree maps
 
 
@@ -183,7 +215,7 @@ def _compose(outer: GradedMap, inner: GradedMap) -> GradedMap:
     return GradedMap(inner.source, outer.target, outer.degree + inner.degree, images)
 
 
-def _vertex(coops: dict[int, GradedMap], rr: _ShiftedRetract, slots) -> GradedMap:
+def _vertex(coops: dict[int, GradedMap], rr: ShiftedRetract, slots) -> GradedMap:
     """(S_1 (x) ... (x) S_j) o delta_j for the slot maps S, j = len(slots), on
     every basis element of the big space; zero when C has no arity-j co-op."""
     delta = coops.get(len(slots))
@@ -195,7 +227,7 @@ def _vertex(coops: dict[int, GradedMap], rr: _ShiftedRetract, slots) -> GradedMa
     return GradedMap(rr.big, rr.small, -1, images)
 
 
-def _tree_coop(tree, coops: dict[int, GradedMap], rr: _ShiftedRetract) -> GradedMap:
+def _tree_coop(tree, coops: dict[int, GradedMap], rr: ShiftedRetract) -> GradedMap:
     """F_T for a planar tree T with an internal root: the root co-op followed
     by p on each leaf and F_c o h on each subtree c."""
     slots = tuple(rr.proj if is_leaf(c) else _compose(_tree_coop(c, coops, rr), rr.homotopy)
@@ -206,7 +238,7 @@ def _tree_coop(tree, coops: dict[int, GradedMap], rr: _ShiftedRetract) -> Graded
 def tree_map_coalgebra(tree, C: AInfCoalgebra, r: HomotopyRetract) -> GradedMap:
     """The single labeled tree map Delta_T : H -> H^{(x)k}; a test oracle for
     `transfer_ainf`, which sums these over the planar trees with k leaves."""
-    rr = _shift_retract(r, -1)
+    rr = shift_retract(r, -1)
     delta = _compose(_tree_coop(tree, shifted_coops(C), rr), rr.incl)
     return unshift(delta, leaf_count(tree), r.small.space)
 
@@ -215,7 +247,7 @@ def tree_map_coalgebra(tree, C: AInfCoalgebra, r: HomotopyRetract) -> GradedMap:
 # L-infinity tree maps
 
 
-def _lie_node(tree, B: dict[int, GradedMap], rr: _ShiftedRetract,
+def _lie_node(tree, B: dict[int, GradedMap], rr: ShiftedRetract,
               factors: tuple[str, ...], memo: dict) -> Element:
     """Value of a subtree on its chunk of leaf inputs (before the edge below)."""
     if is_leaf(tree):
@@ -273,7 +305,7 @@ def tree_map_lie(tree, L: LInfAlgebra, r: HomotopyRetract) -> GradedMap:
     every canonical word and every input permutation."""
     k = leaf_count(tree)
     B = shifted_brackets(L)
-    rr = _shift_retract(r, +1)
+    rr = shift_retract(r, +1)
     memo: dict = {}
     small = r.small.space
     emb = planar_embedding(tree)
