@@ -99,8 +99,7 @@ from .functors import (
     quillen,
     quillen_differential_direct,
     right_normed,
-    weight_component,
-    weights,
+    weight_parts,
 )
 from .invariants import (
     bracket_length,
@@ -513,8 +512,8 @@ def _fmt_lie(M: FreeLieDGL, g: str) -> str:
     # fall back to the Dynkin expansion: t = (1/k) rho(t) weightwise
     img = M.diff[g]
     terms = []
-    for k in weights(img):
-        for w, c in weight_component(img, k).sorted_items():
+    for k, part in weight_parts(img).items():
+        for w, c in part.sorted_items():
             terms.append((Fraction(c, k), bracket_tree_str(right_normed(w.factors))))
     return _fmt_sum(terms)
 

@@ -151,19 +151,6 @@ class FiniteCDGA:
         self.monomials = parent.monomial_basis(max_cohom)
         self.names = {fs: ".".join(fs) if fs else "one" for fs in self.monomials}
 
-    def truncate(self, el: Element) -> Element:
-        keep = {}
-        for w, c in el.terms.items():
-            if w.factors in self.names:
-                keep[w] = c
-        return Element(self.parent.gens, keep)
-
-    def d(self, fs) -> Element:
-        return self.truncate(self.parent.d(Element(self.parent.gens, {Word("m", fs): 1})))
-
-    def cohom_degree(self, fs) -> int:
-        return sum(self.parent.gens.degree(f) for f in fs)
-
 
 def dual_coalgebra(B: FiniteCDGA, *, counital: bool) -> AInfCoalgebra:
     """Dual DGC of a finite-dimensional CDGA: the counital C when `counital`,
@@ -173,25 +160,25 @@ def dual_coalgebra(B: FiniteCDGA, *, counital: bool) -> AInfCoalgebra:
     |m| and is named by the one rule of `FiniteCDGA.names`: its factors
     joined by dots, `one` for the unit (a name two monomials get is
     refused).  <Delta m*, x (x) y> = <m*, xy> and <delta m*, x> = <m*, dx>.
-    Each dx is computed once, and each product xy is one canonical word
-    with its sorting sign, kept when that word is a basis monomial; their
-    terms are scattered into the dual images of the monomials they hit, in
-    the order (x, then y) of the monomial basis.  The reduced C is built the
-    same way on the non-unit monomials alone, so no word of it involves the
-    counit.
+    Each dx is computed once, in the parent CDGA, and each product xy is one
+    canonical word with its sorting sign; their terms are scattered into the
+    dual images of the monomials they hit, in the order (x, then y) of the
+    monomial basis, and a term outside the degree window is never read.  The
+    reduced C is built the same way on the non-unit monomials alone, so no
+    word of it involves the counit.
     """
     from .structures import AInfCoalgebra
 
     gens = B.parent.gens
     monomials = B.monomials if counital else [fs for fs in B.monomials if fs]
     names = dict(zip(monomials, derived_names(monomials, B.names.__getitem__, "monomials")))
-    degrees = {fs: B.cohom_degree(fs) for fs in monomials}
+    degrees = {fs: sum(map(gens.degree, fs)) for fs in monomials}
     space = GradedSpace.of([(names[fs], degrees[fs]) for fs in monomials])
 
     # tables[k][m]: the (coeff, dual word) terms of Delta_k(m*)
     tables: dict[int, dict[tuple, list]] = {1: {}, 2: {}}
     for xs in monomials:
-        for w, co in B.d(xs).terms.items():
+        for w, co in B.parent.d(Element(gens, {Word("m", xs): 1})).terms.items():
             tables[1].setdefault(w.factors, []).append((co, (names[xs],)))
         for ys in monomials:
             if degrees[xs] + degrees[ys] > B.max_cohom:
@@ -275,21 +262,18 @@ def bracketing(el: Element) -> Element:
                            for w, c in el.terms.items()))
 
 
-def weights(el: Element) -> list[int]:
-    """The word lengths (bracket weights) that occur in el, ascending."""
-    return sorted({len(w) for w in el.terms})
-
-
-def weight_component(el: Element, k: int) -> Element:
-    """The weight-k part of el."""
-    return Element(el.space, {w: c for w, c in el.terms.items() if len(w) == k})
+def weight_parts(el: Element) -> dict[int, Element]:
+    """The parts of el by word length (bracket weight), in ascending weight."""
+    parts: dict[int, dict[Word, int | Fraction]] = {}
+    for w, c in el.terms.items():
+        parts.setdefault(len(w), {})[w] = c
+    return {k: Element(el.space, parts[k]) for k in sorted(parts)}
 
 
 def is_primitive(el: Element) -> bool:
     """Dynkin criterion on every weight component, each refused past
     LIE_WORD_BOUND words before it is bracketed."""
-    for k in weights(el):
-        comp = weight_component(el, k)
+    for k, comp in weight_parts(el).items():
         n = len(comp.terms)
         _bounded_expansion(n << (k - 1),
                            f"the Dynkin check of a weight-{k} component of {n:,} words")
@@ -319,7 +303,7 @@ class FreeLieDGL:
 
     @property
     def is_minimal(self) -> bool:
-        return all(not weight_component(img, 1) for img in self.diff.values())
+        return all(1 not in weight_parts(img) for img in self.diff.values())
 
 
 def _quillen_hypotheses(C: AInfCoalgebra, route: str) -> None:

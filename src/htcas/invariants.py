@@ -45,16 +45,16 @@ class InvariantReport:
 def differential_length(A: CDGA) -> InvariantReport:
     """Least word length of a nonzero part of a minimal Sullivan
     differential; infinity when d = 0."""
-    from .functors import weight_component, weights
+    from .functors import weight_parts
 
     if not A.is_minimal:
         raise ValidationError("differential length needs a minimal Sullivan algebra")
-    lowest = {g: weights(A.diff[g])[0] for g in A.gens.names if g in A.diff}
+    lowest = {g: min(weight_parts(A.diff[g]).items()) for g in A.gens.names if g in A.diff}
     if not lowest:
         return InvariantReport("dl", INF)
-    gen = min(lowest, key=lowest.get)
-    part = weight_component(A.diff[gen], lowest[gen])
-    return InvariantReport("dl", lowest[gen], witness=f"d({gen}) has the part {part!r}")
+    gen = min(lowest, key=lambda g: lowest[g][0])
+    k, part = lowest[gen]
+    return InvariantReport("dl", k, witness=f"d({gen}) has the part {part!r}")
 
 
 def bracket_length(M: FreeLieDGL) -> InvariantReport:
@@ -63,18 +63,16 @@ def bracket_length(M: FreeLieDGL) -> InvariantReport:
         bracket_tree_element,
         bracket_tree_str,
         bracket_weight,
-        weight_component,
-        weights,
+        weight_parts,
     )
 
     if not M.is_minimal:
         raise ValidationError("bracket length needs a minimal model (no linear part)")
-    lowest = {g: weights(img)[0] for g, img in M.diff.items()}
+    lowest = {g: min(weight_parts(img).items()) for g, img in M.diff.items()}
     if not lowest:
         return InvariantReport("bl", INF)
-    gen = min(lowest, key=lowest.get)
-    best = lowest[gen]
-    comp = weight_component(M.diff[gen], best)
+    gen = min(lowest, key=lambda g: lowest[g][0])
+    best, comp = lowest[gen]
     witness = None
     for coeff, tree in M.presentation.get(gen, []):
         if bracket_weight(tree) == best:
@@ -93,9 +91,6 @@ def whitehead_length(L: LInfAlgebra) -> InvariantReport:
     if L.space.dim and L.space.min_degree() < 1:
         raise ValidationError("Whitehead length needs a positively graded algebra")
     note = "binary brackets only" if any(k > 2 for k in L.ops) else None
-    if 2 not in L.ops:
-        return InvariantReport("Wl", 1, witness="all binary brackets vanish",
-                               note=note)
     levels = {1: [(Element.gen(L.space, n), n) for n in L.space.names]}
     best, bw = 1, "all binary brackets vanish"
     n = 1
@@ -119,14 +114,12 @@ def whitehead_length(L: LInfAlgebra) -> InvariantReport:
 
 def conilpotence(C: AInfCoalgebra) -> InvariantReport:
     """Least n with the n-fold iterated reduced coproduct zero; each
-    Delta^{(n)} is extended from Delta^{(n-1)}, up to n = dim + 1."""
+    Delta^{(n)} is extended from Delta^{(n-1)}, up to n = dim + 1; a C that
+    is not a DGC is refused by `iterated_coproducts`, with a ValueError."""
     from .structures import iterated_coproducts
 
     if C.counit is not None:
         raise ValidationError("conilpotence is an invariant of the reduced coalgebra")
-    if not C.is_dgc:
-        raise ValueError("conilpotence of a genuine A-infinity coalgebra "
-                         "is not implemented; pass a DGC")
     for n, it in enumerate(itertools.islice(iterated_coproducts(C), C.space.dim + 1), start=1):
         if it.is_zero():
             return InvariantReport("conilpotence", n)

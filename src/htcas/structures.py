@@ -253,8 +253,6 @@ def check_ainf(C: AInfCoalgebra) -> CheckReport:
 def check_cocommutative(C: AInfCoalgebra) -> CheckReport:
     """tau o Delta_k = 0 for all k, tau the proper unshuffle splittings."""
     for k, m in sorted(C.ops.items()):
-        if k < 2:
-            continue
         for gen in C.space.names:
             el = m.apply_word(Word.tensor(gen))
             acc: dict[tuple[Word, Word], Fraction] = {}
@@ -436,10 +434,8 @@ def truncate(L: LInfAlgebra) -> LInfAlgebra:
 
     # cycle basis in degree 0
     mat = L.ell(1).matrix(zero, [n for n in space.names if space.degree(n) == -1])
-    cycles = linalg.nullspace(mat, len(zero)) if zero else []
-    cycles = linalg.echelon_basis(cycles)
+    cycles = linalg.echelon_basis(linalg.nullspace(mat, len(zero)))
 
-    pairs = [(n, space.degree(n)) for n in pos]
     include: dict[str, Element] = {n: Element.gen(space, n) for n in pos}
     cycle_words = [Word.tensor(n) for n in zero]
     pivots = []
@@ -447,10 +443,9 @@ def truncate(L: LInfAlgebra) -> LInfAlgebra:
         pivot = zero[next(i for i, x in enumerate(vec) if x)]
         pivots.append(pivot)
         include[pivot] = from_coords(space, cycle_words, vec)
-        pairs.append((pivot, 0))
     # pre[n]: the new basis elements whose inclusion involves n
     pre = letter_index(((m,), el) for m, el in include.items())
-    new_space = GradedSpace.of(sorted(pairs, key=lambda p: space.index(p[0])))
+    new_space = GradedSpace.of([(n, d) for n, d in space.basis if n in include])
 
     ops: dict[int, GradedMap] = {}
     for k in sorted(L.ops):

@@ -146,8 +146,6 @@ def homology_decomposition(cx: ChainComplex) -> Decomposition:
         units = [i for i in range(len(gens)) if not any(r[i] for r in mat)]
         unit_vecs = [[ONE if j == i else ZERO for j in range(len(gens))] for i in units]
         columns = bnds + unit_vecs + cycles
-        if not columns:
-            continue
         _, chosen = linalg.rref([list(r) for r in zip(*columns)])
         for c in (c - len(bnds) for c in chosen if c >= len(bnds)):
             if c < len(units):
@@ -215,22 +213,6 @@ def retract_from_decomposition(dec: Decomposition) -> HomotopyRetract:
     space = cx.space
     names = space.names
 
-    # each class is named by its pivot, the first generator it involves; the
-    # pivots of a canonical decomposition are distinct, as a unit generator's
-    # cycle vector is the generator itself
-    def pivot(el: Element) -> str:
-        return min((w.factors[0] for w in el.terms), key=space.index)
-
-    small_names = derived_names(dec.h_part, pivot, "homology classes")
-    small_pairs = [(nm, space.degree(nm)) for nm in small_names]
-    small_space = GradedSpace.of(small_pairs)
-    small = ChainComplex.zero_diff(small_space)
-
-    incl_images = {
-        Word.tensor(nm): el for (nm, _), el in zip(small_pairs, dec.h_part)
-    }
-    incl = GradedMap(small_space, space, 0, incl_images)
-
     # the basis vectors of each degree block, tagged by part and index
     columns: dict[int | None, list[tuple[str, int, Element]]] = {}
     for j, a in enumerate(dec.a_part):
@@ -255,6 +237,20 @@ def retract_from_decomposition(dec: Decomposition) -> HomotopyRetract:
         for t, g in enumerate(gens):
             coeffs[g] = [(part, j, inv[c][t]) for c, (part, j, _) in enumerate(cols)
                          if inv[c][t]]
+
+    # each class is named by its pivot, the first generator it involves; the
+    # pivots of a canonical decomposition are distinct, as a unit generator's
+    # cycle vector is the generator itself
+    def pivot(el: Element) -> str:
+        return min((w.factors[0] for w in el.terms), key=space.index)
+
+    small_names = derived_names(dec.h_part, pivot, "homology classes")
+    small_pairs = [(nm, space.degree(nm)) for nm in small_names]
+    small_space = GradedSpace.of(small_pairs)
+    small = ChainComplex.zero_diff(small_space)
+
+    incl_images = {Word.tensor(nm): el for nm, el in zip(small_names, dec.h_part)}
+    incl = GradedMap(small_space, space, 0, incl_images)
 
     proj_images = {}
     hom_images = {}

@@ -763,13 +763,16 @@ def dense_bs_direct(B: FiniteCDGA, A: CDGA) -> CDGA:
 def dense_dual_coalgebra(B: FiniteCDGA) -> tuple[AInfCoalgebra, AInfCoalgebra]:
     """Dual DGC of a finite CDGA, one dual basis element at a time: every
     derivation and every product re-evaluated per target monomial, each
-    product as the Element product of two monomials truncated to the basis
-    (reference for `functors.dual_coalgebra`)."""
+    product as the Element product of two monomials, read at basis
+    monomials only (reference for `functors.dual_coalgebra`)."""
 
     def mono(fs) -> Element:
         return Element.make(B.parent.gens, [(1, "m", fs)])
 
-    pairs = [(B.names[fs], B.cohom_degree(fs)) for fs in B.monomials]
+    def degree(fs) -> int:
+        return sum(map(B.parent.gens.degree, fs))
+
+    pairs = [(B.names[fs], degree(fs)) for fs in B.monomials]
     space = GradedSpace.of(pairs)
     unit = B.names[()]
 
@@ -779,7 +782,7 @@ def dense_dual_coalgebra(B: FiniteCDGA) -> tuple[AInfCoalgebra, AInfCoalgebra]:
         phi = B.names[fs]
         dd = []
         for xs in B.monomials:
-            dx = B.d(xs)
+            dx = B.parent.d(mono(xs))
             co = dx.coeff(Word.mono(*fs))
             if co:
                 dd.append((co, (B.names[xs],)))
@@ -790,9 +793,9 @@ def dense_dual_coalgebra(B: FiniteCDGA) -> tuple[AInfCoalgebra, AInfCoalgebra]:
         cc = []
         for xs in B.monomials:
             for ys in B.monomials:
-                if B.cohom_degree(xs) + B.cohom_degree(ys) != B.cohom_degree(fs):
+                if degree(xs) + degree(ys) != degree(fs):
                     continue
-                prod = B.truncate(mono(xs).times(mono(ys)))
+                prod = mono(xs).times(mono(ys))
                 co = prod.coeff(Word.mono(*fs))
                 if co:
                     cc.append((co, (B.names[xs], B.names[ys])))

@@ -10,6 +10,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import htcas
@@ -209,6 +210,44 @@ def test_every_method_is_referenced():
                 if not any(member.name in names for names in [header, *siblings, *elsewhere]):
                     unused.append(f"{path.name}:{member.lineno} {node.name}.{member.name}")
     assert not unused, unused
+
+
+# The member names that src/htcas defines more than once.  The two lints
+# above match a member by name, so a member read by tests alone passes
+# whenever a namesake is read elsewhere; each definition below has its own
+# reader outside the tests, and a new namesake must be looked at here.
+SHARED_NAMES = {
+    # GradedSpace.of builds every space, as in `dual_coalgebra`;
+    # CDGA.of builds the source in the README's library tour
+    "of",
+    # GradedSpace.degree, as in `truncate`; Element.degree, as in the
+    # degree checks of the CDGA and FreeLieDGL constructors
+    "degree",
+    # Element.zero, as in `lie_bracket`; GradedMap.zero, as in
+    # `AInfCoalgebra.delta` and `LInfAlgebra.ell`
+    "zero",
+    # CDGA.is_minimal in `differential_length`, FreeLieDGL.is_minimal in
+    # `bracket_length`, LInfAlgebra.is_minimal in `whitehead_length`
+    "is_minimal",
+    # AInfCoalgebra.max_arity in its `is_dgc`, LInfAlgebra.max_arity in
+    # `perturb` and `convolution_linf`
+    "max_arity",
+}
+
+
+def test_shared_member_names():
+    # top-level defs and classes, and the non-dunder members of classes:
+    # what the reference lints check
+    trees, _ = _references()
+    defined = Counter()
+    for path in sorted((ROOT / "src" / "htcas").glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] += 1
+            if isinstance(node, ast.ClassDef):
+                defined.update(m.name for m in node.body if isinstance(m, ast.FunctionDef)
+                               and not (m.name.startswith("__") and m.name.endswith("__")))
+    assert {name for name, n in defined.items() if n > 1} == SHARED_NAMES
 
 
 def test_every_stored_attribute_is_read():

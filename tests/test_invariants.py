@@ -72,7 +72,13 @@ def test_bracket_length_rejects_linear_part():
 def test_whitehead_length():
     # abelian: Wl = 1
     ab = LInfAlgebra(GradedSpace.of([("m", 3)]), {})
-    assert whitehead_length(ab).value == 1
+    assert repr(whitehead_length(ab)) == "Wl = 1  (witness: all binary brackets vanish)"
+    # an ell_3 and no ell_2: the same report, with the note on higher brackets
+    A = CDGA.of([("x", 3), ("y", 3), ("z", 3), ("w", 8)], {"w": [(1, ("x", "y", "z"))]})
+    L = linf_from_cdga(A)
+    assert list(L.ops) == [3]
+    assert repr(whitehead_length(L)) == ("Wl = 1  (witness: all binary brackets vanish)"
+                                         "  [binary brackets only]")
     # worked-example target: l2(y', l2(x', y')) = t' is a 3-fold bracket
     A = CDGA.of([("x", 4), ("y", 7), ("z", 10), ("t", 16)],
                 {"z": [(1, ("x", "y"))], "t": [(1, ("y", "z"))]})

@@ -24,6 +24,7 @@ from htcas.core import (
     word_basis,
 )
 from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, linf_from_cdga
+from htcas.invariants import conilpotence
 from htcas.structures import (
     AInfCoalgebra,
     LInfAlgebra,
@@ -117,6 +118,9 @@ def test_iterated_coproduct_rejects_genuine_ainf(cbar):
     C = AInfCoalgebra(space, {3: d3})
     with pytest.raises(ValueError):
         next(iterated_coproducts(C))
+    # conilpotence reads the iterated coproducts, so it refuses C the same way
+    with pytest.raises(ValueError, match=r"^iterated coproducts need a DGC"):
+        conilpotence(C)
 
 
 def test_target_dgl_valid(target_dgl):
@@ -292,6 +296,11 @@ def test_constructors_refuse_a_structure_map_of_the_wrong_shape():
     cop = GradedMap(sp, sp, 0, {Word.tensor("x"): Element.make(sp, [(1, "t", ("y", "y", "y"))])})
     with pytest.raises(ValidationError,
                        match=r"^Delta_2\(x\) has the word y\|y\|y, not a tensor word of 2 letters$"):
+        AInfCoalgebra(sp, {2: cop})
+    # and of degree k - 2: Delta_2 given as a degree-1 map
+    sp = GradedSpace.of([("x", 3), ("w", 5), ("z", 7)])
+    cop = GradedMap(sp, sp, 1, {Word.tensor("z"): Element.make(sp, [(1, "t", ("x", "w"))])})
+    with pytest.raises(ValidationError, match=r"^Delta_2 must have degree 0, got 1$"):
         AInfCoalgebra(sp, {2: cop})
     sp = GradedSpace.of([("a", 2), ("b", 3), ("c", 2)])
     bracket = GradedMap(sp, sp, 0, {Word.wedge("a", "b"): Element.make(sp, [(1, "t", ("c", "b"))])},

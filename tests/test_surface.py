@@ -1,11 +1,12 @@
 """The option surface: every flag of each `htcas` subcommand and every
 parameter of the engine entry points, pinned so that a new option shows up
-as a change to this file."""
+as a change to this file; and the README's library tour, run as written."""
 
 import contextlib
 import inspect
 import io
 import re
+from pathlib import Path
 
 from htcas import cli, core, functors, structures, transfer
 from htcas.core import GradedMap, GradedSpace, word_basis
@@ -35,6 +36,8 @@ from htcas.structures import (
     truncate,
 )
 from htcas.transfer import hom_retract, transfer_ainf, transfer_linf
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 FLAGS = {
     "check": [],
@@ -125,6 +128,21 @@ def test_no_wrappers_of_a_single_call():
     # the A-infinity transfer evaluates its recursion per basis element
     assert not hasattr(transfer, "_coop_map")
     assert not hasattr(GradedMap, "compose")
+    # dual_coalgebra reads the parent CDGA's derivation and degrees; the
+    # terms outside the window land in rows that no op reads
+    assert not hasattr(FiniteCDGA, "truncate")
+    assert not hasattr(FiniteCDGA, "d")
+    assert not hasattr(FiniteCDGA, "cohom_degree")
+    # one split of a Lie element by weight, functors.weight_parts
+    assert not hasattr(functors, "weights")
+    assert not hasattr(functors, "weight_component")
     sphere = AInfCoalgebra(GradedSpace.of([("e", 5)]), {})
     mm = mapping_space_model(sphere, LInfAlgebra(GradedSpace.of([("x", 2)]), {}))
     assert not hasattr(mm, "retract")
+
+
+def test_readme_library_tour():
+    # the one python block of README.md, the documented use of the library
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -33,6 +33,7 @@ from htcas.structures import (
 )
 from htcas.transfer import (
     ChainComplex,
+    Decomposition,
     HomotopyRetract,
     ainf_transfer_cap,
     hom_complex,
@@ -162,6 +163,24 @@ def test_retract_rejects_a_decomposition_that_does_not_span(cbar):
     dec = homology_decomposition(ChainComplex(cbar.space, cbar.delta(1)))
     dec.h_part = dec.h_part[1:]
     with pytest.raises(ValidationError, match="does not span"):
+        retract_from_decomposition(dec)
+
+
+def test_retract_refuses_a_zero_or_dependent_decomposition(cbar):
+    # a zero element has no degree block, whichever part it is given in; it
+    # is refused before the homology classes are named by their pivots
+    cx = ChainComplex(cbar.space, cbar.delta(1))
+    for part in ("a_part", "h_part"):
+        dec = homology_decomposition(cx)
+        getattr(dec, part)[0] = Element.zero(cbar.space)
+        with pytest.raises(ValidationError, match=r"^decomposition does not span$"):
+            retract_from_decomposition(dec)
+    # as many vectors as generators in each block, but b = d(a) twice in degree 0
+    space = GradedSpace.of([("a", 1), ("b", 0), ("c", 0)])
+    d = GradedMap(space, space, -1, {Word.tensor("a"): Element.gen(space, "b")})
+    a, b = Element.gen(space, "a"), Element.gen(space, "b")
+    dec = Decomposition(ChainComplex(space, d), [a], [b])
+    with pytest.raises(ValidationError, match=r"^decomposition does not span degree 0$"):
         retract_from_decomposition(dec)
 
 
