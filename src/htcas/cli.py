@@ -30,8 +30,9 @@ columns and a cursor, and reads its sums.  Every error it locates names
 the column of the token it complains about, or the column just past the
 last token; one table per file records the line that defines each gen
 name, directive and head with operand, and names it in a refusal.
-Identifiers may contain letters, digits, _, ' and . (dotted names appear
-in Hom and reduced-model bases); every derived basis (Hom maps,
+Identifiers start with a letter or _ and may contain letters, digits, _, '
+and . (dotted names appear in Hom and reduced-model bases), and a gen line
+refuses a name that is no identifier; every derived basis (Hom maps,
 reduced-model generators, dual monomials, primed duals) refuses a name
 that two sources get, naming both.  Serialization uses the same grammar,
 with one header helper for the kind, counit and gen lines, so
@@ -40,7 +41,9 @@ parse(serialize(S)) round-trips for every kind but mc, which only
 
 One table, `_COMMANDS`, states each subcommand once: its handler, help,
 positional files and options, from which `main` builds the argument parser
-(the named command's alone when argv[0] names one).
+(the named command's alone when argv[0] names one).  Each handler returns
+its whole output text and `main` alone writes it, so every command writes
+its output only when it succeeds: stdout stays empty when it fails.
 Every command reads a model through one loader, `_load(path, what, *kinds)`,
 which refuses any other kind as "<what> expects a <kinds> model, got
 <kind>"; the target of `mapmodel` and `hspace` is a linf model or a cdga
@@ -48,11 +51,13 @@ model read as one.
 
 Exit codes: 0 ok, 1 usage, 2 parse/validation (a wrong model kind too), 3
 axiom failure, 4 bound exceeded (e.g. `mapmodel --emit bs|both` on a model
-with a bracket of arity 4 or more; stdout stays empty), 141 (128 + SIGPIPE)
+with a bracket of arity 4 or more), 141 (128 + SIGPIPE)
 stdout closed early, with nothing on stderr.  `mapmodel --mc FILE` needs
-`--pointed`.  `mapmodel --pointed` dualizes its source only through degree
-N + 1, N the top degree of the target's L (N + 2 with --mc), or through
-its `truncate` when that is lower; the printed model is the same.
+`--pointed`, and each name of its element must be a basis name of the model
+that FILE declares with the model's degree.  `mapmodel --pointed` dualizes
+its source only through degree N + 1, N the top degree of the target's L
+(N + 2 with --mc), or through its `truncate` when that is lower; the
+printed model is the same.
 
 Each command imports only the engine modules it runs (`import htcas` itself
 is lazy), so a process compiles no more than it needs.  `check` on a cdga
@@ -382,6 +387,8 @@ def parse(path: str) -> ModelFile:
         if head == "gen":
             if len(toks) < 4 or toks[2] != ":":
                 line.fail("expected: gen <name> : <degree>")
+            if not IDENT.fullmatch(toks[1]):
+                line.fail(f"expected a generator name, got {toks[1]!r}", 1)
             di = 4 if toks[3] == "-" else 3
             if di >= len(toks) or not toks[di].isdigit():
                 line.fail("expected an integer degree", len(toks) - 1)
@@ -535,40 +542,34 @@ def _as_linf(path: str, what: str) -> LInfAlgebra:
     return mf.payload if mf.kind == "linf" else linf_from_cdga(mf.payload)
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> str:
     mf = parse(args.file)
-    print(f"{args.file}: {mf.kind} ok ({mf.space.dim} generators)")
-    return 0
+    return f"{args.file}: {mf.kind} ok ({mf.space.dim} generators)\n"
 
 
-def cmd_transfer_ainf(args) -> int:
+def cmd_transfer_ainf(args) -> str:
     C = _load(args.file, args.command, "dgc").payload
     from .transfer import canonical_retract, transfer_ainf
 
-    H = transfer_ainf(C, canonical_retract(C), max_k=args.max_arity)
-    sys.stdout.write(serialize(H, kind="ainf"))
-    return 0
+    return serialize(transfer_ainf(C, canonical_retract(C), max_k=args.max_arity), kind="ainf")
 
 
-def cmd_quillen(args) -> int:
+def cmd_quillen(args) -> str:
     if args.direct:
         M = quillen_differential_direct(_load(args.file, "quillen --direct", "dgc").payload)
     else:  # the functor reads co-operations of every arity
         M = quillen(_load(args.file, args.command, "dgc", "ainf").payload)
-    sys.stdout.write(serialize(M))
-    return 0
+    return serialize(M)
 
 
-def cmd_cochain(args) -> int:
-    sys.stdout.write(serialize(cochain(_load(args.file, args.command, "linf").payload)))
-    return 0
+def cmd_cochain(args) -> str:
+    return serialize(cochain(_load(args.file, args.command, "linf").payload))
 
 
-def cmd_dualize(args) -> int:
+def cmd_dualize(args) -> str:
     mf = _load(args.file, args.command, "cdga")
     B = FiniteCDGA(mf.payload, max_cohom=mf.options.get("truncate"))
-    sys.stdout.write(serialize(dual_coalgebra(B, counital=args.full)))
-    return 0
+    return serialize(dual_coalgebra(B, counital=args.full))
 
 
 def _pointed_cutoff(B: CDGA, top: int | None, L: LInfAlgebra, mc: bool) -> int | None:
@@ -588,7 +589,7 @@ def _pointed_cutoff(B: CDGA, top: int | None, L: LInfAlgebra, mc: bool) -> int |
     return cut if top is None else min(top, cut)
 
 
-def cmd_mapmodel(args) -> int:
+def cmd_mapmodel(args) -> str:
     if args.mc and not args.pointed:
         raise ValidationError("--mc applies to the pointed model only; add --pointed")
     xf = _load(args.xfile, f"{args.command} source", "cdga")
@@ -605,19 +606,21 @@ def cmd_mapmodel(args) -> int:
         phi = Element.zero(model.space)
         if args.mc:
             mc = _load(args.mc, f"{args.command} --mc", "mc").payload
-            unknown = [f for w in mc.terms for f in w.factors if f not in model.space]
-            if unknown:
-                raise ValidationError(f"unknown name {unknown[0]!r}")
+            for f in (f for w in mc.terms for f in w.factors):
+                if f not in model.space:
+                    raise ValidationError(f"unknown name {f!r}")
+                if mc.space.degree(f) != model.space.degree(f):
+                    raise ValidationError(f"{f!r} has degree {mc.space.degree(f)} in "
+                                          f"{args.mc}, but {model.space.degree(f)} in the model")
             phi = Element(model.space, dict(mc.terms))
         model = component_model(model, phi)
     texts = [serialize(model)] if args.emit != "bs" else []
-    if args.emit != "linf":  # built before anything is written
+    if args.emit != "linf":
         texts.append(serialize(reduced_bs_cochain(model, mm.homology, L.space)))
-    sys.stdout.write("".join(texts))
-    return 0
+    return "".join(texts)
 
 
-def cmd_invariants(args) -> int:
+def cmd_invariants(args) -> str:
     mf = _load(args.file, args.command, "cdga", "dgl", "linf", "dgc")
     A = mf.payload
     if mf.kind == "cdga":
@@ -628,15 +631,12 @@ def cmd_invariants(args) -> int:
     else:
         reports = [{"dgl": bracket_length, "linf": whitehead_length,
                     "dgc": conilpotence}[mf.kind](A)]
-    for r in reports:
-        print(repr(r))
-    return 0
+    return "".join(f"{r!r}\n" for r in reports)
 
 
-def cmd_hspace(args) -> int:
+def cmd_hspace(args) -> str:
     x = _load(args.xfile, f"{args.command} source", "dgc", "dgl").payload
-    print(repr(hspace_certificate(x, _as_linf(args.yfile, f"{args.command} target"))))
-    return 0
+    return repr(hspace_certificate(x, _as_linf(args.yfile, f"{args.command} target"))) + "\n"
 
 
 # Each subcommand, in the order of the usage line: its handler, its help, its
@@ -684,7 +684,8 @@ def main(argv=None) -> int:
     try:
         try:
             args = parser.parse_args(argv)
-            return args.fn(args)
+            sys.stdout.write(args.fn(args))
+            return 0
         except SystemExit as exc:  # argparse has printed the help or a usage error
             return 1 if exc.code else 0
         finally:

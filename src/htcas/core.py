@@ -318,21 +318,16 @@ def canonical_word(space: GradedSpace, kind: str, factors) -> tuple[Word | None,
 
 
 def word_basis(space: GradedSpace, kind: str, arity: int):
-    """All canonical words of the given kind and arity."""
-    names = space.names
-    out = []
+    """All canonical words of the given kind and arity.  Every tensor word is
+    canonical; a wedge or monomial word in (degree, declaration) order is
+    canonical, with sign 1, unless it repeats a letter its kind kills (an
+    even one for "w", an odd one for "m")."""
     if kind == "t":
-        pool = itertools.product(names, repeat=arity)
-    else:
-        pool = itertools.combinations_with_replacement(
-            sorted(names, key=space.sortkey), arity
-        )
-    for fs in pool:
-        w, s = canonical_word(space, kind, fs)
-        if w is None or s != 1:
-            continue
-        out.append(w)
-    return out
+        return [Word("t", fs) for fs in itertools.product(space.names, repeat=arity)]
+    dead = 0 if kind == "w" else 1
+    pool = itertools.combinations_with_replacement(sorted(space.names, key=space.sortkey), arity)
+    return [Word(kind, fs) for fs in pool
+            if not any(a == b and space.degree(a) % 2 == dead for a, b in zip(fs, fs[1:]))]
 
 
 def letter_index(items) -> dict[str, list]:

@@ -97,26 +97,18 @@ class CDGA:
         return all(min(len(w) for w in el.terms) >= 2 for el in self.diff.values())
 
     def monomial_basis(self, max_cohom: int):
-        """Canonical monomials of cohomological degree <= max_cohom."""
-        names = sorted(self.gens.names, key=self.gens.sortkey)
-        out: list[tuple[str, ...]] = [()]
-        frontier: list[tuple[str, ...]] = [()]
-        while frontier:
-            nxt = []
-            for fs in frontier:
-                for n in names:
-                    if fs and self.gens.sortkey(n) < self.gens.sortkey(fs[-1]):
-                        continue
-                    cand = fs + (n,)
-                    w, s = canonical_word(self.gens, "m", cand)
-                    if w is None or s != 1 or w.factors != cand:
-                        continue
-                    if sum(self.gens.degree(f) for f in cand) > max_cohom:
-                        continue
-                    nxt.append(cand)
-            out.extend(nxt)
-            frontier = nxt
-        return out
+        """Canonical monomials of cohomological degree <= max_cohom, by length.
+        Letters in (degree, declaration) order make a canonical monomial unless
+        an odd one repeats, so each monomial is extended only by generators at
+        or after its last letter (strictly after an odd one); one of degree
+        above max_cohom is neither kept nor extended."""
+        gens = sorted(self.gens.basis, key=lambda g: self.gens.sortkey(g[0]))
+        # each level: (factors, degree, index in gens of the first letter that may follow)
+        levels = [[((), 0, 0)]]
+        while levels[-1]:
+            levels.append([(fs + (n,), deg + d, i + d % 2) for fs, deg, start in levels[-1]
+                           for i, (n, d) in enumerate(gens[start:], start) if deg + d <= max_cohom])
+        return [fs for level in levels for fs, _, _ in level]
 
 
 class FiniteCDGA:

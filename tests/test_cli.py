@@ -1,3 +1,4 @@
+import ast
 import io
 import os
 import re
@@ -11,7 +12,7 @@ import pytest
 
 from htcas import cli
 from htcas.cli import ParseError, main, parse, serialize
-from htcas.core import AxiomError, Word
+from htcas.core import AxiomError, Element, Word
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -55,6 +56,10 @@ def test_round_trip_all_kinds(tmp_path, cbar, target_dgl):
         p = write(tmp_path, name, text)
         mf = parse(p)
         assert serialize(mf.payload) == text
+    # an Element is no structure: it has no model format
+    with pytest.raises(TypeError, match="^cannot serialize Element$") as exc:
+        serialize(Element.zero(mf.payload.space))
+    assert exc.type is TypeError
 
 
 def test_round_trip_ainf(tmp_path, cbar):
@@ -366,6 +371,21 @@ def test_mc_file_picks_the_component(tmp_path, capsys):
     assert code == 2 and out == "" and err == "validation failure: unknown name 'q'\n"
 
 
+def test_mc_file_degrees_must_match_the_model(tmp_path, capsys):
+    # phi is rebuilt in the model's space by name, so a name that the mc
+    # file declares with another degree is refused, not read at the model's
+    x = write(tmp_path, "ab.cdga", "kind cdga\ngen a : 3\ngen b : 3\n")
+    y = write(tmp_path, "xyzt.cdga", "kind cdga\ngen x : 3\ngen y : 3\ngen z : 5\ngen t : 7\n"
+                                     "d z = x^y\nd t = x^z\n")
+    argv = ["mapmodel", x, y, "--pointed", "--emit", "linf", "--max-arity", "3", "--mc"]
+    ok = write(tmp_path, "ok.mc", "kind mc\ngen a.x' : -1\nmc = a.x'\n")
+    code, out, err = run(argv + [ok], capsys)
+    assert code == 0 and out and err == ""
+    bad = write(tmp_path, "bad.mc", "kind mc\ngen a.x' : 7\nmc = a.x'\n")
+    assert run(argv + [bad], capsys) == (
+        2, "", f"validation failure: \"a.x'\" has degree 7 in {bad}, but -1 in the model\n")
+
+
 def test_bound_exceeded_exit_code(tmp_path, capsys):
     # even generators make the free algebra infinite: dualize needs truncate
     p = write(tmp_path, "even.cdga", "kind cdga\ngen u : 2\n")
@@ -376,6 +396,44 @@ def test_bound_exceeded_exit_code(tmp_path, capsys):
     y = str(MODELS / "example1_Y.cdga")
     assert run(["mapmodel", p, y, "--pointed"], capsys) == (
         4, "", "bound exceeded: dualizing a CDGA with even generators needs `truncate <N>`\n")
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_failing_command_leaves_stdout_empty(command, tmp_path, capsys):
+    # a handler returns its whole text and main alone writes it, so no
+    # command writes anything when it fails; each input below is refused by
+    # its command, mapmodel's only after the L-infinity model is built
+    x, y = str(MODELS / "example1_X.cdga"), str(MODELS / "example1_Y.cdga")
+    full = write(tmp_path, "full.dgc", run(["dualize", "--full", x], capsys)[1])
+    cases = {
+        "check": ([write(tmp_path, "bad.cdga", "kind cdga\ngen 5 : 3\n")], 2),
+        "transfer-ainf": ([full], 4),
+        "quillen": ([full], 2),
+        "cochain": ([y], 2),
+        "dualize": ([write(tmp_path, "even.cdga", "kind cdga\ngen u : 2\n")], 4),
+        "mapmodel": ([write(tmp_path, "x.cdga", "kind cdga\ngen a : 3\ngen b : 3\ngen c : 3\n"
+                                                "gen e : 3\n"),
+                      write(tmp_path, "y.linf", "kind linf\ngen p : 4\ngen q : 4\ngen r : 4\n"
+                                                "gen s : 4\ngen y : 18\n"
+                                                "l4 ( p ^ q ^ r ^ s ) = y\n"),
+                      "--pointed", "--emit", "both", "--max-arity", "4"], 4),
+        "invariants": ([write(tmp_path, "x.dgc", "kind dgc\ngen x : 0\ncop x = x|x\n")], 2),
+        "hspace": ([full, y], 2),
+    }
+    args, want = cases[command]
+    code, out, err = run([command, *args], capsys)
+    assert (code, out) == (want, "") and err
+
+
+def test_main_alone_writes_to_stdout():
+    # the rule that the test above checks command by command, in the source
+    tree = ast.parse(Path(cli.__file__).read_text())
+    writers = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for call in ast.walk(fn) if isinstance(call, ast.Call)
+               and (ast.unparse(call.func) == "sys.stdout.write"
+                    or ast.unparse(call.func) == "print"
+                    and "file" not in [k.arg for k in call.keywords])]
+    assert writers == ["main"]
 
 
 def test_refused_bs_model_leaves_stdout_empty(tmp_path, capsys):
@@ -787,6 +845,10 @@ def test_malformed_directives_are_parse_errors(tmp_path, capsys):
         ("u12.cdga", "kind cdga\ngen x 2\n", ":2:0: expected: gen <name> : <degree>"),
         ("u13.cdga", "kind cdga\ngen x : y\n", ":2:8: expected an integer degree"),
         ("u14.cdga", "# nothing\n", ":1:0: empty file"),
+        # a generator name is an identifier, as every sum reads it
+        ("u15.cdga", "kind cdga\ngen 5 : 3\n", ":2:4: expected a generator name, got '5'"),
+        ("u16.cdga", "kind cdga\ngen : : 3\n", ":2:4: expected a generator name, got ':'"),
+        ("u17.cdga", "kind cdga\ngen ( : 3\n", ":2:4: expected a generator name, got '('"),
         # a tensor word has the length its head gives: one letter for a dgc
         # differential, a bracket value or mc, two for cop and k for D<k>
         ("w1.dgc", "kind dgc\ngen a : 2\ngen b : 5\ndiff b = a|a\n",

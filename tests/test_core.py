@@ -121,6 +121,37 @@ def test_wedge_and_monomial_kill_rules():
     assert canonical_word(SP, "m", ("s", "s"))[0] == Word.mono("s", "s")
 
 
+def test_bases_follow_the_canonical_order_rule(monkeypatch):
+    # word_basis and monomial_basis state the rule instead of calling
+    # canonical_word: a word in (degree, declaration) order is canonical, with
+    # sign 1, unless it repeats a letter its kind kills.  Both match a brute
+    # force over every word, in order, with canonical_word patched to raise.
+    from htcas import core, functors
+    from htcas.functors import CDGA
+
+    space = GradedSpace.of([("g", 3), ("u", 2), ("h", -1), ("s", 6), ("r", 3)])
+
+    def canonical(kind, n):
+        words = {canonical_word(space, kind, fs)[0]
+                 for fs in itertools.product(space.names, repeat=n)} - {None}
+        return sorted(words, key=lambda w: [space.sortkey(f) for f in w.factors])
+
+    want = {(kind, n): canonical(kind, n) for kind in "wm" for n in range(6)}
+    # no monomial of degree <= 7 has six letters: h u^5 has degree 9
+    monomials = [w.factors for n in range(6) for w in want["m", n] if space.word_degree(w) <= 7]
+
+    def refuse(*args):
+        raise AssertionError("canonical_word was called")
+
+    monkeypatch.setattr(core, "canonical_word", refuse)
+    monkeypatch.setattr(functors, "canonical_word", refuse)
+    for (kind, n), words in want.items():
+        assert word_basis(space, kind, n) == words, (kind, n)
+    assert word_basis(space, "t", 2) == [
+        Word.tensor(*fs) for fs in itertools.product(space.names, repeat=2)]
+    assert CDGA(space).monomial_basis(7) == monomials
+
+
 def test_canonicalization_idempotent():
     rng = random.Random(7)
     for _ in range(50):
@@ -158,6 +189,9 @@ def test_element_homogeneity_enforced():
         Element(SP, {Word.tensor("g"): Fraction(1), Word.tensor("r"): Fraction(1)})
     # the paths that build results without a scan refuse the same inputs
     g, r = Element.gen(SP, "g"), Element.gen(SP, "r")
+    with pytest.raises(KeyError, match=r"^'q'$") as exc:
+        Element.gen(SP, "q")
+    assert exc.type is KeyError
     with pytest.raises(ValidationError, match=r"inhomogeneous element: degrees \[3, 5\]"):
         g + r
     with pytest.raises(ValidationError, match="inhomogeneous"):
@@ -253,6 +287,11 @@ def test_tensor_map_examples():
     # (delta (x) id)(s (x) g) = r (x) g, no sign
     out = tensor_apply([delta, ident], [1, 1], s_g)
     assert out == Element.make(SP, [(1, "t", ("r", "g"))])
+    # a word of another length does not split into the slots' arities
+    with pytest.raises(ValueError,
+                       match=r"^word g\|s does not split into arities \[1, 2\]$") as exc:
+        tensor_apply([ident, delta], [1, 2], g_s)
+    assert exc.type is ValueError
 
 
 def test_tensor_map_materialized_matches_apply():
@@ -361,6 +400,9 @@ def test_unshuffle_small_cases():
     assert unshuffle(SP, Word.tensor("g")) == {}
     with pytest.raises(ValueError):
         unshuffle(SP, Word.tensor())
+    with pytest.raises(ValueError, match="^unshuffle acts on tensor words$") as exc:
+        unshuffle(SP, Word.wedge("g", "h"))
+    assert exc.type is ValueError
 
 
 def test_unshuffle_n2_brute_force():

@@ -65,6 +65,13 @@ def test_cdga_basics():
     assert not A.d(A.d(Element.make(A.gens, [(1, "m", ("c", "a"))])))
     with pytest.raises(ValueError):
         CDGA.of([("a", 3), ("e", 4)], {"e": [(1, ("a",))], "a": [(1, ())]})
+    # d x = 1 has a constant term: a CDGA, but no Sullivan algebra
+    constant = CDGA.of([("x", -1)], {"x": [(1, ())]})
+    assert not constant.is_sullivan
+    with pytest.raises(ValueError, match=r"^input must be a Sullivan algebra \(d V in "
+                                         r"Lambda\^\{>=1\} V\)$") as exc:
+        linf_from_cdga(constant)
+    assert exc.type is ValueError
 
 
 def test_monomial_basis_counts():

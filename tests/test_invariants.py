@@ -1,3 +1,5 @@
+import types
+
 import pytest
 
 from helpers import dgc_from_tables, linf_from_tables
@@ -130,6 +132,11 @@ def test_hspace_example2():
     assert verdict.verdict == "yes-by-theorem"
     values = {r.name: r.value for r in verdict.reports}
     assert values == {"bl": 3, "Wl": 2}
+    # the source must be a reduced DGC or a free Lie model
+    with pytest.raises(ValueError, match="^source side must be a reduced DGC or a free-Lie "
+                                         "model$") as exc:
+        hspace_certificate(linf_from_cdga(EX2_TARGET), linf_from_cdga(EX2_TARGET))
+    assert exc.type is ValueError
 
 
 def test_hspace_inconclusive_when_hypothesis_fails():
@@ -170,3 +177,18 @@ def test_hspace_direct_check_on_conilpotence_two(cbar, target_dgl):
     verdict = hspace_certificate(c2, linf_from_cdga(EX2_TARGET))
     assert verdict.verdict == "yes-by-theorem"
     assert any("direct check" in t for t in verdict.trace)
+
+
+def test_hspace_direct_check_failure_is_inconclusive(monkeypatch):
+    # the certificate and the hypothesis hold on the conilpotence-2 source,
+    # so a transferred model with a nonzero l_2 is the one thing left that
+    # withdraws the verdict
+    from htcas import mapping
+
+    L = linf_from_cdga(EX2_TARGET)
+    assert sorted(L.ops) == [2, 4]
+    monkeypatch.setattr(mapping, "mapping_space_model",
+                        lambda C, y: types.SimpleNamespace(model=L))
+    verdict = hspace_certificate(conilpotence_two_cell_attachment(), L)
+    assert verdict.verdict == "inconclusive"
+    assert verdict.trace[-1] == "direct check FAILED: nonzero transferred brackets [2, 4]"

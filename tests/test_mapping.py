@@ -382,13 +382,19 @@ def test_bs_cochain_rejects_unpinned_arity():
         reduced_bs_cochain(fake, source=source, target=target)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: on n4 the BS routes disagree "
-                   "at t.a.e.c and t.b.e.c, every term with the opposite sign")
-def test_bs_routes_agree_on_n4_component():
-    # n4 = Lambda(a3, b3, c5, e3), dc = ab, into example1_Y at max_k = 4,
-    # as `htcas mapmodel n4 example1_Y --pointed --emit bs --max-arity 4`
-    B = FiniteCDGA(CDGA.of([("a", 3), ("b", 3), ("c", 5), ("e", 3)],
-                           {"c": [(1, ("a", "b"))]}), max_cohom=14)
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the BS routes disagree on n4 at "
+                   "t.a.e.c and t.b.e.c, every term with the opposite sign, and on n5 at "
+                   "t.a.b.f, t.b.e.c and t.b.e.f")
+@pytest.mark.parametrize("gens, d, top", [
+    ([("a", 3), ("b", 3), ("c", 5), ("e", 3)], {"c": [(1, ("a", "b"))]}, 14),
+    ([("a", 3), ("b", 3), ("c", 5), ("e", 3), ("f", 5)],
+     {"c": [(1, ("a", "b"))], "f": [(1, ("a", "e"))]}, 19),
+], ids=["n4", "n5"])
+def test_bs_routes_agree_on_component(gens, d, top):
+    # n4 = Lambda(a3, b3, c5, e3), dc = ab, and n5 = n4 plus f5, df = ae,
+    # into example1_Y at max_k = 4, as
+    # `htcas mapmodel n4 example1_Y --pointed --emit bs --max-arity 4`
+    B = FiniteCDGA(CDGA.of(gens, d), max_cohom=top)
     red = dual_coalgebra(B, counital=False)
     L = linf_from_cdga(EX1_Y)
     mm = mapping_space_model(red, L, max_k=4)

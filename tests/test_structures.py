@@ -23,7 +23,13 @@ from htcas.core import (
     letter_index,
     word_basis,
 )
-from htcas.functors import CDGA, FiniteCDGA, dual_coalgebra, linf_from_cdga
+from htcas.functors import (
+    CDGA,
+    FiniteCDGA,
+    dual_coalgebra,
+    linf_from_cdga,
+    quillen_differential_direct,
+)
 from htcas.invariants import conilpotence
 from htcas.structures import (
     AInfCoalgebra,
@@ -43,6 +49,7 @@ from htcas.structures import (
 
 def test_cbar_is_a_valid_cocommutative_dgc(cbar):
     assert check_ainf(cbar)
+    assert repr(check_ainf(cbar)) == "ok"
     assert check_ainf_shifted(cbar)
     assert check_cocommutative(cbar)
     assert cbar.is_dgc and cbar.max_arity == 2
@@ -108,7 +115,7 @@ def test_iterated_coproduct(cbar):
         assert not d3.apply_word(Word.tensor(g))
 
 
-def test_iterated_coproduct_rejects_genuine_ainf(cbar):
+def test_iterated_coproduct_rejects_genuine_ainf(target_dgl):
     space = GradedSpace.of([("a", 2), ("b", 2), ("c", 2), ("e", 5)])
     d3 = GradedMap(
         space, space, 1,
@@ -121,6 +128,13 @@ def test_iterated_coproduct_rejects_genuine_ainf(cbar):
     # conilpotence reads the iterated coproducts, so it refuses C the same way
     with pytest.raises(ValueError, match=r"^iterated coproducts need a DGC"):
         conilpotence(C)
+    # the direct Quillen recursion and the convolution brackets need a DGC too
+    with pytest.raises(ValueError, match="^the direct recursion needs a DGC$") as exc:
+        quillen_differential_direct(C)
+    assert exc.type is ValueError
+    with pytest.raises(ValueError, match="^convolution brackets need a DGC source$") as exc:
+        convolution(C, target_dgl)
+    assert exc.type is ValueError
 
 
 def test_target_dgl_valid(target_dgl):
