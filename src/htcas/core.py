@@ -46,9 +46,8 @@ Conventions used across the package:
   by construction: a scalar multiple keeps the words (a scalar of 1 returns
   the element itself; elements are never mutated); a product `times` of two
   elements of one space has the sum of their degrees; `GradedMap.apply` on
-  an element of its source, `tensor_apply` when every slot maps from the
-  element's space into the first slot's target, and `apply_at` when its
-  map takes the element's space to itself, sum images of one degree; and
+  an element of its source, and `apply_at` when its map takes the
+  element's space to itself, sum images of one degree; and
   `lincomb`, the one in-place accumulator behind `+` and every engine sum,
   compares each operand's degree with the partial sum's in O(1).  Spaces
   are interned, so each of these tests of whether two spaces are the same
@@ -70,7 +69,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 ZERO = 0
 ONE = 1
@@ -587,7 +586,7 @@ class GradedMap:
     zero.  Wedge and monomial domains accept arbitrary tensor input words,
     canonicalizing first.  Every image is checked at construction to be an
     element of `target` of the degree the map dictates, which is what lets
-    `apply` and `tensor_apply` build their sums without a second scan.
+    `apply` build its sum without a second scan.
     """
 
     __slots__ = ("source", "target", "degree", "arity", "in_kind", "images")
@@ -674,47 +673,23 @@ def tensor_apply(slots, arities, el: Element) -> Element:
 
     Slot i is a GradedMap consuming arities[i] factors; the sign is the
     price of threading each map past the factors to its left.  The result
-    lives in the target of the first slot.  When every slot maps from the
-    space of `el` into that target, the result is homogeneous by the degree
-    check on each slot's images and is built without a scan.
+    lives in the target of the first slot.  No engine path evaluates a
+    multi-slot map: this is the tests' dense reference.
     """
-    out_terms: dict[Word, Fraction] = {}
-    space = el.space
-    target = slots[0].target
-    total = sum(arities)
-    # later[i]: parity of the degrees of the maps right of slot i
-    later = [sum(m.degree for m in slots[i + 1:]) % 2 for i in range(len(slots))]
+    cuts = list(itertools.accumulate(arities, initial=0))
+    parts = []
     for word, c in el.terms.items():
-        if len(word) != total:
+        if len(word) != cuts[-1]:
             raise ValueError(f"word {word} does not split into arities {arities}")
-        pieces = []
-        sign = 1
-        pos = 0
-        for i, m in enumerate(slots):
-            ch = word.factors[pos:pos + arities[i]]
-            pos += arities[i]
-            s, img = m._image(ch)
-            if later[i] and sum(space.degree(f) for f in ch) % 2:
-                s = -s
-            sign *= s
-            pieces.append(img)
-        if any(img is None for img in pieces):
-            continue
-        combos = [((), c if sign > 0 else -c)]
-        for img in pieces:
-            combos = [
-                (fs + w.factors, cc if pc == 1 else (-cc if pc == -1 else cc * pc))
-                for fs, cc in combos
-                for w, pc in img.terms.items()
-            ]
-        for fs, cc in combos:
-            w = Word("t", fs)
-            old = out_terms.get(w)
-            out_terms[w] = cc if old is None else old + cc
-    out_terms = {w: v for w, v in out_terms.items() if v}
-    if all(m.target is target and m.source is space for m in slots):
-        return Element._of(target, out_terms)
-    return Element(target, out_terms)
+        chunks = [word.factors[a:b] for a, b in zip(cuts, cuts[1:])]
+        images = [m._image(ch) for m, ch in zip(slots, chunks)]
+        if all(img is not None for _, img in images):
+            sign = threading_sign([sum(map(el.space.degree, ch)) for ch in chunks],
+                                  [m.degree for m in slots])
+            for s, _ in images:
+                sign *= s
+            parts.append((sign * c, reduce(Element.times, (img for _, img in images))))
+    return lincomb(slots[0].target, parts)
 
 
 def apply_at(m: GradedMap, pos: int, el: Element) -> Element:
@@ -724,8 +699,7 @@ def apply_at(m: GradedMap, pos: int, el: Element) -> Element:
     suffix, with the sign (-1)**(|m| * deg(prefix)) of threading m past the
     prefix: what `tensor_apply` gives with identity slots, without building
     or visiting them.  The result lives in m's target; it is built without a
-    scan under `tensor_apply`'s condition, here that m maps the space of
-    `el` to itself.
+    scan when m maps the space of `el` to itself.
     """
     space = el.space
     degree = space._degree

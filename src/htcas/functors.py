@@ -56,6 +56,12 @@ if TYPE_CHECKING:  # imported where used, so `import htcas.functors` loads only 
 # free graded-commutative algebras
 
 
+# the most monomials `CDGA.monomial_basis` builds; the dual of nine odd
+# generators has 512.  A power x^k of an even generator is a tuple of k
+# letters, so the memory of a large `truncate` grows with its square.
+MONOMIAL_BOUND = 4096
+
+
 class CDGA:
     """Free graded-commutative algebra Lambda(V) with a differential.
 
@@ -101,11 +107,19 @@ class CDGA:
         Letters in (degree, declaration) order make a canonical monomial unless
         an odd one repeats, so each monomial is extended only by generators at
         or after its last letter (strictly after an odd one); one of degree
-        above max_cohom is neither kept nor extended."""
+        above max_cohom is neither kept nor extended.  Each level is counted
+        before it is built, and refused past MONOMIAL_BOUND monomials in all."""
         gens = sorted(self.gens.basis, key=lambda g: self.gens.sortkey(g[0]))
         # each level: (factors, degree, index in gens of the first letter that may follow)
         levels = [[((), 0, 0)]]
+        count = 1
         while levels[-1]:
+            count += sum(deg + d <= max_cohom
+                         for _, deg, start in levels[-1] for _, d in gens[start:])
+            if count > MONOMIAL_BOUND:
+                raise BoundError(f"{count:,} monomials of length <= {len(levels):,} have degree "
+                                 f"<= {max_cohom}, the degree cutoff: over the bound of "
+                                 f"{MONOMIAL_BOUND:,} monomials")
             levels.append([(fs + (n,), deg + d, i + d % 2) for fs, deg, start in levels[-1]
                            for i, (n, d) in enumerate(gens[start:], start) if deg + d <= max_cohom])
         return [fs for level in levels for fs, _, _ in level]

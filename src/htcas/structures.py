@@ -36,9 +36,10 @@ relabels a map with one letter in and one out.  By decalage
 B_k is graded symmetric on sL, so it is stored on monomial words and
 GradedMap's canonicalization evaluates it on every input order.  In this
 normalization the homotopy-transfer tree sums are sign-free, which is how
-the transfer module computes them.  The checker loops take the ops and a
-flag for the literal signs, so the test suite's shifted cross-checks run
-the same loops on these maps.
+the transfer module computes them.  The checkers evaluate the literal
+relations alone; the test suite's shifted cross-checks evaluate these
+maps with code of their own, d^2 = 0 of the cobar derivation and the
+Koszul-signed Jacobi sums on every monomial word of sL.
 
 A Maurer-Cartan element is a plain Element of degree -1, which `mc_check`
 returns once its curvature vanishes; the curvature is the k = 0 case, on
@@ -217,10 +218,10 @@ def unshift(m: GradedMap, k: int, space: GradedSpace) -> GradedMap:
 # A-infinity checks
 
 
-def _ainf_total(ops: dict[int, GradedMap], space: GradedSpace, gen: str,
-                i: int, literal_signs: bool) -> Element:
+def _ainf_total(C: AInfCoalgebra, gen: str, i: int) -> Element:
     """The arity-i coherence sum on one generator: each
     (id^{(x)a} (x) Delta_k (x) id^{(x)n}) applied in place by `apply_at`."""
+    ops = C.ops
     parts = []
     for k in ops:
         j = i - k + 1
@@ -230,24 +231,18 @@ def _ainf_total(ops: dict[int, GradedMap], space: GradedSpace, gen: str,
         if not inner:
             continue
         for n in range(0, i - k + 1):
-            sc = -1 if literal_signs and (k + n + k * n) % 2 else 1
-            parts.append((sc, apply_at(ops[k], i - k - n, inner)))
-    return lincomb(space, parts)
-
-
-def _check_coherence(ops: dict[int, GradedMap], space: GradedSpace,
-                     literal_signs: bool, label: str) -> CheckReport:
-    for i in range(1, 2 * max(ops, default=0)):
-        for gen in space.names:
-            total = _ainf_total(ops, space, gen, i, literal_signs)
-            if total:
-                return CheckReport(False, f"{label} i={i} on {gen}", total)
-    return CheckReport(True)
+            parts.append((-1 if (k + n + k * n) % 2 else 1, apply_at(ops[k], i - k - n, inner)))
+    return lincomb(C.space, parts)
 
 
 def check_ainf(C: AInfCoalgebra) -> CheckReport:
     """Evaluate the A-infinity coherence relation on every basis element."""
-    return _check_coherence(C.ops, C.space, True, "relation")
+    for i in range(1, 2 * C.max_arity):
+        for gen in C.space.names:
+            total = _ainf_total(C, gen, i)
+            if total:
+                return CheckReport(False, f"relation i={i} on {gen}", total)
+    return CheckReport(True)
 
 
 def check_cocommutative(C: AInfCoalgebra) -> CheckReport:
@@ -296,35 +291,32 @@ def iterated_coproducts(C: AInfCoalgebra):
 # L-infinity checks
 
 
-def _jacobi_total(ops: dict[int, GradedMap], space: GradedSpace, factors: tuple[str, ...],
-                  n: int, literal_signs: bool) -> Element:
+def _jacobi_total(L: LInfAlgebra, factors: tuple[str, ...], n: int) -> Element:
     """Sum over (i, n-i)-shuffles of outer(inner(block), rest)."""
-    degs = [space.degree(f) for f in factors]
+    ops = L.ops
+    degs = [L.space.degree(f) for f in factors]
     parts = []
     for i in sorted(ops):
         j = n + 1 - i
         if j not in ops:
             continue
-        block_sign = 1
-        if literal_signs and (i * (j - 1)) % 2:
-            block_sign = -1
+        block_sign = -1 if (i * (j - 1)) % 2 else 1
         for left, right in shuffles(n, i):
             inner = ops[i].apply_word(Word("t", tuple(factors[p] for p in left)))
             if not inner:
                 continue
-            s = block_sign * koszul_sign([p + 1 for p in left + right], degs,
-                                         signature=literal_signs)
+            s = block_sign * koszul_sign([p + 1 for p in left + right], degs)
             rest = tuple(factors[p] for p in right)
             for w, c in inner.terms.items():
                 out = ops[j].apply_word(Word("t", w.factors + rest))
                 if out:
                     parts.append((s * c, out))
-    return lincomb(space, parts)
+    return lincomb(L.space, parts)
 
 
-def _candidate_words(space: GradedSpace, ops: dict[int, GradedMap], n: int, kind: str, index):
-    """Words of the given kind that can carry a nonzero Jacobi summand at
-    arity n; index[i] is the `core.letter_index` of ell_i's images.
+def _candidate_words(L: LInfAlgebra, n: int, index):
+    """Wedge words that can carry a nonzero Jacobi summand at arity n;
+    index[i] is the `core.letter_index` of ell_i's images.
 
     A summand ell_j(ell_i(x_L), x_R), i = n + 1 - j, is nonzero only when some
     factor u of ell_i(x_L) completes x_R to a support word of ell_j, so one
@@ -332,6 +324,7 @@ def _candidate_words(space: GradedSpace, ops: dict[int, GradedMap], n: int, kind
     support words of ell_i whose image carries u.  The result contains
     every word whose Jacobi total is nonzero.
     """
+    ops = L.ops
     pool_lists = []
     for i in sorted(ops):
         j = n + 1 - i
@@ -341,19 +334,7 @@ def _candidate_words(space: GradedSpace, ops: dict[int, GradedMap], n: int, kind
             fs = sw.factors
             pool_lists.extend([index[i].get(u, ()) if q == p else [(f,)] for q, f in enumerate(fs)]
                               for p, u in enumerate(fs))
-    return substituted_words(space, kind, pool_lists)
-
-
-def _check_jacobi(ops: dict[int, GradedMap], space: GradedSpace, kind: str,
-                  literal_signs: bool, label: str) -> CheckReport:
-    index = {i: letter_index((w.factors, val) for w, val in op.images.items())
-             for i, op in ops.items()}
-    for n in range(1, 2 * max(ops, default=0)):
-        for w in _candidate_words(space, ops, n, kind, index):
-            total = _jacobi_total(ops, space, w.factors, n, literal_signs)
-            if total:
-                return CheckReport(False, f"{label} n={n} on {w!r}", total)
-    return CheckReport(True)
+    return substituted_words(L.space, "w", pool_lists)
 
 
 def check_linf(L: LInfAlgebra) -> CheckReport:
@@ -364,7 +345,14 @@ def check_linf(L: LInfAlgebra) -> CheckReport:
     nonzero Jacobi total, so the check is exhaustive.  Among failing words
     the one reported is the first in that order.
     """
-    return _check_jacobi(L.ops, L.space, "w", True, "Jacobi")
+    index = {i: letter_index((w.factors, val) for w, val in op.images.items())
+             for i, op in L.ops.items()}
+    for n in range(1, 2 * L.max_arity):
+        for w in _candidate_words(L, n, index):
+            total = _jacobi_total(L, w.factors, n)
+            if total:
+                return CheckReport(False, f"Jacobi n={n} on {w!r}", total)
+    return CheckReport(True)
 
 
 # ---------------------------------------------------------------------------

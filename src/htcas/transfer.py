@@ -277,36 +277,36 @@ def retract_recursion(r: HomotopyRetract, out: GradedSpace, leaf, substitute):
     routes run, the Quillen differential and the reduced Brown-Szczarba
     model: on a basis element c of the big space and a key,
 
-        f(key, c) = sum_{h in p(c)} leaf(key, h) + substitute(key, h(c), f'),
+        f(key, c) = sum_{h in p(c)} leaf(key, h) + substitute(key, h(c), f),
 
-    in `out`, where f' is f one level deeper.  The canonical homotopy kills
-    A and H and sends da_j to a_j, so h(c) is the element whose differential
-    is the dA part of c: it is read directly, and c is never split by a
-    solve.  f is memoized per (key, c), stored when the call returns, so a
-    substitution that asks for an unfinished value meets the depth guard at
-    dim + 2 rather than recursing without end.  Returns f at depth 0.
+    in `out`, where the substitution reads f itself.  The canonical homotopy
+    kills A and H and sends da_j to a_j, so h(c) is the element whose
+    differential is the dA part of c: it is read directly, and c is never
+    split by a solve.  f is memoized per (key, c).  The pair is marked in
+    the memo while its value is computed, so a substitution that asks for
+    an unfinished value, which would recurse without end, is refused at
+    once, naming the pair.
     """
     memo: dict = {}
-    limit = r.big.space.dim + 2
+    unfinished = object()
 
-    def at(depth: int):
-        def f(key, c: str) -> Element:
-            if (key, c) in memo:
-                return memo[key, c]
-            if depth > limit:
-                raise ValidationError(f"the recursion through the retract passes depth "
-                                      f"{limit} = dim + 2 without terminating")
-            w = Word.tensor(c)
-            parts = [(co, leaf(key, hw.factors[0]))
-                     for hw, co in r.proj.apply_word(w).terms.items()]
-            a = r.homotopy.apply_word(w)
-            if a:
-                parts.append((1, substitute(key, a, at(depth + 1))))
-            memo[key, c] = value = lincomb(out, parts)
+    def f(key, c: str) -> Element:
+        value = memo.get((key, c))
+        if value is unfinished:
+            raise ValidationError(f"the recursion through the retract asks for f({key!r}, {c}) "
+                                  f"again while computing it")
+        if value is not None:
             return value
-        return f
+        memo[key, c] = unfinished
+        w = Word.tensor(c)
+        parts = [(co, leaf(key, hw.factors[0])) for hw, co in r.proj.apply_word(w).terms.items()]
+        a = r.homotopy.apply_word(w)
+        if a:
+            parts.append((1, substitute(key, a, f)))
+        memo[key, c] = value = lincomb(out, parts)
+        return value
 
-    return at(0)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +323,17 @@ def degree_cap(lo: int, hi: int, shift: int) -> int | None:
 
 
 def arity_cap(max_k: int | None, derived: int | None) -> int:
-    """max_k, which must be at least 2, or else the derived cap; a
-    BoundError names both ways to give a cap when none can be derived."""
+    """The smaller of max_k, which must be at least 2, and the derived cap,
+    or whichever of the two exists.  Every op above the derived cap is zero
+    by degree, so a larger max_k would only compute zeros.  A BoundError
+    names both ways to give a cap when neither exists."""
     if max_k is not None and max_k < 2:
         raise ValidationError(f"the arity cap must be at least 2, got {max_k}")
-    cap = max_k if max_k is not None else derived
-    if cap is None:
+    caps = [c for c in (max_k, derived) if c is not None]
+    if not caps:
         raise BoundError("cannot derive an arity cap; give max_k "
                          "(--max-arity on the command line)")
-    return cap
+    return min(caps)
 
 
 def ainf_transfer_cap(C: AInfCoalgebra, small: GradedSpace) -> int | None:

@@ -2,9 +2,11 @@
 test structures.
 
 The table constructors build the fixtures' coalgebras and L-infinity
-algebras from coefficient tables.  The shifted checkers run the engine's
-axiom loops on the suspension-normalized ops, without the literal signs,
-as a second form of `check_ainf` and `check_linf`.  `parity_involution`
+algebras from coefficient tables.  The shifted checkers are a second form
+of `check_ainf` and `check_linf` that shares no loop, sign or candidate
+generator with them: d^2 = 0 of the cobar derivation of the shifted
+co-ops, and the Koszul-signed Jacobi sums of the shifted brackets on
+every monomial word of sL.  `parity_involution`
 negates every bracket, the normalization under which transferred brackets
 are compared with printed worked-example values.
 
@@ -46,6 +48,7 @@ from htcas.core import (
     GradedSpace,
     Word,
     canonical_word,
+    derivation,
     frac,
     from_coords,
     koszul_sign,
@@ -66,8 +69,6 @@ from htcas.structures import (
     AInfCoalgebra,
     CheckReport,
     LInfAlgebra,
-    _check_coherence,
-    _check_jacobi,
     iterated_coproducts,
     shifted_brackets,
     shifted_coops,
@@ -135,13 +136,47 @@ def linf_from_tables(space: GradedSpace, ops_table: dict[int, dict]) -> LInfAlge
 
 
 def check_ainf_shifted(C: AInfCoalgebra) -> CheckReport:
-    """Cross-form of check_ainf in the degree -1 normalization (sign-free)."""
-    return _check_coherence(shifted_coops(C), C.space.suspend(-1), False, "shifted relation")
+    """Cross-form of check_ainf in the degree -1 normalization: d^2 = 0 for
+    the cobar derivation d on T(s^{-1}C), the extension by `derivation` of
+    the sum of the shifted co-ops delta_k on generators."""
+    space = C.space.suspend(-1)
+    coops = shifted_coops(C)
+    d = {g: lincomb(space, ((1, m.apply_word(Word.tensor(g))) for m in coops.values()))
+         for g in space.names}
+    for g in space.names:
+        total = derivation(d, derivation(d, Element.gen(space, g)))
+        if total:
+            return CheckReport(False, f"cobar d^2 on {g}", total)
+    return CheckReport(True)
 
 
 def check_linf_shifted(L: LInfAlgebra) -> CheckReport:
-    """Cross-form of check_linf in the suspended normalization."""
-    return _check_jacobi(shifted_brackets(L), L.space.suspend(+1), "m", False, "shifted Jacobi")
+    """Cross-form of check_linf in the suspended normalization: on every
+    monomial word x_1...x_n of sL, the sum over i + j = n + 1 and the
+    (i, n-i)-unshuffles of eps B_j(B_i(x_left) x_right) vanishes, eps the
+    Koszul sign of moving x_left before x_right."""
+    space = L.space.suspend(+1)
+    B = shifted_brackets(L)
+    for n in range(1, 2 * L.max_arity):
+        for w in word_basis(space, "m", n):
+            fs = w.factors
+            parts = []
+            for i in B:
+                if n + 1 - i not in B:
+                    continue
+                for left in itertools.combinations(range(n), i):
+                    right = [p for p in range(n) if p not in left]
+                    eps = -1 if sum(space.degree(fs[p]) * space.degree(fs[q])
+                                    for p in left for q in right if q < p) % 2 else 1
+                    rest = tuple(fs[q] for q in right)
+                    inner = B[i].apply_word(Word.tensor(*(fs[p] for p in left)))
+                    for u, c in inner.terms.items():
+                        outer = B[n + 1 - i].apply_word(Word("t", u.factors + rest))
+                        parts.append((eps * c, outer))
+            total = lincomb(space, parts)
+            if total:
+                return CheckReport(False, f"shifted Jacobi n={n} on {w!r}", total)
+    return CheckReport(True)
 
 
 def parity_involution(L: LInfAlgebra) -> LInfAlgebra:

@@ -528,6 +528,21 @@ def test_coproduct_growth_is_refused(tmp_path, capsys, monkeypatch):
     assert "Delta^{(2)} has 390 terms before cancellation, over the bound of 389" in err
 
 
+def test_monomial_growth_is_refused(tmp_path, capsys):
+    # each level of the monomial basis is counted before it is built: x^k
+    # is a tuple of k letters, so the memory of x2 with `truncate 200000`
+    # grows with its square; mapmodel without --pointed dualizes it whole
+    big = write(tmp_path, "big.cdga", "kind cdga\ngen x : 2\ntruncate 200000\n")
+    target = str(MODELS / "example1_Y.cdga")
+    for argv in (["dualize", big], ["mapmodel", big, target]):
+        start = time.perf_counter()
+        code, out, err = run(argv, capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 4 and out == ""
+        assert ("4,097 monomials of length <= 4,096 have degree <= 200000, the degree "
+                "cutoff: over the bound of 4,096 monomials") in err
+
+
 def test_closed_stdout_ends_quietly():
     # a reader that closes its end early (`htcas ... | head -1`) ends the
     # command with 128 + SIGPIPE and nothing on stderr, output still buffered

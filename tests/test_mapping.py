@@ -455,6 +455,19 @@ Y4 = CDGA.of([("x", 4), ("y", 7), ("z", 10), ("t", 16), ("u", 22)],
              {"z": [(1, ("x", "y"))], "t": [(1, ("y", "z"))], "u": [(1, ("y", "t"))]})
 
 
+def test_no_transferred_bracket_above_the_mapping_cap():
+    # the degree count that lets a larger max_k stop at the derived cap:
+    # transferring two arities past it gives no bracket above it
+    L = linf_from_cdga(EX1_Y)
+    for tag, B in oracle_sources():
+        C = dual_coalgebra(B, counital=False)
+        r = canonical_retract(C)
+        hr = hom_retract(r, L)
+        cap = mapping_arity_cap(C, r.small.space)
+        model = transfer_linf(convolution_linf(C, L, hr.big), hr, max_k=cap + 2)
+        assert model.max_arity <= cap, tag
+
+
 def _ex1_dual():
     B = FiniteCDGA(CDGA.of([("a", 3), ("b", 3), ("c", 5)], {"c": [(1, ("a", "b"))]}),
                    max_cohom=11)

@@ -45,6 +45,7 @@ from htcas.structures import (
     perturb,
     truncate,
 )
+from htcas.transfer import canonical_retract, transfer_ainf
 
 
 def test_cbar_is_a_valid_cocommutative_dgc(cbar):
@@ -101,6 +102,40 @@ def test_literal_and_shifted_ainf_checkers_agree(cbar):
         with unchecked():
             C = dgc_from_tables(space, diff, cop)
         assert bool(check_ainf(C)) == bool(check_ainf_shifted(C))
+
+
+def test_literal_and_shifted_ainf_checkers_agree_on_a_genuine_delta_3():
+    # the Massey coproducts of four reduced duals, each with a Delta_3, as
+    # they are and with one Delta_2 or Delta_3 image scaled by 2, -1 or 0
+    sources = {
+        "n4": ([("a", 3), ("b", 3), ("c", 5), ("e", 3)], {"c": [(1, ("a", "b"))]}, None),
+        "n5": ([("a", 3), ("b", 3), ("c", 5), ("e", 3), ("f", 5)],
+               {"c": [(1, ("a", "b"))], "f": [(1, ("a", "e"))]}, None),
+        # degree-1 generators derive no arity cap
+        "heis": ([("a", 1), ("b", 1), ("c", 1)], {"c": [(1, ("a", "b"))]}, 4),
+        "ex1": ([("a", 3), ("b", 3), ("c", 5)], {"c": [(1, ("a", "b"))]}, None),
+    }
+    verdicts = []
+    for tag, (gens, d, max_k) in sources.items():
+        C = dual_coalgebra(FiniteCDGA(CDGA.of(gens, d)), counital=False)
+        H = transfer_ainf(C, canonical_retract(C), max_k=max_k)
+        assert 3 in H.ops, tag
+        cases = [H.ops]
+        for k in (2, 3):
+            m = H.ops[k]
+            for w in m.images:
+                for scale in (2, -1, 0):
+                    images = {**m.images, w: scale * m.images[w]}
+                    cases.append({**H.ops, k: GradedMap(m.source, m.target, m.degree, images)})
+        for ops in cases:
+            with unchecked():
+                X = AInfCoalgebra(H.space, ops)
+            verdict = bool(check_ainf(X))
+            assert verdict == bool(check_ainf_shifted(X)), tag
+            verdicts.append(verdict)
+    assert len(verdicts) == 118
+    # the four as they are, and twelve changes that keep the relations
+    assert verdicts.count(True) == 16
 
 
 def test_iterated_coproduct(cbar):
@@ -195,7 +230,7 @@ def _candidates(L, n):
     """`_candidate_words` at arity n, with the letter index of each op."""
     index = {i: letter_index((w.factors, v) for w, v in m.images.items())
              for i, m in L.ops.items()}
-    return _candidate_words(L.space, L.ops, n, "w", index)
+    return _candidate_words(L, n, index)
 
 
 def test_jacobi_candidates_are_exhaustive():
@@ -216,7 +251,7 @@ def test_jacobi_candidates_are_exhaustive():
     for n in (1, 2, 3):
         cands = set(_candidates(bad, n))
         for w in word_basis(bad.space, "w", n):
-            if _jacobi_total(bad.ops, bad.space, w.factors, n, True):
+            if _jacobi_total(bad, w.factors, n):
                 nonzero += 1
                 assert w in cands, (n, w)
     assert nonzero

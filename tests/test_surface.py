@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 from htcas import cli, core, functors, structures, transfer
-from htcas.core import GradedMap, GradedSpace, word_basis
+from htcas.core import GradedMap, GradedSpace, tensor_apply, word_basis
 from htcas.functors import (
     CDGA,
     FiniteCDGA,
@@ -30,12 +30,16 @@ from htcas.mapping import (
 from htcas.structures import (
     AInfCoalgebra,
     LInfAlgebra,
+    _ainf_total,
+    _candidate_words,
+    _jacobi_total,
+    check_ainf,
     check_linf,
     mc_check,
     perturb,
     truncate,
 )
-from htcas.transfer import hom_retract, transfer_ainf, transfer_linf
+from htcas.transfer import arity_cap, hom_retract, transfer_ainf, transfer_linf
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -75,7 +79,14 @@ PARAMETERS = {
     quillen_differential_direct: ["C"],
     hom_retract: ["r", "L"],
     dual_coalgebra: ["B", "counital"],
+    # one form per relation: no parameter selects signs, a word kind or a label
+    check_ainf: ["C"],
     check_linf: ["L"],
+    _ainf_total: ["C", "gen", "i"],
+    _jacobi_total: ["L", "factors", "n"],
+    _candidate_words: ["L", "n", "index"],
+    tensor_apply: ["slots", "arities", "el"],
+    arity_cap: ["max_k", "derived"],
     hspace_certificate: ["x_side", "y_side"],
     word_basis: ["space", "kind", "arity"],
     GradedMap.apply_word: ["self", "word"],
@@ -116,6 +127,9 @@ def test_no_wrappers_of_a_single_call():
     assert not hasattr(core, "suspend_element")
     assert not hasattr(structures, "unshift_coop")
     assert not hasattr(structures, "unshift_bracket")
+    # each relation has one checker; the shifted forms are test oracles
+    assert not hasattr(structures, "_check_coherence")
+    assert not hasattr(structures, "_check_jacobi")
     assert not hasattr(transfer, "_shift_map")
     assert not hasattr(transfer, "_as_wedge_op")
     assert not hasattr(GradedMap, "support")

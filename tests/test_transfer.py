@@ -30,12 +30,14 @@ from htcas.structures import (
     check_ainf,
     check_cocommutative,
     check_linf,
+    unshift,
 )
 from htcas.transfer import (
     ChainComplex,
     Decomposition,
     HomotopyRetract,
     ainf_transfer_cap,
+    canonical_retract,
     hom_complex,
     hom_retract,
     hom_space,
@@ -245,15 +247,14 @@ def test_chain_complex_refuses_d_squared_nonzero():
 
 
 def _recursion_retract():
-    """x' retracts x (+) (a -> b): p(x) = x', h(b) = a; dim 3, so the
-    recursion's depth guard sits at 5."""
+    """x' retracts x (+) (a -> b): p(x) = x', h(b) = a."""
     return _hand_retract([("x", 0), ("a", 1), ("b", 0)], {"a": {"b": 1}}, [("x'", 0)],
                          {"x'": {"x": 1}}, {"x": {"x'": 1}}, {"b": {"a": 1}})
 
 
 def test_retract_recursion_refuses_a_substitution_without_end():
-    # a substitution that asks for its own argument again finds no stored
-    # value and recurses until the depth passes dim + 2
+    # a substitution that asks for its own argument again meets the mark of
+    # the unfinished value, and is refused before it recurses
     r = _recursion_retract()
     entered = []
 
@@ -263,10 +264,10 @@ def test_retract_recursion_refuses_a_substitution_without_end():
 
     f = retract_recursion(r, r.small.space, lambda key, h: Element.gen(r.small.space, h),
                           substitute)
-    with pytest.raises(ValidationError, match=r"passes depth 5 = dim \+ 2 without terminating"):
+    with pytest.raises(ValidationError, match=r"^the recursion through the retract asks for "
+                                              r"f\(None, b\) again while computing it$"):
         f(None, "b")
-    # one substitution at each depth 0, ..., dim + 2, and the call below it refused
-    assert len(entered) == r.big.space.dim + 3
+    assert len(entered) == 1
 
 
 def test_retract_recursion_evaluates_each_key_and_element_once():
@@ -381,6 +382,37 @@ def test_transfer_linf_restricted_to_words(cbar, cbar_retract, target_dgl):
     assert out.ops[3].images == {w: full.ops[3].images[w] for w in top[::2]}
     for k in full.ops.keys() - {3}:
         assert out.ops[k].images == full.ops[k].images, k
+
+
+def test_ainf_transfer_computes_no_arity_above_the_derived_cap(monkeypatch):
+    # a work guard: a max_k above the derived cap 4 of the example1_X dual
+    # prints what the derived cap prints, and unshifts the three arities
+    # 2, 3 and 4, not every arity up to 50
+    from htcas import transfer
+    B = FiniteCDGA(CDGA.of([("a", 3), ("b", 3), ("c", 5)], {"c": [(1, ("a", "b"))]}),
+                   max_cohom=11)
+    C = dual_coalgebra(B, counital=False)
+    r = canonical_retract(C)
+    assert ainf_transfer_cap(C, r.small.space) == 4
+    want = transfer_ainf(C, r)
+    calls = []
+    monkeypatch.setattr(transfer, "unshift", lambda *args: calls.append(1) or unshift(*args))
+    got = transfer_ainf(C, r, max_k=50)
+    assert len(calls) == 3
+    assert got.ops.keys() == want.ops.keys()
+    for k in want.ops:
+        assert got.ops[k].images == want.ops[k].images, k
+
+
+def test_planar_trees_above_the_derived_cap_vanish(n4):
+    # the degree count behind the clamp, tree by tree: every planar tree
+    # map with one leaf more than the derived cap is zero
+    C, r = n4
+    cap = ainf_transfer_cap(C, r.small.space)
+    assert cap == 6
+    trees = enumerate_planar(cap + 1)
+    assert len(trees) == 903
+    assert all(tree_map_coalgebra(t, C, r).is_zero() for t in trees)
 
 
 def test_transfer_cap_derivation(cbar, cbar_retract, target_dgl):
